@@ -8,9 +8,11 @@
 // ingest::admit with the full server-grade observability stack live:
 // head-sampled tracing, a running Timeline, and the HDR latency
 // histogram. It reports p50/p99/p999 admission latency (exact, from
-// per-thread samples), arena footprint, and cache pressure into
-// BENCH_server.json, and *fails* (nonzero exit) when the observability
-// numbers don't reconcile with ground truth:
+// per-thread samples, overall and per request class), the per-phase span
+// ledger (calls, p50 and mean time of every "phase.*" histogram), arena
+// footprint, and cache pressure into BENCH_server.json, and *fails*
+// (nonzero exit) when the observability numbers don't reconcile with
+// ground truth:
 //
 //   * the "server.admission.ns" histogram count must equal the request
 //     count (sampling suppresses trace events, never metrics);
@@ -39,6 +41,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +62,7 @@ uint64_t exactQuantile(const std::vector<uint64_t> &Sorted, double Q) {
 
 struct WorkerResult {
   std::vector<uint64_t> LatNs;
+  std::vector<uint64_t> ClassLatNs[3]; ///< Indexed by ServerMix::Kind.
   uint64_t Ok = 0;
   uint64_t Rejected = 0;
   uint64_t HotReqs = 0;
@@ -103,6 +107,12 @@ int main(int argc, char **argv) {
   Opts.RunStart = false;
   ingest::Limits Lim;
 
+  // Phase histograms before the run, so the span ledger below counts the
+  // requests only (building the mix above serializes every payload).
+  std::map<std::string, obs::Metric> PhasesBefore;
+  for (obs::Metric &M : obs::snapshot().Metrics)
+    PhasesBefore[M.Name] = std::move(M);
+
   std::vector<WorkerResult> Results(Threads);
   std::atomic<uint64_t> ColdCursor{0}, AdvCursor{0};
   uint64_t PerThread = Requests / Threads;
@@ -118,7 +128,8 @@ int main(int argc, char **argv) {
       static obs::Histogram ServerH("server.admission.ns");
       for (uint64_t I = 0; I < N; ++I) {
         const std::vector<uint8_t> *Bytes = nullptr;
-        switch (Mix.kind(Rng)) {
+        ServerMix::Kind K = Mix.kind(Rng);
+        switch (K) {
         case ServerMix::Hot:
           Bytes = &Mix.HotBytes[Mix.zipfIndex(Rng)];
           ++R.HotReqs;
@@ -144,6 +155,7 @@ int main(int argc, char **argv) {
             std::chrono::duration_cast<std::chrono::nanoseconds>(E - S)
                 .count());
         R.LatNs.push_back(Ns);
+        R.ClassLatNs[K].push_back(Ns);
         ServerH.record(Ns);
         if (A)
           ++R.Ok;
@@ -162,9 +174,13 @@ int main(int argc, char **argv) {
 
   // Ground truth: merged exact latency samples.
   std::vector<uint64_t> All;
+  std::vector<uint64_t> ByClass[3];
   WorkerResult Tot;
   for (const WorkerResult &R : Results) {
     All.insert(All.end(), R.LatNs.begin(), R.LatNs.end());
+    for (unsigned K = 0; K < 3; ++K)
+      ByClass[K].insert(ByClass[K].end(), R.ClassLatNs[K].begin(),
+                        R.ClassLatNs[K].end());
     Tot.Ok += R.Ok;
     Tot.Rejected += R.Rejected;
     Tot.HotReqs += R.HotReqs;
@@ -172,6 +188,8 @@ int main(int argc, char **argv) {
     Tot.AdvReqs += R.AdvReqs;
   }
   std::sort(All.begin(), All.end());
+  for (std::vector<uint64_t> &C : ByClass)
+    std::sort(C.begin(), C.end());
   uint64_t ExactP50 = exactQuantile(All, 0.50);
   uint64_t ExactP99 = exactQuantile(All, 0.99);
   uint64_t ExactP999 = exactQuantile(All, 0.999);
@@ -268,6 +286,47 @@ int main(int argc, char **argv) {
                "  \"latency_ns\": {\"p50\": %" PRIu64 ", \"p99\": %" PRIu64
                ", \"p999\": %" PRIu64 ", \"max\": %" PRIu64 "},\n",
                ExactP50, ExactP99, ExactP999, All.empty() ? 0 : All.back());
+  static const char *ClassNames[3] = {"hot", "cold", "adversarial"};
+  std::fprintf(Out, "  \"latency_by_class_ns\": {");
+  for (unsigned K = 0; K < 3; ++K)
+    std::fprintf(Out,
+                 "%s\"%s\": {\"p50\": %" PRIu64 ", \"p99\": %" PRIu64 "}",
+                 K ? ", " : "", ClassNames[K],
+                 exactQuantile(ByClass[K], 0.50),
+                 exactQuantile(ByClass[K], 0.99));
+  std::fprintf(Out, "},\n");
+  // The span ledger: each phase histogram's calls per request and its
+  // median and mean (inclusive) duration over the run — which stages an
+  // average request runs, and what each costs.
+  std::fprintf(Out, "  \"phases\": {");
+  const char *Sep = "";
+  for (const obs::Metric &M : Snap.Metrics) {
+    const std::string &N = M.Name;
+    if (M.Kind != obs::MetricKind::Histogram || N.rfind("phase.", 0) != 0 ||
+        N.size() < 9 || N.compare(N.size() - 3, 3, ".ns") != 0)
+      continue;
+    obs::Metric Run = M;
+    if (auto It = PhasesBefore.find(N); It != PhasesBefore.end()) {
+      Run.Value -= It->second.Value;
+      Run.Sum -= It->second.Sum;
+      for (size_t I = 0; I < Run.Buckets.size(); ++I)
+        Run.Buckets[I] -= It->second.Buckets[I];
+    }
+    if (Run.Value == 0)
+      continue;
+    std::fprintf(Out,
+                 "%s\n    \"%s\": {\"calls\": %" PRIu64
+                 ", \"calls_per_request\": %.4f, \"p50_ns\": %" PRIu64
+                 ", \"mean_ns\": %.0f}",
+                 Sep, N.substr(6, N.size() - 9).c_str(), Run.Value,
+                 static_cast<double>(Run.Value) /
+                     static_cast<double>(Requests),
+                 obs::histQuantile(Run, 0.50),
+                 static_cast<double>(Run.Sum) /
+                     static_cast<double>(Run.Value));
+    Sep = ",";
+  }
+  std::fprintf(Out, "\n  },\n");
   std::fprintf(Out,
                "  \"latency_hist_ns\": {\"p50\": %" PRIu64
                ", \"p99\": %" PRIu64 ", \"p999\": %" PRIu64 "},\n",

@@ -187,9 +187,10 @@ BENCHMARK(F3_ColdAdmission)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
 //===----------------------------------------------------------------------===//
 // Ingest front-door smoke (DESIGN.md §12): cold admission of N standalone
 // serialized modules through ingest::admit versus hand-running the same
-// pipeline (serial::read → checkModule → instantiateLowered). The front
-// door adds magic sniffing, limit pre-checks, structured error plumbing,
-// and obs counters — run_bench.sh computes the overhead percentage into
+// pipeline (serial::readPrivate → checkModule → instantiateLowered). The
+// front door adds magic sniffing, the input hash, limit pre-checks,
+// structured error plumbing, and obs counters — run_bench.sh computes the
+// overhead percentage into
 // BENCH_link.json and RW_INGEST_GATE=1 fails the run above 5%.
 //===----------------------------------------------------------------------===//
 
@@ -223,8 +224,7 @@ static void F3_IngestPipeline(benchmark::State &St) {
   auto Blobs = ingestBlobs(static_cast<unsigned>(St.range(0)));
   for (auto _ : St) {
     for (const auto &B : Blobs) {
-      auto Arena = std::make_shared<ir::TypeArena>();
-      auto M = serial::read(B, Arena);
+      auto M = serial::readPrivate(B);
       if (!M) { St.SkipWithError("serial read failed"); return; }
       std::vector<typing::InfoMap> Infos(1);
       if (!typing::checkModule(*M, &Infos[0]).ok()) {

@@ -24,13 +24,22 @@
 #                         ingest::admit with tracing + timeline live;
 #                         p50/p99/p999 admission latency, cache pressure,
 #                         and the obs-vs-ground-truth reconciliation
-#                         gates (the binary exits nonzero on divergence).
-#                         RW_C7_THREADS / RW_C7_REQUESTS tune the load
-#                         (defaults 8 / 100000; CI smoke uses 4 / 20000).
+#                         gates (the binary exits nonzero on divergence),
+#                         plus per-class latency and the per-phase span
+#                         ledger. RW_C7_THREADS / RW_C7_REQUESTS tune the
+#                         load (defaults 8 / 100000; CI smoke uses
+#                         4 / 20000).
+#
+# Every time is stored in nanoseconds, converted from each benchmark's
+# google-benchmark time_unit (bench/gbench_ns.py); each file says so with
+# "time_unit": "ns", and a baseline that does not is refused.
 #
 # Usage: bench/run_bench.sh [build-dir] [interp-out.json] [typing-out.json]
 #                           [link-out.json] [cache-out.json] [server-out.json]
 set -euo pipefail
+
+# The Python steps below import bench/gbench_ns.py.
+export PYTHONPATH="$(cd "$(dirname "$0")" && pwd)${PYTHONPATH:+:$PYTHONPATH}"
 
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_interp.json}"
@@ -119,20 +128,16 @@ if [[ "${RW_OBS_GATE:-0}" == "1" ]]; then
             "${ON_F7[@]}" "${ON_F4[@]}" "${OFF_F7[@]}" "${OFF_F4[@]}" \
             <<'EOF' || GATE_STATUS=$?
 import json, sys
+from gbench_ns import measured
 
 def series(paths):
     """name -> [best ns at rep 1, rep 2, ...] in path order."""
     out = {}
     for path in paths:
         rep = {}
-        for b in json.load(open(path))["benchmarks"]:
-            if b.get("run_type") == "aggregate":
-                continue
-            if b.get("error_occurred") or b.get("skipped"):
-                continue
-            ns = b["real_time"]
-            if b["name"] not in rep or ns < rep[b["name"]]:
-                rep[b["name"]] = ns
+        for name, ns, _ in measured(json.load(open(path))):
+            if name not in rep or ns < rep[name]:
+                rep[name] = ns
         for name, ns in rep.items():
             out.setdefault(name, []).append(ns)
     return out
@@ -203,25 +208,21 @@ export BENCH_HOST_FP
 
 python3 - "$RAW" "$OUT" <<'EOF'
 import json, sys, math, os, datetime
+from gbench_ns import measured
 
 raw = json.load(open(sys.argv[1]))
 runs = {}
-for b in raw["benchmarks"]:
-    if b.get("run_type") == "aggregate":
-        continue
-    if b.get("error_occurred") or b.get("skipped"):
-        continue
-    name = b["name"]  # e.g. F4_Wasm_Loop_Flat/1000
-    runs.setdefault(name, []).append(b)
+for name, ns, b in measured(raw):  # e.g. F4_Wasm_Loop_Flat/1000
+    runs.setdefault(name, []).append((ns, b))
 
 engines = {"tree": {}, "flat": {}, "jit": {}}
 for name, bs in runs.items():
     base, _, arg = name.partition("/")
     parts = base.split("_")          # F4 Wasm <Workload> <Engine>
     workload, engine = parts[2], parts[3].lower()
-    best = min(bs, key=lambda b: b["real_time"])
+    ns, best = min(bs, key=lambda nb: nb[0])
     engines[engine][f"{workload}/{arg}"] = {
-        "ns_per_invoke": best["real_time"],
+        "ns_per_invoke": ns,
         "insts_per_sec": best.get("insts/s"),
     }
 
@@ -260,6 +261,7 @@ out = {
     "benchmark": "fig4_interp_throughput",
     "date": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     "host_fingerprint": fp,
+    "time_unit": "ns",
     "engines": engines,
     "speedup_flat_over_tree": speedups,
     "speedup_geomean": gm,
@@ -302,19 +304,15 @@ EOF
 # per-benchmark speedups (the F7_CheckModule geomean gates checker PRs).
 python3 - "$TYPING_RAW" "$T1_RAW" "$TYPING_OUT" <<'EOF'
 import json, sys, math, os, datetime
+from gbench_ns import load_baseline, measured
 
 results = {}
 for path in (sys.argv[1], sys.argv[2]):
-    raw = json.load(open(path))
-    for b in raw["benchmarks"]:
-        if b.get("run_type") == "aggregate":
-            continue
-        if b.get("error_occurred") or b.get("skipped"):
-            continue
-        cur = results.get(b["name"])
-        if cur is None or b["real_time"] < cur["ns"]:
-            results[b["name"]] = {
-                "ns": b["real_time"],
+    for name, ns, b in measured(json.load(open(path))):
+        cur = results.get(name)
+        if cur is None or ns < cur["ns"]:
+            results[name] = {
+                "ns": ns,
                 "per_sec": b.get("funcs/s") or b.get("programs/s"),
             }
 
@@ -322,12 +320,13 @@ out = {
     "benchmark": "typing_throughput",
     "date": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     "host_fingerprint": os.environ.get("BENCH_HOST_FP", "unknown"),
+    "time_unit": "ns",
     "results": results,
 }
 
 baseline_path = os.environ.get("BENCH_BASELINE_TYPING", "")
 if baseline_path and os.path.exists(baseline_path):
-    base = json.load(open(baseline_path))["results"]
+    base = load_baseline(baseline_path)
     speedups = {
         name: base[name]["ns"] / r["ns"]
         for name, r in results.items()
@@ -361,22 +360,19 @@ EOF
 # target on multi-core; F3_ColdInstantiate tracks the bare lowered path).
 python3 - "$LINK_RAW" "$LINK_OUT" <<'EOF'
 import json, sys, datetime, os
+from gbench_ns import load_baseline, measured
 
 raw = json.load(open(sys.argv[1]))
 results = {}
-for b in raw["benchmarks"]:
-    if b.get("run_type") == "aggregate":
-        continue
-    if b.get("error_occurred") or b.get("skipped"):
-        continue
-    cur = results.get(b["name"])
-    if cur is None or b["real_time"] < cur["ns"]:
-        entry = {"ns": b["real_time"]}
+for name, ns, b in measured(raw):
+    cur = results.get(name)
+    if cur is None or ns < cur["ns"]:
+        entry = {"ns": ns}
         if "imports/s" in b:
             entry["imports_per_sec"] = b["imports/s"]
         if "modules/s" in b:
             entry["modules_per_sec"] = b["modules/s"]
-        results[b["name"]] = entry
+        results[name] = entry
 
 speedups = {}
 for name, r in results.items():
@@ -391,6 +387,7 @@ out = {
     "benchmark": "link_batch_resolution",
     "date": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     "host_fingerprint": os.environ.get("BENCH_HOST_FP", "unknown"),
+    "time_unit": "ns",
     "results": results,
     "speedup_batch_over_sequential": speedups,
 }
@@ -406,7 +403,7 @@ if admit and rawpipe and rawpipe["ns"] > 0:
 
 baseline_path = os.environ.get("BENCH_BASELINE_LINK", "")
 if baseline_path and os.path.exists(baseline_path):
-    base = json.load(open(baseline_path))["results"]
+    base = load_baseline(baseline_path)
     cold = {
         name: base[name]["ns"] / r["ns"]
         for name, r in results.items()
@@ -448,23 +445,20 @@ EOF
 # instantiation.
 python3 - "$CACHE_RAW" "$CACHE_OUT" <<'EOF'
 import json, sys, datetime, os
+from gbench_ns import measured
 
 raw = json.load(open(sys.argv[1]))
 results = {}
-for b in raw["benchmarks"]:
-    if b.get("run_type") == "aggregate":
-        continue
-    if b.get("error_occurred") or b.get("skipped"):
-        continue
-    cur = results.get(b["name"])
-    if cur is None or b["real_time"] < cur["ns"]:
-        entry = {"ns": b["real_time"]}
+for name, ns, b in measured(raw):
+    cur = results.get(name)
+    if cur is None or ns < cur["ns"]:
+        entry = {"ns": ns}
         for key in ("modules/s", "cache_hits", "cache_misses",
                     "cache_evictions", "cache_bytes", "bytes_per_module",
                     "arena_serialized_bytes"):
             if key in b:
                 entry[key] = b[key]
-        results[b["name"]] = entry
+        results[name] = entry
 
 speedups = {}
 for pair in ("Admission", "CheckBatch"):
@@ -480,6 +474,7 @@ out = {
     "benchmark": "admission_cache",
     "date": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     "host_fingerprint": os.environ.get("BENCH_HOST_FP", "unknown"),
+    "time_unit": "ns",
     "results": results,
     "speedup_warm_over_cold": speedups,
     "admission_warm_speedup_64": speedups.get("Admission/64"),

@@ -119,6 +119,14 @@ int main(int argc, char **argv) {
     }
   }
 
+  // A one-byte mutant of an admitted module: the last payload byte of hot
+  // payload 0 flipped (the checksum then rejects it). Admitted right
+  // after its original through fuzz_ingest_admit's shared cache, it pins
+  // that a near-duplicate of a cached input never hits its entry.
+  std::vector<uint8_t> OneByte = Hot0;
+  OneByte.back() ^= 0x01;
+  Emit("adv_servermix_one_byte.bin", OneByte);
+
   if (Failures) {
     std::fprintf(stderr, "%d corpus seeds failed\n", Failures);
     return 1;

@@ -134,11 +134,18 @@ struct AdmissionCache::Impl {
 
   void touch(Lru::iterator It) { Recency.splice(Recency.begin(), Recency, It); }
 
+  /// Artifacts evicted under the lock, handed out so the caller frees
+  /// them after unlocking: the last reference to a lowered artifact frees
+  /// a whole Wasm module, too long to keep the shard's probes waiting.
+  using Evicted = std::vector<std::shared_ptr<const LoweredArtifact>>;
+
   /// Evicts from the LRU tail until the resident bytes fit the budget.
   /// (Entries larger than the whole budget never get in — see insert.)
-  void evict(uint64_t Budget) {
+  void evict(uint64_t Budget, Evicted &Dead) {
     while (St.Bytes > Budget && !Recency.empty()) {
       Entry &E = Recency.back();
+      if (E.Art)
+        Dead.push_back(std::move(E.Art));
       mapFor(E.K).erase(E.Key);
       St.Bytes -= E.Bytes;
       --St.Entries;
@@ -148,7 +155,7 @@ struct AdmissionCache::Impl {
   }
 
   void insert(Kind K, const serial::ModuleHash &Key, Entry E,
-              uint64_t Budget) {
+              uint64_t Budget, Evicted &Dead) {
     // An entry the whole budget cannot hold is rejected up front: pushing
     // it through the LRU would evict every resident entry before the
     // oversized one itself went, flushing the warm set for nothing.
@@ -166,7 +173,7 @@ struct AdmissionCache::Impl {
     ++St.Entries;
     Recency.push_front(std::move(E));
     M.emplace(Key, Recency.begin());
-    evict(Budget);
+    evict(Budget, Dead);
   }
 };
 
@@ -248,8 +255,9 @@ void AdmissionCache::storeCheck(const serial::ModuleHash &Key, CheckResult R) {
   E.Bytes = checkBytes(R);
   E.Check = std::move(R);
   Impl &I = shardFor(Key);
+  Impl::Evicted Dead; // Freed after the lock is released.
   std::lock_guard<std::mutex> G(I.M);
-  I.insert(Impl::Kind::Check, Key, std::move(E), ShardBudget);
+  I.insert(Impl::Kind::Check, Key, std::move(E), ShardBudget, Dead);
 }
 
 std::shared_ptr<const LoweredArtifact>
@@ -280,8 +288,9 @@ void AdmissionCache::storeProgram(const serial::ModuleHash &Key,
   E.Bytes = artifactBytes(*Art);
   E.Art = std::move(Art);
   Impl &I = shardFor(Key);
+  Impl::Evicted Dead; // Freed after the lock is released.
   std::lock_guard<std::mutex> G(I.M);
-  I.insert(Impl::Kind::Program, Key, std::move(E), ShardBudget);
+  I.insert(Impl::Kind::Program, Key, std::move(E), ShardBudget, Dead);
 }
 
 CacheStats AdmissionCache::stats() const {

@@ -6,25 +6,43 @@
 
 #include "ingest/Ingest.h"
 
-#include "ir/TypeArena.h"
+#include "cache/AdmissionCache.h"
 #include "obs/Obs.h"
 #include "serial/Serial.h"
+#include "support/Hashing.h"
 #include "typing/Checker.h"
 #include "wasm/Binary.h"
 #include "wasm/Validate.h"
+
+#include <random>
 
 using namespace rw;
 using namespace rw::ingest;
 
 namespace {
 
-uint64_t fnv1a(const std::vector<uint8_t> &Bytes) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (uint8_t B : Bytes) {
-    H ^= B;
-    H *= 0x100000001b3ull;
-  }
-  return H;
+/// The RichWasm route's cache key: a hash of the input bytes plus every
+/// Limits field the route enforces after reading, folded under a seed of
+/// its own so byte keys and cache::programKey keys form separate domains
+/// in the one cache. Folding the limits in keeps a tighter policy from
+/// being served an artifact admitted under a looser one. The byte pass is
+/// seeded with a value drawn once per process: hashBytes128's lanes are
+/// each invertible word by word, so without a secret seed colliding
+/// inputs could be built offline, and whoever later submitted one of them
+/// would be served the other's artifact.
+serial::ModuleHash byteKey(const std::vector<uint8_t> &Bytes,
+                           const Limits &L) {
+  static const uint64_t ProcessSeed = [] {
+    std::random_device RD;
+    return (uint64_t(RD()) << 32) ^ RD();
+  }();
+  constexpr uint64_t ByteKeyDomain = 0x5257424d62797465ull; // "RWBMbyte"
+  support::Hash128 Input =
+      support::hashBytes128(Bytes.data(), Bytes.size(), ProcessSeed);
+  const uint64_t Words[] = {Input.Hi, Input.Lo, L.MaxFuncs, L.MaxGlobals,
+                            L.MaxElems};
+  return support::hashBytes128(reinterpret_cast<const uint8_t *>(Words),
+                               sizeof(Words), ByteKeyDomain);
 }
 
 obs::Counter &rejectedCounter(Category C) {
@@ -164,19 +182,19 @@ Expected<AdmittedModule> admitWasm(const std::vector<uint8_t> &Bytes,
                      : Category::Engine;
     return reject(ErrOut, C, 0, Msg);
   }
-  return std::move(A);
+  return A;
 }
 
-Expected<AdmittedModule> admitRichWasm(const std::vector<uint8_t> &Bytes,
-                                       const Limits &L,
-                                       const link::LinkOptions &Opts,
-                                       IngestError *ErrOut) {
+/// Reads, limit-checks and type-checks a RichWasm payload, then builds
+/// its lowered artifact. The parsed module and its private arena die on
+/// return: the artifact is pure Wasm and borrows nothing from them.
+Expected<std::shared_ptr<const cache::LoweredArtifact>>
+buildRichWasm(const std::vector<uint8_t> &Bytes, const Limits &L,
+              const link::LinkOptions &Opts, IngestError *ErrOut) {
   // A private arena per admission: a rejected module's types die with it,
   // so hostile bytes cannot grow the process-wide arena (which has no
-  // eviction). serial::read additionally probes a scratch arena first, so
-  // even the private arena only ever holds a structurally valid module.
-  auto Arena = std::make_shared<ir::TypeArena>();
-  Expected<ir::Module> M = serial::read(Bytes, Arena);
+  // eviction). Nobody else holds the arena, so one parse suffices.
+  Expected<ir::Module> M = serial::readPrivate(Bytes);
   if (!M)
     return reject(ErrOut, classifySerial(M.error().message()), 0,
                   M.error().message());
@@ -195,26 +213,57 @@ Expected<AdmittedModule> admitRichWasm(const std::vector<uint8_t> &Bytes,
                       " table entries, limit is " +
                       std::to_string(L.MaxElems));
 
-  AdmittedModule A;
-  A.R = Route::RichWasm;
-  A.RichMod = std::make_unique<ir::Module>(M.take());
-
   // Check explicitly (precise Category::Check attribution), then hand the
-  // InfoMap to the admission pipeline so it runs zero further checks.
+  // InfoMap to the build stage so it runs zero further checks.
   std::vector<typing::InfoMap> Infos(1);
-  if (Status S = typing::checkModule(*A.RichMod, &Infos[0]); !S)
+  if (Status S = typing::checkModule(*M, &Infos[0]); !S)
     return reject(ErrOut, Category::Check, 0, S.error().message());
 
   link::LinkOptions LO = Opts;
   LO.TypeCheck = true;
   LO.Infos = &Infos;
+  Expected<std::shared_ptr<const cache::LoweredArtifact>> Art =
+      link::buildArtifact({&*M}, LO);
+  if (!Art)
+    return reject(ErrOut, classifyAdmission(Art.error().message()), 0,
+                  Art.error().message());
+  return Art;
+}
+
+/// The RichWasm route. With a cache, the byte key is probed before any
+/// parsing: a hit goes straight to instantiation. A miss runs the whole
+/// checked pipeline and stores its artifact under the byte key, so only
+/// bytes that passed read, limits, check, lower, validate and translate
+/// are ever served from it.
+Expected<AdmittedModule> admitRichWasm(const std::vector<uint8_t> &Bytes,
+                                       const Limits &L,
+                                       const link::LinkOptions &Opts,
+                                       IngestError *ErrOut) {
+  serial::ModuleHash Key;
+  std::shared_ptr<const cache::LoweredArtifact> Art;
+  if (Opts.Cache) {
+    Key = byteKey(Bytes, L);
+    Art = Opts.Cache->lookupProgram(Key);
+  }
+  if (!Art) {
+    Expected<std::shared_ptr<const cache::LoweredArtifact>> Built =
+        buildRichWasm(Bytes, L, Opts, ErrOut);
+    if (!Built)
+      return Built.error();
+    Art = Built.take();
+    if (Opts.Cache)
+      Opts.Cache->storeProgram(Key, Art);
+  }
+
   Expected<link::LoweredInstance> LI =
-      link::instantiateLowered({A.RichMod.get()}, LO);
+      link::instantiateArtifact(std::move(Art), Opts);
   if (!LI)
     return reject(ErrOut, classifyAdmission(LI.error().message()), 0,
                   LI.error().message());
+  AdmittedModule A;
+  A.R = Route::RichWasm;
   A.Lowered = LI.take();
-  return std::move(A);
+  return A;
 }
 
 } // namespace
@@ -226,8 +275,9 @@ Expected<AdmittedModule> rw::ingest::admit(const std::vector<uint8_t> &Bytes,
   // The content hash doubles as the head-sampling key: the same input
   // bytes trace (or not) identically regardless of thread, pool size, or
   // arrival order, so an always-on server traces a stable deterministic
-  // 1-in-N slice of its admissions (RW_OBS_TRACE_SAMPLE=N).
-  uint64_t InputHash = fnv1a(Bytes);
+  // 1-in-N slice of its admissions (RW_OBS_TRACE_SAMPLE=N). Unseeded,
+  // unlike the cache key, so the slice is also the same across runs.
+  uint64_t InputHash = support::hashBytes128(Bytes.data(), Bytes.size()).Lo;
   obs::TraceSampleScope SampleScope(obs::traceSampleSelect(InputHash));
   OBS_SPAN("ingest_admit", Bytes.size());
   static obs::Counter Accepted("ingest.accepted");

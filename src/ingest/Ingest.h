@@ -17,12 +17,20 @@
 ///   * `\0asm` — a WebAssembly binary: wasm::decode under Limits,
 ///     wasm::validate with the operand-depth cap, then instantiation on
 ///     LinkOptions::Engine (flat translation included for Flat/Jit).
-///   * `RWBM`  — a serialized RichWasm module (serial/): serial::read
-///     into a *private* arena (a rejected admission leaves zero residue in
-///     the process-wide arena by construction), typing::checkModule, then
-///     the standard link/lower/validate/translate admission via
-///     link::instantiateLowered — cache, pool, and engine selection all
-///     honor the caller's LinkOptions.
+///   * `RWBM`  — a serialized RichWasm module (serial/), in stages:
+///       1. with LinkOptions::Cache set, probe the cache under the *byte
+///          key* — a per-process seeded hash of the input bytes and the
+///          Limits fields this route enforces — and on a hit skip to
+///          step 5;
+///       2. serial::readPrivate into a private arena (a rejected admission
+///          leaves zero residue in the process-wide arena by
+///          construction), then the MaxFuncs/MaxGlobals/MaxElems limits;
+///       3. typing::checkModule;
+///       4. link::buildArtifact (resolve, lower, validate, translate),
+///          stored under the byte key when a cache is set;
+///       5. link::instantiateArtifact on the caller's engine.
+///     Only bytes that passed steps 2-4 are ever stored, so a hit serves
+///     a checked artifact (DESIGN.md §8).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +38,6 @@
 #define RICHWASM_INGEST_INGEST_H
 
 #include "ingest/Limits.h"
-#include "ir/Module.h"
 #include "link/Link.h"
 #include "support/Error.h"
 #include "wasm/Instance.h"
@@ -50,18 +57,19 @@ inline const char *routeName(Route R) {
 /// Owns everything it hands out; safe to move across threads as a unit.
 struct AdmittedModule {
   Route R = Route::Wasm;
-  /// FNV-1a of the admitted input bytes (both routes) — a cheap identity
-  /// for logs; the RichWasm route's cache key is the content hash inside
-  /// link::instantiateLowered.
+  /// Low word of the unseeded support::hashBytes128 over the input bytes
+  /// (both routes): a cheap identity for logs and the head-sampling key.
+  /// The RichWasm route's cache key is a separate, per-process seeded
+  /// pass with the enforced Limits folded in.
   uint64_t InputHash = 0;
 
   /// Wasm route: the decoded module (the instance borrows it).
   std::unique_ptr<wasm::WModule> WasmMod;
   std::unique_ptr<wasm::Instance> WasmInst;
 
-  /// RichWasm route: the parsed module (owns its private arena via
-  /// ir::Module::Arena) and the lowered program + instance.
-  std::unique_ptr<ir::Module> RichMod;
+  /// RichWasm route: the lowered program + instance. The parsed module is
+  /// not kept — a cache hit never parses, and the artifact borrows
+  /// nothing from it.
   link::LoweredInstance Lowered;
 
   /// The live instance, whichever route produced it.

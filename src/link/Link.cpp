@@ -400,70 +400,84 @@ rw::link::instantiateLowered(const std::vector<const ir::Module *> &Mods,
   std::shared_ptr<const cache::LoweredArtifact> Art;
   if (Opts.Cache)
     Art = Opts.Cache->lookupProgram(Key);
-
   if (!Art) {
-    // Cold path. The import-resolution phase is shared with instantiate()
-    // (link/Resolve.h): the batch index decides providers, shadowing, and
-    // the canonical-pointer import type checks; lowerProgram consumes the
-    // Resolution instead of re-resolving. The type check runs exactly
-    // once: checkModules records the per-module InfoMaps (the type
-    // information §6's compiler consumes) and hands them to lowerProgram,
-    // which then performs zero checkModule calls. With a pool, checking
-    // is function-parallel and body lowering (module, function)-parallel
-    // — both deterministic for any pool size.
-    Expected<std::vector<ResolvedModule>> Resolved = resolveImports(
-        Mods, ResolveOptions{Opts.Resolution, /*AllowUnresolvedFuncs=*/true});
-    if (!Resolved)
-      return Resolved.error();
-    std::vector<typing::InfoMap> OwnInfos;
-    const std::vector<typing::InfoMap> *Infos = Opts.Infos;
-    if (Infos) {
-      if (Infos->size() != Mods.size())
-        return Error("InfoMap hand-off does not match the module list");
-    } else if (Opts.Pool) {
-      std::vector<Status> Checks =
-          typing::checkModules(Mods, *Opts.Pool, &OwnInfos);
-      for (size_t I = 0; I < Checks.size(); ++I)
-        if (!Checks[I])
-          return Error("module '" + Mods[I]->Name + "': " +
-                       Checks[I].error().message());
-      Infos = &OwnInfos;
-    }
-    // With neither hand-off nor pool, Infos stays null and lowerProgram's
-    // own sequential checkModule fallback runs — one check either way.
-    lower::LowerOptions LO;
-    LO.Resolved = &*Resolved;
-    LO.Infos = Infos;
-    LO.Pool = Opts.Pool;
-    Expected<lower::LoweredProgram> LP = lower::lowerProgram(Mods, LO);
-    if (!LP)
-      return LP.error();
-    auto A = std::make_shared<cache::LoweredArtifact>();
-    A->Program = LP.take();
-    // A memoized artifact is served to *every* later caller, including
-    // ones that ask for validation — so with a cache in play, validation
-    // always runs before the store (ValidateWasm=false only skips it for
-    // uncached one-shot instantiation). Warm hits are therefore always
-    // validated artifacts.
-    if (Opts.ValidateWasm || Opts.Cache)
-      if (Status S = wasm::validate(A->Program.Module); !S)
-        return S.error().addContext("lowered module validation");
-    // Translate once here (not lazily in the engine) so the memoized
-    // artifact serves both engines on every later hit; validated lowered
-    // modules always translate. Without a cache, only the flat-bytecode
-    // tiers (Flat and the Jit that compiles from it) need it.
-    if (Opts.Cache || Opts.Engine != wasm::EngineKind::Tree) {
-      Expected<exec::FlatModule> FM = exec::translate(A->Program.Module);
-      if (!FM)
-        return FM.error().addContext("flat translation");
-      A->Flat = FM.take();
-    }
-    Art = A;
+    Expected<std::shared_ptr<const cache::LoweredArtifact>> Built =
+        buildArtifact(Mods, Opts);
+    if (!Built)
+      return Built.error();
+    Art = Built.take();
     if (Opts.Cache)
       Opts.Cache->storeProgram(Key, Art);
   }
+  return instantiateArtifact(std::move(Art), Opts);
+}
 
-  OBS_SPAN("instantiate", Mods.size());
+Expected<std::shared_ptr<const cache::LoweredArtifact>>
+rw::link::buildArtifact(const std::vector<const ir::Module *> &Mods,
+                        const LinkOptions &Opts) {
+  // The import-resolution phase is shared with instantiate()
+  // (link/Resolve.h): the batch index decides providers, shadowing, and
+  // the canonical-pointer import type checks; lowerProgram consumes the
+  // Resolution instead of re-resolving. The type check runs exactly
+  // once: checkModules records the per-module InfoMaps (the type
+  // information §6's compiler consumes) and hands them to lowerProgram,
+  // which then performs zero checkModule calls. With a pool, checking is
+  // function-parallel and body lowering (module, function)-parallel —
+  // both deterministic for any pool size.
+  Expected<std::vector<ResolvedModule>> Resolved = resolveImports(
+      Mods, ResolveOptions{Opts.Resolution, /*AllowUnresolvedFuncs=*/true});
+  if (!Resolved)
+    return Resolved.error();
+  std::vector<typing::InfoMap> OwnInfos;
+  const std::vector<typing::InfoMap> *Infos = Opts.Infos;
+  if (Infos) {
+    if (Infos->size() != Mods.size())
+      return Error("InfoMap hand-off does not match the module list");
+  } else if (Opts.Pool) {
+    std::vector<Status> Checks =
+        typing::checkModules(Mods, *Opts.Pool, &OwnInfos);
+    for (size_t I = 0; I < Checks.size(); ++I)
+      if (!Checks[I])
+        return Error("module '" + Mods[I]->Name + "': " +
+                     Checks[I].error().message());
+    Infos = &OwnInfos;
+  }
+  // With neither hand-off nor pool, Infos stays null and lowerProgram's
+  // own sequential checkModule fallback runs — one check either way.
+  lower::LowerOptions LO;
+  LO.Resolved = &*Resolved;
+  LO.Infos = Infos;
+  LO.Pool = Opts.Pool;
+  Expected<lower::LoweredProgram> LP = lower::lowerProgram(Mods, LO);
+  if (!LP)
+    return LP.error();
+  auto A = std::make_shared<cache::LoweredArtifact>();
+  A->Program = LP.take();
+  // A memoized artifact is served to *every* later caller, including
+  // ones that ask for validation — so with a cache in play, validation
+  // always runs before the store (ValidateWasm=false only skips it for
+  // uncached one-shot instantiation). Warm hits are therefore always
+  // validated artifacts.
+  if (Opts.ValidateWasm || Opts.Cache)
+    if (Status S = wasm::validate(A->Program.Module); !S)
+      return S.error().addContext("lowered module validation");
+  // Translate once here (not lazily in the engine) so the memoized
+  // artifact serves both engines on every later hit; validated lowered
+  // modules always translate. Without a cache, only the flat-bytecode
+  // tiers (Flat and the Jit that compiles from it) need it.
+  if (Opts.Cache || Opts.Engine != wasm::EngineKind::Tree) {
+    Expected<exec::FlatModule> FM = exec::translate(A->Program.Module);
+    if (!FM)
+      return FM.error().addContext("flat translation");
+    A->Flat = FM.take();
+  }
+  return std::shared_ptr<const cache::LoweredArtifact>(std::move(A));
+}
+
+Expected<LoweredInstance> rw::link::instantiateArtifact(
+    std::shared_ptr<const cache::LoweredArtifact> Art,
+    const LinkOptions &Opts) {
+  OBS_SPAN("instantiate");
   std::unique_ptr<wasm::Instance> Inst;
   if (Opts.Engine != wasm::EngineKind::Tree) {
     auto FI = std::make_unique<exec::FlatInstance>(Art->Program.Module,
@@ -487,7 +501,8 @@ rw::link::instantiateLowered(const std::vector<const ir::Module *> &Mods,
   if (Status S = Inst->initialize(Opts.RunStart); !S)
     return S.error();
   // Alias the artifact's program so eviction cannot free it under us.
+  const lower::LoweredProgram *Program = &Art->Program;
   return LoweredInstance{
-      std::shared_ptr<const lower::LoweredProgram>(Art, &Art->Program),
+      std::shared_ptr<const lower::LoweredProgram>(std::move(Art), Program),
       std::move(Inst)};
 }

@@ -35,6 +35,7 @@
 
 namespace rw::cache {
 class AdmissionCache;
+struct LoweredArtifact;
 } // namespace rw::cache
 
 namespace rw::support {
@@ -69,9 +70,10 @@ struct LinkOptions {
   /// Import resolution strategy (see link/Resolve.h).
   ResolveMode Resolution = ResolveMode::Batch;
   /// Optional content-addressed admission cache (src/cache/). When set,
-  /// instantiateLowered keys the whole link set by module content hashes:
-  /// a warm resubmission skips type checking, lowering, validation, and
-  /// flat translation entirely and goes straight to instantiation of the
+  /// instantiateLowered keys the whole link set by module content hashes
+  /// (and ingest::admit keys RichWasm input by its bytes): a warm
+  /// resubmission skips type checking, lowering, validation, and flat
+  /// translation entirely and goes straight to instantiation of the
   /// cached artifact. Not owned; must outlive the call.
   cache::AdmissionCache *Cache = nullptr;
   /// Optional thread pool for the *cold* lowered path: batch checking
@@ -125,10 +127,30 @@ struct LoweredInstance {
 
 /// Type-checks, links, and lowers \p Mods (modules in link order, like
 /// instantiate), then instantiates the lowered Wasm module on the
-/// engine chosen in \p Opts. Module pointers must outlive the result.
+/// engine chosen in \p Opts. The stages: probe Opts.Cache under
+/// cache::programKey, buildArtifact on a miss and store it, then
+/// instantiateArtifact. The result borrows nothing from \p Mods.
 Expected<LoweredInstance>
 instantiateLowered(const std::vector<const ir::Module *> &Mods,
                    const LinkOptions &Opts = LinkOptions());
+
+/// The build stage shared by both admission front doors
+/// (instantiateLowered and ingest::admit): resolve → check (only when
+/// Opts.Infos hands over no InfoMaps) → lower → validate → translate.
+/// Validation and translation always run when Opts.Cache is set, because
+/// the caller will store the artifact for every later caller. The
+/// artifact is pure Wasm: it holds nothing from \p Mods or their arena.
+Expected<std::shared_ptr<const cache::LoweredArtifact>>
+buildArtifact(const std::vector<const ir::Module *> &Mods,
+              const LinkOptions &Opts);
+
+/// The instantiation stage shared by both front doors: a fresh instance
+/// of \p Art on Opts.Engine (borrowing the artifact's flat translation),
+/// with Opts.JitThreshold/JitBackground, Opts.Profile (a local profiled
+/// re-translation; \p Art stays unprofiled) and Opts.RunStart applied.
+Expected<LoweredInstance>
+instantiateArtifact(std::shared_ptr<const cache::LoweredArtifact> Art,
+                    const LinkOptions &Opts);
 
 } // namespace rw::link
 

@@ -1675,8 +1675,14 @@ std::vector<uint8_t> rw::serial::write(const ir::Module &M) {
   return Out;
 }
 
-Expected<ir::Module> rw::serial::read(const std::vector<uint8_t> &Bytes,
-                                      std::shared_ptr<ir::TypeArena> Arena) {
+namespace {
+
+/// Shared body of read() and readPrivate(): header checks, then the
+/// payload parse into \p Arena — preceded by a parse into a throwaway
+/// arena when \p Probe is set.
+Expected<ir::Module> readInto(const std::vector<uint8_t> &Bytes,
+                              std::shared_ptr<ir::TypeArena> Arena,
+                              bool Probe) {
   OBS_SPAN("serial_read", Bytes.size());
   static obs::Counter BytesRead("serial.bytes_read");
   BytesRead.add(Bytes.size());
@@ -1697,21 +1703,21 @@ Expected<ir::Module> rw::serial::read(const std::vector<uint8_t> &Bytes,
   if (Sum != fnv1a(Bytes.data() + HeaderSize, Len))
     return Error("payload checksum mismatch");
 
-  // Two-phase decode: parse into a throwaway arena first, so a payload
-  // that fails *structural* validation (the checksum is not a MAC — an
-  // attacker can recompute it) leaves no trace in the target arena.
-  // Interning into a long-lived shared arena is otherwise a permanent
-  // allocation: the arena has no eviction, and rollback requires
-  // quiescence the reader cannot assume. Only a fully validated payload
-  // is re-parsed into the target, which then gains exactly the module's
-  // own nodes. Short-lived arenas are cheap (lazy leaf caches), so the
-  // cost is one extra parse on the success path — off the warm path,
-  // which is served by the cache on content hashes, not by read().
-  {
+  // Two-phase decode for a shared target: parse into a throwaway arena
+  // first, so a payload that fails *structural* validation (the checksum
+  // is not a MAC — an attacker can recompute it) leaves no trace in the
+  // target arena. Interning into a long-lived shared arena is otherwise a
+  // permanent allocation: the arena has no eviction, and rollback
+  // requires quiescence the reader cannot assume. Only a fully validated
+  // payload is re-parsed into the target, which then gains exactly the
+  // module's own nodes. The price is a second parse on every successful
+  // read; readPrivate() skips it, because a fresh arena nobody else
+  // holds dies with a rejected module.
+  if (Probe) {
     TypeArena Scratch;
-    ir::Module Probe;
+    ir::Module Discard;
     Reader R(Bytes.data() + HeaderSize, Len, Scratch);
-    if (!R.run(Probe))
+    if (!R.run(Discard))
       return Error("malformed module: " + R.error());
   }
 
@@ -1721,6 +1727,18 @@ Expected<ir::Module> rw::serial::read(const std::vector<uint8_t> &Bytes,
   if (!R.run(M))
     return Error("malformed module: " + R.error());
   return M;
+}
+
+} // namespace
+
+Expected<ir::Module> rw::serial::read(const std::vector<uint8_t> &Bytes,
+                                      std::shared_ptr<ir::TypeArena> Arena) {
+  return readInto(Bytes, std::move(Arena), /*Probe=*/true);
+}
+
+Expected<ir::Module>
+rw::serial::readPrivate(const std::vector<uint8_t> &Bytes) {
+  return readInto(Bytes, std::make_shared<TypeArena>(), /*Probe=*/false);
 }
 
 serial::ModuleHash rw::serial::moduleHash(const ir::Module &M) {

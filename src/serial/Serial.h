@@ -45,6 +45,7 @@
 
 #include "ir/Module.h"
 #include "support/Error.h"
+#include "support/Hashing.h"
 
 #include <cstdint>
 #include <vector>
@@ -64,22 +65,21 @@ std::vector<uint8_t> write(const ir::Module &M);
 
 /// Parses \p Bytes, interning all types into \p Arena (which becomes the
 /// module's owning arena). Fails with a diagnostic on any malformed,
-/// truncated, or corrupt input.
+/// truncated, or corrupt input. The payload is parsed into a scratch
+/// arena first, so a rejected input leaves \p Arena untouched.
 Expected<ir::Module>
 read(const std::vector<uint8_t> &Bytes,
      std::shared_ptr<ir::TypeArena> Arena = ir::TypeArena::globalPtr());
 
+/// read() into a fresh arena the returned module owns alone, in a single
+/// parse: no other holder can observe the arena, so a rejected input dies
+/// with it and the scratch-arena probe would buy nothing. Same
+/// diagnostics as read(). The ingestion front door's reader.
+Expected<ir::Module> readPrivate(const std::vector<uint8_t> &Bytes);
+
 /// 128-bit module content hash (see file comment). Stable across arenas
 /// and process runs; independent of the interning order.
-struct ModuleHash {
-  uint64_t Hi = 0;
-  uint64_t Lo = 0;
-
-  bool operator==(const ModuleHash &O) const {
-    return Hi == O.Hi && Lo == O.Lo;
-  }
-  bool operator!=(const ModuleHash &O) const { return !(*this == O); }
-};
+using ModuleHash = support::Hash128;
 
 ModuleHash moduleHash(const ir::Module &M);
 

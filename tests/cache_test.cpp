@@ -14,17 +14,23 @@
 //    evictions exactly, and evicting an artifact never invalidates a
 //    running instance;
 //  * thread safety — concurrent probes/stores from the PR 3 pool (the
-//    TSan job runs this binary).
+//    TSan job runs this binary);
+//  * the ingestion byte key — a resubmission through ingest::admit is
+//    served before any parsing or hashing, in a key domain of its own.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cache/AdmissionCache.h"
 
 #include "bench/Common.h"
+#include "bench/ServerMix.h"
+#include "ingest/Ingest.h"
 #include "obs/Obs.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 using namespace rw;
 using namespace rw::ir;
@@ -214,6 +220,98 @@ TEST(Cache, WarmInstantiateLoweredSkipsToInstantiation) {
   EXPECT_EQ(C.stats().ProgramMisses, 2u);
   (void)Miss; // Client-before-lib leaves the import host-unbound; the
               // cold path may fail or succeed, the key just must differ.
+}
+
+// A hot resubmission through the front door is a byte-key hit: it neither
+// reads nor content-hashes the module, and counts exactly one program
+// hit. Under -DRW_OBS=OFF the counters are inert stubs pinned to zero,
+// so the deltas are zero either way.
+TEST(Cache, IngestResubmissionSkipsReadAndHash) {
+  std::vector<uint8_t> B = serial::write(rwbench::serverModule(5));
+  cache::AdmissionCache C;
+  link::LinkOptions Opts;
+  Opts.Cache = &C;
+  Opts.Engine = wasm::EngineKind::Flat;
+  auto First = ingest::admit(B, ingest::Limits(), Opts);
+  ASSERT_TRUE(First) << First.error().message();
+
+  obs::Counter BytesRead("serial.bytes_read");
+  obs::Counter Hashed("serial.modules_hashed");
+  uint64_t Read0 = BytesRead.value(), Hashed0 = Hashed.value();
+  cache::CacheStats S0 = C.stats();
+  auto Second = ingest::admit(B, ingest::Limits(), Opts);
+  ASSERT_TRUE(Second) << Second.error().message();
+  EXPECT_EQ(BytesRead.value(), Read0) << "a byte-key hit must not parse";
+  EXPECT_EQ(Hashed.value(), Hashed0) << "a byte-key hit must not hash";
+  EXPECT_EQ(C.stats().ProgramHits, S0.ProgramHits + 1);
+  EXPECT_EQ(C.stats().ProgramMisses, S0.ProgramMisses);
+  EXPECT_EQ(Second->Lowered.Program.get(), First->Lowered.Program.get());
+  auto R = Second->invoke("srv_5.f0", {wasm::WValue::i32(1)});
+  ASSERT_TRUE(R) << R.error().message();
+  auto R0 = First->invoke("srv_5.f0", {wasm::WValue::i32(1)});
+  ASSERT_TRUE(R0) << R0.error().message();
+  EXPECT_EQ((*R)[0].Bits, (*R0)[0].Bits);
+}
+
+// The two front doors key one program in separate domains: the same
+// module admitted through link::instantiateLowered (content key) and
+// through ingest::admit (byte key) occupies two entries — the documented
+// price of probing before parsing — and each door then hits its own.
+TEST(Cache, FrontDoorsKeyTheSameProgramSeparately) {
+  ir::Module M = rwbench::serverModule(6);
+  std::vector<uint8_t> B = serial::write(M);
+  cache::AdmissionCache C;
+  link::LinkOptions Opts;
+  Opts.Cache = &C;
+
+  ASSERT_TRUE(link::instantiateLowered({&M}, Opts));
+  ASSERT_TRUE(ingest::admit(B, ingest::Limits(), Opts));
+  EXPECT_EQ(C.stats().Entries, 2u);
+  EXPECT_EQ(C.stats().ProgramMisses, 2u);
+  ASSERT_TRUE(link::instantiateLowered({&M}, Opts));
+  ASSERT_TRUE(ingest::admit(B, ingest::Limits(), Opts));
+  EXPECT_EQ(C.stats().ProgramHits, 2u);
+  EXPECT_EQ(C.stats().Entries, 2u);
+}
+
+// Front-door admissions racing on one small sharded cache: byte-key hits,
+// misses, stores and evictions (whose artifacts are freed after the shard
+// lock is released) interleave, and every admitted module still computes
+// its own answer. The TSan job runs this binary.
+TEST(Cache, ConcurrentIngestThroughAnEvictingCache) {
+  rwbench::ServerMix Mix(/*HotN=*/16, /*ColdN=*/0, /*AdvN=*/0);
+  link::LinkOptions Opts;
+  Opts.Engine = wasm::EngineKind::Flat;
+  uint64_t ArtBytes = [&] {
+    cache::AdmissionCache Probe;
+    Opts.Cache = &Probe;
+    EXPECT_TRUE(ingest::admit(Mix.HotBytes[0], ingest::Limits(), Opts));
+    return Probe.stats().Bytes;
+  }();
+  ASSERT_GT(ArtBytes, 0u);
+  // About two artifacts per shard, so most stores evict.
+  constexpr unsigned Shards = 4;
+  cache::AdmissionCache C(Shards * ArtBytes * 5 / 2, Shards);
+  Opts.Cache = &C;
+  std::atomic<unsigned> Wrong{0};
+  support::ThreadPool Pool(8);
+  Pool.parallelFor(512, [&](size_t I) {
+    uint32_t Tag = static_cast<uint32_t>(I % Mix.HotBytes.size());
+    auto A = ingest::admit(Mix.HotBytes[Tag], ingest::Limits(), Opts);
+    if (!A) {
+      ++Wrong;
+      return;
+    }
+    auto R = A->invoke("srv_" + std::to_string(Tag) + ".f0",
+                       {wasm::WValue::i32(1)});
+    // serverModule's f0 computes (x + 3 * Tag) * 3.
+    if (!R || (*R)[0].Bits != (1 + 3 * Tag) * 3)
+      ++Wrong;
+  });
+  EXPECT_EQ(Wrong.load(), 0u);
+  EXPECT_GT(C.stats().Evictions, 0u);
+  EXPECT_GT(C.stats().ProgramHits, 0u);
+  EXPECT_LE(C.stats().Bytes, C.byteBudget());
 }
 
 TEST(Cache, ProgramOrderAndContentDecideTheKey) {

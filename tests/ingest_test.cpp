@@ -4,16 +4,20 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// End-to-end contract for ingest::admit (PR 8): both container routes
-// admit real modules and run them to the right answers; every rejection
+// End-to-end contract for ingest::admit: both container routes admit
+// real modules and run them to the right answers; every rejection
 // carries the right taxonomy category; admission is *total* under a 10k
 // deterministic mutation battery (truncations, bit flips, section
-// splices) with zero residue in the process-wide type arena; and the obs
-// counters account for every admission outcome.
+// splices) with zero residue in the process-wide type arena; the obs
+// counters account for every admission outcome; and admission through a
+// warm cache (the RichWasm route's byte-key probe) is indistinguishable
+// from admission with no cache.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/Common.h"
+#include "bench/ServerMix.h"
+#include "cache/AdmissionCache.h"
 #include "ingest/Ingest.h"
 #include "ir/TypeArena.h"
 #include "lower/Lower.h"
@@ -242,6 +246,122 @@ TEST(Ingest, MutationBattery10k) {
   EXPECT_GT(Rejected, 5000u) << "mutations should mostly break something";
   EXPECT_EQ(globalArenaNodes(), ArenaBefore)
       << "battery left residue in the global type arena";
+}
+
+/// Everything an admission exposes to its caller: the verdict, the
+/// structured and rendered error, and — when admitted — every export's
+/// result (value or trap bytes) plus the instance's instruction count.
+struct Outcome {
+  bool Admitted = false;
+  Category Cat = Category::None;
+  uint64_t Offset = 0;
+  std::string Rendered, Message;
+  std::vector<std::string> Results;
+  uint64_t Instrs = 0;
+
+  bool operator==(const Outcome &) const = default;
+};
+
+Outcome admitAndRun(const std::vector<uint8_t> &B, const Limits &L,
+                    const link::LinkOptions &Opts) {
+  Outcome O;
+  IngestError E;
+  Expected<ingest::AdmittedModule> A = ingest::admit(B, L, Opts, &E);
+  O.Admitted = static_cast<bool>(A);
+  O.Cat = E.Cat;
+  O.Offset = E.Offset;
+  O.Rendered = E.render();
+  if (!A) {
+    O.Message = A.error().message();
+    return O;
+  }
+  // Mutants that still admit may loop: bounded fuel keeps them cheap, and
+  // fuel exhaustion is itself an outcome both routes must agree on.
+  for (const auto &[Name, Idx] : A->Lowered.Program->Exports) {
+    auto R = A->invoke(Name, {wasm::WValue::i32(7)}, 100000);
+    std::string Line = Name + " ->";
+    if (R)
+      for (const wasm::WValue &V : *R)
+        Line += " " + std::to_string(V.Bits);
+    else
+      Line += " trap: " + R.error().message();
+    O.Results.push_back(std::move(Line));
+  }
+  O.Instrs = A->instance()->instrCount();
+  return O;
+}
+
+std::string describe(const Outcome &O) {
+  std::string S = O.Admitted ? "admitted" : "rejected: " + O.Message;
+  for (const std::string &R : O.Results)
+    S += "\n  " + R;
+  return S + "\n  instrs " + std::to_string(O.Instrs);
+}
+
+link::LinkOptions serverOptions(cache::AdmissionCache *C) {
+  link::LinkOptions Opts;
+  Opts.Cache = C;
+  Opts.Engine = wasm::EngineKind::Flat;
+  Opts.RunStart = false;
+  return Opts;
+}
+
+// The byte-key probe serves an artifact without parsing or checking, so
+// it must be invisible: over the c7 request mix's hot, cold and mutant
+// payloads, a warm-cache admission reproduces the uncached one in
+// verdict, category, error bytes, results and instruction count — and
+// every admitted payload is a cache hit the second time round.
+TEST(IngestCache, WarmAdmissionMatchesUncachedOnServerMix) {
+  rwbench::ServerMix Mix;
+  std::vector<const std::vector<uint8_t> *> Payloads;
+  for (const auto *Pool : {&Mix.HotBytes, &Mix.ColdBytes, &Mix.AdvBytes})
+    for (const std::vector<uint8_t> &B : *Pool)
+      Payloads.push_back(&B);
+
+  cache::AdmissionCache C(/*ByteBudget=*/1ull << 30);
+  link::LinkOptions Warm = serverOptions(&C);
+  link::LinkOptions Uncached = serverOptions(nullptr);
+  for (const std::vector<uint8_t> *B : Payloads)
+    admitAndRun(*B, Limits(), Warm);
+
+  uint64_t Hits0 = C.stats().ProgramHits;
+  uint64_t Admitted = 0, Rejected = 0;
+  for (size_t I = 0; I < Payloads.size(); ++I) {
+    Outcome Cached = admitAndRun(*Payloads[I], Limits(), Warm);
+    Outcome Fresh = admitAndRun(*Payloads[I], Limits(), Uncached);
+    EXPECT_EQ(Cached, Fresh) << "payload " << I << "\ncached: "
+                             << describe(Cached)
+                             << "\nuncached: " << describe(Fresh);
+    Admitted += Fresh.Admitted;
+    Rejected += !Fresh.Admitted;
+  }
+  EXPECT_EQ(C.stats().ProgramHits - Hits0, Admitted)
+      << "every admitted payload must hit on its second admission";
+  EXPECT_GE(Admitted, Mix.HotBytes.size() + Mix.ColdBytes.size());
+  EXPECT_GT(Rejected, 0u) << "the mutants should exercise rejections";
+}
+
+// The byte key folds in the limits enforced after reading: bytes cached
+// under the default policy are still rejected under a tighter one, with
+// the uncached rejection's exact bytes, and the rejection stores nothing.
+TEST(IngestCache, TighterLimitsAreNotServedALooserAdmission) {
+  std::vector<uint8_t> B = serial::write(rwbench::serverModule(3));
+  cache::AdmissionCache C;
+  link::LinkOptions Warm = serverOptions(&C);
+  ASSERT_TRUE(admitAndRun(B, Limits(), Warm).Admitted);
+  ASSERT_TRUE(admitAndRun(B, Limits(), Warm).Admitted);
+  ASSERT_EQ(C.stats().ProgramHits, 1u);
+
+  Limits Tight;
+  Tight.MaxFuncs = 1;
+  uint64_t Entries = C.stats().Entries;
+  Outcome Cached = admitAndRun(B, Tight, Warm);
+  Outcome Fresh = admitAndRun(B, Tight, serverOptions(nullptr));
+  EXPECT_FALSE(Cached.Admitted);
+  EXPECT_EQ(Cached.Cat, Category::LimitExceeded) << Cached.Message;
+  EXPECT_EQ(Cached, Fresh) << describe(Cached) << "\n" << describe(Fresh);
+  EXPECT_EQ(C.stats().ProgramHits, 1u);
+  EXPECT_EQ(C.stats().Entries, Entries);
 }
 
 } // namespace

@@ -388,7 +388,8 @@ TEST(ObsSampling, SameAdmissionsTracedAcrossPoolSizes) {
     Inputs.push_back(serial::write(rwbench::loopModule(3 + I)));
   unsigned Expected = 0;
   for (const auto &B : Inputs)
-    Expected += obs::traceSampleSelect(support::fnv1a(B.data(), B.size()));
+    Expected += obs::traceSampleSelect(
+        support::hashBytes128(B.data(), B.size()).Lo);
   ASSERT_GT(Expected, 0u) << "degenerate sample: bump the input count";
   ASSERT_LT(Expected, Inputs.size()) << "degenerate sample: nothing dropped";
 

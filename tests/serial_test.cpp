@@ -657,6 +657,40 @@ TEST(Serial, FailedReadLeavesTargetArenaUntouched) {
   EXPECT_EQ(Target->stats().totalNodes(), After);
 }
 
+TEST(Serial, PrivateReadAgreesWithTwoPhaseRead) {
+  // readPrivate skips the scratch-arena probe because its arena is its
+  // own. It must still accept exactly what read() accepts, with the same
+  // diagnostics and the same decoded module, over intact, truncated and
+  // checksum-repaired corrupt payloads.
+  std::vector<uint8_t> Bytes = serial::write(rwbench::wideModule(2));
+  std::vector<std::vector<uint8_t>> Inputs = {Bytes, {}, {'R', 'W'}};
+  for (size_t Len = 0; Len < Bytes.size(); Len += 7)
+    Inputs.emplace_back(Bytes.begin(), Bytes.begin() + Len);
+  std::mt19937_64 Rng(7);
+  for (unsigned I = 0; I < 200; ++I) {
+    auto B = Bytes;
+    size_t Off = serial::HeaderSize + Rng() % (B.size() - serial::HeaderSize);
+    B[Off] ^= 1u << (Rng() % 8);
+    fixChecksum(B);
+    Inputs.push_back(std::move(B));
+  }
+  unsigned Accepted = 0;
+  for (const std::vector<uint8_t> &B : Inputs) {
+    auto Two = serial::read(B, std::make_shared<TypeArena>());
+    auto One = serial::readPrivate(B);
+    ASSERT_EQ(bool(One), bool(Two));
+    if (!One) {
+      EXPECT_EQ(One.error().message(), Two.error().message());
+      continue;
+    }
+    ++Accepted;
+    EXPECT_EQ(serial::write(*One), serial::write(*Two));
+    EXPECT_NE(One->Arena, TypeArena::globalPtr());
+    EXPECT_EQ(One->Arena.use_count(), 1) << "the arena must be private";
+  }
+  EXPECT_GT(Accepted, 1u);
+}
+
 TEST(Serial, ConcurrentReadsInternSafely) {
   // Readers intern into the shared thread-safe arena while checks run —
   // the admission-server shape; the CI TSan job runs this test. All
