@@ -23,10 +23,10 @@
 ///     instantiation on either engine.
 ///
 /// Entries hold no arena nodes (verdicts are strings, artifacts are pure
-/// Wasm), so cached results survive TypeArena rollback and need no
-/// invalidation: the key *is* the content. Thread-safe (mutex per shard;
-/// probes copy shared handles out); artifacts are handed out as
-/// shared_ptr<const ...>, so eviction never invalidates a running
+/// Wasm), so cached results outlive the arena they were checked in and
+/// need no invalidation: the key *is* the content. Thread-safe (mutex
+/// per shard; probes copy shared handles out); artifacts are handed out
+/// as shared_ptr<const ...>, so eviction never invalidates a running
 /// instance. Capacity is a byte budget with LRU eviction.
 ///
 /// Sharding: the default single shard is one mutex + one global LRU —

@@ -11,10 +11,8 @@
 #include "support/NumericOps.h"
 #include "wasm/Interp.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 using namespace rw;
 using namespace rw::exec;
@@ -23,12 +21,7 @@ using namespace rw::wasm;
 FlatInstance::FlatInstance(const wasm::WModule &M, wasm::EngineKind K)
     : Instance(M), Kind(K) {}
 
-FlatInstance::~FlatInstance() {
-#if RW_JIT_ENABLED
-  if (TierWorker.joinable())
-    TierWorker.join();
-#endif
-}
+FlatInstance::~FlatInstance() = default;
 
 uint32_t FlatInstance::jitCompiledCount() const {
 #if RW_JIT_ENABLED
@@ -180,37 +173,10 @@ Expected<std::vector<WValue>> FlatInstance::invoke(uint32_t FuncIdx,
 }
 
 //===----------------------------------------------------------------------===//
-// Dispatch plumbing: threaded (computed-goto) dispatch on GNU-compatible
-// compilers — each handler ends in its own indirect jump, which the
-// branch predictor can specialize per opcode pair — with a portable
-// switch fallback elsewhere. One fuel decrement per dispatched
-// instruction doubles as the executed-instruction counter
-// (Executed = MaxFuel - Fuel at exit).
+// Dispatch plumbing: one switch over the opcode word (DESIGN.md §5). One
+// fuel decrement per dispatched instruction doubles as the
+// executed-instruction counter (Executed = MaxFuel - Fuel at exit).
 //===----------------------------------------------------------------------===//
-
-#if (defined(__GNUC__) || defined(__clang__)) && defined(RW_FORCE_THREADED)
-#define RW_THREADED 1
-#else
-#define RW_THREADED 0
-#endif
-
-#if RW_THREADED
-
-#define RW_OPW(NAME) L_##NAME:
-#define RW_OPF(NAME) L_##NAME:
-#define RW_DEFAULT() L_generic:
-#define RW_NEXT()                                                              \
-  do {                                                                         \
-    if (Fuel == 0)                                                             \
-      return trapOut("fuel exhausted");                                        \
-    --Fuel;                                                                    \
-    OpC = *Pc++;                                                               \
-    goto *DispatchTable[OpC];                                                  \
-  } while (0)
-#define RW_LOOP_BEGIN() RW_NEXT();
-#define RW_LOOP_END()
-
-#else
 
 #define RW_OPW(NAME) case static_cast<uint32_t>(Op::NAME):
 #define RW_OPF(NAME) case NAME:
@@ -226,8 +192,6 @@ Expected<std::vector<WValue>> FlatInstance::invoke(uint32_t FuncIdx,
 #define RW_LOOP_END()                                                          \
   }                                                                            \
   }
-
-#endif
 
 bool FlatInstance::run(uint64_t &FuelRef, std::string &TrapMsg) {
   using namespace rw::num;
@@ -272,62 +236,6 @@ bool FlatInstance::run(uint64_t &FuelRef, std::string &TrapMsg) {
                      static_cast<uint32_t>(Fr->F - FM.Funcs.data()) +
                          FM.NumImports);
   };
-
-#if RW_THREADED
-  // Opcode → handler label. Label addresses only exist inside this
-  // function, so each entry builds the table locally (cheap: once per
-  // invoke, not per instruction) and the first entry publishes it via
-  // call_once — safe against concurrent first invokes on two threads.
-  static const void *DispatchTable[FOpCount];
-  static std::once_flag TableOnce;
-  static std::atomic<bool> TablePublished{false};
-  if (!TablePublished.load(std::memory_order_acquire)) {
-    const void *Local[FOpCount];
-    for (const void *&E : Local)
-      E = &&L_generic;
-#define RW_REGW(NAME) Local[static_cast<uint32_t>(Op::NAME)] = &&L_##NAME;
-#define RW_REGF(NAME) Local[NAME] = &&L_##NAME;
-    RW_REGW(Unreachable)
-    RW_REGF(FGoto) RW_REGF(FGotoIf) RW_REGF(FGotoIfZ) RW_REGF(FBr)
-    RW_REGF(FBrIf) RW_REGF(FBrTable) RW_REGF(FReturn) RW_REGF(FCall)
-    RW_REGF(FCallHost) RW_REGF(FCallIndirect)
-    RW_REGF(FGetGet) RW_REGF(FGetConst) RW_REGF(FGetGetAdd)
-    RW_REGF(FGetConstAdd) RW_REGF(FGetGetAddSet) RW_REGF(FGetConstAddSet)
-    RW_REGF(FMove) RW_REGF(FConstSet) RW_REGF(FGetLoadI32)
-    RW_REGF(FGetGetStoreI32) RW_REGF(FGetConstStoreI32)
-    RW_REGF(FProfEnter) RW_REGF(FProfLoop)
-    RW_REGW(Drop) RW_REGW(Select)
-    RW_REGW(LocalGet) RW_REGW(LocalSet) RW_REGW(LocalTee)
-    RW_REGW(GlobalGet) RW_REGW(GlobalSet)
-    RW_REGW(MemorySize) RW_REGW(MemoryGrow)
-    RW_REGW(I32Load) RW_REGW(F32Load) RW_REGW(I64Load) RW_REGW(F64Load)
-    RW_REGW(I32Load8S) RW_REGW(I32Load8U) RW_REGW(I32Load16S)
-    RW_REGW(I32Load16U) RW_REGW(I64Load8S) RW_REGW(I64Load8U)
-    RW_REGW(I64Load16S) RW_REGW(I64Load16U) RW_REGW(I64Load32S)
-    RW_REGW(I64Load32U)
-    RW_REGW(I32Store) RW_REGW(F32Store) RW_REGW(I64Store32)
-    RW_REGW(I64Store) RW_REGW(F64Store) RW_REGW(I32Store8)
-    RW_REGW(I64Store8) RW_REGW(I32Store16) RW_REGW(I64Store16)
-    RW_REGW(I32Const) RW_REGW(F32Const) RW_REGW(I64Const) RW_REGW(F64Const)
-    RW_REGW(I32Add) RW_REGW(I32Sub) RW_REGW(I32Mul) RW_REGW(I32And)
-    RW_REGW(I32Or) RW_REGW(I32Xor) RW_REGW(I32Shl) RW_REGW(I32ShrU)
-    RW_REGW(I32ShrS) RW_REGW(I32Eq) RW_REGW(I32Ne) RW_REGW(I32LtU)
-    RW_REGW(I32GtU) RW_REGW(I32LeU) RW_REGW(I32GeU) RW_REGW(I32LtS)
-    RW_REGW(I32GtS) RW_REGW(I32LeS) RW_REGW(I32GeS)
-    RW_REGW(I64Add) RW_REGW(I64Sub) RW_REGW(I64Mul) RW_REGW(I64And)
-    RW_REGW(I64Or) RW_REGW(I64Xor) RW_REGW(I64Shl) RW_REGW(I64ShrU)
-    RW_REGW(I64Eq) RW_REGW(I64Ne) RW_REGW(I64LtU) RW_REGW(I64GtU)
-    RW_REGW(I64LtS) RW_REGW(I64GtS)
-    RW_REGW(I32Eqz) RW_REGW(I64Eqz)
-    RW_REGW(I32DivS) RW_REGW(I32DivU) RW_REGW(I32RemS) RW_REGW(I32RemU)
-#undef RW_REGW
-#undef RW_REGF
-    std::call_once(TableOnce, [&] {
-      std::memcpy(DispatchTable, Local, sizeof(Local));
-      TablePublished.store(true, std::memory_order_release);
-    });
-  }
-#endif
 
   RW_LOOP_BEGIN()
 

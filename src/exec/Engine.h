@@ -35,8 +35,6 @@
 #include "exec/Translate.h"
 #include "wasm/Instance.h"
 
-#include <thread>
-
 #ifndef RW_JIT_ENABLED
 #define RW_JIT_ENABLED 0
 #endif
@@ -74,15 +72,13 @@ public:
   /// Tier-up policy; call before initialize(). \p Threshold: 0 compiles
   /// every function eagerly at prepare(); N >= 1 compiles a function
   /// once its profile mass (Invocations + LoopHeads) reaches N (this
-  /// turns profiling on); NeverTier disables tiering. \p Background
-  /// moves threshold-triggered compiles to a background thread — running
-  /// invokes keep interpreting and pick the native entry up at the next
-  /// call. Defaults: EngineKind::Jit instances tier eagerly; Flat
+  /// turns profiling on); NeverTier disables tiering. Threshold compiles
+  /// run synchronously at the start of the invoke that finds the mass
+  /// crossed. Defaults: EngineKind::Jit instances tier eagerly; Flat
   /// instances honor the RW_JIT_THRESHOLD environment variable (same
   /// meaning; unset = never). Ignored under -DRW_JIT=OFF.
-  void setTierPolicy(uint64_t Threshold, bool Background = false) {
+  void setTierPolicy(uint64_t Threshold) {
     TierThreshold = Threshold;
-    TierBackground = Background;
     TierPolicySet = true;
   }
 
@@ -143,7 +139,6 @@ private:
   // Tier-up state (src/jit/). Inert under -DRW_JIT=OFF: prepare() never
   // creates a ModuleJit, so every hook below stays on its null fast path.
   uint64_t TierThreshold = NeverTier;
-  bool TierBackground = false;
   bool TierPolicySet = false;
   /// Operand height (frame-relative) at which run() resumes Frames.back()
   /// after a native deopt; 0 for fresh invokes.
@@ -161,7 +156,7 @@ private:
   JitRun jitExecuteBack(uint64_t &Fuel);
 
   /// Threshold policy: compiles functions whose profile mass crossed
-  /// TierThreshold (synchronously, or on TierWorker when backgrounded).
+  /// TierThreshold, synchronously.
   void maybeTierUp();
 
 public:
@@ -180,9 +175,7 @@ public:
 private:
 
   std::unique_ptr<jit::ModuleJit> Jit;
-  std::thread TierWorker;             ///< In-flight background compile.
-  std::atomic<bool> TierBusy{false};  ///< Guards TierWorker.
-  std::string JitTrapMsg;             ///< Final-trap message from helpers.
+  std::string JitTrapMsg; ///< Final-trap message from helpers.
 #endif
 };
 

@@ -532,14 +532,14 @@ Expected<FlatModule> rw::exec::translate(const WModule &M) {
 }
 
 Expected<FlatModule> rw::exec::translate(const WModule &M,
-                                         const TranslateOptions &Opts) {
+                                         const TranslateOptions &TO) {
   OBS_SPAN("translate", M.Funcs.size());
   static obs::Counter FuncsTranslated("exec.funcs_translated");
 
   FlatModule FM;
   FM.Source = &M;
   FM.NumImports = static_cast<uint32_t>(M.ImportFuncs.size());
-  FM.Profiled = Opts.Profile;
+  FM.Profiled = TO.Profile;
 
   // Canonical type id for every function-space index.
   for (const WImportFunc &Imp : M.ImportFuncs)
@@ -560,7 +560,7 @@ Expected<FlatModule> rw::exec::translate(const WModule &M,
         Out.NumParams + static_cast<uint32_t>(F.Locals.size());
     Out.NumResults = static_cast<uint32_t>(FT.Results.size());
     FuncTranslator T(M, FM, Out,
-                     Opts.Profile ? FM.NumImports + FI : UINT32_MAX);
+                     TO.Profile ? FM.NumImports + FI : UINT32_MAX);
     if (Status S = T.run(F); !S)
       return S.error().addContext("function " + std::to_string(FI));
     FM.Funcs.push_back(std::move(Out));

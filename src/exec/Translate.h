@@ -90,8 +90,6 @@ enum FOp : uint32_t {
   // unprofiled one. Operand: function-space index.
   FProfEnter, ///< f: first body instruction; count one invocation.
   FProfLoop,  ///< f: loop header (branch target); count one execution.
-
-  FOpCount, ///< Table size for threaded dispatch.
 };
 
 /// One translated function: a linear code stream plus the frame shape.
@@ -127,7 +125,7 @@ struct TranslateOptions {
 /// Translates every function of \p M. The module must outlive the result.
 Expected<FlatModule> translate(const wasm::WModule &M);
 Expected<FlatModule> translate(const wasm::WModule &M,
-                               const TranslateOptions &Opts);
+                               const TranslateOptions &TO);
 
 } // namespace rw::exec
 

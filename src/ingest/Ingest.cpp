@@ -220,7 +220,6 @@ buildRichWasm(const std::vector<uint8_t> &Bytes, const Limits &L,
     return reject(ErrOut, Category::Check, 0, S.error().message());
 
   link::LinkOptions LO = Opts;
-  LO.TypeCheck = true;
   LO.Infos = &Infos;
   Expected<std::shared_ptr<const cache::LoweredArtifact>> Art =
       link::buildArtifact({&*M}, LO);

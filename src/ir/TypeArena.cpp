@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 using namespace rw;
@@ -235,28 +234,12 @@ struct SpinLock {
 };
 } // namespace
 
-/// Which intern table a journal entry lives in.
-enum class JTab : uint8_t { P, H, F, S };
-
-/// One interned node, in intern order — the journal Checkpoint/rollback
-/// replays. Only ever appended under the arena lock.
-struct JEntry {
-  JTab Tab;
-  bool Skolem;     ///< Subtree mentions a checker skolem (loc or pretype).
-  uint32_t SBytes; ///< serializedNodeBytes at intern time.
-  uint64_t Hash;
-  uint64_t Bytes; ///< approxNodeBytes at intern time.
-  const void *Node;
-};
-
 struct TypeArena::Impl {
   mutable SpinLock M;
   std::unordered_map<uint64_t, std::vector<PretypeRef>> PTab;
   std::unordered_map<uint64_t, std::vector<HeapTypeRef>> HTab;
   std::unordered_map<uint64_t, std::vector<FunTypeRef>> FTab;
   std::unordered_map<uint64_t, std::vector<SizeRef>> STab;
-  /// Intern journal for Checkpoint/rollback (one entry per live node).
-  std::vector<JEntry> Journal;
   /// Memoized ||p|| for closed pretypes, keyed on the canonical node. This
   /// table also *owns* the cached sizes, backing the per-node fast-path
   /// slot (Pretype::ClosedSizeMemo).
@@ -406,10 +389,9 @@ static uint64_t serializedNodeBytes(const Size &S) {
 }
 
 template <class Ref, class EqFn, class MakeFn>
-static Ref internNode(SpinLock &M, std::vector<JEntry> &Journal,
-                      TypeArena::Stats &St,
+static Ref internNode(SpinLock &M, TypeArena::Stats &St,
                       std::unordered_map<uint64_t, std::vector<Ref>> &Tab,
-                      JTab Tag, uint64_t H, uint64_t &NodeCount, EqFn &&Eq,
+                      uint64_t H, uint64_t &NodeCount, EqFn &&Eq,
                       MakeFn &&Make) {
   // Probe under the lock; allocate and compute metadata *outside* it so
   // the critical sections stay a few hash probes long (Make only reads
@@ -435,14 +417,10 @@ static Ref internNode(SpinLock &M, std::vector<JEntry> &Journal,
     }
   ++St.Misses;
   ++NodeCount;
-  bool Sk = nodeHasSkolem(*N);
-  uint64_t Bytes = approxNodeBytes(*N);
-  uint32_t SBytes = static_cast<uint32_t>(serializedNodeBytes(*N));
-  St.ApproxBytes += Bytes;
-  St.SerializedBytes += SBytes;
-  if (Sk)
+  St.ApproxBytes += approxNodeBytes(*N);
+  St.SerializedBytes += serializedNodeBytes(*N);
+  if (nodeHasSkolem(*N))
     ++St.SkolemNodes;
-  Journal.push_back({Tag, Sk, SBytes, H, Bytes, N.get()});
   Bucket.push_back(N);
   return N;
 }
@@ -518,7 +496,7 @@ SizeRef TypeArena::sizeConst(uint64_t Bits) {
   N.Const = Bits;
   uint64_t H = normalSizeHash(N);
   SizeRef R = internNode(
-      I->M, I->Journal, I->St, I->STab, JTab::S, H, I->St.SizeNodes,
+      I->M, I->St, I->STab, H, I->St.SizeNodes,
       [&](const Size &S) { return S.norm() == N; },
       [&] {
         return newSizeNode(this, Size::Kind::Const, Bits, 0, nullptr, nullptr,
@@ -539,7 +517,7 @@ SizeRef TypeArena::sizeVar(uint32_t Idx) {
   N.Vars.push_back(Idx);
   uint64_t H = normalSizeHash(N);
   SizeRef R = internNode(
-      I->M, I->Journal, I->St, I->STab, JTab::S, H, I->St.SizeNodes,
+      I->M, I->St, I->STab, H, I->St.SizeNodes,
       [&](const Size &S) { return S.norm() == N; },
       [&] {
         return newSizeNode(this, Size::Kind::Var, 0, Idx, nullptr, nullptr, N);
@@ -564,7 +542,7 @@ SizeRef TypeArena::sizeFromNormal(NormalSize N) {
   auto chain = [&](SizeRef Leaf, NormalSize Combined) {
     uint64_t H = normalSizeHash(Combined);
     SizeRef Node = internNode(
-        I->M, I->Journal, I->St, I->STab, JTab::S, H, I->St.SizeNodes,
+        I->M, I->St, I->STab, H, I->St.SizeNodes,
         [&](const Size &S) { return S.norm() == Combined; },
         [&] {
           return newSizeNode(this, Size::Kind::Plus, 0, 0, Acc,
@@ -605,7 +583,7 @@ PretypeRef TypeArena::unit() {
     return P->shared_from_this();
   uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Unit), 0);
   PretypeRef R = internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) { return P.kind() == PretypeKind::Unit; },
       [&] {
         auto N = std::shared_ptr<UnitPT>(new UnitPT());
@@ -624,7 +602,7 @@ PretypeRef TypeArena::num(NumType NT) {
   uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Num),
                    static_cast<uint64_t>(NT));
   PretypeRef R = internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) {
         return P.kind() == PretypeKind::Num && cast<NumPT>(&P)->numType() == NT;
       },
@@ -646,7 +624,7 @@ PretypeRef TypeArena::typeVar(uint32_t Idx) {
       return P->shared_from_this();
   uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Var), Idx);
   PretypeRef R = internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) {
         return P.kind() == PretypeKind::Var && cast<VarPT>(&P)->index() == Idx;
       },
@@ -673,7 +651,7 @@ PretypeRef TypeArena::skolem(uint64_t Id, Qual QualLower, SizeRef SizeUpper,
   H = mix(H, sizePtrHash(SizeUpper));
   H = mix(H, NoCaps ? 1 : 0);
   return internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) {
         if (P.kind() != PretypeKind::Skolem)
           return false;
@@ -722,7 +700,7 @@ PretypeRef TypeArena::prodImpl(const E *Elems, size_t NumElems,
   for (size_t J = 0; J < NumElems; ++J)
     H = mix(H, typePtrHash(Elems[J]));
   return internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) {
         if (P.kind() != PretypeKind::Prod)
           return false;
@@ -764,7 +742,7 @@ PretypeRef TypeArena::ref(Privilege Priv, Loc L, HeapTypeRef HT) {
   H = mix(H, locHash(L));
   H = mix(H, HT->hashValue());
   return internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) {
         if (P.kind() != PretypeKind::Ref)
           return false;
@@ -788,7 +766,7 @@ PretypeRef TypeArena::ref(Privilege Priv, Loc L, HeapTypeRef HT) {
 PretypeRef TypeArena::ptr(Loc L) {
   uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Ptr), locHash(L));
   return internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) {
         return P.kind() == PretypeKind::Ptr && cast<PtrPT>(&P)->loc() == L;
       },
@@ -809,7 +787,7 @@ PretypeRef TypeArena::cap(Privilege Priv, Loc L, HeapTypeRef HT) {
   H = mix(H, locHash(L));
   H = mix(H, HT->hashValue());
   return internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) {
         if (P.kind() != PretypeKind::Cap)
           return false;
@@ -833,7 +811,7 @@ PretypeRef TypeArena::cap(Privilege Priv, Loc L, HeapTypeRef HT) {
 PretypeRef TypeArena::own(Loc L) {
   uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Own), locHash(L));
   return internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) {
         return P.kind() == PretypeKind::Own && cast<OwnPT>(&P)->loc() == L;
       },
@@ -854,7 +832,7 @@ PretypeRef TypeArena::rec(Qual Bound, Type Body) {
   uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Rec), qualHash(Bound));
   H = mix(H, typePtrHash(Body));
   return internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) {
         if (P.kind() != PretypeKind::Rec)
           return false;
@@ -881,7 +859,7 @@ PretypeRef TypeArena::exLoc(Type Body) {
   uint64_t H =
       mix(static_cast<uint64_t>(PretypeKind::ExLoc), typePtrHash(Body));
   return internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) {
         return P.kind() == PretypeKind::ExLoc &&
                typeEquals(cast<ExLocPT>(&P)->body(), Body);
@@ -905,7 +883,7 @@ PretypeRef TypeArena::coderef(FunTypeRef FT) {
   uint64_t H =
       mix(static_cast<uint64_t>(PretypeKind::Coderef), FT->hashValue());
   return internNode(
-      I->M, I->Journal, I->St, I->PTab, JTab::P, H, I->St.PretypeNodes,
+      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
       [&](const Pretype &P) {
         return P.kind() == PretypeKind::Coderef &&
                cast<CoderefPT>(&P)->funType().get() == FT.get();
@@ -943,7 +921,7 @@ HeapTypeRef TypeArena::variantImpl(const E *Cases, size_t NumCases,
   for (size_t J = 0; J < NumCases; ++J)
     H = mix(H, typePtrHash(Cases[J]));
   return internNode(
-      I->M, I->Journal, I->St, I->HTab, JTab::H, H, I->St.HeapTypeNodes,
+      I->M, I->St, I->HTab, H, I->St.HeapTypeNodes,
       [&](const HeapType &HT) {
         if (HT.kind() != HeapTypeKind::Variant)
           return false;
@@ -1010,7 +988,7 @@ HeapTypeRef TypeArena::structureImpl(const F *Fields, size_t NumFields,
     H = mix(H, S ? S->hashValue() : 0xC0FFEE);
   }
   return internNode(
-      I->M, I->Journal, I->St, I->HTab, JTab::H, H, I->St.HeapTypeNodes,
+      I->M, I->St, I->HTab, H, I->St.HeapTypeNodes,
       [&](const HeapType &HT) {
         if (HT.kind() != HeapTypeKind::Struct)
           return false;
@@ -1053,7 +1031,7 @@ HeapTypeRef TypeArena::array(Type Elem) {
       mix(mix(0xF1, static_cast<uint64_t>(HeapTypeKind::Array)),
           typePtrHash(Elem));
   return internNode(
-      I->M, I->Journal, I->St, I->HTab, JTab::H, H, I->St.HeapTypeNodes,
+      I->M, I->St, I->HTab, H, I->St.HeapTypeNodes,
       [&](const HeapType &HT) {
         return HT.kind() == HeapTypeKind::Array &&
                typeEquals(cast<ArrayHT>(&HT)->elem(), Elem);
@@ -1078,7 +1056,7 @@ HeapTypeRef TypeArena::ex(Qual QualLower, SizeRef SizeUpper, Type Body) {
   H = mix(H, sizePtrHash(SizeUpper));
   H = mix(H, typePtrHash(Body));
   return internNode(
-      I->M, I->Journal, I->St, I->HTab, JTab::H, H, I->St.HeapTypeNodes,
+      I->M, I->St, I->HTab, H, I->St.HeapTypeNodes,
       [&](const HeapType &HT) {
         if (HT.kind() != HeapTypeKind::Ex)
           return false;
@@ -1119,7 +1097,7 @@ FunTypeRef TypeArena::fun(std::vector<Quant> Quants, ArrowType Arrow) {
     H = mix(H, quantHash(Q));
   H = mix(H, arrowHash(Arrow));
   return internNode(
-      I->M, I->Journal, I->St, I->FTab, JTab::F, H, I->St.FunTypeNodes,
+      I->M, I->St, I->FTab, H, I->St.FunTypeNodes,
       [&](const FunType &F) {
         if (F.quants().size() != Quants.size())
           return false;
@@ -1269,152 +1247,6 @@ TypeArena::~TypeArena() = default;
 TypeArena::Stats TypeArena::stats() const {
   std::lock_guard<SpinLock> G(I->M);
   return I->St;
-}
-
-//===----------------------------------------------------------------------===//
-// Checkpoint / rollback (bounded growth under skolem churn)
-//===----------------------------------------------------------------------===//
-
-TypeArena::Checkpoint TypeArena::checkpoint() const {
-  std::lock_guard<SpinLock> G(I->M);
-  return Checkpoint{I->Journal.size()};
-}
-
-namespace {
-/// Swap-removes the journal entry's node from its bucket. Returns false if
-/// the node is no longer in the table (already removed by an earlier
-/// overlapping rollback — callers treat that as a no-op).
-template <class Ref>
-bool eraseNode(std::unordered_map<uint64_t, std::vector<Ref>> &Tab,
-               const JEntry &E) {
-  auto It = Tab.find(E.Hash);
-  if (It == Tab.end())
-    return false;
-  std::vector<Ref> &Bucket = It->second;
-  for (size_t J = 0; J < Bucket.size(); ++J)
-    if (Bucket[J].get() == E.Node) {
-      Bucket[J] = std::move(Bucket.back());
-      Bucket.pop_back();
-      if (Bucket.empty())
-        Tab.erase(It);
-      return true;
-    }
-  return false;
-}
-} // namespace
-
-uint64_t TypeArena::rollbackImpl(uint64_t Mark, bool SkolemOnly) {
-  std::lock_guard<SpinLock> G(I->M);
-  if (Mark > I->Journal.size())
-    return 0;
-
-  uint64_t Removed = 0;
-  // Pointers removed from each table, for the post-pass scrubs below.
-  std::unordered_set<const void *> RemovedP, RemovedS;
-  std::vector<JEntry> Kept; // Young survivors (SkolemOnly), reverse order.
-
-  for (size_t J = I->Journal.size(); J > Mark; --J) {
-    JEntry &E = I->Journal[J - 1];
-    if (SkolemOnly && !E.Skolem) {
-      Kept.push_back(E);
-      continue;
-    }
-    bool Erased = false;
-    switch (E.Tab) {
-    case JTab::P: {
-      // Clear the node's closed-size fast-path slot *before* the bucket
-      // erase: dropping the table's reference may destroy the node, and
-      // an externally retained node must not keep a raw pointer into a
-      // memo entry we are about to drop.
-      const Pretype *PN = static_cast<const Pretype *>(E.Node);
-      auto CS = I->ClosedSize.find(PN);
-      if (CS != I->ClosedSize.end())
-        PN->ClosedSizeMemo.store(nullptr, std::memory_order_release);
-      Erased = eraseNode(I->PTab, E);
-      if (Erased) {
-        --I->St.PretypeNodes;
-        RemovedP.insert(E.Node);
-        if (CS != I->ClosedSize.end())
-          I->ClosedSize.erase(CS);
-      }
-      break;
-    }
-    case JTab::H:
-      Erased = eraseNode(I->HTab, E);
-      if (Erased)
-        --I->St.HeapTypeNodes;
-      break;
-    case JTab::F:
-      Erased = eraseNode(I->FTab, E);
-      if (Erased)
-        --I->St.FunTypeNodes;
-      break;
-    case JTab::S:
-      Erased = eraseNode(I->STab, E);
-      if (Erased) {
-        --I->St.SizeNodes;
-        RemovedS.insert(E.Node);
-      }
-      break;
-    }
-    if (Erased) {
-      ++Removed;
-      I->St.ApproxBytes -= E.Bytes;
-      I->St.SerializedBytes -= E.SBytes;
-      if (E.Skolem)
-        --I->St.SkolemNodes;
-    }
-  }
-
-  I->Journal.resize(Mark);
-  for (size_t J = Kept.size(); J > 0; --J)
-    I->Journal.push_back(Kept[J - 1]);
-
-  // Full-rollback hygiene: leaf caches and closed-size memos may hold raw
-  // pointers to nodes that just lost table ownership. (SkolemOnly never
-  // removes leaves or sizes — they cannot mention a skolem.)
-  if (!SkolemOnly && !RemovedP.empty()) {
-    auto ScrubP = [&](std::atomic<const Pretype *> &Slot) {
-      if (RemovedP.count(Slot.load(std::memory_order_relaxed)))
-        Slot.store(nullptr, std::memory_order_relaxed);
-    };
-    ScrubP(I->Unit);
-    for (auto &S : I->Nums)
-      ScrubP(S);
-    for (auto &S : I->TypeVars)
-      ScrubP(S);
-  }
-  if (!SkolemOnly && !RemovedS.empty()) {
-    auto ScrubS = [&](std::atomic<const Size *> &Slot) {
-      if (RemovedS.count(Slot.load(std::memory_order_relaxed)))
-        Slot.store(nullptr, std::memory_order_relaxed);
-    };
-    for (auto &S : I->ConstSizes)
-      ScrubS(S);
-    for (auto &S : I->SizeVars)
-      ScrubS(S);
-    // A kept pretype's closed-size memo may reference a removed size; the
-    // map entry owns that size, so erase the pair (and clear the slot) to
-    // keep canonicality: a re-interned equal size would otherwise compare
-    // pointer-unequal to the memoized one.
-    for (auto It = I->ClosedSize.begin(); It != I->ClosedSize.end();) {
-      if (RemovedS.count(It->second.get())) {
-        It->first->ClosedSizeMemo.store(nullptr, std::memory_order_release);
-        It = I->ClosedSize.erase(It);
-      } else {
-        ++It;
-      }
-    }
-  }
-  return Removed;
-}
-
-uint64_t TypeArena::rollbackSkolems(const Checkpoint &C) {
-  return rollbackImpl(C.Mark, /*SkolemOnly=*/true);
-}
-
-uint64_t TypeArena::rollback(const Checkpoint &C) {
-  return rollbackImpl(C.Mark, /*SkolemOnly=*/false);
 }
 
 const std::shared_ptr<TypeArena> &TypeArena::globalPtr() {

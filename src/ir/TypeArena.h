@@ -132,14 +132,14 @@ public:
   /// monitoring). Counts cover the locked table probes only: the
   /// lock-free fast paths (leaf caches, per-node closed-size slots)
   /// deliberately skip the counters, so Hits is a lower bound on real
-  /// cache effectiveness. SkolemNodes counts currently-interned nodes
-  /// whose subtree mentions a checker skolem (the population Checkpoint
-  /// rollback targets); ApproxBytes is a sizeof-based estimate of live
-  /// node memory (excluding table overhead); SerializedBytes estimates
-  /// what the same nodes would occupy in the serial/ wire format's type
-  /// table (tag + varint fields + child references) — the
-  /// capacity-planning number for an on-disk module registry or a
-  /// serialized arena snapshot.
+  /// cache effectiveness. SkolemNodes counts interned nodes whose subtree
+  /// mentions a checker skolem (types only a check mints, which is why
+  /// admissions check in private arenas); ApproxBytes is a sizeof-based
+  /// estimate of live node memory (excluding table overhead);
+  /// SerializedBytes estimates what the same nodes would occupy in the
+  /// serial/ wire format's type table (tag + varint fields + child
+  /// references) — the capacity-planning number for an on-disk module
+  /// registry or a serialized arena snapshot.
   struct Stats {
     uint64_t Hits = 0;
     uint64_t Misses = 0;
@@ -157,43 +157,7 @@ public:
   };
   Stats stats() const;
 
-  //===--------------------------------------------------------------------===//
-  // Bounded growth under skolem churn (DESIGN.md §7)
-  //===--------------------------------------------------------------------===//
-  //
-  // Checker-minted skolem types intern into the arena and would otherwise
-  // be retained forever; a long-lived server re-checking adversarial
-  // modules grows monotonically. A Checkpoint marks the intern journal;
-  // rolling back un-interns nodes added after the mark — either only the
-  // skolem-tainted ones (rollbackSkolems, safe after a completed
-  // checkModule whose per-check artifacts are dropped) or everything
-  // (rollback, for check-and-reject admission where the whole module is
-  // discarded).
-  //
-  // Un-interning removes the *table's* ownership and canonical identity;
-  // nodes still referenced externally stay alive but a later re-intern of
-  // the same structure creates a fresh node. Hence the safety contract:
-  //   * quiescence — no concurrent checks may be running in this arena
-  //     during rollback, and
-  //   * no retained artifact (module types for rollback; checker results /
-  //     InfoMaps for rollbackSkolems) may hold nodes younger than the
-  //     checkpoint.
-  // Checkpoints nest LIFO: rolling back to an older checkpoint subsumes
-  // newer ones.
-
-  struct Checkpoint {
-    uint64_t Mark = 0;
-  };
-  Checkpoint checkpoint() const;
-  /// Un-interns every skolem-tainted node interned after \p C. Returns the
-  /// number of nodes removed.
-  uint64_t rollbackSkolems(const Checkpoint &C);
-  /// Un-interns every node interned after \p C. Returns the number of
-  /// nodes removed.
-  uint64_t rollback(const Checkpoint &C);
-
 private:
-  uint64_t rollbackImpl(uint64_t Mark, bool SkolemOnly);
   /// One interning recipe each for prod/variant/struct, shared between the
   /// owning (Type/StructField) and borrowed (TypeRef/StructFieldRef) span
   /// probes — the hash seed, probe predicate, and metadata finalization

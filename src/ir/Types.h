@@ -115,8 +115,7 @@ inline void assertBorrowedFromCurrentArena(const Pretype *) {}
 /// dominated the F7 profile are pure overhead there.
 ///
 /// Lifetime contract (DESIGN.md §9): a TypeRef (and anything holding one,
-/// e.g. an InfoMap) is valid while (a) the owning arena is alive and (b)
-/// no TypeArena::rollback* past the node's intern point has run. Ownership
+/// e.g. an InfoMap) is valid while the owning arena is alive. Ownership
 /// boundaries — module structure, serialization, cache artifacts — keep
 /// owning Types; cross the boundary with own().
 struct TypeRef {

@@ -1489,28 +1489,8 @@ void FlatInstance::maybeTierUp() {
     uint64_t Mass = Inv + Lp < Inv ? UINT64_MAX : Inv + Lp;
     if (Mass < TierThreshold)
       continue;
-    if (!TierBackground) {
-      OBS_SPAN("tier_up", D);
-      Jit->compile(D);
-      continue;
-    }
-    // One background compile in flight at a time; the rest of the scan
-    // reruns at the next invoke. Entries publish with release order, so
-    // running invokes pick the native code up at their next call.
-    if (TierBusy.load(std::memory_order_acquire))
-      return;
-    if (TierWorker.joinable())
-      TierWorker.join();
-    TierBusy.store(true, std::memory_order_release);
-    TierWorker = std::thread([this, D] {
-      obs::setThreadName("tier-worker");
-      {
-        OBS_SPAN("tier_up", D);
-        Jit->compile(D);
-      }
-      TierBusy.store(false, std::memory_order_release);
-    });
-    return;
+    OBS_SPAN("tier_up", D);
+    Jit->compile(D);
   }
 }
 

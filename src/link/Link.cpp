@@ -304,7 +304,7 @@ rw::link::instantiate(const std::vector<const ir::Module *> &Mods,
   // mapped to its provider (with the canonical-type equality check) before
   // any instance state exists.
   Expected<std::vector<ResolvedModule>> Resolved =
-      resolveImports(Mods, Opts.Resolution);
+      resolveImports(Mods);
   if (!Resolved)
     return Resolved.error();
 
@@ -424,8 +424,9 @@ rw::link::buildArtifact(const std::vector<const ir::Module *> &Mods,
   // which then performs zero checkModule calls. With a pool, checking is
   // function-parallel and body lowering (module, function)-parallel —
   // both deterministic for any pool size.
-  Expected<std::vector<ResolvedModule>> Resolved = resolveImports(
-      Mods, ResolveOptions{Opts.Resolution, /*AllowUnresolvedFuncs=*/true});
+  Expected<std::vector<ResolvedModule>> Resolved =
+      resolveImports(Mods, ResolveOptions{ResolveMode::Batch,
+                                          /*AllowUnresolvedFuncs=*/true});
   if (!Resolved)
     return Resolved.error();
   std::vector<typing::InfoMap> OwnInfos;
@@ -453,14 +454,10 @@ rw::link::buildArtifact(const std::vector<const ir::Module *> &Mods,
     return LP.error();
   auto A = std::make_shared<cache::LoweredArtifact>();
   A->Program = LP.take();
-  // A memoized artifact is served to *every* later caller, including
-  // ones that ask for validation — so with a cache in play, validation
-  // always runs before the store (ValidateWasm=false only skips it for
-  // uncached one-shot instantiation). Warm hits are therefore always
-  // validated artifacts.
-  if (Opts.ValidateWasm || Opts.Cache)
-    if (Status S = wasm::validate(A->Program.Module); !S)
-      return S.error().addContext("lowered module validation");
+  // Every lowered module is validated before it runs or is stored, so
+  // warm cache hits are always validated artifacts.
+  if (Status S = wasm::validate(A->Program.Module); !S)
+    return S.error().addContext("lowered module validation");
   // Translate once here (not lazily in the engine) so the memoized
   // artifact serves both engines on every later hit; validated lowered
   // modules always translate. Without a cache, only the flat-bytecode
@@ -489,13 +486,11 @@ Expected<LoweredInstance> rw::link::instantiateArtifact(
     FI->adoptPretranslated(
         std::shared_ptr<const exec::FlatModule>(Art, &Art->Flat));
     if (Opts.JitThreshold)
-      FI->setTierPolicy(*Opts.JitThreshold, Opts.JitBackground);
+      FI->setTierPolicy(*Opts.JitThreshold);
     Inst = std::move(FI);
   } else {
     Inst = wasm::createInstance(Art->Program.Module, Opts.Engine);
   }
-  if (Opts.Profile)
-    Inst->enableProfiling();
   // RunStart only gates the start function; instance state (memory,
   // globals, data, host/flat preparation) always exists.
   if (Status S = Inst->initialize(Opts.RunStart); !S)

@@ -60,15 +60,6 @@ struct LinkOptions {
   /// FlatInstance::NeverTier disables tiering. Unset keeps the engine
   /// default (Jit tiers eagerly; Flat honors RW_JIT_THRESHOLD).
   std::optional<uint64_t> JitThreshold;
-  /// Run threshold-triggered tier-up compiles on a background thread.
-  bool JitBackground = false;
-  /// Validate the lowered Wasm module before instantiation. With a Cache
-  /// set this is effectively always on: an artifact is validated before
-  /// it is stored (it will be served to every later caller), so warm
-  /// hits are always validated artifacts.
-  bool ValidateWasm = true;
-  /// Import resolution strategy (see link/Resolve.h).
-  ResolveMode Resolution = ResolveMode::Batch;
   /// Optional content-addressed admission cache (src/cache/). When set,
   /// instantiateLowered keys the whole link set by module content hashes
   /// (and ingest::admit keys RichWasm input by its bytes): a warm
@@ -84,16 +75,9 @@ struct LinkOptions {
   /// Per-module InfoMaps from a typing::checkModules(…, &Infos) the caller
   /// already ran (an admission server checks for verdicts first): the cold
   /// lowered path then performs *zero* further checkModule calls. Size
-  /// must match the module list; the modules' arena must stay alive and
-  /// un-rolled-back for the call (see Checker.h's InfoMap contract). Not
-  /// owned.
+  /// must match the module list; the modules' arena must stay alive for
+  /// the call (see Checker.h's InfoMap contract). Not owned.
   const std::vector<typing::InfoMap> *Infos = nullptr;
-  /// Enable per-function execution profiling (invocation + loop-head
-  /// counters, wasm::Instance::functionProfiles) on the instance the
-  /// lowered path creates. The flat engine re-translates locally with
-  /// profile bumps fused in — the cached artifact stays unprofiled — so
-  /// a warm cache hit still skips check/lower/validate.
-  bool Profile = false;
 };
 
 /// Links and instantiates \p Mods in order. The returned machine owns the
@@ -135,9 +119,9 @@ instantiateLowered(const std::vector<const ir::Module *> &Mods,
                    const LinkOptions &Opts = LinkOptions());
 
 /// The build stage shared by both admission front doors
-/// (instantiateLowered and ingest::admit): resolve → check (only when
-/// Opts.Infos hands over no InfoMaps) → lower → validate → translate.
-/// Validation and translation always run when Opts.Cache is set, because
+/// (instantiateLowered and ingest::admit): batch resolve → check (only
+/// when Opts.Infos hands over no InfoMaps) → lower → validate →
+/// translate. Translation always runs when Opts.Cache is set, because
 /// the caller will store the artifact for every later caller. The
 /// artifact is pure Wasm: it holds nothing from \p Mods or their arena.
 Expected<std::shared_ptr<const cache::LoweredArtifact>>
@@ -146,8 +130,7 @@ buildArtifact(const std::vector<const ir::Module *> &Mods,
 
 /// The instantiation stage shared by both front doors: a fresh instance
 /// of \p Art on Opts.Engine (borrowing the artifact's flat translation),
-/// with Opts.JitThreshold/JitBackground, Opts.Profile (a local profiled
-/// re-translation; \p Art stays unprofiled) and Opts.RunStart applied.
+/// with Opts.JitThreshold and Opts.RunStart applied.
 Expected<LoweredInstance>
 instantiateArtifact(std::shared_ptr<const cache::LoweredArtifact> Art,
                     const LinkOptions &Opts);

@@ -69,7 +69,7 @@ struct LowerOptions {
   /// identity). When set (size must match Mods), lowerProgram performs
   /// *zero* checkModule calls; when null it checks each module itself.
   /// The maps hold borrowed TypeRefs: the modules' arena must stay alive
-  /// and un-rolled-back for the duration of the call.
+  /// for the duration of the call.
   const std::vector<typing::InfoMap> *Infos = nullptr;
   /// When set, function bodies are lowered (module, function)-parallel
   /// over this pool with deterministic index-ordered assembly: the lowered

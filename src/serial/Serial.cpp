@@ -1707,8 +1707,7 @@ Expected<ir::Module> readInto(const std::vector<uint8_t> &Bytes,
   // first, so a payload that fails *structural* validation (the checksum
   // is not a MAC — an attacker can recompute it) leaves no trace in the
   // target arena. Interning into a long-lived shared arena is otherwise a
-  // permanent allocation: the arena has no eviction, and rollback
-  // requires quiescence the reader cannot assume. Only a fully validated
+  // permanent allocation: the arena has no eviction. Only a fully validated
   // payload is re-parsed into the target, which then gains exactly the
   // module's own nodes. The price is a second parse on every successful
   // read; readPrivate() skips it, because a fresh arena nobody else

@@ -7,7 +7,7 @@
 /// \file
 /// Induced-failure testing for the admission pipeline (DESIGN.md §12): a
 /// set of named *seams* — points where production code can genuinely fail
-/// (allocation limits, mmap, background compilation, cache stores, worker
+/// (allocation limits, mmap, JIT compilation, cache stores, worker
 /// spawn) — each of which a test can arm to fail on the Nth occurrence,
 /// every Nth occurrence, or probabilistically. The degradation suite
 /// (tests/fault_test.cpp) proves the graceful-degradation contracts the
@@ -25,7 +25,7 @@
 ///
 /// Thread-safety: seams are armed/disarmed from a quiescent test thread;
 /// occurrence counting in shouldFail() is a relaxed atomic, so seams may
-/// fire from pool workers and background tier-up threads.
+/// fire from pool workers.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -36,12 +36,6 @@ using namespace rw::ir;
 
 std::vector<Status>
 rw::typing::checkModules(std::span<const ir::Module *const> Mods,
-                         support::ThreadPool &Pool) {
-  return checkModules(Mods, Pool, static_cast<std::vector<InfoMap> *>(nullptr));
-}
-
-std::vector<Status>
-rw::typing::checkModules(std::span<const ir::Module *const> Mods,
                          support::ThreadPool &Pool,
                          std::vector<InfoMap> *Infos) {
   OBS_SPAN("check_batch", Mods.size());

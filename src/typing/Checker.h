@@ -49,9 +49,8 @@ namespace rw::typing {
 /// (ir::TypeRef): every node is interned in the module's TypeArena, whose
 /// lifetime spans the check→lower hand-off, so the map never refcounts.
 /// Lifetime contract (DESIGN.md §9): an InfoMap is valid while the
-/// module's arena is alive and no TypeArena::rollback* past the check has
-/// run; it must not be serialized or cached (ownership boundaries re-own
-/// via TypeRef::own()).
+/// module's arena is alive; it must not be serialized or cached
+/// (ownership boundaries re-own via TypeRef::own()).
 struct InstInfo {
   std::vector<ir::TypeRef> Operands; ///< Consumed, bottom of stack first.
   std::vector<ir::TypeRef> Results;  ///< Produced, bottom of stack first.
@@ -102,26 +101,24 @@ Status checkModule(const ir::Module &M, InfoMap *IM = nullptr);
 /// process-wide one) — the arena is thread-safe and checks intern
 /// concurrently into it. The same module must not appear twice in one
 /// batch.
-std::vector<Status> checkModules(std::span<const ir::Module *const> Mods,
-                                 support::ThreadPool &Pool);
-
-/// Like the overload above, but additionally returns the per-module
-/// InfoMaps (\p Infos resized to one map per module; maps of rejected
-/// modules are left empty) so a cold admission pipeline checks exactly
-/// once: lower::lowerProgram accepts these maps and skips its internal
-/// re-check (same process, same instruction pointers — the map key is
-/// node identity). Function InfoMaps are recorded per function on the
-/// pool and merged in (module, function) index order, so the recorded
-/// types are identical to a sequential checkModule(M, &IM).
+///
+/// When \p Infos is set it also returns the per-module InfoMaps (resized
+/// to one map per module; maps of rejected modules are left empty) so a
+/// cold admission pipeline checks exactly once: lower::lowerProgram
+/// accepts these maps and skips its internal re-check (same process, same
+/// instruction pointers — the map key is node identity). Function
+/// InfoMaps are recorded per function on the pool and merged in (module,
+/// function) index order, so the recorded types are identical to a
+/// sequential checkModule(M, &IM).
 std::vector<Status> checkModules(std::span<const ir::Module *const> Mods,
                                  support::ThreadPool &Pool,
-                                 std::vector<InfoMap> *Infos);
+                                 std::vector<InfoMap> *Infos = nullptr);
 
 /// Content-addressed batch admission: like checkModules, but each module
 /// is keyed by serial::moduleHash in \p Cache — cache hits (including a
 /// module submitted twice in one batch) skip the check entirely and
 /// replay the memoized verdict with byte-identical diagnostics. A null
-/// cache degrades to the uncached overload. Defined in
+/// cache degrades to the uncached entry point. Defined in
 /// cache/AdmissionCache.cpp so the typing layer itself keeps no cache
 /// dependency.
 std::vector<Status> checkModules(std::span<const ir::Module *const> Mods,

@@ -73,10 +73,10 @@ inline const char *engineKindName(EngineKind K) {
 }
 
 /// One saturating execution-profile counter. Only the executing thread
-/// writes (the engines bump from their single run loop); the tier-up
-/// controller may read concurrently from a background compile thread, so
-/// reads and writes are relaxed atomics — a reader sees some recent
-/// value, which is all a hotness heuristic needs. Bumps saturate at
+/// writes (the engines bump from their single run loop); the
+/// "exec.profile" obs source may read concurrently from a snapshot
+/// thread, so reads and writes are relaxed atomics — a reader sees some
+/// recent value, which is all a hotness heuristic needs. Bumps saturate at
 /// UINT64_MAX instead of wrapping, so a long-lived server instance can
 /// never wrap a counter back under a tier-up threshold.
 class ProfileCounter {

@@ -3,21 +3,24 @@
 // A long-lived admission server re-checks untrusted modules forever; the
 // checker mints skolem-tainted types into the arena on every exist.unpack
 // and mem.unpack, and adversarial module streams mint *fresh* ones each
-// time. These tests pin the TypeArena::Checkpoint/rollback mechanism that
-// bounds that growth (DESIGN.md §7):
+// time. Production bounds that growth with private arenas: every
+// ingest::admit reads its module into an arena that dies with the
+// admission (DESIGN.md §7). These tests pin:
 //
-//   * rollbackSkolems removes exactly the skolem-tainted nodes interned
-//     after the checkpoint (safe once a check's artifacts are dropped);
-//   * full rollback returns the arena to its checkpoint node population —
-//     the shape of check-and-discard admission — and stays flat across
-//     1000 adversarial re-checks with per-iteration-fresh types;
+//   * 200 distinct skolem-minting payloads admitted through ingest::admit,
+//     uncached and through a shared cache, leave the process-wide arena's
+//     node count exactly where it started;
+//   * the control: the same stream checked in one shared arena grows it;
 //   * stats() exposes the node counts / bytes a server monitors.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/Common.h"
+#include "cache/AdmissionCache.h"
+#include "ingest/Ingest.h"
 #include "ir/Builder.h"
 #include "ir/TypeArena.h"
+#include "serial/Serial.h"
 #include "typing/Checker.h"
 
 #include <gtest/gtest.h>
@@ -29,14 +32,14 @@ using namespace rw::ir::build;
 namespace {
 
 /// A module whose check opens a heap existential (exist.unpack mints a
-/// skolem pretype and substitutes it through the body — the skolem-
-/// tainted intermediates rollback targets). \p Salt varies the
+/// skolem pretype and substitutes it through the body — skolem-tainted
+/// intermediates that only the check creates). \p Salt varies the
 /// existential's size bound, so every salt mints *different* tainted
 /// nodes: the adversarial stream.
 ir::Module skolemModule(uint64_t Salt) {
   ir::Module M;
   M.Name = "adv";
-  HeapTypeRef Ex = exHT(Qual::unr(), Size::constant(32 + Salt % 97), i32T());
+  HeapTypeRef Ex = exHT(Qual::unr(), Size::constant(32 + Salt), i32T());
   InstVec Body = {
       iconst(7),
       existPack(numPT(NumType::I32), Ex, Qual::lin()),
@@ -70,70 +73,48 @@ TEST(ArenaChurn, StatsAccessorReportsPopulation) {
                                  St.FunTypeNodes + St.SizeNodes);
 }
 
-TEST(ArenaChurn, RollbackSkolemsRemovesOnlyTaintedNodes) {
-  auto Arena = std::make_shared<TypeArena>();
-  ArenaScope Scope(*Arena);
-  ir::Module M = skolemModule(1);
-  M.Arena = Arena;
-
-  TypeArena::Stats Before = Arena->stats();
-  EXPECT_EQ(Before.SkolemNodes, 0u); // Module types mention no skolem.
-  TypeArena::Checkpoint C = Arena->checkpoint();
-
-  ASSERT_TRUE(typing::checkModule(M).ok());
-  TypeArena::Stats Checked = Arena->stats();
-  EXPECT_GT(Checked.SkolemNodes, 0u) << "the check mints tainted nodes";
-
-  uint64_t Removed = Arena->rollbackSkolems(C);
-  EXPECT_GT(Removed, 0u);
-  TypeArena::Stats After = Arena->stats();
-  EXPECT_EQ(After.SkolemNodes, 0u);
-  // Non-tainted nodes interned during the check (judgment by-products on
-  // concrete types) survive a skolem-only rollback.
-  EXPECT_EQ(After.totalNodes(), Checked.totalNodes() - Removed);
-  EXPECT_LT(After.ApproxBytes, Checked.ApproxBytes);
-
-  // The module itself is untouched: re-checking it still succeeds and
-  // steady-state re-mints the same tainted population.
-  ASSERT_TRUE(typing::checkModule(M).ok());
-  EXPECT_EQ(Arena->stats().SkolemNodes, Checked.SkolemNodes);
-}
-
-TEST(ArenaChurn, SteadyStateFlatAcrossAdversarialRechecks) {
-  // The acceptance bar: 1000 re-checks of per-iteration-fresh adversarial
-  // modules, each under a checkpoint fully rolled back after the verdict
-  // (check-and-discard admission), leave the arena's node count exactly
-  // where it started.
-  auto Arena = std::make_shared<TypeArena>();
-  ArenaScope Scope(*Arena);
-
-  // Warm the leaf caches etc. with one untracked module.
+TEST(ArenaChurn, SkolemChurnThroughIngestLeavesGlobalArenaFlat) {
+  // The bound production relies on: every ingest::admit reads into a
+  // private arena that dies with the admission, so 200 payloads that
+  // each mint *different* skolem-tainted types leave the process-wide
+  // arena exactly where it started — with no cache, and through a shared
+  // cache whose artifacts outlive the admissions.
+  std::vector<std::vector<uint8_t>> Payloads;
   {
-    ir::Module Warm = skolemModule(0);
-    Warm.Arena = Arena;
-    ASSERT_TRUE(typing::checkModule(Warm).ok());
-  }
-  uint64_t Baseline = Arena->stats().totalNodes();
-  uint64_t BaselineSk = Arena->stats().SkolemNodes; // Warm check's, kept.
-
-  for (uint64_t It = 1; It <= 1000; ++It) {
-    TypeArena::Checkpoint C = Arena->checkpoint();
-    {
-      ir::Module M = skolemModule(It); // Fresh types every iteration.
-      M.Arena = Arena;
-      Status S = typing::checkModule(M);
-      ASSERT_TRUE(S.ok()) << "iteration " << It;
+    auto Scratch = std::make_shared<TypeArena>();
+    ArenaScope Scope(*Scratch);
+    for (uint64_t Salt = 1; Salt <= 200; ++Salt) {
+      ir::Module M = skolemModule(Salt);
+      M.Arena = Scratch;
+      Payloads.push_back(serial::write(M));
     }
-    Arena->rollback(C);
-    ASSERT_EQ(Arena->stats().totalNodes(), Baseline) << "iteration " << It;
   }
-  EXPECT_EQ(Arena->stats().SkolemNodes, BaselineSk);
+  uint64_t Baseline = TypeArena::global().stats().totalNodes();
+
+  cache::AdmissionCache Shared;
+  cache::AdmissionCache *Caches[] = {nullptr, &Shared};
+  for (cache::AdmissionCache *C : Caches) {
+    link::LinkOptions Opts;
+    Opts.Engine = wasm::EngineKind::Flat;
+    Opts.Cache = C;
+    for (size_t I = 0; I < Payloads.size(); ++I) {
+      Expected<ingest::AdmittedModule> A =
+          ingest::admit(Payloads[I], ingest::Limits(), Opts);
+      ASSERT_TRUE(A) << "payload " << I << ": " << A.error().message();
+      auto R = A->invoke("adv.main", {});
+      ASSERT_TRUE(R) << R.error().message();
+      EXPECT_EQ((*R)[0].Bits, 3u);
+      ASSERT_EQ(TypeArena::global().stats().totalNodes(), Baseline)
+          << (C ? "cached" : "uncached") << " payload " << I;
+    }
+  }
+  EXPECT_EQ(Shared.stats().Entries, Payloads.size());
 }
 
 TEST(ArenaChurn, GrowthWithoutRollbackIsMonotone) {
-  // The control experiment: the same adversarial stream *without*
-  // rollback grows the arena every iteration — the problem the mechanism
-  // exists to solve (and proof the flat test above has teeth).
+  // The control experiment: the same adversarial stream checked in one
+  // *shared* arena grows it every iteration — why admissions check in
+  // private arenas (and proof the flat test above has teeth).
   auto Arena = std::make_shared<TypeArena>();
   ArenaScope Scope(*Arena);
   {
@@ -148,28 +129,4 @@ TEST(ArenaChurn, GrowthWithoutRollbackIsMonotone) {
     ASSERT_TRUE(typing::checkModule(M).ok());
   }
   EXPECT_GT(Arena->stats().totalNodes(), Baseline + 50);
-}
-
-TEST(ArenaChurn, RollbackRestoresCanonicalIdentity) {
-  // After a full rollback, re-interning the same structures yields a
-  // self-consistent canonical universe: equal structures still compare
-  // pointer-equal among themselves.
-  auto Arena = std::make_shared<TypeArena>();
-  ArenaScope Scope(*Arena);
-  TypeArena::Checkpoint C = Arena->checkpoint();
-  {
-    ir::Module M = skolemModule(3);
-    M.Arena = Arena;
-    ASSERT_TRUE(typing::checkModule(M).ok());
-  }
-  Arena->rollback(C);
-
-  ir::Module M2 = skolemModule(3);
-  M2.Arena = Arena;
-  ASSERT_TRUE(typing::checkModule(M2).ok());
-  // Two independent builds of the same type in the rolled-back arena
-  // agree on the canonical node.
-  HeapTypeRef A = structHT({{i32T(), Size::constant(32)}});
-  HeapTypeRef B = structHT({{i32T(), Size::constant(32)}});
-  EXPECT_EQ(A.get(), B.get());
 }

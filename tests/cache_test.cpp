@@ -13,7 +13,8 @@
 //  * LRU byte budget — recency decides eviction, stats account bytes and
 //    evictions exactly, and evicting an artifact never invalidates a
 //    running instance;
-//  * thread safety — concurrent probes/stores from the PR 3 pool (the
+//  * thread safety — concurrent probes/stores from a thread pool, and
+//    concurrent JIT compiles over one shared cached translation (the
 //    TSan job runs this binary);
 //  * the ingestion byte key — a resubmission through ingest::admit is
 //    served before any parsing or hashing, in a key domain of its own.
@@ -279,39 +280,47 @@ TEST(Cache, FrontDoorsKeyTheSameProgramSeparately) {
 // lock is released) interleave, and every admitted module still computes
 // its own answer. The TSan job runs this binary.
 TEST(Cache, ConcurrentIngestThroughAnEvictingCache) {
+  // Eight pool threads admit and run hot payloads through a cache small
+  // enough that most stores evict. On EngineKind::Jit each thread also
+  // compiles and runs its own ModuleJit over a cached FlatModule that all
+  // of them share — the shape of serving JIT code from the cache, and
+  // the JIT's concurrency target for the TSan job.
   rwbench::ServerMix Mix(/*HotN=*/16, /*ColdN=*/0, /*AdvN=*/0);
-  link::LinkOptions Opts;
-  Opts.Engine = wasm::EngineKind::Flat;
-  uint64_t ArtBytes = [&] {
-    cache::AdmissionCache Probe;
-    Opts.Cache = &Probe;
-    EXPECT_TRUE(ingest::admit(Mix.HotBytes[0], ingest::Limits(), Opts));
-    return Probe.stats().Bytes;
-  }();
-  ASSERT_GT(ArtBytes, 0u);
-  // About two artifacts per shard, so most stores evict.
-  constexpr unsigned Shards = 4;
-  cache::AdmissionCache C(Shards * ArtBytes * 5 / 2, Shards);
-  Opts.Cache = &C;
-  std::atomic<unsigned> Wrong{0};
-  support::ThreadPool Pool(8);
-  Pool.parallelFor(512, [&](size_t I) {
-    uint32_t Tag = static_cast<uint32_t>(I % Mix.HotBytes.size());
-    auto A = ingest::admit(Mix.HotBytes[Tag], ingest::Limits(), Opts);
-    if (!A) {
-      ++Wrong;
-      return;
-    }
-    auto R = A->invoke("srv_" + std::to_string(Tag) + ".f0",
-                       {wasm::WValue::i32(1)});
-    // serverModule's f0 computes (x + 3 * Tag) * 3.
-    if (!R || (*R)[0].Bits != (1 + 3 * Tag) * 3)
-      ++Wrong;
-  });
-  EXPECT_EQ(Wrong.load(), 0u);
-  EXPECT_GT(C.stats().Evictions, 0u);
-  EXPECT_GT(C.stats().ProgramHits, 0u);
-  EXPECT_LE(C.stats().Bytes, C.byteBudget());
+  for (wasm::EngineKind K : {wasm::EngineKind::Flat, wasm::EngineKind::Jit}) {
+    SCOPED_TRACE(wasm::engineKindName(K));
+    link::LinkOptions Opts;
+    Opts.Engine = K;
+    uint64_t ArtBytes = [&] {
+      cache::AdmissionCache Probe;
+      Opts.Cache = &Probe;
+      EXPECT_TRUE(ingest::admit(Mix.HotBytes[0], ingest::Limits(), Opts));
+      return Probe.stats().Bytes;
+    }();
+    ASSERT_GT(ArtBytes, 0u);
+    // About two artifacts per shard, so most stores evict.
+    constexpr unsigned Shards = 4;
+    cache::AdmissionCache C(Shards * ArtBytes * 5 / 2, Shards);
+    Opts.Cache = &C;
+    std::atomic<unsigned> Wrong{0};
+    support::ThreadPool Pool(8);
+    Pool.parallelFor(512, [&](size_t I) {
+      uint32_t Tag = static_cast<uint32_t>(I % Mix.HotBytes.size());
+      auto A = ingest::admit(Mix.HotBytes[Tag], ingest::Limits(), Opts);
+      if (!A) {
+        ++Wrong;
+        return;
+      }
+      auto R = A->invoke("srv_" + std::to_string(Tag) + ".f0",
+                         {wasm::WValue::i32(1)});
+      // serverModule's f0 computes (x + 3 * Tag) * 3.
+      if (!R || (*R)[0].Bits != (1 + 3 * Tag) * 3)
+        ++Wrong;
+    });
+    EXPECT_EQ(Wrong.load(), 0u);
+    EXPECT_GT(C.stats().Evictions, 0u);
+    EXPECT_GT(C.stats().ProgramHits, 0u);
+    EXPECT_LE(C.stats().Bytes, C.byteBudget());
+  }
 }
 
 TEST(Cache, ProgramOrderAndContentDecideTheKey) {

@@ -1,15 +1,11 @@
-//===- tests/jit_tierup_test.cpp - Concurrent tier-up correctness ---------===//
+//===- tests/jit_tierup_test.cpp - Tier-up policy contracts ---------------===//
 //
-// The threshold/background half of the tier-3 backend (DESIGN.md §11):
-// a background TierWorker compiles functions while the main thread keeps
-// invoking them through the interpreter. These tests are written for the
-// TSan CI job — the interesting property is not just that results stay
-// correct but that the profile-counter reads, the entry-table publish
-// (release) / pickup (acquire), and the worker join on destruction are
-// all race-free under a thread sanitizer.
-//
-// Under -DRW_JIT=OFF only the policy-inertness test remains: tier
-// policies are accepted and ignored, and jitCompiledCount() is pinned 0.
+// The policy half of the tier-3 backend (DESIGN.md §11): NeverTier keeps
+// an instance interpreted in every build, an eager instance's "jit" obs
+// source reports tier state and code bytes, and under -DRW_JIT=OFF tier
+// policies are accepted and ignored with jitCompiledCount() pinned 0.
+// Threshold tier-up (synchronous, at invoke entry) is pinned against the
+// interpreter by exec_test's tier battery.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <thread>
 
 using namespace rw;
 using namespace rw::wasm;
@@ -51,9 +46,8 @@ WModule sumModule() {
   return M;
 }
 
-/// A three-deep call chain — f0 calls f1 calls f2 (the sum loop) — so
-/// the background scan has several functions to tier in sequence, one
-/// in-flight compile at a time.
+/// A three-deep call chain — f0 calls f1 calls f2 (the sum loop) — so an
+/// eager instance has several functions to compile.
 WModule chainModule() {
   WModule M;
   uint32_t TV = M.addType({{ValType::I32}, {ValType::I32}});
@@ -95,7 +89,7 @@ TEST(JitTierUp, NeverTierStaysInterpretedForever) {
   WModule M = sumModule();
   ASSERT_TRUE(validate(M).ok());
   exec::FlatInstance FI(M);
-  FI.setTierPolicy(exec::FlatInstance::NeverTier, /*Background=*/true);
+  FI.setTierPolicy(exec::FlatInstance::NeverTier);
   ASSERT_TRUE(FI.initialize().ok());
   for (int I = 0; I < 20; ++I) {
     auto R = FI.invokeByName("sum", {WValue::i32(100)});
@@ -107,112 +101,6 @@ TEST(JitTierUp, NeverTierStaysInterpretedForever) {
 
 #if RW_JIT_ENABLED
 
-//===----------------------------------------------------------------------===//
-// Background tiering under concurrent invokes (the TSan target).
-//===----------------------------------------------------------------------===//
-
-TEST(JitTierUp, BackgroundCompileAdoptedWhileInvoking) {
-  WModule M = sumModule();
-  ASSERT_TRUE(validate(M).ok());
-  exec::FlatInstance FI(M);
-  FI.setTierPolicy(1, /*Background=*/true);
-  ASSERT_TRUE(FI.initialize().ok());
-
-  // Keep invoking while the worker compiles; every result must be right
-  // whether a given invoke ran interpreted, native, or picked the entry
-  // up mid-stream. 10k invokes is orders of magnitude beyond the compile
-  // latency; bail out a few iterations after adoption.
-  int SeenCompiled = -1;
-  for (int I = 0; I < 10000; ++I) {
-    auto R = FI.invokeByName("sum", {WValue::i32(50)});
-    ASSERT_TRUE(bool(R)) << R.error().message();
-    ASSERT_EQ(R->at(0).asU32(), expectSum(50)) << "invoke " << I;
-    if (SeenCompiled < 0 && FI.jitCompiledCount() > 0)
-      SeenCompiled = I;
-    if (SeenCompiled >= 0 && I > SeenCompiled + 8)
-      break;
-    std::this_thread::yield();
-  }
-  EXPECT_GE(SeenCompiled, 0) << "background compile never landed";
-  EXPECT_EQ(FI.jitCompiledCount(), 1u);
-}
-
-TEST(JitTierUp, BackgroundChainTiersEveryFunction) {
-  WModule M = chainModule();
-  ASSERT_TRUE(validate(M).ok());
-  exec::FlatInstance FI(M);
-  FI.setTierPolicy(1, /*Background=*/true);
-  ASSERT_TRUE(FI.initialize().ok());
-
-  // One compile in flight at a time — the scan must re-run across
-  // invokes until all three functions are native.
-  uint32_t Want = 3, Expect = expectSum(40) + 3;
-  bool AllTiered = false;
-  for (int I = 0; I < 10000 && !AllTiered; ++I) {
-    auto R = FI.invokeByName("f", {WValue::i32(40)});
-    ASSERT_TRUE(bool(R)) << R.error().message();
-    ASSERT_EQ(R->at(0).asU32(), Expect) << "invoke " << I;
-    AllTiered = FI.jitCompiledCount() == Want;
-    std::this_thread::yield();
-  }
-  EXPECT_TRUE(AllTiered) << "compiled " << FI.jitCompiledCount() << "/"
-                         << Want;
-  // A few more invokes on the fully-native chain.
-  for (int I = 0; I < 5; ++I) {
-    auto R = FI.invokeByName("f", {WValue::i32(40)});
-    ASSERT_TRUE(bool(R));
-    EXPECT_EQ(R->at(0).asU32(), Expect);
-  }
-}
-
-TEST(JitTierUp, ResetProfilesRacesBackgroundScanSafely) {
-  WModule M = sumModule();
-  ASSERT_TRUE(validate(M).ok());
-  exec::FlatInstance FI(M);
-  FI.setTierPolicy(25, /*Background=*/true);
-  ASSERT_TRUE(FI.initialize().ok());
-
-  // Interleave invokes with resets: the relaxed counter stores from
-  // resetProfiles() may race the worker's reads, which must be benign
-  // (atomics) — and tiering must still eventually win once we stop
-  // resetting, because counters saturate upward between resets.
-  for (int I = 0; I < 30; ++I) {
-    auto R = FI.invokeByName("sum", {WValue::i32(10)});
-    ASSERT_TRUE(bool(R));
-    ASSERT_EQ(R->at(0).asU32(), expectSum(10));
-    if (I % 7 == 6)
-      exec::resetProfiles(FI);
-  }
-  bool Tiered = false;
-  for (int I = 0; I < 10000 && !Tiered; ++I) {
-    auto R = FI.invokeByName("sum", {WValue::i32(10)});
-    ASSERT_TRUE(bool(R));
-    ASSERT_EQ(R->at(0).asU32(), expectSum(10));
-    Tiered = FI.jitCompiledCount() > 0;
-    std::this_thread::yield();
-  }
-  EXPECT_TRUE(Tiered);
-}
-
-TEST(JitTierUp, DestructionJoinsInFlightCompile) {
-  // Kick a background compile and destroy the instance immediately; the
-  // destructor must join the worker (no use-after-free of Jit/Prof, no
-  // leaked thread — TSan and ASan both watch this one).
-  for (int Round = 0; Round < 8; ++Round) {
-    WModule M = sumModule();
-    ASSERT_TRUE(validate(M).ok());
-    auto FI = std::make_unique<exec::FlatInstance>(M);
-    FI->setTierPolicy(1, /*Background=*/true);
-    ASSERT_TRUE(FI->initialize().ok());
-    auto R = FI->invokeByName("sum", {WValue::i32(30)});
-    ASSERT_TRUE(bool(R));
-    ASSERT_EQ(R->at(0).asU32(), expectSum(30));
-    auto R2 = FI->invokeByName("sum", {WValue::i32(30)});
-    ASSERT_TRUE(bool(R2));
-    FI.reset(); // Worker may still be compiling right here.
-  }
-}
-
 #if RW_OBS_ENABLED
 
 TEST(JitTierUp, ObsSourceExportsTierStateAndCodeBytes) {
@@ -220,7 +108,7 @@ TEST(JitTierUp, ObsSourceExportsTierStateAndCodeBytes) {
   WModule M = chainModule();
   ASSERT_TRUE(validate(M).ok());
   exec::FlatInstance FI(M);
-  FI.setTierPolicy(0, /*Background=*/false); // Eager: compile everything.
+  FI.setTierPolicy(0); // Eager: compile everything.
   ASSERT_TRUE(FI.initialize().ok());
   auto R = FI.invokeByName("f", {WValue::i32(10)});
   ASSERT_TRUE(bool(R));
@@ -267,7 +155,7 @@ TEST(JitTierUpOff, PoliciesAcceptedAndInert) {
   WModule M = sumModule();
   ASSERT_TRUE(validate(M).ok());
   exec::FlatInstance FI(M, EngineKind::Jit); // Degrades to flat.
-  FI.setTierPolicy(0, /*Background=*/true);  // Eager — still inert.
+  FI.setTierPolicy(0);                       // Eager — still inert.
   ASSERT_TRUE(FI.initialize().ok());
   for (int I = 0; I < 10; ++I) {
     auto R = FI.invokeByName("sum", {WValue::i32(100)});

@@ -733,12 +733,9 @@ TEST(Serial, ArenaSerializedBytesEstimateTracksNodes) {
   EXPECT_GT(S1.ApproxBytes, S1.SerializedBytes)
       << "wire estimate should be denser than in-memory nodes";
 
-  // The estimate tracks rollback exactly (same journal).
-  TypeArena::Checkpoint C = Private.checkpoint();
+  // Every further interned node adds to the estimate.
   Gen(7).module();
   EXPECT_GT(Private.stats().SerializedBytes, S1.SerializedBytes);
-  Private.rollback(C);
-  EXPECT_EQ(Private.stats().SerializedBytes, S1.SerializedBytes);
   (void)M;
 }
 
