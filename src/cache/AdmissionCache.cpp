@@ -76,6 +76,8 @@ uint64_t artifactBytes(const LoweredArtifact &A) {
     B += sizeof(wasm::FuncType) + T.Params.size() + T.Results.size();
   for (const wasm::WFunc &F : M.Funcs) {
     B += sizeof(wasm::WFunc) + F.Locals.size();
+    if (F.Body.shared())
+      continue; // The runtime prelude: one copy per process, not ours.
     for (const wasm::WInst &I : F.Body)
       B += instBytes(I);
   }

@@ -7,6 +7,7 @@
 #include "exec/Translate.h"
 
 #include "obs/Obs.h"
+#include "wasm/Validate.h"
 
 using namespace rw;
 using namespace rw::exec;
@@ -525,6 +526,25 @@ Status FuncTranslator::inst(const WInst &I) {
   }
 }
 
+/// A translated function's frame shape; the code comes after.
+FlatFunc frame(const WModule &M, const WFunc &F) {
+  const FuncType &FT = M.Types[F.TypeIdx];
+  FlatFunc Out;
+  Out.TypeIdx = F.TypeIdx;
+  Out.NumParams = static_cast<uint32_t>(FT.Params.size());
+  Out.NumRegs = Out.NumParams + static_cast<uint32_t>(F.Locals.size());
+  Out.NumResults = static_cast<uint32_t>(FT.Results.size());
+  return Out;
+}
+
+/// Whether \p F is a shared body whose flat code (pretranslateShared)
+/// holds in \p M: same type and locals, and the globals it touches exist.
+bool pretranslatedIn(const WModule &M, const WFunc &F) {
+  const SharedFunc *S = F.Body.shared();
+  return S && !S->FlatCode.empty() && M.Globals.size() >= S->NumGlobals &&
+         M.Types[F.TypeIdx] == S->Type && F.Locals == S->Locals;
+}
+
 } // namespace
 
 Expected<FlatModule> rw::exec::translate(const WModule &M) {
@@ -552,19 +572,34 @@ Expected<FlatModule> rw::exec::translate(const WModule &M,
     const WFunc &F = M.Funcs[FI];
     if (F.TypeIdx >= M.Types.size())
       return Error("flat translation: function type out of range");
-    const FuncType &FT = M.Types[F.TypeIdx];
-    FlatFunc Out;
-    Out.TypeIdx = F.TypeIdx;
-    Out.NumParams = static_cast<uint32_t>(FT.Params.size());
-    Out.NumRegs =
-        Out.NumParams + static_cast<uint32_t>(F.Locals.size());
-    Out.NumResults = static_cast<uint32_t>(FT.Results.size());
-    FuncTranslator T(M, FM, Out,
-                     TO.Profile ? FM.NumImports + FI : UINT32_MAX);
-    if (Status S = T.run(F); !S)
-      return S.error().addContext("function " + std::to_string(FI));
+    FlatFunc Out = frame(M, F);
+    if (!TO.Profile && pretranslatedIn(M, F)) {
+      Out.Code = F.Body.shared()->FlatCode;
+      Out.MaxDepth = F.Body.shared()->FlatMaxDepth;
+    } else {
+      FuncTranslator T(M, FM, Out,
+                       TO.Profile ? FM.NumImports + FI : UINT32_MAX);
+      if (Status S = T.run(F); !S)
+        return S.error().addContext("function " + std::to_string(FI));
+    }
     FM.Funcs.push_back(std::move(Out));
   }
   FuncsTranslated.add(M.Funcs.size());
   return FM;
+}
+
+Status rw::exec::pretranslateShared(wasm::SharedFunc &S) {
+  // The flat code depends on the body's type (result count), its locals
+  // (register count) and the globals it may touch. Shared bodies never
+  // call, so no function or type index is baked in.
+  WModule Env = wasm::sharedEnvironment(S);
+  FlatModule FM;
+  FM.Source = &Env;
+  FlatFunc Out = frame(Env, Env.Funcs[0]);
+  FuncTranslator T(Env, FM, Out);
+  if (Status St = T.run(Env.Funcs[0]); !St)
+    return St;
+  S.FlatCode = std::move(Out.Code);
+  S.FlatMaxDepth = Out.MaxDepth;
+  return Status::success();
 }

@@ -123,9 +123,16 @@ struct TranslateOptions {
 };
 
 /// Translates every function of \p M. The module must outlive the result.
+/// An unprofiled translation copies the flat code of a pretranslated
+/// shared body (pretranslateShared) instead of translating it again.
 Expected<FlatModule> translate(const wasm::WModule &M);
 Expected<FlatModule> translate(const wasm::WModule &M,
                                const TranslateOptions &TO);
+
+/// Translates a shared body once, unprofiled, and stores the code in
+/// S.FlatCode / S.FlatMaxDepth. The body must be valid in the environment
+/// S names and must not call (wasm::proveShared checks both).
+Status pretranslateShared(wasm::SharedFunc &S);
 
 } // namespace rw::exec
 

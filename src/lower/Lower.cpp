@@ -2052,7 +2052,7 @@ Expected<LoweredProgram> ProgramLowering::run() {
           }
         };
     for (uint32_t FIdx : NeedsIndirectPatch)
-      Fix(Out.Module.Funcs[FIdx].Body);
+      Fix(Out.Module.Funcs[FIdx].Body.mut());
   }
   if (!InitBody.empty()) {
     uint32_t TI = Out.Module.addType({{}, {}});

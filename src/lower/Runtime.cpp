@@ -6,34 +6,30 @@
 
 #include "lower/Runtime.h"
 
-#include <cstring>
+#include "exec/Translate.h"
+#include "wasm/Validate.h"
 
+#include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
+#include <cstring>
 
 using namespace rw;
 using namespace rw::lower;
 using namespace rw::wasm;
 
-RuntimeLayout rw::lower::emitRuntime(WModule &M) {
-  RuntimeLayout L;
+namespace {
 
-  // Globals.
-  L.GFree = static_cast<uint32_t>(M.Globals.size());
-  M.Globals.push_back({ValType::I32, true, {WInst::i32c(0)}});
-  L.GBump = static_cast<uint32_t>(M.Globals.size());
-  M.Globals.push_back(
-      {ValType::I32, true, {WInst::i32c(RuntimeLayout::HeapBase)}});
-  L.GLive = static_cast<uint32_t>(M.Globals.size());
-  M.Globals.push_back({ValType::I32, true, {WInst::i32c(0)}});
-  L.GAllocs = static_cast<uint32_t>(M.Globals.size());
-  M.Globals.push_back({ValType::I32, true, {WInst::i32c(0)}});
-  L.GFrees = static_cast<uint32_t>(M.Globals.size());
-  M.Globals.push_back({ValType::I32, true, {WInst::i32c(0)}});
+/// The allocator functions, built, validated and translated once per
+/// process. Their bodies name globals by the fixed indices RuntimeLayout
+/// gives them and call nothing, so every lowered module can reference
+/// them as they are.
+struct Prelude {
+  SharedFunc Alloc, Free;
+};
 
-  if (!M.Memory)
-    M.Memory = {{1, std::nullopt}};
+Prelude buildPrelude() {
+  constexpr RuntimeLayout L;
+  Prelude P;
 
   //===------------------------------------------------------------------===//
   // rw_alloc(payload: i32, flags: i32, ptrmap: i32) -> i32
@@ -238,13 +234,11 @@ RuntimeLayout rw::lower::emitRuntime(WModule &M) {
     Emit(W::i32c(RuntimeLayout::HeaderBytes));
     Emit(W::mk(Op::I32Add));
 
-    uint32_t TI = M.addType(
-        {{ValType::I32, ValType::I32, ValType::I32}, {ValType::I32}});
-    L.AllocFunc = M.numFuncs();
-    M.Funcs.push_back({TI,
-                       {ValType::I32, ValType::I32, ValType::I32,
-                        ValType::I32, ValType::I32},
-                       std::move(Body)});
+    P.Alloc.Type = {{ValType::I32, ValType::I32, ValType::I32},
+                    {ValType::I32}};
+    P.Alloc.Locals = {ValType::I32, ValType::I32, ValType::I32, ValType::I32,
+                      ValType::I32};
+    P.Alloc.Body = std::move(Body);
   }
 
   //===------------------------------------------------------------------===//
@@ -277,11 +271,50 @@ RuntimeLayout rw::lower::emitRuntime(WModule &M) {
     Emit(W::mk(Op::I32Add));
     Emit(W::idx(Op::GlobalSet, L.GFrees));
 
-    uint32_t TI = M.addType({{ValType::I32}, {}});
-    L.FreeFunc = M.numFuncs();
-    M.Funcs.push_back({TI, {ValType::I32}, std::move(Body)});
+    P.Free.Type = {{ValType::I32}, {}};
+    P.Free.Locals = {ValType::I32};
+    P.Free.Body = std::move(Body);
   }
 
+  // Prove and translate each body once. Neither can fail for this code;
+  // if one did, the function would simply stay unproven/untranslated and
+  // every module would validate and translate it from its tree.
+  for (SharedFunc *F : {&P.Alloc, &P.Free}) {
+    F->NumGlobals = RuntimeLayout::NumGlobals;
+    bool Proven = bool(wasm::proveShared(*F));
+    assert(Proven && "runtime prelude failed validation");
+    if (Proven)
+      (void)exec::pretranslateShared(*F);
+  }
+  return P;
+}
+
+const Prelude &prelude() {
+  static const Prelude P = buildPrelude();
+  return P;
+}
+
+} // namespace
+
+RuntimeLayout rw::lower::emitRuntime(WModule &M) {
+  assert(M.Globals.empty() &&
+         "the runtime globals must be the first globals of the module");
+  const Prelude &P = prelude();
+  RuntimeLayout L;
+  M.Globals.push_back({ValType::I32, true, {WInst::i32c(0)}}); // GFree
+  M.Globals.push_back(
+      {ValType::I32, true, {WInst::i32c(RuntimeLayout::HeapBase)}}); // GBump
+  for (int I = 0; I < 3; ++I) // GLive, GAllocs, GFrees
+    M.Globals.push_back({ValType::I32, true, {WInst::i32c(0)}});
+  if (!M.Memory)
+    M.Memory = {{1, std::nullopt}};
+
+  uint32_t TI = M.addType(P.Alloc.Type);
+  L.AllocFunc = M.numFuncs();
+  M.Funcs.push_back({TI, P.Alloc.Locals, WBody(P.Alloc)});
+  TI = M.addType(P.Free.Type);
+  L.FreeFunc = M.numFuncs();
+  M.Funcs.push_back({TI, P.Free.Locals, WBody(P.Free)});
   return L;
 }
 
@@ -294,31 +327,37 @@ HostGc::Stats HostGc::collect(const std::vector<uint32_t> &ExtraRoots) {
   std::vector<uint8_t> &Mem = Inst.memory();
   uint32_t Bump = Inst.global(L.GBump).asU32();
 
+  // Every bound below is computed in 64 bits: the heap words are the
+  // program's to write, so none of them may wrap an address check.
+  auto InMem = [&](uint64_t A, uint64_t N) { return A + N <= Mem.size(); };
   auto Load = [&](uint32_t A) -> uint32_t {
-    if (A + 4 > Mem.size())
+    if (!InMem(A, 4))
       return 0;
     uint32_t V;
     std::memcpy(&V, Mem.data() + A, 4);
     return V;
   };
   auto Store = [&](uint32_t A, uint32_t V) {
-    assert(A + 4 <= Mem.size());
-    std::memcpy(Mem.data() + A, &V, 4);
+    if (InMem(A, 4))
+      std::memcpy(Mem.data() + A, &V, 4);
   };
 
-  // Phase 0: walk the heap to learn the valid payload addresses.
-  std::set<uint32_t> Blocks; // block start addresses (allocated only)
-  for (uint32_t B = RuntimeLayout::HeapBase; B < Bump;) {
+  // Phase 0: walk the heap to learn the valid payload addresses. The walk
+  // ascends, so Blocks comes out sorted.
+  uint64_t End = std::min<uint64_t>(Bump, Mem.size());
+  std::vector<uint32_t> Blocks; // block start addresses (allocated only)
+  for (uint32_t B = RuntimeLayout::HeapBase; B < End;) {
     uint32_t Size = Load(B);
-    if (Size < 8 || B + Size > Bump)
+    if (Size < RuntimeLayout::HeaderBytes || uint64_t(B) + Size > End)
       break; // Corrupt heap; stop scanning defensively.
     if (Load(B + 4) & RtAllocated)
-      Blocks.insert(B);
+      Blocks.push_back(B);
     B += Size;
   }
   auto IsPayload = [&](uint32_t P) {
     return P >= RuntimeLayout::HeaderBytes &&
-           Blocks.count(P - RuntimeLayout::HeaderBytes) != 0;
+           std::binary_search(Blocks.begin(), Blocks.end(),
+                              P - RuntimeLayout::HeaderBytes);
   };
 
   // Phase 1: mark.
@@ -351,9 +390,11 @@ HostGc::Stats HostGc::collect(const std::vector<uint32_t> &ExtraRoots) {
     };
     if (Flags & RtArray) {
       uint32_t Stride = Flags >> RtElemShift;
-      if (Stride == 0)
+      if (Stride == 0 || PayloadBytes < 4)
         continue;
-      uint32_t Len = Load(P); // First payload word is the length.
+      // First payload word is the length; scan no further than the block.
+      uint32_t Len = static_cast<uint32_t>(std::min<uint64_t>(
+          Load(P), (PayloadBytes - 4) / Stride));
       for (uint32_t E = 0; E < Len; ++E) {
         uint32_t Base = P + 4 + E * Stride;
         for (uint32_t Wd = 0; Wd * 4 < Stride; ++Wd)

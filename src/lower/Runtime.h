@@ -6,10 +6,12 @@
 ///
 /// \file
 /// The runtime substrate §6 requires: a first-fit free-list allocator over
-/// the single flat Wasm memory, emitted *as Wasm functions* into every
+/// the single flat Wasm memory, present *as Wasm functions* in every
 /// lowered module, and a precise mark-sweep collector for the unrestricted
 /// portion of the heap, run by the host embedder (DESIGN.md §3 records the
-/// substitution for the paper's in-runtime GC).
+/// substitution for the paper's in-runtime GC). The allocator's two
+/// functions are the runtime prelude: built once per process and shared
+/// by reference between all lowered modules (DESIGN.md §4).
 ///
 /// Heap object layout (all offsets in bytes):
 ///
@@ -39,23 +41,29 @@ enum RtFlags : uint32_t {
   RtElemShift = 8, ///< Array element stride lives in bits 8..31.
 };
 
-/// Indices of the runtime pieces inside a lowered module.
+/// Indices of the runtime pieces inside a lowered module. The globals are
+/// always the module's first five (the shared allocator bodies name them
+/// by these indices); the functions follow the host imports.
 struct RuntimeLayout {
   uint32_t AllocFunc = 0; ///< (payloadBytes, flags, ptrmap) -> ptr
   uint32_t FreeFunc = 0;  ///< (ptr) -> ()
   uint32_t GFree = 0;     ///< Free-list head global.
-  uint32_t GBump = 0;     ///< Bump frontier global.
-  uint32_t GLive = 0;     ///< Live allocation count.
-  uint32_t GAllocs = 0;   ///< Cumulative allocation count.
-  uint32_t GFrees = 0;    ///< Cumulative free count.
+  uint32_t GBump = 1;     ///< Bump frontier global.
+  uint32_t GLive = 2;     ///< Live allocation count.
+  uint32_t GAllocs = 3;   ///< Cumulative allocation count.
+  uint32_t GFrees = 4;    ///< Cumulative free count.
 
+  static constexpr uint32_t NumGlobals = 5;
   static constexpr uint32_t HeaderBytes = 12;
   static constexpr uint32_t HeapBase = 16;
 };
 
-/// Appends the allocator functions and runtime globals to \p M. Must be
-/// called once per lowered module, before code referencing the runtime is
-/// emitted.
+/// Appends the runtime globals and the allocator functions to \p M, which
+/// must have no globals yet and must not have had the runtime appended.
+/// The function bodies are not rebuilt: they reference the prelude, built,
+/// validated and translated once per process (wasm::SharedFunc), so
+/// wasm::validate and exec::translate skip their per-module work too.
+/// Call it before emitting code that references the runtime.
 RuntimeLayout emitRuntime(wasm::WModule &M);
 
 /// Precise mark-sweep over a lowered module's heap, driven by the host.

@@ -31,9 +31,9 @@ public:
   std::vector<uint8_t> run() {
     // Pre-register all multi-value block types so the type section is
     // complete before it is emitted.
-    for (WFunc &F : M.Funcs)
+    for (const WFunc &F : M.Funcs)
       registerBlockTypes(F.Body);
-    for (WGlobal &G : M.Globals)
+    for (const WGlobal &G : M.Globals)
       registerBlockTypes(G.Init);
 
     Out = {0x00, 0x61, 0x73, 0x6d, 0x01, 0x00, 0x00, 0x00};
@@ -52,8 +52,8 @@ public:
   }
 
 private:
-  void registerBlockTypes(std::vector<WInst> &Body) {
-    for (WInst &I : Body) {
+  void registerBlockTypes(const std::vector<WInst> &Body) {
+    for (const WInst &I : Body) {
       if (I.K == Op::Block || I.K == Op::Loop || I.K == Op::If) {
         if (!(I.BT.Params.empty() && I.BT.Results.size() <= 1))
           M.addType(I.BT);

@@ -163,6 +163,9 @@ public:
     return S;
   }
 
+  /// The deepest operand stack the depth cap was checked against.
+  uint32_t maxDepth() const { return MaxDepth; }
+
 private:
   struct Stack {
     std::vector<ValType> Vals;
@@ -205,6 +208,8 @@ private:
         continue;
       if (Status S = inst(I, St); !S)
         return S;
+      if (St.Vals.size() > MaxDepth)
+        MaxDepth = static_cast<uint32_t>(St.Vals.size());
       if (St.Vals.size() > MaxOperandDepth)
         return Error("operand stack depth exceeds limit of " +
                      std::to_string(MaxOperandDepth));
@@ -397,7 +402,33 @@ private:
   std::vector<ValType> Results;
   std::vector<std::vector<ValType>> Labels;
   uint32_t MaxOperandDepth;
+  uint32_t MaxDepth = 0;
 };
+
+/// Whether \p F is a proven shared body (wasm::proveShared) that \p M
+/// supplies the proof's environment for, under an operand-depth cap of
+/// \p MaxOperandDepth: validating it again would succeed, so it is skipped.
+bool provenIn(const WModule &M, const WFunc &F, uint32_t MaxOperandDepth) {
+  const SharedFunc *S = F.Body.shared();
+  if (!S || !S->ProvenDepth || *S->ProvenDepth > MaxOperandDepth ||
+      !M.Memory || M.Globals.size() < S->NumGlobals)
+    return false;
+  for (uint32_t G = 0; G < S->NumGlobals; ++G)
+    if (M.Globals[G].T != ValType::I32 || !M.Globals[G].Mut)
+      return false;
+  return M.Types[F.TypeIdx] == S->Type && F.Locals == S->Locals;
+}
+
+/// Whether \p Body contains a call: a function index (or, for
+/// call_indirect, a type index) means different things in different
+/// modules, so such a body cannot be proven once for all of them.
+bool hasCall(const std::vector<WInst> &Body) {
+  for (const WInst &I : Body)
+    if (I.K == Op::Call || I.K == Op::CallIndirect || hasCall(I.Body) ||
+        hasCall(I.Else))
+      return true;
+  return false;
+}
 
 /// Validates one global initializer: exactly one constant instruction —
 /// a const of the global's type, or global.get of an earlier immutable
@@ -485,6 +516,8 @@ Status rw::wasm::validate(const WModule &M, uint32_t MaxOperandDepth) {
     const WFunc &F = M.Funcs[FI];
     if (F.TypeIdx >= M.Types.size())
       return Error("function type index out of range");
+    if (provenIn(M, F, MaxOperandDepth))
+      continue;
     const FuncType &FT = M.Types[F.TypeIdx];
     std::vector<ValType> Locals = FT.Params;
     Locals.insert(Locals.end(), F.Locals.begin(), F.Locals.end());
@@ -502,5 +535,28 @@ Status rw::wasm::validate(const WModule &M, uint32_t MaxOperandDepth) {
     if (!FT.Params.empty() || !FT.Results.empty())
       return Error("start function must have type [] -> []");
   }
+  return Status::success();
+}
+
+WModule rw::wasm::sharedEnvironment(const SharedFunc &S) {
+  WModule Env;
+  Env.Types.push_back(S.Type);
+  for (uint32_t G = 0; G < S.NumGlobals; ++G)
+    Env.Globals.push_back({ValType::I32, true, {WInst::i32c(0)}});
+  Env.Memory = {{1, std::nullopt}};
+  Env.Funcs.push_back({0, S.Locals, WBody(S)});
+  return Env;
+}
+
+Status rw::wasm::proveShared(SharedFunc &S) {
+  if (hasCall(S.Body))
+    return Error("shared function bodies cannot call");
+  WModule Env = sharedEnvironment(S);
+  std::vector<ValType> Locals = S.Type.Params;
+  Locals.insert(Locals.end(), S.Locals.begin(), S.Locals.end());
+  FuncValidator V(Env, std::move(Locals), S.Type.Results, ~uint32_t(0));
+  if (Status St = V.run(S.Body); !St)
+    return St;
+  S.ProvenDepth = V.maxDepth();
   return Status::success();
 }

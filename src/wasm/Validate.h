@@ -28,6 +28,21 @@ Status validate(const WModule &M);
 /// with an effectively unlimited depth.
 Status validate(const WModule &M, uint32_t MaxOperandDepth);
 
+/// Validates a shared body once, from scratch, in the environment it
+/// names (sharedEnvironment: its own type and locals, globals
+/// [0, S.NumGlobals) as mutable i32, and a memory), and records the
+/// deepest operand stack it reaches in S.ProvenDepth. validate() then skips that
+/// body (by identity, WBody::shared()) in any module that supplies the
+/// same environment under a cap no lower than that depth, and validates
+/// it normally anywhere else. Bodies that call are rejected: call indices
+/// are not the same across modules.
+Status proveShared(SharedFunc &S);
+
+/// The smallest module a shared body's one-time work assumes: S's type,
+/// S.NumGlobals mutable i32 globals, a memory, and S as its only
+/// function.
+WModule sharedEnvironment(const SharedFunc &S);
+
 /// The stack signature of a non-structured opcode: operand types (bottom
 /// first) and result types. Used by the validator and tests.
 struct OpSig {

@@ -16,6 +16,7 @@
 #define RICHWASM_WASM_WASMAST_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -290,10 +291,67 @@ struct WImportFunc {
   uint32_t TypeIdx = 0;
 };
 
+/// Function code built once per process and shared, immutable, by every
+/// module that splices it in (the lowering runtime prelude,
+/// lower/Runtime.h). Besides the code it records what validating and
+/// translating it once established, so wasm::validate and exec::translate
+/// reuse that work instead of redoing it per module.
+struct SharedFunc {
+  FuncType Type;
+  std::vector<ValType> Locals; ///< Beyond the parameters.
+  std::vector<WInst> Body;
+  /// The environment the body is proven valid in (wasm::proveShared): it
+  /// touches only its locals, globals [0, NumGlobals) — all mutable i32 —
+  /// and the memory, and calls nothing.
+  uint32_t NumGlobals = 0;
+  /// Set by wasm::proveShared: the deepest per-block operand stack the
+  /// validator saw, or nullopt while unproven.
+  std::optional<uint32_t> ProvenDepth;
+  /// Set by exec::pretranslateShared: the unprofiled flat code of the body
+  /// and its operand-stack bound (exec::FlatFunc's Code and MaxDepth).
+  /// Empty while untranslated; a translation always ends in a return.
+  std::vector<uint32_t> FlatCode;
+  uint32_t FlatMaxDepth = 0;
+};
+
+/// A function body: owned instructions, or a reference to a SharedFunc's
+/// body (which must outlive every module that references it). Reads see
+/// one `const std::vector<WInst> &` either way; writes go through mut(),
+/// which first gives a shared body its own copy.
+class WBody {
+public:
+  WBody() = default;
+  WBody(std::vector<WInst> Insts) : Own(std::move(Insts)) {}
+  WBody(std::initializer_list<WInst> Insts) : Own(Insts) {}
+  explicit WBody(const SharedFunc &S) : Shared(&S) {}
+
+  operator const std::vector<WInst> &() const { return insts(); }
+  /// The shared code this body references, or null for an owned body.
+  const SharedFunc *shared() const { return Shared; }
+  std::vector<WInst> &mut() {
+    if (Shared) {
+      Own = Shared->Body;
+      Shared = nullptr;
+    }
+    return Own;
+  }
+
+  std::vector<WInst>::const_iterator begin() const { return insts().begin(); }
+  std::vector<WInst>::const_iterator end() const { return insts().end(); }
+
+private:
+  const std::vector<WInst> &insts() const {
+    return Shared ? Shared->Body : Own;
+  }
+
+  std::vector<WInst> Own;
+  const SharedFunc *Shared = nullptr;
+};
+
 struct WFunc {
   uint32_t TypeIdx = 0;
   std::vector<ValType> Locals; ///< Beyond the parameters.
-  std::vector<WInst> Body;
+  WBody Body;
 };
 
 struct WGlobal {

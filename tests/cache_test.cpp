@@ -275,6 +275,19 @@ TEST(Cache, FrontDoorsKeyTheSameProgramSeparately) {
   EXPECT_EQ(C.stats().Entries, 2u);
 }
 
+// An artifact is charged for what it owns. The runtime prelude's two
+// allocator bodies are shared by every lowered module, so a cached
+// ServerMix program costs its own code, not 157 more WInst nodes.
+TEST(Cache, ServerMixArtifactBytesExcludeTheSharedPrelude) {
+  rwbench::ServerMix Mix(/*HotN=*/1, /*ColdN=*/0, /*AdvN=*/0);
+  cache::AdmissionCache C;
+  link::LinkOptions Opts;
+  Opts.Cache = &C;
+  ASSERT_TRUE(ingest::admit(Mix.HotBytes[0], ingest::Limits(), Opts));
+  EXPECT_EQ(C.stats().Entries, 1u);
+  EXPECT_EQ(C.stats().Bytes, 18495u);
+}
+
 // Front-door admissions racing on one small sharded cache: byte-key hits,
 // misses, stores and evictions (whose artifacts are freed after the shard
 // lock is released) interleave, and every admitted module still computes

@@ -20,6 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 using namespace rw;
 using namespace rw::ir;
 using namespace rw::ir::build;
@@ -567,6 +570,71 @@ TEST(Lower, HostGcTracesThroughHeap) {
   EXPECT_EQ(St.Marked, 2u); // outer + inner survive
   EXPECT_EQ(St.Swept, 1u);  // the garbage cell dies
   EXPECT_EQ(Inst.global(LP->Runtime.GLive).asU32(), 2u);
+}
+
+TEST(Lower, HostGcSurvivesHostileHeapWords) {
+  // The heap is the program's memory, so every header word the collector
+  // reads may be hostile. Each case forges one and checks that collect()
+  // terminates without touching memory out of bounds (the ASan/UBSan job
+  // runs this too).
+  ir::Module M = mainModule({iconst(0)}, {i32T()}, {});
+  auto LP = lower::lowerProgram({&M});
+  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  const lower::RuntimeLayout &L = LP->Runtime;
+  constexpr uint32_t Base = lower::RuntimeLayout::HeapBase;
+  constexpr uint32_t Hdr = lower::RuntimeLayout::HeaderBytes;
+  auto Put = [](wasm::Instance &I, uint32_t A, uint32_t V) {
+    std::memcpy(I.memory().data() + A, &V, 4);
+  };
+  auto Fresh = [&] {
+    auto I = std::make_unique<wasm::WasmInstance>(LP->Module);
+    EXPECT_TRUE(I->initialize().ok());
+    return I;
+  };
+
+  {
+    // An array whose length word claims 2^31 - 1 elements: the scan stops
+    // at the block's end instead of walking (and wrapping) the address
+    // space.
+    auto I = Fresh();
+    Put(*I, Base, 32);
+    Put(*I, Base + 4,
+        lower::RtAllocated | lower::RtArray | (4u << lower::RtElemShift));
+    Put(*I, Base + 8, 1);
+    Put(*I, Base + Hdr, 0x7fffffffu);
+    I->setGlobal(L.GBump, wasm::WValue::i32(Base + 32));
+    lower::HostGc Gc(*I, L, LP->RefGlobals);
+    lower::HostGc::Stats St = Gc.collect({Base + Hdr});
+    EXPECT_EQ(St.Marked, 1u);
+    EXPECT_EQ(St.Swept, 0u);
+  }
+  {
+    // A size word whose end wraps past 2^32, under a bump frontier far
+    // beyond the memory: the walk stops at the first block.
+    auto I = Fresh();
+    Put(*I, Base, 0xfffffff0u);
+    Put(*I, Base + 4, lower::RtAllocated);
+    I->setGlobal(L.GBump, wasm::WValue::i32(0xffffffffu));
+    lower::HostGc Gc(*I, L, LP->RefGlobals);
+    lower::HostGc::Stats St = Gc.collect({0xfffffffcu, 0xffffffffu, 5});
+    EXPECT_EQ(St.Marked, 0u);
+    EXPECT_EQ(St.Swept, 0u);
+  }
+  {
+    // A block ending four bytes short of the memory's end, followed by a
+    // header that would straddle it: the first block is swept, the
+    // second is never read past the end.
+    auto I = Fresh();
+    uint32_t MemSize = static_cast<uint32_t>(I->memory().size());
+    Put(*I, Base, MemSize - Base - 4);
+    Put(*I, Base + 4, lower::RtAllocated);
+    Put(*I, MemSize - 4, 0xfffffff8u);
+    I->setGlobal(L.GBump, wasm::WValue::i32(MemSize));
+    lower::HostGc Gc(*I, L, LP->RefGlobals);
+    lower::HostGc::Stats St = Gc.collect();
+    EXPECT_EQ(St.Swept, 1u);
+    EXPECT_EQ(I->global(L.GFree).asU32(), Base);
+  }
 }
 
 //===----------------------------------------------------------------------===//
