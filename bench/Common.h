@@ -199,6 +199,19 @@ inline rw::ir::Module allocModule(int32_t N, bool Linear) {
   return M;
 }
 
+/// A module `app` with one i32 global imported from (\p From, "g") and
+/// nothing else: it type-checks, and no single-module link set resolves
+/// it. \p From is the user-chosen name a rejection message quotes.
+inline rw::ir::Module globalImportModule(const std::string &From) {
+  rw::ir::Module M;
+  M.Name = "app";
+  rw::ir::Global G;
+  G.P = rw::ir::numPT(rw::ir::NumType::I32);
+  G.Import = rw::ir::ImportName{From, "g"};
+  M.Globals.push_back(std::move(G));
+  return M;
+}
+
 /// A module with `Funcs` copies of an arithmetic/heap function — the
 /// checker-throughput workload. Returns total instruction count too.
 inline rw::ir::Module wideModule(unsigned Funcs) {

@@ -97,6 +97,12 @@ int main(int argc, char **argv) {
         0x00, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 0x00, 0x00, 0x00,
         0x00});
 
+  // A well-formed module whose global import names module "validation":
+  // its rejection message quotes that name, and the rejection must still
+  // be a Link failure.
+  Emit("import_named_validation.bin",
+       serial::write(rwbench::globalImportModule("validation")));
+
   // c7 server-mix seeds: the admission-server simulation's hot universe
   // and its deterministic adversarial mutator (bench/ServerMix.h) feed
   // the same front door the fuzzer attacks, so its payloads are ideal

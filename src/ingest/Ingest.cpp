@@ -21,15 +21,15 @@ using namespace rw::ingest;
 
 namespace {
 
-/// The RichWasm route's cache key: a hash of the input bytes plus every
-/// Limits field the route enforces after reading, folded under a seed of
-/// its own so byte keys and cache::programKey keys form separate domains
-/// in the one cache. Folding the limits in keeps a tighter policy from
-/// being served an artifact admitted under a looser one. The byte pass is
-/// seeded with a value drawn once per process: hashBytes128's lanes are
-/// each invertible word by word, so without a secret seed colliding
-/// inputs could be built offline, and whoever later submitted one of them
-/// would be served the other's artifact.
+/// The cache key of both routes: a hash of the input bytes plus every
+/// Limits field, folded under a seed of its own so byte keys and
+/// cache::programKey keys form separate domains in the one cache. Folding
+/// the limits in keeps a tighter policy from being served an artifact
+/// admitted under a looser one. The byte pass is seeded with a value
+/// drawn once per process: hashBytes128's lanes are each invertible word
+/// by word, so without a secret seed colliding inputs could be built
+/// offline, and whoever later submitted one of them would be served the
+/// other's artifact.
 serial::ModuleHash byteKey(const std::vector<uint8_t> &Bytes,
                            const Limits &L) {
   static const uint64_t ProcessSeed = [] {
@@ -39,228 +39,153 @@ serial::ModuleHash byteKey(const std::vector<uint8_t> &Bytes,
   constexpr uint64_t ByteKeyDomain = 0x5257424d62797465ull; // "RWBMbyte"
   support::Hash128 Input =
       support::hashBytes128(Bytes.data(), Bytes.size(), ProcessSeed);
-  const uint64_t Words[] = {Input.Hi, Input.Lo, L.MaxFuncs, L.MaxGlobals,
-                            L.MaxElems};
+  static_assert(sizeof(Limits) == 72, "fold a new Limits field in here");
+  const uint64_t Words[] = {
+      Input.Hi,          Input.Lo,         L.MaxModuleBytes, L.MaxSections,
+      L.MaxTypes,        L.MaxImports,     L.MaxFuncs,       L.MaxGlobals,
+      L.MaxExports,      L.MaxElems,       L.MaxBodyBytes,   L.MaxLocals,
+      L.MaxNestingDepth, L.MaxOperandDepth, L.MaxMemoryPages,
+      L.MaxTotalAlloc};
   return support::hashBytes128(reinterpret_cast<const uint8_t *>(Words),
                                sizeof(Words), ByteKeyDomain);
 }
 
-obs::Counter &rejectedCounter(Category C) {
-  // One static counter per category so snapshots break rejects down by
-  // cause without a registry lookup on the reject path.
-  switch (C) {
-  case Category::TooLarge: {
-    static obs::Counter X("ingest.rejected.too_large");
-    return X;
-  }
-  case Category::BadMagic: {
-    static obs::Counter X("ingest.rejected.bad_magic");
-    return X;
-  }
-  case Category::Truncated: {
-    static obs::Counter X("ingest.rejected.truncated");
-    return X;
-  }
-  case Category::Malformed: {
-    static obs::Counter X("ingest.rejected.malformed");
-    return X;
-  }
-  case Category::LimitExceeded: {
-    static obs::Counter X("ingest.rejected.limit_exceeded");
-    return X;
-  }
-  case Category::Unsupported: {
-    static obs::Counter X("ingest.rejected.unsupported");
-    return X;
-  }
-  case Category::Validate: {
-    static obs::Counter X("ingest.rejected.validate");
-    return X;
-  }
-  case Category::Check: {
-    static obs::Counter X("ingest.rejected.check");
-    return X;
-  }
-  case Category::Link: {
-    static obs::Counter X("ingest.rejected.link");
-    return X;
-  }
-  case Category::Lower: {
-    static obs::Counter X("ingest.rejected.lower");
-    return X;
-  }
-  case Category::Translate: {
-    static obs::Counter X("ingest.rejected.translate");
-    return X;
-  }
-  case Category::Engine: {
-    static obs::Counter X("ingest.rejected.engine");
-    return X;
-  }
-  case Category::Resource: {
-    static obs::Counter X("ingest.rejected.resource");
-    return X;
-  }
-  case Category::None:
-    break;
-  }
-  static obs::Counter X("ingest.rejected.none");
-  return X;
+/// The `ingest.rejected.<token>` counter of \p C. All of them (None
+/// through Resource, the last category) are registered on the first
+/// rejection, so the reject path never looks a name up and every
+/// category exports a series once any has.
+const obs::Counter &rejectedCounter(Category C) {
+  static const std::vector<obs::Counter> ByCategory = [] {
+    std::vector<obs::Counter> V;
+    for (unsigned I = 0; I <= unsigned(Category::Resource); ++I)
+      V.emplace_back((std::string("ingest.rejected.") +
+                      categoryToken(Category(I)))
+                         .c_str());
+    return V;
+  }();
+  return ByCategory[unsigned(C)];
 }
 
-/// Builds the rejection both callers see: the structured error in ErrOut
-/// and the rendered string Error, with the per-category counter bumped.
-Error reject(IngestError *ErrOut, Category C, uint64_t Off,
-             std::string Ctx) {
-  IngestError E;
-  E.Cat = C;
-  E.Offset = Off;
-  E.Context = std::move(Ctx);
-  rejectedCounter(C).inc();
-  std::string Msg = "ingest: " + E.render();
-  if (ErrOut)
-    *ErrOut = std::move(E);
-  return Error(std::move(Msg));
+/// Records a stage failure in \p E and returns the Error it renders.
+Error fail(IngestError &E, Category C, std::string Ctx) {
+  ingest::reportStage(&E, C, std::move(Ctx));
+  return Error("ingest: " + E.render());
 }
 
-/// Classifies a serial::read failure message. The reader predates the
-/// taxonomy and reports strings; map the stable prefixes it emits.
-Category classifySerial(const std::string &Msg) {
-  if (Msg.find("magic") != std::string::npos)
-    return Category::BadMagic;
-  if (Msg.find("version") != std::string::npos)
-    return Category::Unsupported;
-  if (Msg.find("truncated") != std::string::npos ||
-      Msg.find("length mismatch") != std::string::npos)
-    return Category::Truncated;
-  return Category::Malformed;
-}
+using Artifact = std::shared_ptr<const cache::LoweredArtifact>;
 
-/// Classifies a link::instantiateLowered failure by the stage contexts the
-/// admission pipeline attaches to its errors.
-Category classifyAdmission(const std::string &Msg) {
-  if (Msg.find("validation") != std::string::npos)
-    return Category::Validate;
-  if (Msg.find("flat translation") != std::string::npos)
-    return Category::Translate;
-  if (Msg.find("lower") != std::string::npos)
-    return Category::Lower;
-  if (Msg.find("import") != std::string::npos ||
-      Msg.find("resolve") != std::string::npos ||
-      Msg.find("export") != std::string::npos)
-    return Category::Link;
-  if (Msg.find("injected") != std::string::npos)
-    return Category::Resource;
-  return Category::Engine;
-}
-
-Expected<AdmittedModule> admitWasm(const std::vector<uint8_t> &Bytes,
-                                   const Limits &L,
-                                   const link::LinkOptions &Opts,
-                                   IngestError *ErrOut) {
-  IngestError DecErr;
-  Expected<wasm::WModule> M = wasm::decode(Bytes, L, &DecErr);
-  if (!M) {
-    rejectedCounter(DecErr.Cat).inc();
-    if (ErrOut)
-      *ErrOut = DecErr;
+/// The Wasm container's build stage: decode under L (which reports its own category
+/// and offset), validate with the operand-depth cap, and translate when
+/// link::buildArtifact would. The artifact holds the decoded module and
+/// no GC metadata.
+Expected<Artifact> buildWasm(const std::vector<uint8_t> &Bytes,
+                             const Limits &L, const link::LinkOptions &Opts,
+                             IngestError &E) {
+  Expected<wasm::WModule> M = wasm::decode(Bytes, L, &E);
+  if (!M)
     return M.error();
+  auto A = std::make_shared<cache::LoweredArtifact>();
+  A->Program.Module = M.take();
+  if (Status S = wasm::validate(A->Program.Module, L.MaxOperandDepth); !S)
+    return fail(E, Category::Validate, S.error().message());
+  if (Opts.Cache || Opts.Engine != wasm::EngineKind::Tree) {
+    Expected<exec::FlatModule> FM = exec::translate(A->Program.Module);
+    if (!FM)
+      return fail(E, Category::Translate, FM.error().message());
+    A->Flat = FM.take();
   }
-  if (Status S = wasm::validate(*M, L.MaxOperandDepth); !S)
-    return reject(ErrOut, Category::Validate, 0, S.error().message());
-
-  AdmittedModule A;
-  A.R = Route::Wasm;
-  A.WasmMod = std::make_unique<wasm::WModule>(M.take());
-  // createInstance covers all engines; for Flat/Jit it performs the flat
-  // translation during initialize(), whose failure surfaces here.
-  A.WasmInst = wasm::createInstance(*A.WasmMod, Opts.Engine);
-  if (Status S = A.WasmInst->initialize(Opts.RunStart); !S) {
-    const std::string &Msg = S.error().message();
-    Category C = Msg.find("translat") != std::string::npos
-                     ? Category::Translate
-                     : Category::Engine;
-    return reject(ErrOut, C, 0, Msg);
-  }
-  return A;
+  return Artifact(std::move(A));
 }
 
-/// Reads, limit-checks and type-checks a RichWasm payload, then builds
-/// its lowered artifact. The parsed module and its private arena die on
-/// return: the artifact is pure Wasm and borrows nothing from them.
-Expected<std::shared_ptr<const cache::LoweredArtifact>>
-buildRichWasm(const std::vector<uint8_t> &Bytes, const Limits &L,
-              const link::LinkOptions &Opts, IngestError *ErrOut) {
+/// The RWBM container's build stage: read into a private arena, the count limits,
+/// check, then link::buildArtifact. The parsed module and its arena die
+/// on return: the artifact is pure Wasm and borrows nothing from them.
+Expected<Artifact> buildRichWasm(const std::vector<uint8_t> &Bytes,
+                                 const Limits &L,
+                                 const link::LinkOptions &Opts,
+                                 IngestError &E) {
   // A private arena per admission: a rejected module's types die with it,
   // so hostile bytes cannot grow the process-wide arena (which has no
   // eviction). Nobody else holds the arena, so one parse suffices.
-  Expected<ir::Module> M = serial::readPrivate(Bytes);
+  Expected<ir::Module> M = serial::readPrivate(Bytes, &E);
   if (!M)
-    return reject(ErrOut, classifySerial(M.error().message()), 0,
-                  M.error().message());
+    return fail(E, E.Cat, M.error().message());
 
   if (M->Funcs.size() > L.MaxFuncs)
-    return reject(ErrOut, Category::LimitExceeded, 0,
-                  "module has " + std::to_string(M->Funcs.size()) +
-                      " functions, limit is " + std::to_string(L.MaxFuncs));
+    return fail(E, Category::LimitExceeded,
+                "module has " + std::to_string(M->Funcs.size()) +
+                    " functions, limit is " + std::to_string(L.MaxFuncs));
   if (M->Globals.size() > L.MaxGlobals)
-    return reject(ErrOut, Category::LimitExceeded, 0,
-                  "module has " + std::to_string(M->Globals.size()) +
-                      " globals, limit is " + std::to_string(L.MaxGlobals));
+    return fail(E, Category::LimitExceeded,
+                "module has " + std::to_string(M->Globals.size()) +
+                    " globals, limit is " + std::to_string(L.MaxGlobals));
   if (M->Tab.Entries.size() > L.MaxElems)
-    return reject(ErrOut, Category::LimitExceeded, 0,
-                  "module has " + std::to_string(M->Tab.Entries.size()) +
-                      " table entries, limit is " +
-                      std::to_string(L.MaxElems));
+    return fail(E, Category::LimitExceeded,
+                "module has " + std::to_string(M->Tab.Entries.size()) +
+                    " table entries, limit is " +
+                    std::to_string(L.MaxElems));
 
-  // Check explicitly (precise Category::Check attribution), then hand the
-  // InfoMap to the build stage so it runs zero further checks.
+  // Check here, then hand the InfoMap to the build stage so it runs zero
+  // further checks.
   std::vector<typing::InfoMap> Infos(1);
   if (Status S = typing::checkModule(*M, &Infos[0]); !S)
-    return reject(ErrOut, Category::Check, 0, S.error().message());
+    return fail(E, Category::Check, S.error().message());
 
   link::LinkOptions LO = Opts;
   LO.Infos = &Infos;
-  Expected<std::shared_ptr<const cache::LoweredArtifact>> Art =
-      link::buildArtifact({&*M}, LO);
+  Expected<Artifact> Art = link::buildArtifact({&*M}, LO, &E);
   if (!Art)
-    return reject(ErrOut, classifyAdmission(Art.error().message()), 0,
-                  Art.error().message());
+    return fail(E, E.Cat, Art.error().message());
   return Art;
 }
 
-/// The RichWasm route. With a cache, the byte key is probed before any
-/// parsing: a hit goes straight to instantiation. A miss runs the whole
-/// checked pipeline and stores its artifact under the byte key, so only
-/// bytes that passed read, limits, check, lower, validate and translate
-/// are ever served from it.
-Expected<AdmittedModule> admitRichWasm(const std::vector<uint8_t> &Bytes,
-                                       const Limits &L,
-                                       const link::LinkOptions &Opts,
-                                       IngestError *ErrOut) {
+/// The pipeline both containers share: sniff the magic, probe the byte
+/// key, on a miss run the container's build stage and store its
+/// artifact, then instantiate. Only bytes that passed every stage of
+/// their build are ever stored, so a hit serves a checked artifact. A
+/// failure leaves the failing stage's category and context in \p E.
+Expected<AdmittedModule> admitStaged(const std::vector<uint8_t> &Bytes,
+                                     const Limits &L,
+                                     const link::LinkOptions &Opts,
+                                     IngestError &E) {
+  if (Bytes.size() > L.MaxModuleBytes)
+    return fail(E, Category::TooLarge,
+                "module of " + std::to_string(Bytes.size()) +
+                    " bytes exceeds limit of " +
+                    std::to_string(L.MaxModuleBytes));
+  if (Bytes.size() < 4)
+    return fail(E, Category::BadMagic,
+                "input too short for a container magic");
+  AdmittedModule A;
+  if (Bytes[0] == 0x00 && Bytes[1] == 'a' && Bytes[2] == 's' &&
+      Bytes[3] == 'm')
+    A.R = Route::Wasm;
+  else if (Bytes[0] == 'R' && Bytes[1] == 'W' && Bytes[2] == 'B' &&
+           Bytes[3] == 'M')
+    A.R = Route::RichWasm;
+  else
+    return fail(E, Category::BadMagic, "unrecognized container magic");
+
   serial::ModuleHash Key;
-  std::shared_ptr<const cache::LoweredArtifact> Art;
+  Artifact Art;
   if (Opts.Cache) {
     Key = byteKey(Bytes, L);
     Art = Opts.Cache->lookupProgram(Key);
   }
   if (!Art) {
-    Expected<std::shared_ptr<const cache::LoweredArtifact>> Built =
-        buildRichWasm(Bytes, L, Opts, ErrOut);
+    Expected<Artifact> Built = A.R == Route::Wasm
+                                   ? buildWasm(Bytes, L, Opts, E)
+                                   : buildRichWasm(Bytes, L, Opts, E);
     if (!Built)
       return Built.error();
     Art = Built.take();
     if (Opts.Cache)
       Opts.Cache->storeProgram(Key, Art);
   }
-
   Expected<link::LoweredInstance> LI =
       link::instantiateArtifact(std::move(Art), Opts);
   if (!LI)
-    return reject(ErrOut, classifyAdmission(LI.error().message()), 0,
-                  LI.error().message());
-  AdmittedModule A;
-  A.R = Route::RichWasm;
+    return fail(E, Category::Engine, LI.error().message());
   A.Lowered = LI.take();
   return A;
 }
@@ -282,31 +207,15 @@ Expected<AdmittedModule> rw::ingest::admit(const std::vector<uint8_t> &Bytes,
   static obs::Counter Accepted("ingest.accepted");
   static obs::Counter BytesIn("ingest.bytes");
   BytesIn.add(Bytes.size());
+
+  IngestError E;
+  Expected<AdmittedModule> A = admitStaged(Bytes, L, Opts, E);
   if (ErrOut)
-    *ErrOut = IngestError();
-
-  if (Bytes.size() > L.MaxModuleBytes)
-    return reject(ErrOut, Category::TooLarge, 0,
-                  "module of " + std::to_string(Bytes.size()) +
-                      " bytes exceeds limit of " +
-                      std::to_string(L.MaxModuleBytes));
-  if (Bytes.size() < 4)
-    return reject(ErrOut, Category::BadMagic, 0,
-                  "input too short for a container magic");
-
-  Expected<AdmittedModule> A = Error("unreachable");
-  if (Bytes[0] == 0x00 && Bytes[1] == 'a' && Bytes[2] == 's' &&
-      Bytes[3] == 'm')
-    A = admitWasm(Bytes, L, Opts, ErrOut);
-  else if (Bytes[0] == 'R' && Bytes[1] == 'W' && Bytes[2] == 'B' &&
-           Bytes[3] == 'M')
-    A = admitRichWasm(Bytes, L, Opts, ErrOut);
-  else
-    return reject(ErrOut, Category::BadMagic, 0,
-                  "unrecognized container magic");
-
-  if (!A)
+    *ErrOut = E;
+  if (!A) {
+    rejectedCounter(E.Cat).inc();
     return A;
+  }
   A->InputHash = InputHash;
   Accepted.inc();
   return A;

@@ -5,32 +5,39 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single entry point an admission server feeds raw untrusted bytes:
-/// ingest::admit() sniffs the container magic, then runs the full
-/// decode → validate → resolve → lower → translate → instantiate pipeline
-/// under an explicit ingest::Limits resource policy. It is **total on
-/// arbitrary bytes**: any input either yields a runnable AdmittedModule or
-/// a structured IngestError (category + byte offset + context) — never a
-/// crash, unbounded allocation, or unbounded recursion (DESIGN.md §12).
+/// The single entry point an admission server feeds raw untrusted bytes.
+/// ingest::admit() runs one staged pipeline under an explicit
+/// ingest::Limits resource policy. It is **total on arbitrary bytes**:
+/// any input either yields a runnable AdmittedModule or a structured
+/// IngestError (category + byte offset + context) — never a crash,
+/// unbounded allocation, or unbounded recursion (DESIGN.md §12). Each
+/// stage reports the category of its own failures as data:
 ///
-/// Two admissible containers:
-///   * `\0asm` — a WebAssembly binary: wasm::decode under Limits,
-///     wasm::validate with the operand-depth cap, then instantiation on
-///     LinkOptions::Engine (flat translation included for Flat/Jit).
-///   * `RWBM`  — a serialized RichWasm module (serial/), in stages:
-///       1. with LinkOptions::Cache set, probe the cache under the *byte
-///          key* — a per-process seeded hash of the input bytes and the
-///          Limits fields this route enforces — and on a hit skip to
-///          step 5;
-///       2. serial::readPrivate into a private arena (a rejected admission
-///          leaves zero residue in the process-wide arena by
-///          construction), then the MaxFuncs/MaxGlobals/MaxElems limits;
-///       3. typing::checkModule;
-///       4. link::buildArtifact (resolve, lower, validate, translate),
-///          stored under the byte key when a cache is set;
-///       5. link::instantiateArtifact on the caller's engine.
-///     Only bytes that passed steps 2-4 are ever stored, so a hit serves
-///     a checked artifact (DESIGN.md §8).
+///   1. the MaxModuleBytes cap (TooLarge), then the container magic
+///      (BadMagic): `\0asm` is a WebAssembly binary, `RWBM` a serialized
+///      RichWasm module (serial/);
+///   2. with LinkOptions::Cache set, probe the cache under the *byte key*
+///      — a per-process seeded hash of the input bytes and every Limits
+///      field — and on a hit skip to step 5;
+///   3. the container's build stage:
+///      * Wasm: wasm::decode under Limits (Truncated, Malformed,
+///        LimitExceeded, Unsupported or Resource, at the byte offset),
+///        wasm::validate with the operand-depth cap (Validate), and,
+///        with a cache or a flat-bytecode engine, flat translation
+///        (Translate). The artifact holds the decoded module and no GC
+///        metadata.
+///      * RWBM: serial::readPrivate into a private arena (Truncated,
+///        BadMagic, Unsupported or Malformed; a rejected admission leaves
+///        zero residue in the process-wide arena by construction), the
+///        MaxFuncs/MaxGlobals/MaxElems limits (LimitExceeded),
+///        typing::checkModule (Check), then link::buildArtifact: resolve
+///        (Link), lower (Lower), validate (Validate), translate
+///        (Translate);
+///   4. store the artifact under the byte key when a cache is set;
+///   5. link::instantiateArtifact on the caller's engine (Engine).
+///
+/// Only bytes that passed step 3 are ever stored, so a hit serves a
+/// checked artifact (DESIGN.md §8).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,29 +60,22 @@ inline const char *routeName(Route R) {
   return R == Route::Wasm ? "wasm" : "richwasm";
 }
 
-/// A fully admitted module: the decoded artifact plus a ready instance.
-/// Owns everything it hands out; safe to move across threads as a unit.
+/// A fully admitted module: the artifact plus a ready instance. Owns
+/// everything it hands out; safe to move across threads as a unit.
 struct AdmittedModule {
   Route R = Route::Wasm;
-  /// Low word of the unseeded support::hashBytes128 over the input bytes
-  /// (both routes): a cheap identity for logs and the head-sampling key.
-  /// The RichWasm route's cache key is a separate, per-process seeded
-  /// pass with the enforced Limits folded in.
+  /// Low word of the unseeded support::hashBytes128 over the input bytes:
+  /// a cheap identity for logs and the head-sampling key. The cache key
+  /// is a separate, per-process seeded pass with the Limits folded in.
   uint64_t InputHash = 0;
 
-  /// Wasm route: the decoded module (the instance borrows it).
-  std::unique_ptr<wasm::WModule> WasmMod;
-  std::unique_ptr<wasm::Instance> WasmInst;
-
-  /// RichWasm route: the lowered program + instance. The parsed module is
-  /// not kept — a cache hit never parses, and the artifact borrows
-  /// nothing from it.
+  /// The artifact (on the Wasm route, the decoded module itself) and its
+  /// instance. The parsed RichWasm module is not kept — a cache hit never
+  /// parses, and the artifact borrows nothing from it.
   link::LoweredInstance Lowered;
 
-  /// The live instance, whichever route produced it.
-  wasm::Instance *instance() {
-    return R == Route::Wasm ? WasmInst.get() : Lowered.Instance.get();
-  }
+  /// The live instance.
+  wasm::Instance *instance() { return Lowered.Instance.get(); }
 
   /// Invokes an export by name. On the RichWasm route exports use the
   /// lowered "module.export" naming scheme.

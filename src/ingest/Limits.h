@@ -189,6 +189,15 @@ struct IngestError {
   }
 };
 
+/// How a stage past the decoder reports a failure: category \p C, offset
+/// 0 (byte offsets no longer mean anything there), and its message as the
+/// context. No-op when \p ErrOut is null.
+inline void reportStage(IngestError *ErrOut, Category C,
+                        std::string Context) {
+  if (ErrOut)
+    *ErrOut = IngestError{C, 0, std::move(Context)};
+}
+
 } // namespace rw::ingest
 
 #endif // RICHWASM_INGEST_LIMITS_H

@@ -414,7 +414,12 @@ rw::link::instantiateLowered(const std::vector<const ir::Module *> &Mods,
 
 Expected<std::shared_ptr<const cache::LoweredArtifact>>
 rw::link::buildArtifact(const std::vector<const ir::Module *> &Mods,
-                        const LinkOptions &Opts) {
+                        const LinkOptions &Opts, ingest::IngestError *ErrOut) {
+  using ingest::Category;
+  auto Fail = [ErrOut](Category C, Error E) {
+    ingest::reportStage(ErrOut, C, E.message());
+    return E;
+  };
   // The import-resolution phase is shared with instantiate()
   // (link/Resolve.h): the batch index decides providers, shadowing, and
   // the canonical-pointer import type checks; lowerProgram consumes the
@@ -428,19 +433,21 @@ rw::link::buildArtifact(const std::vector<const ir::Module *> &Mods,
       resolveImports(Mods, ResolveOptions{ResolveMode::Batch,
                                           /*AllowUnresolvedFuncs=*/true});
   if (!Resolved)
-    return Resolved.error();
+    return Fail(Category::Link, Resolved.error());
   std::vector<typing::InfoMap> OwnInfos;
   const std::vector<typing::InfoMap> *Infos = Opts.Infos;
   if (Infos) {
     if (Infos->size() != Mods.size())
-      return Error("InfoMap hand-off does not match the module list");
+      return Fail(Category::Check,
+                  Error("InfoMap hand-off does not match the module list"));
   } else if (Opts.Pool) {
     std::vector<Status> Checks =
         typing::checkModules(Mods, *Opts.Pool, &OwnInfos);
     for (size_t I = 0; I < Checks.size(); ++I)
       if (!Checks[I])
-        return Error("module '" + Mods[I]->Name + "': " +
-                     Checks[I].error().message());
+        return Fail(Category::Check,
+                    Error("module '" + Mods[I]->Name + "': " +
+                          Checks[I].error().message()));
     Infos = &OwnInfos;
   }
   // With neither hand-off nor pool, Infos stays null and lowerProgram's
@@ -451,13 +458,14 @@ rw::link::buildArtifact(const std::vector<const ir::Module *> &Mods,
   LO.Pool = Opts.Pool;
   Expected<lower::LoweredProgram> LP = lower::lowerProgram(Mods, LO);
   if (!LP)
-    return LP.error();
+    return Fail(Category::Lower, LP.error());
   auto A = std::make_shared<cache::LoweredArtifact>();
   A->Program = LP.take();
   // Every lowered module is validated before it runs or is stored, so
   // warm cache hits are always validated artifacts.
   if (Status S = wasm::validate(A->Program.Module); !S)
-    return S.error().addContext("lowered module validation");
+    return Fail(Category::Validate,
+                S.error().addContext("lowered module validation"));
   // Translate once here (not lazily in the engine) so the memoized
   // artifact serves both engines on every later hit; validated lowered
   // modules always translate. Without a cache, only the flat-bytecode
@@ -465,7 +473,8 @@ rw::link::buildArtifact(const std::vector<const ir::Module *> &Mods,
   if (Opts.Cache || Opts.Engine != wasm::EngineKind::Tree) {
     Expected<exec::FlatModule> FM = exec::translate(A->Program.Module);
     if (!FM)
-      return FM.error().addContext("flat translation");
+      return Fail(Category::Translate,
+                  FM.error().addContext("flat translation"));
     A->Flat = FM.take();
   }
   return std::shared_ptr<const cache::LoweredArtifact>(std::move(A));

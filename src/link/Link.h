@@ -22,6 +22,7 @@
 #ifndef RICHWASM_LINK_LINK_H
 #define RICHWASM_LINK_LINK_H
 
+#include "ingest/Limits.h"
 #include "ir/Module.h"
 #include "link/Resolve.h"
 #include "lower/Lower.h"
@@ -124,9 +125,14 @@ instantiateLowered(const std::vector<const ir::Module *> &Mods,
 /// translate. Translation always runs when Opts.Cache is set, because
 /// the caller will store the artifact for every later caller. The
 /// artifact is pure Wasm: it holds nothing from \p Mods or their arena.
+/// On failure, \p ErrOut (when non-null) names the stage that failed —
+/// Link, Check, Lower, Validate or Translate — with the returned message
+/// as its context. With neither Opts.Infos nor Opts.Pool, the check runs
+/// inside lowering and a failure of it reports Lower.
 Expected<std::shared_ptr<const cache::LoweredArtifact>>
 buildArtifact(const std::vector<const ir::Module *> &Mods,
-              const LinkOptions &Opts);
+              const LinkOptions &Opts,
+              ingest::IngestError *ErrOut = nullptr);
 
 /// The instantiation stage shared by both front doors: a fresh instance
 /// of \p Art on Opts.Engine (borrowing the artifact's flat translation),

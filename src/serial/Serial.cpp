@@ -669,6 +669,7 @@ public:
 
   bool run(ir::Module &M) { return nodeTable() && module(M) && atEnd(); }
   const std::string &error() const { return Err; }
+  ingest::Category category() const { return ErrCat; }
 
 private:
   const uint8_t *D;
@@ -676,6 +677,7 @@ private:
   size_t Pos = 0;
   TypeArena &A;
   std::string Err;
+  ingest::Category ErrCat = ingest::Category::None;
 
   // The decoded type table: one tagged reference per index.
   struct NodeSlot {
@@ -699,9 +701,12 @@ private:
     return true;
   }
 
-  bool fail(const std::string &M) {
-    if (Err.empty())
+  bool fail(const std::string &M,
+            ingest::Category C = ingest::Category::Malformed) {
+    if (Err.empty()) {
       Err = M;
+      ErrCat = C;
+    }
     return false;
   }
   bool atEnd() {
@@ -718,7 +723,7 @@ private:
     unsigned Shift = 0;
     while (true) {
       if (Pos >= N)
-        return fail("truncated varint");
+        return fail("truncated varint", ingest::Category::Truncated);
       uint8_t B = D[Pos++];
       // At shift 63 only one payload bit remains in the u64.
       if (Shift == 63 && (B & 0xfe))
@@ -897,7 +902,7 @@ bool Reader::nodeTable() {
 
 bool Reader::node() {
   if (Pos >= N)
-    return fail("truncated type table");
+    return fail("truncated type table", ingest::Category::Truncated);
   uint8_t Tag = D[Pos++];
 
   if (Tag == TagSize) {
@@ -1679,29 +1684,37 @@ namespace {
 
 /// Shared body of read() and readPrivate(): header checks, then the
 /// payload parse into \p Arena — preceded by a parse into a throwaway
-/// arena when \p Probe is set.
+/// arena when \p Probe is set. A failure fills \p ErrOut (when non-null)
+/// with its category and the returned message; offsets stay 0.
 Expected<ir::Module> readInto(const std::vector<uint8_t> &Bytes,
                               std::shared_ptr<ir::TypeArena> Arena,
-                              bool Probe) {
+                              bool Probe, ingest::IngestError *ErrOut) {
   OBS_SPAN("serial_read", Bytes.size());
   static obs::Counter BytesRead("serial.bytes_read");
   BytesRead.add(Bytes.size());
+  using ingest::Category;
+  auto Fail = [ErrOut](Category C, std::string Msg) {
+    ingest::reportStage(ErrOut, C, Msg);
+    return Error(std::move(Msg));
+  };
   if (!Arena)
-    return Error("null target arena");
+    return Fail(Category::Malformed, "null target arena");
   if (Bytes.size() < HeaderSize)
-    return Error("truncated header");
+    return Fail(Category::Truncated, "truncated header");
   if (std::memcmp(Bytes.data(), Magic, 4) != 0)
-    return Error("bad magic (not a RichWasm binary module)");
+    return Fail(Category::BadMagic,
+                "bad magic (not a RichWasm binary module)");
   uint32_t Ver = getU32LE(Bytes.data() + 4);
   if (Ver != FormatVersion)
-    return Error("unsupported format version " + std::to_string(Ver) +
-                 " (expected " + std::to_string(FormatVersion) + ")");
+    return Fail(Category::Unsupported,
+                "unsupported format version " + std::to_string(Ver) +
+                    " (expected " + std::to_string(FormatVersion) + ")");
   uint64_t Len = getU64LE(Bytes.data() + 8);
   if (Len != Bytes.size() - HeaderSize)
-    return Error("payload length mismatch");
+    return Fail(Category::Truncated, "payload length mismatch");
   uint64_t Sum = getU64LE(Bytes.data() + 16);
   if (Sum != fnv1a(Bytes.data() + HeaderSize, Len))
-    return Error("payload checksum mismatch");
+    return Fail(Category::Malformed, "payload checksum mismatch");
 
   // Two-phase decode for a shared target: parse into a throwaway arena
   // first, so a payload that fails *structural* validation (the checksum
@@ -1717,14 +1730,14 @@ Expected<ir::Module> readInto(const std::vector<uint8_t> &Bytes,
     ir::Module Discard;
     Reader R(Bytes.data() + HeaderSize, Len, Scratch);
     if (!R.run(Discard))
-      return Error("malformed module: " + R.error());
+      return Fail(R.category(), "malformed module: " + R.error());
   }
 
   ir::Module M;
   M.Arena = Arena;
   Reader R(Bytes.data() + HeaderSize, Len, *Arena);
   if (!R.run(M))
-    return Error("malformed module: " + R.error());
+    return Fail(R.category(), "malformed module: " + R.error());
   return M;
 }
 
@@ -1732,12 +1745,14 @@ Expected<ir::Module> readInto(const std::vector<uint8_t> &Bytes,
 
 Expected<ir::Module> rw::serial::read(const std::vector<uint8_t> &Bytes,
                                       std::shared_ptr<ir::TypeArena> Arena) {
-  return readInto(Bytes, std::move(Arena), /*Probe=*/true);
+  return readInto(Bytes, std::move(Arena), /*Probe=*/true, nullptr);
 }
 
 Expected<ir::Module>
-rw::serial::readPrivate(const std::vector<uint8_t> &Bytes) {
-  return readInto(Bytes, std::make_shared<TypeArena>(), /*Probe=*/false);
+rw::serial::readPrivate(const std::vector<uint8_t> &Bytes,
+                        ingest::IngestError *ErrOut) {
+  return readInto(Bytes, std::make_shared<TypeArena>(), /*Probe=*/false,
+                  ErrOut);
 }
 
 serial::ModuleHash rw::serial::moduleHash(const ir::Module &M) {

@@ -43,6 +43,7 @@
 #ifndef RICHWASM_SERIAL_SERIAL_H
 #define RICHWASM_SERIAL_SERIAL_H
 
+#include "ingest/Limits.h"
 #include "ir/Module.h"
 #include "support/Error.h"
 #include "support/Hashing.h"
@@ -74,8 +75,12 @@ read(const std::vector<uint8_t> &Bytes,
 /// read() into a fresh arena the returned module owns alone, in a single
 /// parse: no other holder can observe the arena, so a rejected input dies
 /// with it and the scratch-arena probe would buy nothing. Same
-/// diagnostics as read(). The ingestion front door's reader.
-Expected<ir::Module> readPrivate(const std::vector<uint8_t> &Bytes);
+/// diagnostics as read(). The ingestion front door's reader: on
+/// rejection, \p ErrOut (when non-null) receives the failure's category
+/// (Truncated, BadMagic, Unsupported or Malformed) with the returned
+/// message as its context; the offset stays 0.
+Expected<ir::Module> readPrivate(const std::vector<uint8_t> &Bytes,
+                                 ingest::IngestError *ErrOut = nullptr);
 
 /// 128-bit module content hash (see file comment). Stable across arenas
 /// and process runs; independent of the interning order.

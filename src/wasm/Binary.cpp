@@ -386,7 +386,7 @@ namespace fault = rw::support::fault;
 /// terminators, not instructions, and are handled before this predicate.
 bool validOpcode(uint8_t C) {
   return C <= 0x04 || (C >= 0x0c && C <= 0x11) || C == 0x1a || C == 0x1b ||
-         (C >= 0x20 && C <= 0x24) || C >= 0x28; // Op tops out at 0xbf.
+         (C >= 0x20 && C <= 0x24) || (C >= 0x28 && C <= 0xbf);
 }
 
 class Decoder {

@@ -290,25 +290,36 @@ TEST(Cache, ServerMixArtifactBytesExcludeTheSharedPrelude) {
 
 // Front-door admissions racing on one small sharded cache: byte-key hits,
 // misses, stores and evictions (whose artifacts are freed after the shard
-// lock is released) interleave, and every admitted module still computes
-// its own answer. The TSan job runs this binary.
+// lock is released) interleave on both container routes, and every
+// admitted module still computes its own answer. The TSan job runs this
+// binary.
 TEST(Cache, ConcurrentIngestThroughAnEvictingCache) {
-  // Eight pool threads admit and run hot payloads through a cache small
-  // enough that most stores evict. On EngineKind::Jit each thread also
-  // compiles and runs its own ModuleJit over a cached FlatModule that all
-  // of them share — the shape of serving JIT code from the cache, and
-  // the JIT's concurrency target for the TSan job.
+  // Eight pool threads admit and run hot payloads, each as RWBM bytes and
+  // as its lowered Wasm encoding, through a cache small enough that most
+  // stores evict. On EngineKind::Jit each thread also compiles and runs
+  // its own ModuleJit over a cached FlatModule that all of them share —
+  // the shape of serving JIT code from the cache, and the JIT's
+  // concurrency target for the TSan job.
   rwbench::ServerMix Mix(/*HotN=*/16, /*ColdN=*/0, /*AdvN=*/0);
+  std::vector<std::vector<uint8_t>> Payloads = Mix.HotBytes;
+  for (unsigned Tag = 0; Tag < Mix.HotBytes.size(); ++Tag) {
+    ir::Module M = rwbench::serverModule(Tag);
+    Expected<lower::LoweredProgram> LP = lower::lowerProgram({&M}, {});
+    ASSERT_TRUE(LP) << LP.error().message();
+    Payloads.push_back(wasm::encode(LP->Module));
+  }
   for (wasm::EngineKind K : {wasm::EngineKind::Flat, wasm::EngineKind::Jit}) {
     SCOPED_TRACE(wasm::engineKindName(K));
     link::LinkOptions Opts;
     Opts.Engine = K;
-    uint64_t ArtBytes = [&] {
+    // The larger of the two routes' artifacts.
+    uint64_t ArtBytes = 0;
+    for (size_t I : {size_t(0), Mix.HotBytes.size()}) {
       cache::AdmissionCache Probe;
       Opts.Cache = &Probe;
-      EXPECT_TRUE(ingest::admit(Mix.HotBytes[0], ingest::Limits(), Opts));
-      return Probe.stats().Bytes;
-    }();
+      EXPECT_TRUE(ingest::admit(Payloads[I], ingest::Limits(), Opts));
+      ArtBytes = std::max(ArtBytes, Probe.stats().Bytes);
+    }
     ASSERT_GT(ArtBytes, 0u);
     // About two artifacts per shard, so most stores evict.
     constexpr unsigned Shards = 4;
@@ -317,8 +328,9 @@ TEST(Cache, ConcurrentIngestThroughAnEvictingCache) {
     std::atomic<unsigned> Wrong{0};
     support::ThreadPool Pool(8);
     Pool.parallelFor(512, [&](size_t I) {
-      uint32_t Tag = static_cast<uint32_t>(I % Mix.HotBytes.size());
-      auto A = ingest::admit(Mix.HotBytes[Tag], ingest::Limits(), Opts);
+      size_t P = I % Payloads.size();
+      uint32_t Tag = static_cast<uint32_t>(P % Mix.HotBytes.size());
+      auto A = ingest::admit(Payloads[P], ingest::Limits(), Opts);
       if (!A) {
         ++Wrong;
         return;

@@ -13,7 +13,8 @@
 //     on the flat interpreter with identical results, including trap
 //     errors, and jitCompiledCount() pinned at 0.
 //   * Cache store failures → admission still succeeds (uncached); the
-//     cache stays empty and consistent; re-admission recomputes.
+//     cache stays empty and consistent; re-admission recomputes. A
+//     failed build on a cached admission stores nothing.
 //   * Mid-admission allocation failures (decode / check / lower) → a
 //     clean structured rejection with the right category and zero
 //     residue in the process-wide type arena.
@@ -178,6 +179,33 @@ TEST_F(Fault, CacheStoreFailureDegradesToUncachedAdmission) {
   auto A3 = ingest::admit(B, ingest::Limits(), Opts);
   ASSERT_TRUE(A3) << A3.error().message();
   EXPECT_GT(C.stats().Entries, 0u);
+}
+
+TEST_F(Fault, DecodeFailureOnCachedWasmAdmissionStoresNothing) {
+  auto M = rwbench::loopModule(10);
+  std::vector<uint8_t> Wasm =
+      wasm::encode(lower::lowerProgram({&M}, {})->Module);
+  cache::AdmissionCache C;
+  link::LinkOptions Opts;
+  Opts.Cache = &C;
+
+  fault::armNth(Seam::DecodeAlloc, 1);
+  ingest::IngestError E;
+  EXPECT_FALSE(ingest::admit(Wasm, ingest::Limits(), Opts, &E));
+  EXPECT_EQ(E.Cat, ingest::Category::Resource) << E.render();
+  EXPECT_EQ(C.stats().Entries, 0u) << "a failed build must store nothing";
+
+  // The seam heals: the same bytes admit, are stored, and then hit.
+  fault::disarm(Seam::DecodeAlloc);
+  for (int I = 0; I < 2; ++I) {
+    auto A = ingest::admit(Wasm, ingest::Limits(), Opts);
+    ASSERT_TRUE(A) << A.error().message();
+    auto R = A->invoke("loopmod.main", {});
+    ASSERT_TRUE(R) << R.error().message();
+    EXPECT_EQ((*R)[0].Bits, 55u);
+  }
+  EXPECT_EQ(C.stats().Entries, 1u);
+  EXPECT_EQ(C.stats().ProgramHits, 1u);
 }
 
 TEST_F(Fault, MidAdmissionAllocFailuresRejectCleanly) {

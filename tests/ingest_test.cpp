@@ -9,8 +9,9 @@
 // carries the right taxonomy category; admission is *total* under a 10k
 // deterministic mutation battery (truncations, bit flips, section
 // splices) with zero residue in the process-wide type arena; the obs
-// counters account for every admission outcome; and admission through a
-// warm cache (the RichWasm route's byte-key probe) is indistinguishable
+// counters account for every admission outcome; the verdicts of the
+// regression corpus are pinned byte for byte; and admission through a
+// warm cache (the byte-key probe, on both routes) is indistinguishable
 // from admission with no cache.
 //
 //===----------------------------------------------------------------------===//
@@ -19,6 +20,7 @@
 #include "bench/ServerMix.h"
 #include "cache/AdmissionCache.h"
 #include "ingest/Ingest.h"
+#include "ir/Builder.h"
 #include "ir/TypeArena.h"
 #include "lower/Lower.h"
 #include "obs/Obs.h"
@@ -27,6 +29,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <random>
 
 using namespace rw;
@@ -44,6 +49,21 @@ std::vector<uint8_t> wasmBytes(const ir::Module &M) {
 
 uint64_t globalArenaNodes() {
   return ir::TypeArena::globalPtr()->stats().totalNodes();
+}
+
+std::vector<uint8_t> readFile(const std::filesystem::path &P) {
+  std::ifstream In(P, std::ios::binary);
+  return {std::istreambuf_iterator<char>(In), {}};
+}
+
+/// Header + one function of type [] -> [], then \p Tail (the rest of the
+/// sections, in order).
+std::vector<uint8_t> oneFuncWasm(std::initializer_list<uint8_t> Tail) {
+  std::vector<uint8_t> B = {0x00, 0x61, 0x73, 0x6d, 0x01, 0x00, 0x00, 0x00,
+                            0x01, 0x04, 0x01, 0x60, 0x00, 0x00, // type
+                            0x03, 0x02, 0x01, 0x00};            // func
+  B.insert(B.end(), Tail);
+  return B;
 }
 
 TEST(Ingest, WasmRouteAdmitsAndRuns) {
@@ -182,6 +202,150 @@ TEST(Ingest, RejectedRichWasmAdmissionLeavesArenaClean) {
       << "rejected admissions must leave zero residue in the global arena";
 }
 
+// A rejection's category names the stage that failed, never a guess from
+// the message text: a global import from a module the user named
+// "validation", "lower" or "flat translation" is a Link failure whose
+// message quotes that name, and it is counted as one.
+TEST(Ingest, UserChosenNamesDoNotSteerTheCategory) {
+  const uint64_t One = obs::compiledIn() ? 1 : 0;
+  obs::Counter Link("ingest.rejected.link");
+  obs::Counter Validate("ingest.rejected.validate");
+  obs::Counter Lower("ingest.rejected.lower");
+  obs::Counter Translate("ingest.rejected.translate");
+  for (const char *From : {"validation", "lower", "flat translation"}) {
+    SCOPED_TRACE(From);
+    uint64_t L0 = Link.value(), V0 = Validate.value(), W0 = Lower.value(),
+             T0 = Translate.value();
+    IngestError E;
+    EXPECT_FALSE(ingest::admit(
+        serial::write(rwbench::globalImportModule(From)), Limits(), {}, &E));
+    EXPECT_EQ(E.Cat, Category::Link) << E.render();
+    EXPECT_EQ(E.render(), std::string("Link @0: unresolved global import ") +
+                              From + ".g in module 'app'");
+    EXPECT_EQ(Link.value(), L0 + One);
+    EXPECT_EQ(Validate.value() + Lower.value() + Translate.value(),
+              V0 + W0 + T0);
+  }
+}
+
+struct Pin {
+  const char *Name;
+  Category Cat;
+  uint64_t Offset;
+  const char *Rendered;
+};
+
+/// Admits \p B and checks its verdict against \p P: the category, the
+/// offset, the rendered structured error, and that the returned message
+/// is that rendering under its stage's prefix.
+void expectPinned(const Pin &P, const std::vector<uint8_t> &B,
+                  const Limits &L = Limits(),
+                  const link::LinkOptions &Opts = {}) {
+  SCOPED_TRACE(P.Name);
+  IngestError E;
+  Expected<ingest::AdmittedModule> A = ingest::admit(B, L, Opts, &E);
+  EXPECT_EQ(static_cast<bool>(A), P.Cat == Category::None);
+  EXPECT_EQ(E.Cat, P.Cat) << E.render();
+  EXPECT_EQ(E.Offset, P.Offset);
+  EXPECT_EQ(E.render(), P.Rendered);
+  if (!A) {
+    const std::string &Msg = A.error().message();
+    EXPECT_TRUE(Msg == "ingest: " + E.render() ||
+                Msg == "wasm decode: " + E.render())
+        << Msg;
+  }
+}
+
+// Every fuzz/corpus/regression input keeps its verdict byte for byte, and
+// the stages after parsing keep theirs on generated inputs. A new corpus
+// file needs a pin here.
+TEST(Ingest, RegressionCorpusVerdictsArePinned) {
+  const Pin Corpus[] = {
+      {"bad_version.bin", Category::Unsupported, 4,
+       "Unsupported @4: unsupported wasm version"},
+      {"deep_nesting.bin", Category::LimitExceeded, 539,
+       "LimitExceeded @539: block nesting exceeds depth limit of 256"},
+      {"empty_wasm.bin", Category::None, 0, "None @0: "},
+      {"hostile_type_count.bin", Category::LimitExceeded, 10,
+       "LimitExceeded @10: type count 4294967295 exceeds limit of 65536"},
+      {"import_named_validation.bin", Category::Link, 0,
+       "Link @0: unresolved global import validation.g in module 'app'"},
+      {"locals_amplification.bin", Category::LimitExceeded, 23,
+       "LimitExceeded @23: local count exceeds limit of 65536"},
+      {"overlong_section_size.bin", Category::Malformed, 10,
+       "Malformed @10: section size: overlong varint"},
+      {"section_overrun.bin", Category::Truncated, 8,
+       "Truncated @8: section extends past end of module"},
+      {"serial_badsum.bin", Category::Malformed, 0,
+       "Malformed @0: payload checksum mismatch"},
+      {"serial_truncated.bin", Category::Truncated, 0,
+       "Truncated @0: truncated header"},
+      {"servermix_admitted_mutant.bin", Category::None, 0, "None @0: "},
+      {"servermix_bad_magic.bin", Category::BadMagic, 0,
+       "BadMagic @0: unrecognized container magic"},
+      {"servermix_malformed.bin", Category::Malformed, 0,
+       "Malformed @0: payload checksum mismatch"},
+      {"servermix_one_byte_mutant.bin", Category::Malformed, 0,
+       "Malformed @0: payload checksum mismatch"},
+      {"servermix_truncated.bin", Category::Truncated, 0,
+       "Truncated @0: payload length mismatch"},
+      {"servermix_unsupported.bin", Category::Unsupported, 0,
+       "Unsupported @0: unsupported format version 4278190081 (expected 1)"},
+      {"truncated_magic.bin", Category::BadMagic, 0,
+       "BadMagic @0: input too short for a container magic"},
+  };
+  const std::filesystem::path Dir =
+      std::filesystem::path(RW_SOURCE_DIR) / "fuzz/corpus/regression";
+  std::vector<std::string> Files;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    Files.push_back(Entry.path().filename().string());
+  std::sort(Files.begin(), Files.end());
+  std::vector<std::string> Pinned;
+  for (const Pin &P : Corpus)
+    Pinned.push_back(P.Name);
+  ASSERT_EQ(Files, Pinned) << "every regression input needs a pin";
+  for (const Pin &P : Corpus)
+    expectPinned(P, readFile(Dir / P.Name));
+
+  // Check: a linearity mutant (a linear struct dropped, not freed).
+  ir::Module Mutant = rwbench::wideModule(3);
+  Mutant.Funcs[0].Body.insert(
+      Mutant.Funcs[0].Body.begin(),
+      {ir::build::iconst(1),
+       ir::build::structMalloc({ir::Size::constant(32)}, ir::Qual::lin()),
+       ir::build::drop()});
+  expectPinned({"linearity mutant", Category::Check, 0,
+                "Check @0: in function 0: drop of a linear value of type "
+                "(∃ρ. (ref rw ρ0 (struct (i32^unr, 32)))^lin)^lin"},
+               serial::write(Mutant));
+
+  // LimitExceeded after parsing: three functions against MaxFuncs = 1.
+  Limits OneFunc;
+  OneFunc.MaxFuncs = 1;
+  expectPinned({"MaxFuncs", Category::LimitExceeded, 0,
+                "LimitExceeded @0: module has 3 functions, limit is 1"},
+               serial::write(rwbench::serverModule(3)), OneFunc);
+
+  // Validate: a [] -> [] body that leaves an i32 on the stack.
+  expectPinned({"stack mismatch", Category::Validate, 0,
+                "Validate @0: in function 0: block leaves 1 values, "
+                "expected 0"},
+               oneFuncWasm({0x0a, 0x06, 0x01, 0x04, 0x00, // code: 1 body
+                            0x41, 0x01,                   //   i32.const 1
+                            0x0b}));                      //   end
+
+  // Engine: a start function that traps, on the tree and flat engines.
+  std::vector<uint8_t> Trap =
+      oneFuncWasm({0x08, 0x01, 0x00,                         // start 0
+                   0x0a, 0x05, 0x01, 0x03, 0x00, 0x00, 0x0b}); // unreachable
+  link::LinkOptions Flat;
+  Flat.Engine = wasm::EngineKind::Flat;
+  for (const link::LinkOptions &Opts : {link::LinkOptions(), Flat})
+    expectPinned({"trapping start", Category::Engine, 0,
+                  "Engine @0: trap: unreachable executed [func 0]"},
+                 Trap, Limits(), Opts);
+}
+
 // The 10k-seed deterministic mutation battery the acceptance criteria
 // names: truncations, bit flips, and section splices over real encodings
 // of both containers. Totality means: never a crash, never unbounded
@@ -276,8 +440,12 @@ Outcome admitAndRun(const std::vector<uint8_t> &B, const Limits &L,
     return O;
   }
   // Mutants that still admit may loop: bounded fuel keeps them cheap, and
-  // fuel exhaustion is itself an outcome both routes must agree on.
-  for (const auto &[Name, Idx] : A->Lowered.Program->Exports) {
+  // fuel exhaustion is itself an outcome both routes must agree on. The
+  // exports are the Wasm module's own, so both containers are read alike.
+  for (const wasm::WExport &X : A->Lowered.Program->Module.Exports) {
+    if (X.Kind != wasm::ExportKind::Func)
+      continue;
+    const std::string &Name = X.Name;
     auto R = A->invoke(Name, {wasm::WValue::i32(7)}, 100000);
     std::string Line = Name + " ->";
     if (R)
@@ -308,13 +476,25 @@ link::LinkOptions serverOptions(cache::AdmissionCache *C) {
 
 // The byte-key probe serves an artifact without parsing or checking, so
 // it must be invisible: over the c7 request mix's hot, cold and mutant
-// payloads, a warm-cache admission reproduces the uncached one in
-// verdict, category, error bytes, results and instruction count — and
-// every admitted payload is a cache hit the second time round.
+// payloads, in both containers, a warm-cache admission reproduces the
+// uncached one in verdict, category, error bytes, results and
+// instruction count — and every admitted payload is a cache hit the
+// second time round.
 TEST(IngestCache, WarmAdmissionMatchesUncachedOnServerMix) {
   rwbench::ServerMix Mix;
+  // The Wasm container: every hot module and every 16th cold one, lowered
+  // and encoded, plus two byte mutants of each.
+  std::vector<std::vector<uint8_t>> Wasm;
+  for (unsigned I = 0; I < Mix.HotBytes.size(); ++I)
+    Wasm.push_back(wasmBytes(rwbench::serverModule(I)));
+  for (unsigned I = 0; I < Mix.ColdBytes.size(); I += 16)
+    Wasm.push_back(
+        wasmBytes(rwbench::serverModule(0x10000000ull + I, /*Funcs=*/2)));
+  for (size_t I = 0, N = Wasm.size(); I < 2 * N; ++I)
+    Wasm.push_back(rwbench::serverMutate(Wasm[I % N], 0x3a5e5eedull + I));
   std::vector<const std::vector<uint8_t> *> Payloads;
-  for (const auto *Pool : {&Mix.HotBytes, &Mix.ColdBytes, &Mix.AdvBytes})
+  for (const auto *Pool :
+       {&Mix.HotBytes, &Mix.ColdBytes, &Mix.AdvBytes, &Wasm})
     for (const std::vector<uint8_t> &B : *Pool)
       Payloads.push_back(&B);
 
@@ -325,25 +505,34 @@ TEST(IngestCache, WarmAdmissionMatchesUncachedOnServerMix) {
     admitAndRun(*B, Limits(), Warm);
 
   uint64_t Hits0 = C.stats().ProgramHits;
-  uint64_t Admitted = 0, Rejected = 0;
+  uint64_t Admitted = 0, Rejected = 0, WasmAdmitted = 0, WasmRejected = 0;
   for (size_t I = 0; I < Payloads.size(); ++I) {
+    uint64_t HitsBefore = C.stats().ProgramHits;
     Outcome Cached = admitAndRun(*Payloads[I], Limits(), Warm);
     Outcome Fresh = admitAndRun(*Payloads[I], Limits(), Uncached);
     EXPECT_EQ(Cached, Fresh) << "payload " << I << "\ncached: "
                              << describe(Cached)
                              << "\nuncached: " << describe(Fresh);
+    EXPECT_EQ(C.stats().ProgramHits - HitsBefore, Fresh.Admitted ? 1u : 0u)
+        << "payload " << I;
     Admitted += Fresh.Admitted;
     Rejected += !Fresh.Admitted;
+    bool IsWasm = (*Payloads[I])[0] == 0x00;
+    WasmAdmitted += IsWasm && Fresh.Admitted;
+    WasmRejected += IsWasm && !Fresh.Admitted;
   }
   EXPECT_EQ(C.stats().ProgramHits - Hits0, Admitted)
       << "every admitted payload must hit on its second admission";
   EXPECT_GE(Admitted, Mix.HotBytes.size() + Mix.ColdBytes.size());
   EXPECT_GT(Rejected, 0u) << "the mutants should exercise rejections";
+  size_t WasmOriginals = Wasm.size() / 3;
+  EXPECT_GT(WasmAdmitted, WasmOriginals) << "some Wasm mutants must admit";
+  EXPECT_GT(WasmRejected, 0u) << "some Wasm mutants must be rejected";
 }
 
-// The byte key folds in the limits enforced after reading: bytes cached
-// under the default policy are still rejected under a tighter one, with
-// the uncached rejection's exact bytes, and the rejection stores nothing.
+// The byte key folds in every limit: bytes cached under the default
+// policy are still rejected under a tighter one, with the uncached
+// rejection's exact bytes, and the rejection stores nothing.
 TEST(IngestCache, TighterLimitsAreNotServedALooserAdmission) {
   std::vector<uint8_t> B = serial::write(rwbench::serverModule(3));
   cache::AdmissionCache C;
@@ -362,6 +551,27 @@ TEST(IngestCache, TighterLimitsAreNotServedALooserAdmission) {
   EXPECT_EQ(Cached, Fresh) << describe(Cached) << "\n" << describe(Fresh);
   EXPECT_EQ(C.stats().ProgramHits, 1u);
   EXPECT_EQ(C.stats().Entries, Entries);
+
+  // The same on the Wasm container, for limits only the decoder and the
+  // validator enforce.
+  std::vector<uint8_t> W = wasmBytes(rwbench::serverModule(3));
+  ASSERT_TRUE(admitAndRun(W, Limits(), Warm).Admitted);
+  ASSERT_TRUE(admitAndRun(W, Limits(), Warm).Admitted);
+  ASSERT_EQ(C.stats().ProgramHits, 2u);
+  Limits FewLocals, ShallowStack;
+  FewLocals.MaxLocals = 1;
+  ShallowStack.MaxOperandDepth = 1;
+  for (const Limits &L : {FewLocals, ShallowStack}) {
+    Entries = C.stats().Entries;
+    Outcome WCached = admitAndRun(W, L, Warm);
+    Outcome WFresh = admitAndRun(W, L, serverOptions(nullptr));
+    EXPECT_FALSE(WCached.Admitted);
+    EXPECT_EQ(WCached.Cat, Category::LimitExceeded) << WCached.Message;
+    EXPECT_EQ(WCached, WFresh)
+        << describe(WCached) << "\n" << describe(WFresh);
+    EXPECT_EQ(C.stats().ProgramHits, 2u);
+    EXPECT_EQ(C.stats().Entries, Entries);
+  }
 }
 
 } // namespace

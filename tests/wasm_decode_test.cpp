@@ -246,6 +246,26 @@ TEST(WasmDecode, FuncCodeCountMismatchRejected) {
   EXPECT_EQ(E.Cat, Category::Malformed);
 }
 
+TEST(WasmDecode, OpcodesPastTheEnumRejected) {
+  // 0xc0..0xff name no instruction of the supported profile. Accepting
+  // them as operand-free no-ops let a module validate that flat
+  // translation then refused, so a cached admission (which always
+  // translates) disagreed with an uncached tree-engine one.
+  for (unsigned C : {0xc0u, 0xc1u, 0xffu}) {
+    std::vector<uint8_t> B = emptyModule();
+    B.insert(B.end(), {0x01, 0x04, 0x01, 0x60, 0x00, 0x00}); // [] -> []
+    B.insert(B.end(), {0x03, 0x02, 0x01, 0x00});             // one func
+    B.insert(B.end(), {0x0a, 0x05, 0x01, 0x03, 0x00,         // one body:
+                       static_cast<uint8_t>(C), 0x0b});      //   C, end
+    IngestError E;
+    Expected<wasm::WModule> M = wasm::decode(B, Limits(), &E);
+    ASSERT_FALSE(M) << "opcode " << C;
+    EXPECT_EQ(E.Cat, Category::Malformed);
+    EXPECT_EQ(E.Offset, B.size() - 2);
+    EXPECT_EQ(E.Context, "invalid opcode " + std::to_string(C));
+  }
+}
+
 TEST(WasmDecode, ModuleBytesBudget) {
   std::vector<uint8_t> B = encodeBench(rwbench::loopModule(4));
   Limits L;
