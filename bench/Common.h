@@ -14,6 +14,7 @@
 #ifndef RICHWASM_BENCH_COMMON_H
 #define RICHWASM_BENCH_COMMON_H
 
+#include "cache/AdmissionCache.h"
 #include "ir/Builder.h"
 #include "l3/L3.h"
 #include "link/Link.h"
@@ -212,6 +213,17 @@ inline rw::ir::Module globalImportModule(const std::string &From) {
   return M;
 }
 
+/// A module `app` whose one function, of type [] -> [], is imported from
+/// ("host", "f"): it type-checks and lowers to a Wasm import, which only
+/// an embedder that binds host functions can satisfy.
+inline rw::ir::Module funcImportModule() {
+  rw::ir::Module M;
+  M.Name = "app";
+  M.Funcs.push_back(rw::ir::build::importFunc(
+      {"host", "f"}, rw::ir::FunType::get({}, rw::ir::build::arrow({}, {}))));
+  return M;
+}
+
 /// A module with `Funcs` copies of an arithmetic/heap function — the
 /// checker-throughput workload. Returns total instruction count too.
 inline rw::ir::Module wideModule(unsigned Funcs) {
@@ -290,6 +302,21 @@ struct AdmissionSet {
       Ptrs.push_back(&M);
   }
 };
+
+/// One cached admission of \p Set (the c6 workload):
+/// link::instantiateLowered on the flat engine, start functions skipped,
+/// with \p Pool for the cold check and lowering. Each module is checked
+/// once, inside buildArtifact, and only on a cache miss.
+inline bool admitCached(const AdmissionSet &Set,
+                        rw::support::ThreadPool &Pool,
+                        rw::cache::AdmissionCache &C) {
+  rw::link::LinkOptions Opts;
+  Opts.Cache = &C;
+  Opts.Pool = &Pool;
+  Opts.Engine = rw::wasm::EngineKind::Flat;
+  Opts.RunStart = false;
+  return bool(rw::link::instantiateLowered(Set.Ptrs, Opts));
+}
 
 } // namespace rwbench
 

@@ -49,8 +49,9 @@ static size_t countInsts(const std::vector<wasm::WInst> &B) {
 
 static void C1_Run(benchmark::State &St, bool WithCaps) {
   ir::Module M = capModule(1000, WithCaps);
-  auto LP = lower::lowerProgram({&M});
-  if (!LP) { St.SkipWithError("lowering failed"); return; }
+  auto Art = link::buildArtifact({&M}, {});
+  if (!Art) { St.SkipWithError("lowering failed"); return; }
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   wasm::WasmInstance Inst(LP->Module);
   (void)Inst.initialize();
   for (auto _ : St) {

@@ -8,8 +8,9 @@ using namespace rwbench;
 
 static void C2_AllocFreeChurn(benchmark::State &St) {
   ir::Module M = allocModule(static_cast<int32_t>(St.range(0)), /*Linear=*/true);
-  auto LP = lower::lowerProgram({&M});
-  if (!LP) { St.SkipWithError("lowering failed"); return; }
+  auto Art = link::buildArtifact({&M}, {});
+  if (!Art) { St.SkipWithError("lowering failed"); return; }
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   wasm::WasmInstance Inst(LP->Module);
   (void)Inst.initialize();
   uint64_t Pairs = 0;

@@ -26,8 +26,9 @@ BENCHMARK(C3_MachineCollect)->Arg(100)->Arg(1000)->Arg(10000);
 static void C3_HostGcOnWasm(benchmark::State &St, wasm::EngineKind K) {
   int32_t N = static_cast<int32_t>(St.range(0));
   ir::Module M = allocModule(N, /*Linear=*/false);
-  auto LP = lower::lowerProgram({&M});
-  if (!LP) { St.SkipWithError("lowering failed"); return; }
+  auto Art = link::buildArtifact({&M}, {});
+  if (!Art) { St.SkipWithError("lowering failed"); return; }
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   auto Inst = wasm::createInstance(LP->Module, K);
   (void)Inst->initialize();
   lower::HostGc Gc(*Inst, LP->Runtime, LP->RefGlobals);

@@ -26,8 +26,9 @@ static void C4_FullPipelineToWasmBinary(benchmark::State &St) {
   for (auto _ : St) {
     auto Lib = l3::compileSource("lib", CounterLibL3);
     auto App = ml::compileSource("app", CounterClientML);
-    auto LP = lower::lowerProgram({&*Lib, &*App});
-    if (!LP) { St.SkipWithError("lowering failed"); return; }
+    auto Art = link::buildArtifact({&*Lib, &*App}, {});
+    if (!Art) { St.SkipWithError("lowering failed"); return; }
+    const lower::LoweredProgram *LP = &(*Art)->Program;
     std::vector<uint8_t> Bytes = wasm::encode(LP->Module);
     benchmark::DoNotOptimize(Bytes.size());
   }

@@ -21,8 +21,9 @@ BENCHMARK(C5_RichWasmMachine)->Arg(100)->Arg(1000);
 
 static void C5_LoweredWasm(benchmark::State &St, wasm::EngineKind K) {
   ir::Module M = loopModule(static_cast<int32_t>(St.range(0)));
-  auto LP = lower::lowerProgram({&M});
-  if (!LP) { St.SkipWithError("lowering failed"); return; }
+  auto Art = link::buildArtifact({&M}, {});
+  if (!Art) { St.SkipWithError("lowering failed"); return; }
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   auto Inst = wasm::createInstance(LP->Module, K);
   (void)Inst->initialize();
   for (auto _ : St) {

@@ -2,12 +2,12 @@
 // The admission-server repetition experiment (DESIGN.md §8): real traffic
 // resubmits the same library modules over and over, so admission results
 // are memoized content-addressed. Measures the full admission pipeline —
-// batch check (cached verdicts) plus lowered instantiation (cached
-// lowering + flat translation) — cold (empty cache, every stage runs)
-// versus warm (resident cache, the pipeline skips to instantiation), plus
-// the serialization layer underneath the cache. run_bench.sh emits the
-// cold/warm pairs into BENCH_cache.json; the 64-module warm speedup is
-// the headline number (≥10x gates cache PRs).
+// link::instantiateLowered with a cache (check, lowering and flat
+// translation memoized as one artifact) — cold (empty cache, every stage
+// runs) versus warm (resident cache, the pipeline skips to
+// instantiation), plus the serialization layer underneath the cache.
+// run_bench.sh emits the cold/warm pairs into BENCH_cache.json; the
+// 64-module warm speedup is the headline number (≥10x gates cache PRs).
 #include "Common.h"
 
 #include "cache/AdmissionCache.h"
@@ -21,25 +21,10 @@ using namespace rwbench;
 
 namespace {
 
-// AdmissionSet (the N-module link-shaped workload with checker-relevant
-// bodies) lives in bench/Common.h, shared with fig3's cold-instantiate
-// bench.
-
-/// One admission: batch-check every module (memoized verdicts), then ship
-/// the accepted set through the lowered pipeline (memoized artifact).
-bool admit(const AdmissionSet &Set, support::ThreadPool &Pool,
-           cache::AdmissionCache &C) {
-  std::vector<Status> Verdicts = typing::checkModules(Set.Ptrs, Pool, &C);
-  for (const Status &S : Verdicts)
-    if (!S.ok())
-      return false;
-  link::LinkOptions Opts;
-  Opts.Cache = &C;
-  Opts.Engine = wasm::EngineKind::Flat;
-  Opts.RunStart = false;
-  auto LI = link::instantiateLowered(Set.Ptrs, Opts);
-  return bool(LI);
-}
+// bench/Common.h holds AdmissionSet (the N-module link-shaped workload
+// with checker-relevant bodies, also fig3's cold-instantiate workload)
+// and admitCached (one cached admission of it, also traced by the
+// check-once test in tests/obs_test.cpp).
 
 /// Cache and arena stats flow through the obs registry (the cache
 /// registers a "cache.*" snapshot source for its lifetime, the global
@@ -63,7 +48,7 @@ static void C6_AdmissionCold(benchmark::State &St) {
   support::ThreadPool Pool;
   for (auto _ : St) {
     cache::AdmissionCache C; // Empty every submission: all misses.
-    if (!admit(Set, Pool, C)) {
+    if (!admitCached(Set, Pool, C)) {
       St.SkipWithError("admission failed");
       return;
     }
@@ -78,12 +63,12 @@ static void C6_AdmissionWarm(benchmark::State &St) {
   AdmissionSet Set(static_cast<unsigned>(St.range(0)));
   support::ThreadPool Pool;
   cache::AdmissionCache C;
-  if (!admit(Set, Pool, C)) { // Prime.
+  if (!admitCached(Set, Pool, C)) { // Prime.
     St.SkipWithError("admission failed");
     return;
   }
   for (auto _ : St)
-    if (!admit(Set, Pool, C)) {
+    if (!admitCached(Set, Pool, C)) {
       St.SkipWithError("admission failed");
       return;
     }
@@ -93,42 +78,6 @@ static void C6_AdmissionWarm(benchmark::State &St) {
   reportCache(St, C);
 }
 BENCHMARK(C6_AdmissionWarm)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
-
-//===----------------------------------------------------------------------===//
-// Batch check alone, cold vs warm (the per-module verdict cache)
-//===----------------------------------------------------------------------===//
-
-static void C6_CheckBatchCold(benchmark::State &St) {
-  AdmissionSet Set(static_cast<unsigned>(St.range(0)));
-  support::ThreadPool Pool;
-  for (auto _ : St) {
-    cache::AdmissionCache C;
-    auto Out = typing::checkModules(Set.Ptrs, Pool, &C);
-    benchmark::DoNotOptimize(Out.size());
-  }
-}
-BENCHMARK(C6_CheckBatchCold)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
-
-static void C6_CheckBatchWarm(benchmark::State &St) {
-  AdmissionSet Set(static_cast<unsigned>(St.range(0)));
-  support::ThreadPool Pool;
-  cache::AdmissionCache C;
-  (void)typing::checkModules(Set.Ptrs, Pool, &C);
-  for (auto _ : St) {
-    auto Out = typing::checkModules(Set.Ptrs, Pool, &C);
-    benchmark::DoNotOptimize(Out.size());
-  }
-  reportCache(St, C);
-}
-BENCHMARK(C6_CheckBatchWarm)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
 
 //===----------------------------------------------------------------------===//
 // The serialization layer

@@ -335,8 +335,8 @@ int main(int argc, char **argv) {
                "  \"cache\": {\"shards\": %u, \"hits\": %" PRIu64
                ", \"misses\": %" PRIu64 ", \"evictions\": %" PRIu64
                ", \"bytes\": %" PRIu64 ", \"entries\": %" PRIu64 "},\n",
-               Cache.shardCount(), CS.hits(), CS.misses(), CS.Evictions,
-               CS.Bytes, CS.Entries);
+               Cache.shardCount(), CS.ProgramHits, CS.ProgramMisses,
+               CS.Evictions, CS.Bytes, CS.Entries);
   std::fprintf(Out,
                "  \"arena\": {\"nodes\": %" PRIu64 ", \"bytes\": %" PRIu64
                "},\n",
@@ -363,7 +363,7 @@ int main(int argc, char **argv) {
               Tot.HotReqs, Tot.ColdReqs, Tot.AdvReqs, Tot.Ok, Tot.Rejected);
   std::printf("c7: cache hits=%" PRIu64 " misses=%" PRIu64 " evictions=%" PRIu64
               " bytes=%" PRIu64 "\n",
-              CS.hits(), CS.misses(), CS.Evictions, CS.Bytes);
+              CS.ProgramHits, CS.ProgramMisses, CS.Evictions, CS.Bytes);
   std::printf("c7: wrote %s (%d reconciliation failures)\n", OutPath.c_str(),
               Failures);
   return Failures == 0 ? 0 : 1;

@@ -30,8 +30,9 @@ BENCHMARK(F9_TicksOnMachine);
 static void F9_TicksOnWasm(benchmark::State &St) {
   auto Lib = l3::compileSource("lib", CounterLibL3);
   auto App = ml::compileSource("app", CounterClientML);
-  auto LP = lower::lowerProgram({&*Lib, &*App});
-  if (!LP) { St.SkipWithError("lowering failed"); return; }
+  auto Art = link::buildArtifact({&*Lib, &*App}, {});
+  if (!Art) { St.SkipWithError("lowering failed"); return; }
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   wasm::WasmInstance Inst(LP->Module);
   (void)Inst.initialize();
   (void)Inst.invokeByName("app.init", {});

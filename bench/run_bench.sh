@@ -15,8 +15,8 @@
 #  * BENCH_link.json    — batch vs sequential import resolution (fig3
 #                         F3_Resolve*) at 8/64/256 modules;
 #  * BENCH_cache.json   — content-addressed admission cache (c6): cold vs
-#                         warm full-pipeline admission and batch checking,
-#                         plus the serialization layer; the 64-module warm
+#                         warm full-pipeline admission, plus the
+#                         serialization layer; the 64-module warm
 #                         admission speedup is the headline (≥10x gates
 #                         cache PRs);
 #  * BENCH_server.json  — the c7 admission-server simulation: N client
@@ -461,14 +461,13 @@ for name, ns, b in measured(raw):
         results[name] = entry
 
 speedups = {}
-for pair in ("Admission", "CheckBatch"):
-    for name, r in results.items():
-        if not name.startswith(f"C6_{pair}Warm/"):
-            continue
-        arg = name.split("/")[1]
-        cold = results.get(f"C6_{pair}Cold/{arg}")
-        if cold and r["ns"] > 0:
-            speedups[f"{pair}/{arg}"] = cold["ns"] / r["ns"]
+for name, r in results.items():
+    if not name.startswith("C6_AdmissionWarm/"):
+        continue
+    arg = name.split("/")[1]
+    cold = results.get(f"C6_AdmissionCold/{arg}")
+    if cold and r["ns"] > 0:
+        speedups[f"Admission/{arg}"] = cold["ns"] / r["ns"]
 
 out = {
     "benchmark": "admission_cache",

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/AdmissionCache.h"
 #include "l3/L3.h"
 #include "link/Link.h"
 #include "lower/Lower.h"
@@ -83,11 +84,12 @@ int main() {
 
   // The same program compiled to one Wasm module.
   printf("\n== Same program lowered to WebAssembly ==\n");
-  auto LP = lower::lowerProgram({&*Lib, &*App});
-  if (!LP) {
-    printf("lowering error: %s\n", LP.error().message().c_str());
+  auto Art = link::buildArtifact({&*Lib, &*App}, {});
+  if (!Art) {
+    printf("lowering error: %s\n", Art.error().message().c_str());
     return 1;
   }
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   Status V = wasm::validate(LP->Module);
   printf("wasm validate: %s\n", V.ok() ? "OK" : V.error().message().c_str());
   wasm::WasmInstance Inst(LP->Module);

@@ -1,7 +1,7 @@
 //===- examples/observe_admission.cpp - Tracing one cold admission --------===//
 //
 // The "observing an admission" quickstart (README): run one cold
-// N-module admission — batch check, link, lower, validate, flat
+// N-module admission — link, batch check, lower, validate, flat
 // translation, cache store — with the obs layer enabled, then export
 //
 //   * a Chrome trace_event JSON (open in Perfetto / chrome://tracing)
@@ -27,7 +27,6 @@
 #include "link/Link.h"
 #include "obs/Obs.h"
 #include "support/ThreadPool.h"
-#include "typing/Checker.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -113,15 +112,9 @@ int main(int argc, char **argv) {
   cache::AdmissionCache Cache;
 
   uint64_t T0 = obs::nowNs();
-  std::vector<Status> Verdicts = typing::checkModules(Set.Ptrs, Pool, &Cache);
-  for (size_t I = 0; I < Verdicts.size(); ++I)
-    if (!Verdicts[I].ok()) {
-      std::fprintf(stderr, "module %zu rejected: %s\n", I,
-                   Verdicts[I].error().message().c_str());
-      return 1;
-    }
   link::LinkOptions Opts;
   Opts.Cache = &Cache;
+  Opts.Pool = &Pool;
   Opts.Engine = wasm::EngineKind::Flat;
   Opts.RunStart = false;
   auto LI = link::instantiateLowered(Set.Ptrs, Opts);

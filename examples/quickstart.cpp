@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/AdmissionCache.h"
 #include "ir/Builder.h"
 #include "ir/Print.h"
 #include "link/Link.h"
@@ -68,11 +69,12 @@ int main() {
          (*Mach)->store().Mem.Lin.size());
 
   // 3. Compile to WebAssembly, validate, encode to binary, run.
-  auto LP = lower::lowerProgram({&M});
-  if (!LP) {
-    printf("lowering error: %s\n", LP.error().message().c_str());
+  auto Art = link::buildArtifact({&M}, {});
+  if (!Art) {
+    printf("lowering error: %s\n", Art.error().message().c_str());
     return 1;
   }
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   Status V = wasm::validate(LP->Module);
   printf("wasm validate: %s\n", V.ok() ? "OK" : V.error().message().c_str());
   std::vector<uint8_t> Bytes = wasm::encode(LP->Module);

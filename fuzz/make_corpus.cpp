@@ -41,12 +41,13 @@ bool writeFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
 }
 
 std::vector<uint8_t> lowerAndEncode(const ir::Module &M) {
-  Expected<lower::LoweredProgram> LP = lower::lowerProgram({&M}, {});
-  if (!LP) {
+  auto Art = link::buildArtifact({&M}, {});
+  if (!Art) {
     std::fprintf(stderr, "lowering failed: %s\n",
-                 LP.error().message().c_str());
+                 Art.error().message().c_str());
     return {};
   }
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   return wasm::encode(LP->Module);
 }
 
@@ -102,6 +103,10 @@ int main(int argc, char **argv) {
   // be a Link failure.
   Emit("import_named_validation.bin",
        serial::write(rwbench::globalImportModule("validation")));
+  // A well-typed module whose one function is imported from host.f:
+  // ingest::admit binds no host functions, so it is a Link rejection and
+  // is never stored.
+  Emit("host_func_import.bin", serial::write(rwbench::funcImportModule()));
 
   // c7 server-mix seeds: the admission-server simulation's hot universe
   // and its deterministic adversarial mutator (bench/ServerMix.h) feed

@@ -4,17 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Each shard is one mutex-guarded LRU over both entry kinds (check
-// verdicts and lowered artifacts) with its slice of the byte budget: a
-// recency list whose nodes own the values, plus one hash index per kind
-// pointing into it. Every operation is a couple of hash probes and a
-// list splice, so a lock is held for nanoseconds; the default single
-// shard gives exact global recency, and a server constructs with more
-// shards to spread client threads across independent locks (the shard
-// is picked from the content key, so a given key always lands on the
-// same shard). Also defines the cached typing::checkModules overload,
-// which lives here (not in typing/) so the typing layer keeps no cache
-// dependency beyond a forward declaration.
+// Each shard is one mutex-guarded LRU over lowered artifacts with its
+// slice of the byte budget: a recency list whose nodes own the values,
+// plus a hash index pointing into it. Every operation is a hash probe
+// and a list splice, so a lock is held for nanoseconds; the default
+// single shard gives exact global recency, and a server constructs with
+// more shards to spread client threads across independent locks (the
+// shard is picked from the content key, so a given key always lands on
+// the same shard).
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +20,6 @@
 #include "obs/Obs.h"
 #include "support/FaultInject.h"
 #include "support/Hashing.h"
-#include "support/ThreadPool.h"
-#include "typing/Checker.h"
 
 #include <list>
 #include <mutex>
@@ -103,10 +98,6 @@ uint64_t artifactBytes(const LoweredArtifact &A) {
   return B;
 }
 
-uint64_t checkBytes(const CheckResult &R) {
-  return 64 + R.Diagnostics.size();
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -114,12 +105,8 @@ uint64_t checkBytes(const CheckResult &R) {
 //===----------------------------------------------------------------------===//
 
 struct AdmissionCache::Impl {
-  enum class Kind : uint8_t { Check, Program };
-
   struct Entry {
-    Kind K;
     serial::ModuleHash Key;
-    CheckResult Check;
     std::shared_ptr<const LoweredArtifact> Art;
     uint64_t Bytes = 0;
   };
@@ -129,10 +116,8 @@ struct AdmissionCache::Impl {
 
   mutable std::mutex M;
   Lru Recency; ///< Front = most recently used.
-  Map Checks, Programs;
+  Map Programs;
   CacheStats St;
-
-  Map &mapFor(Kind K) { return K == Kind::Check ? Checks : Programs; }
 
   void touch(Lru::iterator It) { Recency.splice(Recency.begin(), Recency, It); }
 
@@ -146,9 +131,8 @@ struct AdmissionCache::Impl {
   void evict(uint64_t Budget, Evicted &Dead) {
     while (St.Bytes > Budget && !Recency.empty()) {
       Entry &E = Recency.back();
-      if (E.Art)
-        Dead.push_back(std::move(E.Art));
-      mapFor(E.K).erase(E.Key);
+      Dead.push_back(std::move(E.Art));
+      Programs.erase(E.Key);
       St.Bytes -= E.Bytes;
       --St.Entries;
       ++St.Evictions;
@@ -156,16 +140,14 @@ struct AdmissionCache::Impl {
     }
   }
 
-  void insert(Kind K, const serial::ModuleHash &Key, Entry E,
-              uint64_t Budget, Evicted &Dead) {
+  void insert(Entry E, uint64_t Budget, Evicted &Dead) {
     // An entry the whole budget cannot hold is rejected up front: pushing
     // it through the LRU would evict every resident entry before the
     // oversized one itself went, flushing the warm set for nothing.
     if (E.Bytes > Budget)
       return;
-    Map &M = mapFor(K);
-    auto It = M.find(Key);
-    if (It != M.end()) {
+    auto It = Programs.find(E.Key);
+    if (It != Programs.end()) {
       // Content-addressed: a re-store carries the same value; refresh
       // recency and keep the resident entry.
       touch(It->second);
@@ -174,7 +156,7 @@ struct AdmissionCache::Impl {
     St.Bytes += E.Bytes;
     ++St.Entries;
     Recency.push_front(std::move(E));
-    M.emplace(Key, Recency.begin());
+    Programs.emplace(Recency.front().Key, Recency.begin());
     evict(Budget, Dead);
   }
 };
@@ -193,10 +175,8 @@ AdmissionCache::AdmissionCache(uint64_t ByteBudget, unsigned Shards)
   // lifts the "shard<i>" segment into a shard="<i>" label.
   ObsSourceId = obs::registerSource("cache", [this](const obs::EmitFn &E) {
     CacheStats S = stats();
-    E("hits", S.hits());
-    E("misses", S.misses());
-    E("check_hits", S.CheckHits);
-    E("check_misses", S.CheckMisses);
+    E("hits", S.ProgramHits);
+    E("misses", S.ProgramMisses);
     E("program_hits", S.ProgramHits);
     E("program_misses", S.ProgramMisses);
     E("evictions", S.Evictions);
@@ -207,8 +187,8 @@ AdmissionCache::AdmissionCache(uint64_t ByteBudget, unsigned Shards)
       for (unsigned I = 0; I < NumShards; ++I) {
         CacheStats P = shardStats(I);
         std::string Prefix = "shard" + std::to_string(I) + ".";
-        E((Prefix + "hits").c_str(), P.hits());
-        E((Prefix + "misses").c_str(), P.misses());
+        E((Prefix + "hits").c_str(), P.ProgramHits);
+        E((Prefix + "misses").c_str(), P.ProgramMisses);
         E((Prefix + "evictions").c_str(), P.Evictions);
         E((Prefix + "bytes").c_str(), P.Bytes);
         E((Prefix + "entries").c_str(), P.Entries);
@@ -230,38 +210,6 @@ AdmissionCache::Impl &AdmissionCache::shardFor(const serial::ModuleHash &Key) {
   return *Sh[support::mix64(Key.Lo ^ support::mix64(Key.Hi)) % NumShards];
 }
 
-std::optional<CheckResult>
-AdmissionCache::lookupCheck(const serial::ModuleHash &Key) {
-  OBS_SPAN("cache_probe");
-  Impl &I = shardFor(Key);
-  std::lock_guard<std::mutex> G(I.M);
-  auto It = I.Checks.find(Key);
-  if (It == I.Checks.end()) {
-    ++I.St.CheckMisses;
-    return std::nullopt;
-  }
-  ++I.St.CheckHits;
-  I.touch(It->second);
-  return It->second->Check;
-}
-
-void AdmissionCache::storeCheck(const serial::ModuleHash &Key, CheckResult R) {
-  OBS_SPAN("cache_store");
-  // Store-failure seam: a dropped store degrades to uncached admission —
-  // the verdict is simply recomputed on the next submission.
-  if (RW_FAULT_POINT(support::fault::Seam::CacheStore))
-    return;
-  Impl::Entry E;
-  E.K = Impl::Kind::Check;
-  E.Key = Key;
-  E.Bytes = checkBytes(R);
-  E.Check = std::move(R);
-  Impl &I = shardFor(Key);
-  Impl::Evicted Dead; // Freed after the lock is released.
-  std::lock_guard<std::mutex> G(I.M);
-  I.insert(Impl::Kind::Check, Key, std::move(E), ShardBudget, Dead);
-}
-
 std::shared_ptr<const LoweredArtifact>
 AdmissionCache::lookupProgram(const serial::ModuleHash &Key) {
   OBS_SPAN("cache_probe");
@@ -280,27 +228,26 @@ AdmissionCache::lookupProgram(const serial::ModuleHash &Key) {
 void AdmissionCache::storeProgram(const serial::ModuleHash &Key,
                                   std::shared_ptr<const LoweredArtifact> Art) {
   OBS_SPAN("cache_store");
+  // Store-failure seam: a dropped store degrades to uncached admission —
+  // the artifact is simply rebuilt on the next submission.
   if (RW_FAULT_POINT(support::fault::Seam::CacheStore))
     return;
   if (!Art)
     return;
   Impl::Entry E;
-  E.K = Impl::Kind::Program;
   E.Key = Key;
   E.Bytes = artifactBytes(*Art);
   E.Art = std::move(Art);
   Impl &I = shardFor(Key);
   Impl::Evicted Dead; // Freed after the lock is released.
   std::lock_guard<std::mutex> G(I.M);
-  I.insert(Impl::Kind::Program, Key, std::move(E), ShardBudget, Dead);
+  I.insert(std::move(E), ShardBudget, Dead);
 }
 
 CacheStats AdmissionCache::stats() const {
   CacheStats Out;
   for (const std::unique_ptr<Impl> &I : Sh) {
     std::lock_guard<std::mutex> G(I->M);
-    Out.CheckHits += I->St.CheckHits;
-    Out.CheckMisses += I->St.CheckMisses;
     Out.ProgramHits += I->St.ProgramHits;
     Out.ProgramMisses += I->St.ProgramMisses;
     Out.Evictions += I->St.Evictions;
@@ -321,78 +268,8 @@ void AdmissionCache::clear() {
   for (const std::unique_ptr<Impl> &I : Sh) {
     std::lock_guard<std::mutex> G(I->M);
     I->Recency.clear();
-    I->Checks.clear();
     I->Programs.clear();
     I->St.Bytes = 0;
     I->St.Entries = 0;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Cached batch admission (the typing::checkModules overload)
-//===----------------------------------------------------------------------===//
-
-std::vector<Status>
-rw::typing::checkModules(std::span<const ir::Module *const> Mods,
-                         support::ThreadPool &Pool,
-                         cache::AdmissionCache *Cache) {
-  if (!Cache)
-    return checkModules(Mods, Pool);
-
-  // Umbrella over the whole memoized batch — keying, probes, the actual
-  // check of the misses, and verdict assembly — so a trace attributes
-  // admission time that is cache bookkeeping rather than checking.
-  OBS_SPAN("check_batch_cached", Mods.size());
-  size_t N = Mods.size();
-  std::vector<serial::ModuleHash> Keys(N);
-  for (size_t I = 0; I < N; ++I)
-    Keys[I] = serial::moduleHash(*Mods[I]);
-
-  // Probe in input order (so stats are deterministic), deduplicating
-  // identical content *within* the batch: a module submitted twice is
-  // checked once and both submissions report the same diagnostics.
-  std::vector<std::optional<CheckResult>> Hits(N);
-  std::unordered_map<serial::ModuleHash, size_t, KeyHash> FirstMiss;
-  std::vector<const ir::Module *> MissMods;
-  std::vector<serial::ModuleHash> MissKeys;
-  std::vector<size_t> MissSlot(N, SIZE_MAX); ///< Index into MissMods.
-  for (size_t I = 0; I < N; ++I) {
-    auto Dup = FirstMiss.find(Keys[I]);
-    if (Dup != FirstMiss.end()) {
-      MissSlot[I] = Dup->second;
-      continue;
-    }
-    Hits[I] = Cache->lookupCheck(Keys[I]);
-    if (!Hits[I]) {
-      FirstMiss.emplace(Keys[I], MissMods.size());
-      MissSlot[I] = MissMods.size();
-      MissMods.push_back(Mods[I]);
-      MissKeys.push_back(Keys[I]);
-    }
-  }
-
-  std::vector<Status> MissOut;
-  if (!MissMods.empty()) {
-    MissOut = checkModules(MissMods, Pool);
-    for (size_t J = 0; J < MissMods.size(); ++J) {
-      CheckResult R;
-      R.Ok = MissOut[J].ok();
-      if (!R.Ok)
-        R.Diagnostics = MissOut[J].error().message();
-      Cache->storeCheck(MissKeys[J], std::move(R));
-    }
-  }
-
-  std::vector<Status> Out;
-  Out.reserve(N);
-  for (size_t I = 0; I < N; ++I) {
-    if (Hits[I]) {
-      Out.push_back(Hits[I]->Ok ? Status::success()
-                                : Status(Error(Hits[I]->Diagnostics)));
-      continue;
-    }
-    const Status &S = MissOut[MissSlot[I]];
-    Out.push_back(S.ok() ? Status::success() : Status(Error(S.error().message())));
-  }
-  return Out;
 }

@@ -9,24 +9,20 @@
 /// heavily repetitive — the same library modules are submitted over and
 /// over — yet every submission re-pays check + lower + translate. The
 /// arena assigns every type a Merkle hash, so admission results are
-/// naturally content-addressable; this cache keys them by
-/// serial::moduleHash (arena Merkle hashes ⊕ instruction-stream hash) and
-/// memoizes:
+/// naturally content-addressable; this cache keys whole programs (an
+/// ordered link set) by their module hashes (cache::programKey), or by
+/// the input bytes at ingest::admit, and memoizes the lowered artifact:
+/// the Wasm module, runtime/GC metadata, and the flat bytecode from
+/// exec::translate, so a warm resubmission through
+/// link::instantiateLowered (LinkOptions::Cache) skips straight to
+/// instantiation on either engine. Type checking is not memoized on its
+/// own: link::buildArtifact checks each module once per cold build.
 ///
-///   * per module — the check verdict plus its exact diagnostics bytes
-///     (a warm re-check returns byte-identical errors), via the
-///     typing::checkModules overload declared in typing/Checker.h;
-///   * per program (an ordered link set) — the whole lowered artifact:
-///     the Wasm module, runtime/GC metadata, and the flat bytecode from
-///     exec::translate, so a warm resubmission through
-///     link::instantiateLowered (LinkOptions::Cache) skips straight to
-///     instantiation on either engine.
-///
-/// Entries hold no arena nodes (verdicts are strings, artifacts are pure
-/// Wasm), so cached results outlive the arena they were checked in and
-/// need no invalidation: the key *is* the content. Thread-safe (mutex
-/// per shard; probes copy shared handles out); artifacts are handed out
-/// as shared_ptr<const ...>, so eviction never invalidates a running
+/// Entries hold no arena nodes (artifacts are pure Wasm), so cached
+/// results outlive the arena they were checked in and need no
+/// invalidation: the key *is* the content. Thread-safe (mutex per shard;
+/// probes copy shared handles out); artifacts are handed out as
+/// shared_ptr<const ...>, so eviction never invalidates a running
 /// instance. Capacity is a byte budget with LRU eviction.
 ///
 /// Sharding: the default single shard is one mutex + one global LRU —
@@ -48,19 +44,9 @@
 #include "serial/Serial.h"
 
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 namespace rw::cache {
-
-/// A memoized per-module admission verdict. Diagnostics holds the exact
-/// error bytes of the failed check (empty on success), so replaying a hit
-/// reproduces the sequential checker's output byte for byte.
-struct CheckResult {
-  bool Ok = false;
-  std::string Diagnostics;
-};
 
 /// The whole-program artifact of the shipping path: one lowered Wasm
 /// module plus its flat-bytecode translation. Flat.Source points at
@@ -74,16 +60,11 @@ struct LoweredArtifact {
 /// estimates (sizeof-based for artifacts), consistent with what eviction
 /// accounts against the budget.
 struct CacheStats {
-  uint64_t CheckHits = 0;
-  uint64_t CheckMisses = 0;
   uint64_t ProgramHits = 0;
   uint64_t ProgramMisses = 0;
   uint64_t Evictions = 0;
   uint64_t Bytes = 0;   ///< Resident entry bytes.
   uint64_t Entries = 0; ///< Resident entry count.
-
-  uint64_t hits() const { return CheckHits + ProgramHits; }
-  uint64_t misses() const { return CheckMisses + ProgramMisses; }
 };
 
 /// The content key of an ordered link set: module hashes folded in link
@@ -104,13 +85,10 @@ public:
   AdmissionCache(const AdmissionCache &) = delete;
   AdmissionCache &operator=(const AdmissionCache &) = delete;
 
-  /// Check-verdict memoization. lookup refreshes LRU recency and counts a
-  /// hit or miss; store inserts (or refreshes) and may evict.
-  std::optional<CheckResult> lookupCheck(const serial::ModuleHash &Key);
-  void storeCheck(const serial::ModuleHash &Key, CheckResult R);
-
-  /// Lowered-program memoization. The returned artifact is immutable and
-  /// stays alive independently of eviction.
+  /// Lowered-program memoization. lookup refreshes LRU recency and counts
+  /// a hit or miss; store inserts (or refreshes) and may evict. The
+  /// returned artifact is immutable and stays alive independently of
+  /// eviction.
   std::shared_ptr<const LoweredArtifact>
   lookupProgram(const serial::ModuleHash &Key);
   void storeProgram(const serial::ModuleHash &Key,

@@ -140,10 +140,11 @@ Expected<Artifact> buildRichWasm(const std::vector<uint8_t> &Bytes,
 }
 
 /// The pipeline both containers share: sniff the magic, probe the byte
-/// key, on a miss run the container's build stage and store its
-/// artifact, then instantiate. Only bytes that passed every stage of
-/// their build are ever stored, so a hit serves a checked artifact. A
-/// failure leaves the failing stage's category and context in \p E.
+/// key, on a miss run the container's build stage, reject open function
+/// imports (Link) and store its artifact, then instantiate. Only bytes
+/// that passed every stage of their build are ever stored, so a hit
+/// serves a checked artifact that can be instantiated. A failure leaves
+/// the failing stage's category and context in \p E.
 Expected<AdmittedModule> admitStaged(const std::vector<uint8_t> &Bytes,
                                      const Limits &L,
                                      const link::LinkOptions &Opts,
@@ -179,6 +180,13 @@ Expected<AdmittedModule> admitStaged(const std::vector<uint8_t> &Bytes,
     if (!Built)
       return Built.error();
     Art = Built.take();
+    // admit binds no host functions, so an import left open after the
+    // build can never be satisfied: reject it before it is stored.
+    const std::vector<wasm::WImportFunc> &Open =
+        Art->Program.Module.ImportFuncs;
+    if (!Open.empty())
+      return fail(E, Category::Link,
+                  "unsatisfied import " + Open[0].Mod + "." + Open[0].Name);
     if (Opts.Cache)
       Opts.Cache->storeProgram(Key, Art);
   }

@@ -33,11 +33,13 @@
 ///        typing::checkModule (Check), then link::buildArtifact: resolve
 ///        (Link), lower (Lower), validate (Validate), translate
 ///        (Translate);
-///   4. store the artifact under the byte key when a cache is set;
+///   4. reject an artifact with an open function import (Link: admit
+///      binds no host functions), else store it under the byte key when
+///      a cache is set;
 ///   5. link::instantiateArtifact on the caller's engine (Engine).
 ///
-/// Only bytes that passed step 3 are ever stored, so a hit serves a
-/// checked artifact (DESIGN.md §8).
+/// Only bytes that passed steps 3 and 4 are ever stored, so a hit serves
+/// a checked artifact that can be instantiated (DESIGN.md §8).
 ///
 //===----------------------------------------------------------------------===//
 

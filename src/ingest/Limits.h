@@ -92,7 +92,7 @@ enum class Category : uint8_t {
   Unsupported,   ///< Well-formed but outside the supported feature set.
   Validate,      ///< wasm::validate rejected the decoded module.
   Check,         ///< typing::checkModule rejected the RichWasm module.
-  Link,          ///< Import resolution failed.
+  Link,          ///< Import resolution failed, or an import admit cannot bind.
   Lower,         ///< RichWasm→Wasm lowering failed.
   Translate,     ///< Flat-bytecode translation failed.
   Engine,        ///< Instance creation/initialization failed.

@@ -380,26 +380,26 @@ rw::link::instantiate(const std::vector<const ir::Module *> &Mods,
 Expected<LoweredInstance>
 rw::link::instantiateLowered(const std::vector<const ir::Module *> &Mods,
                              const LinkOptions &Opts) {
-  // Warm path: the whole link set is content-addressed; a hit skips
-  // checking, resolution, lowering, validation, and flat translation.
-  serial::ModuleHash Key;
-  if (Opts.Cache)
-    Key = cache::programKey(Mods);
   // Head sampling for direct callers: inside ingest::admit the thread
   // already carries the admission's sampling decision; a bare
   // instantiateLowered with a cache gets its own deterministic decision
   // from the program content key (same modules → same decision, any
-  // thread or pool size). Must precede OBS_SPAN so the scope outlives
-  // the span's destructor-time recording check.
+  // thread or pool size). Declared before OBS_SPAN so the scope outlives
+  // the span's destructor-time recording check; set once the key exists.
   std::optional<obs::TraceSampleScope> SampleScope;
-  if (Opts.Cache && !obs::traceSampleActive())
-    SampleScope.emplace(obs::traceSampleSelect(Key.Hi ^ Key.Lo));
-  // Umbrella span for the whole admission (the per-phase spans nest
-  // inside it in the trace).
+  // Umbrella span for the whole admission, keying included (the
+  // per-phase spans nest inside it in the trace).
   OBS_SPAN("admission", Mods.size());
+  // Warm path: the whole link set is content-addressed; a hit skips
+  // checking, resolution, lowering, validation, and flat translation.
+  serial::ModuleHash Key;
   std::shared_ptr<const cache::LoweredArtifact> Art;
-  if (Opts.Cache)
+  if (Opts.Cache) {
+    Key = cache::programKey(Mods);
+    if (!obs::traceSampleActive())
+      SampleScope.emplace(obs::traceSampleSelect(Key.Hi ^ Key.Lo));
     Art = Opts.Cache->lookupProgram(Key);
+  }
   if (!Art) {
     Expected<std::shared_ptr<const cache::LoweredArtifact>> Built =
         buildArtifact(Mods, Opts);
@@ -420,13 +420,14 @@ rw::link::buildArtifact(const std::vector<const ir::Module *> &Mods,
     ingest::reportStage(ErrOut, C, E.message());
     return E;
   };
-  // The import-resolution phase is shared with instantiate()
+  // The one stage that resolves and type-checks a program for lowering;
+  // lowerProgram consumes both results and does neither itself. The
+  // import-resolution phase is shared with instantiate()
   // (link/Resolve.h): the batch index decides providers, shadowing, and
-  // the canonical-pointer import type checks; lowerProgram consumes the
-  // Resolution instead of re-resolving. The type check runs exactly
-  // once: checkModules records the per-module InfoMaps (the type
-  // information §6's compiler consumes) and hands them to lowerProgram,
-  // which then performs zero checkModule calls. With a pool, checking is
+  // the canonical-pointer import type checks. The check runs exactly
+  // once — here, or in a caller that hands its InfoMaps over
+  // (Opts.Infos) — and records the per-module InfoMaps (the type
+  // information §6's compiler consumes). With a pool, checking is
   // function-parallel and body lowering (module, function)-parallel —
   // both deterministic for any pool size.
   Expected<std::vector<ResolvedModule>> Resolved =
@@ -440,18 +441,23 @@ rw::link::buildArtifact(const std::vector<const ir::Module *> &Mods,
     if (Infos->size() != Mods.size())
       return Fail(Category::Check,
                   Error("InfoMap hand-off does not match the module list"));
-  } else if (Opts.Pool) {
-    std::vector<Status> Checks =
-        typing::checkModules(Mods, *Opts.Pool, &OwnInfos);
-    for (size_t I = 0; I < Checks.size(); ++I)
-      if (!Checks[I])
-        return Fail(Category::Check,
-                    Error("module '" + Mods[I]->Name + "': " +
-                          Checks[I].error().message()));
+  } else {
+    // Without a pool, modules are checked in order and the first failure
+    // stops the check; either way the lowest-indexed failure is reported.
+    std::vector<Status> Batch;
+    if (Opts.Pool)
+      Batch = typing::checkModules(Mods, *Opts.Pool, &OwnInfos);
+    else
+      OwnInfos.resize(Mods.size());
+    for (size_t I = 0; I < Mods.size(); ++I) {
+      Status S = Opts.Pool ? std::move(Batch[I])
+                           : typing::checkModule(*Mods[I], &OwnInfos[I]);
+      if (!S)
+        return Fail(Category::Check, Error("module '" + Mods[I]->Name +
+                                           "': " + S.error().message()));
+    }
     Infos = &OwnInfos;
   }
-  // With neither hand-off nor pool, Infos stays null and lowerProgram's
-  // own sequential checkModule fallback runs — one check either way.
   lower::LowerOptions LO;
   LO.Resolved = &*Resolved;
   LO.Infos = Infos;

@@ -15,7 +15,9 @@
 ///
 /// Instantiation follows Wasm: modules are instantiated in order, imports
 /// resolve against earlier instances, global initializers run, then start
-/// functions.
+/// functions. The shipping path (instantiateLowered) lowers the program to
+/// one Wasm module instead; its build stage, buildArtifact, is the one
+/// place a program is resolved and type-checked for lowering.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,8 +75,8 @@ struct LinkOptions {
   /// (module, function)-parallel (lower::LowerOptions::Pool), both with
   /// deterministic, pool-size-independent output. Not owned.
   support::ThreadPool *Pool = nullptr;
-  /// Per-module InfoMaps from a typing::checkModules(…, &Infos) the caller
-  /// already ran (an admission server checks for verdicts first): the cold
+  /// Per-module InfoMaps from a check the caller already ran
+  /// (ingest::admit checks a parsed module before building): the cold
   /// lowered path then performs *zero* further checkModule calls. Size
   /// must match the module list; the modules' arena must stay alive for
   /// the call (see Checker.h's InfoMap contract). Not owned.
@@ -120,15 +122,16 @@ instantiateLowered(const std::vector<const ir::Module *> &Mods,
                    const LinkOptions &Opts = LinkOptions());
 
 /// The build stage shared by both admission front doors
-/// (instantiateLowered and ingest::admit): batch resolve → check (only
-/// when Opts.Infos hands over no InfoMaps) → lower → validate →
-/// translate. Translation always runs when Opts.Cache is set, because
-/// the caller will store the artifact for every later caller. The
-/// artifact is pure Wasm: it holds nothing from \p Mods or their arena.
-/// On failure, \p ErrOut (when non-null) names the stage that failed —
-/// Link, Check, Lower, Validate or Translate — with the returned message
-/// as its context. With neither Opts.Infos nor Opts.Pool, the check runs
-/// inside lowering and a failure of it reports Lower.
+/// (instantiateLowered and ingest::admit), and the one place a program
+/// is resolved and type-checked for lowering: batch resolve → check
+/// (only when Opts.Infos hands over no InfoMaps; on Opts.Pool when set,
+/// else module by module) → lower → validate → translate. Translation
+/// always runs when Opts.Cache is set, because the caller will store the
+/// artifact for every later caller. The artifact is pure Wasm: it holds
+/// nothing from \p Mods or their arena. On failure, \p ErrOut (when
+/// non-null) names the stage that failed — Link, Check, Lower, Validate
+/// or Translate — with the returned message as its context; an ill-typed
+/// module is Check whichever options are set.
 Expected<std::shared_ptr<const cache::LoweredArtifact>>
 buildArtifact(const std::vector<const ir::Module *> &Mods,
               const LinkOptions &Opts,

@@ -8,10 +8,10 @@
 /// The engine-independent import-resolution phase of linking, split out of
 /// link/Link.h so the RichWasm→Wasm lowering can consume a precomputed
 /// Resolution instead of re-resolving imports itself (DESIGN.md §7):
-/// link::instantiate, link::instantiateLowered, and lower::lowerProgram all
-/// run imports through this one phase, so provider selection, shadowing,
-/// and the canonical-pointer import/export type check cannot drift between
-/// the reference and shipping paths.
+/// link::instantiate and link::buildArtifact (whose resolution
+/// lower::lowerProgram consumes) run imports through this one phase, so
+/// provider selection, shadowing, and the canonical-pointer import/export
+/// type check cannot drift between the reference and shipping paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +61,7 @@ struct ResolvedModule {
 
 struct ResolveOptions {
   ResolveMode Mode = ResolveMode::Batch;
-  /// Shipping-path semantics (lower::lowerProgram): a function import no
+  /// Shipping-path semantics (link::buildArtifact): a function import no
   /// earlier module provides is not an error — it resolves to
   /// ResolvedModule::Unresolved and becomes a Wasm import satisfiable by
   /// the host. A *named* provider with a mismatched type is still an

@@ -213,14 +213,10 @@ public:
 
   LoweredProgram Out;
   std::vector<const Module *> Mods;
-  /// Caller-provided import resolution (link/Resolve.h), or null; run()
-  /// resolves itself when null. Not owned.
+  /// The caller's import resolution (link/Resolve.h). Not owned.
   const std::vector<link::ResolvedModule> *Resolved;
-  /// Per-module checker annotations: either handed over by the caller
-  /// (typing::checkModules — the single-check cold path) or produced by
-  /// run()'s own checkModule loop into OwnInfos. Not owned when external.
+  /// The caller's per-module checker annotations. Not owned.
   const std::vector<typing::InfoMap> *Infos;
-  std::vector<typing::InfoMap> OwnInfos;
   /// Optional pool for (module, function)-parallel body lowering.
   support::ThreadPool *Pool;
   /// (module, RichWasm global idx) → (base Wasm global, component reps).
@@ -1667,36 +1663,12 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
 //===----------------------------------------------------------------------===//
 
 Expected<LoweredProgram> ProgramLowering::run() {
-  if (Infos) {
-    // Single-check cold path: the caller already ran typing::checkModules
-    // with InfoMap recording (same process, same instruction pointers), so
-    // lowering performs zero checkModule calls.
-    if (Infos->size() != Mods.size())
-      return Error("InfoMap hand-off does not match the module list");
-  } else {
-    OwnInfos.resize(Mods.size());
-    for (size_t I = 0; I < Mods.size(); ++I)
-      if (Status S = typing::checkModule(*Mods[I], &OwnInfos[I]); !S)
-        return Error("module '" + Mods[I]->Name + "': " +
-                     S.error().message());
-    Infos = &OwnInfos;
-  }
-
-  // Pass 1: run imports through the shared batch resolution phase
+  // Pass 1: map every import through the caller's batch resolution
   // (link/Resolve.h) — the same provider selection, shadowing, and
   // canonical-pointer type checks as link::instantiate. Function imports
-  // without an in-set provider become Wasm imports (host-satisfiable);
-  // unresolved global imports are resolution errors.
-  std::optional<std::vector<link::ResolvedModule>> OwnResolved;
-  if (!Resolved) {
-    Expected<std::vector<link::ResolvedModule>> R = link::resolveImports(
-        Mods, link::ResolveOptions{link::ResolveMode::Batch,
-                                   /*AllowUnresolvedFuncs=*/true});
-    if (!R)
-      return R.error();
-    OwnResolved = R.take();
-    Resolved = &*OwnResolved;
-  }
+  // without an in-set provider become Wasm imports (host-satisfiable).
+  if (Infos->size() != Mods.size())
+    return Error("InfoMap hand-off does not match the module list");
   if (Resolved->size() != Mods.size())
     return Error("import resolution does not match the module list");
 
@@ -2089,12 +2061,17 @@ rw::lower::lowerProgram(const std::vector<const Module *> &Mods,
   // rejection of the admission.
   if (RW_FAULT_POINT(rw::support::fault::Seam::LowerAlloc))
     return Error("injected allocation failure in lowerProgram");
+  if (!Opts.Resolved)
+    return Error("lowerProgram needs the import resolution hand-off "
+                 "(LowerOptions::Resolved)");
+  if (!Opts.Infos)
+    return Error("lowerProgram needs the checker's InfoMap hand-off "
+                 "(LowerOptions::Infos)");
   OBS_SPAN("lower", Mods.size());
-  // Lowering checks modules (typing::checkModule, whose typeEquals is a
-  // pointer comparison — or consumes InfoMaps recorded over canonical
-  // nodes) and rewrites their types, so all modules of one program must
-  // share one arena — enforce it, then intern everything the lowering
-  // builds into that shared arena.
+  // Lowering consumes InfoMaps recorded over canonical nodes and rewrites
+  // their types, so all modules of one program must share one arena —
+  // enforce it, then intern everything the lowering builds into that
+  // shared arena.
   std::optional<ir::ArenaScope> Scope;
   if (!Mods.empty() && Mods.front()->Arena) {
     const std::shared_ptr<ir::TypeArena> &Shared = Mods.front()->Arena;

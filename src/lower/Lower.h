@@ -6,8 +6,10 @@
 ///
 /// \file
 /// The type-directed compiler of §6. It consumes the type information the
-/// checker annotates onto each instruction (InfoMap) and produces one Wasm
-/// module for a whole linked program:
+/// checker annotates onto each instruction (InfoMap) and the import
+/// resolution, both handed over by link::buildArtifact (the one stage
+/// that checks and resolves a program for lowering), and produces one
+/// Wasm module for a whole linked program:
 ///
 ///  * all type-level instructions (qualify, cap.*, ref.*, mem.pack,
 ///    rec.fold/unfold, seq.group/ungroup, inst) are erased;
@@ -57,19 +59,16 @@ struct LoweredProgram {
   std::map<uint32_t, uint32_t> TableBase;
 };
 
-/// Inputs a caller may thread into lowerProgram so the cold admission
-/// pipeline does each phase exactly once.
+/// The hand-off lowerProgram consumes from link::buildArtifact, the one
+/// stage that resolves and type-checks a program for lowering.
 struct LowerOptions {
-  /// Import resolution (link/Resolve.h) computed by the caller
-  /// (link::instantiateLowered resolves once and passes it down); null
-  /// resolves inside lowerProgram.
+  /// Import resolution (link/Resolve.h) of the module list. Required.
   const std::vector<link::ResolvedModule> *Resolved = nullptr;
-  /// Per-module checker InfoMaps from typing::checkModules(…, &Infos) —
-  /// same process, same instruction pointers (the map key is node
-  /// identity). When set (size must match Mods), lowerProgram performs
-  /// *zero* checkModule calls; when null it checks each module itself.
-  /// The maps hold borrowed TypeRefs: the modules' arena must stay alive
-  /// for the duration of the call.
+  /// Per-module checker InfoMaps (typing::checkModule(M, &IM) or
+  /// typing::checkModules(…, &Infos)) — same process, same instruction
+  /// pointers (the map key is node identity). Required; size must match
+  /// Mods. The maps hold borrowed TypeRefs: the modules' arena must stay
+  /// alive for the duration of the call.
   const std::vector<typing::InfoMap> *Infos = nullptr;
   /// When set, function bodies are lowered (module, function)-parallel
   /// over this pool with deterministic index-ordered assembly: the lowered
@@ -78,26 +77,17 @@ struct LowerOptions {
   support::ThreadPool *Pool = nullptr;
 };
 
-/// Type-checks (unless LowerOptions::Infos hands the checker's work over)
-/// and lowers a whole program (modules in link order; imports resolve
-/// against earlier modules, like link::instantiate).
+/// Lowers a whole checked and resolved program (modules in link order;
+/// imports resolve against earlier modules, like link::instantiate). It
+/// neither checks nor resolves: a null LowerOptions::Resolved or Infos is
+/// an error naming the missing hand-off. Callers lowering straight from
+/// IR go through link::buildArtifact.
 ///
-/// Import matching is the batch resolution phase of link/Resolve.h —
-/// provider selection, shadowing, and the canonical-pointer import type
-/// check are shared with link::instantiate, with
-/// ResolveOptions::AllowUnresolvedFuncs semantics: a function import no
-/// module provides becomes a Wasm import satisfiable by the host.
+/// Function imports the resolution left open (ResolveOptions::
+/// AllowUnresolvedFuncs) become Wasm imports satisfiable by the host.
 Expected<LoweredProgram>
 lowerProgram(const std::vector<const ir::Module *> &Mods,
              const LowerOptions &Opts);
-
-inline Expected<LoweredProgram>
-lowerProgram(const std::vector<const ir::Module *> &Mods,
-             const std::vector<link::ResolvedModule> *Resolved = nullptr) {
-  LowerOptions Opts;
-  Opts.Resolved = Resolved;
-  return lowerProgram(Mods, Opts);
-}
 
 } // namespace rw::lower
 

@@ -48,7 +48,7 @@ enum class Seam : uint8_t {
   LowerAlloc,   ///< Lowering working-state allocation (lower::lowerProgram).
   JitMap,       ///< JIT code-page mmap/mprotect (jit::ModuleJit).
   JitCompile,   ///< JIT function compilation (template emit).
-  CacheStore,   ///< cache::AdmissionCache store (verdict or artifact).
+  CacheStore,   ///< cache::AdmissionCache store (a lowered artifact).
   PoolSpawn,    ///< support::ThreadPool worker thread spawn.
 };
 constexpr unsigned NumSeams = 7;

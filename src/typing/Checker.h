@@ -34,10 +34,6 @@ namespace rw::support {
 class ThreadPool;
 } // namespace rw::support
 
-namespace rw::cache {
-class AdmissionCache;
-} // namespace rw::cache
-
 namespace rw::typing {
 
 /// Operand/result types the checker observed at one instruction, consumed
@@ -104,26 +100,15 @@ Status checkModule(const ir::Module &M, InfoMap *IM = nullptr);
 ///
 /// When \p Infos is set it also returns the per-module InfoMaps (resized
 /// to one map per module; maps of rejected modules are left empty) so a
-/// cold admission pipeline checks exactly once: lower::lowerProgram
-/// accepts these maps and skips its internal re-check (same process, same
-/// instruction pointers — the map key is node identity). Function
-/// InfoMaps are recorded per function on the pool and merged in (module,
-/// function) index order, so the recorded types are identical to a
-/// sequential checkModule(M, &IM).
+/// cold admission pipeline checks exactly once: link::buildArtifact hands
+/// these maps to lower::lowerProgram, which never checks on its own (same
+/// process, same instruction pointers — the map key is node identity).
+/// Function InfoMaps are recorded per function on the pool and merged in
+/// (module, function) index order, so the recorded types are identical to
+/// a sequential checkModule(M, &IM).
 std::vector<Status> checkModules(std::span<const ir::Module *const> Mods,
                                  support::ThreadPool &Pool,
                                  std::vector<InfoMap> *Infos = nullptr);
-
-/// Content-addressed batch admission: like checkModules, but each module
-/// is keyed by serial::moduleHash in \p Cache — cache hits (including a
-/// module submitted twice in one batch) skip the check entirely and
-/// replay the memoized verdict with byte-identical diagnostics. A null
-/// cache degrades to the uncached entry point. Defined in
-/// cache/AdmissionCache.cpp so the typing layer itself keeps no cache
-/// dependency.
-std::vector<Status> checkModules(std::span<const ir::Module *const> Mods,
-                                 support::ThreadPool &Pool,
-                                 cache::AdmissionCache *Cache);
 
 /// Checks one function against its declared type (module environment
 /// required for calls/globals).

@@ -4,12 +4,11 @@
 //
 // Pins the content-addressed admission cache contract (DESIGN.md §8):
 //
-//  * check memoization — warm hits replay verdicts with *byte-identical*
-//    diagnostics to a fresh sequential check, for any ThreadPool size
-//    (1/3/8), and identical content inside one batch is checked once;
 //  * program memoization — a warm link::instantiateLowered resubmission
 //    skips straight to instantiation (stats prove the hit) and produces
-//    identical results on both engines, which share one artifact;
+//    identical results on both engines, which share one artifact; cold
+//    builds, warm hits and rejections are byte-identical for any
+//    ThreadPool size (1/3/8);
 //  * LRU byte budget — recency decides eviction, stats account bytes and
 //    evictions exactly, and evicting an artifact never invalidates a
 //    running instance;
@@ -35,6 +34,7 @@
 
 using namespace rw;
 using namespace rw::ir;
+using rwbench::AdmissionSet;
 
 namespace {
 
@@ -66,6 +66,22 @@ ir::Module badModule(uint32_t Tag) {
   return M;
 }
 
+/// A stand-in artifact (no program) whose charge grows with \p DataBytes:
+/// the cache charges a data segment byte for byte.
+std::shared_ptr<const cache::LoweredArtifact> blob(size_t DataBytes = 0) {
+  auto A = std::make_shared<cache::LoweredArtifact>();
+  if (DataBytes)
+    A->Program.Module.Data.push_back({0, std::vector<uint8_t>(DataBytes)});
+  return A;
+}
+
+/// What the cache charges for \p A: stats().Bytes after one store.
+uint64_t chargeOf(const std::shared_ptr<const cache::LoweredArtifact> &A) {
+  cache::AdmissionCache Probe;
+  Probe.storeProgram({1, 1}, A);
+  return Probe.stats().Bytes;
+}
+
 /// lib exports `double`, client imports it and exports `main`.
 std::pair<ir::Module, ir::Module> linkedPair() {
   using namespace rw::ir::build;
@@ -82,95 +98,6 @@ std::pair<ir::Module, ir::Module> linkedPair() {
       {"main"}, FunType::get({}, arrow({}, {i32T()})), {},
       {iconst(21), call(0)}));
   return {std::move(Lib), std::move(Client)};
-}
-
-//===----------------------------------------------------------------------===//
-// Check memoization
-//===----------------------------------------------------------------------===//
-
-TEST(Cache, WarmCheckHitsReplayByteIdenticalDiagnostics) {
-  ir::Module Ok = okModule(1), Bad = badModule(1);
-  std::vector<const ir::Module *> Mods = {&Ok, &Bad};
-
-  // Reference verdicts from the sequential checker.
-  Status RefOk = typing::checkModule(Ok);
-  Status RefBad = typing::checkModule(Bad);
-  ASSERT_TRUE(RefOk.ok());
-  ASSERT_FALSE(RefBad.ok());
-
-  cache::AdmissionCache C;
-  support::ThreadPool Pool(3);
-
-  std::vector<Status> Cold = typing::checkModules(Mods, Pool, &C);
-  ASSERT_EQ(Cold.size(), 2u);
-  EXPECT_TRUE(Cold[0].ok());
-  ASSERT_FALSE(Cold[1].ok());
-  EXPECT_EQ(Cold[1].error().message(), RefBad.error().message());
-  EXPECT_EQ(C.stats().CheckMisses, 2u);
-  EXPECT_EQ(C.stats().CheckHits, 0u);
-
-  std::vector<Status> Warm = typing::checkModules(Mods, Pool, &C);
-  EXPECT_TRUE(Warm[0].ok());
-  ASSERT_FALSE(Warm[1].ok());
-  EXPECT_EQ(Warm[1].error().message(), RefBad.error().message());
-  EXPECT_EQ(C.stats().CheckHits, 2u);
-  EXPECT_EQ(C.stats().CheckMisses, 2u);
-
-  // A null cache degrades to the uncached overload.
-  std::vector<Status> Plain = typing::checkModules(
-      Mods, Pool, static_cast<cache::AdmissionCache *>(nullptr));
-  ASSERT_FALSE(Plain[1].ok());
-  EXPECT_EQ(Plain[1].error().message(), RefBad.error().message());
-}
-
-TEST(Cache, IdenticalContentInOneBatchIsCheckedOnce) {
-  // Two distinct Module objects, same content: one miss, one dedup.
-  ir::Module A = okModule(7), B = okModule(7), Other = okModule(9);
-  std::vector<const ir::Module *> Mods = {&A, &B, &Other};
-  cache::AdmissionCache C;
-  support::ThreadPool Pool(3);
-  std::vector<Status> Out = typing::checkModules(Mods, Pool, &C);
-  ASSERT_EQ(Out.size(), 3u);
-  EXPECT_TRUE(Out[0].ok());
-  EXPECT_TRUE(Out[1].ok());
-  EXPECT_TRUE(Out[2].ok());
-  // Only two unique contents were ever probed or checked.
-  EXPECT_EQ(C.stats().CheckMisses, 2u);
-  EXPECT_EQ(C.stats().Entries, 2u);
-}
-
-TEST(Cache, WarmHitDeterminismAcrossPoolSizes) {
-  // Batch with successes and failures; every (pool size, warm/cold)
-  // combination must produce byte-identical statuses.
-  std::vector<ir::Module> Store;
-  for (uint32_t I = 0; I < 4; ++I)
-    Store.push_back(okModule(I));
-  for (uint32_t I = 0; I < 3; ++I)
-    Store.push_back(badModule(I));
-  Store.push_back(rwbench::wideModule(6));
-  std::vector<const ir::Module *> Mods;
-  for (ir::Module &M : Store)
-    Mods.push_back(&M);
-
-  auto render = [](const std::vector<Status> &Ss) {
-    std::string Out;
-    for (const Status &S : Ss)
-      Out += S.ok() ? "<ok>;" : S.error().message() + ";";
-    return Out;
-  };
-
-  std::string Reference;
-  for (unsigned Threads : {1u, 3u, 8u}) {
-    support::ThreadPool Pool(Threads);
-    cache::AdmissionCache C;
-    std::string Cold = render(typing::checkModules(Mods, Pool, &C));
-    std::string Warm = render(typing::checkModules(Mods, Pool, &C));
-    EXPECT_EQ(Cold, Warm) << "pool size " << Threads;
-    if (Reference.empty())
-      Reference = Cold;
-    EXPECT_EQ(Cold, Reference) << "pool size " << Threads;
-    EXPECT_GE(C.stats().CheckHits, Mods.size());
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -304,8 +231,9 @@ TEST(Cache, ConcurrentIngestThroughAnEvictingCache) {
   std::vector<std::vector<uint8_t>> Payloads = Mix.HotBytes;
   for (unsigned Tag = 0; Tag < Mix.HotBytes.size(); ++Tag) {
     ir::Module M = rwbench::serverModule(Tag);
-    Expected<lower::LoweredProgram> LP = lower::lowerProgram({&M}, {});
-    ASSERT_TRUE(LP) << LP.error().message();
+    auto Art = link::buildArtifact({&M}, {});
+    ASSERT_TRUE(Art) << Art.error().message();
+    const lower::LoweredProgram *LP = &(*Art)->Program;
     Payloads.push_back(wasm::encode(LP->Module));
   }
   for (wasm::EngineKind K : {wasm::EngineKind::Flat, wasm::EngineKind::Jit}) {
@@ -348,6 +276,44 @@ TEST(Cache, ConcurrentIngestThroughAnEvictingCache) {
   }
 }
 
+TEST(Cache, WarmHitDeterminismAcrossPoolSizes) {
+  // Cold builds (check and lowering on the pool) and warm hits give
+  // byte-identical lowered Wasm for every pool size, and a rejected set
+  // gives byte-identical diagnostics and stores nothing.
+  AdmissionSet Set(6);
+  ir::Module Bad = badModule(1);
+  std::vector<const ir::Module *> Rejected = Set.Ptrs;
+  Rejected.insert(Rejected.begin() + 2, &Bad);
+
+  std::vector<uint8_t> Reference;
+  std::string RefDiag;
+  for (unsigned Threads : {1u, 3u, 8u}) {
+    support::ThreadPool Pool(Threads);
+    cache::AdmissionCache C;
+    link::LinkOptions Opts;
+    Opts.Cache = &C;
+    Opts.Pool = &Pool;
+    auto Cold = link::instantiateLowered(Set.Ptrs, Opts);
+    ASSERT_TRUE(bool(Cold)) << Cold.error().message();
+    auto Warm = link::instantiateLowered(Set.Ptrs, Opts);
+    ASSERT_TRUE(bool(Warm)) << Warm.error().message();
+    EXPECT_EQ(C.stats().ProgramHits, 1u) << "pool size " << Threads;
+    std::vector<uint8_t> Bytes = wasm::encode(Cold->Program->Module);
+    EXPECT_EQ(Bytes, wasm::encode(Warm->Program->Module));
+    if (Reference.empty())
+      Reference = Bytes;
+    EXPECT_EQ(Bytes, Reference) << "pool size " << Threads;
+
+    auto No = link::instantiateLowered(Rejected, Opts);
+    ASSERT_FALSE(bool(No));
+    if (RefDiag.empty())
+      RefDiag = No.error().message();
+    EXPECT_EQ(No.error().message(), RefDiag) << "pool size " << Threads;
+    EXPECT_EQ(C.stats().Entries, 1u) << "a rejected set must store nothing";
+  }
+  EXPECT_NE(RefDiag.find("module 'bad1'"), std::string::npos) << RefDiag;
+}
+
 TEST(Cache, ProgramOrderAndContentDecideTheKey) {
   auto [Lib, Client] = linkedPair();
   ir::Module Lib2 = Lib; // Same content, different object.
@@ -363,43 +329,47 @@ TEST(Cache, ProgramOrderAndContentDecideTheKey) {
 //===----------------------------------------------------------------------===//
 
 TEST(Cache, LruEvictsByRecencyWithinByteBudget) {
-  // Check entries cost 64 + diagnostics bytes; a 200-byte budget fits
-  // three empty-diagnostic entries.
-  cache::AdmissionCache C(200);
+  // A budget of three and a half entries fits three.
+  auto A = blob();
+  const uint64_t Each = chargeOf(A);
+  cache::AdmissionCache C(Each * 7 / 2);
   serial::ModuleHash KA{1, 1}, KB{2, 2}, KC{3, 3}, KD{4, 4};
-  C.storeCheck(KA, {true, ""});
-  C.storeCheck(KB, {true, ""});
-  EXPECT_TRUE(C.lookupCheck(KA).has_value()); // A is now more recent than B.
-  C.storeCheck(KC, {true, ""});
+  C.storeProgram(KA, A);
+  C.storeProgram(KB, A);
+  EXPECT_NE(C.lookupProgram(KA), nullptr); // A is now more recent than B.
+  C.storeProgram(KC, A);
   EXPECT_EQ(C.stats().Entries, 3u);
+  EXPECT_EQ(C.stats().Bytes, 3 * Each);
   EXPECT_EQ(C.stats().Evictions, 0u);
 
-  C.storeCheck(KD, {true, ""}); // 256 bytes > 200: evict LRU = B.
+  C.storeProgram(KD, A); // A fourth entry exceeds the budget: evict B.
   EXPECT_EQ(C.stats().Evictions, 1u);
   EXPECT_EQ(C.stats().Entries, 3u);
   EXPECT_LE(C.stats().Bytes, C.byteBudget());
-  EXPECT_FALSE(C.lookupCheck(KB).has_value());
-  EXPECT_TRUE(C.lookupCheck(KA).has_value());
-  EXPECT_TRUE(C.lookupCheck(KC).has_value());
-  EXPECT_TRUE(C.lookupCheck(KD).has_value());
+  EXPECT_EQ(C.lookupProgram(KB), nullptr);
+  EXPECT_EQ(C.lookupProgram(KA), A);
+  EXPECT_EQ(C.lookupProgram(KC), A);
+  EXPECT_EQ(C.lookupProgram(KD), A);
 
   C.clear();
   EXPECT_EQ(C.stats().Entries, 0u);
   EXPECT_EQ(C.stats().Bytes, 0u);
-  EXPECT_FALSE(C.lookupCheck(KA).has_value());
+  EXPECT_EQ(C.lookupProgram(KA), nullptr);
 }
 
 TEST(Cache, OversizedArtifactIsRejectedWithoutFlushingResidents) {
-  // A budget smaller than any artifact: the store is rejected up front —
-  // admitting it would evict the whole warm set before the oversized
-  // entry itself went. Resident entries survive and the returned
-  // instance still works (it owns the artifact through its shared_ptr).
+  // A budget that fits two stand-in artifacts but no lowered program: the
+  // program's store is rejected up front — admitting it would evict the
+  // whole warm set before the oversized entry itself went. Resident
+  // entries survive and the returned instance still works (it owns the
+  // artifact through its shared_ptr).
   auto [Lib, Client] = linkedPair();
   std::vector<const ir::Module *> Mods = {&Lib, &Client};
-  cache::AdmissionCache C(200); // Fits check verdicts, never an artifact.
+  auto Small = blob();
+  cache::AdmissionCache C(2 * chargeOf(Small));
   serial::ModuleHash KA{1, 1}, KB{2, 2};
-  C.storeCheck(KA, {true, ""});
-  C.storeCheck(KB, {true, ""});
+  C.storeProgram(KA, Small);
+  C.storeProgram(KB, Small);
 
   link::LinkOptions Opts;
   Opts.Cache = &C;
@@ -408,16 +378,17 @@ TEST(Cache, OversizedArtifactIsRejectedWithoutFlushingResidents) {
   // The warm resident set was not collateral damage.
   EXPECT_EQ(C.stats().Evictions, 0u);
   EXPECT_EQ(C.stats().Entries, 2u);
-  EXPECT_TRUE(C.lookupCheck(KA).has_value());
-  EXPECT_TRUE(C.lookupCheck(KB).has_value());
+  EXPECT_EQ(C.lookupProgram(KA), Small);
+  EXPECT_EQ(C.lookupProgram(KB), Small);
 
   auto R = LI->invokeExport("client.main", {});
   ASSERT_TRUE(bool(R)) << R.error().message();
   EXPECT_EQ((*R)[0].Bits, 42u);
   // And the next submission is a miss again (the artifact never cached).
+  uint64_t HitsBefore = C.stats().ProgramHits;
   auto LI2 = link::instantiateLowered(Mods, Opts);
   ASSERT_TRUE(bool(LI2));
-  EXPECT_EQ(C.stats().ProgramHits, 0u);
+  EXPECT_EQ(C.stats().ProgramHits, HitsBefore);
 }
 
 //===----------------------------------------------------------------------===//
@@ -425,41 +396,50 @@ TEST(Cache, OversizedArtifactIsRejectedWithoutFlushingResidents) {
 //===----------------------------------------------------------------------===//
 
 TEST(Cache, ConcurrentProbesAndStoresAreSafe) {
-  cache::AdmissionCache C(1 << 16);
+  cache::AdmissionCache C;
   support::ThreadPool Pool(8);
   std::vector<ir::Module> Mods;
-  for (uint32_t I = 0; I < 8; ++I)
-    Mods.push_back(okModule(I % 4));
+  for (uint32_t I = 0; I < 4; ++I)
+    Mods.push_back(okModule(I));
   std::vector<serial::ModuleHash> Keys;
   for (const ir::Module &M : Mods)
     Keys.push_back(serial::moduleHash(M));
 
+  auto A = blob();
   Pool.parallelFor(256, [&](size_t I) {
     const serial::ModuleHash &K = Keys[I % Keys.size()];
     if (I % 3 == 0)
-      C.storeCheck(K, {true, ""});
+      C.storeProgram(K, A);
     else
-      (void)C.lookupCheck(K);
+      (void)C.lookupProgram(K);
     if (I % 7 == 0)
       (void)C.stats();
   });
   EXPECT_LE(C.stats().Entries, 4u); // 4 unique contents.
+  C.clear();
 
-  // Concurrent warm admissions through the full cached pipeline.
-  std::vector<const ir::Module *> Ptrs;
-  for (ir::Module &M : Mods)
-    Ptrs.push_back(&M);
-  std::vector<std::string> Outs(4);
-  Pool.parallelFor(4, [&](size_t I) {
+  // Concurrent admissions through the full cached pipeline, each thread
+  // checking and lowering on a pool of its own: every module computes
+  // its own answer, cold or warm.
+  std::atomic<unsigned> Wrong{0};
+  Pool.parallelFor(16, [&](size_t I) {
     support::ThreadPool Inner(1);
-    std::vector<Status> S = typing::checkModules(Ptrs, Inner, &C);
-    std::string R;
-    for (const Status &St : S)
-      R += St.ok() ? "<ok>;" : St.error().message() + ";";
-    Outs[I] = R;
+    uint32_t Tag = static_cast<uint32_t>(I % Mods.size());
+    link::LinkOptions Opts;
+    Opts.Cache = &C;
+    Opts.Pool = &Inner;
+    auto LI = link::instantiateLowered({&Mods[Tag]}, Opts);
+    if (!LI) {
+      ++Wrong;
+      return;
+    }
+    auto R = LI->invokeExport("ok" + std::to_string(Tag) + ".f",
+                              {wasm::WValue::i32(1)});
+    if (!R || (*R)[0].Bits != 1 + Tag)
+      ++Wrong;
   });
-  for (size_t I = 1; I < Outs.size(); ++I)
-    EXPECT_EQ(Outs[I], Outs[0]);
+  EXPECT_EQ(Wrong.load(), 0u);
+  EXPECT_EQ(C.stats().Entries, Mods.size());
 }
 
 //===----------------------------------------------------------------------===//
@@ -469,32 +449,32 @@ TEST(Cache, ConcurrentProbesAndStoresAreSafe) {
 TEST(Cache, ShardedRoundTripAndStatsAggregation) {
   cache::AdmissionCache C(1 << 20, 8);
   EXPECT_EQ(C.shardCount(), 8u);
-  for (uint64_t I = 0; I < 256; ++I)
-    C.storeCheck({I, I * 2 + 1}, {true, "d" + std::to_string(I)});
+  std::vector<std::shared_ptr<const cache::LoweredArtifact>> Arts;
   for (uint64_t I = 0; I < 256; ++I) {
-    auto R = C.lookupCheck({I, I * 2 + 1});
-    ASSERT_TRUE(R.has_value()) << I;
-    EXPECT_EQ(R->Diagnostics, "d" + std::to_string(I));
+    Arts.push_back(blob());
+    C.storeProgram({I, I * 2 + 1}, Arts.back());
   }
-  (void)C.lookupCheck({999, 999}); // One miss somewhere.
+  for (uint64_t I = 0; I < 256; ++I)
+    EXPECT_EQ(C.lookupProgram({I, I * 2 + 1}), Arts[I]) << I;
+  (void)C.lookupProgram({999, 999}); // One miss somewhere.
 
   cache::CacheStats Agg = C.stats();
   EXPECT_EQ(Agg.Entries, 256u);
-  EXPECT_EQ(Agg.CheckHits, 256u);
-  EXPECT_EQ(Agg.CheckMisses, 1u); // Stores do not probe; one cold lookup.
+  EXPECT_EQ(Agg.ProgramHits, 256u);
+  EXPECT_EQ(Agg.ProgramMisses, 1u); // Stores do not probe; one cold lookup.
   cache::CacheStats Sum;
   unsigned NonEmpty = 0;
   for (unsigned S = 0; S < C.shardCount(); ++S) {
     cache::CacheStats SS = C.shardStats(S);
-    Sum.CheckHits += SS.CheckHits;
-    Sum.CheckMisses += SS.CheckMisses;
+    Sum.ProgramHits += SS.ProgramHits;
+    Sum.ProgramMisses += SS.ProgramMisses;
     Sum.Evictions += SS.Evictions;
     Sum.Bytes += SS.Bytes;
     Sum.Entries += SS.Entries;
     NonEmpty += SS.Entries > 0;
   }
-  EXPECT_EQ(Sum.CheckHits, Agg.CheckHits);
-  EXPECT_EQ(Sum.CheckMisses, Agg.CheckMisses);
+  EXPECT_EQ(Sum.ProgramHits, Agg.ProgramHits);
+  EXPECT_EQ(Sum.ProgramMisses, Agg.ProgramMisses);
   EXPECT_EQ(Sum.Bytes, Agg.Bytes);
   EXPECT_EQ(Sum.Entries, Agg.Entries);
   // mix64 actually partitions: 256 keys do not pile into one shard.
@@ -502,25 +482,32 @@ TEST(Cache, ShardedRoundTripAndStatsAggregation) {
 }
 
 TEST(Cache, ShardedEvictionIsPerShardBudget) {
-  // 1600 bytes over 8 shards = 200/shard: three empty-diagnostic check
-  // entries (64 bytes each) per shard, 24 residents total at most.
-  cache::AdmissionCache C(1600, 8);
+  // Eight shards of three and a half entries each: three residents per
+  // shard, 24 in total at most.
+  auto A = blob();
+  const uint64_t Each = chargeOf(A);
+  const uint64_t ShardBudget = Each * 7 / 2;
+  cache::AdmissionCache C(8 * ShardBudget, 8);
   for (uint64_t I = 0; I < 64; ++I)
-    C.storeCheck({I * 31 + 7, I}, {true, ""});
+    C.storeProgram({I * 31 + 7, I}, A);
   cache::CacheStats Agg = C.stats();
   EXPECT_LE(Agg.Entries, 24u);
   EXPECT_GE(Agg.Evictions, 64u - 24u);
   for (unsigned S = 0; S < C.shardCount(); ++S) {
     cache::CacheStats SS = C.shardStats(S);
     EXPECT_LE(SS.Entries, 3u) << "shard " << S << " exceeded its budget";
-    EXPECT_LE(SS.Bytes, 200u) << "shard " << S;
+    EXPECT_LE(SS.Bytes, ShardBudget) << "shard " << S;
   }
 
-  // Oversize is judged against the *shard* budget: a 264-byte entry
-  // would fit 1600 globally but is rejected per the single-shard rule.
+  // Oversize is judged against the *shard* budget: an entry one shard
+  // cannot hold would fit the whole budget but is rejected per the
+  // single-shard rule.
+  auto Big = blob(ShardBudget);
+  ASSERT_GT(chargeOf(Big), ShardBudget);
+  ASSERT_LT(chargeOf(Big), C.byteBudget());
   uint64_t EvBefore = C.stats().Evictions;
-  C.storeCheck({12345, 54321}, {true, std::string(200, 'x')});
-  EXPECT_FALSE(C.lookupCheck({12345, 54321}).has_value());
+  C.storeProgram({12345, 54321}, Big);
+  EXPECT_EQ(C.lookupProgram({12345, 54321}), nullptr);
   EXPECT_EQ(C.stats().Evictions, EvBefore) << "oversize store flushed a shard";
 
   C.clear();
@@ -534,22 +521,16 @@ TEST(Cache, ShardedWarmPipelineStillHits) {
   cache::AdmissionCache C(cache::AdmissionCache::DefaultByteBudget, 4);
   support::ThreadPool Pool(3);
 
-  std::vector<Status> Cold = typing::checkModules(Mods, Pool, &C);
-  EXPECT_TRUE(Cold[0].ok() && Cold[1].ok());
-  std::vector<Status> Warm = typing::checkModules(Mods, Pool, &C);
-  EXPECT_TRUE(Warm[0].ok() && Warm[1].ok());
-  EXPECT_EQ(C.stats().CheckHits, 2u);
-  EXPECT_EQ(C.stats().CheckMisses, 2u);
-
   link::LinkOptions Opts;
   Opts.Cache = &C;
-  auto Cold2 = link::instantiateLowered(Mods, Opts);
-  ASSERT_TRUE(bool(Cold2)) << Cold2.error().message();
-  auto Warm2 = link::instantiateLowered(Mods, Opts);
-  ASSERT_TRUE(bool(Warm2)) << Warm2.error().message();
+  Opts.Pool = &Pool;
+  auto Cold = link::instantiateLowered(Mods, Opts);
+  ASSERT_TRUE(bool(Cold)) << Cold.error().message();
+  auto Warm = link::instantiateLowered(Mods, Opts);
+  ASSERT_TRUE(bool(Warm)) << Warm.error().message();
   EXPECT_EQ(C.stats().ProgramHits, 1u);
   EXPECT_EQ(C.stats().ProgramMisses, 1u);
-  auto R = Warm2->invokeExport("client.main", {});
+  auto R = Warm->invokeExport("client.main", {});
   ASSERT_TRUE(bool(R));
   EXPECT_EQ((*R)[0].Bits, 42u);
 }
@@ -557,9 +538,9 @@ TEST(Cache, ShardedWarmPipelineStillHits) {
 #if RW_OBS_ENABLED
 TEST(Cache, ShardedObsSourceEmitsPerShardKeys) {
   cache::AdmissionCache C(1 << 16, 4);
-  C.storeCheck({1, 2}, {true, ""});
-  (void)C.lookupCheck({1, 2});
-  (void)C.lookupCheck({3, 4});
+  C.storeProgram({1, 2}, blob());
+  (void)C.lookupProgram({1, 2});
+  (void)C.lookupProgram({3, 4});
   obs::Snapshot S = obs::snapshot();
   // The source prefix may be uniquified ("cache#N") when other tests'
   // instances are alive; match on suffix within cache-prefixed names.
@@ -604,18 +585,20 @@ TEST(Cache, ShardedObsSourceEmitsPerShardKeys) {
 #endif // RW_OBS_ENABLED
 
 TEST(Cache, ShardedConcurrentHammer) {
-  cache::AdmissionCache C(1 << 14, 8);
+  // A budget of about four entries per shard, so stores evict.
+  auto A = blob();
+  cache::AdmissionCache C(8 * 4 * chargeOf(A), 8);
   support::ThreadPool Pool(8);
   Pool.parallelFor(2048, [&](size_t I) {
     serial::ModuleHash K{static_cast<uint64_t>(I % 97),
                          static_cast<uint64_t>(I % 89)};
     switch (I % 5) {
     case 0:
-      C.storeCheck(K, {true, "x"});
+      C.storeProgram(K, A);
       break;
     case 1:
     case 2:
-      (void)C.lookupCheck(K);
+      (void)C.lookupProgram(K);
       break;
     case 3:
       (void)C.stats();
@@ -626,7 +609,7 @@ TEST(Cache, ShardedConcurrentHammer) {
   });
   cache::CacheStats Agg = C.stats();
   EXPECT_LE(Agg.Bytes, C.byteBudget());
-  EXPECT_GT(Agg.hits() + Agg.misses(), 0u);
+  EXPECT_GT(Agg.ProgramHits + Agg.ProgramMisses, 0u);
 }
 
 } // namespace

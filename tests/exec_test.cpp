@@ -648,8 +648,9 @@ TEST(ExecLowered, UnrestrictedChurnAndHostGc) {
 
 TEST(ExecLowered, WideModuleEveryFunction) {
   ir::Module M = rwbench::wideModule(20);
-  auto LP = lower::lowerProgram({&M});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  auto Art = link::buildArtifact({&M}, {});
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   auto TI = createInstance(LP->Module, EngineKind::Tree);
   auto FI = createInstance(LP->Module, EngineKind::Flat);
   ASSERT_TRUE(TI->initialize().ok());
@@ -921,8 +922,9 @@ TEST(ExecFlat, TranslationShrinksDispatchCount) {
   // The flat engine must execute fewer dispatches than the tree walker
   // for the same structured program (blocks/ends/dead code erased).
   ir::Module M = rwbench::loopModule(100);
-  auto LP = lower::lowerProgram({&M});
-  ASSERT_TRUE(bool(LP));
+  auto Art = link::buildArtifact({&M}, {});
+  ASSERT_TRUE(bool(Art));
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   auto TI = createInstance(LP->Module, EngineKind::Tree);
   auto FI = createInstance(LP->Module, EngineKind::Flat);
   ASSERT_TRUE(TI->initialize().ok());

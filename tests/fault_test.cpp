@@ -172,7 +172,7 @@ TEST_F(Fault, CacheStoreFailureDegradesToUncachedAdmission) {
   auto R2 = A2->invoke("loopmod.main", {});
   ASSERT_TRUE(R2) << R2.error().message();
   EXPECT_EQ((*R2)[0].Bits, 55u);
-  EXPECT_EQ(C.stats().hits(), 0u);
+  EXPECT_EQ(C.stats().ProgramHits, 0u);
 
   // Once the seam heals, the same cache starts retaining entries.
   fault::disarm(Seam::CacheStore);
@@ -184,7 +184,7 @@ TEST_F(Fault, CacheStoreFailureDegradesToUncachedAdmission) {
 TEST_F(Fault, DecodeFailureOnCachedWasmAdmissionStoresNothing) {
   auto M = rwbench::loopModule(10);
   std::vector<uint8_t> Wasm =
-      wasm::encode(lower::lowerProgram({&M}, {})->Module);
+      wasm::encode((*link::buildArtifact({&M}, {}))->Program.Module);
   cache::AdmissionCache C;
   link::LinkOptions Opts;
   Opts.Cache = &C;
@@ -211,8 +211,7 @@ TEST_F(Fault, DecodeFailureOnCachedWasmAdmissionStoresNothing) {
 TEST_F(Fault, MidAdmissionAllocFailuresRejectCleanly) {
   std::vector<uint8_t> Wasm = [] {
     auto M = rwbench::loopModule(6);
-    auto LP = lower::lowerProgram({&M}, {});
-    return wasm::encode(LP->Module);
+    return wasm::encode((*link::buildArtifact({&M}, {}))->Program.Module);
   }();
   std::vector<uint8_t> Serial = serial::write(rwbench::loopModule(6));
 

@@ -25,6 +25,7 @@
 #include "lower/Lower.h"
 #include "obs/Obs.h"
 #include "serial/Serial.h"
+#include "support/ThreadPool.h"
 #include "wasm/Binary.h"
 
 #include <gtest/gtest.h>
@@ -42,9 +43,9 @@ using ingest::Limits;
 namespace {
 
 std::vector<uint8_t> wasmBytes(const ir::Module &M) {
-  Expected<lower::LoweredProgram> LP = lower::lowerProgram({&M}, {});
-  EXPECT_TRUE(LP) << (LP ? "" : LP.error().message());
-  return wasm::encode(LP->Module);
+  auto Art = link::buildArtifact({&M}, {});
+  EXPECT_TRUE(Art) << (Art ? "" : Art.error().message());
+  return Art ? wasm::encode((*Art)->Program.Module) : std::vector<uint8_t>{};
 }
 
 uint64_t globalArenaNodes() {
@@ -228,6 +229,55 @@ TEST(Ingest, UserChosenNamesDoNotSteerTheCategory) {
   }
 }
 
+// admit binds no host functions, so a function import no module in the
+// link set provides is a Link rejection on both routes, and the artifact
+// built for it is never stored: every resubmission is rejected the same
+// way and the cache stays empty.
+TEST(Ingest, OpenFunctionImportIsLinkAndNeverStored) {
+  ir::Module M = rwbench::funcImportModule();
+  for (const std::vector<uint8_t> &B : {serial::write(M), wasmBytes(M)}) {
+    cache::AdmissionCache C;
+    link::LinkOptions Opts;
+    Opts.Cache = &C;
+    for (int I = 0; I < 3; ++I) {
+      IngestError E;
+      EXPECT_FALSE(ingest::admit(B, Limits(), Opts, &E));
+      EXPECT_EQ(E.Cat, Category::Link) << E.render();
+      EXPECT_EQ(E.render(), "Link @0: unsatisfied import host.f");
+    }
+    EXPECT_EQ(C.stats().Entries, 0u);
+    EXPECT_EQ(C.stats().Bytes, 0u);
+    EXPECT_EQ(C.stats().ProgramHits, 0u);
+  }
+}
+
+// buildArtifact is the one place a program is checked for lowering, so an
+// ill-typed module is a Check failure with the same diagnostics whether
+// the check runs module by module or as a pooled batch.
+TEST(Ingest, BuildArtifactCheckCategoryDoesNotDependOnThePool) {
+  ir::Module Mutant = rwbench::wideModule(3);
+  Mutant.Funcs[0].Body.insert(
+      Mutant.Funcs[0].Body.begin(),
+      {ir::build::iconst(1),
+       ir::build::structMalloc({ir::Size::constant(32)}, ir::Qual::lin()),
+       ir::build::drop()});
+  support::ThreadPool Pool(3);
+  link::LinkOptions Plain, Pooled;
+  Pooled.Pool = &Pool;
+  std::string Diags[2];
+  for (int I = 0; I < 2; ++I) {
+    IngestError E;
+    auto Art = link::buildArtifact({&Mutant}, I ? Pooled : Plain, &E);
+    ASSERT_FALSE(Art);
+    EXPECT_EQ(E.Cat, Category::Check) << (I ? "pool" : "no pool");
+    EXPECT_EQ(E.Context, Art.error().message());
+    Diags[I] = Art.error().message();
+  }
+  EXPECT_EQ(Diags[0], Diags[1]);
+  EXPECT_EQ(Diags[0], "module 'wide': in function 0: drop of a linear value "
+                      "of type (∃ρ. (ref rw ρ0 (struct (i32^unr, 32)))^lin)^lin");
+}
+
 struct Pin {
   const char *Name;
   Category Cat;
@@ -266,6 +316,8 @@ TEST(Ingest, RegressionCorpusVerdictsArePinned) {
       {"deep_nesting.bin", Category::LimitExceeded, 539,
        "LimitExceeded @539: block nesting exceeds depth limit of 256"},
       {"empty_wasm.bin", Category::None, 0, "None @0: "},
+      {"host_func_import.bin", Category::Link, 0,
+       "Link @0: unsatisfied import host.f"},
       {"hostile_type_count.bin", Category::LimitExceeded, 10,
        "LimitExceeded @10: type count 4294967295 exceeds limit of 65536"},
       {"import_named_validation.bin", Category::Link, 0,

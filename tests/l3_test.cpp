@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/AdmissionCache.h"
 #include "l3/L3.h"
 #include "link/Link.h"
 #include "lower/Lower.h"
@@ -114,8 +115,9 @@ TEST(L3, LowersAndRunsOnWasm) {
       "l3", "export fun main (u : unit) : int = "
             "free (split (join (new 42))) ;;");
   ASSERT_TRUE(bool(M)) << M.error().message();
-  auto LP = lower::lowerProgram({&*M});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  auto Art = link::buildArtifact({&*M}, {});
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   ASSERT_TRUE(wasm::validate(LP->Module).ok())
       << wasm::validate(LP->Module).error().message();
   wasm::WasmInstance Inst(LP->Module);
@@ -230,8 +232,9 @@ TEST(Interop, Fig3SafeVariantOnWasm) {
   Expected<ir::Module> L3 = l3::compileSource("l3", L3ClientSafe);
   ASSERT_TRUE(bool(ML)) << ML.error().message();
   ASSERT_TRUE(bool(L3)) << L3.error().message();
-  auto LP = lower::lowerProgram({&*ML, &*L3});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  auto Art = link::buildArtifact({&*ML, &*L3}, {});
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   ASSERT_TRUE(wasm::validate(LP->Module).ok())
       << wasm::validate(LP->Module).error().message();
   wasm::WasmInstance Inst(LP->Module);

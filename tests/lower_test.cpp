@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/AdmissionCache.h"
 #include "ir/Builder.h"
 #include "link/Link.h"
 #include "lower/Lower.h"
@@ -62,11 +63,12 @@ BothResults runBoth(const ir::Module &M, const std::string &Export = "main") {
   }
   // Lowered pipeline: lower → validate → encode → decode → run.
   {
-    auto LP = lower::lowerProgram({&M});
-    if (!LP) {
-      R.Err = "lower: " + LP.error().message();
+    auto Art = link::buildArtifact({&M}, {});
+    if (!Art) {
+      R.Err = "lower: " + Art.error().message();
       return R;
     }
+    const lower::LoweredProgram *LP = &(*Art)->Program;
     if (Status S = wasm::validate(LP->Module); !S) {
       R.Err = "validate: " + S.error().message();
       return R;
@@ -370,8 +372,9 @@ TEST(Lower, CrossModuleCall) {
   EXPECT_EQ((*R1)[0].bits(), 42u);
 
   // Lowered.
-  auto LP = lower::lowerProgram({&Lib, &App});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  auto Art = link::buildArtifact({&Lib, &App}, {});
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   ASSERT_TRUE(wasm::validate(LP->Module).ok())
       << wasm::validate(LP->Module).error().message();
   wasm::WasmInstance Inst(LP->Module);
@@ -448,10 +451,12 @@ TEST(Lower, CapabilityOpsAreErased) {
   };
   ir::Module Plain = mainModule(MkBody(false), {i32T()}, {Size::constant(32)});
   ir::Module Caps = mainModule(MkBody(true), {i32T()}, {Size::constant(32)});
-  auto LP1 = lower::lowerProgram({&Plain});
-  auto LP2 = lower::lowerProgram({&Caps});
-  ASSERT_TRUE(bool(LP1)) << LP1.error().message();
-  ASSERT_TRUE(bool(LP2)) << LP2.error().message();
+  auto Art1 = link::buildArtifact({&Plain}, {});
+  auto Art2 = link::buildArtifact({&Caps}, {});
+  ASSERT_TRUE(bool(Art1)) << Art1.error().message();
+  ASSERT_TRUE(bool(Art2)) << Art2.error().message();
+  const lower::LoweredProgram *LP1 = &(*Art1)->Program;
+  const lower::LoweredProgram *LP2 = &(*Art2)->Program;
   // Find the lowered main bodies (same index in both).
   uint32_t I1 = LP1->Exports.at("t.main") -
                 static_cast<uint32_t>(LP1->Module.ImportFuncs.size());
@@ -483,8 +488,9 @@ TEST(Lower, FreeListReusesMemory) {
   };
   ir::Module M = mainModule(Body, {i32T()},
                             {Size::constant(64), Size::constant(32)});
-  auto LP = lower::lowerProgram({&M});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  auto Art = link::buildArtifact({&M}, {});
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   ASSERT_TRUE(wasm::validate(LP->Module).ok())
       << wasm::validate(LP->Module).error().message();
   wasm::WasmInstance Inst(LP->Module);
@@ -516,8 +522,9 @@ TEST(Lower, HostGcCollectsGarbage) {
   };
   ir::Module M = mainModule(Body, {i32T()},
                             {Size::constant(64), Size::constant(32)});
-  auto LP = lower::lowerProgram({&M});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  auto Art = link::buildArtifact({&M}, {});
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   wasm::WasmInstance Inst(LP->Module);
   ASSERT_TRUE(Inst.initialize().ok());
   ASSERT_TRUE(bool(Inst.invokeByName("t.main", {})));
@@ -557,8 +564,9 @@ TEST(Lower, HostGcTracesThroughHeap) {
   M.Funcs.push_back(function({"main"},
                              FunType::get({}, arrow({}, {i32T()})), {},
                              {iconst(0)}));
-  auto LP = lower::lowerProgram({&M});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  auto Art = link::buildArtifact({&M}, {});
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   ASSERT_TRUE(wasm::validate(LP->Module).ok())
       << wasm::validate(LP->Module).error().message();
   wasm::WasmInstance Inst(LP->Module);
@@ -578,8 +586,9 @@ TEST(Lower, HostGcSurvivesHostileHeapWords) {
   // terminates without touching memory out of bounds (the ASan/UBSan job
   // runs this too).
   ir::Module M = mainModule({iconst(0)}, {i32T()}, {});
-  auto LP = lower::lowerProgram({&M});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  auto Art = link::buildArtifact({&M}, {});
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   const lower::RuntimeLayout &L = LP->Runtime;
   constexpr uint32_t Base = lower::RuntimeLayout::HeapBase;
   constexpr uint32_t Hdr = lower::RuntimeLayout::HeaderBytes;
@@ -657,8 +666,9 @@ TEST(Lower, SelfImportLowersToHostImportLikeInstantiate) {
                              FunType::get({}, arrow({}, {i32T()})), {},
                              {iconst(21), call(1)}));
 
-  auto LP = lower::lowerProgram({&M});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  auto Art = link::buildArtifact({&M}, {});
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   ASSERT_EQ(LP->Module.ImportFuncs.size(), 1u);
   EXPECT_EQ(LP->Module.ImportFuncs[0].Mod, "m");
   EXPECT_EQ(LP->Module.ImportFuncs[0].Name, "f");
@@ -730,22 +740,22 @@ TEST(Lower, TwoArenaInputsRejectedWithDocumentedError) {
   }
   B.Arena = OtherArena;
 
-  auto LP = lower::lowerProgram({&A, &B});
-  ASSERT_FALSE(bool(LP));
-  EXPECT_NE(LP.error().message().find("different type arenas"),
+  auto Art = link::buildArtifact({&A, &B}, {});
+  ASSERT_FALSE(bool(Art));
+  EXPECT_NE(Art.error().message().find("different type arenas"),
             std::string::npos)
-      << LP.error().message();
-  EXPECT_NE(LP.error().message().find("arena_a"), std::string::npos);
-  EXPECT_NE(LP.error().message().find("arena_b"), std::string::npos);
+      << Art.error().message();
+  EXPECT_NE(Art.error().message().find("arena_a"), std::string::npos);
+  EXPECT_NE(Art.error().message().find("arena_b"), std::string::npos);
 
-  // Same rejection through the batch-options entry point (pool set), so
-  // the parallel path cannot reach cross-arena state either.
+  // Same rejection with a pool set, so the parallel path cannot reach
+  // cross-arena state either.
   support::ThreadPool Pool(3);
-  lower::LowerOptions LO;
-  LO.Pool = &Pool;
-  auto LP2 = lower::lowerProgram({&A, &B}, LO);
-  ASSERT_FALSE(bool(LP2));
-  EXPECT_NE(LP2.error().message().find("different type arenas"),
+  link::LinkOptions Opts;
+  Opts.Pool = &Pool;
+  auto Art2 = link::buildArtifact({&A, &B}, Opts);
+  ASSERT_FALSE(bool(Art2));
+  EXPECT_NE(Art2.error().message().find("different type arenas"),
             std::string::npos);
 }
 
@@ -761,8 +771,8 @@ TEST(Lower, ImportTypeMismatchRejectedOnLoweringPath) {
   Client.Name = "client";
   Client.Funcs.push_back(
       importFunc({"lib", "f"}, FunType::get({}, arrow({i64T()}, {i64T()}))));
-  auto LP = lower::lowerProgram({&Lib, &Client});
-  ASSERT_FALSE(bool(LP));
-  EXPECT_NE(LP.error().message().find("type mismatch"), std::string::npos)
-      << LP.error().message();
+  auto Art = link::buildArtifact({&Lib, &Client}, {});
+  ASSERT_FALSE(bool(Art));
+  EXPECT_NE(Art.error().message().find("type mismatch"), std::string::npos)
+      << Art.error().message();
 }

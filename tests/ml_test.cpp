@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/AdmissionCache.h"
 #include "link/Link.h"
 #include "lower/Lower.h"
 #include "ml/ML.h"
@@ -46,9 +47,10 @@ Expected<uint64_t> runMLWasm(const std::string &Src) {
   Expected<ir::Module> M = ml::compileSource("m", Src);
   if (!M)
     return M.error();
-  auto LP = lower::lowerProgram({&*M});
-  if (!LP)
-    return LP.error();
+  auto Art = link::buildArtifact({&*M}, {});
+  if (!Art)
+    return Art.error();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   if (Status S = wasm::validate(LP->Module); !S)
     return Error("validate: " + S.error().message());
   wasm::WasmInstance Inst(LP->Module);

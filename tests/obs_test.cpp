@@ -353,6 +353,43 @@ TEST(Obs, SpansNestInsideBatchUmbrella) {
   }
 }
 
+// A cold admission checks each module exactly once: one pooled batch
+// (check_batch) or one check_module per module, never both — through
+// instantiateLowered with and without a pool, and through the cached
+// admitCached helper c6 measures.
+TEST(Obs, ColdAdmissionChecksEachModuleOnce) {
+  AdmissionSet Set(8);
+  TracingOn Guard;
+  auto checks = [] {
+    std::map<std::string, unsigned> N;
+    for (const Ev &E : parseTrace(obs::traceJson()))
+      ++N[E.Name];
+    return std::make_pair(N["check_batch"], N["check_module"]);
+  };
+  const std::pair<unsigned, unsigned> Batch{1, 0}, PerModule{0, 8};
+  support::ThreadPool Pool(3);
+
+  obs::clearTrace();
+  link::LinkOptions Plain;
+  ASSERT_TRUE(link::instantiateLowered(Set.Ptrs, Plain));
+  EXPECT_EQ(checks(), PerModule);
+
+  obs::clearTrace();
+  link::LinkOptions Pooled;
+  Pooled.Pool = &Pool;
+  ASSERT_TRUE(link::instantiateLowered(Set.Ptrs, Pooled));
+  EXPECT_EQ(checks(), Batch);
+
+  obs::clearTrace();
+  cache::AdmissionCache C;
+  ASSERT_TRUE(rwbench::admitCached(Set, Pool, C));
+  EXPECT_EQ(checks(), Batch);
+  // A warm admission checks nothing.
+  obs::clearTrace();
+  ASSERT_TRUE(rwbench::admitCached(Set, Pool, C));
+  EXPECT_EQ(checks(), std::make_pair(0u, 0u));
+}
+
 TEST(Obs, WorkerThreadsAppearUnderPoolNames) {
   TracingOn Guard;
   // Workers call setThreadName("pool-N") at startup (N is 1-based), which
@@ -404,16 +441,19 @@ TEST(Obs, SnapshotSamplesCacheAndArenaSources) {
   AdmissionSet Set(4);
   support::ThreadPool Pool(2);
   cache::AdmissionCache C;
-  (void)typing::checkModules(Set.Ptrs, Pool, &C); // Cold: all misses.
-  (void)typing::checkModules(Set.Ptrs, Pool, &C); // Warm: all hits.
+  ASSERT_TRUE(rwbench::admitCached(Set, Pool, C)); // Cold: one miss.
+  ASSERT_TRUE(rwbench::admitCached(Set, Pool, C)); // Warm: one hit.
 
   obs::Snapshot S = obs::snapshot();
   const obs::Metric *Hits = find(S, "cache.hits");
   const obs::Metric *Misses = find(S, "cache.misses");
+  const obs::Metric *Bytes = find(S, "cache.bytes");
   ASSERT_NE(Hits, nullptr);
   ASSERT_NE(Misses, nullptr);
-  EXPECT_EQ(Hits->Value, Set.Ptrs.size());
-  EXPECT_EQ(Misses->Value, Set.Ptrs.size());
+  ASSERT_NE(Bytes, nullptr);
+  EXPECT_EQ(Hits->Value, 1u);
+  EXPECT_EQ(Misses->Value, 1u);
+  EXPECT_EQ(Bytes->Value, C.stats().Bytes);
   // The global arena registered its source on first use.
   bool Arena = false;
   for (const obs::Metric &M : S.Metrics)
@@ -505,11 +545,11 @@ TEST(Obs, ProfileParityOnDifferentialWorkload) {
   // function even through the full pipeline's generated control flow.
   ir::Module Src = rwbench::loopModule(17);
   support::ThreadPool Pool(2);
-  std::vector<const ir::Module *> Mods = {&Src};
-  for (const Status &S : typing::checkModules(Mods, Pool))
-    ASSERT_TRUE(S.ok()) << S.error().message();
-  auto LP = lower::lowerProgram(Mods, {});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  link::LinkOptions Opts;
+  Opts.Pool = &Pool;
+  auto Art = link::buildArtifact({&Src}, Opts);
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   ASSERT_TRUE(validate(LP->Module).ok());
 
   constexpr EngineKind Both[] = {EngineKind::Tree, EngineKind::Flat};

@@ -6,9 +6,9 @@
 // tests pin it: lowered Wasm bytes and flat-translated bytecode are
 // compared across pool sizes 1/3/8 and against the sequential loop,
 // including the error ordering when a middle module fails to lower, and
-// the InfoMap hand-off path (typing::checkModules → lowerProgram /
-// link::instantiateLowered) is pinned byte-identical to the self-checking
-// path.
+// the InfoMap hand-off path (typing::checkModules → link::buildArtifact /
+// link::instantiateLowered) is pinned byte-identical to buildArtifact's
+// own check.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,19 +26,20 @@ using rwbench::AdmissionSet;
 
 namespace {
 
-/// Lowers \p Mods with the given pool (null = the sequential loop) after
-/// a checkModules hand-off, returning the encoded Wasm bytes.
+/// Builds \p Mods with the given pool (null = the sequential loop) and
+/// InfoMap hand-off (null = buildArtifact checks itself), returning the
+/// encoded Wasm bytes.
 Expected<std::vector<uint8_t>>
 lowerBytes(const std::vector<const ir::Module *> &Mods,
            support::ThreadPool *Pool,
            const std::vector<typing::InfoMap> *Infos) {
-  lower::LowerOptions LO;
-  LO.Infos = Infos;
-  LO.Pool = Pool;
-  Expected<lower::LoweredProgram> LP = lower::lowerProgram(Mods, LO);
-  if (!LP)
-    return LP.error();
-  return wasm::encode(LP->Module);
+  link::LinkOptions Opts;
+  Opts.Infos = Infos;
+  Opts.Pool = Pool;
+  auto Art = link::buildArtifact(Mods, Opts);
+  if (!Art)
+    return Art.error();
+  return wasm::encode((*Art)->Program.Module);
 }
 
 } // namespace
@@ -71,21 +72,20 @@ TEST(ParallelLower, FlatBytecodeIdenticalAcrossPoolSizes) {
   for (const Status &S : Checks)
     ASSERT_TRUE(S.ok()) << S.error().message();
 
-  lower::LowerOptions SeqLO;
-  SeqLO.Infos = &Infos;
-  Expected<lower::LoweredProgram> Ref = lower::lowerProgram(Set.Ptrs, SeqLO);
+  // With a flat-bytecode engine, buildArtifact translates too.
+  link::LinkOptions SeqOpts;
+  SeqOpts.Infos = &Infos;
+  SeqOpts.Engine = wasm::EngineKind::Flat;
+  auto Ref = link::buildArtifact(Set.Ptrs, SeqOpts);
   ASSERT_TRUE(bool(Ref)) << Ref.error().message();
-  Expected<exec::FlatModule> RefFlat = exec::translate(Ref->Module);
-  ASSERT_TRUE(bool(RefFlat)) << RefFlat.error().message();
+  const exec::FlatModule *RefFlat = &(*Ref)->Flat;
 
   for (support::ThreadPool *P : {&Pool1, &Pool3, &Pool8}) {
-    lower::LowerOptions LO;
-    LO.Infos = &Infos;
-    LO.Pool = P;
-    Expected<lower::LoweredProgram> LP = lower::lowerProgram(Set.Ptrs, LO);
-    ASSERT_TRUE(bool(LP)) << LP.error().message();
-    Expected<exec::FlatModule> Flat = exec::translate(LP->Module);
-    ASSERT_TRUE(bool(Flat)) << Flat.error().message();
+    link::LinkOptions Opts = SeqOpts;
+    Opts.Pool = P;
+    auto Art = link::buildArtifact(Set.Ptrs, Opts);
+    ASSERT_TRUE(bool(Art)) << Art.error().message();
+    const exec::FlatModule *Flat = &(*Art)->Flat;
     ASSERT_EQ(RefFlat->Funcs.size(), Flat->Funcs.size());
     for (size_t I = 0; I < RefFlat->Funcs.size(); ++I) {
       EXPECT_EQ(RefFlat->Funcs[I].Code, Flat->Funcs[I].Code)
@@ -99,8 +99,8 @@ TEST(ParallelLower, FlatBytecodeIdenticalAcrossPoolSizes) {
 }
 
 TEST(ParallelLower, InfoMapHandoffMatchesSelfCheck) {
-  // Zero-redundant-check path (checkModules → lowerProgram) must produce
-  // exactly the bytes of the self-checking lowerProgram.
+  // The hand-off path (checkModules → buildArtifact with Infos) must
+  // produce exactly the bytes of buildArtifact's own sequential check.
   AdmissionSet Set(6);
   support::ThreadPool Pool(3);
 

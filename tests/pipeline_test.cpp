@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/AdmissionCache.h"
 #include "link/Link.h"
 #include "lower/Lower.h"
 #include "ml/ML.h"
@@ -118,8 +119,9 @@ TEST_P(Pipeline, MachineAndWasmAgree) {
   EXPECT_TRUE((*Mach)->store().Mem.Lin.empty());
 
   // Lowered execution, through the binary codec.
-  auto LP = lower::lowerProgram({&*M});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  auto Art = link::buildArtifact({&*M}, {});
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   ASSERT_TRUE(wasm::validate(LP->Module).ok())
       << wasm::validate(LP->Module).error().message();
   auto M2 = wasm::decode(wasm::encode(LP->Module));

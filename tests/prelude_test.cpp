@@ -42,11 +42,11 @@ uint64_t fnv1a(const std::vector<uint8_t> &Bytes,
 
 /// Lowers \p Mods as one program and digests wasm::encode of the result.
 uint64_t loweredDigest(const std::vector<const ir::Module *> &Mods) {
-  Expected<lower::LoweredProgram> LP = lower::lowerProgram(Mods);
-  EXPECT_TRUE(bool(LP)) << LP.error().message();
-  if (!LP)
+  auto Art = link::buildArtifact(Mods, {});
+  EXPECT_TRUE(bool(Art)) << Art.error().message();
+  if (!Art)
     return 0;
-  return fnv1a(wasm::encode(LP->Module));
+  return fnv1a(wasm::encode((*Art)->Program.Module));
 }
 
 ir::Module mustML(const std::string &Name, const std::string &Src) {
@@ -160,9 +160,9 @@ std::vector<Golden> computeGoldens() {
 /// followed by the program's own.
 lower::LoweredProgram lowered() {
   ir::Module M = rwbench::serverModule(7);
-  Expected<lower::LoweredProgram> LP = lower::lowerProgram({&M});
-  EXPECT_TRUE(bool(LP)) << LP.error().message();
-  return LP ? LP.take() : lower::LoweredProgram{};
+  auto Art = link::buildArtifact({&M}, {});
+  EXPECT_TRUE(bool(Art)) << Art.error().message();
+  return Art ? (*Art)->Program : lower::LoweredProgram{};
 }
 
 /// The module with every shared body replaced by an owned copy of it.
@@ -188,9 +188,9 @@ TEST(PreludeBuild, ConcurrentFirstLoweringsAgree) {
   for (unsigned T = 0; T < Threads; ++T)
     Pool.emplace_back([&, T] {
       Start.arrive_and_wait();
-      Expected<lower::LoweredProgram> LP = lower::lowerProgram({&Mods[T]});
-      if (LP)
-        Bytes[T] = wasm::encode(LP->Module);
+      auto Art = link::buildArtifact({&Mods[T]}, {});
+      if (Art)
+        Bytes[T] = wasm::encode((*Art)->Program.Module);
     });
   for (std::thread &Th : Pool)
     Th.join();

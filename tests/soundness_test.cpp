@@ -22,6 +22,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/AdmissionCache.h"
 #include "ir/Builder.h"
 #include "link/Link.h"
 #include "lower/Lower.h"
@@ -329,8 +330,9 @@ TEST_P(Soundness, ProgressPreservationAndLinearUniqueness) {
   uint64_t InterpResult = Prog[0].V.bits();
 
   // (5) Differential: the lowered module agrees.
-  auto LP = lower::lowerProgram({&M});
-  ASSERT_TRUE(bool(LP)) << LP.error().message();
+  auto Art = link::buildArtifact({&M}, {});
+  ASSERT_TRUE(bool(Art)) << Art.error().message();
+  const lower::LoweredProgram *LP = &(*Art)->Program;
   ASSERT_TRUE(wasm::validate(LP->Module).ok())
       << wasm::validate(LP->Module).error().message();
   wasm::WasmInstance Inst(LP->Module);

@@ -33,9 +33,9 @@ using ingest::Limits;
 namespace {
 
 std::vector<uint8_t> encodeBench(const ir::Module &M) {
-  Expected<lower::LoweredProgram> LP = lower::lowerProgram({&M}, {});
-  EXPECT_TRUE(LP) << (LP ? "" : LP.error().message());
-  return wasm::encode(LP->Module);
+  auto Art = link::buildArtifact({&M}, {});
+  EXPECT_TRUE(Art) << (Art ? "" : Art.error().message());
+  return Art ? wasm::encode((*Art)->Program.Module) : std::vector<uint8_t>{};
 }
 
 // Minimal valid module: just the 8-byte header.
