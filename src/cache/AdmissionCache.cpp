@@ -88,9 +88,6 @@ uint64_t artifactBytes(const LoweredArtifact &A) {
     B += sizeof(wasm::WImportFunc) + F.Mod.size() + F.Name.size();
   for (const wasm::WData &D : M.Data)
     B += sizeof(wasm::WData) + D.Bytes.size();
-  for (const auto &[Name, Idx] : A.Program.Exports)
-    B += Name.size() + 64;
-  B += (A.Program.FuncMap.size() + A.Program.TableBase.size()) * 64;
   B += A.Program.RefGlobals.size() * sizeof(uint32_t);
   for (const exec::FlatFunc &F : A.Flat.Funcs)
     B += sizeof(exec::FlatFunc) + F.Code.size() * sizeof(uint32_t);

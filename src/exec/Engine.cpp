@@ -23,6 +23,18 @@ FlatInstance::FlatInstance(const wasm::WModule &M, wasm::EngineKind K)
 
 FlatInstance::~FlatInstance() = default;
 
+#if RW_JIT_ENABLED
+/// RW_JIT_THRESHOLD (same meaning as setTierPolicy; unset = never), read
+/// once per process: instances are created on every admission.
+static uint64_t envTierThreshold() {
+  static const uint64_t T = [] {
+    const char *E = std::getenv("RW_JIT_THRESHOLD");
+    return E ? std::strtoull(E, nullptr, 10) : FlatInstance::NeverTier;
+  }();
+  return T;
+}
+#endif
+
 uint32_t FlatInstance::jitCompiledCount() const {
 #if RW_JIT_ENABLED
   return Jit ? Jit->compiledCount() : 0;
@@ -41,12 +53,8 @@ Status FlatInstance::prepare() {
   // before we pick (or produce) a translation. EngineKind::Jit defaults
   // to eager whole-module compilation; plain Flat instances honor
   // RW_JIT_THRESHOLD so the whole test suite can be run fully jitted.
-  if (!TierPolicySet) {
-    if (Kind == wasm::EngineKind::Jit)
-      TierThreshold = 0;
-    else if (const char *E = std::getenv("RW_JIT_THRESHOLD"))
-      TierThreshold = std::strtoull(E, nullptr, 10);
-  }
+  if (!TierPolicySet)
+    TierThreshold = Kind == wasm::EngineKind::Jit ? 0 : envTierThreshold();
   if (TierThreshold != NeverTier && TierThreshold > 0 && !ProfileOn)
     enableProfiling();
 #endif
@@ -172,6 +180,18 @@ Expected<std::vector<WValue>> FlatInstance::invoke(uint32_t FuncIdx,
   return Out;
 }
 
+/// The trap message bytes of \p T (the tree engine's, byte for byte).
+static const char *numTrapMessage(NumTrap T) {
+  switch (T) {
+  case NumTrap::IntDivide:
+    return "integer divide error";
+  case NumTrap::InvalidConversion:
+    return "invalid conversion to integer";
+  default:
+    return "unhandled opcode";
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Dispatch plumbing: one switch over the opcode word (DESIGN.md §5). One
 // fuel decrement per dispatched instruction doubles as the
@@ -194,8 +214,6 @@ Expected<std::vector<WValue>> FlatInstance::invoke(uint32_t FuncIdx,
   }
 
 bool FlatInstance::run(uint64_t &FuelRef, std::string &TrapMsg) {
-  using namespace rw::num;
-
   const FlatModule &FM = *Active;
   uint64_t Fuel = FuelRef; // Local for the hot loop; written back on exit.
 
@@ -332,12 +350,10 @@ bool FlatInstance::run(uint64_t &FuelRef, std::string &TrapMsg) {
 
   RW_OPF(FCallIndirect) {
     uint32_t Expect = *Pc++;
-    uint32_t TblIdx = static_cast<uint32_t>(Ops[--Sp]);
-    if (TblIdx >= Table.size())
-      return trapOut("call_indirect: table index out of bounds");
-    uint32_t Func = Table[TblIdx];
-    if (FM.CanonType[Func] != Expect)
-      return trapOut("call_indirect: signature mismatch");
+    uint32_t Func = 0;
+    if (const char *Msg =
+            resolveIndirect(static_cast<uint32_t>(Ops[--Sp]), Expect, Func))
+      return trapOut(Msg);
     if (Func < FM.NumImports) {
       HostIdx = Func;
       goto host_call;
@@ -347,26 +363,13 @@ bool FlatInstance::run(uint64_t &FuelRef, std::string &TrapMsg) {
   }
 
 direct_call: {
-  if (Frames.size() >= MaxCallDepth)
+  if (!pushFrame(CalleeIdx, Sp, static_cast<uint32_t>(Pc - C)))
     // Attributed to the callee that failed to get a frame (the tree
     // engine's innermost attempted call claims this trap too).
     return trapOutAt("call stack exhausted", CalleeIdx + FM.NumImports);
-  const FlatFunc *Callee = &FM.Funcs[CalleeIdx];
-  uint32_t NewRegBase = Fr->RegBase + Fr->F->NumRegs;
-  if (Regs.size() < NewRegBase + Callee->NumRegs)
-    Regs.resize(
-        std::max<size_t>(NewRegBase + Callee->NumRegs, Regs.size() * 2));
-  uint32_t NP = Callee->NumParams;
-  Sp -= NP;
-  uint64_t *NR = Regs.data() + NewRegBase;
-  for (uint32_t I = 0; I < NP; ++I)
-    NR[I] = Ops[Sp + I];
-  for (uint32_t I = NP; I < Callee->NumRegs; ++I)
-    NR[I] = 0;
-  if (OpStack.size() < Sp + Callee->MaxDepth)
-    OpStack.resize(std::max<size_t>(Sp + Callee->MaxDepth, OpStack.size() * 2));
-  Fr->Pc = static_cast<uint32_t>(Pc - C);
-  Frames.push_back({Callee, 0, NewRegBase, Sp});
+  Fr = &Frames.back();
+  const FlatFunc *Callee = Fr->F;
+  Sp = Fr->OpBase;
 #if RW_JIT_ENABLED
   if (Jit && Jit->entry(CalleeIdx)) {
     // Tiered-up callee: run it natively. Done pops the frame with the
@@ -396,35 +399,20 @@ direct_call: {
     RW_NEXT();
   }
 #endif
-  Fr = &Frames.back();
   C = Callee->Code.data();
   Pc = C;
   Ops = OpStack.data();
-  R = Regs.data() + NewRegBase;
+  R = Regs.data() + Fr->RegBase;
   Base = Sp;
   RW_NEXT();
 }
 
 host_call: {
-  const HostFn *H = hostFor(HostIdx);
-  if (!H)
-    return trapOutAt("unsatisfied import", HostIdx);
-  const FuncType &HT = M->Types[M->ImportFuncs[HostIdx].TypeIdx];
-  uint32_t NP = static_cast<uint32_t>(HT.Params.size());
-  std::vector<WValue> HArgs(NP);
-  Sp -= NP;
-  for (uint32_t I = 0; I < NP; ++I)
-    HArgs[I] = {HT.Params[I], Ops[Sp + I]};
-  if (PT)
-    ++PT[HostIdx].Invocations;
-  Expected<std::vector<WValue>> HR = (*H)(*this, HArgs);
-  if (!HR)
-    return trapOutAt(HR.error().message(), HostIdx);
-  if (OpStack.size() < Sp + HR->size())
-    OpStack.resize(Sp + HR->size());
+  // A result-count drift is tolerated: the operand height just follows.
+  std::string Msg;
+  if (hostCall(HostIdx, Sp, Msg) == HostCall::Trap)
+    return trapOutAt(std::move(Msg), HostIdx);
   Ops = OpStack.data();
-  for (const WValue &V : *HR)
-    Ops[Sp++] = V.Bits;
   // The host may have touched (or grown) the instance memory.
   MemP = Mem.data();
   MemSz = Mem.size();
@@ -578,22 +566,11 @@ host_call: {
   Ops[Sp++] = MemSz / PageSize;
   RW_NEXT();
 
-  RW_OPW(MemoryGrow) {
-    uint32_t Delta = static_cast<uint32_t>(Ops[Sp - 1]);
-    uint64_t OldPages = MemSz / PageSize;
-    uint64_t NewPages = OldPages + Delta;
-    uint64_t MaxPages =
-        M->Memory && M->Memory->second ? *M->Memory->second : 65536;
-    if (NewPages > MaxPages) {
-      Ops[Sp - 1] = 0xffffffffu;
-    } else {
-      Mem.resize(NewPages * PageSize, 0);
-      MemP = Mem.data();
-      MemSz = Mem.size();
-      Ops[Sp - 1] = OldPages;
-    }
-    RW_NEXT();
-  }
+  RW_OPW(MemoryGrow)
+  Ops[Sp - 1] = memoryGrow(static_cast<uint32_t>(Ops[Sp - 1]));
+  MemP = Mem.data();
+  MemSz = Mem.size();
+  RW_NEXT();
 
 #define RW_LOAD(NBYTES, EXPR)                                                  \
   {                                                                            \
@@ -772,189 +749,203 @@ host_call: {
   }
 
   //===--------------------------------------------------------------===//
-  // Generic tail: the remaining numerics and conversions, evaluated
-  // with the same helpers as the tree engine (bit-exact agreement).
-  // Opcodes with dedicated handlers above never land here.
+  // Generic tail: the remaining numerics and conversions, through the
+  // evaluator the native tier shares. Opcodes with dedicated handlers
+  // above never land here.
   //===--------------------------------------------------------------===//
   RW_DEFAULT() {
-    if (OpC >= 0x46 && OpC <= 0x4f) { // i32 relops
-      static const IntRelop Map[] = {IntRelop::Eq, IntRelop::Ne, IntRelop::Lt,
-                                     IntRelop::Lt, IntRelop::Gt, IntRelop::Gt,
-                                     IntRelop::Le, IntRelop::Le, IntRelop::Ge,
-                                     IntRelop::Ge};
-      static const bool Signed[] = {false, false, true, false, true,
-                                    false, true,  false, true, false};
-      unsigned Idx = OpC - 0x46;
-      uint64_t B = Ops[--Sp];
-      Ops[Sp - 1] = evalIntRelop(Map[Idx], Ops[Sp - 1], B, false, Signed[Idx]);
-      RW_NEXT();
-    }
-    if (OpC >= 0x51 && OpC <= 0x5a) { // i64 relops
-      static const IntRelop Map[] = {IntRelop::Eq, IntRelop::Ne, IntRelop::Lt,
-                                     IntRelop::Lt, IntRelop::Gt, IntRelop::Gt,
-                                     IntRelop::Le, IntRelop::Le, IntRelop::Ge,
-                                     IntRelop::Ge};
-      static const bool Signed[] = {false, false, true, false, true,
-                                    false, true,  false, true, false};
-      unsigned Idx = OpC - 0x51;
-      uint64_t B = Ops[--Sp];
-      Ops[Sp - 1] = evalIntRelop(Map[Idx], Ops[Sp - 1], B, true, Signed[Idx]);
-      RW_NEXT();
-    }
-    if (OpC >= 0x5b && OpC <= 0x66) { // float relops
-      static const FloatRelop Map[] = {FloatRelop::Eq, FloatRelop::Ne,
-                                       FloatRelop::Lt, FloatRelop::Gt,
-                                       FloatRelop::Le, FloatRelop::Ge};
-      bool Is64 = OpC >= 0x61;
-      unsigned Idx = Is64 ? OpC - 0x61 : OpC - 0x5b;
-      uint64_t B = Ops[--Sp];
-      Ops[Sp - 1] = evalFloatRelop(Map[Idx], Ops[Sp - 1], B, Is64);
-      RW_NEXT();
-    }
-    if (OpC >= 0x67 && OpC <= 0x69) { // i32 unary
-      uint64_t A = Ops[Sp - 1];
-      Ops[Sp - 1] = OpC == 0x67   ? intClz(A, false)
-                    : OpC == 0x68 ? intCtz(A, false)
-                                  : intPopcnt(A, false);
-      RW_NEXT();
-    }
-    if (OpC >= 0x79 && OpC <= 0x7b) { // i64 unary
-      uint64_t A = Ops[Sp - 1];
-      Ops[Sp - 1] = OpC == 0x79   ? intClz(A, true)
-                    : OpC == 0x7a ? intCtz(A, true)
-                                  : intPopcnt(A, true);
-      RW_NEXT();
-    }
-    if ((OpC >= 0x6a && OpC <= 0x78) ||
-        (OpC >= 0x7c && OpC <= 0x8a)) { // remaining int binops
-      static const IntBinop Map[] = {
-          IntBinop::Add, IntBinop::Sub,  IntBinop::Mul, IntBinop::Div,
-          IntBinop::Div, IntBinop::Rem,  IntBinop::Rem, IntBinop::And,
-          IntBinop::Or,  IntBinop::Xor,  IntBinop::Shl, IntBinop::Shr,
-          IntBinop::Shr, IntBinop::Rotl, IntBinop::Rotr};
-      static const bool Signed[] = {false, false, false, true,  false,
-                                    true,  false, false, false, false,
-                                    false, true,  false, false, false};
-      bool Is64 = OpC >= 0x7c;
-      unsigned Idx = Is64 ? OpC - 0x7c : OpC - 0x6a;
-      uint64_t B = Ops[--Sp];
-      std::optional<uint64_t> V =
-          evalIntBinop(Map[Idx], Ops[Sp - 1], B, Is64, Signed[Idx]);
-      if (!V)
-        return trapOut("integer divide error");
-      Ops[Sp - 1] = *V;
-      RW_NEXT();
-    }
-    if ((OpC >= 0x8b && OpC <= 0x91) ||
-        (OpC >= 0x99 && OpC <= 0x9f)) { // float unops
-      static const FloatUnop Map[] = {FloatUnop::Abs,   FloatUnop::Neg,
-                                      FloatUnop::Ceil,  FloatUnop::Floor,
-                                      FloatUnop::Trunc, FloatUnop::Nearest,
-                                      FloatUnop::Sqrt};
-      bool Is64 = OpC >= 0x99;
-      unsigned Idx = Is64 ? OpC - 0x99 : OpC - 0x8b;
-      Ops[Sp - 1] = evalFloatUnop(Map[Idx], Ops[Sp - 1], Is64);
-      RW_NEXT();
-    }
-    if ((OpC >= 0x92 && OpC <= 0x98) ||
-        (OpC >= 0xa0 && OpC <= 0xa6)) { // float binops
-      static const FloatBinop Map[] = {
-          FloatBinop::Add, FloatBinop::Sub, FloatBinop::Mul, FloatBinop::Div,
-          FloatBinop::Min, FloatBinop::Max, FloatBinop::Copysign};
-      bool Is64 = OpC >= 0xa0;
-      unsigned Idx = Is64 ? OpC - 0xa0 : OpC - 0x92;
-      uint64_t B = Ops[--Sp];
-      Ops[Sp - 1] = evalFloatBinop(Map[Idx], Ops[Sp - 1], B, Is64);
-      RW_NEXT();
-    }
-
-    // Conversions.
-    switch (static_cast<Op>(OpC)) {
-    case Op::I32WrapI64:
-      Ops[Sp - 1] &= 0xffffffffu;
-      RW_NEXT();
-    case Op::I64ExtendI32S:
-      Ops[Sp - 1] = static_cast<uint64_t>(static_cast<int64_t>(
-          static_cast<int32_t>(static_cast<uint32_t>(Ops[Sp - 1]))));
-      RW_NEXT();
-    case Op::I64ExtendI32U:
-      Ops[Sp - 1] = static_cast<uint32_t>(Ops[Sp - 1]);
-      RW_NEXT();
-    case Op::I32TruncF32S:
-    case Op::I32TruncF32U:
-    case Op::I64TruncF32S:
-    case Op::I64TruncF32U: {
-      bool Dst64 = OpC == static_cast<uint32_t>(Op::I64TruncF32S) ||
-                   OpC == static_cast<uint32_t>(Op::I64TruncF32U);
-      bool Sgn = OpC == static_cast<uint32_t>(Op::I32TruncF32S) ||
-                 OpC == static_cast<uint32_t>(Op::I64TruncF32S);
-      std::optional<uint64_t> V = truncToInt(bitsToF32(Ops[Sp - 1]), Dst64, Sgn);
-      if (!V)
-        return trapOut("invalid conversion to integer");
-      Ops[Sp - 1] = *V;
-      RW_NEXT();
-    }
-    case Op::I32TruncF64S:
-    case Op::I32TruncF64U:
-    case Op::I64TruncF64S:
-    case Op::I64TruncF64U: {
-      bool Dst64 = OpC == static_cast<uint32_t>(Op::I64TruncF64S) ||
-                   OpC == static_cast<uint32_t>(Op::I64TruncF64U);
-      bool Sgn = OpC == static_cast<uint32_t>(Op::I32TruncF64S) ||
-                 OpC == static_cast<uint32_t>(Op::I64TruncF64S);
-      std::optional<uint64_t> V = truncToInt(bitsToF64(Ops[Sp - 1]), Dst64, Sgn);
-      if (!V)
-        return trapOut("invalid conversion to integer");
-      Ops[Sp - 1] = *V;
-      RW_NEXT();
-    }
-    case Op::F32ConvertI32S:
-      Ops[Sp - 1] = f32ToBits(static_cast<float>(
-          static_cast<int32_t>(static_cast<uint32_t>(Ops[Sp - 1]))));
-      RW_NEXT();
-    case Op::F32ConvertI32U:
-      Ops[Sp - 1] =
-          f32ToBits(static_cast<float>(static_cast<uint32_t>(Ops[Sp - 1])));
-      RW_NEXT();
-    case Op::F32ConvertI64S:
-      Ops[Sp - 1] =
-          f32ToBits(static_cast<float>(static_cast<int64_t>(Ops[Sp - 1])));
-      RW_NEXT();
-    case Op::F32ConvertI64U:
-      Ops[Sp - 1] = f32ToBits(static_cast<float>(Ops[Sp - 1]));
-      RW_NEXT();
-    case Op::F64ConvertI32S:
-      Ops[Sp - 1] = f64ToBits(static_cast<double>(
-          static_cast<int32_t>(static_cast<uint32_t>(Ops[Sp - 1]))));
-      RW_NEXT();
-    case Op::F64ConvertI32U:
-      Ops[Sp - 1] =
-          f64ToBits(static_cast<double>(static_cast<uint32_t>(Ops[Sp - 1])));
-      RW_NEXT();
-    case Op::F64ConvertI64S:
-      Ops[Sp - 1] =
-          f64ToBits(static_cast<double>(static_cast<int64_t>(Ops[Sp - 1])));
-      RW_NEXT();
-    case Op::F64ConvertI64U:
-      Ops[Sp - 1] = f64ToBits(static_cast<double>(Ops[Sp - 1]));
-      RW_NEXT();
-    case Op::F32DemoteF64:
-      Ops[Sp - 1] = f32ToBits(static_cast<float>(bitsToF64(Ops[Sp - 1])));
-      RW_NEXT();
-    case Op::F64PromoteF32:
-      Ops[Sp - 1] = f64ToBits(static_cast<double>(bitsToF32(Ops[Sp - 1])));
-      RW_NEXT();
-    case Op::I32ReinterpretF32:
-    case Op::I64ReinterpretF64:
-    case Op::F32ReinterpretI32:
-    case Op::F64ReinterpretI64:
-      RW_NEXT(); // Bit patterns are already untyped slots.
-    default:
+    unsigned Arity = numericArity(OpC);
+    if (!Arity)
       return trapOut("unhandled opcode");
-    }
+    uint64_t B = Arity == 2 ? Ops[--Sp] : 0;
+    NumTrap T = NumTrap::None;
+    uint64_t V = evalNumeric(OpC, Ops[Sp - 1], B, T);
+    if (T != NumTrap::None)
+      return trapOut(numTrapMessage(T));
+    Ops[Sp - 1] = V;
+    RW_NEXT();
   }
 
   RW_LOOP_END()
+}
+
+//===----------------------------------------------------------------------===//
+// Slow paths shared by run() and the native tier's helpers (Jit.cpp);
+// pushFrame is inline in Engine.h.
+//===----------------------------------------------------------------------===//
+
+FlatInstance::HostCall FlatInstance::hostCall(uint32_t HostIdx, uint32_t &Sp,
+                                              std::string &TrapMsg) {
+  const HostFn *H = hostFor(HostIdx);
+  if (!H) {
+    TrapMsg = "unsatisfied import";
+    return HostCall::Trap;
+  }
+  const FuncType &HT = M->Types[M->ImportFuncs[HostIdx].TypeIdx];
+  uint32_t NP = static_cast<uint32_t>(HT.Params.size());
+  std::vector<WValue> HArgs(NP);
+  Sp -= NP;
+  for (uint32_t I = 0; I < NP; ++I)
+    HArgs[I] = {HT.Params[I], OpStack[Sp + I]};
+  if (!Prof.empty())
+    ++Prof[HostIdx].Invocations;
+  Expected<std::vector<WValue>> HR = (*H)(*this, HArgs);
+  if (!HR) {
+    TrapMsg = HR.error().message();
+    return HostCall::Trap;
+  }
+  if (OpStack.size() < Sp + HR->size())
+    OpStack.resize(Sp + HR->size());
+  for (const WValue &V : *HR)
+    OpStack[Sp++] = V.Bits;
+  return HR->size() == HT.Results.size() ? HostCall::Ok : HostCall::Drift;
+}
+
+const char *FlatInstance::resolveIndirect(uint32_t TblIdx, uint32_t Expect,
+                                          uint32_t &Func) const {
+  if (TblIdx >= Table.size())
+    return "call_indirect: table index out of bounds";
+  Func = Table[TblIdx];
+  if (Active->CanonType[Func] != Expect)
+    return "call_indirect: signature mismatch";
+  return nullptr;
+}
+
+uint64_t FlatInstance::memoryGrow(uint32_t Delta) {
+  uint64_t OldPages = Mem.size() / PageSize;
+  uint64_t NewPages = OldPages + Delta;
+  uint64_t MaxPages =
+      M->Memory && M->Memory->second ? *M->Memory->second : 65536;
+  if (NewPages > MaxPages)
+    return 0xffffffffu;
+  Mem.resize(NewPages * PageSize, 0);
+  return OldPages;
+}
+
+uint64_t rw::exec::evalNumeric(uint32_t OpC, uint64_t A, uint64_t B,
+                               NumTrap &Trap) {
+  using namespace rw::num;
+  Trap = NumTrap::None;
+  if (OpC == 0x45 || OpC == 0x50) // i32.eqz / i64.eqz
+    return (OpC == 0x45 ? static_cast<uint32_t>(A) : A) == 0 ? 1 : 0;
+  if ((OpC >= 0x46 && OpC <= 0x4f) || (OpC >= 0x51 && OpC <= 0x5a)) {
+    static const IntRelop Map[] = {IntRelop::Eq, IntRelop::Ne, IntRelop::Lt,
+                                   IntRelop::Lt, IntRelop::Gt, IntRelop::Gt,
+                                   IntRelop::Le, IntRelop::Le, IntRelop::Ge,
+                                   IntRelop::Ge};
+    static const bool Signed[] = {false, false, true, false, true,
+                                  false, true,  false, true, false};
+    bool Is64 = OpC >= 0x51;
+    unsigned Idx = Is64 ? OpC - 0x51 : OpC - 0x46;
+    return evalIntRelop(Map[Idx], A, B, Is64, Signed[Idx]);
+  }
+  if (OpC >= 0x5b && OpC <= 0x66) {
+    static const FloatRelop Map[] = {FloatRelop::Eq, FloatRelop::Ne,
+                                     FloatRelop::Lt, FloatRelop::Gt,
+                                     FloatRelop::Le, FloatRelop::Ge};
+    bool Is64 = OpC >= 0x61;
+    return evalFloatRelop(Map[Is64 ? OpC - 0x61 : OpC - 0x5b], A, B, Is64);
+  }
+  if ((OpC >= 0x67 && OpC <= 0x69) || (OpC >= 0x79 && OpC <= 0x7b)) {
+    bool Is64 = OpC >= 0x79;
+    unsigned Idx = Is64 ? OpC - 0x79 : OpC - 0x67;
+    return Idx == 0   ? intClz(A, Is64)
+           : Idx == 1 ? intCtz(A, Is64)
+                      : intPopcnt(A, Is64);
+  }
+  if ((OpC >= 0x6a && OpC <= 0x78) || (OpC >= 0x7c && OpC <= 0x8a)) {
+    static const IntBinop Map[] = {
+        IntBinop::Add, IntBinop::Sub,  IntBinop::Mul, IntBinop::Div,
+        IntBinop::Div, IntBinop::Rem,  IntBinop::Rem, IntBinop::And,
+        IntBinop::Or,  IntBinop::Xor,  IntBinop::Shl, IntBinop::Shr,
+        IntBinop::Shr, IntBinop::Rotl, IntBinop::Rotr};
+    static const bool Signed[] = {false, false, false, true,  false,
+                                  true,  false, false, false, false,
+                                  false, true,  false, false, false};
+    bool Is64 = OpC >= 0x7c;
+    unsigned Idx = Is64 ? OpC - 0x7c : OpC - 0x6a;
+    std::optional<uint64_t> V = evalIntBinop(Map[Idx], A, B, Is64, Signed[Idx]);
+    if (!V)
+      Trap = NumTrap::IntDivide;
+    return V.value_or(0);
+  }
+  if ((OpC >= 0x8b && OpC <= 0x91) || (OpC >= 0x99 && OpC <= 0x9f)) {
+    static const FloatUnop Map[] = {FloatUnop::Abs,   FloatUnop::Neg,
+                                    FloatUnop::Ceil,  FloatUnop::Floor,
+                                    FloatUnop::Trunc, FloatUnop::Nearest,
+                                    FloatUnop::Sqrt};
+    bool Is64 = OpC >= 0x99;
+    return evalFloatUnop(Map[Is64 ? OpC - 0x99 : OpC - 0x8b], A, Is64);
+  }
+  if ((OpC >= 0x92 && OpC <= 0x98) || (OpC >= 0xa0 && OpC <= 0xa6)) {
+    static const FloatBinop Map[] = {
+        FloatBinop::Add, FloatBinop::Sub, FloatBinop::Mul, FloatBinop::Div,
+        FloatBinop::Min, FloatBinop::Max, FloatBinop::Copysign};
+    bool Is64 = OpC >= 0xa0;
+    return evalFloatBinop(Map[Is64 ? OpC - 0xa0 : OpC - 0x92], A, B, Is64);
+  }
+
+  // Conversions.
+  switch (static_cast<Op>(OpC)) {
+  case Op::I32WrapI64:
+    return A & 0xffffffffu;
+  case Op::I64ExtendI32S:
+    return static_cast<uint64_t>(
+        static_cast<int64_t>(static_cast<int32_t>(static_cast<uint32_t>(A))));
+  case Op::I64ExtendI32U:
+    return static_cast<uint32_t>(A);
+  case Op::I32TruncF32S:
+  case Op::I32TruncF32U:
+  case Op::I64TruncF32S:
+  case Op::I64TruncF32U:
+  case Op::I32TruncF64S:
+  case Op::I32TruncF64U:
+  case Op::I64TruncF64S:
+  case Op::I64TruncF64U: {
+    Op K = static_cast<Op>(OpC);
+    bool Src64 = K == Op::I32TruncF64S || K == Op::I32TruncF64U ||
+                 K == Op::I64TruncF64S || K == Op::I64TruncF64U;
+    bool Dst64 = K >= Op::I64TruncF32S;
+    bool Sgn = K == Op::I32TruncF32S || K == Op::I32TruncF64S ||
+               K == Op::I64TruncF32S || K == Op::I64TruncF64S;
+    std::optional<uint64_t> V =
+        Src64 ? truncToInt(bitsToF64(A), Dst64, Sgn)
+              : truncToInt(bitsToF32(A), Dst64, Sgn);
+    if (!V)
+      Trap = NumTrap::InvalidConversion;
+    return V.value_or(0);
+  }
+  case Op::F32ConvertI32S:
+    return f32ToBits(
+        static_cast<float>(static_cast<int32_t>(static_cast<uint32_t>(A))));
+  case Op::F32ConvertI32U:
+    return f32ToBits(static_cast<float>(static_cast<uint32_t>(A)));
+  case Op::F32ConvertI64S:
+    return f32ToBits(static_cast<float>(static_cast<int64_t>(A)));
+  case Op::F32ConvertI64U:
+    return f32ToBits(static_cast<float>(A));
+  case Op::F64ConvertI32S:
+    return f64ToBits(
+        static_cast<double>(static_cast<int32_t>(static_cast<uint32_t>(A))));
+  case Op::F64ConvertI32U:
+    return f64ToBits(static_cast<double>(static_cast<uint32_t>(A)));
+  case Op::F64ConvertI64S:
+    return f64ToBits(static_cast<double>(static_cast<int64_t>(A)));
+  case Op::F64ConvertI64U:
+    return f64ToBits(static_cast<double>(A));
+  case Op::F32DemoteF64:
+    return f32ToBits(static_cast<float>(bitsToF64(A)));
+  case Op::F64PromoteF32:
+    return f64ToBits(static_cast<double>(bitsToF32(A)));
+  case Op::I32ReinterpretF32:
+  case Op::I64ReinterpretF64:
+  case Op::F32ReinterpretI32:
+  case Op::F64ReinterpretI64:
+    return A; // Bit patterns are already untyped slots.
+  default:
+    Trap = NumTrap::Unhandled;
+    return 0;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -35,6 +35,8 @@
 #include "exec/Translate.h"
 #include "wasm/Instance.h"
 
+#include <algorithm>
+
 #ifndef RW_JIT_ENABLED
 #define RW_JIT_ENABLED 0
 #endif
@@ -45,6 +47,34 @@ struct JitContext;
 } // namespace rw::jit
 
 namespace rw::exec {
+
+/// Why evalNumeric produced no result.
+enum class NumTrap : uint32_t {
+  None = 0,
+  IntDivide,         ///< "integer divide error"
+  InvalidConversion, ///< "invalid conversion to integer"
+  Unhandled,         ///< Not a numeric opcode: "unhandled opcode".
+};
+
+/// Operand count of numeric opcode \p OpC (0x45..0xbf): 1 for tests,
+/// unary ops and conversions, 2 for relops and binops; 0 outside the
+/// numeric range.
+inline unsigned numericArity(uint32_t OpC) {
+  if (OpC < 0x45 || OpC > 0xbf)
+    return 0;
+  bool Bin = (OpC >= 0x46 && OpC <= 0x4f) || (OpC >= 0x51 && OpC <= 0x66) ||
+             (OpC >= 0x6a && OpC <= 0x78) || (OpC >= 0x7c && OpC <= 0x8a) ||
+             (OpC >= 0x92 && OpC <= 0x98) || (OpC >= 0xa0 && OpC <= 0xa6);
+  return Bin ? 2 : 1;
+}
+
+/// The flat tier's numeric evaluator over raw 64-bit slots, for every
+/// opcode in 0x45..0xbf: binary ops read (A, B), the others read A and
+/// ignore B. Bit-exact with the tree engine (the same num:: helpers). On
+/// a trap returns 0 and sets \p Trap. The interpreter calls it for the
+/// opcodes without a dedicated handler, and the JIT's generic-op
+/// template calls it through an extern "C" shim.
+uint64_t evalNumeric(uint32_t OpC, uint64_t A, uint64_t B, NumTrap &Trap);
 
 /// Resets the per-function execution profile of \p I (all counters to
 /// zero, relaxed stores). Long-lived server instances call this so the
@@ -118,6 +148,37 @@ private:
   /// fills \p TrapMsg and returns false.
   bool run(uint64_t &Fuel, std::string &TrapMsg);
 
+  // Slow paths shared by run() and the JIT's native helpers (Jit.cpp):
+  // each exists once, and each caller turns its outcome into a trap
+  // (run()) or a deopt/unwind (the native tier).
+
+  /// Pushes the frame of defined function \p CalleeIdx, whose arguments
+  /// are the top of the operand stack at absolute height \p Sp; the
+  /// calling frame (Frames.back()) resumes at \p RetPc. Returns false,
+  /// changing nothing, at the call-depth limit.
+  bool pushFrame(uint32_t CalleeIdx, uint32_t Sp, uint32_t RetPc);
+
+  enum class HostCall {
+    Ok,
+    /// Results pushed, but not as many as the import's type declares.
+    Drift,
+    /// Unbound import or a host error; the message is in TrapMsg.
+    Trap,
+  };
+  /// Calls import \p HostIdx on the arguments below absolute operand
+  /// height \p Sp and pushes its results, advancing Sp.
+  HostCall hostCall(uint32_t HostIdx, uint32_t &Sp, std::string &TrapMsg);
+
+  /// Resolves call_indirect through table slot \p TblIdx against
+  /// canonical type \p Expect into function-space index \p Func.
+  /// Returns the trap message on failure, else null.
+  const char *resolveIndirect(uint32_t TblIdx, uint32_t Expect,
+                              uint32_t &Func) const;
+
+  /// memory.grow by \p Delta pages: the old page count, or 0xffffffff
+  /// (memory unchanged) past the module's maximum.
+  uint64_t memoryGrow(uint32_t Delta);
+
   FlatModule FM; ///< Owned translation (self-translated instances).
   /// Adopted pre-translation (shared, immutable) — see adoptPretranslated.
   std::shared_ptr<const FlatModule> PreFM;
@@ -161,9 +222,9 @@ private:
 
 public:
   // Helper entry points the generated code calls back into (defined in
-  // Jit.cpp, reached via extern "C" trampolines); they mirror the
-  // interpreter's direct_call / host_call / memory.grow blocks exactly.
-  // Public only for those trampolines — not part of the embedder API.
+  // Jit.cpp, reached via extern "C" trampolines): each runs the shared
+  // slow path above and maps its outcome to a jit::JitStatus. Public
+  // only for those trampolines — not part of the embedder API.
   uint32_t jitDirectCall(jit::JitContext &Ctx, uint32_t CalleeIdx,
                          uint32_t SpRel, uint32_t RetPc);
   uint32_t jitHostCall(jit::JitContext &Ctx, uint32_t HostIdx, uint32_t SpRel,
@@ -178,6 +239,31 @@ private:
   std::string JitTrapMsg; ///< Final-trap message from helpers.
 #endif
 };
+
+// Inline so that both run() and the native tier's call helper (a
+// separate translation unit, on every native-to-native call) inline it.
+inline bool FlatInstance::pushFrame(uint32_t CalleeIdx, uint32_t Sp,
+                                    uint32_t RetPc) {
+  if (Frames.size() >= wasm::MaxCallDepth)
+    return false;
+  const FlatFunc *Callee = &Active->Funcs[CalleeIdx];
+  uint32_t NewRegBase = Frames.back().RegBase + Frames.back().F->NumRegs;
+  if (Regs.size() < NewRegBase + Callee->NumRegs)
+    Regs.resize(
+        std::max<size_t>(NewRegBase + Callee->NumRegs, Regs.size() * 2));
+  uint32_t NP = Callee->NumParams;
+  Sp -= NP;
+  uint64_t *NR = Regs.data() + NewRegBase;
+  for (uint32_t I = 0; I < NP; ++I)
+    NR[I] = OpStack[Sp + I];
+  for (uint32_t I = NP; I < Callee->NumRegs; ++I)
+    NR[I] = 0;
+  if (OpStack.size() < Sp + Callee->MaxDepth)
+    OpStack.resize(std::max<size_t>(Sp + Callee->MaxDepth, OpStack.size() * 2));
+  Frames.back().Pc = RetPc;
+  Frames.push_back({Callee, 0, NewRegBase, Sp});
+  return true;
+}
 
 } // namespace rw::exec
 

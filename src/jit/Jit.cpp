@@ -9,6 +9,10 @@
 // compile-time constant per pc, so operand slots become fixed [r12+8k]
 // addresses and no register allocation is needed. Anything the templates
 // cannot express exits to the interpreter (see Jit.h for the contract).
+// The slow paths the templates call (calls, host calls, call_indirect
+// resolution, memory.grow, generic numerics) are the interpreter's own:
+// FlatInstance members and exec::evalNumeric, reached through the
+// extern "C" trampolines below.
 //
 // Register convention inside generated code:
 //   rbx = JitContext*            r12 = Ops + OpBase   (byte address)
@@ -25,7 +29,6 @@
 #include "exec/Engine.h"
 #include "support/FaultInject.h"
 #include "obs/Obs.h"
-#include "support/NumericOps.h"
 
 #include <cstddef>
 #include <cstring>
@@ -243,9 +246,8 @@ struct Asm {
 
 //===----------------------------------------------------------------------===//
 // Helper entry points generated code calls (System V: args in
-// rdi/rsi/rdx/rcx, result in eax/rax). The call/host/indirect/grow
-// helpers trampoline into FlatInstance members; the generic-op helpers
-// replicate the interpreter's generic tail bit-exactly.
+// rdi/rsi/rdx/rcx, result in eax/rax). Each trampolines into the flat
+// interpreter's own slow path: a FlatInstance member or evalNumeric.
 //===----------------------------------------------------------------------===//
 
 extern "C" {
@@ -256,8 +258,7 @@ uint32_t rwJitHost(JitContext *Ctx, uint32_t HostIdx, uint32_t SpRel,
 uint32_t rwJitIndirect(JitContext *Ctx, uint32_t Expect, uint32_t SpRel,
                        uint32_t RetPc);
 uint32_t rwJitGrow(JitContext *Ctx, uint32_t SpRel);
-uint64_t rwJitGenBin(uint32_t OpC, uint64_t A, uint64_t B, uint32_t *Trap);
-uint64_t rwJitGenUn(uint32_t OpC, uint64_t A, uint32_t *Trap);
+uint64_t rwJitNumeric(uint32_t OpC, uint64_t A, uint64_t B, uint32_t *Trap);
 }
 
 namespace {
@@ -305,16 +306,8 @@ bool stackDelta(uint32_t Op, int &D) {
   if (Op == 0x22 || Op == 0x40) { D = 0; return true; }   // tee/grow
   if (Op >= 0x28 && Op <= 0x35) { D = 0; return true; }   // loads
   if (Op >= 0x36 && Op <= 0x3e) { D = -2; return true; }  // stores
-  if (Op == 0x45 || Op == 0x50 || (Op >= 0x67 && Op <= 0x69) ||
-      (Op >= 0x79 && Op <= 0x7b) || (Op >= 0x8b && Op <= 0x91) ||
-      (Op >= 0x99 && Op <= 0x9f) || (Op >= 0xa7 && Op <= 0xbf)) {
-    D = 0; // eqz / unary / conversions
-    return true;
-  }
-  if ((Op >= 0x46 && Op <= 0x4f) || (Op >= 0x51 && Op <= 0x66) ||
-      (Op >= 0x6a && Op <= 0x78) || (Op >= 0x7c && Op <= 0x8a) ||
-      (Op >= 0x92 && Op <= 0x98) || (Op >= 0xa0 && Op <= 0xa6)) {
-    D = -1; // binops / relops
+  if (unsigned Ar = exec::numericArity(Op)) { // Numerics pop Ar, push 1.
+    D = 1 - static_cast<int>(Ar);
     return true;
   }
   return false;
@@ -966,24 +959,19 @@ bool FuncCompiler::emitInst(uint32_t Pc, uint32_t Op, int32_t Hh,
     }
   }
 
-  // Generic tail: dispatch by arity through the C++ helpers that share
-  // the interpreter's num:: evaluators (bit-exact, including div/trunc
-  // traps, which deopt so the interpreter re-executes and traps).
-  int D;
-  if (Op <= 0xbf && stackDelta(Op, D) && (D == 0 || D == -1)) {
+  // Generic tail: the interpreter's own numeric evaluator (bit-exact,
+  // including div/trunc traps, which deopt so the interpreter
+  // re-executes and traps). For unary ops rdx is ignored.
+  if (unsigned Ar = exec::numericArity(Op)) {
+    int32_t In = Hh - static_cast<int32_t>(Ar); // First operand's slot.
     A.movRI32(RDI, Op);
-    A.movRM64(RSI, R12, slot(D == -1 ? Hh - 2 : Hh - 1));
-    if (D == -1) {
-      A.movRM64(RDX, R12, slot(Hh - 1));
-      A.lea64(RCX, RBX, OffGenTrap);
-      callHelper(reinterpret_cast<const void *>(&rwJitGenBin));
-    } else {
-      A.lea64(RDX, RBX, OffGenTrap);
-      callHelper(reinterpret_cast<const void *>(&rwJitGenUn));
-    }
+    A.movRM64(RSI, R12, slot(In));
+    A.movRM64(RDX, R12, slot(Hh - 1));
+    A.lea64(RCX, RBX, OffGenTrap);
+    callHelper(reinterpret_cast<const void *>(&rwJitNumeric));
     A.cmpMI8(RBX, OffGenTrap, 0);
     deoptJcc(CNE, SegLeft, Pc, static_cast<uint32_t>(Hh));
-    A.movMR64(R12, slot(D == -1 ? Hh - 2 : Hh - 1), RAX);
+    A.movMR64(R12, slot(In), RAX);
     return true;
   }
   return false;
@@ -1136,155 +1124,20 @@ void ModuleJit::compileAll() {
 }
 
 //===----------------------------------------------------------------------===//
-// Generic-op helpers: the interpreter's generic tail, factored for a
-// C call from generated code. Bit-exact by construction (same num::
-// evaluators); a trap sets *Trap and the template deopts, letting the
-// interpreter re-execute the instruction and produce the exact trap.
-//===----------------------------------------------------------------------===//
-
-extern "C" uint64_t rwJitGenBin(uint32_t OpC, uint64_t A, uint64_t B,
-                                uint32_t *Trap) {
-  using namespace rw::num;
-  *Trap = 0;
-  if ((OpC >= 0x46 && OpC <= 0x4f) || (OpC >= 0x51 && OpC <= 0x5a)) {
-    static const IntRelop Map[] = {IntRelop::Eq, IntRelop::Ne, IntRelop::Lt,
-                                   IntRelop::Lt, IntRelop::Gt, IntRelop::Gt,
-                                   IntRelop::Le, IntRelop::Le, IntRelop::Ge,
-                                   IntRelop::Ge};
-    static const bool Signed[] = {false, false, true, false, true,
-                                  false, true,  false, true, false};
-    bool Is64 = OpC >= 0x51;
-    unsigned Idx = Is64 ? OpC - 0x51 : OpC - 0x46;
-    return evalIntRelop(Map[Idx], A, B, Is64, Signed[Idx]);
-  }
-  if (OpC >= 0x5b && OpC <= 0x66) {
-    static const FloatRelop Map[] = {FloatRelop::Eq, FloatRelop::Ne,
-                                     FloatRelop::Lt, FloatRelop::Gt,
-                                     FloatRelop::Le, FloatRelop::Ge};
-    bool Is64 = OpC >= 0x61;
-    return evalFloatRelop(Map[Is64 ? OpC - 0x61 : OpC - 0x5b], A, B, Is64);
-  }
-  if ((OpC >= 0x6a && OpC <= 0x78) || (OpC >= 0x7c && OpC <= 0x8a)) {
-    static const IntBinop Map[] = {
-        IntBinop::Add, IntBinop::Sub,  IntBinop::Mul, IntBinop::Div,
-        IntBinop::Div, IntBinop::Rem,  IntBinop::Rem, IntBinop::And,
-        IntBinop::Or,  IntBinop::Xor,  IntBinop::Shl, IntBinop::Shr,
-        IntBinop::Shr, IntBinop::Rotl, IntBinop::Rotr};
-    static const bool Signed[] = {false, false, false, true,  false,
-                                  true,  false, false, false, false,
-                                  false, true,  false, false, false};
-    bool Is64 = OpC >= 0x7c;
-    unsigned Idx = Is64 ? OpC - 0x7c : OpC - 0x6a;
-    std::optional<uint64_t> V = evalIntBinop(Map[Idx], A, B, Is64, Signed[Idx]);
-    if (!V) {
-      *Trap = 1; // "integer divide error": deopt and re-execute.
-      return 0;
-    }
-    return *V;
-  }
-  if ((OpC >= 0x92 && OpC <= 0x98) || (OpC >= 0xa0 && OpC <= 0xa6)) {
-    static const FloatBinop Map[] = {
-        FloatBinop::Add, FloatBinop::Sub, FloatBinop::Mul, FloatBinop::Div,
-        FloatBinop::Min, FloatBinop::Max, FloatBinop::Copysign};
-    bool Is64 = OpC >= 0xa0;
-    return evalFloatBinop(Map[Is64 ? OpC - 0xa0 : OpC - 0x92], A, B, Is64);
-  }
-  *Trap = 1;
-  return 0;
-}
-
-extern "C" uint64_t rwJitGenUn(uint32_t OpC, uint64_t A, uint32_t *Trap) {
-  using namespace rw::num;
-  *Trap = 0;
-  if (OpC >= 0x67 && OpC <= 0x69)
-    return OpC == 0x67   ? intClz(A, false)
-           : OpC == 0x68 ? intCtz(A, false)
-                         : intPopcnt(A, false);
-  if (OpC >= 0x79 && OpC <= 0x7b)
-    return OpC == 0x79   ? intClz(A, true)
-           : OpC == 0x7a ? intCtz(A, true)
-                         : intPopcnt(A, true);
-  if ((OpC >= 0x8b && OpC <= 0x91) || (OpC >= 0x99 && OpC <= 0x9f)) {
-    static const FloatUnop Map[] = {FloatUnop::Abs,   FloatUnop::Neg,
-                                    FloatUnop::Ceil,  FloatUnop::Floor,
-                                    FloatUnop::Trunc, FloatUnop::Nearest,
-                                    FloatUnop::Sqrt};
-    bool Is64 = OpC >= 0x99;
-    return evalFloatUnop(Map[Is64 ? OpC - 0x99 : OpC - 0x8b], A, Is64);
-  }
-  switch (static_cast<wasm::Op>(OpC)) {
-  case wasm::Op::I32WrapI64:
-    return A & 0xffffffffu;
-  case wasm::Op::I64ExtendI32S:
-    return static_cast<uint64_t>(static_cast<int64_t>(
-        static_cast<int32_t>(static_cast<uint32_t>(A))));
-  case wasm::Op::I64ExtendI32U:
-    return static_cast<uint32_t>(A);
-  case wasm::Op::I32TruncF32S:
-  case wasm::Op::I32TruncF32U:
-  case wasm::Op::I64TruncF32S:
-  case wasm::Op::I64TruncF32U: {
-    bool Dst64 = OpC == 0xae || OpC == 0xaf;
-    bool Sgn = OpC == 0xa8 || OpC == 0xae;
-    std::optional<uint64_t> V = truncToInt(bitsToF32(A), Dst64, Sgn);
-    if (!V) {
-      *Trap = 1; // "invalid conversion to integer": re-execute.
-      return 0;
-    }
-    return *V;
-  }
-  case wasm::Op::I32TruncF64S:
-  case wasm::Op::I32TruncF64U:
-  case wasm::Op::I64TruncF64S:
-  case wasm::Op::I64TruncF64U: {
-    bool Dst64 = OpC == 0xb0 || OpC == 0xb1;
-    bool Sgn = OpC == 0xaa || OpC == 0xb0;
-    std::optional<uint64_t> V = truncToInt(bitsToF64(A), Dst64, Sgn);
-    if (!V) {
-      *Trap = 1;
-      return 0;
-    }
-    return *V;
-  }
-  case wasm::Op::F32ConvertI32S:
-    return f32ToBits(static_cast<float>(
-        static_cast<int32_t>(static_cast<uint32_t>(A))));
-  case wasm::Op::F32ConvertI32U:
-    return f32ToBits(static_cast<float>(static_cast<uint32_t>(A)));
-  case wasm::Op::F32ConvertI64S:
-    return f32ToBits(static_cast<float>(static_cast<int64_t>(A)));
-  case wasm::Op::F32ConvertI64U:
-    return f32ToBits(static_cast<float>(A));
-  case wasm::Op::F64ConvertI32S:
-    return f64ToBits(static_cast<double>(
-        static_cast<int32_t>(static_cast<uint32_t>(A))));
-  case wasm::Op::F64ConvertI32U:
-    return f64ToBits(static_cast<double>(static_cast<uint32_t>(A)));
-  case wasm::Op::F64ConvertI64S:
-    return f64ToBits(static_cast<double>(static_cast<int64_t>(A)));
-  case wasm::Op::F64ConvertI64U:
-    return f64ToBits(static_cast<double>(A));
-  case wasm::Op::F32DemoteF64:
-    return f32ToBits(static_cast<float>(bitsToF64(A)));
-  case wasm::Op::F64PromoteF32:
-    return f64ToBits(static_cast<double>(bitsToF32(A)));
-  case wasm::Op::I32ReinterpretF32:
-  case wasm::Op::I64ReinterpretF64:
-  case wasm::Op::F32ReinterpretI32:
-  case wasm::Op::F64ReinterpretI64:
-    return A; // Bit patterns are already untyped slots.
-  default:
-    *Trap = 1; // Unknown: deopt; the interpreter traps "unhandled opcode".
-    return 0;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// FlatInstance glue: the native-call helpers mirror the interpreter's
-// direct_call / host_call / MemoryGrow blocks statement for statement,
-// and jitExecuteBack normalizes one native activation's exit for the
+// Trampolines and FlatInstance glue: each helper runs the interpreter's
+// own slow path and maps its outcome onto a JitStatus (a would-trap
+// deopts so the interpreter re-executes and traps itself);
+// jitExecuteBack normalizes one native activation's exit for the
 // interpreter (see Engine.h JitRun).
 //===----------------------------------------------------------------------===//
+
+extern "C" uint64_t rwJitNumeric(uint32_t OpC, uint64_t A, uint64_t B,
+                                 uint32_t *Trap) {
+  NumTrap T = NumTrap::None;
+  uint64_t V = evalNumeric(OpC, A, B, T);
+  *Trap = T != NumTrap::None;
+  return V;
+}
 
 extern "C" uint32_t rwJitCall(JitContext *Ctx, uint32_t CalleeIdx,
                               uint32_t SpRel, uint32_t RetPc) {
@@ -1307,30 +1160,13 @@ extern "C" uint32_t rwJitGrow(JitContext *Ctx, uint32_t SpRel) {
 
 uint32_t FlatInstance::jitDirectCall(JitContext &Ctx, uint32_t CalleeIdx,
                                      uint32_t SpRel, uint32_t RetPc) {
-  const FlatModule &FMod = *Active;
-  if (Frames.size() >= MaxCallDepth)
-    // Deopt before any state change: the interpreter re-executes the
-    // call instruction and traps "call stack exhausted" itself, with
-    // the same callee attribution as a flat-only run.
+  if (!pushFrame(CalleeIdx, Frames.back().OpBase + SpRel, RetPc))
+    // Nothing changed: the interpreter re-executes the call instruction
+    // and traps "call stack exhausted" itself, with the same callee
+    // attribution as a flat-only run.
     return JDeoptHere;
-  const FlatFunc *Callee = &FMod.Funcs[CalleeIdx];
-  uint32_t NewRegBase = Frames.back().RegBase + Frames.back().F->NumRegs;
-  uint32_t Sp = Frames.back().OpBase + SpRel;
-  if (Regs.size() < NewRegBase + Callee->NumRegs)
-    Regs.resize(
-        std::max<size_t>(NewRegBase + Callee->NumRegs, Regs.size() * 2));
-  uint32_t NP = Callee->NumParams;
-  Sp -= NP;
-  uint64_t *NR = Regs.data() + NewRegBase;
-  const uint64_t *Ops = OpStack.data();
-  for (uint32_t I = 0; I < NP; ++I)
-    NR[I] = Ops[Sp + I];
-  for (uint32_t I = NP; I < Callee->NumRegs; ++I)
-    NR[I] = 0;
-  if (OpStack.size() < Sp + Callee->MaxDepth)
-    OpStack.resize(std::max<size_t>(Sp + Callee->MaxDepth, OpStack.size() * 2));
-  Frames.back().Pc = RetPc;
-  Frames.push_back({Callee, 0, NewRegBase, Sp});
+  uint64_t OpBase8 = static_cast<uint64_t>(Frames.back().OpBase) * 8;
+  uint64_t RegBase8 = static_cast<uint64_t>(Frames.back().RegBase) * 8;
   Ctx.Ops = OpStack.data();
   Ctx.Regs = Regs.data();
 
@@ -1340,11 +1176,10 @@ uint32_t FlatInstance::jitDirectCall(JitContext &Ctx, uint32_t CalleeIdx,
     Ctx.DeoptSp = 0;
     return JUnwind;
   }
-  uint32_t St = Fn(&Ctx, static_cast<uint64_t>(Sp) * 8,
-                   static_cast<uint64_t>(NewRegBase) * 8);
+  uint32_t St = Fn(&Ctx, OpBase8, RegBase8);
   switch (St) {
   case JOk:
-    Frames.pop_back(); // Results sit at the callee's operand base == Sp.
+    Frames.pop_back(); // Results sit at the callee's operand base.
     return JOk;
   case JDeoptHere:
     // The callee (still Frames.back()) resumes at its recorded pc;
@@ -1358,39 +1193,22 @@ uint32_t FlatInstance::jitDirectCall(JitContext &Ctx, uint32_t CalleeIdx,
 
 uint32_t FlatInstance::jitHostCall(JitContext &Ctx, uint32_t HostIdx,
                                    uint32_t SpRel, uint32_t RetPc) {
-  auto TrapFinal = [&](std::string Msg) {
-    JitTrapMsg = std::move(Msg);
+  uint32_t Sp = Frames.back().OpBase + SpRel;
+  HostCall HC = hostCall(HostIdx, Sp, JitTrapMsg);
+  if (HC == HostCall::Trap) {
+    // Cannot be re-executed (the host already ran): a final trap.
     LastTrapFunc = HostIdx;
     Frames.clear();
-    return static_cast<uint32_t>(JTrapFinal);
-  };
-  const HostFn *H = hostFor(HostIdx);
-  if (!H)
-    return TrapFinal("unsatisfied import");
-  const FuncType &HT = M->Types[M->ImportFuncs[HostIdx].TypeIdx];
-  uint32_t NP = static_cast<uint32_t>(HT.Params.size());
-  uint32_t Sp = Frames.back().OpBase + SpRel - NP;
-  std::vector<WValue> HArgs(NP);
-  for (uint32_t I = 0; I < NP; ++I)
-    HArgs[I] = {HT.Params[I], OpStack[Sp + I]};
-  if (!Prof.empty())
-    ++Prof[HostIdx].Invocations;
-  Expected<std::vector<WValue>> HR = (*H)(*this, HArgs);
-  if (!HR)
-    return TrapFinal(HR.error().message());
-  if (OpStack.size() < Sp + HR->size())
-    OpStack.resize(Sp + HR->size());
-  uint64_t *Ops = OpStack.data();
-  for (const WValue &V : *HR)
-    Ops[Sp++] = V.Bits;
+    return JTrapFinal;
+  }
   Ctx.Ops = OpStack.data();
   Ctx.Regs = Regs.data();
   Ctx.MemP = Mem.data(); // The host may have touched or grown memory.
   Ctx.MemSz = Mem.size();
-  if (HR->size() != HT.Results.size()) {
-    // The interpreter tolerates a host returning the wrong result
-    // count (the operand height just drifts); static heights cannot,
-    // so resume interpretation right after the call instruction.
+  if (HC == HostCall::Drift) {
+    // The interpreter lets the operand height follow a host's wrong
+    // result count; static heights cannot, so resume interpretation
+    // right after the call instruction.
     Frames.back().Pc = RetPc;
     Ctx.DeoptSp = Sp - Frames.back().OpBase;
     return JUnwind;
@@ -1400,33 +1218,19 @@ uint32_t FlatInstance::jitHostCall(JitContext &Ctx, uint32_t HostIdx,
 
 uint32_t FlatInstance::jitIndirectCall(JitContext &Ctx, uint32_t Expect,
                                        uint32_t SpRel, uint32_t RetPc) {
-  const FlatModule &FMod = *Active;
-  uint32_t TblIdx = static_cast<uint32_t>(
-      OpStack[Frames.back().OpBase + SpRel - 1]);
-  if (TblIdx >= Table.size())
-    return JDeoptHere; // Re-execute: "call_indirect: table index ..."
-  uint32_t Func = Table[TblIdx];
-  if (FMod.CanonType[Func] != Expect)
-    return JDeoptHere; // Re-execute: "call_indirect: signature mismatch"
-  if (Func < FMod.NumImports)
+  uint32_t Func = 0;
+  if (resolveIndirect(
+          static_cast<uint32_t>(OpStack[Frames.back().OpBase + SpRel - 1]),
+          Expect, Func))
+    return JDeoptHere; // The interpreter re-executes and traps.
+  if (Func < Active->NumImports)
     return jitHostCall(Ctx, Func, SpRel - 1, RetPc);
-  return jitDirectCall(Ctx, Func - FMod.NumImports, SpRel - 1, RetPc);
+  return jitDirectCall(Ctx, Func - Active->NumImports, SpRel - 1, RetPc);
 }
 
 uint32_t FlatInstance::jitMemoryGrow(JitContext &Ctx, uint32_t SpRel) {
-  uint32_t Sp = Frames.back().OpBase + SpRel;
-  uint64_t *Ops = OpStack.data();
-  uint32_t Delta = static_cast<uint32_t>(Ops[Sp - 1]);
-  uint64_t OldPages = Mem.size() / PageSize;
-  uint64_t NewPages = OldPages + Delta;
-  uint64_t MaxPages =
-      M->Memory && M->Memory->second ? *M->Memory->second : 65536;
-  if (NewPages > MaxPages) {
-    Ops[Sp - 1] = 0xffffffffu;
-  } else {
-    Mem.resize(NewPages * PageSize, 0);
-    Ops[Sp - 1] = OldPages;
-  }
+  uint64_t &Top = OpStack[Frames.back().OpBase + SpRel - 1];
+  Top = memoryGrow(static_cast<uint32_t>(Top));
   Ctx.MemP = Mem.data();
   Ctx.MemSz = Mem.size();
   return JOk;

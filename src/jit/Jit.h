@@ -14,8 +14,10 @@
 /// the operand height tracked statically at compile time — so any trap or
 /// rare path simply exits ("deopts") to the flat engine, which resumes
 /// mid-function from the recorded pc and produces byte-identical trap
-/// notes. Calls, host calls, and memory.grow run through C++ helpers that
-/// mirror the interpreter's own transfer code.
+/// notes. Calls, host calls, call_indirect resolution, memory.grow and
+/// the numerics without an inline template run through C++ helpers that
+/// *are* the interpreter's slow paths (exec::FlatInstance members and
+/// exec::evalNumeric), so the tiers share one copy of each.
 ///
 /// Fuel is charged in per-segment batches (a segment is a basic block cut
 /// at call sites) with an exact-refund deopt when the batch would
@@ -76,7 +78,7 @@ struct JitContext {
   void *ProfP = nullptr;       ///< Prof.data() or null (FunctionProfile).
   uint32_t DeoptPc = 0;        ///< Word pc of the deopting instruction.
   uint32_t DeoptSp = 0;        ///< Operand height (frame-relative) there.
-  uint32_t GenTrap = 0;        ///< Out-flag of the generic-op helpers.
+  uint32_t GenTrap = 0;        ///< Out-flag of the generic-op helper.
   uint32_t Pad = 0;
   /// Fuel returned by exact-refund deopt stubs during this activation
   /// (generated code accumulates; the engine drains it into the

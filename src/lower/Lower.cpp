@@ -17,6 +17,7 @@
 
 #include <cassert>
 #include <functional>
+#include <map>
 
 using namespace rw;
 using namespace rw::lower;
@@ -212,6 +213,10 @@ public:
   Expected<LoweredProgram> run();
 
   LoweredProgram Out;
+  /// (module index, RichWasm function index) → Wasm function index.
+  std::map<std::pair<uint32_t, uint32_t>, uint32_t> FuncMap;
+  /// Module index → base offset of its entries in the merged table.
+  std::map<uint32_t, uint32_t> TableBase;
   std::vector<const Module *> Mods;
   /// The caller's import resolution (link/Resolve.h). Not owned.
   const std::vector<link::ResolvedModule> *Resolved;
@@ -941,7 +946,7 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
   //===---------------------------------------------------- calls ---------===//
   case InstKind::CoderefI: {
     const auto *C = cast<CoderefInst>(&I);
-    uint32_t Base = P.Out.TableBase.at(ModIdx);
+    uint32_t Base = P.TableBase.at(ModIdx);
     O.push_back(WInst::i32c(static_cast<int32_t>(Base + C->funcIndex())));
     return Status::success();
   }
@@ -952,7 +957,7 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
       return Error("missing checker annotation at call");
     const Module &M = *P.Mods[ModIdx];
     const FunTypeRef &CalleeTy = M.Funcs[C->funcIndex()].Ty;
-    uint32_t Target = P.Out.FuncMap.at({ModIdx, C->funcIndex()});
+    uint32_t Target = P.FuncMap.at({ModIdx, C->funcIndex()});
 
     // Fast path: shapes agree when there are no pretype/size quantifiers.
     bool NeedsCoercion = false;
@@ -1707,7 +1712,7 @@ Expected<LoweredProgram> ProgramLowering::run() {
     if (!PR || !RR)
       return Error("cannot lower host import signature");
     uint32_t TI = Out.Module.addType({*PR, *RR});
-    Out.FuncMap[{PI.Mod, PI.Func}] =
+    FuncMap[{PI.Mod, PI.Func}] =
         static_cast<uint32_t>(Out.Module.ImportFuncs.size());
     Out.Module.ImportFuncs.push_back({PI.Name.Module, PI.Name.Name, TI});
   }
@@ -1721,23 +1726,22 @@ Expected<LoweredProgram> ProgramLowering::run() {
     const Module &M = *Mods[MI];
     for (uint32_t FI = 0; FI < M.Funcs.size(); ++FI)
       if (!M.Funcs[FI].isImport())
-        Out.FuncMap[{MI, FI}] = NextIdx++;
+        FuncMap[{MI, FI}] = NextIdx++;
   }
   // Resolve cross-module imports to their providers' indices.
   for (auto &[Key, Provider] : ResolvedTo) {
-    auto It = Out.FuncMap.find(Provider);
-    if (It == Out.FuncMap.end())
+    auto It = FuncMap.find(Provider);
+    if (It == FuncMap.end())
       return Error("import resolves to an unlowered function");
-    Out.FuncMap[Key] = It->second;
+    FuncMap[Key] = It->second;
   }
 
   // Table: concatenate all module tables, recording each slot's lowered
   // shape for the abstract call_indirect dispatch.
   for (uint32_t MI = 0; MI < Mods.size(); ++MI) {
-    Out.TableBase[MI] =
-        static_cast<uint32_t>(Out.Module.TableElems.size());
+    TableBase[MI] = static_cast<uint32_t>(Out.Module.TableElems.size());
     for (uint32_t E : Mods[MI]->Tab.Entries) {
-      Out.Module.TableElems.push_back(Out.FuncMap.at({MI, E}));
+      Out.Module.TableElems.push_back(FuncMap.at({MI, E}));
       const Function &F = Mods[MI]->Funcs[E];
       TypeVarSizes B =
           typing::typeVarSizes(typing::buildKindCtx(F.Ty->quants()));
@@ -1969,7 +1973,7 @@ Expected<LoweredProgram> ProgramLowering::run() {
     Out.Module.Funcs.push_back(
         {TI, std::move(R.Locals), std::move(R.Code)});
     assert(Out.Module.numFuncs() - 1 ==
-               Out.FuncMap.at({Work[W].Mod, Work[W].Func}) &&
+               FuncMap.at({Work[W].Mod, Work[W].Func}) &&
            "function index assignment drifted");
   }
 
@@ -2004,7 +2008,7 @@ Expected<LoweredProgram> ProgramLowering::run() {
   for (uint32_t MI = 0; MI < Mods.size(); ++MI)
     if (Mods[MI]->Start)
       InitBody.push_back(
-          WInst::idx(Op::Call, Out.FuncMap.at({MI, *Mods[MI]->Start})));
+          WInst::idx(Op::Call, FuncMap.at({MI, *Mods[MI]->Start})));
 
   // Patch call_indirect type indices (they need module-level type
   // interning, which body lowering must not touch — that is what keeps
@@ -2038,13 +2042,12 @@ Expected<LoweredProgram> ProgramLowering::run() {
     const Module &M = *Mods[MI];
     for (uint32_t FI = 0; FI < M.Funcs.size(); ++FI)
       for (const std::string &E : M.Funcs[FI].Exports) {
-        uint32_t Idx = Out.FuncMap.at({MI, FI});
+        uint32_t Idx = FuncMap.at({MI, FI});
         std::string Full;
         Full.reserve(M.Name.size() + 1 + E.size());
         Full += M.Name;
         Full += '.';
         Full += E;
-        Out.Exports[Full] = Idx;
         Out.Module.Exports.push_back(
             {std::move(Full), wasm::ExportKind::Func, Idx});
       }

@@ -38,8 +38,6 @@
 #include "typing/Checker.h"
 #include "wasm/WasmAst.h"
 
-#include <map>
-
 namespace rw::support {
 class ThreadPool;
 } // namespace rw::support
@@ -51,12 +49,6 @@ struct LoweredProgram {
   RuntimeLayout Runtime;
   /// Wasm global indices that hold heap references (GC roots).
   std::vector<uint32_t> RefGlobals;
-  /// "module.export" → Wasm function index.
-  std::map<std::string, uint32_t> Exports;
-  /// (module index, RichWasm function index) → Wasm function index.
-  std::map<std::pair<uint32_t, uint32_t>, uint32_t> FuncMap;
-  /// Module index → base offset of its entries in the merged table.
-  std::map<uint32_t, uint32_t> TableBase;
 };
 
 /// The hand-off lowerProgram consumes from link::buildArtifact, the one

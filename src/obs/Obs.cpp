@@ -69,11 +69,14 @@ struct TraceEvent {
 };
 
 struct TraceBuf {
-  std::vector<TraceEvent> Ev; ///< Ring of capacity TraceCapacity.
-  size_t N = 0;               ///< Events pushed since the last clear.
-  size_t Dropped = 0;         ///< Overwritten by wraparound since clear.
-  uint64_t Tid = 0;           ///< Stable small id (registration order).
-  std::string Name;           ///< "main", "pool-3", ... ("t<id>" default).
+  /// Ring of capacity TraceCapacity, allocated on the thread's first
+  /// event and left uninitialized: zero-filling its 640 KB there would
+  /// take time no span accounts for. Only slots below N are read.
+  std::unique_ptr<TraceEvent[]> Ev;
+  size_t N = 0;       ///< Events pushed since the last clear.
+  size_t Dropped = 0; ///< Overwritten by wraparound since clear.
+  uint64_t Tid = 0;   ///< Stable small id (registration order).
+  std::string Name;   ///< "main", "pool-3", ... ("t<id>" default).
 };
 
 struct SlotInfo {
@@ -239,8 +242,8 @@ void spanEnd(const Phase &P, uint64_t StartNs, uint64_t A, uint64_t B) {
   if (SampleState == 2 && SampleN.load(std::memory_order_relaxed) > 1)
     return;
   TraceBuf &T = myBuf();
-  if (T.Ev.empty())
-    T.Ev.resize(TraceCapacity);
+  if (!T.Ev)
+    T.Ev = std::make_unique_for_overwrite<TraceEvent[]>(TraceCapacity);
   if (T.N >= TraceCapacity) {
     ++T.Dropped;
     static Counter DroppedC("obs.trace.dropped");

@@ -12,7 +12,8 @@
 //     linear/unrestricted heap churn, the Counter/Client FFI protocol),
 //     including host-assisted GC parity;
 //   * a deterministic fuzz-ish sweep of straight-line numeric functions
-//     over the whole operator alphabet, checksummed through a local.
+//     over the whole operator alphabet, checksummed through a local;
+//   * an oracle running every numeric opcode over edge operands.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 
 using namespace rw;
 using namespace rw::wasm;
@@ -35,6 +37,8 @@ using namespace rw::wasm;
 namespace {
 
 constexpr EngineKind BothEngines[] = {EngineKind::Tree, EngineKind::Flat};
+constexpr EngineKind AllEngines[] = {EngineKind::Tree, EngineKind::Flat,
+                                     EngineKind::Jit};
 
 /// Everything observable about one engine run.
 struct RunResult {
@@ -655,10 +659,11 @@ TEST(ExecLowered, WideModuleEveryFunction) {
   auto FI = createInstance(LP->Module, EngineKind::Flat);
   ASSERT_TRUE(TI->initialize().ok());
   ASSERT_TRUE(FI->initialize().ok());
-  for (const auto &[Name, Idx] : LP->Exports) {
+  for (const WExport &E : LP->Module.Exports) {
+    const std::string &Name = E.Name;
     for (uint32_t Arg : {0u, 13u}) {
-      auto RT = TI->invoke(Idx, {WValue::i32(Arg)});
-      auto RF = FI->invoke(Idx, {WValue::i32(Arg)});
+      auto RT = TI->invoke(E.Idx, {WValue::i32(Arg)});
+      auto RF = FI->invoke(E.Idx, {WValue::i32(Arg)});
       ASSERT_EQ(bool(RT), bool(RF)) << Name;
       if (RT) {
         ASSERT_EQ(RT->size(), RF->size());
@@ -889,29 +894,152 @@ WModule fuzzModule(uint64_t Seed, unsigned Steps) {
 } // namespace
 
 TEST(ExecFuzz, StraightLineNumericSweep) {
+  // Tree, flat and eager JIT over the fuzz alphabet: every inlined ALU
+  // template, every helper-dispatched conversion, every trap edge.
   unsigned Agree = 0, Trapped = 0;
   for (uint64_t Seed = 1; Seed <= 150; ++Seed) {
     WModule M = fuzzModule(Seed, 60);
     ASSERT_TRUE(validate(M).ok())
         << "seed " << Seed << ": " << validate(M).error().message();
     for (uint32_t Arg : {0u, 0xdeadbeefu}) {
-      RunResult T = runOn(M, EngineKind::Tree, "f", {WValue::i32(Arg)});
-      RunResult F = runOn(M, EngineKind::Flat, "f", {WValue::i32(Arg)});
-      ASSERT_EQ(T.Ok, F.Ok) << "seed " << Seed << " arg " << Arg
-                            << " tree: " << T.Err << " flat: " << F.Err;
-      ASSERT_EQ(T.Err, F.Err) << "seed " << Seed;
-      if (T.Ok) {
-        ASSERT_EQ(T.Results[0].Bits, F.Results[0].Bits)
-            << "seed " << Seed << " arg " << Arg;
-        ++Agree;
-      } else {
-        ++Trapped;
+      RunResult R[3];
+      for (int I = 0; I < 3; ++I)
+        R[I] = runOn(M, AllEngines[I], "f", {WValue::i32(Arg)});
+      for (int I = 1; I < 3; ++I) {
+        const char *Who = engineKindName(AllEngines[I]);
+        ASSERT_EQ(R[0].Ok, R[I].Ok) << "seed " << Seed << " arg " << Arg
+                                    << " tree: " << R[0].Err << " " << Who
+                                    << ": " << R[I].Err;
+        ASSERT_EQ(R[0].Err, R[I].Err) << "seed " << Seed << " " << Who;
+        if (R[0].Ok) {
+          ASSERT_EQ(R[0].Results[0].Bits, R[I].Results[0].Bits)
+              << "seed " << Seed << " arg " << Arg << " " << Who;
+        }
       }
+      ASSERT_EQ(R[1].Inst->instrCount(), R[2].Inst->instrCount())
+          << "seed " << Seed << " arg " << Arg;
+      ++(R[0].Ok ? Agree : Trapped);
+    }
+    if (Seed == 100) { // The floors the jit-only sweep held over 100 seeds.
+      EXPECT_GT(Agree, 30u);
+      EXPECT_GT(Trapped, 5u);
     }
   }
   // The sweep must actually exercise both completion and trapping.
   EXPECT_GT(Agree, 50u);
   EXPECT_GT(Trapped, 10u);
+}
+
+TEST(ExecOracle, EveryNumericOpcodeOverEdgeOperands) {
+  // f(x[, y]) = op x [y] for every numeric opcode 0x45..0xbf, over every
+  // operand tuple drawn from the edge values of its input types: zero,
+  // +-1, the signed and unsigned extremes, 2^31 and 2^63, signed zeros,
+  // infinities, NaN, and floats just inside and just past each
+  // truncation limit. Tree, flat and eager JIT must agree on results and
+  // trap bytes, and flat and JIT on instructions executed.
+  auto F32 = [](float V) { return num::f32ToBits(V); };
+  auto F64 = [](double V) { return num::f64ToBits(V); };
+  const float Inf32 = std::numeric_limits<float>::infinity();
+  const double Inf64 = std::numeric_limits<double>::infinity();
+  const std::vector<uint64_t> I32s = {0, 1, 0xffffffffu, 0x80000000u,
+                                      0x7fffffffu, 31, 32};
+  const std::vector<uint64_t> I64s = {0,           1,          ~0ull,
+                                      1ull << 63, (1ull << 63) - 1,
+                                      1ull << 31,  0xffffffffu, 63};
+  const std::vector<uint64_t> F32s = {
+      F32(0.0f), F32(-0.0f), F32(1.0f), F32(-1.0f), F32(Inf32), F32(-Inf32),
+      F32(std::numeric_limits<float>::quiet_NaN()), F32(-0.75f),
+      F32(2147483520.0f),           // largest f32 below 2^31
+      F32(2147483648.0f),           // 2^31: past i32
+      F32(-2147483648.0f),          // i32 min, exactly
+      F32(-2147483904.0f),          // past i32 min
+      F32(4294967296.0f),           // 2^32: past u32
+      F32(9223372036854775808.0f),  // 2^63: past i64
+      F32(-9223373136366403584.0f), // past i64 min
+      F32(18446744073709551616.0f)}; // 2^64: past u64
+  const std::vector<uint64_t> F64s = {
+      F64(0.0), F64(-0.0), F64(1.0), F64(-1.0), F64(Inf64), F64(-Inf64),
+      F64(std::numeric_limits<double>::quiet_NaN()), F64(-0.75),
+      F64(2147483647.9),  F64(2147483648.0),  // around i32 max
+      F64(-2147483648.9), F64(-2147483649.0), // around i32 min
+      F64(4294967295.9),  F64(4294967296.0),  // around u32 max
+      F64(9223372036854775808.0),             // 2^63: past i64
+      F64(-9223372036854777856.0),            // past i64 min
+      F64(18446744073709549568.0),            // largest below 2^64
+      F64(18446744073709551616.0)};           // 2^64: past u64
+  auto Pool = [&](ValType T) -> const std::vector<uint64_t> & {
+    return T == ValType::I32   ? I32s
+           : T == ValType::I64 ? I64s
+           : T == ValType::F32 ? F32s
+                               : F64s;
+  };
+
+  unsigned Ops = 0, Runs = 0, DivTraps = 0, ConvTraps = 0;
+  for (uint32_t Code = 0x45; Code <= 0xbf; ++Code) {
+    Op K = static_cast<Op>(Code);
+    OpSig Sig = opSignature(K);
+    ASSERT_EQ(Sig.Out.size(), 1u) << "opcode " << Code;
+    std::vector<WInst> Body;
+    for (uint32_t I = 0; I < Sig.In.size(); ++I)
+      Body.push_back(WInst::idx(Op::LocalGet, I));
+    Body.push_back(WInst::mk(K));
+    WModule M = oneFunc({Sig.In, Sig.Out}, {}, std::move(Body));
+    ASSERT_TRUE(validate(M).ok()) << "opcode " << Code;
+    std::unique_ptr<Instance> In[3];
+    for (int E = 0; E < 3; ++E) {
+      In[E] = createInstance(M, AllEngines[E]);
+      ASSERT_TRUE(In[E]->initialize().ok());
+    }
+#if RW_JIT_ENABLED
+    ASSERT_EQ(static_cast<exec::FlatInstance &>(*In[2]).jitCompiledCount(),
+              1u)
+        << "opcode " << Code << " refused by the native tier";
+#endif
+    ++Ops;
+
+    const std::vector<uint64_t> &PA = Pool(Sig.In[0]);
+    const std::vector<uint64_t> One = {0};
+    const std::vector<uint64_t> &PB =
+        Sig.In.size() == 2 ? Pool(Sig.In[1]) : One;
+    for (uint64_t A : PA)
+      for (uint64_t B : PB) {
+        std::vector<WValue> Args = {{Sig.In[0], A}};
+        if (Sig.In.size() == 2)
+          Args.push_back({Sig.In[1], B});
+        Expected<std::vector<WValue>> R[3] = {
+            Error(""), Error(""), Error("")};
+        uint64_t Count[3];
+        for (int E = 0; E < 3; ++E) {
+          uint64_t Before = In[E]->instrCount();
+          R[E] = In[E]->invoke(0, Args);
+          Count[E] = In[E]->instrCount() - Before;
+        }
+        ++Runs;
+        for (int E = 1; E < 3; ++E) {
+          const char *Who = engineKindName(AllEngines[E]);
+          ASSERT_EQ(bool(R[0]), bool(R[E]))
+              << "opcode " << Code << " " << Who << " a=" << A << " b=" << B;
+          if (R[0]) {
+            ASSERT_EQ((*R[0])[0].Bits, (*R[E])[0].Bits)
+                << "opcode " << Code << " " << Who << " a=" << A
+                << " b=" << B;
+          } else {
+            ASSERT_EQ(R[0].error().message(), R[E].error().message())
+                << "opcode " << Code << " " << Who;
+          }
+        }
+        ASSERT_EQ(Count[1], Count[2]) << "opcode " << Code;
+        if (!R[0]) {
+          const std::string &Msg = R[0].error().message();
+          DivTraps += Msg == "trap: integer divide error [func 0]";
+          ConvTraps += Msg == "trap: invalid conversion to integer [func 0]";
+        }
+      }
+  }
+  EXPECT_EQ(Ops, 0xbfu - 0x45u + 1);
+  EXPECT_GT(Runs, 10000u);
+  EXPECT_GT(DivTraps, 0u);
+  EXPECT_GT(ConvTraps, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1072,9 +1200,6 @@ TEST(ExecFlat, InvokeAfterReentryTrapStillWorks) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-constexpr EngineKind AllEngines[] = {EngineKind::Tree, EngineKind::Flat,
-                                     EngineKind::Jit};
 
 uint32_t compiledCountOf(const RunResult &R) {
   return static_cast<exec::FlatInstance &>(*R.Inst).jitCompiledCount();
@@ -1534,32 +1659,6 @@ TEST(JitDiff, ResetProfilesRetiers) {
 #if RW_JIT_ENABLED
   EXPECT_EQ(I.jitCompiledCount(), 1u);
 #endif
-}
-
-TEST(JitFuzz, StraightLineNumericSweepEager) {
-  // The fuzz alphabet against the native templates: every inlined ALU
-  // template, every helper-dispatched conversion, every trap edge.
-  unsigned Agree = 0, Trapped = 0;
-  for (uint64_t Seed = 1; Seed <= 100; ++Seed) {
-    WModule M = fuzzModule(Seed, 60);
-    ASSERT_TRUE(validate(M).ok());
-    for (uint32_t Arg : {0u, 0xdeadbeefu}) {
-      RunResult T = runOn(M, EngineKind::Tree, "f", {WValue::i32(Arg)});
-      RunResult J = runOn(M, EngineKind::Jit, "f", {WValue::i32(Arg)});
-      ASSERT_EQ(T.Ok, J.Ok) << "seed " << Seed << " arg " << Arg
-                            << " tree: " << T.Err << " jit: " << J.Err;
-      ASSERT_EQ(T.Err, J.Err) << "seed " << Seed;
-      if (T.Ok) {
-        ASSERT_EQ(T.Results[0].Bits, J.Results[0].Bits)
-            << "seed " << Seed << " arg " << Arg;
-        ++Agree;
-      } else {
-        ++Trapped;
-      }
-    }
-  }
-  EXPECT_GT(Agree, 30u);
-  EXPECT_GT(Trapped, 5u);
 }
 
 TEST(JitLowered, WorkloadsAndHostGcThreeWay) {

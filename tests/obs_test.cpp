@@ -415,6 +415,51 @@ TEST(Obs, WorkerThreadsAppearUnderPoolNames) {
   EXPECT_TRUE(Found);
 }
 
+TEST(Obs, FirstSpanOnFreshThreadYieldsWellFormedTrace) {
+  // A thread's ring is allocated, not zero-filled, by its first event:
+  // the trace must hold exactly that event for the thread, and nothing
+  // read from the unwritten slots.
+  TracingOn Guard;
+  std::thread T([] { OBS_SPAN("first_on_thread", 7); });
+  T.join();
+  std::string J = obs::traceJson();
+
+  // Balanced braces and brackets outside strings, one top-level value.
+  std::string Open;
+  bool InStr = false;
+  for (size_t I = 0; I < J.size(); ++I) {
+    char C = J[I];
+    if (InStr) {
+      if (C == '\\')
+        ++I;
+      else if (C == '"')
+        InStr = false;
+    } else if (C == '"') {
+      InStr = true;
+    } else if (C == '{' || C == '[') {
+      Open.push_back(C == '{' ? '}' : ']');
+    } else if (C == '}' || C == ']') {
+      ASSERT_FALSE(Open.empty()) << J;
+      ASSERT_EQ(Open.back(), C) << J;
+      Open.pop_back();
+      ASSERT_TRUE(!Open.empty() || I + 1 == J.size()) << J;
+    }
+  }
+  EXPECT_TRUE(Open.empty() && !InStr) << J;
+
+  std::vector<Ev> Evs = parseTrace(J);
+  auto It = std::find_if(Evs.begin(), Evs.end(), [](const Ev &E) {
+    return E.Name == "first_on_thread";
+  });
+  ASSERT_NE(It, Evs.end()) << J;
+  EXPECT_GT(It->Ts, 0.0);
+  EXPECT_GE(It->Dur, 0.0);
+  EXPECT_EQ(std::count_if(Evs.begin(), Evs.end(),
+                          [&](const Ev &E) { return E.Tid == It->Tid; }),
+            1);
+  EXPECT_NE(J.find("\"args\":{\"a\":7,\"b\":0}"), std::string::npos) << J;
+}
+
 TEST(Obs, ClearTraceDropsEventsKeepsBuffers) {
   TracingOn Guard;
   { OBS_SPAN("transient_phase"); }
