@@ -754,10 +754,9 @@ host_call: {
   // above never land here.
   //===--------------------------------------------------------------===//
   RW_DEFAULT() {
-    unsigned Arity = numericArity(OpC);
-    if (!Arity)
+    if (OpC >= OpTable.size() || !OpTable[OpC].numeric())
       return trapOut("unhandled opcode");
-    uint64_t B = Arity == 2 ? Ops[--Sp] : 0;
+    uint64_t B = OpTable[OpC].Pops == 2 ? Ops[--Sp] : 0;
     NumTrap T = NumTrap::None;
     uint64_t V = evalNumeric(OpC, Ops[Sp - 1], B, T);
     if (T != NumTrap::None)

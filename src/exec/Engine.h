@@ -56,21 +56,9 @@ enum class NumTrap : uint32_t {
   Unhandled,         ///< Not a numeric opcode: "unhandled opcode".
 };
 
-/// Operand count of numeric opcode \p OpC (0x45..0xbf): 1 for tests,
-/// unary ops and conversions, 2 for relops and binops; 0 outside the
-/// numeric range.
-inline unsigned numericArity(uint32_t OpC) {
-  if (OpC < 0x45 || OpC > 0xbf)
-    return 0;
-  bool Bin = (OpC >= 0x46 && OpC <= 0x4f) || (OpC >= 0x51 && OpC <= 0x66) ||
-             (OpC >= 0x6a && OpC <= 0x78) || (OpC >= 0x7c && OpC <= 0x8a) ||
-             (OpC >= 0x92 && OpC <= 0x98) || (OpC >= 0xa0 && OpC <= 0xa6);
-  return Bin ? 2 : 1;
-}
-
 /// The flat tier's numeric evaluator over raw 64-bit slots, for every
-/// opcode in 0x45..0xbf: binary ops read (A, B), the others read A and
-/// ignore B. Bit-exact with the tree engine (the same num:: helpers). On
+/// numeric opcode (wasm::OpInfo::numeric): ops that pop two read (A, B),
+/// the others read A and ignore B. Bit-exact with the tree engine (the same num:: helpers). On
 /// a trap returns 0 and sets \p Trap. The interpreter calls it for the
 /// opcodes without a dedicated handler, and the JIT's generic-op
 /// template calls it through an extern "C" shim.

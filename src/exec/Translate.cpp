@@ -15,13 +15,6 @@ using namespace rw::wasm;
 
 namespace {
 
-/// Operand/result counts of a non-structured, non-call opcode, derived
-/// from the Wasm opcode byte ranges (cheaper than wasm::opSignature,
-/// which materializes type vectors).
-struct Arity {
-  uint32_t In = 0, Out = 0;
-};
-
 /// Canonical type id: index of the first structurally equal entry in
 /// M.Types. call_indirect's runtime check compares these, so every
 /// producer of a canonical id must use this one definition.
@@ -30,35 +23,6 @@ uint32_t canonTypeId(const WModule &M, uint32_t TypeIdx) {
     if (M.Types[J] == M.Types[TypeIdx])
       return J;
   return TypeIdx;
-}
-
-Arity simpleArity(Op K) {
-  uint8_t C = static_cast<uint8_t>(K);
-  if (C >= 0x28 && C <= 0x35) // loads
-    return {1, 1};
-  if (C >= 0x36 && C <= 0x3e) // stores
-    return {2, 0};
-  if (K == Op::MemorySize)
-    return {0, 1};
-  if (K == Op::MemoryGrow)
-    return {1, 1};
-  if (C >= 0x41 && C <= 0x44) // consts
-    return {0, 1};
-  if (C == 0x45 || C == 0x50) // eqz
-    return {1, 1};
-  if ((C >= 0x46 && C <= 0x4f) || (C >= 0x51 && C <= 0x66)) // relops
-    return {2, 1};
-  if ((C >= 0x67 && C <= 0x69) || (C >= 0x79 && C <= 0x7b)) // int unops
-    return {1, 1};
-  if ((C >= 0x6a && C <= 0x78) || (C >= 0x7c && C <= 0x8a)) // int binops
-    return {2, 1};
-  if ((C >= 0x8b && C <= 0x91) || (C >= 0x99 && C <= 0x9f)) // float unops
-    return {1, 1};
-  if ((C >= 0x92 && C <= 0x98) || (C >= 0xa0 && C <= 0xa6)) // float binops
-    return {2, 1};
-  if (C >= 0xa7 && C <= 0xbf) // conversions
-    return {1, 1};
-  return {0, 0}; // unreachable/nop handled by the caller
 }
 
 /// Translates one function body. Tracks the virtual operand height the
@@ -219,18 +183,28 @@ private:
   }
 
   Status inst(const WInst &I);
+  Status control(const WInst &I);
+  Status data(const WInst &I, const OpInfo &R);
 };
 
 Status FuncTranslator::inst(const WInst &I) {
-  switch (I.K) {
-  case Op::Nop:
-    return Status::success(); // Erased: costs nothing at run time.
-  case Op::Unreachable:
-    fence();
-    emit(static_cast<uint32_t>(Op::Unreachable));
-    Dead = true;
-    return Status::success();
+  const OpInfo &R = opInfo(I.K);
+  if (!R.Valid)
+    return Error("flat translation: unhandled opcode");
+  if (R.Pops == OpInfo::Dyn)
+    return control(I);
+  if (Status S = pop(R.Pops); !S)
+    return S;
+  if (Status S = data(I, R); !S)
+    return S;
+  push(R.Pushes);
+  return Status::success();
+}
 
+/// Structured control, branches, return and calls: the Wasm rows whose
+/// stack effect depends on a block type, a label or a function type.
+Status FuncTranslator::control(const WInst &I) {
+  switch (I.K) {
   case Op::Block: {
     fence();
     uint32_t P = static_cast<uint32_t>(I.BT.Params.size());
@@ -387,25 +361,31 @@ Status FuncTranslator::inst(const WInst &I) {
     push(static_cast<uint32_t>(FT.Results.size()));
     return Status::success();
   }
+  default:
+    return Error("flat translation: unhandled opcode");
+  }
+}
 
-  case Op::Drop:
-    if (Status S = pop(1); !S)
-      return S;
-    emit(static_cast<uint32_t>(Op::Drop));
-    fence();
-    return Status::success();
-  case Op::Select:
-    if (Status S = pop(3); !S)
-      return S;
-    emit(static_cast<uint32_t>(Op::Select));
-    fence();
-    push(1);
-    return Status::success();
-
-  case Op::LocalGet: {
-    if (I.U32 >= Out.NumRegs)
+/// An instruction with a fixed stack effect (the caller pops and pushes
+/// its row's counts): fused into the previous instruction where a
+/// superinstruction covers the pair, else emitted verbatim.
+Status FuncTranslator::data(const WInst &I, const OpInfo &R) {
+  if (R.Imm == ImmKind::Index) {
+    uint32_t Limit = (I.K == Op::GlobalGet || I.K == Op::GlobalSet)
+                         ? static_cast<uint32_t>(M.Globals.size())
+                         : Out.NumRegs;
+    if (I.U32 >= Limit)
       return Error("flat translation: local/global index out of range");
-    push(1);
+  }
+  switch (I.K) {
+  case Op::Nop:
+    return Status::success(); // Erased: costs nothing at run time.
+  case Op::Unreachable:
+    fence();
+    emit(static_cast<uint32_t>(Op::Unreachable));
+    Dead = true;
+    return Status::success();
+  case Op::LocalGet:
     if (Last == Prev::Get) {
       // [get a][get b] → FGetGet a b
       Code[PrevPos] = FGetGet;
@@ -418,53 +398,22 @@ Status FuncTranslator::inst(const WInst &I) {
       setLast(Prev::Get, P);
     }
     return Status::success();
-  }
-  case Op::LocalSet: {
-    if (I.U32 >= Out.NumRegs)
-      return Error("flat translation: local/global index out of range");
-    if (Status S = pop(1); !S)
-      return S;
-    if (Last == Prev::GetGetAdd) {
+  case Op::LocalSet:
+    if (Last == Prev::GetGetAdd)
       Code[PrevPos] = FGetGetAddSet; // a b d
-      emit(I.U32);
-    } else if (Last == Prev::GetConstAdd) {
+    else if (Last == Prev::GetConstAdd)
       Code[PrevPos] = FGetConstAddSet; // a k d
-      emit(I.U32);
-    } else if (Last == Prev::Get) {
+    else if (Last == Prev::Get)
       Code[PrevPos] = FMove; // a d
-      emit(I.U32);
-    } else if (Last == Prev::Const) {
+    else if (Last == Prev::Const)
       Code[PrevPos] = FConstSet; // k d
-      emit(I.U32);
-    } else {
-      emit(static_cast<uint32_t>(Op::LocalSet));
-      emit(I.U32);
-    }
-    fence();
-    return Status::success();
-  }
-  case Op::LocalTee:
-  case Op::GlobalGet:
-  case Op::GlobalSet: {
-    uint32_t Limit = (I.K == Op::GlobalGet || I.K == Op::GlobalSet)
-                         ? static_cast<uint32_t>(M.Globals.size())
-                         : Out.NumRegs;
-    if (I.U32 >= Limit)
-      return Error("flat translation: local/global index out of range");
-    if (I.K == Op::GlobalGet)
-      push(1);
-    else if (I.K == Op::GlobalSet)
-      if (Status S = pop(1); !S)
-        return S;
-    emit(static_cast<uint32_t>(I.K));
+    else
+      break;
     emit(I.U32);
     fence();
     return Status::success();
-  }
-
   case Op::I32Const:
-  case Op::F32Const: {
-    push(1);
+  case Op::F32Const:
     if (Last == Prev::Get) {
       // [get a][const k] → FGetConst a k
       Code[PrevPos] = FGetConst;
@@ -477,53 +426,60 @@ Status FuncTranslator::inst(const WInst &I) {
       setLast(Prev::Const, P);
     }
     return Status::success();
-  }
-  case Op::I64Const:
-  case Op::F64Const:
-    emit(static_cast<uint32_t>(I.K));
-    emit(static_cast<uint32_t>(I.U64));
-    emit(static_cast<uint32_t>(I.U64 >> 32));
-    fence();
-    push(1);
-    return Status::success();
-
-  default: {
-    // Memory and numeric opcodes map one-to-one (with peephole
-    // fusions for the i32 patterns lowered RichWasm code lives in).
-    Arity A = simpleArity(I.K);
-    if (A.In == 0 && A.Out == 0)
-      return Error("flat translation: unhandled opcode");
-    if (Status S = pop(A.In); !S)
-      return S;
-    if (I.K == Op::I32Add && Last == Prev::GetGet) {
+  case Op::I32Add:
+    if (Last == Prev::GetGet) {
       Code[PrevPos] = FGetGetAdd;
       setLast(Prev::GetGetAdd, PrevPos);
-    } else if (I.K == Op::I32Add && Last == Prev::GetConst) {
+      return Status::success();
+    }
+    if (Last == Prev::GetConst) {
       Code[PrevPos] = FGetConstAdd;
       setLast(Prev::GetConstAdd, PrevPos);
-    } else if (I.K == Op::I32Load && Last == Prev::Get) {
-      Code[PrevPos] = FGetLoadI32; // a off
-      emit(I.Offset);
-      fence();
-    } else if (I.K == Op::I32Store && Last == Prev::GetGet) {
-      Code[PrevPos] = FGetGetStoreI32; // a b off
-      emit(I.Offset);
-      fence();
-    } else if (I.K == Op::I32Store && Last == Prev::GetConst) {
-      Code[PrevPos] = FGetConstStoreI32; // a k off
-      emit(I.Offset);
-      fence();
-    } else {
-      emit(static_cast<uint32_t>(I.K));
-      uint8_t C = static_cast<uint8_t>(I.K);
-      if (C >= 0x28 && C <= 0x3e) // memarg: static offset immediate
-        emit(I.Offset);
-      fence();
+      return Status::success();
     }
-    push(A.Out);
+    break;
+  case Op::I32Load:
+    if (Last != Prev::Get)
+      break;
+    Code[PrevPos] = FGetLoadI32; // a off
+    emit(I.Offset);
+    fence();
     return Status::success();
+  case Op::I32Store:
+    if (Last == Prev::GetGet)
+      Code[PrevPos] = FGetGetStoreI32; // a b off
+    else if (Last == Prev::GetConst)
+      Code[PrevPos] = FGetConstStoreI32; // a k off
+    else
+      break;
+    emit(I.Offset);
+    fence();
+    return Status::success();
+  default:
+    break;
   }
+  // Verbatim: the opcode, then its immediate as flat operand words (the
+  // layout exec::flatOpInfo gives every Wasm row).
+  emit(static_cast<uint32_t>(I.K));
+  switch (R.Imm) {
+  case ImmKind::Index:
+    emit(I.U32);
+    break;
+  case ImmKind::Memarg:
+    emit(I.Offset);
+    break;
+  case ImmKind::Const32:
+    emit(static_cast<uint32_t>(I.U64));
+    break;
+  case ImmKind::Const64:
+    emit(static_cast<uint32_t>(I.U64));
+    emit(static_cast<uint32_t>(I.U64 >> 32));
+    break;
+  default:
+    break;
   }
+  fence();
+  return Status::success();
 }
 
 /// A translated function's frame shape; the code comes after.

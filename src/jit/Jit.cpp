@@ -263,61 +263,6 @@ uint64_t rwJitNumeric(uint32_t OpC, uint64_t A, uint64_t B, uint32_t *Trap);
 
 namespace {
 
-/// Operand words following an opcode (mirrors the interpreter's decode);
-/// -1 for opcodes that cannot appear in flat code.
-int operandWords(uint32_t Op, const uint32_t *Rest, uint32_t WordsLeft) {
-  switch (Op) {
-  case FGoto: case FGotoIf: case FGotoIfZ:
-  case FCall: case FCallHost: case FCallIndirect:
-  case FProfEnter: case FProfLoop:
-    return 1;
-  case FBr: case FBrIf:
-    return 3;
-  case FBrTable:
-    return WordsLeft < 1 ? -1 : static_cast<int>(1 + 3 * (Rest[0] + 1));
-  case FReturn:
-    return 0;
-  case FGetGet: case FGetConst: case FGetGetAdd: case FGetConstAdd:
-  case FMove: case FConstSet: case FGetLoadI32:
-    return 2;
-  case FGetGetAddSet: case FGetConstAddSet: case FGetGetStoreI32:
-  case FGetConstStoreI32:
-    return 3;
-  default:
-    break;
-  }
-  if (Op > 0xbf)
-    return -1;
-  if ((Op >= 0x20 && Op <= 0x24) || (Op >= 0x28 && Op <= 0x3e) ||
-      Op == 0x41 || Op == 0x43)
-    return 1;
-  if (Op == 0x42 || Op == 0x44)
-    return 2;
-  return 0;
-}
-
-/// Operand-stack delta of a non-control byte opcode; false when the
-/// opcode is not one the translator emits (compile is refused).
-bool stackDelta(uint32_t Op, int &D) {
-  if (Op == 0x1a || Op == 0x21 || Op == 0x24) { D = -1; return true; } // drop/set
-  if (Op == 0x1b) { D = -2; return true; }                             // select
-  if (Op == 0x20 || Op == 0x23 || Op == 0x3f ||
-      (Op >= 0x41 && Op <= 0x44)) { D = 1; return true; } // get/size/const
-  if (Op == 0x22 || Op == 0x40) { D = 0; return true; }   // tee/grow
-  if (Op >= 0x28 && Op <= 0x35) { D = 0; return true; }   // loads
-  if (Op >= 0x36 && Op <= 0x3e) { D = -2; return true; }  // stores
-  if (unsigned Ar = exec::numericArity(Op)) { // Numerics pop Ar, push 1.
-    D = 1 - static_cast<int>(Ar);
-    return true;
-  }
-  return false;
-}
-
-bool isControlOrCall(uint32_t Op) {
-  return Op == 0x00 /*Unreachable*/ ||
-         (Op >= FGoto && Op <= FCallIndirect);
-}
-
 /// Compiles one FlatFunc to position-independent machine code. All
 /// operand heights are static; any analysis surprise refuses the
 /// compile (the function then stays on the flat tier forever).
@@ -352,6 +297,75 @@ struct FuncCompiler {
       : FM(FM), F(F), C(F.Code.data()),
         Len(static_cast<uint32_t>(F.Code.size())) {}
 
+  /// Operand words of the instruction at \p Pc (exec::flatOpInfo), or -1
+  /// when C[Pc] starts no flat instruction or its operands overrun the
+  /// code.
+  int64_t words(uint32_t Pc) const {
+    FlatOpInfo I = flatOpInfo(C[Pc]);
+    if (!I.Valid)
+      return -1;
+    uint64_t W = I.Words;
+    if (W == FlatOpInfo::Var) { // FBrTable: n, then n + 1 triples.
+      if (Pc + 1 >= Len)
+        return -1;
+      W = 1 + 3 * (uint64_t(C[Pc + 1]) + 1);
+    }
+    return Pc + 1 + W > Len ? -1 : static_cast<int64_t>(W);
+  }
+
+  /// Calls \p Fn(target, height there) for each branch of the jump at
+  /// \p Pc, which leaves height \p Cur on its fall-through path; stops
+  /// and returns false when \p Fn does.
+  template <typename FnT>
+  bool eachTarget(uint32_t Pc, int32_t Cur, FnT Fn) const {
+    const uint32_t *Im = C + Pc + 1;
+    auto Triple = [&](const uint32_t *E) {
+      return Fn(E[0], static_cast<int32_t>(E[2] + E[1]));
+    };
+    switch (flatOpInfo(C[Pc]).Words) {
+    case 1:
+      return Fn(Im[0], Cur);
+    case FlatOpInfo::Var:
+      for (uint32_t I = 0; I <= Im[0]; ++I)
+        if (!Triple(Im + 1 + 3 * I))
+          return false;
+      return true;
+    default:
+      return Triple(Im);
+    }
+  }
+
+  /// Operand-height change of the call at \p Pc beyond its row's pops:
+  /// results minus params of the type its operand names. False when the
+  /// operand is out of range.
+  bool callDelta(uint32_t Pc, int32_t &D) const {
+    uint32_t Idx = C[Pc + 1];
+    const wasm::WModule &M = *FM.Source;
+    const FuncType *T = nullptr;
+    switch (C[Pc]) {
+    case FCall:
+      if (Idx < FM.Funcs.size())
+        T = &M.Types[FM.Funcs[Idx].TypeIdx];
+      break;
+    case FCallHost:
+      if (Idx < M.ImportFuncs.size())
+        T = &M.Types[M.ImportFuncs[Idx].TypeIdx];
+      break;
+    default: // FCallIndirect: a canonical type id.
+      if (Idx < M.Types.size())
+        T = &M.Types[Idx];
+      break;
+    }
+    if (!T)
+      return false;
+    D = static_cast<int32_t>(T->Results.size()) -
+        static_cast<int32_t>(T->Params.size());
+    return true;
+  }
+
+  /// Reads every word's row (exec::flatOpInfo) for the instruction
+  /// starts, branch targets, fuel charge points and the static operand
+  /// height before every pc. Any mismatch refuses the compile.
   bool analyze() {
     H.assign(Len + 1, -1);
     IsStart.assign(Len + 1, 0);
@@ -359,30 +373,25 @@ struct FuncCompiler {
     if (Len == 0)
       return false;
 
-    // Pass 1: instruction starts, branch targets, charge points.
+    // Pass 1: instruction starts, branch targets, charge points (a fuel
+    // segment ends after every control transfer and call).
     std::vector<uint32_t> Targets;
     bool PrevBreak = true;
     for (uint32_t Pc = 0; Pc < Len;) {
       IsStart[Pc] = 1;
       if (PrevBreak)
         ChargePt[Pc] = 1;
-      uint32_t Op = C[Pc];
-      int W = operandWords(Op, C + Pc + 1, Len - Pc - 1);
-      if (W < 0 || Pc + 1 + static_cast<uint32_t>(W) > Len)
+      int64_t W = words(Pc);
+      if (W < 0)
         return false;
-      switch (Op) {
-      case FGoto: case FGotoIf: case FGotoIfZ: case FBr: case FBrIf:
-        Targets.push_back(C[Pc + 1]);
-        break;
-      case FBrTable:
-        for (uint32_t I = 0; I <= C[Pc + 1]; ++I)
-          Targets.push_back(C[Pc + 2 + 3 * I]);
-        break;
-      default:
-        break;
-      }
-      PrevBreak = isControlOrCall(Op);
-      Pc += 1 + W;
+      FClass K = flatOpInfo(C[Pc]).Class;
+      if (K == FClass::Jump || K == FClass::Cond)
+        eachTarget(Pc, 0, [&](uint32_t T, int32_t) {
+          Targets.push_back(T);
+          return true;
+        });
+      PrevBreak = K != FClass::Plain && K != FClass::Profile;
+      Pc += 1 + static_cast<uint32_t>(W);
     }
     for (uint32_t T : Targets) {
       if (T >= Len || !IsStart[T])
@@ -400,9 +409,9 @@ struct FuncCompiler {
     };
     int32_t Cur = 0;
     bool Reach = true;
-    for (uint32_t Pc = 0; Pc < Len;) {
-      uint32_t Op = C[Pc];
-      int W = operandWords(Op, C + Pc + 1, Len - Pc - 1);
+    for (uint32_t Pc = 0; Pc < Len;
+         Pc += 1 + static_cast<uint32_t>(words(Pc))) {
+      FlatOpInfo I = flatOpInfo(C[Pc]);
       if (H[Pc] >= 0) {
         if (Reach && H[Pc] != Cur)
           return false;
@@ -412,96 +421,33 @@ struct FuncCompiler {
           return false; // Dead code: the translator elides it; refuse.
         H[Pc] = Cur;
       }
-      Reach = true;
-      switch (Op) {
-      case FGoto:
-        if (!SetT(C[Pc + 1], Cur))
-          return false;
-        Reach = false;
-        break;
-      case FGotoIf: case FGotoIfZ:
-        Cur -= 1;
-        if (Cur < 0 || !SetT(C[Pc + 1], Cur))
+      Reach = I.Class != FClass::Jump && I.Class != FClass::Terminal;
+      Cur -= I.Pops;
+      if (Cur < 0)
+        return false;
+      switch (I.Class) {
+      case FClass::Jump:
+      case FClass::Cond:
+        if (!eachTarget(Pc, Cur, SetT))
           return false;
         break;
-      case FBr:
-        if (!SetT(C[Pc + 1],
-                  static_cast<int32_t>(C[Pc + 3] + C[Pc + 2])))
-          return false;
-        Reach = false;
-        break;
-      case FBrIf:
-        Cur -= 1;
-        if (Cur < 0 ||
-            !SetT(C[Pc + 1], static_cast<int32_t>(C[Pc + 3] + C[Pc + 2])))
+      case FClass::Terminal:
+        if (C[Pc] == FReturn && Cur < static_cast<int32_t>(F.NumResults))
           return false;
         break;
-      case FBrTable: {
-        Cur -= 1;
-        if (Cur < 0)
-          return false;
-        for (uint32_t I = 0; I <= C[Pc + 1]; ++I) {
-          const uint32_t *E = C + Pc + 2 + 3 * I;
-          if (!SetT(E[0], static_cast<int32_t>(E[2] + E[1])))
-            return false;
-        }
-        Reach = false;
-        break;
-      }
-      case FReturn:
-        if (Cur < static_cast<int32_t>(F.NumResults))
-          return false;
-        Reach = false;
-        break;
-      case FCall: {
-        if (C[Pc + 1] >= FM.Funcs.size())
-          return false;
-        const exec::FlatFunc &Cal = FM.Funcs[C[Pc + 1]];
-        Cur += static_cast<int32_t>(Cal.NumResults) -
-               static_cast<int32_t>(Cal.NumParams);
-        break;
-      }
-      case FCallHost: {
-        if (C[Pc + 1] >= FM.Source->ImportFuncs.size())
-          return false;
-        const FuncType &HT =
-            FM.Source->Types[FM.Source->ImportFuncs[C[Pc + 1]].TypeIdx];
-        Cur += static_cast<int32_t>(HT.Results.size()) -
-               static_cast<int32_t>(HT.Params.size());
-        break;
-      }
-      case FCallIndirect: {
-        if (C[Pc + 1] >= FM.Source->Types.size())
-          return false;
-        const FuncType &T = FM.Source->Types[C[Pc + 1]];
-        Cur += -1 + static_cast<int32_t>(T.Results.size()) -
-               static_cast<int32_t>(T.Params.size());
-        break;
-      }
-      case 0x00: // Unreachable
-        Reach = false;
-        break;
-      case FGetGet: case FGetConst:
-        Cur += 2;
-        break;
-      case FGetGetAdd: case FGetConstAdd: case FGetLoadI32:
-        Cur += 1;
-        break;
-      case FGetGetAddSet: case FGetConstAddSet: case FMove: case FConstSet:
-      case FGetGetStoreI32: case FGetConstStoreI32:
-      case FProfEnter: case FProfLoop:
-        break;
-      default: {
-        int D;
-        if (!stackDelta(Op, D))
+      case FClass::Call: {
+        int32_t D = 0;
+        if (!callDelta(Pc, D))
           return false;
         Cur += D;
         break;
       }
+      default:
+        Cur += I.Pushes;
+        break;
       }
       if (Cur < 0 || Cur > static_cast<int32_t>(F.MaxDepth))
         return false;
-      Pc += 1 + W;
     }
     return !Reach; // The body must end in a terminal instruction.
   }
@@ -511,10 +457,9 @@ struct FuncCompiler {
   uint32_t fuelCount(uint32_t Pc) const {
     uint32_t K = 0;
     for (uint32_t Q = Pc; Q < Len;) {
-      uint32_t Op = C[Q];
-      if (Op != FProfEnter && Op != FProfLoop)
+      if (flatOpInfo(C[Q]).Class != FClass::Profile)
         ++K;
-      Q += 1 + operandWords(Op, C + Q + 1, Len - Q - 1);
+      Q += 1 + static_cast<uint32_t>(words(Q));
       if (Q >= Len || ChargePt[Q])
         break;
     }
@@ -595,7 +540,6 @@ bool FuncCompiler::emit() {
   uint32_t SegLeft = 0;
   for (uint32_t Pc = 0; Pc < Len;) {
     uint32_t Op = C[Pc];
-    int W = operandWords(Op, C + Pc + 1, Len - Pc - 1);
     NativeOfs[Pc] = A.size(); // Jumps land on the segment's fuel charge.
     if (ChargePt[Pc]) {
       SegLeft = fuelCount(Pc);
@@ -606,9 +550,9 @@ bool FuncCompiler::emit() {
     }
     if (!emitInst(Pc, Op, H[Pc], SegLeft))
       return false;
-    if (Op != FProfEnter && Op != FProfLoop)
+    if (flatOpInfo(Op).Class != FClass::Profile)
       --SegLeft;
-    Pc += 1 + W;
+    Pc += 1 + static_cast<uint32_t>(words(Pc));
   }
   finish();
   return true;
@@ -962,8 +906,8 @@ bool FuncCompiler::emitInst(uint32_t Pc, uint32_t Op, int32_t Hh,
   // Generic tail: the interpreter's own numeric evaluator (bit-exact,
   // including div/trunc traps, which deopt so the interpreter
   // re-executes and traps). For unary ops rdx is ignored.
-  if (unsigned Ar = exec::numericArity(Op)) {
-    int32_t In = Hh - static_cast<int32_t>(Ar); // First operand's slot.
+  if (Op < OpTable.size() && OpTable[Op].numeric()) {
+    int32_t In = Hh - OpTable[Op].Pops; // First operand's slot.
     A.movRI32(RDI, Op);
     A.movRM64(RSI, R12, slot(In));
     A.movRM64(RDX, R12, slot(Hh - 1));

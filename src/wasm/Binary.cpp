@@ -13,7 +13,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <sstream>
 
 using namespace rw;
 using namespace rw::wasm;
@@ -288,66 +287,50 @@ private:
 
   void inst(const WInst &I) {
     u8(static_cast<uint8_t>(I.K));
-    switch (I.K) {
-    case Op::Block:
-    case Op::Loop:
-      blockType(I.BT);
-      insts(I.Body);
-      u8(0x0b);
+    switch (opInfo(I.K).Imm) {
+    case ImmKind::None:
       break;
-    case Op::If:
+    case ImmKind::Index:
+      u32(I.U32);
+      break;
+    case ImmKind::Memarg:
+      u32(I.Align);
+      u32(I.Offset);
+      break;
+    case ImmKind::Const32:
+      if (I.K == Op::I32Const)
+        s64(static_cast<int32_t>(I.U64));
+      else
+        raw32(static_cast<uint32_t>(I.U64));
+      break;
+    case ImmKind::Const64:
+      if (I.K == Op::I64Const)
+        s64(static_cast<int64_t>(I.U64));
+      else
+        raw64(I.U64);
+      break;
+    case ImmKind::Structured:
       blockType(I.BT);
       insts(I.Body);
-      if (!I.Else.empty()) {
+      if (I.K == Op::If && !I.Else.empty()) {
         u8(0x05); // else
         insts(I.Else);
       }
       u8(0x0b);
       break;
-    case Op::Br:
-    case Op::BrIf:
-    case Op::Call:
-    case Op::LocalGet:
-    case Op::LocalSet:
-    case Op::LocalTee:
-    case Op::GlobalGet:
-    case Op::GlobalSet:
-      u32(I.U32);
-      break;
-    case Op::CallIndirect:
-      u32(I.U32);
-      u8(0x00); // table index
-      break;
-    case Op::BrTable:
+    case ImmKind::BrTable:
       u32(I.Table.size());
       for (uint32_t T : I.Table)
         u32(T);
       u32(I.U32);
       break;
-    case Op::I32Const:
-      s64(static_cast<int32_t>(I.U64));
+    case ImmKind::CallIndirect:
+      u32(I.U32);
+      u8(0x00); // table index
       break;
-    case Op::I64Const:
-      s64(static_cast<int64_t>(I.U64));
-      break;
-    case Op::F32Const:
-      raw32(static_cast<uint32_t>(I.U64));
-      break;
-    case Op::F64Const:
-      raw64(I.U64);
-      break;
-    case Op::MemorySize:
-    case Op::MemoryGrow:
+    case ImmKind::MemIdx:
       u8(0x00);
       break;
-    default: {
-      uint8_t C = static_cast<uint8_t>(I.K);
-      if (C >= 0x28 && C <= 0x3e) { // memarg
-        u32(I.Align);
-        u32(I.Offset);
-      }
-      break;
-    }
     }
   }
 
@@ -381,13 +364,6 @@ using ingest::Category;
 using ingest::IngestError;
 using ingest::Limits;
 namespace fault = rw::support::fault;
-
-/// Opcode bytes the Op enum defines. 0x05 (else) and 0x0b (end) are block
-/// terminators, not instructions, and are handled before this predicate.
-bool validOpcode(uint8_t C) {
-  return C <= 0x04 || (C >= 0x0c && C <= 0x11) || C == 0x1a || C == 0x1b ||
-         (C >= 0x20 && C <= 0x24) || (C >= 0x28 && C <= 0xbf);
-}
 
 class Decoder {
 public:
@@ -1025,16 +1001,18 @@ private:
         Terminator = *Bc;
         return Out;
       }
-      if (!validOpcode(*Bc))
+      const OpInfo &Row = OpTable[*Bc];
+      if (!Row.Valid)
         return fail(Category::Malformed, Off,
                     "invalid opcode " + std::to_string(*Bc));
       if (Status S = charge(sizeof(WInst), "instruction"); !S)
         return S.error();
       Op K = static_cast<Op>(*Bc);
       WInst I(K);
-      switch (K) {
-      case Op::Block:
-      case Op::Loop: {
+      switch (Row.Imm) {
+      case ImmKind::None:
+        break;
+      case ImmKind::Structured: {
         Expected<FuncType> BT = blockType();
         if (!BT)
           return BT.error();
@@ -1043,22 +1021,11 @@ private:
         Expected<std::vector<WInst>> Body = parseUntil(T, Depth + 1);
         if (!Body)
           return Body.error();
-        if (T != 0x0b)
-          return fail(Category::Malformed, Pos, "unexpected else in block");
         I.Body = std::move(*Body);
-        break;
-      }
-      case Op::If: {
-        Expected<FuncType> BT = blockType();
-        if (!BT)
-          return BT.error();
-        I.BT = std::move(*BT);
-        uint8_t T = 0;
-        Expected<std::vector<WInst>> Then = parseUntil(T, Depth + 1);
-        if (!Then)
-          return Then.error();
-        I.Body = std::move(*Then);
-        if (T == 0x05) {
+        if (K != Op::If) {
+          if (T != 0x0b)
+            return fail(Category::Malformed, Pos, "unexpected else in block");
+        } else if (T == 0x05) {
           Expected<std::vector<WInst>> Else = parseUntil(T, Depth + 1);
           if (!Else)
             return Else.error();
@@ -1068,21 +1035,14 @@ private:
         }
         break;
       }
-      case Op::Br:
-      case Op::BrIf:
-      case Op::Call:
-      case Op::LocalGet:
-      case Op::LocalSet:
-      case Op::LocalTee:
-      case Op::GlobalGet:
-      case Op::GlobalSet: {
+      case ImmKind::Index: {
         Expected<uint32_t> V = u32("index immediate");
         if (!V)
           return V.error();
         I.U32 = *V;
         break;
       }
-      case Op::CallIndirect: {
+      case ImmKind::CallIndirect: {
         Expected<uint32_t> V = u32("call_indirect type index");
         if (!V)
           return V.error();
@@ -1096,7 +1056,7 @@ private:
         I.U32 = *V;
         break;
       }
-      case Op::BrTable: {
+      case ImmKind::BrTable: {
         Expected<uint32_t> N = count(L.MaxOperandDepth, 1, "br_table target");
         if (!N)
           return N.error();
@@ -1116,40 +1076,37 @@ private:
         I.U32 = *D;
         break;
       }
-      case Op::I32Const: {
-        Expected<int64_t> V = sleb(32, "i32.const");
-        if (!V)
-          return V.error();
-        I.U64 = static_cast<uint32_t>(static_cast<int32_t>(*V));
+      case ImmKind::Const32:
+        if (K == Op::I32Const) {
+          Expected<int64_t> V = sleb(32, "i32.const");
+          if (!V)
+            return V.error();
+          I.U64 = static_cast<uint32_t>(static_cast<int32_t>(*V));
+        } else {
+          if (Pos + 4 > Fence)
+            return fail(Category::Truncated, Pos, "truncated f32.const");
+          uint32_t V;
+          std::memcpy(&V, B.data() + Pos, 4);
+          Pos += 4;
+          I.U64 = V;
+        }
         break;
-      }
-      case Op::I64Const: {
-        Expected<int64_t> V = sleb(64, "i64.const");
-        if (!V)
-          return V.error();
-        I.U64 = static_cast<uint64_t>(*V);
+      case ImmKind::Const64:
+        if (K == Op::I64Const) {
+          Expected<int64_t> V = sleb(64, "i64.const");
+          if (!V)
+            return V.error();
+          I.U64 = static_cast<uint64_t>(*V);
+        } else {
+          if (Pos + 8 > Fence)
+            return fail(Category::Truncated, Pos, "truncated f64.const");
+          uint64_t V;
+          std::memcpy(&V, B.data() + Pos, 8);
+          Pos += 8;
+          I.U64 = V;
+        }
         break;
-      }
-      case Op::F32Const: {
-        if (Pos + 4 > Fence)
-          return fail(Category::Truncated, Pos, "truncated f32.const");
-        uint32_t V;
-        std::memcpy(&V, B.data() + Pos, 4);
-        Pos += 4;
-        I.U64 = V;
-        break;
-      }
-      case Op::F64Const: {
-        if (Pos + 8 > Fence)
-          return fail(Category::Truncated, Pos, "truncated f64.const");
-        uint64_t V;
-        std::memcpy(&V, B.data() + Pos, 8);
-        Pos += 8;
-        I.U64 = V;
-        break;
-      }
-      case Op::MemorySize:
-      case Op::MemoryGrow: {
+      case ImmKind::MemIdx: {
         size_t ROff = Pos;
         Expected<uint8_t> R = u8("memory reserved byte");
         if (!R)
@@ -1159,23 +1116,20 @@ private:
                       "nonzero memory instruction reserved byte");
         break;
       }
-      default: {
-        uint8_t C = static_cast<uint8_t>(K);
-        if (C >= 0x28 && C <= 0x3e) { // memarg
-          size_t AOff = Pos;
-          Expected<uint32_t> A = u32("memarg alignment");
-          if (!A)
-            return A.error();
-          if (*A > 31)
-            return fail(Category::Malformed, AOff,
-                        "memarg alignment exponent " + std::to_string(*A) +
-                            " out of range");
-          Expected<uint32_t> O = u32("memarg offset");
-          if (!O)
-            return O.error();
-          I.Align = *A;
-          I.Offset = *O;
-        }
+      case ImmKind::Memarg: {
+        size_t AOff = Pos;
+        Expected<uint32_t> A = u32("memarg alignment");
+        if (!A)
+          return A.error();
+        if (*A > 31)
+          return fail(Category::Malformed, AOff,
+                      "memarg alignment exponent " + std::to_string(*A) +
+                          " out of range");
+        Expected<uint32_t> O = u32("memarg offset");
+        if (!O)
+          return O.error();
+        I.Align = *A;
+        I.Offset = *O;
         break;
       }
       }
@@ -1222,162 +1176,4 @@ Expected<WModule> rw::wasm::decode(const std::vector<uint8_t> &Bytes,
     *ErrOut = ingest::IngestError();
   Decoder D(Bytes, L, ErrOut);
   return D.run();
-}
-
-//===----------------------------------------------------------------------===//
-// WAT-ish printing
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-const char *opName(Op K);
-
-void printInsts(std::ostringstream &OS, const std::vector<WInst> &Body,
-                unsigned Indent) {
-  std::string Pad(Indent * 2, ' ');
-  for (const WInst &I : Body) {
-    switch (I.K) {
-    case Op::Block:
-    case Op::Loop:
-    case Op::If:
-      OS << Pad << opName(I.K) << "\n";
-      printInsts(OS, I.Body, Indent + 1);
-      if (I.K == Op::If && !I.Else.empty()) {
-        OS << Pad << "else\n";
-        printInsts(OS, I.Else, Indent + 1);
-      }
-      OS << Pad << "end\n";
-      break;
-    case Op::I32Const:
-      OS << Pad << "i32.const " << static_cast<int32_t>(I.U64) << "\n";
-      break;
-    case Op::I64Const:
-      OS << Pad << "i64.const " << static_cast<int64_t>(I.U64) << "\n";
-      break;
-    case Op::Br:
-    case Op::BrIf:
-    case Op::Call:
-    case Op::CallIndirect:
-    case Op::LocalGet:
-    case Op::LocalSet:
-    case Op::LocalTee:
-    case Op::GlobalGet:
-    case Op::GlobalSet:
-      OS << Pad << opName(I.K) << " " << I.U32 << "\n";
-      break;
-    case Op::BrTable: {
-      OS << Pad << "br_table";
-      for (uint32_t T : I.Table)
-        OS << " " << T;
-      OS << " " << I.U32 << "\n";
-      break;
-    }
-    default: {
-      uint8_t C = static_cast<uint8_t>(I.K);
-      if (C >= 0x28 && C <= 0x3e)
-        OS << Pad << opName(I.K) << " offset=" << I.Offset << "\n";
-      else
-        OS << Pad << opName(I.K) << "\n";
-      break;
-    }
-    }
-  }
-}
-
-const char *opName(Op K) {
-  switch (K) {
-  case Op::Unreachable:
-    return "unreachable";
-  case Op::Nop:
-    return "nop";
-  case Op::Block:
-    return "block";
-  case Op::Loop:
-    return "loop";
-  case Op::If:
-    return "if";
-  case Op::Br:
-    return "br";
-  case Op::BrIf:
-    return "br_if";
-  case Op::BrTable:
-    return "br_table";
-  case Op::Return:
-    return "return";
-  case Op::Call:
-    return "call";
-  case Op::CallIndirect:
-    return "call_indirect";
-  case Op::Drop:
-    return "drop";
-  case Op::Select:
-    return "select";
-  case Op::LocalGet:
-    return "local.get";
-  case Op::LocalSet:
-    return "local.set";
-  case Op::LocalTee:
-    return "local.tee";
-  case Op::GlobalGet:
-    return "global.get";
-  case Op::GlobalSet:
-    return "global.set";
-  case Op::I32Load:
-    return "i32.load";
-  case Op::I64Load:
-    return "i64.load";
-  case Op::I32Store:
-    return "i32.store";
-  case Op::I64Store:
-    return "i64.store";
-  case Op::MemorySize:
-    return "memory.size";
-  case Op::MemoryGrow:
-    return "memory.grow";
-  case Op::I32Add:
-    return "i32.add";
-  case Op::I32Sub:
-    return "i32.sub";
-  case Op::I32Mul:
-    return "i32.mul";
-  case Op::I64Add:
-    return "i64.add";
-  case Op::I32Eqz:
-    return "i32.eqz";
-  case Op::I32Eq:
-    return "i32.eq";
-  case Op::I32LtS:
-    return "i32.lt_s";
-  default:
-    return "op";
-  }
-}
-
-} // namespace
-
-std::string rw::wasm::printWat(const WModule &M) {
-  std::ostringstream OS;
-  OS << "(module\n";
-  for (size_t I = 0; I < M.ImportFuncs.size(); ++I)
-    OS << "  (import \"" << M.ImportFuncs[I].Mod << "\" \""
-       << M.ImportFuncs[I].Name << "\" (func $" << I << "))\n";
-  if (M.Memory)
-    OS << "  (memory " << M.Memory->first << ")\n";
-  for (size_t I = 0; I < M.Funcs.size(); ++I) {
-    const WFunc &F = M.Funcs[I];
-    const FuncType &FT = M.Types[F.TypeIdx];
-    OS << "  (func $" << (I + M.ImportFuncs.size()) << " (param";
-    for (ValType T : FT.Params)
-      OS << " " << valTypeName(T);
-    OS << ") (result";
-    for (ValType T : FT.Results)
-      OS << " " << valTypeName(T);
-    OS << ")\n";
-    printInsts(OS, F.Body, 2);
-    OS << "  )\n";
-  }
-  for (const WExport &E : M.Exports)
-    OS << "  (export \"" << E.Name << "\")\n";
-  OS << ")\n";
-  return OS.str();
 }

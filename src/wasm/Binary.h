@@ -38,9 +38,6 @@ Expected<WModule> decode(const std::vector<uint8_t> &Bytes,
                          const ingest::Limits &L,
                          ingest::IngestError *ErrOut = nullptr);
 
-/// Renders the module in a WAT-like text form (for debugging and docs).
-std::string printWat(const WModule &M);
-
 } // namespace rw::wasm
 
 #endif // RICHWASM_WASM_BINARY_H

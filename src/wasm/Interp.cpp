@@ -304,7 +304,7 @@ WasmInstance::Exec WasmInstance::execInst(const WInst &I, Frame &F,
     return Exec::Normal;
 
   default:
-    if (static_cast<uint8_t>(I.K) >= 0x28 && static_cast<uint8_t>(I.K) <= 0x3e)
+    if (opInfo(I.K).Imm == ImmKind::Memarg)
       return execMemory(I);
     return execNumeric(I);
   }
@@ -315,8 +315,7 @@ WasmInstance::Exec WasmInstance::execInst(const WInst &I, Frame &F,
 //===----------------------------------------------------------------------===//
 
 WasmInstance::Exec WasmInstance::execMemory(const WInst &I) {
-  uint8_t C = static_cast<uint8_t>(I.K);
-  bool IsStore = C >= 0x36;
+  bool IsStore = opInfo(I.K).Pushes == 0;
   WValue StoreVal{};
   if (IsStore) {
     StoreVal = Stack.back();

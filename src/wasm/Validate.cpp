@@ -16,137 +16,6 @@ using namespace rw::wasm;
 namespace {
 
 constexpr ValType I32 = ValType::I32;
-constexpr ValType I64 = ValType::I64;
-constexpr ValType F32 = ValType::F32;
-constexpr ValType F64 = ValType::F64;
-
-} // namespace
-
-OpSig rw::wasm::opSignature(Op K) {
-  uint8_t C = static_cast<uint8_t>(K);
-  // Comparison / test operators.
-  if (C == 0x45)
-    return {{I32}, {I32}};
-  if (C >= 0x46 && C <= 0x4f)
-    return {{I32, I32}, {I32}};
-  if (C == 0x50)
-    return {{I64}, {I32}};
-  if (C >= 0x51 && C <= 0x5a)
-    return {{I64, I64}, {I32}};
-  if (C >= 0x5b && C <= 0x60)
-    return {{F32, F32}, {I32}};
-  if (C >= 0x61 && C <= 0x66)
-    return {{F64, F64}, {I32}};
-  // Numeric operators.
-  if (C >= 0x67 && C <= 0x69)
-    return {{I32}, {I32}};
-  if (C >= 0x6a && C <= 0x78)
-    return {{I32, I32}, {I32}};
-  if (C >= 0x79 && C <= 0x7b)
-    return {{I64}, {I64}};
-  if (C >= 0x7c && C <= 0x8a)
-    return {{I64, I64}, {I64}};
-  if (C >= 0x8b && C <= 0x91)
-    return {{F32}, {F32}};
-  if (C >= 0x92 && C <= 0x98)
-    return {{F32, F32}, {F32}};
-  if (C >= 0x99 && C <= 0x9f)
-    return {{F64}, {F64}};
-  if (C >= 0xa0 && C <= 0xa6)
-    return {{F64, F64}, {F64}};
-  // Conversions.
-  switch (K) {
-  case Op::I32WrapI64:
-    return {{I64}, {I32}};
-  case Op::I32TruncF32S:
-  case Op::I32TruncF32U:
-    return {{F32}, {I32}};
-  case Op::I32TruncF64S:
-  case Op::I32TruncF64U:
-    return {{F64}, {I32}};
-  case Op::I64ExtendI32S:
-  case Op::I64ExtendI32U:
-    return {{I32}, {I64}};
-  case Op::I64TruncF32S:
-  case Op::I64TruncF32U:
-    return {{F32}, {I64}};
-  case Op::I64TruncF64S:
-  case Op::I64TruncF64U:
-    return {{F64}, {I64}};
-  case Op::F32ConvertI32S:
-  case Op::F32ConvertI32U:
-    return {{I32}, {F32}};
-  case Op::F32ConvertI64S:
-  case Op::F32ConvertI64U:
-    return {{I64}, {F32}};
-  case Op::F32DemoteF64:
-    return {{F64}, {F32}};
-  case Op::F64ConvertI32S:
-  case Op::F64ConvertI32U:
-    return {{I32}, {F64}};
-  case Op::F64ConvertI64S:
-  case Op::F64ConvertI64U:
-    return {{I64}, {F64}};
-  case Op::F64PromoteF32:
-    return {{F32}, {F64}};
-  case Op::I32ReinterpretF32:
-    return {{F32}, {I32}};
-  case Op::I64ReinterpretF64:
-    return {{F64}, {I64}};
-  case Op::F32ReinterpretI32:
-    return {{I32}, {F32}};
-  case Op::F64ReinterpretI64:
-    return {{I64}, {F64}};
-  // Memory access.
-  case Op::I32Load:
-  case Op::I32Load8S:
-  case Op::I32Load8U:
-  case Op::I32Load16S:
-  case Op::I32Load16U:
-    return {{I32}, {I32}};
-  case Op::I64Load:
-  case Op::I64Load8S:
-  case Op::I64Load8U:
-  case Op::I64Load16S:
-  case Op::I64Load16U:
-  case Op::I64Load32S:
-  case Op::I64Load32U:
-    return {{I32}, {I64}};
-  case Op::F32Load:
-    return {{I32}, {F32}};
-  case Op::F64Load:
-    return {{I32}, {F64}};
-  case Op::I32Store:
-  case Op::I32Store8:
-  case Op::I32Store16:
-    return {{I32, I32}, {}};
-  case Op::I64Store:
-  case Op::I64Store8:
-  case Op::I64Store16:
-  case Op::I64Store32:
-    return {{I32, I64}, {}};
-  case Op::F32Store:
-    return {{I32, F32}, {}};
-  case Op::F64Store:
-    return {{I32, F64}, {}};
-  case Op::MemorySize:
-    return {{}, {I32}};
-  case Op::MemoryGrow:
-    return {{I32}, {I32}};
-  case Op::I32Const:
-    return {{}, {I32}};
-  case Op::I64Const:
-    return {{}, {I64}};
-  case Op::F32Const:
-    return {{}, {F32}};
-  case Op::F64Const:
-    return {{}, {F64}};
-  default:
-    return {{}, {}};
-  }
-}
-
-namespace {
 
 /// Per-function validation context, recursing over the structured tree.
 class FuncValidator {
@@ -383,15 +252,15 @@ private:
       return popExpect(St, M.Globals[I.U32].T, "global.set");
     }
     default: {
-      // Memory access requires a memory.
-      uint8_t C = static_cast<uint8_t>(I.K);
-      if (C >= 0x28 && C <= 0x40 && !M.Memory)
+      // Memory, constants and numerics: the row fixes every type.
+      const OpInfo &R = opInfo(I.K);
+      if (R.usesMemory() && !M.Memory)
         return Error("memory instruction without a memory");
-      OpSig Sig = opSignature(I.K);
-      if (Status S = popMany(St, Sig.In, "operator"); !S)
-        return S;
-      for (ValType T : Sig.Out)
-        St.Vals.push_back(T);
+      for (uint8_t K = R.Pops; K > 0; --K)
+        if (Status S = popExpect(St, R.In[K - 1], "operator"); !S)
+          return S;
+      if (R.Pushes)
+        St.Vals.push_back(R.Out);
       return Status::success();
     }
     }
@@ -443,16 +312,10 @@ Status validateGlobalInit(const WModule &M, size_t GI) {
   ValType T;
   switch (I.K) {
   case Op::I32Const:
-    T = ValType::I32;
-    break;
   case Op::I64Const:
-    T = ValType::I64;
-    break;
   case Op::F32Const:
-    T = ValType::F32;
-    break;
   case Op::F64Const:
-    T = ValType::F64;
+    T = opInfo(I.K).Out;
     break;
   case Op::GlobalGet:
     if (I.U32 >= GI)

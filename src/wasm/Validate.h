@@ -43,13 +43,6 @@ Status proveShared(SharedFunc &S);
 /// function.
 WModule sharedEnvironment(const SharedFunc &S);
 
-/// The stack signature of a non-structured opcode: operand types (bottom
-/// first) and result types. Used by the validator and tests.
-struct OpSig {
-  std::vector<ValType> In, Out;
-};
-OpSig opSignature(Op K);
-
 } // namespace rw::wasm
 
 #endif // RICHWASM_WASM_VALIDATE_H

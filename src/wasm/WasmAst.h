@@ -7,14 +7,15 @@
 /// \file
 /// The WebAssembly substrate RichWasm compiles to (§6): an AST for Wasm 1.0
 /// with the multi-value extension, shared by the validator, interpreter,
-/// binary encoder/decoder, and text printer. Opcode enumerators carry their
-/// binary encodings so the codec is table-free.
+/// binary encoder/decoder, and the flat translator. Opcodes and their
+/// shapes come from one row list, RW_WASM_OPS.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RICHWASM_WASM_WASMAST_H
 #define RICHWASM_WASM_WASMAST_H
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
@@ -46,179 +47,251 @@ struct FuncType {
   }
 };
 
-/// Opcodes, valued as their binary encodings (Wasm 1.0 MVP).
-enum class Op : uint8_t {
-  Unreachable = 0x00,
-  Nop = 0x01,
-  Block = 0x02,
-  Loop = 0x03,
-  If = 0x04,
-  Br = 0x0c,
-  BrIf = 0x0d,
-  BrTable = 0x0e,
-  Return = 0x0f,
-  Call = 0x10,
-  CallIndirect = 0x11,
-  Drop = 0x1a,
-  Select = 0x1b,
-  LocalGet = 0x20,
-  LocalSet = 0x21,
-  LocalTee = 0x22,
-  GlobalGet = 0x23,
-  GlobalSet = 0x24,
-  I32Load = 0x28,
-  I64Load = 0x29,
-  F32Load = 0x2a,
-  F64Load = 0x2b,
-  I32Load8S = 0x2c,
-  I32Load8U = 0x2d,
-  I32Load16S = 0x2e,
-  I32Load16U = 0x2f,
-  I64Load8S = 0x30,
-  I64Load8U = 0x31,
-  I64Load16S = 0x32,
-  I64Load16U = 0x33,
-  I64Load32S = 0x34,
-  I64Load32U = 0x35,
-  I32Store = 0x36,
-  I64Store = 0x37,
-  F32Store = 0x38,
-  F64Store = 0x39,
-  I32Store8 = 0x3a,
-  I32Store16 = 0x3b,
-  I64Store8 = 0x3c,
-  I64Store16 = 0x3d,
-  I64Store32 = 0x3e,
-  MemorySize = 0x3f,
-  MemoryGrow = 0x40,
-  I32Const = 0x41,
-  I64Const = 0x42,
-  F32Const = 0x43,
-  F64Const = 0x44,
-  I32Eqz = 0x45,
-  I32Eq = 0x46,
-  I32Ne = 0x47,
-  I32LtS = 0x48,
-  I32LtU = 0x49,
-  I32GtS = 0x4a,
-  I32GtU = 0x4b,
-  I32LeS = 0x4c,
-  I32LeU = 0x4d,
-  I32GeS = 0x4e,
-  I32GeU = 0x4f,
-  I64Eqz = 0x50,
-  I64Eq = 0x51,
-  I64Ne = 0x52,
-  I64LtS = 0x53,
-  I64LtU = 0x54,
-  I64GtS = 0x55,
-  I64GtU = 0x56,
-  I64LeS = 0x57,
-  I64LeU = 0x58,
-  I64GeS = 0x59,
-  I64GeU = 0x5a,
-  F32Eq = 0x5b,
-  F32Ne = 0x5c,
-  F32Lt = 0x5d,
-  F32Gt = 0x5e,
-  F32Le = 0x5f,
-  F32Ge = 0x60,
-  F64Eq = 0x61,
-  F64Ne = 0x62,
-  F64Lt = 0x63,
-  F64Gt = 0x64,
-  F64Le = 0x65,
-  F64Ge = 0x66,
-  I32Clz = 0x67,
-  I32Ctz = 0x68,
-  I32Popcnt = 0x69,
-  I32Add = 0x6a,
-  I32Sub = 0x6b,
-  I32Mul = 0x6c,
-  I32DivS = 0x6d,
-  I32DivU = 0x6e,
-  I32RemS = 0x6f,
-  I32RemU = 0x70,
-  I32And = 0x71,
-  I32Or = 0x72,
-  I32Xor = 0x73,
-  I32Shl = 0x74,
-  I32ShrS = 0x75,
-  I32ShrU = 0x76,
-  I32Rotl = 0x77,
-  I32Rotr = 0x78,
-  I64Clz = 0x79,
-  I64Ctz = 0x7a,
-  I64Popcnt = 0x7b,
-  I64Add = 0x7c,
-  I64Sub = 0x7d,
-  I64Mul = 0x7e,
-  I64DivS = 0x7f,
-  I64DivU = 0x80,
-  I64RemS = 0x81,
-  I64RemU = 0x82,
-  I64And = 0x83,
-  I64Or = 0x84,
-  I64Xor = 0x85,
-  I64Shl = 0x86,
-  I64ShrS = 0x87,
-  I64ShrU = 0x88,
-  I64Rotl = 0x89,
-  I64Rotr = 0x8a,
-  F32Abs = 0x8b,
-  F32Neg = 0x8c,
-  F32Ceil = 0x8d,
-  F32Floor = 0x8e,
-  F32Trunc = 0x8f,
-  F32Nearest = 0x90,
-  F32Sqrt = 0x91,
-  F32Add = 0x92,
-  F32Sub = 0x93,
-  F32Mul = 0x94,
-  F32Div = 0x95,
-  F32Min = 0x96,
-  F32Max = 0x97,
-  F32Copysign = 0x98,
-  F64Abs = 0x99,
-  F64Neg = 0x9a,
-  F64Ceil = 0x9b,
-  F64Floor = 0x9c,
-  F64Trunc = 0x9d,
-  F64Nearest = 0x9e,
-  F64Sqrt = 0x9f,
-  F64Add = 0xa0,
-  F64Sub = 0xa1,
-  F64Mul = 0xa2,
-  F64Div = 0xa3,
-  F64Min = 0xa4,
-  F64Max = 0xa5,
-  F64Copysign = 0xa6,
-  I32WrapI64 = 0xa7,
-  I32TruncF32S = 0xa8,
-  I32TruncF32U = 0xa9,
-  I32TruncF64S = 0xaa,
-  I32TruncF64U = 0xab,
-  I64ExtendI32S = 0xac,
-  I64ExtendI32U = 0xad,
-  I64TruncF32S = 0xae,
-  I64TruncF32U = 0xaf,
-  I64TruncF64S = 0xb0,
-  I64TruncF64U = 0xb1,
-  F32ConvertI32S = 0xb2,
-  F32ConvertI32U = 0xb3,
-  F32ConvertI64S = 0xb4,
-  F32ConvertI64U = 0xb5,
-  F32DemoteF64 = 0xb6,
-  F64ConvertI32S = 0xb7,
-  F64ConvertI32U = 0xb8,
-  F64ConvertI64S = 0xb9,
-  F64ConvertI64U = 0xba,
-  F64PromoteF32 = 0xbb,
-  I32ReinterpretF32 = 0xbc,
-  I64ReinterpretF64 = 0xbd,
-  F32ReinterpretI32 = 0xbe,
-  F64ReinterpretI64 = 0xbf,
+/// How an instruction's immediate follows its opcode byte.
+enum class ImmKind : uint8_t {
+  None,
+  Index,        ///< One u32: local, global, function or label index.
+  Memarg,       ///< Alignment exponent, then static offset.
+  Const32,      ///< 32 constant bits (i32: signed LEB, f32: raw).
+  Const64,      ///< 64 constant bits (i64: signed LEB, f64: raw).
+  Structured,   ///< Block type and nested bodies (block, loop, if).
+  BrTable,      ///< Label vector, then the default label.
+  CallIndirect, ///< Type index, then table index 0.
+  MemIdx,       ///< Memory index 0 (memory.size, memory.grow).
 };
+
+/// The Wasm 1.0 opcodes, one row each: the one place an instruction's
+/// encoding and stack effect are written down. The codec, the validator,
+/// the tree interpreter, the flat translator and the native tier all read
+/// these rows (through opInfo) instead of testing opcode ranges.
+///
+///   X(Name, Byte, Imm, Pops, Pushes, In0, In1, Out)
+///
+/// Pops/Pushes count operand-stack slots; Dyn marks a count that depends
+/// on a block type, a function type, a label or a local. In0/In1 are the
+/// operand types (deepest first) and Out the result type where the opcode
+/// fixes them, NoT where it does not or has no such slot.
+#define RW_WASM_OPS(X)                                                         \
+  X(Unreachable,       0x00, None,         0,   0,   NoT, NoT, NoT)            \
+  X(Nop,               0x01, None,         0,   0,   NoT, NoT, NoT)            \
+  X(Block,             0x02, Structured,   Dyn, Dyn, NoT, NoT, NoT)            \
+  X(Loop,              0x03, Structured,   Dyn, Dyn, NoT, NoT, NoT)            \
+  X(If,                0x04, Structured,   Dyn, Dyn, NoT, NoT, NoT)            \
+  X(Br,                0x0c, Index,        Dyn, Dyn, NoT, NoT, NoT)            \
+  X(BrIf,              0x0d, Index,        Dyn, Dyn, NoT, NoT, NoT)            \
+  X(BrTable,           0x0e, BrTable,      Dyn, Dyn, NoT, NoT, NoT)            \
+  X(Return,            0x0f, None,         Dyn, Dyn, NoT, NoT, NoT)            \
+  X(Call,              0x10, Index,        Dyn, Dyn, NoT, NoT, NoT)            \
+  X(CallIndirect,      0x11, CallIndirect, Dyn, Dyn, NoT, NoT, NoT)            \
+  X(Drop,              0x1a, None,         1,   0,   NoT, NoT, NoT)            \
+  X(Select,            0x1b, None,         3,   1,   NoT, NoT, NoT)            \
+  X(LocalGet,          0x20, Index,        0,   1,   NoT, NoT, NoT)            \
+  X(LocalSet,          0x21, Index,        1,   0,   NoT, NoT, NoT)            \
+  X(LocalTee,          0x22, Index,        1,   1,   NoT, NoT, NoT)            \
+  X(GlobalGet,         0x23, Index,        0,   1,   NoT, NoT, NoT)            \
+  X(GlobalSet,         0x24, Index,        1,   0,   NoT, NoT, NoT)            \
+  X(I32Load,           0x28, Memarg,       1,   1,   I32, NoT, I32)            \
+  X(I64Load,           0x29, Memarg,       1,   1,   I32, NoT, I64)            \
+  X(F32Load,           0x2a, Memarg,       1,   1,   I32, NoT, F32)            \
+  X(F64Load,           0x2b, Memarg,       1,   1,   I32, NoT, F64)            \
+  X(I32Load8S,         0x2c, Memarg,       1,   1,   I32, NoT, I32)            \
+  X(I32Load8U,         0x2d, Memarg,       1,   1,   I32, NoT, I32)            \
+  X(I32Load16S,        0x2e, Memarg,       1,   1,   I32, NoT, I32)            \
+  X(I32Load16U,        0x2f, Memarg,       1,   1,   I32, NoT, I32)            \
+  X(I64Load8S,         0x30, Memarg,       1,   1,   I32, NoT, I64)            \
+  X(I64Load8U,         0x31, Memarg,       1,   1,   I32, NoT, I64)            \
+  X(I64Load16S,        0x32, Memarg,       1,   1,   I32, NoT, I64)            \
+  X(I64Load16U,        0x33, Memarg,       1,   1,   I32, NoT, I64)            \
+  X(I64Load32S,        0x34, Memarg,       1,   1,   I32, NoT, I64)            \
+  X(I64Load32U,        0x35, Memarg,       1,   1,   I32, NoT, I64)            \
+  X(I32Store,          0x36, Memarg,       2,   0,   I32, I32, NoT)            \
+  X(I64Store,          0x37, Memarg,       2,   0,   I32, I64, NoT)            \
+  X(F32Store,          0x38, Memarg,       2,   0,   I32, F32, NoT)            \
+  X(F64Store,          0x39, Memarg,       2,   0,   I32, F64, NoT)            \
+  X(I32Store8,         0x3a, Memarg,       2,   0,   I32, I32, NoT)            \
+  X(I32Store16,        0x3b, Memarg,       2,   0,   I32, I32, NoT)            \
+  X(I64Store8,         0x3c, Memarg,       2,   0,   I32, I64, NoT)            \
+  X(I64Store16,        0x3d, Memarg,       2,   0,   I32, I64, NoT)            \
+  X(I64Store32,        0x3e, Memarg,       2,   0,   I32, I64, NoT)            \
+  X(MemorySize,        0x3f, MemIdx,       0,   1,   NoT, NoT, I32)            \
+  X(MemoryGrow,        0x40, MemIdx,       1,   1,   I32, NoT, I32)            \
+  X(I32Const,          0x41, Const32,      0,   1,   NoT, NoT, I32)            \
+  X(I64Const,          0x42, Const64,      0,   1,   NoT, NoT, I64)            \
+  X(F32Const,          0x43, Const32,      0,   1,   NoT, NoT, F32)            \
+  X(F64Const,          0x44, Const64,      0,   1,   NoT, NoT, F64)            \
+  X(I32Eqz,            0x45, None,         1,   1,   I32, NoT, I32)            \
+  X(I32Eq,             0x46, None,         2,   1,   I32, I32, I32)            \
+  X(I32Ne,             0x47, None,         2,   1,   I32, I32, I32)            \
+  X(I32LtS,            0x48, None,         2,   1,   I32, I32, I32)            \
+  X(I32LtU,            0x49, None,         2,   1,   I32, I32, I32)            \
+  X(I32GtS,            0x4a, None,         2,   1,   I32, I32, I32)            \
+  X(I32GtU,            0x4b, None,         2,   1,   I32, I32, I32)            \
+  X(I32LeS,            0x4c, None,         2,   1,   I32, I32, I32)            \
+  X(I32LeU,            0x4d, None,         2,   1,   I32, I32, I32)            \
+  X(I32GeS,            0x4e, None,         2,   1,   I32, I32, I32)            \
+  X(I32GeU,            0x4f, None,         2,   1,   I32, I32, I32)            \
+  X(I64Eqz,            0x50, None,         1,   1,   I64, NoT, I32)            \
+  X(I64Eq,             0x51, None,         2,   1,   I64, I64, I32)            \
+  X(I64Ne,             0x52, None,         2,   1,   I64, I64, I32)            \
+  X(I64LtS,            0x53, None,         2,   1,   I64, I64, I32)            \
+  X(I64LtU,            0x54, None,         2,   1,   I64, I64, I32)            \
+  X(I64GtS,            0x55, None,         2,   1,   I64, I64, I32)            \
+  X(I64GtU,            0x56, None,         2,   1,   I64, I64, I32)            \
+  X(I64LeS,            0x57, None,         2,   1,   I64, I64, I32)            \
+  X(I64LeU,            0x58, None,         2,   1,   I64, I64, I32)            \
+  X(I64GeS,            0x59, None,         2,   1,   I64, I64, I32)            \
+  X(I64GeU,            0x5a, None,         2,   1,   I64, I64, I32)            \
+  X(F32Eq,             0x5b, None,         2,   1,   F32, F32, I32)            \
+  X(F32Ne,             0x5c, None,         2,   1,   F32, F32, I32)            \
+  X(F32Lt,             0x5d, None,         2,   1,   F32, F32, I32)            \
+  X(F32Gt,             0x5e, None,         2,   1,   F32, F32, I32)            \
+  X(F32Le,             0x5f, None,         2,   1,   F32, F32, I32)            \
+  X(F32Ge,             0x60, None,         2,   1,   F32, F32, I32)            \
+  X(F64Eq,             0x61, None,         2,   1,   F64, F64, I32)            \
+  X(F64Ne,             0x62, None,         2,   1,   F64, F64, I32)            \
+  X(F64Lt,             0x63, None,         2,   1,   F64, F64, I32)            \
+  X(F64Gt,             0x64, None,         2,   1,   F64, F64, I32)            \
+  X(F64Le,             0x65, None,         2,   1,   F64, F64, I32)            \
+  X(F64Ge,             0x66, None,         2,   1,   F64, F64, I32)            \
+  X(I32Clz,            0x67, None,         1,   1,   I32, NoT, I32)            \
+  X(I32Ctz,            0x68, None,         1,   1,   I32, NoT, I32)            \
+  X(I32Popcnt,         0x69, None,         1,   1,   I32, NoT, I32)            \
+  X(I32Add,            0x6a, None,         2,   1,   I32, I32, I32)            \
+  X(I32Sub,            0x6b, None,         2,   1,   I32, I32, I32)            \
+  X(I32Mul,            0x6c, None,         2,   1,   I32, I32, I32)            \
+  X(I32DivS,           0x6d, None,         2,   1,   I32, I32, I32)            \
+  X(I32DivU,           0x6e, None,         2,   1,   I32, I32, I32)            \
+  X(I32RemS,           0x6f, None,         2,   1,   I32, I32, I32)            \
+  X(I32RemU,           0x70, None,         2,   1,   I32, I32, I32)            \
+  X(I32And,            0x71, None,         2,   1,   I32, I32, I32)            \
+  X(I32Or,             0x72, None,         2,   1,   I32, I32, I32)            \
+  X(I32Xor,            0x73, None,         2,   1,   I32, I32, I32)            \
+  X(I32Shl,            0x74, None,         2,   1,   I32, I32, I32)            \
+  X(I32ShrS,           0x75, None,         2,   1,   I32, I32, I32)            \
+  X(I32ShrU,           0x76, None,         2,   1,   I32, I32, I32)            \
+  X(I32Rotl,           0x77, None,         2,   1,   I32, I32, I32)            \
+  X(I32Rotr,           0x78, None,         2,   1,   I32, I32, I32)            \
+  X(I64Clz,            0x79, None,         1,   1,   I64, NoT, I64)            \
+  X(I64Ctz,            0x7a, None,         1,   1,   I64, NoT, I64)            \
+  X(I64Popcnt,         0x7b, None,         1,   1,   I64, NoT, I64)            \
+  X(I64Add,            0x7c, None,         2,   1,   I64, I64, I64)            \
+  X(I64Sub,            0x7d, None,         2,   1,   I64, I64, I64)            \
+  X(I64Mul,            0x7e, None,         2,   1,   I64, I64, I64)            \
+  X(I64DivS,           0x7f, None,         2,   1,   I64, I64, I64)            \
+  X(I64DivU,           0x80, None,         2,   1,   I64, I64, I64)            \
+  X(I64RemS,           0x81, None,         2,   1,   I64, I64, I64)            \
+  X(I64RemU,           0x82, None,         2,   1,   I64, I64, I64)            \
+  X(I64And,            0x83, None,         2,   1,   I64, I64, I64)            \
+  X(I64Or,             0x84, None,         2,   1,   I64, I64, I64)            \
+  X(I64Xor,            0x85, None,         2,   1,   I64, I64, I64)            \
+  X(I64Shl,            0x86, None,         2,   1,   I64, I64, I64)            \
+  X(I64ShrS,           0x87, None,         2,   1,   I64, I64, I64)            \
+  X(I64ShrU,           0x88, None,         2,   1,   I64, I64, I64)            \
+  X(I64Rotl,           0x89, None,         2,   1,   I64, I64, I64)            \
+  X(I64Rotr,           0x8a, None,         2,   1,   I64, I64, I64)            \
+  X(F32Abs,            0x8b, None,         1,   1,   F32, NoT, F32)            \
+  X(F32Neg,            0x8c, None,         1,   1,   F32, NoT, F32)            \
+  X(F32Ceil,           0x8d, None,         1,   1,   F32, NoT, F32)            \
+  X(F32Floor,          0x8e, None,         1,   1,   F32, NoT, F32)            \
+  X(F32Trunc,          0x8f, None,         1,   1,   F32, NoT, F32)            \
+  X(F32Nearest,        0x90, None,         1,   1,   F32, NoT, F32)            \
+  X(F32Sqrt,           0x91, None,         1,   1,   F32, NoT, F32)            \
+  X(F32Add,            0x92, None,         2,   1,   F32, F32, F32)            \
+  X(F32Sub,            0x93, None,         2,   1,   F32, F32, F32)            \
+  X(F32Mul,            0x94, None,         2,   1,   F32, F32, F32)            \
+  X(F32Div,            0x95, None,         2,   1,   F32, F32, F32)            \
+  X(F32Min,            0x96, None,         2,   1,   F32, F32, F32)            \
+  X(F32Max,            0x97, None,         2,   1,   F32, F32, F32)            \
+  X(F32Copysign,       0x98, None,         2,   1,   F32, F32, F32)            \
+  X(F64Abs,            0x99, None,         1,   1,   F64, NoT, F64)            \
+  X(F64Neg,            0x9a, None,         1,   1,   F64, NoT, F64)            \
+  X(F64Ceil,           0x9b, None,         1,   1,   F64, NoT, F64)            \
+  X(F64Floor,          0x9c, None,         1,   1,   F64, NoT, F64)            \
+  X(F64Trunc,          0x9d, None,         1,   1,   F64, NoT, F64)            \
+  X(F64Nearest,        0x9e, None,         1,   1,   F64, NoT, F64)            \
+  X(F64Sqrt,           0x9f, None,         1,   1,   F64, NoT, F64)            \
+  X(F64Add,            0xa0, None,         2,   1,   F64, F64, F64)            \
+  X(F64Sub,            0xa1, None,         2,   1,   F64, F64, F64)            \
+  X(F64Mul,            0xa2, None,         2,   1,   F64, F64, F64)            \
+  X(F64Div,            0xa3, None,         2,   1,   F64, F64, F64)            \
+  X(F64Min,            0xa4, None,         2,   1,   F64, F64, F64)            \
+  X(F64Max,            0xa5, None,         2,   1,   F64, F64, F64)            \
+  X(F64Copysign,       0xa6, None,         2,   1,   F64, F64, F64)            \
+  X(I32WrapI64,        0xa7, None,         1,   1,   I64, NoT, I32)            \
+  X(I32TruncF32S,      0xa8, None,         1,   1,   F32, NoT, I32)            \
+  X(I32TruncF32U,      0xa9, None,         1,   1,   F32, NoT, I32)            \
+  X(I32TruncF64S,      0xaa, None,         1,   1,   F64, NoT, I32)            \
+  X(I32TruncF64U,      0xab, None,         1,   1,   F64, NoT, I32)            \
+  X(I64ExtendI32S,     0xac, None,         1,   1,   I32, NoT, I64)            \
+  X(I64ExtendI32U,     0xad, None,         1,   1,   I32, NoT, I64)            \
+  X(I64TruncF32S,      0xae, None,         1,   1,   F32, NoT, I64)            \
+  X(I64TruncF32U,      0xaf, None,         1,   1,   F32, NoT, I64)            \
+  X(I64TruncF64S,      0xb0, None,         1,   1,   F64, NoT, I64)            \
+  X(I64TruncF64U,      0xb1, None,         1,   1,   F64, NoT, I64)            \
+  X(F32ConvertI32S,    0xb2, None,         1,   1,   I32, NoT, F32)            \
+  X(F32ConvertI32U,    0xb3, None,         1,   1,   I32, NoT, F32)            \
+  X(F32ConvertI64S,    0xb4, None,         1,   1,   I64, NoT, F32)            \
+  X(F32ConvertI64U,    0xb5, None,         1,   1,   I64, NoT, F32)            \
+  X(F32DemoteF64,      0xb6, None,         1,   1,   F64, NoT, F32)            \
+  X(F64ConvertI32S,    0xb7, None,         1,   1,   I32, NoT, F64)            \
+  X(F64ConvertI32U,    0xb8, None,         1,   1,   I32, NoT, F64)            \
+  X(F64ConvertI64S,    0xb9, None,         1,   1,   I64, NoT, F64)            \
+  X(F64ConvertI64U,    0xba, None,         1,   1,   I64, NoT, F64)            \
+  X(F64PromoteF32,     0xbb, None,         1,   1,   F32, NoT, F64)            \
+  X(I32ReinterpretF32, 0xbc, None,         1,   1,   F32, NoT, I32)            \
+  X(I64ReinterpretF64, 0xbd, None,         1,   1,   F64, NoT, I64)            \
+  X(F32ReinterpretI32, 0xbe, None,         1,   1,   I32, NoT, F32)            \
+  X(F64ReinterpretI64, 0xbf, None,         1,   1,   I64, NoT, F64)
+
+/// Opcodes, valued as their binary encodings.
+enum class Op : uint8_t {
+#define RW_OP_ENUM(Name, Byte, ...) Name = Byte,
+  RW_WASM_OPS(RW_OP_ENUM)
+#undef RW_OP_ENUM
+};
+
+/// One row of RW_WASM_OPS, looked up by opcode byte.
+struct OpInfo {
+  static constexpr uint8_t Dyn = 0xff;
+  static constexpr ValType NoT = ValType{0};
+
+  bool Valid = false; ///< The byte is an opcode (else and end are not).
+  ImmKind Imm = ImmKind::None;
+  uint8_t Pops = 0, Pushes = 0;
+  ValType In[2] = {NoT, NoT};
+  ValType Out = NoT;
+
+  /// The numeric instructions (0x45..0xbf) are exactly the rows with no
+  /// immediate and a fixed result type.
+  constexpr bool numeric() const {
+    return Imm == ImmKind::None && Pushes == 1 && Out != NoT;
+  }
+  /// Instructions that need the module to have a memory.
+  constexpr bool usesMemory() const {
+    return Imm == ImmKind::Memarg || Imm == ImmKind::MemIdx;
+  }
+};
+
+namespace detail {
+constexpr std::array<OpInfo, 256> buildOpTable() {
+  constexpr uint8_t Dyn = OpInfo::Dyn;
+  constexpr ValType I32 = ValType::I32, I64 = ValType::I64, F32 = ValType::F32,
+                    F64 = ValType::F64, NoT = OpInfo::NoT;
+  std::array<OpInfo, 256> T{};
+#define RW_OP_ROW(Name, Byte, Im, Po, Pu, A, B, R)                             \
+  T[Byte] = {true, ImmKind::Im, Po, Pu, {A, B}, R};
+  RW_WASM_OPS(RW_OP_ROW)
+#undef RW_OP_ROW
+  return T;
+}
+} // namespace detail
+
+/// RW_WASM_OPS indexed by opcode byte; bytes without a row are !Valid.
+inline constexpr std::array<OpInfo, 256> OpTable = detail::buildOpTable();
+
+constexpr const OpInfo &opInfo(Op K) {
+  return OpTable[static_cast<uint8_t>(K)];
+}
 
 /// One instruction. Structured instructions (block/loop/if) carry nested
 /// bodies; the codec linearizes them with end/else markers.

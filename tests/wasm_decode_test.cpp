@@ -247,11 +247,15 @@ TEST(WasmDecode, FuncCodeCountMismatchRejected) {
 }
 
 TEST(WasmDecode, OpcodesPastTheEnumRejected) {
-  // 0xc0..0xff name no instruction of the supported profile. Accepting
-  // them as operand-free no-ops let a module validate that flat
+  // Every byte without an opcode-table row is malformed. Accepting
+  // 0xc0..0xff as operand-free no-ops let a module validate that flat
   // translation then refused, so a cached admission (which always
-  // translates) disagreed with an uncached tree-engine one.
-  for (unsigned C : {0xc0u, 0xc1u, 0xffu}) {
+  // translates) disagreed with an uncached tree-engine one. 0x05 (else)
+  // and 0x0b (end) are block terminators, not instructions.
+  unsigned Rejected = 0;
+  for (unsigned C = 0; C < wasm::OpTable.size(); ++C) {
+    if (wasm::OpTable[C].Valid || C == 0x05 || C == 0x0b)
+      continue;
     std::vector<uint8_t> B = emptyModule();
     B.insert(B.end(), {0x01, 0x04, 0x01, 0x60, 0x00, 0x00}); // [] -> []
     B.insert(B.end(), {0x03, 0x02, 0x01, 0x00});             // one func
@@ -263,7 +267,10 @@ TEST(WasmDecode, OpcodesPastTheEnumRejected) {
     EXPECT_EQ(E.Cat, Category::Malformed);
     EXPECT_EQ(E.Offset, B.size() - 2);
     EXPECT_EQ(E.Context, "invalid opcode " + std::to_string(C));
+    ++Rejected;
   }
+  // 256 bytes: 170 opcodes, else, end, and the rest rejected.
+  EXPECT_EQ(Rejected, 256u - 170u - 2u);
 }
 
 TEST(WasmDecode, ModuleBytesBudget) {

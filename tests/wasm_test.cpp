@@ -308,11 +308,3 @@ TEST(WasmBinary, DecodeRejectsGarbage) {
                             0x01, 0xff})));
 }
 
-TEST(WasmBinary, WatPrinterRenders) {
-  WModule M = oneFunc({{ValType::I32}, {ValType::I32}}, {},
-                      {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
-                       WInst::mk(Op::I32Add)});
-  std::string S = printWat(M);
-  EXPECT_NE(S.find("module"), std::string::npos);
-  EXPECT_NE(S.find("i32.add"), std::string::npos);
-}
