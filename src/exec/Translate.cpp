@@ -25,55 +25,200 @@ uint32_t canonTypeId(const WModule &M, uint32_t TypeIdx) {
   return TypeIdx;
 }
 
-/// Translates one function body. Tracks the virtual operand height the
-/// validator proved consistent, so every branch can be annotated with an
-/// absolute target plus its stack fix-up.
-class FuncTranslator {
-public:
-  /// \p ProfileIdx: function-space index to bump from the emitted
-  /// FProfEnter/FProfLoop ops, or UINT32_MAX for no profiling.
-  FuncTranslator(const WModule &M, const FlatModule &FM, FlatFunc &Out,
-                 uint32_t ProfileIdx = UINT32_MAX)
-      : M(M), FM(FM), Out(Out), Code(Out.Code), ProfileIdx(ProfileIdx) {}
+/// A translated function's frame shape; the code comes after.
+FlatFunc frame(const WModule &M, const WFunc &F) {
+  const FuncType &FT = M.Types[F.TypeIdx];
+  FlatFunc Out;
+  Out.TypeIdx = F.TypeIdx;
+  Out.NumParams = static_cast<uint32_t>(FT.Params.size());
+  Out.NumRegs = Out.NumParams + static_cast<uint32_t>(F.Locals.size());
+  Out.NumResults = static_cast<uint32_t>(FT.Results.size());
+  return Out;
+}
 
-  Status run(const WFunc &F) {
-    const FuncType &FT = M.Types[F.TypeIdx];
-    // The implicit function-body label: a block whose results are the
-    // function results and whose branches land on the final FReturn.
-    Ctrl.push_back({CtrlKind::Block, 0, 0,
-                    static_cast<uint32_t>(FT.Results.size()), 0, {}, false});
+/// The flat-code emitter: the sink the validator's walk (wasm::FuncWalk)
+/// drives, appending one FlatFunc to the module per body. The walk owns
+/// heights, label arities and frame bases; the emitter keeps what only
+/// code needs: the fusion state, each frame's patch list, and whether the
+/// code it hears can run at all (Dead). Code the walk type-checks but no
+/// path reaches (after a block whose body never falls out and that no
+/// branch targets) emits nothing, nor do blocks begun there.
+class Emitter {
+public:
+  Emitter(const WModule &M, FlatModule &FM) : M(M), FM(FM) {}
+
+  /// A proven shared body: copy its flat code, unless this translation is
+  /// profiled (the copy carries no FProfEnter/FProfLoop bumps).
+  bool adopt(uint32_t FI, const SharedFunc &S) {
+    if (FM.Profiled)
+      return false;
+    FlatFunc &F = FM.Funcs.emplace_back(frame(M, M.Funcs[FI]));
+    F.Code = S.FlatCode;
+    F.MaxDepth = S.FlatMaxDepth;
+    return true;
+  }
+
+  void begin(uint32_t FI, const WFunc &F) {
+    Out = &FM.Funcs.emplace_back(frame(M, F));
+    // The implicit function-body label: branches to it land on the final
+    // FReturn.
+    Ctrl.assign(1, CtrlFrame(Op::Block, true));
+    MaxHeight = 0;
+    Dead = false;
+    fence();
+    ProfileIdx = FM.Profiled ? FM.NumImports + FI : UINT32_MAX;
     if (ProfileIdx != UINT32_MAX) {
       emit(FProfEnter);
       emit(ProfileIdx);
     }
-    if (Status S = seq(F.Body); !S)
-      return S;
-    patchTo(Ctrl.back(), static_cast<uint32_t>(Code.size()));
-    Ctrl.pop_back();
+  }
+
+  void finish() {
+    patchTo(Ctrl.back(), pc());
     emit(FReturn);
-    Out.MaxDepth = MaxHeight;
-    return Status::success();
+    Out->MaxDepth = MaxHeight;
+  }
+
+  void data(const WInst &I, const OpInfo &R, uint32_t H);
+
+  void open(const WInst &I) {
+    Ctrl.emplace_back(I.K, !Dead);
+    if (Dead)
+      return;
+    fence();
+    CtrlFrame &F = Ctrl.back();
+    if (I.K == Op::Loop) {
+      F.At = pc();
+      // The loop target points AT this bump, so it runs on fall-in entry
+      // and on every back-branch: exactly the tree engine's loop-header
+      // count.
+      if (ProfileIdx != UINT32_MAX) {
+        emit(FProfLoop);
+        emit(ProfileIdx);
+      }
+    } else if (I.K == Op::If) {
+      emit(FGotoIfZ);
+      F.At = pc();
+      emit(0);
+    }
+  }
+
+  void elseArm(const WInst &I) {
+    CtrlFrame &F = Ctrl.back();
+    if (!F.Live)
+      return;
+    F.ThenDead = Dead;
+    Dead = false;
+    if (I.Else.empty()) {
+      // The false path falls through to the end label.
+      F.Patches.push_back(F.At);
+      return;
+    }
+    if (!F.ThenDead) {
+      // Skip the else arm when the then arm falls through.
+      emit(FGoto);
+      F.Patches.push_back(pc());
+      emit(0);
+    }
+    Out->Code[F.At] = pc();
+    fence();
+  }
+
+  void close(uint32_t H) {
+    CtrlFrame F = std::move(Ctrl.back());
+    Ctrl.pop_back();
+    if (!F.Live)
+      return; // Begun dead: stays dead.
+    patchTo(F, pc());
+    fence();
+    // Back-branches never fall out downward, so reachability after a
+    // loop is exactly its body's fall-through reachability.
+    if (F.K != Op::Loop)
+      Dead = F.ThenDead && Dead && !F.HadBr;
+    grow(H);
+  }
+
+  /// A br, or a br_if (\p Conditional) from after its condition: a bare
+  /// jump when the stack is already in shape at height \p H, else with
+  /// its fix-up.
+  void br(Label L, uint32_t H, bool Conditional) {
+    if (Dead)
+      return;
+    fence();
+    CtrlFrame &F = Ctrl[L.Frame];
+    if (H == L.Base + L.Arity) {
+      emit(Conditional ? FGotoIf : FGoto);
+      emitTarget(F);
+    } else {
+      emit(Conditional ? FBrIf : FBr);
+      emitTarget(F);
+      emit(L.Arity);
+      emit(L.Base);
+    }
+    Dead = !Conditional;
+  }
+
+  /// Every entry, default last, is a full triple for uniform decoding.
+  template <class LabelAt> void brTable(const WInst &I, LabelAt At) {
+    if (Dead)
+      return;
+    fence();
+    emit(FBrTable);
+    emit(static_cast<uint32_t>(I.Table.size()));
+    auto Entry = [&](Label L) {
+      emitTarget(Ctrl[L.Frame]);
+      emit(L.Arity);
+      emit(L.Base);
+    };
+    for (uint32_t D : I.Table)
+      Entry(At(D));
+    Entry(At(I.U32));
+    Dead = true;
+  }
+
+  void ret() {
+    if (Dead)
+      return;
+    fence();
+    emit(FReturn);
+    Dead = true;
+  }
+
+  void call(const WInst &I, uint32_t H) {
+    if (Dead)
+      return;
+    fence();
+    if (I.K == Op::CallIndirect) {
+      emit(FCallIndirect);
+      // Canonicalize so the runtime check is a single integer compare.
+      emit(canonTypeId(M, I.U32));
+    } else if (I.U32 < FM.NumImports) {
+      emit(FCallHost);
+      emit(I.U32);
+    } else {
+      emit(FCall);
+      emit(I.U32 - FM.NumImports);
+    }
+    grow(H);
   }
 
 private:
-  enum class CtrlKind : uint8_t { Block, Loop, If };
-
   struct CtrlFrame {
-    CtrlKind K;
-    uint32_t Base;    ///< Operand height just below the label's params.
-    uint32_t Params;  ///< Label params (branch arity for loops).
-    uint32_t Results; ///< Label results (branch arity for blocks/ifs).
-    uint32_t LoopTarget = 0; ///< Loops: absolute pc of the body start.
+    CtrlFrame(Op K, bool Live) : K(K), Live(Live) {}
+    Op K;
+    bool Live;            ///< Begun in code that can run.
+    bool HadBr = false;   ///< A branch targeted this label.
+    bool ThenDead = true; ///< Ifs: the then arm does not fall through.
+    /// Loops: the pc of the body start. Ifs: FGotoIfZ's target word.
+    uint32_t At = 0;
     std::vector<uint32_t> Patches; ///< Target words to patch at `end`.
-    bool HadBr = false; ///< A branch targeted this label.
   };
 
   const WModule &M;
-  const FlatModule &FM;
-  FlatFunc &Out;
-  std::vector<uint32_t> &Code;
+  FlatModule &FM;
+  FlatFunc *Out = nullptr;
   std::vector<CtrlFrame> Ctrl;
-  uint32_t Height = 0, MaxHeight = 0;
+  uint32_t MaxHeight = 0;
   uint32_t ProfileIdx = UINT32_MAX;
   bool Dead = false;
 
@@ -98,363 +243,117 @@ private:
     PrevPos = Pos;
   }
 
-  void emit(uint32_t W) { Code.push_back(W); }
-  void push(uint32_t N) {
-    Height += N;
-    if (Height > MaxHeight)
-      MaxHeight = Height;
-  }
-  Status pop(uint32_t N) {
-    if (Height < N)
-      return Error("flat translation: operand stack underflow");
-    Height -= N;
-    return Status::success();
+  uint32_t pc() const { return static_cast<uint32_t>(Out->Code.size()); }
+  void emit(uint32_t W) { Out->Code.push_back(W); }
+  void grow(uint32_t H) {
+    if (H > MaxHeight)
+      MaxHeight = H;
   }
 
   void patchTo(CtrlFrame &F, uint32_t Target) {
     for (uint32_t Pos : F.Patches)
-      Code[Pos] = Target;
+      Out->Code[Pos] = Target;
     F.Patches.clear();
-  }
-
-  /// Label arity: what a branch to this frame keeps on the stack.
-  static uint32_t arity(const CtrlFrame &F) {
-    return F.K == CtrlKind::Loop ? F.Params : F.Results;
   }
 
   /// Emits the target word for a branch to \p F: the loop header, or a
   /// forward patch recorded on the frame.
   void emitTarget(CtrlFrame &F) {
     F.HadBr = true;
-    if (F.K == CtrlKind::Loop) {
-      emit(F.LoopTarget);
+    if (F.K == Op::Loop) {
+      emit(F.At);
     } else {
-      F.Patches.push_back(static_cast<uint32_t>(Code.size()));
+      F.Patches.push_back(pc());
       emit(0);
     }
   }
-
-  /// Emits a branch to relative depth \p Depth. \p CondOp is FGotoIf /
-  /// FBrIf for br_if, or 0 for an unconditional br. The virtual height
-  /// must already account for a popped condition.
-  Status emitBranch(uint32_t Depth, bool Conditional) {
-    fence();
-    if (Depth >= Ctrl.size())
-      return Error("flat translation: branch depth out of range");
-    CtrlFrame &F = Ctrl[Ctrl.size() - 1 - Depth];
-    uint32_t Keep = arity(F);
-    if (Height < F.Base + Keep)
-      return Error("flat translation: branch below label height");
-    if (Height == F.Base + Keep) {
-      emit(Conditional ? FGotoIf : FGoto);
-      emitTarget(F);
-    } else {
-      emit(Conditional ? FBrIf : FBr);
-      emitTarget(F);
-      emit(Keep);
-      emit(F.Base);
-    }
-    return Status::success();
-  }
-
-  /// One br_table entry (always the full triple, for uniform decoding).
-  Status emitTableEntry(uint32_t Depth) {
-    fence();
-    if (Depth >= Ctrl.size())
-      return Error("flat translation: br_table depth out of range");
-    CtrlFrame &F = Ctrl[Ctrl.size() - 1 - Depth];
-    uint32_t Keep = arity(F);
-    if (Height < F.Base + Keep)
-      return Error("flat translation: br_table below label height");
-    emitTarget(F);
-    emit(Keep);
-    emit(F.Base);
-    return Status::success();
-  }
-
-  Status seq(const std::vector<WInst> &Body) {
-    for (const WInst &I : Body) {
-      if (Dead)
-        return Status::success(); // Skip the unreachable tail.
-      if (Status S = inst(I); !S)
-        return S;
-    }
-    return Status::success();
-  }
-
-  Status inst(const WInst &I);
-  Status control(const WInst &I);
-  Status data(const WInst &I, const OpInfo &R);
 };
 
-Status FuncTranslator::inst(const WInst &I) {
-  const OpInfo &R = opInfo(I.K);
-  if (!R.Valid)
-    return Error("flat translation: unhandled opcode");
-  if (R.Pops == OpInfo::Dyn)
-    return control(I);
-  if (Status S = pop(R.Pops); !S)
-    return S;
-  if (Status S = data(I, R); !S)
-    return S;
-  push(R.Pushes);
-  return Status::success();
-}
-
-/// Structured control, branches, return and calls: the Wasm rows whose
-/// stack effect depends on a block type, a label or a function type.
-Status FuncTranslator::control(const WInst &I) {
-  switch (I.K) {
-  case Op::Block: {
-    fence();
-    uint32_t P = static_cast<uint32_t>(I.BT.Params.size());
-    uint32_t R = static_cast<uint32_t>(I.BT.Results.size());
-    if (Status S = pop(P); !S)
-      return S;
-    Ctrl.push_back({CtrlKind::Block, Height, P, R, 0, {}, false});
-    push(P);
-    if (Status S = seq(I.Body); !S)
-      return S;
-    CtrlFrame F = std::move(Ctrl.back());
-    Ctrl.pop_back();
-    patchTo(F, static_cast<uint32_t>(Code.size()));
-    fence();
-    Dead = Dead && !F.HadBr;
-    Height = F.Base + R;
-    if (Height > MaxHeight)
-      MaxHeight = Height;
-    return Status::success();
-  }
-  case Op::Loop: {
-    fence();
-    uint32_t P = static_cast<uint32_t>(I.BT.Params.size());
-    uint32_t R = static_cast<uint32_t>(I.BT.Results.size());
-    if (Status S = pop(P); !S)
-      return S;
-    Ctrl.push_back({CtrlKind::Loop, Height, P, R,
-                    static_cast<uint32_t>(Code.size()), {}, false});
-    // The loop target recorded above points AT this bump, so it runs on
-    // fall-in entry and on every back-branch — exactly the tree engine's
-    // loop-header count.
-    if (ProfileIdx != UINT32_MAX) {
-      emit(FProfLoop);
-      emit(ProfileIdx);
-    }
-    push(P);
-    if (Status S = seq(I.Body); !S)
-      return S;
-    CtrlFrame F = std::move(Ctrl.back());
-    Ctrl.pop_back();
-    fence();
-    // Back-branches never fall out downward, so reachability after the
-    // loop is exactly the body's fall-through reachability.
-    Height = F.Base + R;
-    if (Height > MaxHeight)
-      MaxHeight = Height;
-    return Status::success();
-  }
-  case Op::If: {
-    fence();
-    if (Status S = pop(1); !S) // condition
-      return S;
-    uint32_t P = static_cast<uint32_t>(I.BT.Params.size());
-    uint32_t R = static_cast<uint32_t>(I.BT.Results.size());
-    if (Status S = pop(P); !S)
-      return S;
-    uint32_t Base = Height;
-    emit(FGotoIfZ);
-    uint32_t ElsePatch = static_cast<uint32_t>(Code.size());
-    emit(0);
-    Ctrl.push_back({CtrlKind::If, Base, P, R, 0, {}, false});
-    push(P);
-    if (Status S = seq(I.Body); !S)
-      return S;
-    bool ThenDead = Dead;
-    Dead = false;
-    CtrlFrame &F = Ctrl.back();
-    bool ElseDead = true;
-    if (!I.Else.empty()) {
-      if (!ThenDead) {
-        // Skip the else arm when the then arm falls through.
-        emit(FGoto);
-        F.Patches.push_back(static_cast<uint32_t>(Code.size()));
-        emit(0);
-      }
-      Code[ElsePatch] = static_cast<uint32_t>(Code.size());
-      fence();
-      Height = Base;
-      push(P);
-      if (Status S = seq(I.Else); !S)
-        return S;
-      ElseDead = Dead;
-      Dead = false;
-    } else {
-      // No else: the false path falls through to the end label.
-      F.Patches.push_back(ElsePatch);
-      ElseDead = false;
-    }
-    CtrlFrame Done = std::move(Ctrl.back());
-    Ctrl.pop_back();
-    patchTo(Done, static_cast<uint32_t>(Code.size()));
-    fence();
-    Dead = ThenDead && ElseDead && !Done.HadBr;
-    Height = Base + R;
-    if (Height > MaxHeight)
-      MaxHeight = Height;
-    return Status::success();
-  }
-
-  case Op::Br:
-    if (Status S = emitBranch(I.U32, /*Conditional=*/false); !S)
-      return S;
-    Dead = true;
-    return Status::success();
-  case Op::BrIf:
-    if (Status S = pop(1); !S)
-      return S;
-    return emitBranch(I.U32, /*Conditional=*/true);
-  case Op::BrTable: {
-    fence();
-    if (Status S = pop(1); !S)
-      return S;
-    emit(FBrTable);
-    emit(static_cast<uint32_t>(I.Table.size()));
-    for (uint32_t Depth : I.Table)
-      if (Status S = emitTableEntry(Depth); !S)
-        return S;
-    if (Status S = emitTableEntry(I.U32); !S) // default, last
-      return S;
-    Dead = true;
-    return Status::success();
-  }
-  case Op::Return:
-    fence();
-    emit(FReturn);
-    Dead = true;
-    return Status::success();
-
-  case Op::Call: {
-    const FuncType &FT = M.funcType(I.U32);
-    if (Status S = pop(static_cast<uint32_t>(FT.Params.size())); !S)
-      return S;
-    fence();
-    if (I.U32 < FM.NumImports) {
-      emit(FCallHost);
-      emit(I.U32);
-    } else {
-      emit(FCall);
-      emit(I.U32 - FM.NumImports);
-    }
-    push(static_cast<uint32_t>(FT.Results.size()));
-    return Status::success();
-  }
-  case Op::CallIndirect: {
-    if (I.U32 >= M.Types.size())
-      return Error("flat translation: call_indirect type out of range");
-    const FuncType &FT = M.Types[I.U32];
-    if (Status S = pop(1 + static_cast<uint32_t>(FT.Params.size())); !S)
-      return S;
-    fence();
-    emit(FCallIndirect);
-    // Canonicalize so the runtime check is a single integer compare.
-    emit(canonTypeId(M, I.U32));
-    push(static_cast<uint32_t>(FT.Results.size()));
-    return Status::success();
-  }
-  default:
-    return Error("flat translation: unhandled opcode");
-  }
-}
-
-/// An instruction with a fixed stack effect (the caller pops and pushes
-/// its row's counts): fused into the previous instruction where a
-/// superinstruction covers the pair, else emitted verbatim.
-Status FuncTranslator::data(const WInst &I, const OpInfo &R) {
-  if (R.Imm == ImmKind::Index) {
-    uint32_t Limit = (I.K == Op::GlobalGet || I.K == Op::GlobalSet)
-                         ? static_cast<uint32_t>(M.Globals.size())
-                         : Out.NumRegs;
-    if (I.U32 >= Limit)
-      return Error("flat translation: local/global index out of range");
-  }
+/// An instruction with a fixed stack effect, leaving height \p H: fused
+/// into the previous instruction where a superinstruction covers the pair,
+/// else emitted verbatim.
+void Emitter::data(const WInst &I, const OpInfo &R, uint32_t H) {
+  if (Dead)
+    return;
+  grow(H);
   switch (I.K) {
   case Op::Nop:
-    return Status::success(); // Erased: costs nothing at run time.
+    return; // Erased: costs nothing at run time.
   case Op::Unreachable:
     fence();
     emit(static_cast<uint32_t>(Op::Unreachable));
     Dead = true;
-    return Status::success();
+    return;
   case Op::LocalGet:
     if (Last == Prev::Get) {
       // [get a][get b] → FGetGet a b
-      Code[PrevPos] = FGetGet;
+      Out->Code[PrevPos] = FGetGet;
       emit(I.U32);
       setLast(Prev::GetGet, PrevPos);
     } else {
-      size_t P = Code.size();
+      size_t P = Out->Code.size();
       emit(static_cast<uint32_t>(Op::LocalGet));
       emit(I.U32);
       setLast(Prev::Get, P);
     }
-    return Status::success();
+    return;
   case Op::LocalSet:
     if (Last == Prev::GetGetAdd)
-      Code[PrevPos] = FGetGetAddSet; // a b d
+      Out->Code[PrevPos] = FGetGetAddSet; // a b d
     else if (Last == Prev::GetConstAdd)
-      Code[PrevPos] = FGetConstAddSet; // a k d
+      Out->Code[PrevPos] = FGetConstAddSet; // a k d
     else if (Last == Prev::Get)
-      Code[PrevPos] = FMove; // a d
+      Out->Code[PrevPos] = FMove; // a d
     else if (Last == Prev::Const)
-      Code[PrevPos] = FConstSet; // k d
+      Out->Code[PrevPos] = FConstSet; // k d
     else
       break;
     emit(I.U32);
     fence();
-    return Status::success();
+    return;
   case Op::I32Const:
   case Op::F32Const:
     if (Last == Prev::Get) {
       // [get a][const k] → FGetConst a k
-      Code[PrevPos] = FGetConst;
+      Out->Code[PrevPos] = FGetConst;
       emit(static_cast<uint32_t>(I.U64));
       setLast(Prev::GetConst, PrevPos);
     } else {
-      size_t P = Code.size();
+      size_t P = Out->Code.size();
       emit(static_cast<uint32_t>(I.K));
       emit(static_cast<uint32_t>(I.U64));
       setLast(Prev::Const, P);
     }
-    return Status::success();
+    return;
   case Op::I32Add:
     if (Last == Prev::GetGet) {
-      Code[PrevPos] = FGetGetAdd;
+      Out->Code[PrevPos] = FGetGetAdd;
       setLast(Prev::GetGetAdd, PrevPos);
-      return Status::success();
+      return;
     }
     if (Last == Prev::GetConst) {
-      Code[PrevPos] = FGetConstAdd;
+      Out->Code[PrevPos] = FGetConstAdd;
       setLast(Prev::GetConstAdd, PrevPos);
-      return Status::success();
+      return;
     }
     break;
   case Op::I32Load:
     if (Last != Prev::Get)
       break;
-    Code[PrevPos] = FGetLoadI32; // a off
+    Out->Code[PrevPos] = FGetLoadI32; // a off
     emit(I.Offset);
     fence();
-    return Status::success();
+    return;
   case Op::I32Store:
     if (Last == Prev::GetGet)
-      Code[PrevPos] = FGetGetStoreI32; // a b off
+      Out->Code[PrevPos] = FGetGetStoreI32; // a b off
     else if (Last == Prev::GetConst)
-      Code[PrevPos] = FGetConstStoreI32; // a k off
+      Out->Code[PrevPos] = FGetConstStoreI32; // a k off
     else
       break;
     emit(I.Offset);
     fence();
-    return Status::success();
+    return;
   default:
     break;
   }
@@ -479,83 +378,69 @@ Status FuncTranslator::data(const WInst &I, const OpInfo &R) {
     break;
   }
   fence();
-  return Status::success();
 }
 
-/// A translated function's frame shape; the code comes after.
-FlatFunc frame(const WModule &M, const WFunc &F) {
-  const FuncType &FT = M.Types[F.TypeIdx];
-  FlatFunc Out;
-  Out.TypeIdx = F.TypeIdx;
-  Out.NumParams = static_cast<uint32_t>(FT.Params.size());
-  Out.NumRegs = Out.NumParams + static_cast<uint32_t>(F.Locals.size());
-  Out.NumResults = static_cast<uint32_t>(FT.Results.size());
-  return Out;
+/// Whether \p Body contains a call: a function index (or, for
+/// call_indirect, a type index) means different things in different
+/// modules, so such a body cannot be proven once for all of them.
+bool hasCall(const std::vector<WInst> &Body) {
+  for (const WInst &I : Body)
+    if (I.K == Op::Call || I.K == Op::CallIndirect || hasCall(I.Body) ||
+        hasCall(I.Else))
+      return true;
+  return false;
 }
 
-/// Whether \p F is a shared body whose flat code (pretranslateShared)
-/// holds in \p M: same type and locals, and the globals it touches exist.
-bool pretranslatedIn(const WModule &M, const WFunc &F) {
-  const SharedFunc *S = F.Body.shared();
-  return S && !S->FlatCode.empty() && M.Globals.size() >= S->NumGlobals &&
-         M.Types[F.TypeIdx] == S->Type && F.Locals == S->Locals;
-}
-
-} // namespace
-
-Expected<FlatModule> rw::exec::translate(const WModule &M) {
-  return translate(M, TranslateOptions{});
-}
-
-Expected<FlatModule> rw::exec::translate(const WModule &M,
-                                         const TranslateOptions &TO) {
+Expected<FlatModule> translateWith(const WModule &M, uint32_t MaxOperandDepth,
+                                   bool Profile) {
   OBS_SPAN("translate", M.Funcs.size());
   static obs::Counter FuncsTranslated("exec.funcs_translated");
 
   FlatModule FM;
   FM.Source = &M;
   FM.NumImports = static_cast<uint32_t>(M.ImportFuncs.size());
-  FM.Profiled = TO.Profile;
+  FM.Profiled = Profile;
+  FM.Funcs.reserve(M.Funcs.size());
+  Emitter E(M, FM);
+  if (Status S = wasm::walkModule(M, MaxOperandDepth, E); !S)
+    return S.error();
 
   // Canonical type id for every function-space index.
   for (const WImportFunc &Imp : M.ImportFuncs)
     FM.CanonType.push_back(canonTypeId(M, Imp.TypeIdx));
   for (const WFunc &F : M.Funcs)
     FM.CanonType.push_back(canonTypeId(M, F.TypeIdx));
-
-  FM.Funcs.reserve(M.Funcs.size());
-  for (uint32_t FI = 0; FI < M.Funcs.size(); ++FI) {
-    const WFunc &F = M.Funcs[FI];
-    if (F.TypeIdx >= M.Types.size())
-      return Error("flat translation: function type out of range");
-    FlatFunc Out = frame(M, F);
-    if (!TO.Profile && pretranslatedIn(M, F)) {
-      Out.Code = F.Body.shared()->FlatCode;
-      Out.MaxDepth = F.Body.shared()->FlatMaxDepth;
-    } else {
-      FuncTranslator T(M, FM, Out,
-                       TO.Profile ? FM.NumImports + FI : UINT32_MAX);
-      if (Status S = T.run(F); !S)
-        return S.error().addContext("function " + std::to_string(FI));
-    }
-    FM.Funcs.push_back(std::move(Out));
-  }
   FuncsTranslated.add(M.Funcs.size());
   return FM;
 }
 
-Status rw::exec::pretranslateShared(wasm::SharedFunc &S) {
+} // namespace
+
+Expected<FlatModule> rw::exec::translate(const WModule &M,
+                                         uint32_t MaxOperandDepth) {
+  return translateWith(M, MaxOperandDepth, false);
+}
+
+Expected<FlatModule> rw::exec::translate(const WModule &M,
+                                         const TranslateOptions &TO) {
+  return translateWith(M, ~uint32_t(0), TO.Profile);
+}
+
+Status rw::exec::proveShared(wasm::SharedFunc &S) {
+  if (hasCall(S.Body))
+    return Error("shared function bodies cannot call");
   // The flat code depends on the body's type (result count), its locals
   // (register count) and the globals it may touch. Shared bodies never
   // call, so no function or type index is baked in.
   WModule Env = wasm::sharedEnvironment(S);
   FlatModule FM;
   FM.Source = &Env;
-  FlatFunc Out = frame(Env, Env.Funcs[0]);
-  FuncTranslator T(Env, FM, Out);
-  if (Status St = T.run(Env.Funcs[0]); !St)
+  Emitter E(Env, FM);
+  wasm::FuncWalk<Emitter> W(Env, ~uint32_t(0), E);
+  if (Status St = W.run(0, Env.Funcs[0]); !St)
     return St;
-  S.FlatCode = std::move(Out.Code);
-  S.FlatMaxDepth = Out.MaxDepth;
+  S.ProvenDepth = W.maxDepth();
+  S.FlatCode = std::move(FM.Funcs[0].Code);
+  S.FlatMaxDepth = FM.Funcs[0].MaxDepth;
   return Status::success();
 }

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One-time translation of a validated wasm::WModule into the flat
+/// One-time validation and translation of a wasm::WModule into the flat
 /// bytecode executed by exec::FlatInstance (DESIGN.md §5). Each function
 /// body becomes a single linear uint32_t stream:
 ///
@@ -23,9 +23,12 @@
 ///     are precomputed so the engine reserves space once per call and
 ///     runs the body without per-push bounds checks.
 ///
-/// Translation assumes a validated module (wasm::validate); on malformed
-/// input it fails with an Error rather than crashing, but the produced
-/// bytecode is only meaningful for valid input.
+/// Translation is validation: the emitter here is the sink of the
+/// validator's one walk over each body (wasm/Validate.h), so translate()
+/// rejects exactly what wasm::validate rejects, with its message, and
+/// emits code only for what the walk has already type-checked. The walk
+/// supplies every operand height and label arity; the emitter adds the
+/// jump targets, superinstruction fusion and profile bumps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -181,17 +184,25 @@ struct TranslateOptions {
   bool Profile = false; ///< Fuse FProfEnter/FProfLoop into the code.
 };
 
-/// Translates every function of \p M. The module must outlive the result.
-/// An unprofiled translation copies the flat code of a pretranslated
-/// shared body (pretranslateShared) instead of translating it again.
-Expected<FlatModule> translate(const wasm::WModule &M);
+/// Validates \p M and translates every function in the same walk
+/// (wasm::walkModule driving the flat-code emitter): on failure the error
+/// is wasm::validate's, byte for byte, under the same operand-depth cap
+/// (uncapped where none is given). The module must outlive the result.
+/// An unprofiled translation copies the flat code of a proven shared body
+/// (proveShared) instead of walking it again.
+Expected<FlatModule> translate(const wasm::WModule &M,
+                               uint32_t MaxOperandDepth = ~uint32_t(0));
 Expected<FlatModule> translate(const wasm::WModule &M,
                                const TranslateOptions &TO);
 
-/// Translates a shared body once, unprofiled, and stores the code in
-/// S.FlatCode / S.FlatMaxDepth. The body must be valid in the environment
-/// S names and must not call (wasm::proveShared checks both).
-Status pretranslateShared(wasm::SharedFunc &S);
+/// Validates a shared body once, from scratch, in the environment it
+/// names (wasm::sharedEnvironment), and translates it, unprofiled, in the
+/// same walk. Sets S.ProvenDepth (the deepest block-relative operand
+/// stack the walk saw) and S.FlatCode / S.FlatMaxDepth; wasm::validate
+/// and translate then reuse that work in every module wasm::provenIn
+/// accepts. Bodies that call are rejected: call indices are not the same
+/// across modules.
+Status proveShared(wasm::SharedFunc &S);
 
 } // namespace rw::exec
 

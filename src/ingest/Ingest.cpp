@@ -74,10 +74,10 @@ Error fail(IngestError &E, Category C, std::string Ctx) {
 
 using Artifact = std::shared_ptr<const cache::LoweredArtifact>;
 
-/// The Wasm container's build stage: decode under L (which reports its own category
-/// and offset), validate with the operand-depth cap, and translate when
-/// link::buildArtifact would. The artifact holds the decoded module and
-/// no GC metadata.
+/// The Wasm container's build stage: decode under L (which reports its own
+/// category and offset), then validate under the operand-depth cap, by
+/// translating when link::buildArtifact would. The artifact holds the
+/// decoded module and no GC metadata.
 Expected<Artifact> buildWasm(const std::vector<uint8_t> &Bytes,
                              const Limits &L, const link::LinkOptions &Opts,
                              IngestError &E) {
@@ -86,13 +86,15 @@ Expected<Artifact> buildWasm(const std::vector<uint8_t> &Bytes,
     return M.error();
   auto A = std::make_shared<cache::LoweredArtifact>();
   A->Program.Module = M.take();
-  if (Status S = wasm::validate(A->Program.Module, L.MaxOperandDepth); !S)
-    return fail(E, Category::Validate, S.error().message());
   if (Opts.Cache || Opts.Engine != wasm::EngineKind::Tree) {
-    Expected<exec::FlatModule> FM = exec::translate(A->Program.Module);
+    Expected<exec::FlatModule> FM =
+        exec::translate(A->Program.Module, L.MaxOperandDepth);
     if (!FM)
-      return fail(E, Category::Translate, FM.error().message());
+      return fail(E, Category::Validate, FM.error().message());
     A->Flat = FM.take();
+  } else if (Status S = wasm::validate(A->Program.Module, L.MaxOperandDepth);
+             !S) {
+    return fail(E, Category::Validate, S.error().message());
   }
   return Artifact(std::move(A));
 }
@@ -109,7 +111,7 @@ Expected<Artifact> buildRichWasm(const std::vector<uint8_t> &Bytes,
   // eviction). Nobody else holds the arena, so one parse suffices.
   Expected<ir::Module> M = serial::readPrivate(Bytes, &E);
   if (!M)
-    return fail(E, E.Cat, M.error().message());
+    return Error("ingest: " + E.render());
 
   if (M->Funcs.size() > L.MaxFuncs)
     return fail(E, Category::LimitExceeded,

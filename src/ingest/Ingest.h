@@ -22,17 +22,16 @@
 ///   3. the container's build stage:
 ///      * Wasm: wasm::decode under Limits (Truncated, Malformed,
 ///        LimitExceeded, Unsupported or Resource, at the byte offset),
-///        wasm::validate with the operand-depth cap (Validate), and,
-///        with a cache or a flat-bytecode engine, flat translation
-///        (Translate). The artifact holds the decoded module and no GC
-///        metadata.
+///        then, under the operand-depth cap, exec::translate with a
+///        cache or a flat-bytecode engine, else wasm::validate (either
+///        way Validate: translation is validation's one walk). The
+///        artifact holds the decoded module and no GC metadata.
 ///      * RWBM: serial::readPrivate into a private arena (Truncated,
 ///        BadMagic, Unsupported or Malformed; a rejected admission leaves
 ///        zero residue in the process-wide arena by construction), the
 ///        MaxFuncs/MaxGlobals/MaxElems limits (LimitExceeded),
 ///        typing::checkModule (Check), then link::buildArtifact: resolve
-///        (Link), lower (Lower), validate (Validate), translate
-///        (Translate);
+///        (Link), lower (Lower), validate and translate (Validate);
 ///   4. reject an artifact with an open function import (Link: admit
 ///      binds no host functions), else store it under the byte key when
 ///      a cache is set;

@@ -90,11 +90,10 @@ enum class Category : uint8_t {
   Malformed,     ///< Structurally invalid bytes (bad LEB, enum, count...).
   LimitExceeded, ///< A Limits cap tripped.
   Unsupported,   ///< Well-formed but outside the supported feature set.
-  Validate,      ///< wasm::validate rejected the decoded module.
+  Validate,      ///< Validation (wasm::validate, exec::translate) failed.
   Check,         ///< typing::checkModule rejected the RichWasm module.
   Link,          ///< Import resolution failed, or an import admit cannot bind.
   Lower,         ///< RichWasm→Wasm lowering failed.
-  Translate,     ///< Flat-bytecode translation failed.
   Engine,        ///< Instance creation/initialization failed.
   Resource,      ///< Environment failure (allocation, mmap, ...).
 };
@@ -123,8 +122,6 @@ inline const char *categoryName(Category C) {
     return "Link";
   case Category::Lower:
     return "Lower";
-  case Category::Translate:
-    return "Translate";
   case Category::Engine:
     return "Engine";
   case Category::Resource:
@@ -158,8 +155,6 @@ inline const char *categoryToken(Category C) {
     return "link";
   case Category::Lower:
     return "lower";
-  case Category::Translate:
-    return "translate";
   case Category::Engine:
     return "engine";
   case Category::Resource:

@@ -468,20 +468,20 @@ rw::link::buildArtifact(const std::vector<const ir::Module *> &Mods,
   auto A = std::make_shared<cache::LoweredArtifact>();
   A->Program = LP.take();
   // Every lowered module is validated before it runs or is stored, so
-  // warm cache hits are always validated artifacts.
-  if (Status S = wasm::validate(A->Program.Module); !S)
-    return Fail(Category::Validate,
-                S.error().addContext("lowered module validation"));
-  // Translate once here (not lazily in the engine) so the memoized
-  // artifact serves both engines on every later hit; validated lowered
-  // modules always translate. Without a cache, only the flat-bytecode
-  // tiers (Flat and the Jit that compiles from it) need it.
+  // warm cache hits are always validated artifacts. Translate once here
+  // (not lazily in the engine) so the memoized artifact serves both
+  // engines on every later hit; translation validates in the same walk.
+  // Without a cache, only the flat-bytecode tiers (Flat and the Jit that
+  // compiles from it) need the code.
   if (Opts.Cache || Opts.Engine != wasm::EngineKind::Tree) {
     Expected<exec::FlatModule> FM = exec::translate(A->Program.Module);
     if (!FM)
-      return Fail(Category::Translate,
-                  FM.error().addContext("flat translation"));
+      return Fail(Category::Validate,
+                  FM.error().addContext("lowered module validation"));
     A->Flat = FM.take();
+  } else if (Status S = wasm::validate(A->Program.Module); !S) {
+    return Fail(Category::Validate,
+                S.error().addContext("lowered module validation"));
   }
   return std::shared_ptr<const cache::LoweredArtifact>(std::move(A));
 }

@@ -125,13 +125,13 @@ instantiateLowered(const std::vector<const ir::Module *> &Mods,
 /// (instantiateLowered and ingest::admit), and the one place a program
 /// is resolved and type-checked for lowering: batch resolve → check
 /// (only when Opts.Infos hands over no InfoMaps; on Opts.Pool when set,
-/// else module by module) → lower → validate → translate. Translation
-/// always runs when Opts.Cache is set, because the caller will store the
-/// artifact for every later caller. The artifact is pure Wasm: it holds
-/// nothing from \p Mods or their arena. On failure, \p ErrOut (when
-/// non-null) names the stage that failed — Link, Check, Lower, Validate
-/// or Translate — with the returned message as its context; an ill-typed
-/// module is Check whichever options are set.
+/// else module by module) → lower → validate and translate, in one walk.
+/// Translation always runs when Opts.Cache is set, because the caller
+/// will store the artifact for every later caller. The artifact is pure
+/// Wasm: it holds nothing from \p Mods or their arena. On failure, \p
+/// ErrOut (when non-null) names the stage that failed — Link, Check,
+/// Lower or Validate — with the returned message as its context; an
+/// ill-typed module is Check whichever options are set.
 Expected<std::shared_ptr<const cache::LoweredArtifact>>
 buildArtifact(const std::vector<const ir::Module *> &Mods,
               const LinkOptions &Opts,

@@ -276,15 +276,14 @@ Prelude buildPrelude() {
     P.Free.Body = std::move(Body);
   }
 
-  // Prove and translate each body once. Neither can fail for this code;
-  // if one did, the function would simply stay unproven/untranslated and
-  // every module would validate and translate it from its tree.
+  // Prove and translate each body once, in one walk. That cannot fail
+  // for this code; if it did, the function would simply stay unproven
+  // and every module would validate and translate it from its tree.
   for (SharedFunc *F : {&P.Alloc, &P.Free}) {
     F->NumGlobals = RuntimeLayout::NumGlobals;
-    bool Proven = bool(wasm::proveShared(*F));
+    bool Proven = bool(exec::proveShared(*F));
     assert(Proven && "runtime prelude failed validation");
-    if (Proven)
-      (void)exec::pretranslateShared(*F);
+    (void)Proven;
   }
   return P;
 }

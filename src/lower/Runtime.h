@@ -61,8 +61,9 @@ struct RuntimeLayout {
 /// Appends the runtime globals and the allocator functions to \p M, which
 /// must have no globals yet and must not have had the runtime appended.
 /// The function bodies are not rebuilt: they reference the prelude, built,
-/// validated and translated once per process (wasm::SharedFunc), so
-/// wasm::validate and exec::translate skip their per-module work too.
+/// validated and translated once per process (wasm::SharedFunc,
+/// exec::proveShared), so wasm::validate and exec::translate skip their
+/// per-module work too.
 /// Call it before emitting code that references the runtime.
 RuntimeLayout emitRuntime(wasm::WModule &M);
 

@@ -670,6 +670,8 @@ public:
   bool run(ir::Module &M) { return nodeTable() && module(M) && atEnd(); }
   const std::string &error() const { return Err; }
   ingest::Category category() const { return ErrCat; }
+  /// The payload offset the first failure was found at.
+  size_t offset() const { return ErrPos; }
 
 private:
   const uint8_t *D;
@@ -678,6 +680,7 @@ private:
   TypeArena &A;
   std::string Err;
   ingest::Category ErrCat = ingest::Category::None;
+  size_t ErrPos = 0;
 
   // The decoded type table: one tagged reference per index.
   struct NodeSlot {
@@ -706,6 +709,7 @@ private:
     if (Err.empty()) {
       Err = M;
       ErrCat = C;
+      ErrPos = Pos;
     }
     return false;
   }
@@ -1685,7 +1689,9 @@ namespace {
 /// Shared body of read() and readPrivate(): header checks, then the
 /// payload parse into \p Arena — preceded by a parse into a throwaway
 /// arena when \p Probe is set. A failure fills \p ErrOut (when non-null)
-/// with its category and the returned message; offsets stay 0.
+/// with its category, the returned message and its byte offset: the
+/// header field's (the end of the input for a short header), or HeaderSize
+/// plus the reader's position for a payload failure.
 Expected<ir::Module> readInto(const std::vector<uint8_t> &Bytes,
                               std::shared_ptr<ir::TypeArena> Arena,
                               bool Probe, ingest::IngestError *ErrOut) {
@@ -1693,28 +1699,30 @@ Expected<ir::Module> readInto(const std::vector<uint8_t> &Bytes,
   static obs::Counter BytesRead("serial.bytes_read");
   BytesRead.add(Bytes.size());
   using ingest::Category;
-  auto Fail = [ErrOut](Category C, std::string Msg) {
-    ingest::reportStage(ErrOut, C, Msg);
+  auto Fail = [ErrOut](Category C, uint64_t Offset, std::string Msg) {
+    if (ErrOut)
+      *ErrOut = ingest::IngestError{C, Offset, Msg};
     return Error(std::move(Msg));
   };
+  // Header fields: magic @0, version @4, payload length @8, checksum @16.
   if (!Arena)
-    return Fail(Category::Malformed, "null target arena");
+    return Fail(Category::Malformed, 0, "null target arena");
   if (Bytes.size() < HeaderSize)
-    return Fail(Category::Truncated, "truncated header");
+    return Fail(Category::Truncated, Bytes.size(), "truncated header");
   if (std::memcmp(Bytes.data(), Magic, 4) != 0)
-    return Fail(Category::BadMagic,
+    return Fail(Category::BadMagic, 0,
                 "bad magic (not a RichWasm binary module)");
   uint32_t Ver = getU32LE(Bytes.data() + 4);
   if (Ver != FormatVersion)
-    return Fail(Category::Unsupported,
+    return Fail(Category::Unsupported, 4,
                 "unsupported format version " + std::to_string(Ver) +
                     " (expected " + std::to_string(FormatVersion) + ")");
   uint64_t Len = getU64LE(Bytes.data() + 8);
   if (Len != Bytes.size() - HeaderSize)
-    return Fail(Category::Truncated, "payload length mismatch");
+    return Fail(Category::Truncated, 8, "payload length mismatch");
   uint64_t Sum = getU64LE(Bytes.data() + 16);
   if (Sum != fnv1a(Bytes.data() + HeaderSize, Len))
-    return Fail(Category::Malformed, "payload checksum mismatch");
+    return Fail(Category::Malformed, 16, "payload checksum mismatch");
 
   // Two-phase decode for a shared target: parse into a throwaway arena
   // first, so a payload that fails *structural* validation (the checksum
@@ -1730,14 +1738,16 @@ Expected<ir::Module> readInto(const std::vector<uint8_t> &Bytes,
     ir::Module Discard;
     Reader R(Bytes.data() + HeaderSize, Len, Scratch);
     if (!R.run(Discard))
-      return Fail(R.category(), "malformed module: " + R.error());
+      return Fail(R.category(), HeaderSize + R.offset(),
+                  "malformed module: " + R.error());
   }
 
   ir::Module M;
   M.Arena = Arena;
   Reader R(Bytes.data() + HeaderSize, Len, *Arena);
   if (!R.run(M))
-    return Fail(R.category(), "malformed module: " + R.error());
+    return Fail(R.category(), HeaderSize + R.offset(),
+                "malformed module: " + R.error());
   return M;
 }
 

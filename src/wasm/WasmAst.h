@@ -373,14 +373,14 @@ struct SharedFunc {
   FuncType Type;
   std::vector<ValType> Locals; ///< Beyond the parameters.
   std::vector<WInst> Body;
-  /// The environment the body is proven valid in (wasm::proveShared): it
+  /// The environment the body is proven valid in (exec::proveShared): it
   /// touches only its locals, globals [0, NumGlobals) — all mutable i32 —
   /// and the memory, and calls nothing.
   uint32_t NumGlobals = 0;
-  /// Set by wasm::proveShared: the deepest per-block operand stack the
+  /// Set by exec::proveShared: the deepest per-block operand stack the
   /// validator saw, or nullopt while unproven.
   std::optional<uint32_t> ProvenDepth;
-  /// Set by exec::pretranslateShared: the unprofiled flat code of the body
+  /// Set by exec::proveShared too: the unprofiled flat code of the body
   /// and its operand-stack bound (exec::FlatFunc's Code and MaxDepth).
   /// Empty while untranslated; a translation always ends in a return.
   std::vector<uint32_t> FlatCode;

@@ -13,22 +13,30 @@
 //     including host-assisted GC parity;
 //   * a deterministic fuzz-ish sweep of straight-line numeric functions
 //     over the whole operator alphabet, checksummed through a local;
-//   * an oracle running every numeric opcode over edge operands.
+//   * an oracle running every numeric opcode over edge operands;
+//   * the one-walk oracle: translate() and validate() give one verdict
+//     and message on the regression corpus and seeded mutants of lowered
+//     modules, and code no path reaches is checked but not emitted.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/Common.h"
+#include "bench/ServerMix.h"
 #include "exec/Engine.h"
 #include "exec/Translate.h"
+#include "ingest/Limits.h"
 #include "link/Link.h"
 #include "lower/Lower.h"
 #include "wasm/Interp.h"
 #include "support/NumericOps.h"
+#include "wasm/Binary.h"
 #include "wasm/Validate.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 
 using namespace rw;
@@ -1042,6 +1050,194 @@ TEST(ExecOracle, EveryNumericOpcodeOverEdgeOperands) {
   EXPECT_GT(Runs, 10000u);
   EXPECT_GT(DivTraps, 0u);
   EXPECT_GT(ConvTraps, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// One walk: translate() validates in the walk that emits the code
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// validate(M, Cap) and translate(M, Cap) give one verdict with the same
+/// message bytes, so a module that validates always translates.
+void expectOneVerdict(const WModule &M, uint32_t Cap, const std::string &Why) {
+  Status V = validate(M, Cap);
+  Expected<exec::FlatModule> T = exec::translate(M, Cap);
+  ASSERT_EQ(V.ok(), bool(T))
+      << Why << ": " << (V ? T.error().message() : V.error().message());
+  if (!V) {
+    EXPECT_EQ(V.error().message(), T.error().message()) << Why;
+  }
+}
+
+/// One to three random local edits of \p M's bodies: drop, duplicate,
+/// retarget or re-opcode an instruction, or insert a trap, a return, a
+/// branch, a br_table or a constant, or wrap a run in a block or loop.
+void mutate(WModule &M, Rng &R) {
+  for (uint32_t K = 1 + R.below(3); K > 0; --K) {
+    std::vector<WInst> *S = &M.Funcs[R.below(M.Funcs.size())].Body.mut();
+    while (!S->empty() && R.below(2)) {
+      WInst &I = (*S)[R.below(S->size())];
+      if (I.Body.empty())
+        break;
+      S = I.Else.empty() || R.below(2) ? &I.Body : &I.Else;
+    }
+    uint32_t P = S->empty() ? 0 : R.below(S->size());
+    auto At = S->begin() + P;
+    switch (S->empty() ? 0 : R.below(9)) {
+    case 0:
+      S->insert(At, WInst::mk(R.below(2) ? Op::Unreachable : Op::Return));
+      break;
+    case 1:
+      S->erase(At);
+      break;
+    case 2:
+      S->insert(At, WInst(*At));
+      break;
+    case 3:
+      At->U32 += R.below(2) ? 1 : -1;
+      break;
+    case 4: {
+      const OpInfo *Row;
+      uint8_t B;
+      do {
+        B = static_cast<uint8_t>(R.below(256));
+        Row = &OpTable[B];
+      } while (!Row->Valid || Row->Imm == ImmKind::Structured ||
+               Row->Imm == ImmKind::BrTable);
+      At->K = static_cast<Op>(B);
+      break;
+    }
+    case 5:
+      S->insert(At, WInst::idx(R.below(2) ? Op::Br : Op::BrIf, R.below(4)));
+      break;
+    case 6:
+      S->insert(At, WInst::brTable({R.below(4), R.below(4)}, R.below(4)));
+      break;
+    case 7:
+      S->insert(At, WInst::i32c(7));
+      break;
+    case 8: {
+      auto End = At + R.below(S->end() - At + 1);
+      std::vector<WInst> Run(At, End);
+      FuncType BT;
+      BT.Params.resize(R.below(2), ValType::I32);
+      BT.Results.resize(R.below(3), ValType::I32);
+      WInst W = R.below(3) ? WInst::block(BT, std::move(Run))
+                           : WInst::loop(BT, std::move(Run));
+      P = static_cast<uint32_t>(At - S->begin());
+      S->erase(At, End);
+      S->insert(S->begin() + P, std::move(W));
+      break;
+    }
+    }
+  }
+}
+
+} // namespace
+
+TEST(ExecOneWalk, TranslationVerdictIsValidationVerdict) {
+  // Every regression-corpus input that decodes, under the policy's cap.
+  ingest::Limits L;
+  const std::filesystem::path Dir =
+      std::filesystem::path(RW_SOURCE_DIR) / "fuzz/corpus/regression";
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    std::ifstream In(Entry.path(), std::ios::binary);
+    std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),
+                               std::istreambuf_iterator<char>());
+    if (Expected<WModule> M = decode(Bytes, L))
+      expectOneVerdict(*M, L.MaxOperandDepth, Entry.path().filename());
+  }
+
+  // Seeded mutants of lowered bench modules, uncapped and under a small
+  // cap, and every fourth one decoded from a byte-mutated encoding.
+  std::vector<ir::Module> Mods;
+  Mods.push_back(rwbench::loopModule(10));
+  Mods.push_back(rwbench::allocModule(10, /*Linear=*/true));
+  Mods.push_back(rwbench::allocModule(10, /*Linear=*/false));
+  Mods.push_back(rwbench::wideModule(4));
+  Mods.push_back(rwbench::serverModule(3));
+  Rng R(0x5eed);
+  unsigned Mutants = 0, Valid = 0;
+  for (const ir::Module &Mod : Mods) {
+    auto Art = link::buildArtifact({&Mod}, {});
+    ASSERT_TRUE(bool(Art)) << Art.error().message();
+    const WModule &Base = (*Art)->Program.Module;
+    expectOneVerdict(Base, ~0u, Mod.Name);
+    std::vector<uint8_t> Enc = encode(Base);
+    for (unsigned K = 0; K < 250; ++K, ++Mutants) {
+      std::string Why = Mod.Name + " mutant " + std::to_string(K);
+      if (K % 4 == 0) {
+        std::vector<uint8_t> B = Enc;
+        B[R.below(B.size())] = static_cast<uint8_t>(R.below(256));
+        if (Expected<WModule> M = decode(B, L))
+          expectOneVerdict(*M, L.MaxOperandDepth, Why);
+        continue;
+      }
+      WModule M = Base;
+      mutate(M, R);
+      Valid += validate(M).ok();
+      expectOneVerdict(M, ~0u, Why);
+      expectOneVerdict(M, 1 + R.below(12), Why);
+    }
+  }
+  EXPECT_GE(Mutants, 1000u);
+  EXPECT_GT(Valid, 50u) << "the mutants should keep some modules valid";
+}
+
+TEST(ExecOneWalk, DeadCodeIsCheckedButNotEmitted) {
+  // block (unreachable) end never falls out and no branch targets it:
+  // the code after it is type-checked but not emitted.
+  FuncType I32Out{{}, {ValType::I32}};
+  WInst Trap = WInst::block({}, {WInst::mk(Op::Unreachable)});
+  WModule Bad = oneFunc(I32Out, {},
+                        {Trap, WInst::i64c(1), WInst::mk(Op::I32Eqz)});
+  const char *Msg =
+      "in function 0: type mismatch at operator: expected i32, found i64";
+  ASSERT_FALSE(validate(Bad).ok());
+  EXPECT_EQ(validate(Bad).error().message(), Msg);
+  Expected<exec::FlatModule> T = exec::translate(Bad);
+  ASSERT_FALSE(bool(T));
+  EXPECT_EQ(T.error().message(), Msg);
+
+  // Valid tails emit nothing and raise no height. A block begun in dead
+  // code stays dead, even when a branch targets it or it is an if with
+  // an else arm.
+  const std::vector<uint32_t> TrapThenReturn = {
+      static_cast<uint32_t>(Op::Unreachable), exec::FReturn};
+  FuncType TwoI32{{}, {ValType::I32, ValType::I32}};
+  for (std::vector<WInst> Tail :
+       {std::vector<WInst>{WInst::i32c(5)},
+        std::vector<WInst>{WInst::block({}, {WInst::idx(Op::Br, 0)}),
+                           WInst::i32c(5)},
+        std::vector<WInst>{WInst::block(TwoI32, {WInst::mk(Op::Unreachable)}),
+                           WInst::mk(Op::Drop)},
+        std::vector<WInst>{WInst::i32c(1),
+                           WInst::ifElse(I32Out, {WInst::i32c(2)},
+                                         {WInst::i32c(3)})}}) {
+    Tail.insert(Tail.begin(), Trap);
+    WModule Good = oneFunc(I32Out, {}, std::move(Tail));
+    Expected<exec::FlatModule> FM = exec::translate(Good);
+    ASSERT_TRUE(bool(FM)) << FM.error().message();
+    EXPECT_EQ(FM->Funcs[0].Code, TrapThenReturn);
+    EXPECT_EQ(FM->Funcs[0].MaxDepth, 0u);
+  }
+}
+
+TEST(ExecOneWalk, BrTableTargetsTakeTheDefaultsTypes) {
+  // The default (the inner block) carries nothing; target 1 (the outer
+  // block) carries an i32. No branch could take both.
+  WModule M = oneFunc(
+      {{}, {}}, {},
+      {WInst::block({{}, {ValType::I32}},
+                    {WInst::block({}, {WInst::i32c(0),
+                                       WInst::brTable({1}, 0)}),
+                     WInst::i32c(1)}),
+       WInst::mk(Op::Drop)});
+  const char *Msg = "in function 0: br_table: label types disagree";
+  ASSERT_FALSE(validate(M).ok());
+  EXPECT_EQ(validate(M).error().message(), Msg);
+  expectOneVerdict(M, ~0u, "br_table");
 }
 
 //===----------------------------------------------------------------------===//

@@ -212,11 +212,9 @@ TEST(Ingest, UserChosenNamesDoNotSteerTheCategory) {
   obs::Counter Link("ingest.rejected.link");
   obs::Counter Validate("ingest.rejected.validate");
   obs::Counter Lower("ingest.rejected.lower");
-  obs::Counter Translate("ingest.rejected.translate");
   for (const char *From : {"validation", "lower", "flat translation"}) {
     SCOPED_TRACE(From);
-    uint64_t L0 = Link.value(), V0 = Validate.value(), W0 = Lower.value(),
-             T0 = Translate.value();
+    uint64_t L0 = Link.value(), V0 = Validate.value(), W0 = Lower.value();
     IngestError E;
     EXPECT_FALSE(ingest::admit(
         serial::write(rwbench::globalImportModule(From)), Limits(), {}, &E));
@@ -224,8 +222,7 @@ TEST(Ingest, UserChosenNamesDoNotSteerTheCategory) {
     EXPECT_EQ(E.render(), std::string("Link @0: unresolved global import ") +
                               From + ".g in module 'app'");
     EXPECT_EQ(Link.value(), L0 + One);
-    EXPECT_EQ(Validate.value() + Lower.value() + Translate.value(),
-              V0 + W0 + T0);
+    EXPECT_EQ(Validate.value() + Lower.value(), V0 + W0);
   }
 }
 
@@ -328,21 +325,21 @@ TEST(Ingest, RegressionCorpusVerdictsArePinned) {
        "Malformed @10: section size: overlong varint"},
       {"section_overrun.bin", Category::Truncated, 8,
        "Truncated @8: section extends past end of module"},
-      {"serial_badsum.bin", Category::Malformed, 0,
-       "Malformed @0: payload checksum mismatch"},
-      {"serial_truncated.bin", Category::Truncated, 0,
-       "Truncated @0: truncated header"},
+      {"serial_badsum.bin", Category::Malformed, 16,
+       "Malformed @16: payload checksum mismatch"},
+      {"serial_truncated.bin", Category::Truncated, 8,
+       "Truncated @8: truncated header"},
       {"servermix_admitted_mutant.bin", Category::None, 0, "None @0: "},
       {"servermix_bad_magic.bin", Category::BadMagic, 0,
        "BadMagic @0: unrecognized container magic"},
-      {"servermix_malformed.bin", Category::Malformed, 0,
-       "Malformed @0: payload checksum mismatch"},
-      {"servermix_one_byte_mutant.bin", Category::Malformed, 0,
-       "Malformed @0: payload checksum mismatch"},
-      {"servermix_truncated.bin", Category::Truncated, 0,
-       "Truncated @0: payload length mismatch"},
-      {"servermix_unsupported.bin", Category::Unsupported, 0,
-       "Unsupported @0: unsupported format version 4278190081 (expected 1)"},
+      {"servermix_malformed.bin", Category::Malformed, 16,
+       "Malformed @16: payload checksum mismatch"},
+      {"servermix_one_byte_mutant.bin", Category::Malformed, 16,
+       "Malformed @16: payload checksum mismatch"},
+      {"servermix_truncated.bin", Category::Truncated, 8,
+       "Truncated @8: payload length mismatch"},
+      {"servermix_unsupported.bin", Category::Unsupported, 4,
+       "Unsupported @4: unsupported format version 4278190081 (expected 1)"},
       {"truncated_magic.bin", Category::BadMagic, 0,
        "BadMagic @0: input too short for a container magic"},
   };
@@ -569,7 +566,7 @@ TEST(IngestCache, WarmAdmissionMatchesUncachedOnServerMix) {
         << "payload " << I;
     Admitted += Fresh.Admitted;
     Rejected += !Fresh.Admitted;
-    bool IsWasm = (*Payloads[I])[0] == 0x00;
+    bool IsWasm = !Payloads[I]->empty() && (*Payloads[I])[0] == 0x00;
     WasmAdmitted += IsWasm && Fresh.Admitted;
     WasmRejected += IsWasm && !Fresh.Admitted;
   }

@@ -270,7 +270,7 @@ TEST(Prelude, ValidatesFromScratch) {
         *LP.Module.Funcs[Fn - LP.Module.ImportFuncs.size()].Body.shared();
     std::optional<uint32_t> Depth = Copy.ProvenDepth;
     Copy.ProvenDepth.reset();
-    Status P = wasm::proveShared(Copy);
+    Status P = exec::proveShared(Copy);
     ASSERT_TRUE(P.ok()) << P.error().message();
     EXPECT_EQ(Copy.ProvenDepth, Depth);
   }
@@ -326,6 +326,6 @@ TEST(Prelude, ReferencesOutsideTheProvenEnvironmentAreRejected) {
 TEST(Prelude, BodiesThatCallCannotBeProven) {
   wasm::SharedFunc S;
   S.Body = {wasm::WInst::idx(wasm::Op::Call, 0)};
-  EXPECT_FALSE(wasm::proveShared(S).ok());
+  EXPECT_FALSE(exec::proveShared(S).ok());
   EXPECT_FALSE(S.ProvenDepth.has_value());
 }

@@ -691,6 +691,50 @@ TEST(Serial, PrivateReadAgreesWithTwoPhaseRead) {
   EXPECT_GT(Accepted, 1u);
 }
 
+TEST(Serial, PrivateReadReportsWhereItFailed) {
+  // A header failure is reported at its field (magic @0, version @4,
+  // payload length @8, checksum @16; a short header at the input's end),
+  // and a payload failure at the header size plus the reader's position.
+  std::vector<uint8_t> Bytes = serial::write(rwbench::wideModule(2));
+  auto offsetOf = [](const std::vector<uint8_t> &B, ingest::Category Want) {
+    ingest::IngestError E;
+    EXPECT_FALSE(bool(serial::readPrivate(B, &E)));
+    EXPECT_EQ(E.Cat, Want) << E.render();
+    return E.Offset;
+  };
+  using ingest::Category;
+  EXPECT_EQ(offsetOf({Bytes.begin(), Bytes.begin() + 10}, Category::Truncated),
+            10u);
+  std::vector<uint8_t> B = Bytes;
+  B[0] ^= 1;
+  EXPECT_EQ(offsetOf(B, Category::BadMagic), 0u);
+  B = Bytes;
+  B[4] ^= 1;
+  EXPECT_EQ(offsetOf(B, Category::Unsupported), 4u);
+  B = Bytes;
+  B.pop_back();
+  EXPECT_EQ(offsetOf(B, Category::Truncated), 8u);
+  B = Bytes;
+  B.back() ^= 1;
+  EXPECT_EQ(offsetOf(B, Category::Malformed), 16u);
+  // Payload edits with the length and checksum repaired: a cut payload
+  // runs out at the end of the input, and a trailing byte is found where
+  // the module record ends.
+  auto reseal = [](std::vector<uint8_t> &B) {
+    uint64_t Len = B.size() - serial::HeaderSize;
+    for (int I = 0; I < 8; ++I)
+      B[8 + I] = static_cast<uint8_t>(Len >> (8 * I));
+    fixChecksum(B);
+  };
+  B.assign(Bytes.begin(), Bytes.end() - 1);
+  reseal(B);
+  EXPECT_EQ(offsetOf(B, Category::Truncated), B.size());
+  B = Bytes;
+  B.push_back(0);
+  reseal(B);
+  EXPECT_EQ(offsetOf(B, Category::Malformed), Bytes.size());
+}
+
 TEST(Serial, ConcurrentReadsInternSafely) {
   // Readers intern into the shared thread-safe arena while checks run —
   // the admission-server shape; the CI TSan job runs this test. All
