@@ -30,8 +30,7 @@ namespace {
 /// registers a "cache.*" snapshot source for its lifetime, the global
 /// arena an "arena.*" one), so the export is one shared call; the
 /// '.'→'_' key mapping keeps the exact names run_bench.sh parses
-/// (cache_hits, cache_misses, cache_evictions, cache_bytes,
-/// arena_serialized_bytes).
+/// (cache_hits, cache_misses, cache_evictions, cache_bytes).
 void reportCache(benchmark::State &St, const cache::AdmissionCache &C) {
   (void)C; // Sampled via its registered obs source.
   exportObsCounters(St, {"cache", "arena"});

@@ -454,8 +454,7 @@ for name, ns, b in measured(raw):
     if cur is None or ns < cur["ns"]:
         entry = {"ns": ns}
         for key in ("modules/s", "cache_hits", "cache_misses",
-                    "cache_evictions", "cache_bytes", "bytes_per_module",
-                    "arena_serialized_bytes"):
+                    "cache_evictions", "cache_bytes", "bytes_per_module"):
             if key in b:
                 entry[key] = b[key]
         results[name] = entry

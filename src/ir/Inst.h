@@ -13,6 +13,13 @@
 /// immutable and shared; substitution (at call/unpack time) produces new
 /// trees via ir/Rewrite.h.
 ///
+/// Each instruction's payload is described once. RW_INST_KINDS maps every
+/// kind to the class that represents it, and each payload-carrying class
+/// lists its members in `fields()`, in constructor order. The structural
+/// walks read nothing else: serial/Serial.cpp writes, hashes and reads a
+/// node field by field, and ir::rewriteInst rewrites and compares it field
+/// by field, entering the binder a field is marked with.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RICHWASM_IR_INST_H
@@ -22,6 +29,8 @@
 #include "support/Casting.h"
 
 #include <memory>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 namespace rw::ir {
@@ -37,69 +46,121 @@ struct LocalEffect {
   Type T;
 };
 
+/// Every instruction kind with the class that represents it. A row's
+/// position is its InstKind value, which the wire format writes, so rows
+/// are only ever appended. Classes that appear on several rows carry the
+/// kind as their first constructor argument.
+#define RW_INST_KINDS(X)                                                       \
+  /* Numeric. */                                                               \
+  X(NumConst, NumConstInst)                                                    \
+  X(NumUnop, NumUnopInst)                                                      \
+  X(NumBinop, NumBinopInst)                                                    \
+  X(NumTestop, NumTestopInst)                                                  \
+  X(NumRelop, NumRelopInst)                                                    \
+  X(NumCvt, NumCvtInst)                                                        \
+  /* Parametric / control. */                                                  \
+  X(Unreachable, SimpleInst)                                                   \
+  X(Nop, SimpleInst)                                                           \
+  X(Drop, SimpleInst)                                                          \
+  X(Select, SimpleInst)                                                        \
+  X(Block, BlockInst)                                                          \
+  X(Loop, LoopInst)                                                            \
+  X(If, IfInst)                                                                \
+  X(Br, BrInst)                                                                \
+  X(BrIf, BrInst)                                                              \
+  X(BrTable, BrTableInst)                                                      \
+  X(Return, SimpleInst)                                                        \
+  /* Variables. */                                                             \
+  X(GetLocal, GetLocalInst)                                                    \
+  X(SetLocal, VarIdxInst)                                                      \
+  X(TeeLocal, VarIdxInst)                                                      \
+  X(GetGlobal, VarIdxInst)                                                     \
+  X(SetGlobal, VarIdxInst)                                                     \
+  X(Qualify, QualifyInst)                                                      \
+  /* Functions. */                                                             \
+  X(CoderefI, CoderefInst)                                                     \
+  X(InstIdx, InstIdxInst)                                                      \
+  X(CallIndirect, SimpleInst)                                                  \
+  X(Call, CallInst)                                                            \
+  /* Recursive and existential-location types. */                              \
+  X(RecFold, RecFoldInst)                                                      \
+  X(RecUnfold, SimpleInst)                                                     \
+  X(MemPack, MemPackInst)                                                      \
+  X(MemUnpack, MemUnpackInst)                                                  \
+  /* Tuples, capabilities, references. */                                      \
+  X(Group, GroupInst)                                                          \
+  X(Ungroup, SimpleInst)                                                       \
+  X(CapSplit, SimpleInst)                                                      \
+  X(CapJoin, SimpleInst)                                                       \
+  X(RefDemote, SimpleInst)                                                     \
+  X(RefSplit, SimpleInst)                                                      \
+  X(RefJoin, SimpleInst)                                                       \
+  /* Structs. */                                                               \
+  X(StructMalloc, StructMallocInst)                                            \
+  X(StructFree, SimpleInst)                                                    \
+  X(StructGet, StructIdxInst)                                                  \
+  X(StructSet, StructIdxInst)                                                  \
+  X(StructSwap, StructIdxInst)                                                 \
+  /* Variants. */                                                              \
+  X(VariantMalloc, VariantMallocInst)                                          \
+  X(VariantCase, VariantCaseInst)                                              \
+  /* Arrays. */                                                                \
+  X(ArrayMalloc, ArrayMallocInst)                                              \
+  X(ArrayGet, SimpleInst)                                                      \
+  X(ArraySet, SimpleInst)                                                      \
+  X(ArrayFree, SimpleInst)                                                     \
+  /* Existential (pretype) packages. */                                        \
+  X(ExistPack, ExistPackInst)                                                  \
+  X(ExistUnpack, ExistUnpackInst)
+
 enum class InstKind : uint8_t {
-  // Numeric.
-  NumConst,
-  NumUnop,
-  NumBinop,
-  NumTestop,
-  NumRelop,
-  NumCvt,
-  // Parametric / control.
-  Unreachable,
-  Nop,
-  Drop,
-  Select,
-  Block,
-  Loop,
-  If,
-  Br,
-  BrIf,
-  BrTable,
-  Return,
-  // Variables.
-  GetLocal,
-  SetLocal,
-  TeeLocal,
-  GetGlobal,
-  SetGlobal,
-  Qualify,
-  // Functions.
-  CoderefI,
-  InstIdx,
-  CallIndirect,
-  Call,
-  // Recursive and existential-location types.
-  RecFold,
-  RecUnfold,
-  MemPack,
-  MemUnpack,
-  // Tuples, capabilities, references.
-  Group,
-  Ungroup,
-  CapSplit,
-  CapJoin,
-  RefDemote,
-  RefSplit,
-  RefJoin,
-  // Structs.
-  StructMalloc,
-  StructFree,
-  StructGet,
-  StructSet,
-  StructSwap,
-  // Variants.
-  VariantMalloc,
-  VariantCase,
-  // Arrays.
-  ArrayMalloc,
-  ArrayGet,
-  ArraySet,
-  ArrayFree,
-  // Existential (pretype) packages.
-  ExistPack,
-  ExistUnpack,
+#define RW_INST_ENUM(Kind, Class) Kind,
+  RW_INST_KINDS(RW_INST_ENUM)
+#undef RW_INST_ENUM
 };
+
+#define RW_INST_DECLARE(Kind, Class) class Class;
+RW_INST_KINDS(RW_INST_DECLARE)
+#undef RW_INST_DECLARE
+
+/// True when class \p C represents instruction kind \p K.
+template <class C> constexpr bool kindIsOf(InstKind K) {
+  switch (K) {
+#define RW_INST_IS(Kind, Class)                                                \
+  case InstKind::Kind:                                                         \
+    return std::is_same_v<C, Class>;
+    RW_INST_KINDS(RW_INST_IS)
+#undef RW_INST_IS
+  }
+  return false;
+}
+
+/// The binder an instruction field's contents sit under: the body of
+/// mem.unpack binds one location variable, that of exist.unpack one
+/// pretype variable.
+enum class Binder : uint8_t { None, Loc, Pretype };
+
+/// One payload member of an instruction class (or of a record the wire
+/// format writes). Name labels the field in decoder diagnostics: what a
+/// u32 or enum field holds, what a vector field counts, or what an
+/// optional field's presence flag says; Item labels a vector's (or an
+/// optional's) u32 elements.
+template <class C, class T> struct Field {
+  T C::*Member;
+  const char *Name = nullptr;
+  const char *Item = nullptr;
+  Binder Binds = Binder::None;
+};
+
+template <class C, class T>
+constexpr Field<C, T> field(T C::*Member, const char *Name = nullptr,
+                            const char *Item = nullptr) {
+  return {Member, Name, Item, Binder::None};
+}
+template <class C, class T>
+constexpr Field<C, T> field(T C::*Member, Binder Binds) {
+  return {Member, nullptr, nullptr, Binds};
+}
 
 /// Base class of all RichWasm instructions.
 class Inst {
@@ -126,6 +187,10 @@ public:
       : Inst(InstKind::NumConst), NT(NT), Bits(Bits) {}
   NumType numType() const { return NT; }
   uint64_t bits() const { return Bits; }
+  static constexpr auto fields() {
+    return std::tuple{field(&NumConstInst::NT, "numeric type"),
+                      field(&NumConstInst::Bits)};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::NumConst;
   }
@@ -141,6 +206,10 @@ public:
       : Inst(InstKind::NumUnop), NT(NT), Op(Op) {}
   NumType numType() const { return NT; }
   UnopKind op() const { return Op; }
+  static constexpr auto fields() {
+    return std::tuple{field(&NumUnopInst::NT, "numeric unop"),
+                      field(&NumUnopInst::Op, "numeric unop")};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::NumUnop; }
 
 private:
@@ -154,6 +223,10 @@ public:
       : Inst(InstKind::NumBinop), NT(NT), Op(Op) {}
   NumType numType() const { return NT; }
   BinopKind op() const { return Op; }
+  static constexpr auto fields() {
+    return std::tuple{field(&NumBinopInst::NT, "numeric binop"),
+                      field(&NumBinopInst::Op, "numeric binop")};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::NumBinop;
   }
@@ -169,6 +242,10 @@ public:
       : Inst(InstKind::NumTestop), NT(NT), Op(Op) {}
   NumType numType() const { return NT; }
   TestopKind op() const { return Op; }
+  static constexpr auto fields() {
+    return std::tuple{field(&NumTestopInst::NT, "numeric testop"),
+                      field(&NumTestopInst::Op, "numeric testop")};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::NumTestop;
   }
@@ -184,6 +261,10 @@ public:
       : Inst(InstKind::NumRelop), NT(NT), Op(Op) {}
   NumType numType() const { return NT; }
   RelopKind op() const { return Op; }
+  static constexpr auto fields() {
+    return std::tuple{field(&NumRelopInst::NT, "numeric relop"),
+                      field(&NumRelopInst::Op, "numeric relop")};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::NumRelop;
   }
@@ -201,6 +282,11 @@ public:
   NumType from() const { return From; }
   NumType to() const { return To; }
   CvtopKind op() const { return Op; }
+  static constexpr auto fields() {
+    return std::tuple{field(&NumCvtInst::From, "conversion"),
+                      field(&NumCvtInst::To, "conversion"),
+                      field(&NumCvtInst::Op, "conversion")};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::NumCvt; }
 
 private:
@@ -212,39 +298,15 @@ private:
 // Simple (payload-free) instructions
 //===----------------------------------------------------------------------===//
 
-/// Covers all instructions whose only payload is their kind: unreachable,
-/// nop, drop, select, return, call_indirect, rec.unfold, seq.ungroup,
-/// cap.split, cap.join, ref.demote, ref.split, ref.join, struct.free,
-/// array.get, array.set, array.free.
+/// Covers every kind whose RW_INST_KINDS row names SimpleInst: the
+/// instructions whose only payload is their kind.
 class SimpleInst : public Inst {
 public:
   explicit SimpleInst(InstKind K) : Inst(K) {
     assert(isSimple(K) && "not a payload-free instruction kind");
   }
-  static bool isSimple(InstKind K) {
-    switch (K) {
-    case InstKind::Unreachable:
-    case InstKind::Nop:
-    case InstKind::Drop:
-    case InstKind::Select:
-    case InstKind::Return:
-    case InstKind::CallIndirect:
-    case InstKind::RecUnfold:
-    case InstKind::Ungroup:
-    case InstKind::CapSplit:
-    case InstKind::CapJoin:
-    case InstKind::RefDemote:
-    case InstKind::RefSplit:
-    case InstKind::RefJoin:
-    case InstKind::StructFree:
-    case InstKind::ArrayGet:
-    case InstKind::ArraySet:
-    case InstKind::ArrayFree:
-      return true;
-    default:
-      return false;
-    }
-  }
+  static bool isSimple(InstKind K) { return kindIsOf<SimpleInst>(K); }
+  static constexpr auto fields() { return std::tuple{}; }
   static bool classof(const Inst *I) { return isSimple(I->kind()); }
 };
 
@@ -261,6 +323,10 @@ public:
   const ArrowType &arrow() const { return TF; }
   const std::vector<LocalEffect> &effects() const { return Fx; }
   const InstVec &body() const { return Body; }
+  static constexpr auto fields() {
+    return std::tuple{field(&BlockInst::TF), field(&BlockInst::Fx),
+                      field(&BlockInst::Body)};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::Block; }
 
 private:
@@ -277,6 +343,9 @@ public:
       : Inst(InstKind::Loop), TF(std::move(TF)), Body(std::move(Body)) {}
   const ArrowType &arrow() const { return TF; }
   const InstVec &body() const { return Body; }
+  static constexpr auto fields() {
+    return std::tuple{field(&LoopInst::TF), field(&LoopInst::Body)};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::Loop; }
 
 private:
@@ -294,6 +363,10 @@ public:
   const std::vector<LocalEffect> &effects() const { return Fx; }
   const InstVec &thenBody() const { return Then; }
   const InstVec &elseBody() const { return Else; }
+  static constexpr auto fields() {
+    return std::tuple{field(&IfInst::TF), field(&IfInst::Fx),
+                      field(&IfInst::Then), field(&IfInst::Else)};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::If; }
 
 private:
@@ -306,12 +379,13 @@ private:
 class BrInst : public Inst {
 public:
   BrInst(InstKind K, uint32_t Depth) : Inst(K), Depth(Depth) {
-    assert((K == InstKind::Br || K == InstKind::BrIf) && "bad br kind");
+    assert(kindIsOf<BrInst>(K) && "bad br kind");
   }
   uint32_t depth() const { return Depth; }
-  static bool classof(const Inst *I) {
-    return I->kind() == InstKind::Br || I->kind() == InstKind::BrIf;
+  static constexpr auto fields() {
+    return std::tuple{field(&BrInst::Depth, "branch depth")};
   }
+  static bool classof(const Inst *I) { return kindIsOf<BrInst>(I->kind()); }
 
 private:
   uint32_t Depth;
@@ -324,6 +398,11 @@ public:
       : Inst(InstKind::BrTable), Depths(std::move(Depths)), Default(Default) {}
   const std::vector<uint32_t> &depths() const { return Depths; }
   uint32_t defaultDepth() const { return Default; }
+  static constexpr auto fields() {
+    return std::tuple{
+        field(&BrTableInst::Depths, "branch target", "branch depth"),
+        field(&BrTableInst::Default, "branch depth")};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::BrTable; }
 
 private:
@@ -343,6 +422,10 @@ public:
       : Inst(InstKind::GetLocal), Idx(Idx), Q(Q) {}
   uint32_t index() const { return Idx; }
   Qual qual() const { return Q; }
+  static constexpr auto fields() {
+    return std::tuple{field(&GetLocalInst::Idx, "local index"),
+                      field(&GetLocalInst::Q)};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::GetLocal;
   }
@@ -356,21 +439,14 @@ private:
 class VarIdxInst : public Inst {
 public:
   VarIdxInst(InstKind K, uint32_t Idx) : Inst(K), Idx(Idx) {
-    assert((K == InstKind::SetLocal || K == InstKind::TeeLocal ||
-            K == InstKind::GetGlobal || K == InstKind::SetGlobal) &&
-           "bad variable-index instruction kind");
+    assert(kindIsOf<VarIdxInst>(K) && "bad variable-index instruction kind");
   }
   uint32_t index() const { return Idx; }
+  static constexpr auto fields() {
+    return std::tuple{field(&VarIdxInst::Idx, "variable index")};
+  }
   static bool classof(const Inst *I) {
-    switch (I->kind()) {
-    case InstKind::SetLocal:
-    case InstKind::TeeLocal:
-    case InstKind::GetGlobal:
-    case InstKind::SetGlobal:
-      return true;
-    default:
-      return false;
-    }
+    return kindIsOf<VarIdxInst>(I->kind());
   }
 
 private:
@@ -382,6 +458,9 @@ class QualifyInst : public Inst {
 public:
   explicit QualifyInst(Qual Q) : Inst(InstKind::Qualify), Q(Q) {}
   Qual qual() const { return Q; }
+  static constexpr auto fields() {
+    return std::tuple{field(&QualifyInst::Q)};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::Qualify; }
 
 private:
@@ -398,6 +477,9 @@ public:
   explicit CoderefInst(uint32_t FuncIdx)
       : Inst(InstKind::CoderefI), FuncIdx(FuncIdx) {}
   uint32_t funcIndex() const { return FuncIdx; }
+  static constexpr auto fields() {
+    return std::tuple{field(&CoderefInst::FuncIdx, "function index")};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::CoderefI;
   }
@@ -412,6 +494,9 @@ public:
   explicit InstIdxInst(std::vector<Index> Args)
       : Inst(InstKind::InstIdx), Args(std::move(Args)) {}
   const std::vector<Index> &args() const { return Args; }
+  static constexpr auto fields() {
+    return std::tuple{field(&InstIdxInst::Args)};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::InstIdx; }
 
 private:
@@ -425,6 +510,10 @@ public:
       : Inst(InstKind::Call), FuncIdx(FuncIdx), Args(std::move(Args)) {}
   uint32_t funcIndex() const { return FuncIdx; }
   const std::vector<Index> &args() const { return Args; }
+  static constexpr auto fields() {
+    return std::tuple{field(&CallInst::FuncIdx, "function index"),
+                      field(&CallInst::Args)};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::Call; }
 
 private:
@@ -443,6 +532,9 @@ public:
   explicit RecFoldInst(PretypeRef P)
       : Inst(InstKind::RecFold), P(std::move(P)) {}
   const PretypeRef &pretype() const { return P; }
+  static constexpr auto fields() {
+    return std::tuple{field(&RecFoldInst::P)};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::RecFold; }
 
 private:
@@ -454,6 +546,9 @@ class MemPackInst : public Inst {
 public:
   explicit MemPackInst(Loc L) : Inst(InstKind::MemPack), L(L) {}
   const Loc &loc() const { return L; }
+  static constexpr auto fields() {
+    return std::tuple{field(&MemPackInst::L)};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::MemPack; }
 
 private:
@@ -470,6 +565,10 @@ public:
   const ArrowType &arrow() const { return TF; }
   const std::vector<LocalEffect> &effects() const { return Fx; }
   const InstVec &body() const { return Body; }
+  static constexpr auto fields() {
+    return std::tuple{field(&MemUnpackInst::TF), field(&MemUnpackInst::Fx),
+                      field(&MemUnpackInst::Body, Binder::Loc)};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::MemUnpack;
   }
@@ -491,6 +590,10 @@ public:
   GroupInst(uint32_t N, Qual Q) : Inst(InstKind::Group), N(N), Q(Q) {}
   uint32_t count() const { return N; }
   Qual qual() const { return Q; }
+  static constexpr auto fields() {
+    return std::tuple{field(&GroupInst::N, "group count"),
+                      field(&GroupInst::Q)};
+  }
   static bool classof(const Inst *I) { return I->kind() == InstKind::Group; }
 
 private:
@@ -510,6 +613,10 @@ public:
       : Inst(InstKind::StructMalloc), Sizes(std::move(Sizes)), Q(Q) {}
   const std::vector<SizeRef> &sizes() const { return Sizes; }
   Qual qual() const { return Q; }
+  static constexpr auto fields() {
+    return std::tuple{field(&StructMallocInst::Sizes, "slot size"),
+                      field(&StructMallocInst::Q)};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::StructMalloc;
   }
@@ -523,15 +630,14 @@ private:
 class StructIdxInst : public Inst {
 public:
   StructIdxInst(InstKind K, uint32_t Idx) : Inst(K), Idx(Idx) {
-    assert((K == InstKind::StructGet || K == InstKind::StructSet ||
-            K == InstKind::StructSwap) &&
-           "bad struct-field instruction kind");
+    assert(kindIsOf<StructIdxInst>(K) && "bad struct-field instruction kind");
   }
   uint32_t fieldIndex() const { return Idx; }
+  static constexpr auto fields() {
+    return std::tuple{field(&StructIdxInst::Idx, "field index")};
+  }
   static bool classof(const Inst *I) {
-    return I->kind() == InstKind::StructGet ||
-           I->kind() == InstKind::StructSet ||
-           I->kind() == InstKind::StructSwap;
+    return kindIsOf<StructIdxInst>(I->kind());
   }
 
 private:
@@ -548,6 +654,11 @@ public:
   uint32_t tag() const { return Tag; }
   const std::vector<Type> &cases() const { return Cases; }
   Qual qual() const { return Q; }
+  static constexpr auto fields() {
+    return std::tuple{field(&VariantMallocInst::Tag, "variant tag"),
+                      field(&VariantMallocInst::Cases, "variant case"),
+                      field(&VariantMallocInst::Q)};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::VariantMalloc;
   }
@@ -571,6 +682,11 @@ public:
   const ArrowType &arrow() const { return TF; }
   const std::vector<LocalEffect> &effects() const { return Fx; }
   const std::vector<InstVec> &arms() const { return Arms; }
+  static constexpr auto fields() {
+    return std::tuple{field(&VariantCaseInst::Q), field(&VariantCaseInst::HT),
+                      field(&VariantCaseInst::TF), field(&VariantCaseInst::Fx),
+                      field(&VariantCaseInst::Arms, "variant arm")};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::VariantCase;
   }
@@ -589,6 +705,9 @@ class ArrayMallocInst : public Inst {
 public:
   explicit ArrayMallocInst(Qual Q) : Inst(InstKind::ArrayMalloc), Q(Q) {}
   Qual qual() const { return Q; }
+  static constexpr auto fields() {
+    return std::tuple{field(&ArrayMallocInst::Q)};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::ArrayMalloc;
   }
@@ -607,6 +726,10 @@ public:
   const PretypeRef &witness() const { return Witness; }
   const HeapTypeRef &heapType() const { return HT; }
   Qual qual() const { return Q; }
+  static constexpr auto fields() {
+    return std::tuple{field(&ExistPackInst::Witness), field(&ExistPackInst::HT),
+                      field(&ExistPackInst::Q)};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::ExistPack;
   }
@@ -630,6 +753,11 @@ public:
   const ArrowType &arrow() const { return TF; }
   const std::vector<LocalEffect> &effects() const { return Fx; }
   const InstVec &body() const { return Body; }
+  static constexpr auto fields() {
+    return std::tuple{field(&ExistUnpackInst::Q), field(&ExistUnpackInst::HT),
+                      field(&ExistUnpackInst::TF), field(&ExistUnpackInst::Fx),
+                      field(&ExistUnpackInst::Body, Binder::Pretype)};
+  }
   static bool classof(const Inst *I) {
     return I->kind() == InstKind::ExistUnpack;
   }
@@ -641,6 +769,34 @@ private:
   std::vector<LocalEffect> Fx;
   InstVec Body;
 };
+
+/// Calls `F.template operator()<C>()` with the class \p C that represents
+/// kind \p K.
+template <class Fn> decltype(auto) visitInstClass(InstKind K, Fn &&F) {
+  switch (K) {
+#define RW_INST_VISIT(Kind, Class)                                             \
+  case InstKind::Kind:                                                         \
+    return F.template operator()<Class>();
+    RW_INST_KINDS(RW_INST_VISIT)
+#undef RW_INST_VISIT
+  }
+  __builtin_unreachable();
+}
+
+/// Builds the node of kind \p K and class \p C from its field values, in
+/// `C::fields()` order.
+template <class C, class... Ts>
+InstRef makeInst(InstKind K, std::tuple<Ts...> &&Vals) {
+  return std::apply(
+      [&](Ts &...V) -> InstRef {
+        // Classes shared by several kinds take the kind first.
+        if constexpr (std::is_constructible_v<C, InstKind, Ts...>)
+          return std::make_shared<C>(K, std::move(V)...);
+        else
+          return std::make_shared<C>(std::move(V)...);
+      },
+      Vals);
+}
 
 } // namespace rw::ir
 

@@ -359,307 +359,159 @@ PretypeRef Subst::onTypeVar(uint32_t Idx) {
 }
 
 //===----------------------------------------------------------------------===//
-// Instruction rewriting
-//===----------------------------------------------------------------------===//
-
-static std::vector<LocalEffect> rewriteFx(const std::vector<LocalEffect> &Fx,
-                                          TypeRewriter &RW) {
-  std::vector<LocalEffect> Out;
-  Out.reserve(Fx.size());
-  for (const LocalEffect &E : Fx)
-    Out.push_back({E.LocalIdx, RW.rewrite(E.T)});
-  return Out;
-}
-
-static std::vector<Index> rewriteArgs(const std::vector<Index> &Args,
-                                      TypeRewriter &RW) {
-  std::vector<Index> Out;
-  Out.reserve(Args.size());
-  for (const Index &I : Args)
-    Out.push_back(RW.rewrite(I));
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Intern-aware subtree sharing
+// Instruction rewriting: intern-aware subtree sharing
 //===----------------------------------------------------------------------===//
 //
-// Instruction trees are rewritten bottom-up, and every embedded type-level
-// component is hash-consed: a component untouched by the rewrite comes
-// back as the *same* node (the rewriter's FreeBounds short-circuit proves
-// closedness without walking, and interning canonicalizes everything
-// else), so "this subtree is closed under the rewrite" is decidable by
-// O(1) pointer comparisons on the rewritten pieces. When every piece (and
-// every child instruction) is unchanged, the original shared_ptr node is
-// returned instead of an allocated clone — call-time instantiation
-// (sem::Machine's e*[z*/κ*]) then shares all untouched subtrees with the
-// original body and only materializes the spine that actually changes.
+// Instruction trees are rewritten bottom-up, field by field from each
+// class's fields() list, and every embedded type-level component is
+// hash-consed: a component untouched by the rewrite comes back as the
+// *same* node (the rewriter's FreeBounds short-circuit proves closedness
+// without walking, and interning canonicalizes everything else), so "this
+// subtree is closed under the rewrite" is decidable by O(1) pointer
+// comparisons on the rewritten pieces. When every field (and every child
+// instruction) is unchanged, the original shared_ptr node is returned
+// instead of an allocated clone — call-time instantiation (sem::Machine's
+// e*[z*/κ*]) then shares all untouched subtrees with the original body and
+// only materializes the spine that actually changes.
 
-static bool fxIdentical(const std::vector<LocalEffect> &A,
-                        const std::vector<LocalEffect> &B) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0; I < A.size(); ++I)
-    if (A[I].LocalIdx != B[I].LocalIdx || !typeEquals(A[I].T, B[I].T))
-      return false;
-  return true;
+namespace {
+
+/// Field types with no type-level material: copied, never rewritten.
+template <class T>
+constexpr bool IsInert = std::is_arithmetic_v<T> || std::is_enum_v<T>;
+template <class T> constexpr bool IsInert<std::vector<T>> = IsInert<T>;
+
+template <class... Cs, class... Ts>
+constexpr bool allInert(const std::tuple<Field<Cs, Ts>...> &) {
+  return (IsInert<Ts> && ...);
 }
 
-static bool argsIdentical(const std::vector<Index> &A,
-                          const std::vector<Index> &B) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0; I < A.size(); ++I) {
-    const Index &X = A[I], &Y = B[I];
-    if (X.K != Y.K)
-      return false;
-    switch (X.K) {
+/// One rewrite-and-compare per field type: each returns the rewritten
+/// value and clears Same unless it is identical to the original.
+struct FieldRewriter {
+  TypeRewriter &RW;
+  bool Same = true;
+
+  template <class T>
+    requires IsInert<T>
+  T operator()(const T &V) {
+    return V;
+  }
+  Qual operator()(Qual Q) {
+    Qual R = RW.rewrite(Q);
+    Same = Same && R == Q;
+    return R;
+  }
+  Loc operator()(const Loc &L) {
+    Loc R = RW.rewrite(L);
+    Same = Same && R == L;
+    return R;
+  }
+  SizeRef operator()(const SizeRef &S) {
+    SizeRef R = RW.rewrite(S);
+    Same = Same && R.get() == S.get();
+    return R;
+  }
+  PretypeRef operator()(const PretypeRef &P) {
+    PretypeRef R = RW.rewrite(P);
+    Same = Same && R.get() == P.get();
+    return R;
+  }
+  HeapTypeRef operator()(const HeapTypeRef &H) {
+    HeapTypeRef R = RW.rewrite(H);
+    Same = Same && R.get() == H.get();
+    return R;
+  }
+  Type operator()(const Type &T) {
+    Type R = RW.rewrite(T);
+    Same = Same && typeEquals(R, T);
+    return R;
+  }
+  ArrowType operator()(const ArrowType &A) {
+    ArrowType R = RW.rewrite(A);
+    Same = Same && arrowEquals(R, A);
+    return R;
+  }
+  LocalEffect operator()(const LocalEffect &E) {
+    return {E.LocalIdx, (*this)(E.T)};
+  }
+  Index operator()(const Index &I) {
+    Index R = RW.rewrite(I);
+    switch (I.K) {
     case QuantKind::Loc:
-      if (!(X.L == Y.L))
-        return false;
+      Same = Same && R.L == I.L;
       break;
     case QuantKind::Size:
-      if (X.Sz.get() != Y.Sz.get())
-        return false;
+      Same = Same && R.Sz.get() == I.Sz.get();
       break;
     case QuantKind::Qual:
-      if (!(X.Q == Y.Q))
-        return false;
+      Same = Same && R.Q == I.Q;
       break;
     case QuantKind::Type:
-      if (X.P.get() != Y.P.get())
-        return false;
+      Same = Same && R.P.get() == I.P.get();
       break;
     }
+    return R;
   }
-  return true;
+  InstRef operator()(const InstRef &I) {
+    InstRef R = rewriteInst(I, RW);
+    Same = Same && R.get() == I.get();
+    return R;
+  }
+  template <class T>
+    requires(!IsInert<T>)
+  std::vector<T> operator()(const std::vector<T> &Vs) {
+    std::vector<T> Out;
+    Out.reserve(Vs.size());
+    for (const T &V : Vs)
+      Out.push_back((*this)(V));
+    return Out;
+  }
+
+  /// Rewrites one field's value under the binder the field is marked with.
+  template <class C, class T> T field(const C &N, const Field<C, T> &F) {
+    scope(F.Binds, /*Enter=*/true);
+    T Out = (*this)(N.*F.Member);
+    scope(F.Binds, /*Enter=*/false);
+    return Out;
+  }
+
+private:
+  void scope(Binder B, bool Enter) {
+    if (B == Binder::Loc)
+      Enter ? RW.enterLoc() : RW.exitLoc();
+    else if (B == Binder::Pretype)
+      Enter ? RW.enterType() : RW.exitType();
+  }
+};
+
+template <class C> InstRef rewriteAs(const InstRef &I, TypeRewriter &RW) {
+  constexpr auto Fs = C::fields();
+  if constexpr (allInert(Fs)) {
+    return I; // No embedded type-level material.
+  } else {
+    const C &N = *static_cast<const C *>(I.get());
+    FieldRewriter FR{RW};
+    // Braced initialization evaluates the fields in list order.
+    auto Vals = std::apply(
+        [&](const auto &...F) { return std::tuple{FR.field(N, F)...}; }, Fs);
+    if (FR.Same)
+      return I;
+    return makeInst<C>(I->kind(), std::move(Vals));
+  }
 }
 
-static bool instsIdentical(const InstVec &A, const InstVec &B) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0; I < A.size(); ++I)
-    if (A[I].get() != B[I].get())
-      return false;
-  return true;
-}
+} // namespace
 
 InstVec rw::ir::rewriteInsts(const InstVec &Insts, TypeRewriter &RW) {
-  InstVec Out;
-  Out.reserve(Insts.size());
-  for (const InstRef &I : Insts)
-    Out.push_back(rewriteInst(I, RW));
-  return Out;
+  FieldRewriter FR{RW};
+  return FR(Insts);
 }
 
 InstRef rw::ir::rewriteInst(const InstRef &I, TypeRewriter &RW) {
   assert(I && "rewriting a null instruction");
-  switch (I->kind()) {
-  case InstKind::NumConst:
-  case InstKind::NumUnop:
-  case InstKind::NumBinop:
-  case InstKind::NumTestop:
-  case InstKind::NumRelop:
-  case InstKind::NumCvt:
-  case InstKind::Br:
-  case InstKind::BrIf:
-  case InstKind::BrTable:
-  case InstKind::SetLocal:
-  case InstKind::TeeLocal:
-  case InstKind::GetGlobal:
-  case InstKind::SetGlobal:
-  case InstKind::CoderefI:
-    return I; // No embedded type-level material.
-  default:
-    break;
-  }
-  if (isa<SimpleInst>(I.get()))
-    return I;
-
-  switch (I->kind()) {
-  case InstKind::Block: {
-    const auto *B = cast<BlockInst>(I.get());
-    ArrowType TF = RW.rewrite(B->arrow());
-    std::vector<LocalEffect> Fx = rewriteFx(B->effects(), RW);
-    InstVec Body = rewriteInsts(B->body(), RW);
-    if (arrowEquals(TF, B->arrow()) && fxIdentical(Fx, B->effects()) &&
-        instsIdentical(Body, B->body()))
-      return I;
-    return std::make_shared<BlockInst>(std::move(TF), std::move(Fx),
-                                       std::move(Body));
-  }
-  case InstKind::Loop: {
-    const auto *L = cast<LoopInst>(I.get());
-    ArrowType TF = RW.rewrite(L->arrow());
-    InstVec Body = rewriteInsts(L->body(), RW);
-    if (arrowEquals(TF, L->arrow()) && instsIdentical(Body, L->body()))
-      return I;
-    return std::make_shared<LoopInst>(std::move(TF), std::move(Body));
-  }
-  case InstKind::If: {
-    const auto *F = cast<IfInst>(I.get());
-    ArrowType TF = RW.rewrite(F->arrow());
-    std::vector<LocalEffect> Fx = rewriteFx(F->effects(), RW);
-    InstVec Then = rewriteInsts(F->thenBody(), RW);
-    InstVec Else = rewriteInsts(F->elseBody(), RW);
-    if (arrowEquals(TF, F->arrow()) && fxIdentical(Fx, F->effects()) &&
-        instsIdentical(Then, F->thenBody()) &&
-        instsIdentical(Else, F->elseBody()))
-      return I;
-    return std::make_shared<IfInst>(std::move(TF), std::move(Fx),
-                                    std::move(Then), std::move(Else));
-  }
-  case InstKind::GetLocal: {
-    const auto *G = cast<GetLocalInst>(I.get());
-    Qual Q = RW.rewrite(G->qual());
-    if (Q == G->qual())
-      return I;
-    return std::make_shared<GetLocalInst>(G->index(), Q);
-  }
-  case InstKind::Qualify: {
-    const auto *Q = cast<QualifyInst>(I.get());
-    Qual NQ = RW.rewrite(Q->qual());
-    if (NQ == Q->qual())
-      return I;
-    return std::make_shared<QualifyInst>(NQ);
-  }
-  case InstKind::InstIdx: {
-    const auto *II = cast<InstIdxInst>(I.get());
-    std::vector<Index> Args = rewriteArgs(II->args(), RW);
-    if (argsIdentical(Args, II->args()))
-      return I;
-    return std::make_shared<InstIdxInst>(std::move(Args));
-  }
-  case InstKind::Call: {
-    const auto *C = cast<CallInst>(I.get());
-    std::vector<Index> Args = rewriteArgs(C->args(), RW);
-    if (argsIdentical(Args, C->args()))
-      return I;
-    return std::make_shared<CallInst>(C->funcIndex(), std::move(Args));
-  }
-  case InstKind::RecFold: {
-    const auto *R = cast<RecFoldInst>(I.get());
-    PretypeRef P = RW.rewrite(R->pretype());
-    if (P.get() == R->pretype().get())
-      return I;
-    return std::make_shared<RecFoldInst>(std::move(P));
-  }
-  case InstKind::MemPack: {
-    const auto *M = cast<MemPackInst>(I.get());
-    Loc L = RW.rewrite(M->loc());
-    if (L == M->loc())
-      return I;
-    return std::make_shared<MemPackInst>(L);
-  }
-  case InstKind::MemUnpack: {
-    const auto *M = cast<MemUnpackInst>(I.get());
-    ArrowType TF = RW.rewrite(M->arrow());
-    std::vector<LocalEffect> Fx = rewriteFx(M->effects(), RW);
-    RW.enterLoc();
-    InstVec Body = rewriteInsts(M->body(), RW);
-    RW.exitLoc();
-    if (arrowEquals(TF, M->arrow()) && fxIdentical(Fx, M->effects()) &&
-        instsIdentical(Body, M->body()))
-      return I;
-    return std::make_shared<MemUnpackInst>(std::move(TF), std::move(Fx),
-                                           std::move(Body));
-  }
-  case InstKind::Group: {
-    const auto *G = cast<GroupInst>(I.get());
-    Qual Q = RW.rewrite(G->qual());
-    if (Q == G->qual())
-      return I;
-    return std::make_shared<GroupInst>(G->count(), Q);
-  }
-  case InstKind::StructMalloc: {
-    const auto *S = cast<StructMallocInst>(I.get());
-    std::vector<SizeRef> Sizes;
-    Sizes.reserve(S->sizes().size());
-    bool Same = true;
-    for (const SizeRef &Sz : S->sizes()) {
-      Sizes.push_back(RW.rewrite(Sz));
-      Same = Same && Sizes.back().get() == Sz.get();
-    }
-    Qual Q = RW.rewrite(S->qual());
-    if (Same && Q == S->qual())
-      return I;
-    return std::make_shared<StructMallocInst>(std::move(Sizes), Q);
-  }
-  case InstKind::StructGet:
-  case InstKind::StructSet:
-  case InstKind::StructSwap:
-    return I;
-  case InstKind::VariantMalloc: {
-    const auto *V = cast<VariantMallocInst>(I.get());
-    std::vector<Type> Cases;
-    Cases.reserve(V->cases().size());
-    bool Same = true;
-    for (const Type &T : V->cases()) {
-      Cases.push_back(RW.rewrite(T));
-      Same = Same && typeEquals(Cases.back(), T);
-    }
-    Qual Q = RW.rewrite(V->qual());
-    if (Same && Q == V->qual())
-      return I;
-    return std::make_shared<VariantMallocInst>(V->tag(), std::move(Cases), Q);
-  }
-  case InstKind::VariantCase: {
-    const auto *V = cast<VariantCaseInst>(I.get());
-    Qual Q = RW.rewrite(V->qual());
-    HeapTypeRef HT = RW.rewrite(V->heapType());
-    ArrowType TF = RW.rewrite(V->arrow());
-    std::vector<LocalEffect> Fx = rewriteFx(V->effects(), RW);
-    std::vector<InstVec> Arms;
-    Arms.reserve(V->arms().size());
-    bool Same = Q == V->qual() && HT.get() == V->heapType().get() &&
-                arrowEquals(TF, V->arrow()) && fxIdentical(Fx, V->effects());
-    for (const InstVec &Arm : V->arms()) {
-      Arms.push_back(rewriteInsts(Arm, RW));
-      Same = Same && instsIdentical(Arms.back(), Arm);
-    }
-    if (Same)
-      return I;
-    return std::make_shared<VariantCaseInst>(Q, std::move(HT), std::move(TF),
-                                             std::move(Fx), std::move(Arms));
-  }
-  case InstKind::ArrayMalloc: {
-    const auto *A = cast<ArrayMallocInst>(I.get());
-    Qual Q = RW.rewrite(A->qual());
-    if (Q == A->qual())
-      return I;
-    return std::make_shared<ArrayMallocInst>(Q);
-  }
-  case InstKind::ExistPack: {
-    const auto *E = cast<ExistPackInst>(I.get());
-    PretypeRef W = RW.rewrite(E->witness());
-    HeapTypeRef HT = RW.rewrite(E->heapType());
-    Qual Q = RW.rewrite(E->qual());
-    if (W.get() == E->witness().get() && HT.get() == E->heapType().get() &&
-        Q == E->qual())
-      return I;
-    return std::make_shared<ExistPackInst>(std::move(W), std::move(HT), Q);
-  }
-  case InstKind::ExistUnpack: {
-    const auto *E = cast<ExistUnpackInst>(I.get());
-    Qual Q = RW.rewrite(E->qual());
-    HeapTypeRef HT = RW.rewrite(E->heapType());
-    ArrowType TF = RW.rewrite(E->arrow());
-    std::vector<LocalEffect> Fx = rewriteFx(E->effects(), RW);
-    RW.enterType();
-    InstVec Body = rewriteInsts(E->body(), RW);
-    RW.exitType();
-    if (Q == E->qual() && HT.get() == E->heapType().get() &&
-        arrowEquals(TF, E->arrow()) && fxIdentical(Fx, E->effects()) &&
-        instsIdentical(Body, E->body()))
-      return I;
-    return std::make_shared<ExistUnpackInst>(Q, std::move(HT), std::move(TF),
-                                             std::move(Fx), std::move(Body));
-  }
-  default:
-    break;
-  }
-  assert(false && "unhandled instruction kind in rewriteInst");
-  return I;
+  return visitInstClass(I->kind(),
+                        [&]<class C>() { return rewriteAs<C>(I, RW); });
 }
 
 ArrowType rw::ir::instantiateFunType(const FunType &FT,

@@ -25,14 +25,15 @@
 /// subclasses may via enableStructuralMemo once their replacement state is
 /// final.
 ///
-/// rewriteInsts rewrites an instruction tree through a TypeRewriter,
-/// entering binder scopes for mem.unpack (location) and exist.unpack
-/// (pretype) bodies — this is what call-time substitution e*[z*/κ*] in
-/// Fig 4 uses. It is intern-aware: rewritten components are hash-consed,
-/// so a subtree the rewrite cannot touch is detected by O(1) pointer
-/// comparisons bottom-up and returned as the *original* shared node
-/// instead of a clone — instantiation shares everything but the changed
-/// spine.
+/// rewriteInsts rewrites an instruction tree through a TypeRewriter —
+/// this is what call-time substitution e*[z*/κ*] in Fig 4 uses. It walks
+/// each class's fields() list (ir/Inst.h), the one the wire format reads
+/// too, entering the binder scope a field is marked with: location for
+/// mem.unpack's body, pretype for exist.unpack's. It is intern-aware:
+/// rewritten components are hash-consed, so a subtree the rewrite cannot
+/// touch is detected by O(1) pointer comparisons bottom-up and returned
+/// as the *original* shared node instead of a clone — instantiation
+/// shares everything but the changed spine.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -331,63 +331,6 @@ static uint64_t approxNodeBytes(const Size &S) {
   return sizeof(Size) + S.norm().Vars.size() * sizeof(uint32_t);
 }
 
-/// Wire-size estimates for Stats::SerializedBytes: what one node record of
-/// the serial/ type table costs — a tag byte plus varint scalars and
-/// child-index references (~2 bytes each at realistic table sizes). Kept
-/// as estimates (true varint widths depend on final indices), mirroring
-/// the spirit of ApproxBytes.
-static uint64_t serializedNodeBytes(const Pretype &P) {
-  switch (P.kind()) {
-  case PretypeKind::Unit:
-    return 1;
-  case PretypeKind::Num:
-  case PretypeKind::Var:
-    return 2;
-  case PretypeKind::Skolem:
-    return 8;
-  case PretypeKind::Prod:
-    return 2 + cast<ProdPT>(&P)->elems().size() * 3;
-  case PretypeKind::Ref:
-  case PretypeKind::Cap:
-    return 7;
-  case PretypeKind::Ptr:
-  case PretypeKind::Own:
-    return 4;
-  case PretypeKind::Rec:
-    return 5;
-  case PretypeKind::ExLoc:
-    return 4;
-  case PretypeKind::Coderef:
-    return 3;
-  }
-  return 1;
-}
-static uint64_t serializedNodeBytes(const HeapType &H) {
-  switch (H.kind()) {
-  case HeapTypeKind::Variant:
-    return 2 + cast<VariantHT>(&H)->cases().size() * 3;
-  case HeapTypeKind::Struct:
-    return 2 + cast<StructHT>(&H)->fields().size() * 5;
-  case HeapTypeKind::Array:
-    return 4;
-  case HeapTypeKind::Ex:
-    return 7;
-  }
-  return 1;
-}
-static uint64_t serializedNodeBytes(const FunType &F) {
-  uint64_t B = 3 + F.quants().size() * 4 +
-               (F.arrow().Params.size() + F.arrow().Results.size()) * 3;
-  for (const Quant &Q : F.quants())
-    B += (Q.SizeLower.size() + Q.SizeUpper.size()) * 2 +
-         Q.QualLower.size() + Q.QualUpper.size();
-  return B;
-}
-static uint64_t serializedNodeBytes(const Size &S) {
-  // Tag + constant + count + sorted variable indices.
-  return 3 + (S.norm().Const > 127 ? 2 : 0) + S.norm().Vars.size() * 2;
-}
-
 template <class Ref, class EqFn, class MakeFn>
 static Ref internNode(SpinLock &M, TypeArena::Stats &St,
                       std::unordered_map<uint64_t, std::vector<Ref>> &Tab,
@@ -418,7 +361,6 @@ static Ref internNode(SpinLock &M, TypeArena::Stats &St,
   ++St.Misses;
   ++NodeCount;
   St.ApproxBytes += approxNodeBytes(*N);
-  St.SerializedBytes += serializedNodeBytes(*N);
   if (nodeHasSkolem(*N))
     ++St.SkolemNodes;
   Bucket.push_back(N);
@@ -1272,7 +1214,6 @@ const std::shared_ptr<TypeArena> &TypeArena::globalPtr() {
           E("skolem_nodes", S.SkolemNodes);
           E("total_nodes", S.totalNodes());
           E("approx_bytes", S.ApproxBytes);
-          E("serialized_bytes", S.SerializedBytes);
         });
     return A;
   }();

@@ -135,11 +135,7 @@ public:
   /// cache effectiveness. SkolemNodes counts interned nodes whose subtree
   /// mentions a checker skolem (types only a check mints, which is why
   /// admissions check in private arenas); ApproxBytes is a sizeof-based
-  /// estimate of live node memory (excluding table overhead);
-  /// SerializedBytes estimates what the same nodes would occupy in the
-  /// serial/ wire format's type table (tag + varint fields + child
-  /// references) — the capacity-planning number for an on-disk module
-  /// registry or a serialized arena snapshot.
+  /// estimate of live node memory (excluding table overhead).
   struct Stats {
     uint64_t Hits = 0;
     uint64_t Misses = 0;
@@ -149,7 +145,6 @@ public:
     uint64_t SizeNodes = 0;
     uint64_t SkolemNodes = 0;
     uint64_t ApproxBytes = 0;
-    uint64_t SerializedBytes = 0;
 
     uint64_t totalNodes() const {
       return PretypeNodes + HeapTypeNodes + FunTypeNodes + SizeNodes;

@@ -4,14 +4,18 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// One structural walk (walkModule below) drives both serialization and
-// content hashing through an emitter interface: the write emitter assigns
-// type-table indices on first encounter (registering children before
-// parents, so the table is topologically ordered) and streams varints; the
-// hash emitter folds each type reference's precomputed Merkle hash in O(1)
-// without descending. Keeping a single walk is what guarantees the
-// cache-key invariant: moduleHash(A) == moduleHash(B) exactly when
-// write(A) == write(B) (modulo 128-bit collisions).
+// Every record is written, hashed and read from one field list: the
+// instruction classes' fields() in ir/Inst.h, and fieldsOf below for the
+// module-level records and compound fields. One structural walk (Put)
+// drives both serialization and content hashing through an emitter
+// interface: the write emitter assigns type-table indices on first
+// encounter (registering children before parents, so the table is
+// topologically ordered) and streams varints; the hash emitter folds each
+// type reference's precomputed Merkle hash in O(1) without descending.
+// Keeping a single walk is what guarantees the cache-key invariant:
+// moduleHash(A) == moduleHash(B) exactly when write(A) == write(B)
+// (modulo 128-bit collisions). The reader walks the same lists, one get
+// per field type, so it decodes exactly what the writer emits.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,10 +28,14 @@
 #include "support/LEB128.h"
 
 #include <cassert>
+#include <concepts>
 #include <cstring>
 #include <functional>
+#include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 using namespace rw;
 using namespace rw::serial;
@@ -377,297 +385,165 @@ public:
 };
 
 //===----------------------------------------------------------------------===//
-// The shared module walk
+// Record field lists
+//===----------------------------------------------------------------------===//
+//
+// Instructions list their fields in ir/Inst.h; the module-level records
+// and the compound field types list theirs here, in wire order. The writer,
+// the hasher and the reader below all walk these lists.
+
+/// The tail of a function or global record: one import flag, then either
+/// the import name or the body.
+template <class C> struct ImportOrBody {
+  std::optional<ImportName> C::*Import;
+  InstVec C::*Body;
+};
+
+constexpr auto fieldsOf(const ArrowType *) {
+  return std::tuple{field(&ArrowType::Params, "parameter"),
+                    field(&ArrowType::Results, "result")};
+}
+constexpr auto fieldsOf(const LocalEffect *) {
+  return std::tuple{field(&LocalEffect::LocalIdx, "local index"),
+                    field(&LocalEffect::T)};
+}
+constexpr auto fieldsOf(const ImportName *) {
+  return std::tuple{field(&ImportName::Module), field(&ImportName::Name)};
+}
+constexpr auto fieldsOf(const Function *) {
+  return std::tuple{field(&Function::Exports, "export"), field(&Function::Ty),
+                    field(&Function::Locals, "local"),
+                    ImportOrBody<Function>{&Function::Import, &Function::Body}};
+}
+constexpr auto fieldsOf(const Global *) {
+  return std::tuple{field(&Global::Exports, "export"),
+                    field(&Global::Mut, "mutability"), field(&Global::P),
+                    ImportOrBody<Global>{&Global::Import, &Global::Init}};
+}
+constexpr auto fieldsOf(const Table *) {
+  return std::tuple{field(&Table::Exports, "table export"),
+                    field(&Table::Entries, "table entry", "table entry"),
+                    field(&Table::Import, "import")};
+}
+constexpr auto fieldsOf(const ir::Module *) {
+  return std::tuple{field(&ir::Module::Name),
+                    field(&ir::Module::Funcs, "function"),
+                    field(&ir::Module::Globals, "global"),
+                    field(&ir::Module::Tab),
+                    field(&ir::Module::Start, "start", "start function")};
+}
+template <class C>
+  requires std::derived_from<C, Inst>
+constexpr auto fieldsOf(const C *) {
+  return C::fields();
+}
+
+/// A type written as the concatenation of its fields.
+template <class T>
+concept Record = requires(const T *P) { fieldsOf(P); };
+
+/// What a vector of T counts, for vector fields that do not name it.
+template <class T> constexpr const char *CountOf = nullptr;
+template <> constexpr const char *CountOf<InstRef> = "instruction";
+template <> constexpr const char *CountOf<LocalEffect> = "local effect";
+template <> constexpr const char *CountOf<Index> = "instantiation argument";
+
+//===----------------------------------------------------------------------===//
+// The shared walk: one put per field type
 //===----------------------------------------------------------------------===//
 
-template <class Em> void putArrow(Em &E, const ArrowType &A) {
-  E.u(A.Params.size());
-  for (const Type &T : A.Params)
-    E.type(T);
-  E.u(A.Results.size());
-  for (const Type &T : A.Results)
-    E.type(T);
-}
+template <class Em> struct Put {
+  Em &E;
 
-template <class Em>
-void putEffects(Em &E, const std::vector<LocalEffect> &Fx) {
-  E.u(Fx.size());
-  for (const LocalEffect &F : Fx) {
-    E.u(F.LocalIdx);
-    E.type(F.T);
+  void operator()(uint32_t V) { E.u(V); }
+  void operator()(uint64_t V) { E.u(V); }
+  void operator()(bool V) { E.u(V ? 1 : 0); }
+  template <class T>
+    requires std::is_enum_v<T>
+  void operator()(T V) {
+    E.u(static_cast<uint64_t>(V));
   }
-}
-
-template <class Em> void putIndexArgs(Em &E, const std::vector<Index> &Args) {
-  E.u(Args.size());
-  for (const Index &I : Args) {
+  void operator()(const std::string &S) { E.str(S); }
+  void operator()(const Qual &Q) { E.qual(Q); }
+  void operator()(const Loc &L) { E.loc(L); }
+  void operator()(const SizeRef &S) { E.size(S); }
+  void operator()(const PretypeRef &P) { E.pre(P); }
+  void operator()(const HeapTypeRef &H) { E.heap(H); }
+  void operator()(const FunTypeRef &F) { E.fun(F); }
+  void operator()(const Type &T) { E.type(T); }
+  void operator()(const Index &I) {
     E.u(static_cast<uint64_t>(I.K));
     switch (I.K) {
     case QuantKind::Loc:
-      E.loc(I.L);
-      break;
+      return E.loc(I.L);
     case QuantKind::Size:
-      E.size(I.Sz);
-      break;
+      return E.size(I.Sz);
     case QuantKind::Qual:
-      E.qual(I.Q);
-      break;
+      return E.qual(I.Q);
     case QuantKind::Type:
-      E.pre(I.P);
-      break;
+      return E.pre(I.P);
     }
   }
-}
-
-template <class Em> void putInsts(Em &E, const InstVec &Is);
-
-template <class Em> void putInst(Em &E, const Inst &I) {
-  E.u(static_cast<uint64_t>(I.kind()));
-  switch (I.kind()) {
-  case InstKind::NumConst: {
-    const auto *C = cast<NumConstInst>(&I);
-    E.u(static_cast<uint64_t>(C->numType()));
-    E.u(C->bits());
-    break;
+  void operator()(const InstRef &I) {
+    E.u(static_cast<uint64_t>(I->kind()));
+    visitInstClass(I->kind(),
+                   [&]<class C>() { (*this)(static_cast<const C &>(*I)); });
   }
-  case InstKind::NumUnop: {
-    const auto *U = cast<NumUnopInst>(&I);
-    E.u(static_cast<uint64_t>(U->numType()));
-    E.u(static_cast<uint64_t>(U->op()));
-    break;
+  template <class T> void operator()(const std::vector<T> &Vs) {
+    E.u(Vs.size());
+    for (const T &V : Vs)
+      (*this)(V);
   }
-  case InstKind::NumBinop: {
-    const auto *U = cast<NumBinopInst>(&I);
-    E.u(static_cast<uint64_t>(U->numType()));
-    E.u(static_cast<uint64_t>(U->op()));
-    break;
+  template <class T> void operator()(const std::optional<T> &O) {
+    E.u(O ? 1 : 0);
+    if (O)
+      (*this)(*O);
   }
-  case InstKind::NumTestop: {
-    const auto *U = cast<NumTestopInst>(&I);
-    E.u(static_cast<uint64_t>(U->numType()));
-    E.u(static_cast<uint64_t>(U->op()));
-    break;
-  }
-  case InstKind::NumRelop: {
-    const auto *U = cast<NumRelopInst>(&I);
-    E.u(static_cast<uint64_t>(U->numType()));
-    E.u(static_cast<uint64_t>(U->op()));
-    break;
-  }
-  case InstKind::NumCvt: {
-    const auto *C = cast<NumCvtInst>(&I);
-    E.u(static_cast<uint64_t>(C->from()));
-    E.u(static_cast<uint64_t>(C->to()));
-    E.u(static_cast<uint64_t>(C->op()));
-    break;
-  }
-  case InstKind::Block: {
-    const auto *B = cast<BlockInst>(&I);
-    putArrow(E, B->arrow());
-    putEffects(E, B->effects());
-    putInsts(E, B->body());
-    break;
-  }
-  case InstKind::Loop: {
-    const auto *L = cast<LoopInst>(&I);
-    putArrow(E, L->arrow());
-    putInsts(E, L->body());
-    break;
-  }
-  case InstKind::If: {
-    const auto *F = cast<IfInst>(&I);
-    putArrow(E, F->arrow());
-    putEffects(E, F->effects());
-    putInsts(E, F->thenBody());
-    putInsts(E, F->elseBody());
-    break;
-  }
-  case InstKind::Br:
-  case InstKind::BrIf:
-    E.u(cast<BrInst>(&I)->depth());
-    break;
-  case InstKind::BrTable: {
-    const auto *T = cast<BrTableInst>(&I);
-    E.u(T->depths().size());
-    for (uint32_t D : T->depths())
-      E.u(D);
-    E.u(T->defaultDepth());
-    break;
-  }
-  case InstKind::GetLocal: {
-    const auto *G = cast<GetLocalInst>(&I);
-    E.u(G->index());
-    E.qual(G->qual());
-    break;
-  }
-  case InstKind::SetLocal:
-  case InstKind::TeeLocal:
-  case InstKind::GetGlobal:
-  case InstKind::SetGlobal:
-    E.u(cast<VarIdxInst>(&I)->index());
-    break;
-  case InstKind::Qualify:
-    E.qual(cast<QualifyInst>(&I)->qual());
-    break;
-  case InstKind::CoderefI:
-    E.u(cast<CoderefInst>(&I)->funcIndex());
-    break;
-  case InstKind::InstIdx:
-    putIndexArgs(E, cast<InstIdxInst>(&I)->args());
-    break;
-  case InstKind::Call: {
-    const auto *C = cast<CallInst>(&I);
-    E.u(C->funcIndex());
-    putIndexArgs(E, C->args());
-    break;
-  }
-  case InstKind::RecFold:
-    E.pre(cast<RecFoldInst>(&I)->pretype());
-    break;
-  case InstKind::MemPack:
-    E.loc(cast<MemPackInst>(&I)->loc());
-    break;
-  case InstKind::MemUnpack: {
-    const auto *M = cast<MemUnpackInst>(&I);
-    putArrow(E, M->arrow());
-    putEffects(E, M->effects());
-    putInsts(E, M->body());
-    break;
-  }
-  case InstKind::Group: {
-    const auto *G = cast<GroupInst>(&I);
-    E.u(G->count());
-    E.qual(G->qual());
-    break;
-  }
-  case InstKind::StructMalloc: {
-    const auto *S = cast<StructMallocInst>(&I);
-    E.u(S->sizes().size());
-    for (const SizeRef &Sz : S->sizes())
-      E.size(Sz);
-    E.qual(S->qual());
-    break;
-  }
-  case InstKind::StructGet:
-  case InstKind::StructSet:
-  case InstKind::StructSwap:
-    E.u(cast<StructIdxInst>(&I)->fieldIndex());
-    break;
-  case InstKind::VariantMalloc: {
-    const auto *V = cast<VariantMallocInst>(&I);
-    E.u(V->tag());
-    E.u(V->cases().size());
-    for (const Type &T : V->cases())
-      E.type(T);
-    E.qual(V->qual());
-    break;
-  }
-  case InstKind::VariantCase: {
-    const auto *V = cast<VariantCaseInst>(&I);
-    E.qual(V->qual());
-    E.heap(V->heapType());
-    putArrow(E, V->arrow());
-    putEffects(E, V->effects());
-    E.u(V->arms().size());
-    for (const InstVec &Arm : V->arms())
-      putInsts(E, Arm);
-    break;
-  }
-  case InstKind::ArrayMalloc:
-    E.qual(cast<ArrayMallocInst>(&I)->qual());
-    break;
-  case InstKind::ExistPack: {
-    const auto *P = cast<ExistPackInst>(&I);
-    E.pre(P->witness());
-    E.heap(P->heapType());
-    E.qual(P->qual());
-    break;
-  }
-  case InstKind::ExistUnpack: {
-    const auto *X = cast<ExistUnpackInst>(&I);
-    E.qual(X->qual());
-    E.heap(X->heapType());
-    putArrow(E, X->arrow());
-    putEffects(E, X->effects());
-    putInsts(E, X->body());
-    break;
-  }
-  default:
-    // Payload-free instructions (SimpleInst) carry only their kind.
-    assert(SimpleInst::isSimple(I.kind()) && "unhandled instruction payload");
-    break;
-  }
-}
-
-template <class Em> void putInsts(Em &E, const InstVec &Is) {
-  E.u(Is.size());
-  for (const InstRef &I : Is)
-    putInst(E, *I);
-}
-
-template <class Em> void walkModule(Em &E, const ir::Module &M) {
-  E.str(M.Name);
-
-  E.u(M.Funcs.size());
-  for (const Function &F : M.Funcs) {
-    E.u(F.Exports.size());
-    for (const std::string &S : F.Exports)
-      E.str(S);
-    E.fun(F.Ty);
-    E.u(F.Locals.size());
-    for (const SizeRef &S : F.Locals)
-      E.size(S);
-    E.u(F.isImport() ? 1 : 0);
-    if (F.isImport()) {
-      E.str(F.Import->Module);
-      E.str(F.Import->Name);
-    } else {
-      putInsts(E, F.Body);
-    }
+  template <Record R> void operator()(const R &Rec) {
+    std::apply([&](const auto &...F) { (field(Rec, F), ...); },
+               fieldsOf(&Rec));
   }
 
-  E.u(M.Globals.size());
-  for (const Global &G : M.Globals) {
-    E.u(G.Exports.size());
-    for (const std::string &S : G.Exports)
-      E.str(S);
-    E.u(G.Mut ? 1 : 0);
-    E.pre(G.P);
-    E.u(G.isImport() ? 1 : 0);
-    if (G.isImport()) {
-      E.str(G.Import->Module);
-      E.str(G.Import->Name);
-    } else {
-      putInsts(E, G.Init);
-    }
+private:
+  template <class C, class T>
+  void field(const C &Rec, const Field<C, T> &F) {
+    (*this)(Rec.*F.Member);
   }
-
-  E.u(M.Tab.Exports.size());
-  for (const std::string &S : M.Tab.Exports)
-    E.str(S);
-  E.u(M.Tab.Entries.size());
-  for (uint32_t T : M.Tab.Entries)
-    E.u(T);
-  E.u(M.Tab.Import ? 1 : 0);
-  if (M.Tab.Import) {
-    E.str(M.Tab.Import->Module);
-    E.str(M.Tab.Import->Name);
+  template <class C> void field(const C &Rec, const ImportOrBody<C> &F) {
+    (*this)(Rec.*F.Import);
+    if (!(Rec.*F.Import))
+      (*this)(Rec.*F.Body);
   }
-
-  E.u(M.Start ? 1 : 0);
-  if (M.Start)
-    E.u(*M.Start);
-}
+};
 
 //===----------------------------------------------------------------------===//
 // Reader
 //===----------------------------------------------------------------------===//
 
+/// A value for the reader to decode into.
+template <class T> T blank() {
+  if constexpr (std::is_same_v<T, Qual>)
+    return Qual::unr();
+  else if constexpr (std::is_same_v<T, Loc>)
+    return Loc::var(0);
+  else
+    return T{};
+}
+
+constexpr NumType lastOf(NumType) { return NumType::F64; }
+constexpr UnopKind lastOf(UnopKind) { return UnopKind::Nearest; }
+constexpr BinopKind lastOf(BinopKind) { return BinopKind::Copysign; }
+constexpr TestopKind lastOf(TestopKind) { return TestopKind::Eqz; }
+constexpr RelopKind lastOf(RelopKind) { return RelopKind::Ge; }
+constexpr CvtopKind lastOf(CvtopKind) { return CvtopKind::Reinterpret; }
+
 class Reader {
 public:
   Reader(const uint8_t *D, size_t N, TypeArena &A) : D(D), N(N), A(A) {}
 
-  bool run(ir::Module &M) { return nodeTable() && module(M) && atEnd(); }
+  bool run(ir::Module &M) {
+    return nodeTable() && get(M, nullptr, nullptr) && atEnd();
+  }
   const std::string &error() const { return Err; }
   ingest::Category category() const { return ErrCat; }
   /// The payload offset the first failure was found at.
@@ -681,6 +557,10 @@ private:
   std::string Err;
   ingest::Category ErrCat = ingest::Category::None;
   size_t ErrPos = 0;
+  /// Instruction nesting depth of the record being read.
+  unsigned Depth = 0;
+  /// The first out-of-range enum field of the instruction being read.
+  const char *BadEnum = nullptr;
 
   // The decoded type table: one tagged reference per index.
   struct NodeSlot {
@@ -869,28 +749,89 @@ private:
     T = Type(std::move(P), Q);
     return true;
   }
-  bool types(std::vector<Type> &Ts, const char *What) {
-    uint64_t C;
-    if (!count(C, What))
+  /// A boolean: the writer emits only 0 or 1, so any other value is
+  /// corruption (it would let distinct byte strings decode to one module).
+  bool flag(bool &V, const char *What) {
+    uint64_t X;
+    if (!u(X))
       return false;
-    Ts.resize(C);
-    for (Type &T : Ts)
-      if (!type(T))
-        return false;
+    if (X > 1)
+      return fail(std::string("bad ") + What + " flag");
+    V = X == 1;
     return true;
   }
 
+  // One get per field type; Name and Item come from the field's entry.
+  bool get(uint32_t &V, const char *Name, const char *) {
+    return u32(V, Name);
+  }
+  bool get(uint64_t &V, const char *, const char *) { return u(V); }
+  bool get(bool &V, const char *Name, const char *) { return flag(V, Name); }
+  /// Enum fields are range-checked once the whole instruction is read, so
+  /// the diagnostic names the instruction and points past its immediates.
+  template <class T>
+    requires std::is_enum_v<T>
+  bool get(T &V, const char *Name, const char *) {
+    uint64_t X;
+    if (!u(X))
+      return false;
+    if (X > static_cast<uint64_t>(lastOf(T{})))
+      BadEnum = BadEnum ? BadEnum : Name;
+    else
+      V = static_cast<T>(X);
+    return true;
+  }
+  bool get(std::string &S, const char *, const char *) { return str(S); }
+  bool get(Qual &Q, const char *, const char *) { return qual(Q); }
+  bool get(Loc &L, const char *, const char *) { return loc(L); }
+  bool get(SizeRef &S, const char *, const char *) { return optSize(S); }
+  bool get(PretypeRef &P, const char *, const char *) { return preRef(P); }
+  bool get(HeapTypeRef &H, const char *, const char *) { return heapRef(H); }
+  bool get(FunTypeRef &F, const char *, const char *) { return funRef(F); }
+  bool get(Type &T, const char *, const char *) { return type(T); }
+  bool get(Index &I, const char *, const char *);
+  bool get(InstRef &I, const char *, const char *);
+  template <class T>
+  bool get(std::vector<T> &Vs, const char *Name, const char *Item) {
+    uint64_t C;
+    assert((Name || CountOf<T>) && "vector field without a count label");
+    if (!count(C, Name ? Name : CountOf<T>))
+      return false;
+    Vs.resize(C, blank<T>());
+    for (T &V : Vs)
+      if (!get(V, Item, nullptr))
+        return false;
+    return true;
+  }
+  template <class T>
+  bool get(std::optional<T> &O, const char *Name, const char *Item) {
+    bool Present;
+    if (!flag(Present, Name))
+      return false;
+    O.reset();
+    if (!Present)
+      return true;
+    T V = blank<T>();
+    if (!get(V, Item, nullptr))
+      return false;
+    O = std::move(V);
+    return true;
+  }
+  template <Record R> bool get(R &Rec, const char *, const char *) {
+    return std::apply([&](const auto &...F) { return (field(Rec, F) && ...); },
+                      fieldsOf(&Rec));
+  }
+  template <class C, class T> bool field(C &Rec, const Field<C, T> &F) {
+    return get(Rec.*F.Member, F.Name, F.Item);
+  }
+  template <class C> bool field(C &Rec, const ImportOrBody<C> &F) {
+    return get(Rec.*F.Import, "import", nullptr) &&
+           (Rec.*F.Import || get(Rec.*F.Body, nullptr, nullptr));
+  }
+  template <class C> bool build(InstKind K, InstRef &Out);
+
   bool nodeTable();
   bool node();
-  bool module(ir::Module &M);
-  bool function(Function &F);
-  bool global(Global &G);
-  bool arrow(ArrowType &AT);
-  bool effects(std::vector<LocalEffect> &Fx);
-  bool indexArgs(std::vector<Index> &Args);
-  bool insts(InstVec &Is, unsigned Depth);
-  bool inst(InstRef &I, unsigned Depth);
-  bool importName(std::optional<ImportName> &IN);
 };
 
 bool Reader::nodeTable() {
@@ -948,49 +889,25 @@ bool Reader::node() {
       switch (Q.K) {
       case QuantKind::Loc:
         break;
-      case QuantKind::Size: {
-        uint64_t NL, NU;
-        if (!count(NL, "size bound"))
+      case QuantKind::Size:
+        if (!get(Q.SizeLower, "size bound", nullptr) ||
+            !get(Q.SizeUpper, "size bound", nullptr))
           return false;
-        Q.SizeLower.resize(NL);
-        for (SizeRef &S : Q.SizeLower)
-          if (!optSize(S))
-            return false;
-        if (!count(NU, "size bound"))
-          return false;
-        Q.SizeUpper.resize(NU);
-        for (SizeRef &S : Q.SizeUpper)
-          if (!optSize(S))
-            return false;
         break;
-      }
-      case QuantKind::Qual: {
-        uint64_t NL, NU;
-        if (!count(NL, "qualifier bound"))
+      case QuantKind::Qual:
+        if (!get(Q.QualLower, "qualifier bound", nullptr) ||
+            !get(Q.QualUpper, "qualifier bound", nullptr))
           return false;
-        Q.QualLower.resize(NL, Qual::unr());
-        for (Qual &L : Q.QualLower)
-          if (!qual(L))
-            return false;
-        if (!count(NU, "qualifier bound"))
-          return false;
-        Q.QualUpper.resize(NU, Qual::unr());
-        for (Qual &U : Q.QualUpper)
-          if (!qual(U))
-            return false;
         break;
-      }
-      case QuantKind::Type: {
-        uint64_t NC;
-        if (!qual(Q.TypeQualLower) || !optSize(Q.TypeSizeUpper) || !u(NC))
+      case QuantKind::Type:
+        if (!qual(Q.TypeQualLower) || !optSize(Q.TypeSizeUpper) ||
+            !flag(Q.TypeNoCaps, "no-caps"))
           return false;
-        Q.TypeNoCaps = NC != 0;
         break;
-      }
       }
     }
     ArrowType AT;
-    if (!types(AT.Params, "parameter") || !types(AT.Results, "result"))
+    if (!get(AT, nullptr, nullptr))
       return false;
     FunTypeRef F = A.fun(std::move(Qs), std::move(AT));
     if (!recordNode(F.get()))
@@ -1005,7 +922,7 @@ bool Reader::node() {
     switch (static_cast<HeapTypeKind>(Tag - TagHeap)) {
     case HeapTypeKind::Variant: {
       std::vector<Type> Cs;
-      if (!types(Cs, "variant case"))
+      if (!get(Cs, "variant case", nullptr))
         return false;
       H = A.variant(std::move(Cs));
       break;
@@ -1068,17 +985,18 @@ bool Reader::node() {
       break;
     }
     case PretypeKind::Skolem: {
-      uint64_t Id, NC;
+      uint64_t Id;
       Qual QL = Qual::unr();
       SizeRef SU;
-      if (!u(Id) || !qual(QL) || !optSize(SU) || !u(NC))
+      bool NoCaps;
+      if (!u(Id) || !qual(QL) || !optSize(SU) || !flag(NoCaps, "no-caps"))
         return false;
-      P = A.skolem(Id, QL, std::move(SU), NC != 0);
+      P = A.skolem(Id, QL, std::move(SU), NoCaps);
       break;
     }
     case PretypeKind::Prod: {
       std::vector<Type> Es;
-      if (!types(Es, "tuple element"))
+      if (!get(Es, "tuple element", nullptr))
         return false;
       P = A.prod(std::move(Es));
       break;
@@ -1144,70 +1062,27 @@ bool Reader::node() {
   return fail("unknown type-table tag");
 }
 
-bool Reader::arrow(ArrowType &AT) {
-  return types(AT.Params, "parameter") && types(AT.Results, "result");
-}
-
-bool Reader::effects(std::vector<LocalEffect> &Fx) {
-  uint64_t C;
-  if (!count(C, "local effect"))
+bool Reader::get(Index &I, const char *, const char *) {
+  uint64_t K;
+  if (!u(K))
     return false;
-  Fx.resize(C);
-  for (LocalEffect &F : Fx)
-    if (!u32(F.LocalIdx, "local index") || !type(F.T))
-      return false;
-  return true;
-}
-
-bool Reader::indexArgs(std::vector<Index> &Args) {
-  uint64_t C;
-  if (!count(C, "instantiation argument"))
-    return false;
-  Args.resize(C);
-  for (Index &I : Args) {
-    uint64_t K;
-    if (!u(K))
-      return false;
-    if (K > static_cast<uint64_t>(QuantKind::Type))
-      return fail("bad instantiation-argument kind");
-    I.K = static_cast<QuantKind>(K);
-    switch (I.K) {
-    case QuantKind::Loc:
-      if (!loc(I.L))
-        return false;
-      break;
-    case QuantKind::Size:
-      if (!optSize(I.Sz))
-        return false;
-      break;
-    case QuantKind::Qual:
-      if (!qual(I.Q))
-        return false;
-      break;
-    case QuantKind::Type:
-      if (!preRef(I.P))
-        return false;
-      break;
-    }
+  if (K > static_cast<uint64_t>(QuantKind::Type))
+    return fail("bad instantiation-argument kind");
+  I.K = static_cast<QuantKind>(K);
+  switch (I.K) {
+  case QuantKind::Loc:
+    return loc(I.L);
+  case QuantKind::Size:
+    return optSize(I.Sz);
+  case QuantKind::Qual:
+    return qual(I.Q);
+  case QuantKind::Type:
+    return preRef(I.P);
   }
   return true;
 }
 
-bool Reader::insts(InstVec &Is, unsigned Depth) {
-  uint64_t C;
-  if (!count(C, "instruction"))
-    return false;
-  Is.reserve(C);
-  for (uint64_t J = 0; J < C; ++J) {
-    InstRef I;
-    if (!inst(I, Depth))
-      return false;
-    Is.push_back(std::move(I));
-  }
-  return true;
-}
-
-bool Reader::inst(InstRef &Out, unsigned Depth) {
+bool Reader::get(InstRef &I, const char *, const char *) {
   if (Depth > MaxInstDepth)
     return fail("instruction nesting too deep");
   uint64_t KV;
@@ -1216,418 +1091,32 @@ bool Reader::inst(InstRef &Out, unsigned Depth) {
   if (KV > static_cast<uint64_t>(InstKind::ExistUnpack))
     return fail("unknown instruction kind");
   InstKind K = static_cast<InstKind>(KV);
-
-  if (SimpleInst::isSimple(K)) {
-    Out = std::make_shared<SimpleInst>(K);
-    return true;
-  }
-
-  switch (K) {
-  case InstKind::NumConst: {
-    uint64_t NT, Bits;
-    if (!u(NT) || !u(Bits))
-      return false;
-    if (NT > static_cast<uint64_t>(NumType::F64))
-      return fail("bad numeric type");
-    Out = std::make_shared<NumConstInst>(static_cast<NumType>(NT), Bits);
-    return true;
-  }
-  case InstKind::NumUnop: {
-    uint64_t NT, Op;
-    if (!u(NT) || !u(Op))
-      return false;
-    if (NT > static_cast<uint64_t>(NumType::F64) ||
-        Op > static_cast<uint64_t>(UnopKind::Nearest))
-      return fail("bad numeric unop");
-    Out = std::make_shared<NumUnopInst>(static_cast<NumType>(NT),
-                                        static_cast<UnopKind>(Op));
-    return true;
-  }
-  case InstKind::NumBinop: {
-    uint64_t NT, Op;
-    if (!u(NT) || !u(Op))
-      return false;
-    if (NT > static_cast<uint64_t>(NumType::F64) ||
-        Op > static_cast<uint64_t>(BinopKind::Copysign))
-      return fail("bad numeric binop");
-    Out = std::make_shared<NumBinopInst>(static_cast<NumType>(NT),
-                                         static_cast<BinopKind>(Op));
-    return true;
-  }
-  case InstKind::NumTestop: {
-    uint64_t NT, Op;
-    if (!u(NT) || !u(Op))
-      return false;
-    if (NT > static_cast<uint64_t>(NumType::F64) ||
-        Op > static_cast<uint64_t>(TestopKind::Eqz))
-      return fail("bad numeric testop");
-    Out = std::make_shared<NumTestopInst>(static_cast<NumType>(NT),
-                                          static_cast<TestopKind>(Op));
-    return true;
-  }
-  case InstKind::NumRelop: {
-    uint64_t NT, Op;
-    if (!u(NT) || !u(Op))
-      return false;
-    if (NT > static_cast<uint64_t>(NumType::F64) ||
-        Op > static_cast<uint64_t>(RelopKind::Ge))
-      return fail("bad numeric relop");
-    Out = std::make_shared<NumRelopInst>(static_cast<NumType>(NT),
-                                         static_cast<RelopKind>(Op));
-    return true;
-  }
-  case InstKind::NumCvt: {
-    uint64_t From, To, Op;
-    if (!u(From) || !u(To) || !u(Op))
-      return false;
-    if (From > static_cast<uint64_t>(NumType::F64) ||
-        To > static_cast<uint64_t>(NumType::F64) ||
-        Op > static_cast<uint64_t>(CvtopKind::Reinterpret))
-      return fail("bad conversion");
-    Out = std::make_shared<NumCvtInst>(static_cast<NumType>(From),
-                                       static_cast<NumType>(To),
-                                       static_cast<CvtopKind>(Op));
-    return true;
-  }
-  case InstKind::Block: {
-    ArrowType AT;
-    std::vector<LocalEffect> Fx;
-    InstVec Body;
-    if (!arrow(AT) || !effects(Fx) || !insts(Body, Depth + 1))
-      return false;
-    Out = std::make_shared<BlockInst>(std::move(AT), std::move(Fx),
-                                      std::move(Body));
-    return true;
-  }
-  case InstKind::Loop: {
-    ArrowType AT;
-    InstVec Body;
-    if (!arrow(AT) || !insts(Body, Depth + 1))
-      return false;
-    Out = std::make_shared<LoopInst>(std::move(AT), std::move(Body));
-    return true;
-  }
-  case InstKind::If: {
-    ArrowType AT;
-    std::vector<LocalEffect> Fx;
-    InstVec Then, Else;
-    if (!arrow(AT) || !effects(Fx) || !insts(Then, Depth + 1) ||
-        !insts(Else, Depth + 1))
-      return false;
-    Out = std::make_shared<IfInst>(std::move(AT), std::move(Fx),
-                                   std::move(Then), std::move(Else));
-    return true;
-  }
-  case InstKind::Br:
-  case InstKind::BrIf: {
-    uint32_t DI;
-    if (!u32(DI, "branch depth"))
-      return false;
-    Out = std::make_shared<BrInst>(K, DI);
-    return true;
-  }
-  case InstKind::BrTable: {
-    uint64_t C;
-    if (!count(C, "branch target"))
-      return false;
-    std::vector<uint32_t> Ds(C);
-    for (uint32_t &DI : Ds)
-      if (!u32(DI, "branch depth"))
-        return false;
-    uint32_t Dflt;
-    if (!u32(Dflt, "branch depth"))
-      return false;
-    Out = std::make_shared<BrTableInst>(std::move(Ds), Dflt);
-    return true;
-  }
-  case InstKind::GetLocal: {
-    uint32_t Idx;
-    Qual Q = Qual::unr();
-    if (!u32(Idx, "local index") || !qual(Q))
-      return false;
-    Out = std::make_shared<GetLocalInst>(Idx, Q);
-    return true;
-  }
-  case InstKind::SetLocal:
-  case InstKind::TeeLocal:
-  case InstKind::GetGlobal:
-  case InstKind::SetGlobal: {
-    uint32_t Idx;
-    if (!u32(Idx, "variable index"))
-      return false;
-    Out = std::make_shared<VarIdxInst>(K, Idx);
-    return true;
-  }
-  case InstKind::Qualify: {
-    Qual Q = Qual::unr();
-    if (!qual(Q))
-      return false;
-    Out = std::make_shared<QualifyInst>(Q);
-    return true;
-  }
-  case InstKind::CoderefI: {
-    uint32_t Idx;
-    if (!u32(Idx, "function index"))
-      return false;
-    Out = std::make_shared<CoderefInst>(Idx);
-    return true;
-  }
-  case InstKind::InstIdx: {
-    std::vector<Index> Args;
-    if (!indexArgs(Args))
-      return false;
-    Out = std::make_shared<InstIdxInst>(std::move(Args));
-    return true;
-  }
-  case InstKind::Call: {
-    uint32_t Idx;
-    std::vector<Index> Args;
-    if (!u32(Idx, "function index") || !indexArgs(Args))
-      return false;
-    Out = std::make_shared<CallInst>(Idx, std::move(Args));
-    return true;
-  }
-  case InstKind::RecFold: {
-    PretypeRef P;
-    if (!preRef(P))
-      return false;
-    Out = std::make_shared<RecFoldInst>(std::move(P));
-    return true;
-  }
-  case InstKind::MemPack: {
-    Loc L = Loc::var(0);
-    if (!loc(L))
-      return false;
-    Out = std::make_shared<MemPackInst>(L);
-    return true;
-  }
-  case InstKind::MemUnpack: {
-    ArrowType AT;
-    std::vector<LocalEffect> Fx;
-    InstVec Body;
-    if (!arrow(AT) || !effects(Fx) || !insts(Body, Depth + 1))
-      return false;
-    Out = std::make_shared<MemUnpackInst>(std::move(AT), std::move(Fx),
-                                          std::move(Body));
-    return true;
-  }
-  case InstKind::Group: {
-    uint32_t C;
-    Qual Q = Qual::unr();
-    if (!u32(C, "group count") || !qual(Q))
-      return false;
-    Out = std::make_shared<GroupInst>(C, Q);
-    return true;
-  }
-  case InstKind::StructMalloc: {
-    uint64_t C;
-    if (!count(C, "slot size"))
-      return false;
-    std::vector<SizeRef> Ss(C);
-    for (SizeRef &S : Ss)
-      if (!optSize(S))
-        return false;
-    Qual Q = Qual::unr();
-    if (!qual(Q))
-      return false;
-    Out = std::make_shared<StructMallocInst>(std::move(Ss), Q);
-    return true;
-  }
-  case InstKind::StructGet:
-  case InstKind::StructSet:
-  case InstKind::StructSwap: {
-    uint32_t Idx;
-    if (!u32(Idx, "field index"))
-      return false;
-    Out = std::make_shared<StructIdxInst>(K, Idx);
-    return true;
-  }
-  case InstKind::VariantMalloc: {
-    uint32_t Tag;
-    std::vector<Type> Cs;
-    Qual Q = Qual::unr();
-    if (!u32(Tag, "variant tag") || !types(Cs, "variant case") || !qual(Q))
-      return false;
-    Out = std::make_shared<VariantMallocInst>(Tag, std::move(Cs), Q);
-    return true;
-  }
-  case InstKind::VariantCase: {
-    Qual Q = Qual::unr();
-    HeapTypeRef H;
-    ArrowType AT;
-    std::vector<LocalEffect> Fx;
-    uint64_t NArms;
-    if (!qual(Q) || !heapRef(H) || !arrow(AT) || !effects(Fx) ||
-        !count(NArms, "variant arm"))
-      return false;
-    std::vector<InstVec> Arms(NArms);
-    for (InstVec &Arm : Arms)
-      if (!insts(Arm, Depth + 1))
-        return false;
-    Out = std::make_shared<VariantCaseInst>(Q, std::move(H), std::move(AT),
-                                            std::move(Fx), std::move(Arms));
-    return true;
-  }
-  case InstKind::ArrayMalloc: {
-    Qual Q = Qual::unr();
-    if (!qual(Q))
-      return false;
-    Out = std::make_shared<ArrayMallocInst>(Q);
-    return true;
-  }
-  case InstKind::ExistPack: {
-    PretypeRef W;
-    HeapTypeRef H;
-    Qual Q = Qual::unr();
-    if (!preRef(W) || !heapRef(H) || !qual(Q))
-      return false;
-    Out = std::make_shared<ExistPackInst>(std::move(W), std::move(H), Q);
-    return true;
-  }
-  case InstKind::ExistUnpack: {
-    Qual Q = Qual::unr();
-    HeapTypeRef H;
-    ArrowType AT;
-    std::vector<LocalEffect> Fx;
-    InstVec Body;
-    if (!qual(Q) || !heapRef(H) || !arrow(AT) || !effects(Fx) ||
-        !insts(Body, Depth + 1))
-      return false;
-    Out = std::make_shared<ExistUnpackInst>(Q, std::move(H), std::move(AT),
-                                            std::move(Fx), std::move(Body));
-    return true;
-  }
-  default:
-    return fail("unknown instruction kind");
-  }
+  return visitInstClass(K, [&]<class C>() { return build<C>(K, I); });
 }
 
-bool Reader::importName(std::optional<ImportName> &IN) {
-  uint64_t Is;
-  if (!u(Is))
+/// Reads the fields of a class-\p C instruction into a tuple of values,
+/// then constructs the node from them.
+template <class C> bool Reader::build(InstKind K, InstRef &Out) {
+  constexpr auto Fs = C::fields();
+  auto Vals = std::apply(
+      []<class... Cs, class... Ts>(const Field<Cs, Ts> &...) {
+        return std::tuple{blank<Ts>()...};
+      },
+      Fs);
+  const char *Outer = std::exchange(BadEnum, nullptr);
+  ++Depth;
+  bool Ok = [&]<size_t... J>(std::index_sequence<J...>) {
+    return (get(std::get<J>(Vals), std::get<J>(Fs).Name,
+                std::get<J>(Fs).Item) &&
+            ...);
+  }(std::make_index_sequence<std::tuple_size_v<decltype(Fs)>>());
+  --Depth;
+  if (!Ok)
     return false;
-  if (Is == 0) {
-    IN.reset();
-    return true;
-  }
-  if (Is != 1)
-    return fail("bad import flag");
-  ImportName Name;
-  if (!str(Name.Module) || !str(Name.Name))
-    return false;
-  IN = std::move(Name);
-  return true;
-}
-
-bool Reader::function(Function &F) {
-  uint64_t NE;
-  if (!count(NE, "export"))
-    return false;
-  F.Exports.resize(NE);
-  for (std::string &S : F.Exports)
-    if (!str(S))
-      return false;
-  if (!funRef(F.Ty))
-    return false;
-  uint64_t NL;
-  if (!count(NL, "local"))
-    return false;
-  F.Locals.resize(NL);
-  for (SizeRef &S : F.Locals)
-    if (!optSize(S))
-      return false;
-  uint64_t Is;
-  if (!u(Is))
-    return false;
-  if (Is == 1) {
-    ImportName Name;
-    if (!str(Name.Module) || !str(Name.Name))
-      return false;
-    F.Import = std::move(Name);
-    return true;
-  }
-  if (Is != 0)
-    return fail("bad import flag");
-  return insts(F.Body, 0);
-}
-
-bool Reader::global(Global &G) {
-  uint64_t NE;
-  if (!count(NE, "export"))
-    return false;
-  G.Exports.resize(NE);
-  for (std::string &S : G.Exports)
-    if (!str(S))
-      return false;
-  uint64_t Mut;
-  if (!u(Mut))
-    return false;
-  G.Mut = Mut != 0;
-  if (!preRef(G.P))
-    return false;
-  uint64_t Is;
-  if (!u(Is))
-    return false;
-  if (Is == 1) {
-    ImportName Name;
-    if (!str(Name.Module) || !str(Name.Name))
-      return false;
-    G.Import = std::move(Name);
-    return true;
-  }
-  if (Is != 0)
-    return fail("bad import flag");
-  return insts(G.Init, 0);
-}
-
-bool Reader::module(ir::Module &M) {
-  if (!str(M.Name))
-    return false;
-
-  uint64_t NF;
-  if (!count(NF, "function"))
-    return false;
-  M.Funcs.resize(NF);
-  for (Function &F : M.Funcs)
-    if (!function(F))
-      return false;
-
-  uint64_t NG;
-  if (!count(NG, "global"))
-    return false;
-  M.Globals.resize(NG);
-  for (Global &G : M.Globals)
-    if (!global(G))
-      return false;
-
-  uint64_t NE;
-  if (!count(NE, "table export"))
-    return false;
-  M.Tab.Exports.resize(NE);
-  for (std::string &S : M.Tab.Exports)
-    if (!str(S))
-      return false;
-  uint64_t NT;
-  if (!count(NT, "table entry"))
-    return false;
-  M.Tab.Entries.resize(NT);
-  for (uint32_t &T : M.Tab.Entries)
-    if (!u32(T, "table entry"))
-      return false;
-  if (!importName(M.Tab.Import))
-    return false;
-
-  uint64_t HasStart;
-  if (!u(HasStart))
-    return false;
-  if (HasStart == 1) {
-    uint32_t S;
-    if (!u32(S, "start function"))
-      return false;
-    M.Start = S;
-  } else if (HasStart != 0) {
-    return fail("bad start flag");
-  }
+  if (BadEnum)
+    return fail(std::string("bad ") + BadEnum);
+  BadEnum = Outer;
+  Out = makeInst<C>(K, std::move(Vals));
   return true;
 }
 
@@ -1662,7 +1151,7 @@ std::vector<uint8_t> rw::serial::write(const ir::Module &M) {
   OBS_SPAN("serial_write");
   static obs::Counter BytesWritten("serial.bytes_written");
   WriteEmitter E;
-  walkModule(E, M);
+  Put<WriteEmitter>{E}(M);
 
   std::vector<uint8_t> Payload;
   Payload.reserve(E.Nodes.size() + E.Body.size() + 8);
@@ -1770,7 +1259,7 @@ serial::ModuleHash rw::serial::moduleHash(const ir::Module &M) {
   static obs::Counter ModulesHashed("serial.modules_hashed");
   ModulesHashed.inc();
   HashEmitter E;
-  walkModule(E, M);
+  Put<HashEmitter>{E}(M);
   // One final avalanche so prefix-equal modules with different tails
   // still differ in both words.
   return ModuleHash{mix64(E.A ^ 0x2545f4914f6cdd1dull), mix64(E.B)};

@@ -22,6 +22,8 @@
 #include "serial/Serial.h"
 
 #include "bench/Common.h"
+#include "ir/Print.h"
+#include "ir/Rewrite.h"
 #include "ir/TypeOps.h"
 #include "support/ThreadPool.h"
 
@@ -762,25 +764,258 @@ TEST(Serial, ConcurrentReadsInternSafely) {
 }
 
 //===----------------------------------------------------------------------===//
-// Arena stats
+// Boolean fields
 //===----------------------------------------------------------------------===//
 
-TEST(Serial, ArenaSerializedBytesEstimateTracksNodes) {
-  TypeArena Private;
-  ArenaScope Scope(Private);
-  TypeArena::Stats S0 = Private.stats();
-  EXPECT_EQ(S0.SerializedBytes, 0u);
+/// The payload offset of the one byte at which two same-shaped encodings
+/// differ (the flag the two modules disagree on).
+size_t flagOffset(const std::vector<uint8_t> &A,
+                  const std::vector<uint8_t> &B) {
+  EXPECT_EQ(A.size(), B.size());
+  size_t At = 0, Diffs = 0;
+  for (size_t I = serial::HeaderSize; I < A.size() && I < B.size(); ++I)
+    if (A[I] != B[I]) {
+      At = I;
+      ++Diffs;
+    }
+  EXPECT_EQ(Diffs, 1u);
+  return At;
+}
 
-  ir::Module M = rwbench::wideModule(4);
-  TypeArena::Stats S1 = Private.stats();
-  EXPECT_GT(S1.SerializedBytes, 0u);
-  EXPECT_GT(S1.ApproxBytes, S1.SerializedBytes)
-      << "wire estimate should be denser than in-memory nodes";
+TEST(Serial, RejectsNonCanonicalBooleanFields) {
+  // The writer emits booleans as 0 or 1; a reader that took any nonzero
+  // value as true would decode distinct byte strings to one module.
+  using namespace rw::ir::build;
+  auto WithGlobal = [](bool Mut, PretypeRef P) {
+    ir::Module M;
+    M.Name = "flags";
+    Global G;
+    G.Mut = Mut;
+    G.P = std::move(P);
+    G.Import = ImportName{"dep", "g"};
+    M.Globals.push_back(std::move(G));
+    return serial::write(M);
+  };
+  auto WithQuant = [](bool NoCaps) {
+    ir::Module M;
+    M.Name = "flags";
+    M.Funcs.push_back(importFunc(
+        {"dep", "f"},
+        FunType::get({Quant::type(Qual::unr(), Size::constant(32), NoCaps)},
+                     arrow({}, {}))));
+    return serial::write(M);
+  };
+  auto Skolem = [](bool NoCaps) {
+    return skolemPT(3, Qual::unr(), Size::constant(32), NoCaps);
+  };
+  struct Case {
+    const char *What;
+    std::vector<uint8_t> False, True;
+  } Cases[] = {
+      {"mutability", WithGlobal(false, unitPT()), WithGlobal(true, unitPT())},
+      {"no-caps", WithGlobal(false, Skolem(false)),
+       WithGlobal(false, Skolem(true))},
+      {"no-caps", WithQuant(false), WithQuant(true)},
+  };
+  for (const Case &C : Cases) {
+    size_t At = flagOffset(C.False, C.True);
+    ASSERT_EQ(C.True[At], 1u) << C.What;
+    std::vector<uint8_t> B = C.True;
+    B[At] = 2;
+    fixChecksum(B);
+    ingest::IngestError E;
+    EXPECT_FALSE(bool(serial::readPrivate(B, &E))) << C.What;
+    EXPECT_EQ(E.Cat, ingest::Category::Malformed) << C.What;
+    EXPECT_EQ(E.Offset, At + 1) << C.What;
+    EXPECT_EQ(E.Context, std::string("malformed module: bad ") + C.What +
+                             " flag");
+    EXPECT_FALSE(bool(serial::read(B, std::make_shared<TypeArena>())));
+  }
+}
 
-  // Every further interned node adds to the estimate.
-  Gen(7).module();
-  EXPECT_GT(Private.stats().SerializedBytes, S1.SerializedBytes);
-  (void)M;
+//===----------------------------------------------------------------------===//
+// Kind coverage: every instruction kind's field list
+//===----------------------------------------------------------------------===//
+
+/// Builds one instance of each instruction kind. Its type-level fields
+/// mention free variables shifted by \p Shift — or, when \p Closed, only
+/// closed types. Bodies under a binder also mention the bound variable 0,
+/// which a shift leaves alone. Written against ir::build and printInst,
+/// not against the field lists, so that it checks them.
+struct KindInstances {
+  bool Closed;
+  uint32_t Shift;
+
+  Qual q(uint32_t I) const {
+    return Closed ? Qual::lin() : Qual::var(I + Shift);
+  }
+  Loc l(uint32_t I) const {
+    return Closed ? Loc::concrete(MemKind::Lin, I) : Loc::var(I + Shift);
+  }
+  SizeRef sz(uint32_t I) const {
+    return Closed ? Size::constant(32 * (I + 1)) : Size::var(I + Shift);
+  }
+  PretypeRef p(uint32_t I) const {
+    return Closed ? numPT(NumType::I64) : varPT(I + Shift);
+  }
+  Type t(uint32_t I) const { return Type(p(I), q(I)); }
+  HeapTypeRef ht(uint32_t I) const { return variantHT({t(I), t(I + 1)}); }
+  ArrowType tf() const { return {{t(0)}, {t(1), t(2)}}; }
+  std::vector<LocalEffect> fx() const { return {{2, t(3)}, {5, t(4)}}; }
+  InstVec body(uint32_t I) const {
+    using namespace rw::ir::build;
+    return {getLocal(I, q(I)), qualify(q(I + 1))};
+  }
+  std::vector<Index> args() const {
+    return {Index::loc(l(0)), Index::size(sz(1)), Index::qual(q(2)),
+            Index::pretype(p(3))};
+  }
+
+  InstRef make(InstKind K) const {
+    using namespace rw::ir::build;
+    switch (K) {
+    case InstKind::NumConst:
+      return numConst(NumType::F32, 0x4049'0fdbull);
+    case InstKind::NumUnop:
+      return unop(NumType::F64, UnopKind::Nearest);
+    case InstKind::NumBinop:
+      return binop(NumType::U64, BinopKind::Copysign);
+    case InstKind::NumTestop:
+      return testop(NumType::I64);
+    case InstKind::NumRelop:
+      return relop(NumType::U32, RelopKind::Ge);
+    case InstKind::NumCvt:
+      return cvt(NumType::I64, NumType::F32, CvtopKind::Reinterpret);
+    case InstKind::Block:
+      return block(tf(), fx(), body(0));
+    case InstKind::Loop:
+      return loop(tf(), body(1));
+    case InstKind::If:
+      return ifElse(tf(), fx(), body(2), body(3));
+    case InstKind::Br:
+      return br(3);
+    case InstKind::BrIf:
+      return brIf(4);
+    case InstKind::BrTable:
+      return brTable({2, 0, 1}, 5);
+    case InstKind::GetLocal:
+      return getLocal(6, q(1));
+    case InstKind::SetLocal:
+      return setLocal(7);
+    case InstKind::TeeLocal:
+      return teeLocal(8);
+    case InstKind::GetGlobal:
+      return getGlobal(9);
+    case InstKind::SetGlobal:
+      return setGlobal(10);
+    case InstKind::Qualify:
+      return qualify(q(2));
+    case InstKind::CoderefI:
+      return coderef(11);
+    case InstKind::InstIdx:
+      return instIdx(args());
+    case InstKind::Call:
+      return call(12, args());
+    case InstKind::RecFold:
+      return recFold(recPT(q(1), t(2)));
+    case InstKind::MemPack:
+      return memPack(l(3));
+    case InstKind::MemUnpack:
+      return memUnpack(tf(), fx(),
+                       {memPack(Loc::var(0)), memPack(inner().l(1))});
+    case InstKind::Group:
+      return group(13, q(4));
+    case InstKind::StructMalloc:
+      return structMalloc({sz(0), sz(2)}, q(1));
+    case InstKind::StructGet:
+      return structGet(14);
+    case InstKind::StructSet:
+      return structSet(15);
+    case InstKind::StructSwap:
+      return structSwap(16);
+    case InstKind::VariantMalloc:
+      return variantMalloc(17, {t(0), t(3)}, q(2));
+    case InstKind::VariantCase:
+      return variantCase(q(0), ht(1), tf(), fx(), {body(4), body(5)});
+    case InstKind::ArrayMalloc:
+      return arrayMalloc(q(3));
+    case InstKind::ExistPack:
+      return existPack(p(4), ht(0), q(5));
+    case InstKind::ExistUnpack:
+      return existUnpack(q(1), ht(2), tf(), fx(),
+                         {recFold(varPT(0)), recFold(inner().p(1))});
+    default:
+      return std::make_shared<SimpleInst>(K);
+    }
+  }
+
+private:
+  /// The view from under one binder: outer variable I is variable I + 1.
+  KindInstances inner() const { return {Closed, Shift + 1}; }
+};
+
+std::string render(const InstRef &I) {
+  std::string S = printInst(*I);
+  // printInst summarizes instantiation arguments; spell them out.
+  const std::vector<Index> *Args = nullptr;
+  if (const auto *C = dyn_cast<CallInst>(I.get()))
+    Args = &C->args();
+  else if (const auto *X = dyn_cast<InstIdxInst>(I.get()))
+    Args = &X->args();
+  for (size_t J = 0; Args && J < Args->size(); ++J) {
+    const Index &A = (*Args)[J];
+    S += " [" + std::to_string(static_cast<int>(A.K)) + ":";
+    switch (A.K) {
+    case QuantKind::Loc:
+      S += A.L.str();
+      break;
+    case QuantKind::Size:
+      S += A.Sz->str();
+      break;
+    case QuantKind::Qual:
+      S += A.Q.str();
+      break;
+    case QuantKind::Type:
+      S += printPretype(A.P);
+      break;
+    }
+    S += "]";
+  }
+  return S;
+}
+
+TEST(Serial, EveryInstKindRoundTripsAndRewrites) {
+  const KindInstances Open{false, 0}, Shifted{false, 1}, Closed{true, 0};
+  for (unsigned KV = static_cast<unsigned>(InstKind::NumConst);
+       KV <= static_cast<unsigned>(InstKind::ExistUnpack); ++KV) {
+    InstKind K = static_cast<InstKind>(KV);
+    SCOPED_TRACE("instruction kind " + std::to_string(KV));
+    InstRef I = Open.make(K);
+    ASSERT_EQ(I->kind(), K);
+
+    // Round trip: identical bytes, hash and rendering.
+    ir::Module M;
+    M.Name = "kinds";
+    M.Funcs.push_back(build::function(
+        {}, FunType::get({}, build::arrow({}, {})), {}, {I}));
+    std::vector<uint8_t> Bytes = serial::write(M);
+    auto R = serial::read(Bytes);
+    ASSERT_TRUE(bool(R)) << R.error().message();
+    EXPECT_EQ(serial::write(*R), Bytes);
+    EXPECT_EQ(serial::moduleHash(*R), serial::moduleHash(M));
+    ASSERT_EQ(R->Funcs[0].Body.size(), 1u);
+    EXPECT_EQ(render(R->Funcs[0].Body[0]), render(I));
+
+    // A shift cannot reach closed fields: the node itself comes back.
+    Shifter Sh(1, 1, 1, 1);
+    InstRef C = Closed.make(K);
+    EXPECT_EQ(rewriteInst(C, Sh).get(), C.get());
+
+    // A shift reaches every open field, and leaves binders' variables.
+    InstRef S = rewriteInst(I, Sh);
+    EXPECT_EQ(render(S), render(Shifted.make(K)));
+    EXPECT_EQ(S.get() == I.get(), render(S) == render(I));
+  }
 }
 
 } // namespace
