@@ -15,10 +15,11 @@
 ///
 /// Each instruction's payload is described once. RW_INST_KINDS maps every
 /// kind to the class that represents it, and each payload-carrying class
-/// lists its members in `fields()`, in constructor order. The structural
-/// walks read nothing else: serial/Serial.cpp writes, hashes and reads a
-/// node field by field, and ir::rewriteInst rewrites and compares it field
-/// by field, entering the binder a field is marked with.
+/// lists its members in `fields()` (the Field machinery of ir/Types.h), in
+/// constructor order. The structural walks read nothing else:
+/// serial/Serial.cpp writes, hashes and reads a node field by field, and
+/// ir::rewriteInst rewrites and compares it field by field, entering the
+/// binder a field is marked with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +45,11 @@ using InstVec = std::vector<InstRef>;
 struct LocalEffect {
   uint32_t LocalIdx = 0;
   Type T;
+
+  static constexpr auto fields() {
+    return std::tuple{field(&LocalEffect::LocalIdx, "local index"),
+                      field(&LocalEffect::T)};
+  }
 };
 
 /// Every instruction kind with the class that represents it. A row's
@@ -133,33 +139,6 @@ template <class C> constexpr bool kindIsOf(InstKind K) {
 #undef RW_INST_IS
   }
   return false;
-}
-
-/// The binder an instruction field's contents sit under: the body of
-/// mem.unpack binds one location variable, that of exist.unpack one
-/// pretype variable.
-enum class Binder : uint8_t { None, Loc, Pretype };
-
-/// One payload member of an instruction class (or of a record the wire
-/// format writes). Name labels the field in decoder diagnostics: what a
-/// u32 or enum field holds, what a vector field counts, or what an
-/// optional field's presence flag says; Item labels a vector's (or an
-/// optional's) u32 elements.
-template <class C, class T> struct Field {
-  T C::*Member;
-  const char *Name = nullptr;
-  const char *Item = nullptr;
-  Binder Binds = Binder::None;
-};
-
-template <class C, class T>
-constexpr Field<C, T> field(T C::*Member, const char *Name = nullptr,
-                            const char *Item = nullptr) {
-  return {Member, Name, Item, Binder::None};
-}
-template <class C, class T>
-constexpr Field<C, T> field(T C::*Member, Binder Binds) {
-  return {Member, nullptr, nullptr, Binds};
 }
 
 /// Base class of all RichWasm instructions.

@@ -33,7 +33,7 @@ std::string rw::ir::printHeapType(const HeapTypeRef &H) {
     return "(variant " + printTypes(cast<VariantHT>(H.get())->cases()) + ")";
   case HeapTypeKind::Struct: {
     std::string Out = "(struct";
-    for (const StructField &F : cast<StructHT>(H.get())->fields())
+    for (const StructField &F : cast<StructHT>(H.get())->structFields())
       Out += " (" + printType(F.T) + ", " + F.Slot->str() + ")";
     return Out + ")";
   }

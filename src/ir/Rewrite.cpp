@@ -6,7 +6,12 @@
 
 #include "ir/Rewrite.h"
 
+#include "ir/TypeArena.h"
+
 #include <cassert>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 using namespace rw;
 using namespace rw::ir;
@@ -70,54 +75,6 @@ PretypeRef TypeRewriter::rewrite(const PretypeRef &P) {
   return R;
 }
 
-PretypeRef TypeRewriter::rewriteUncached(const PretypeRef &P) {
-  switch (P->kind()) {
-  case PretypeKind::Unit:
-  case PretypeKind::Num:
-  case PretypeKind::Skolem:
-    return P;
-  case PretypeKind::Var:
-    return onTypeVar(cast<VarPT>(P.get())->index());
-  case PretypeKind::Prod: {
-    const auto *Prod = cast<ProdPT>(P.get());
-    std::vector<Type> Elems;
-    Elems.reserve(Prod->elems().size());
-    for (const Type &T : Prod->elems())
-      Elems.push_back(rewrite(T));
-    return prodPT(std::move(Elems));
-  }
-  case PretypeKind::Ref: {
-    const auto *R = cast<RefPT>(P.get());
-    return refPT(R->privilege(), rewrite(R->loc()), rewrite(R->heapType()));
-  }
-  case PretypeKind::Ptr:
-    return ptrPT(rewrite(cast<PtrPT>(P.get())->loc()));
-  case PretypeKind::Cap: {
-    const auto *C = cast<CapPT>(P.get());
-    return capPT(C->privilege(), rewrite(C->loc()), rewrite(C->heapType()));
-  }
-  case PretypeKind::Own:
-    return ownPT(rewrite(cast<OwnPT>(P.get())->loc()));
-  case PretypeKind::Rec: {
-    const auto *R = cast<RecPT>(P.get());
-    Qual Bound = rewrite(R->bound());
-    enterType();
-    Type Body = rewrite(R->body());
-    exitType();
-    return recPT(Bound, std::move(Body));
-  }
-  case PretypeKind::ExLoc: {
-    enterLoc();
-    Type Body = rewrite(cast<ExLocPT>(P.get())->body());
-    exitLoc();
-    return exLocPT(std::move(Body));
-  }
-  case PretypeKind::Coderef:
-    return coderefPT(rewrite(cast<CoderefPT>(P.get())->funType()));
-  }
-  return P;
-}
-
 HeapTypeRef TypeRewriter::rewrite(const HeapTypeRef &H) {
   assert(H && "rewriting a null heap type");
   if (MemoOn && unaffected(H->freeBounds(), H->flags()))
@@ -133,77 +90,6 @@ HeapTypeRef TypeRewriter::rewrite(const HeapTypeRef &H) {
   if (Visits - Before >= MemoMinVisits)
     memos().H.emplace(K, R);
   return R;
-}
-
-HeapTypeRef TypeRewriter::rewriteUncached(const HeapTypeRef &H) {
-  switch (H->kind()) {
-  case HeapTypeKind::Variant: {
-    const auto *V = cast<VariantHT>(H.get());
-    std::vector<Type> Cases;
-    Cases.reserve(V->cases().size());
-    for (const Type &T : V->cases())
-      Cases.push_back(rewrite(T));
-    return variantHT(std::move(Cases));
-  }
-  case HeapTypeKind::Struct: {
-    const auto *S = cast<StructHT>(H.get());
-    std::vector<StructField> Fields;
-    Fields.reserve(S->fields().size());
-    for (const StructField &F : S->fields())
-      Fields.push_back({rewrite(F.T), rewrite(F.Slot)});
-    return structHT(std::move(Fields));
-  }
-  case HeapTypeKind::Array:
-    return arrayHT(rewrite(cast<ArrayHT>(H.get())->elem()));
-  case HeapTypeKind::Ex: {
-    const auto *E = cast<ExHT>(H.get());
-    Qual QL = rewrite(E->qualLower());
-    SizeRef SU = rewrite(E->sizeUpper());
-    enterType();
-    Type Body = rewrite(E->body());
-    exitType();
-    return exHT(QL, std::move(SU), std::move(Body));
-  }
-  }
-  return H;
-}
-
-ArrowType TypeRewriter::rewrite(const ArrowType &A) {
-  ArrowType Out;
-  Out.Params.reserve(A.Params.size());
-  Out.Results.reserve(A.Results.size());
-  for (const Type &T : A.Params)
-    Out.Params.push_back(rewrite(T));
-  for (const Type &T : A.Results)
-    Out.Results.push_back(rewrite(T));
-  return Out;
-}
-
-Quant TypeRewriter::rewrite(const Quant &Q) {
-  Quant Out;
-  Out.K = Q.K;
-  switch (Q.K) {
-  case QuantKind::Loc:
-    break;
-  case QuantKind::Size:
-    for (const SizeRef &S : Q.SizeLower)
-      Out.SizeLower.push_back(rewrite(S));
-    for (const SizeRef &S : Q.SizeUpper)
-      Out.SizeUpper.push_back(rewrite(S));
-    break;
-  case QuantKind::Qual:
-    for (Qual X : Q.QualLower)
-      Out.QualLower.push_back(rewrite(X));
-    for (Qual X : Q.QualUpper)
-      Out.QualUpper.push_back(rewrite(X));
-    break;
-  case QuantKind::Type:
-    Out.TypeQualLower = rewrite(Q.TypeQualLower);
-    Out.TypeSizeUpper = rewrite(Q.TypeSizeUpper);
-    Out.TypeNoCaps = Q.TypeNoCaps;
-    break;
-  }
-  return Out;
 }
 
 Index TypeRewriter::rewrite(const Index &I) {
@@ -241,44 +127,6 @@ FunTypeRef TypeRewriter::rewrite(const FunTypeRef &F) {
   if (Visits - Before >= MemoMinVisits)
     memos().F.emplace(K, R);
   return R;
-}
-
-FunTypeRef TypeRewriter::rewriteUncached(const FunTypeRef &F) {
-  std::vector<Quant> Quants;
-  Quants.reserve(F->quants().size());
-  // Each quantifier's constraints see the binders declared before it.
-  unsigned NLoc = 0, NSize = 0, NQual = 0, NType = 0;
-  for (const Quant &Q : F->quants()) {
-    Quants.push_back(rewrite(Q));
-    switch (Q.K) {
-    case QuantKind::Loc:
-      enterLoc();
-      ++NLoc;
-      break;
-    case QuantKind::Size:
-      enterSize();
-      ++NSize;
-      break;
-    case QuantKind::Qual:
-      enterQual();
-      ++NQual;
-      break;
-    case QuantKind::Type:
-      enterType();
-      ++NType;
-      break;
-    }
-  }
-  ArrowType Arrow = rewrite(F->arrow());
-  for (unsigned I = 0; I < NLoc; ++I)
-    exitLoc();
-  for (unsigned I = 0; I < NSize; ++I)
-    exitSize();
-  for (unsigned I = 0; I < NQual; ++I)
-    exitQual();
-  for (unsigned I = 0; I < NType; ++I)
-    exitType();
-  return FunType::get(std::move(Quants), std::move(Arrow));
 }
 
 //===----------------------------------------------------------------------===//
@@ -359,20 +207,22 @@ PretypeRef Subst::onTypeVar(uint32_t Idx) {
 }
 
 //===----------------------------------------------------------------------===//
-// Instruction rewriting: intern-aware subtree sharing
+// Field-by-field rewriting of type nodes and instructions
 //===----------------------------------------------------------------------===//
 //
-// Instruction trees are rewritten bottom-up, field by field from each
-// class's fields() list, and every embedded type-level component is
+// Type nodes and instruction trees are rewritten bottom-up, field by field
+// from each class's fields() list (ir/Types.h, ir/Inst.h), entering the
+// binder a field is marked with. Every embedded type-level component is
 // hash-consed: a component untouched by the rewrite comes back as the
 // *same* node (the rewriter's FreeBounds short-circuit proves closedness
 // without walking, and interning canonicalizes everything else), so "this
 // subtree is closed under the rewrite" is decidable by O(1) pointer
 // comparisons on the rewritten pieces. When every field (and every child
 // instruction) is unchanged, the original shared_ptr node is returned
-// instead of an allocated clone — call-time instantiation (sem::Machine's
-// e*[z*/κ*]) then shares all untouched subtrees with the original body and
-// only materializes the spine that actually changes.
+// instead of a re-interned node or an allocated clone — call-time
+// instantiation (sem::Machine's e*[z*/κ*]) then shares all untouched
+// subtrees with the original body and only materializes the spine that
+// actually changes.
 
 namespace {
 
@@ -386,11 +236,21 @@ constexpr bool allInert(const std::tuple<Field<Cs, Ts>...> &) {
   return (IsInert<Ts> && ...);
 }
 
+/// A type node class the rewriter returns as it is (SkolemPT).
+template <class C> constexpr bool isOpaque() {
+  if constexpr (requires { C::Opaque; })
+    return C::Opaque;
+  else
+    return false;
+}
+
 /// One rewrite-and-compare per field type: each returns the rewritten
 /// value and clears Same unless it is identical to the original.
 struct FieldRewriter {
   TypeRewriter &RW;
   bool Same = true;
+
+  explicit FieldRewriter(TypeRewriter &RW) : RW(RW) {}
 
   template <class T>
     requires IsInert<T>
@@ -422,18 +282,37 @@ struct FieldRewriter {
     Same = Same && R.get() == H.get();
     return R;
   }
+  FunTypeRef operator()(const FunTypeRef &F) {
+    FunTypeRef R = RW.rewrite(F);
+    Same = Same && R.get() == F.get();
+    return R;
+  }
   Type operator()(const Type &T) {
     Type R = RW.rewrite(T);
     Same = Same && typeEquals(R, T);
     return R;
   }
-  ArrowType operator()(const ArrowType &A) {
-    ArrowType R = RW.rewrite(A);
-    Same = Same && arrowEquals(R, A);
+  Quant operator()(const Quant &Q) {
+    Quant R;
+    R.K = Q.K;
+    switch (Q.K) {
+    case QuantKind::Loc:
+      break;
+    case QuantKind::Size:
+      R.SizeLower = (*this)(Q.SizeLower);
+      R.SizeUpper = (*this)(Q.SizeUpper);
+      break;
+    case QuantKind::Qual:
+      R.QualLower = (*this)(Q.QualLower);
+      R.QualUpper = (*this)(Q.QualUpper);
+      break;
+    case QuantKind::Type:
+      R.TypeQualLower = (*this)(Q.TypeQualLower);
+      R.TypeSizeUpper = (*this)(Q.TypeSizeUpper);
+      R.TypeNoCaps = Q.TypeNoCaps;
+      break;
+    }
     return R;
-  }
-  LocalEffect operator()(const LocalEffect &E) {
-    return {E.LocalIdx, (*this)(E.T)};
   }
   Index operator()(const Index &I) {
     Index R = RW.rewrite(I);
@@ -467,16 +346,74 @@ struct FieldRewriter {
       Out.push_back((*this)(V));
     return Out;
   }
+  /// Records (ArrowType, StructField, LocalEffect), field by field.
+  template <HasFields R> R operator()(const R &Rec) {
+    return std::apply([](auto &&...V) { return R{std::move(V)...}; },
+                      fields(Rec));
+  }
+
+  /// Rewrites every field of \p N, in list order. Binders a quantifier
+  /// list opens stay open for the fields after it, up to the end of N.
+  template <class C> FieldValues<C> fields(const C &N) {
+    FreeBounds Outer = std::exchange(Open, FreeBounds{});
+    // Braced initialization evaluates the fields in list order.
+    auto Vals = std::apply(
+        [&](const auto &...F) { return FieldValues<C>{field(N, F)...}; },
+        C::fields());
+    for (; Open.Loc; --Open.Loc)
+      RW.exitLoc();
+    for (; Open.Size; --Open.Size)
+      RW.exitSize();
+    for (; Open.Qual; --Open.Qual)
+      RW.exitQual();
+    for (; Open.Type; --Open.Type)
+      RW.exitType();
+    Open = Outer;
+    return Vals;
+  }
+
+private:
+  /// Binders opened by a quantifier list of the node being rewritten.
+  FreeBounds Open;
 
   /// Rewrites one field's value under the binder the field is marked with.
   template <class C, class T> T field(const C &N, const Field<C, T> &F) {
+    if constexpr (std::is_same_v<T, std::vector<Quant>>)
+      if (F.Binds == Binder::Quants)
+        return quants(N.*F.Member);
     scope(F.Binds, /*Enter=*/true);
     T Out = (*this)(N.*F.Member);
     scope(F.Binds, /*Enter=*/false);
     return Out;
   }
-
-private:
+  /// A quantifier list: each quantifier's constraints see the binders
+  /// declared before it.
+  std::vector<Quant> quants(const std::vector<Quant> &Qs) {
+    std::vector<Quant> Out;
+    Out.reserve(Qs.size());
+    for (const Quant &Q : Qs) {
+      Out.push_back((*this)(Q));
+      switch (Q.K) {
+      case QuantKind::Loc:
+        RW.enterLoc();
+        ++Open.Loc;
+        break;
+      case QuantKind::Size:
+        RW.enterSize();
+        ++Open.Size;
+        break;
+      case QuantKind::Qual:
+        RW.enterQual();
+        ++Open.Qual;
+        break;
+      case QuantKind::Type:
+        RW.enterType();
+        ++Open.Type;
+        break;
+      }
+    }
+    return Out;
+  }
   void scope(Binder B, bool Enter) {
     if (B == Binder::Loc)
       Enter ? RW.enterLoc() : RW.exitLoc();
@@ -485,16 +422,27 @@ private:
   }
 };
 
+/// Rewrites a type node of class \p C. Variables are the hooks' business
+/// (TypeRewriter::rewriteUncached); nodes with nothing to rewrite, and
+/// opaque ones, come back as they are.
+template <class C, class Ref> Ref rewriteNode(const Ref &R, TypeRewriter &RW) {
+  if constexpr (isOpaque<C>() || allInert(C::fields())) {
+    return R;
+  } else {
+    FieldRewriter FR{RW};
+    FieldValues<C> Vals = FR.fields(static_cast<const C &>(*R));
+    if (FR.Same)
+      return R;
+    return TypeArena::current().intern<C>(std::move(Vals));
+  }
+}
+
 template <class C> InstRef rewriteAs(const InstRef &I, TypeRewriter &RW) {
-  constexpr auto Fs = C::fields();
-  if constexpr (allInert(Fs)) {
+  if constexpr (allInert(C::fields())) {
     return I; // No embedded type-level material.
   } else {
-    const C &N = *static_cast<const C *>(I.get());
     FieldRewriter FR{RW};
-    // Braced initialization evaluates the fields in list order.
-    auto Vals = std::apply(
-        [&](const auto &...F) { return std::tuple{FR.field(N, F)...}; }, Fs);
+    FieldValues<C> Vals = FR.fields(*static_cast<const C *>(I.get()));
     if (FR.Same)
       return I;
     return makeInst<C>(I->kind(), std::move(Vals));
@@ -502,6 +450,30 @@ template <class C> InstRef rewriteAs(const InstRef &I, TypeRewriter &RW) {
 }
 
 } // namespace
+
+PretypeRef TypeRewriter::rewriteUncached(const PretypeRef &P) {
+  if (const auto *V = dyn_cast<VarPT>(P.get()))
+    return onTypeVar(V->index());
+  return visitTypeClass(P->kind(), [&]<class C>() {
+    return rewriteNode<C>(P, *this);
+  });
+}
+
+HeapTypeRef TypeRewriter::rewriteUncached(const HeapTypeRef &H) {
+  return visitTypeClass(H->kind(), [&]<class C>() {
+    return rewriteNode<C>(H, *this);
+  });
+}
+
+FunTypeRef TypeRewriter::rewriteUncached(const FunTypeRef &F) {
+  return rewriteNode<FunType>(F, *this);
+}
+
+ArrowType TypeRewriter::rewrite(const ArrowType &A) {
+  return FieldRewriter{*this}(A);
+}
+
+Quant TypeRewriter::rewrite(const Quant &Q) { return FieldRewriter{*this}(Q); }
 
 InstVec rw::ir::rewriteInsts(const InstVec &Insts, TypeRewriter &RW) {
   FieldRewriter FR{RW};
@@ -512,6 +484,14 @@ InstRef rw::ir::rewriteInst(const InstRef &I, TypeRewriter &RW) {
   assert(I && "rewriting a null instruction");
   return visitInstClass(I->kind(),
                         [&]<class C>() { return rewriteAs<C>(I, RW); });
+}
+
+InstVec rw::ir::rewriteInsts(const InstVec &Insts, Subst &S) {
+  return rewriteInsts(Insts, static_cast<TypeRewriter &>(S.seal()));
+}
+
+InstRef rw::ir::rewriteInst(const InstRef &I, Subst &S) {
+  return rewriteInst(I, static_cast<TypeRewriter &>(S.seal()));
 }
 
 ArrowType rw::ir::instantiateFunType(const FunType &FT,

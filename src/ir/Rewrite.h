@@ -25,15 +25,22 @@
 /// subclasses may via enableStructuralMemo once their replacement state is
 /// final.
 ///
+/// Type nodes and instructions are rewritten by one walk over each class's
+/// fields() list (ir/Types.h, ir/Inst.h) — the lists the arena and the
+/// wire format read too — entering the binder scope a field is marked
+/// with: a pretype for the bodies of rec, ∃α and exist.unpack, a location
+/// for those of ∃ρ and mem.unpack, and a function type's quantifiers, one
+/// by one, for the quantifiers after them and the arrow. Variables go to
+/// the hooks; skolems are opaque and come back untouched. The walk is
+/// intern-aware: rewritten components are hash-consed, so a subtree the
+/// rewrite cannot touch is detected by O(1) pointer comparisons bottom-up
+/// and returned as the *original* node instead of a re-interned node or a
+/// clone — instantiation shares everything but the changed spine.
+///
 /// rewriteInsts rewrites an instruction tree through a TypeRewriter —
-/// this is what call-time substitution e*[z*/κ*] in Fig 4 uses. It walks
-/// each class's fields() list (ir/Inst.h), the one the wire format reads
-/// too, entering the binder scope a field is marked with: location for
-/// mem.unpack's body, pretype for exist.unpack's. It is intern-aware:
-/// rewritten components are hash-consed, so a subtree the rewrite cannot
-/// touch is detected by O(1) pointer comparisons bottom-up and returned
-/// as the *original* shared node instead of a clone — instantiation
-/// shares everything but the changed spine.
+/// this is what call-time substitution e*[z*/κ*] in Fig 4 uses. Passing a
+/// Subst seals it first, like every Subst entry point, so its memo and
+/// closed-subtree short-circuit are on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -288,10 +295,13 @@ private:
     return H;
   }
 
+public:
   /// Enables memoization once the replacement vectors are known; later
   /// mutation of the vectors would make the frozen activity flags (and any
   /// cached results) wrong, so it is rejected in debug builds via the
-  /// element-sensitive fingerprint above.
+  /// element-sensitive fingerprint above. Every rewrite entry point seals,
+  /// and so must a walk that drives this substitution through a plain
+  /// TypeRewriter & (rewriteInsts below does).
   Subst &seal() {
     if (!Sealed) {
       Sealed = true;
@@ -304,6 +314,8 @@ private:
     }
     return *this;
   }
+
+private:
   bool Sealed = false;
   size_t SealedFingerprint = 0;
 };
@@ -313,6 +325,9 @@ private:
 /// scopes introduced by instruction forms are entered appropriately.
 InstVec rewriteInsts(const InstVec &Insts, TypeRewriter &RW);
 InstRef rewriteInst(const InstRef &I, TypeRewriter &RW);
+/// The same through a substitution, sealed first.
+InstVec rewriteInsts(const InstVec &Insts, Subst &S);
+InstRef rewriteInst(const InstRef &I, Subst &S);
 
 /// Instantiates the full quantifier list of \p FT with \p Args, yielding
 /// the monomorphic arrow. Asserts that counts and kinds line up (the type

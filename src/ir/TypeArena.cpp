@@ -12,6 +12,13 @@
 // which is what keeps `sizeEquals` (pointer identity) equivalent to the old
 // equality modulo associativity/commutativity of `+`.
 //
+// Every pretype, heap type and function type interns through one recipe,
+// TypeArena::internKeys, which reads the node's field list: the hash, the
+// probe, the insert-race re-probe, the metadata (entering each marked
+// binder) and the size estimate are folds over C::fields(). The fold
+// bodies are overloads per field type, resolved at compile time, so the
+// probe path is the same straight-line code the per-kind factories were.
+//
 //===----------------------------------------------------------------------===//
 
 #include "ir/TypeArena.h"
@@ -23,7 +30,10 @@
 #include <cassert>
 #include <cstddef>
 #include <mutex>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 using namespace rw;
@@ -116,15 +126,6 @@ static uint64_t arrowHash(const ArrowType &A) {
 // Intern-time metadata (free-variable bounds, occurrence flags)
 //===----------------------------------------------------------------------===//
 
-namespace {
-/// Accumulator for FreeBounds and occurrence flags while scanning a node's
-/// immediate children.
-struct Meta {
-  FreeBounds FB;
-  uint8_t Flags = 0;
-};
-} // namespace
-
 static void bump(uint32_t &Slot, uint32_t Bound) {
   if (Bound > Slot)
     Slot = Bound;
@@ -139,50 +140,6 @@ static void mergeFB(FreeBounds &Into, const FreeBounds &From) {
 
 /// Decrements a free bound across \p N binders of the same kind.
 static uint32_t decN(uint32_t X, uint32_t N) { return X > N ? X - N : 0; }
-
-static void accQual(Qual Q, Meta &M) {
-  if (Q.isVar())
-    bump(M.FB.Qual, Q.varIndex() + 1);
-}
-
-static void accLoc(const Loc &L, Meta &M) {
-  switch (L.kind()) {
-  case Loc::Kind::Var:
-    bump(M.FB.Loc, L.varIndex() + 1);
-    break;
-  case Loc::Kind::Concrete:
-    M.Flags |= TF_HasConcreteLoc;
-    break;
-  case Loc::Kind::Skolem:
-    M.Flags |= TF_HasSkolemLoc;
-    break;
-  }
-}
-
-static void accSize(const SizeRef &S, Meta &M) {
-  if (S)
-    bump(M.FB.Size, S->freeBound());
-}
-
-static void accPretype(const PretypeRef &P, Meta &M) {
-  mergeFB(M.FB, P->freeBounds());
-  M.Flags |= P->flags();
-}
-
-static void accType(const Type &T, Meta &M) {
-  accPretype(T.P, M);
-  accQual(T.Q, M);
-}
-
-static void accHeap(const HeapTypeRef &H, Meta &M) {
-  mergeFB(M.FB, H->freeBounds());
-  M.Flags |= H->flags();
-}
-
-static void accFun(const FunTypeRef &F, Meta &M) {
-  mergeFB(M.FB, F->freeBounds());
-  M.Flags |= F->flags();
-}
 
 namespace {
 /// no_caps bits of one node: the value when every free pretype variable is
@@ -211,6 +168,361 @@ struct NoCapsBits {
 } // namespace
 
 //===----------------------------------------------------------------------===//
+// Field-list walks: hash, probe equality, metadata, size estimate
+//===----------------------------------------------------------------------===//
+//
+// Each walk folds over a node's fields (C::fields() in ir/Types.h) or over
+// the keys a factory was called with, which line up with the fields one
+// to one. A key is the field's own value or, for a vector field, a
+// borrowed Span from the span probes; the hash and the equality treat the
+// two alike, so owning and borrowed probes of one structural identity meet
+// in one node.
+
+namespace {
+/// A borrowed element range standing in for a vector field's value.
+template <class E> struct Span {
+  const E *Data;
+  size_t N;
+  const E *begin() const { return Data; }
+  const E *end() const { return Data + N; }
+  size_t size() const { return N; }
+};
+template <class T> constexpr bool IsSpan = false;
+template <class E> constexpr bool IsSpan<Span<E>> = true;
+
+template <class T>
+concept Scalar = std::is_arithmetic_v<T> || std::is_enum_v<T>;
+} // namespace
+
+/// Calls \p Fn(value, field) on each field of \p N, in list order.
+template <class C, class Fn> static void forEachField(const C &N, Fn &&F) {
+  std::apply([&](const auto &...Fs) { (F(N.*Fs.Member, Fs), ...); },
+             C::fields());
+}
+
+// The Merkle fold of one field value into H: child nodes contribute their
+// own hash, vectors each element in turn.
+template <Scalar T> static uint64_t hashInto(uint64_t H, T V) {
+  return mix(H, static_cast<uint64_t>(V));
+}
+static uint64_t hashInto(uint64_t H, Qual Q) { return mix(H, qualHash(Q)); }
+static uint64_t hashInto(uint64_t H, const Loc &L) {
+  return mix(H, locHash(L));
+}
+static uint64_t hashInto(uint64_t H, const Size *S) {
+  return mix(H, S ? S->hashValue() : 0xC0FFEE);
+}
+static uint64_t hashInto(uint64_t H, const SizeRef &S) {
+  return hashInto(H, S.get());
+}
+static uint64_t hashInto(uint64_t H, const Type &T) {
+  assert(T.P && "null pretype child");
+  return mix(H, typePtrHash(T));
+}
+static uint64_t hashInto(uint64_t H, const TypeRef &T) {
+  return mix(H, typePtrHash(T));
+}
+static uint64_t hashInto(uint64_t H, const HeapTypeRef &C) {
+  assert(C && "null heap type child");
+  return mix(H, C->hashValue());
+}
+static uint64_t hashInto(uint64_t H, const FunTypeRef &C) {
+  assert(C && "null function type child");
+  return mix(H, C->hashValue());
+}
+static uint64_t hashInto(uint64_t H, const Quant &Q) {
+  return mix(H, quantHash(Q));
+}
+static uint64_t hashInto(uint64_t H, const ArrowType &A) {
+  return mix(H, arrowHash(A));
+}
+static uint64_t hashInto(uint64_t H, const StructField &F) {
+  return hashInto(hashInto(H, F.T), F.Slot);
+}
+static uint64_t hashInto(uint64_t H, const StructFieldRef &F) {
+  return hashInto(hashInto(H, F.T), F.Slot);
+}
+template <class Vs>
+  requires requires(const Vs &X) { X.begin(); }
+static uint64_t hashInto(uint64_t H, const Vs &Xs) {
+  for (const auto &X : Xs)
+    H = hashInto(H, X);
+  return H;
+}
+
+/// Where a node's hash starts: its row's seed (ir/Types.h), and 0xF2 for
+/// function types, which have no kind.
+template <class C> static uint64_t hashSeed() {
+  if constexpr (std::is_same_v<C, FunType>) {
+    return 0xF2;
+  } else {
+    uint64_t K = static_cast<uint64_t>(C::Kind);
+    return TypeRow<C>::HashSeed ? mix(TypeRow<C>::HashSeed, K) : K;
+  }
+}
+
+// Shallow field equality: scalars by value, children by pointer (children
+// are canonical in the arena, so pointer equality is their structural
+// equality).
+template <Scalar T> static bool eqField(T A, T B) { return A == B; }
+static bool eqField(Qual A, Qual B) { return A == B; }
+static bool eqField(const Loc &A, const Loc &B) { return A == B; }
+static bool eqField(const SizeRef &A, const SizeRef &B) {
+  return A.get() == B.get();
+}
+static bool eqField(const SizeRef &A, const Size *B) { return A.get() == B; }
+static bool eqField(const Type &A, const Type &B) { return typeEquals(A, B); }
+static bool eqField(const Type &A, const TypeRef &B) {
+  return typeEquals(A, B);
+}
+static bool eqField(const HeapTypeRef &A, const HeapTypeRef &B) {
+  return A.get() == B.get();
+}
+static bool eqField(const FunTypeRef &A, const FunTypeRef &B) {
+  return A.get() == B.get();
+}
+static bool eqField(const Quant &A, const Quant &B) {
+  return quantEquals(A, B);
+}
+static bool eqField(const ArrowType &A, const ArrowType &B) {
+  return arrowEquals(A, B);
+}
+template <class F> static bool eqField(const StructField &A, const F &B) {
+  return eqField(A.T, B.T) && eqField(A.Slot, B.Slot);
+}
+template <class E, class Vs>
+static bool eqField(const std::vector<E> &A, const Vs &B) {
+  if (A.size() != B.size())
+    return false;
+  auto It = B.begin();
+  for (const E &V : A)
+    if (!eqField(V, *It++))
+      return false;
+  return true;
+}
+
+/// Whether \p N is a class-\p C node.
+template <class C, class Base> static bool isNode(const Base &N) {
+  if constexpr (std::is_same_v<C, FunType>)
+    return true;
+  else
+    return N.kind() == C::Kind;
+}
+
+/// The probe: does node \p N hold exactly the keys \p Key?
+template <class C, class... K>
+static bool fieldsEqual(const C &N, const K &...Key) {
+  return std::apply(
+      [&](const auto &...Fs) { return (eqField(N.*Fs.Member, Key) && ...); },
+      C::fields());
+}
+
+/// The insert-race re-probe, against the *built* node (the keys may have
+/// been moved into it): the same shallow equality as the first probe.
+template <class C, class Base>
+static bool builtEquals(const Base &Existing, const C &N) {
+  return isNode<C>(Existing) &&
+         std::apply(
+             [&](const auto &...Fs) {
+               return fieldsEqual(static_cast<const C &>(Existing),
+                                  N.*Fs.Member...);
+             },
+             C::fields());
+}
+static bool builtEquals(const Size &A, const Size &B) {
+  return A.norm() == B.norm();
+}
+
+namespace {
+/// Folds field values into a node's metadata: free bounds and flags from
+/// every variable, location, size and child node; no_caps bits from every
+/// child value type. The heap type behind a ref or cap and the function
+/// type of a coderef do not count towards no_caps — a reference pairs its
+/// capability with its pointer, the form the paper allows in GC'd memory,
+/// and code pointers never hold capabilities.
+struct MetaAcc {
+  FreeBounds FB;
+  uint8_t Flags = 0;
+  NoCapsBits NC;
+
+  template <Scalar T> void operator()(T) {}
+  void operator()(Qual Q) {
+    if (Q.isVar())
+      bump(FB.Qual, Q.varIndex() + 1);
+  }
+  void operator()(const Loc &L) {
+    switch (L.kind()) {
+    case Loc::Kind::Var:
+      bump(FB.Loc, L.varIndex() + 1);
+      break;
+    case Loc::Kind::Concrete:
+      Flags |= TF_HasConcreteLoc;
+      break;
+    case Loc::Kind::Skolem:
+      Flags |= TF_HasSkolemLoc;
+      break;
+    }
+  }
+  void operator()(const SizeRef &S) {
+    if (S)
+      bump(FB.Size, S->freeBound());
+  }
+  void operator()(const Type &T) {
+    child(*T.P);
+    (*this)(T.Q);
+    NC.andWithType(T);
+  }
+  void operator()(const HeapTypeRef &H) { child(*H); }
+  void operator()(const FunTypeRef &F) { child(*F); }
+  void operator()(const Quant &Q) {
+    switch (Q.K) {
+    case QuantKind::Loc:
+      break;
+    case QuantKind::Size:
+      (*this)(Q.SizeLower);
+      (*this)(Q.SizeUpper);
+      break;
+    case QuantKind::Qual:
+      (*this)(Q.QualLower);
+      (*this)(Q.QualUpper);
+      break;
+    case QuantKind::Type:
+      (*this)(Q.TypeQualLower);
+      (*this)(Q.TypeSizeUpper);
+      break;
+    }
+  }
+  template <class E> void operator()(const std::vector<E> &Vs) {
+    for (const E &V : Vs)
+      (*this)(V);
+  }
+  template <HasFields R> void operator()(const R &Rec) {
+    forEachField(Rec, [&](const auto &V, const auto &) { (*this)(V); });
+  }
+
+  /// Folds a value that sits under the binders \p Under: its free bounds
+  /// are re-based across them before they join the node's.
+  template <class T> void under(const T &V, const FreeBounds &Under) {
+    MetaAcc Sub;
+    Sub(V);
+    mergeFB(FB, {decN(Sub.FB.Loc, Under.Loc), decN(Sub.FB.Size, Under.Size),
+                 decN(Sub.FB.Qual, Under.Qual),
+                 decN(Sub.FB.Type, Under.Type)});
+    Flags |= Sub.Flags;
+    NC.andWith(Sub.NC.IfTrue, Sub.NC.Dep);
+  }
+
+private:
+  template <class Node> void child(const Node &N) {
+    mergeFB(FB, N.freeBounds());
+    Flags |= N.flags();
+  }
+};
+} // namespace
+
+/// Opens one binder of the kind a field mark or a quantifier names.
+static void bind(FreeBounds &Open, Binder B) {
+  if (B == Binder::Loc)
+    ++Open.Loc;
+  else if (B == Binder::Pretype)
+    ++Open.Type;
+}
+static void bind(FreeBounds &Open, QuantKind K) {
+  switch (K) {
+  case QuantKind::Loc:
+    ++Open.Loc;
+    break;
+  case QuantKind::Size:
+    ++Open.Size;
+    break;
+  case QuantKind::Qual:
+    ++Open.Qual;
+    break;
+  case QuantKind::Type:
+    ++Open.Type;
+    break;
+  }
+}
+
+// A kind's own metadata rule, applied before its fields are folded in.
+template <class C> static void kindRule(const C &, MetaAcc &) {}
+static void kindRule(const VarPT &N, MetaAcc &A) {
+  A.FB.Type = N.index() + 1;
+  A.NC.Dep = true; // Cap-free exactly when the variable is.
+}
+static void kindRule(const SkolemPT &N, MetaAcc &A) {
+  A.Flags |= TF_HasSkolemType;
+  A.NC.IfTrue = N.noCaps();
+}
+static void kindRule(const CapPT &, MetaAcc &A) { A.NC.IfTrue = false; }
+static void kindRule(const OwnPT &, MetaAcc &A) { A.NC.IfTrue = false; }
+
+/// The intern-time metadata of node \p N.
+template <class C> static MetaAcc nodeMeta(const C &N) {
+  MetaAcc Acc;
+  kindRule(N, Acc);
+  FreeBounds Open; // Binders a quantifier list opened earlier in N.
+  forEachField(N, [&](const auto &V, const auto &F) {
+    using T = std::decay_t<decltype(V)>;
+    if constexpr (std::is_same_v<T, std::vector<Quant>>) {
+      if (F.Binds == Binder::Quants) {
+        // Each quantifier's constraints see the quantifiers before it.
+        for (const Quant &Q : V) {
+          Acc.under(Q, Open);
+          bind(Open, Q.K);
+        }
+        return;
+      }
+    }
+    FreeBounds Under = Open;
+    bind(Under, F.Binds);
+    Acc.under(V, Under);
+  });
+  Acc.NC.clampTo(Acc.FB);
+  return Acc;
+}
+
+/// Sizeof-based live-memory estimate for Stats::ApproxBytes: the node
+/// object plus its owned vector payloads (children are shared, counted
+/// once at their own intern).
+template <class T> static uint64_t payloadBytes(const T &) { return 0; }
+template <class E> static uint64_t payloadBytes(const std::vector<E> &V) {
+  return V.size() * sizeof(E);
+}
+static uint64_t payloadBytes(const ArrowType &A) {
+  return payloadBytes(A.Params) + payloadBytes(A.Results);
+}
+template <class C> static uint64_t approxNodeBytes(const C &N) {
+  uint64_t B = sizeof(C);
+  forEachField(N, [&](const auto &V, const auto &) { B += payloadBytes(V); });
+  return B;
+}
+static uint64_t approxNodeBytes(const Size &S) {
+  return sizeof(Size) + S.norm().Vars.size() * sizeof(uint32_t);
+}
+
+/// Re-owns one key for a freshly built node: owned values move in, and a
+/// borrowed span is copied into a vector (cold path only — a table hit
+/// never materializes anything).
+static Type ownElem(const Type &T) { return T; }
+static Type ownElem(const TypeRef &T) { return T.own(); }
+static StructField ownElem(const StructField &F) { return F; }
+static StructField ownElem(const StructFieldRef &F) {
+  return {F.T.own(), F.Slot->shared_from_this()};
+}
+template <class K> static decltype(auto) ownKey(K &&Key) {
+  if constexpr (IsSpan<std::decay_t<K>>) {
+    std::vector<decltype(ownElem(*Key.Data))> V;
+    V.reserve(Key.N);
+    for (const auto &E : Key)
+      V.push_back(ownElem(E));
+    return V;
+  } else {
+    return std::forward<K>(Key);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // The arena
 //===----------------------------------------------------------------------===//
 
@@ -232,6 +544,17 @@ struct SpinLock {
   }
   void unlock() { F.clear(std::memory_order_release); }
 };
+
+/// Lock-free leaf caches: lazily populated atomic slots pointing at
+/// table-owned canonical nodes (populate races are benign — every writer
+/// stores the same node). Lazy so that arena construction is near-free,
+/// which lets short-lived arenas (per-machine runtime types, fuzz tests)
+/// stay cheap.
+struct LeafCaches {
+  std::atomic<const Pretype *> Unit{nullptr};
+  std::atomic<const Pretype *> Nums[6] = {};
+  std::atomic<const Pretype *> TypeVars[NumVarCache] = {};
+};
 } // namespace
 
 struct TypeArena::Impl {
@@ -244,35 +567,12 @@ struct TypeArena::Impl {
   /// table also *owns* the cached sizes, backing the per-node fast-path
   /// slot (Pretype::ClosedSizeMemo).
   std::unordered_map<const Pretype *, SizeRef> ClosedSize;
-  // Lock-free leaf caches: lazily populated atomic slots pointing at
-  // table-owned canonical nodes (populate races are benign — every writer
-  // stores the same node). Lazy so that arena construction is near-free,
-  // which lets short-lived arenas (per-machine runtime types, fuzz tests)
-  // stay cheap.
-  std::atomic<const Pretype *> Unit{nullptr};
-  std::atomic<const Pretype *> Nums[6] = {};
-  std::atomic<const Pretype *> TypeVars[NumVarCache] = {};
+  LeafCaches Leaves;
+  // Size leaves, cached the same way.
   std::atomic<const Size *> ConstSizes[NumConstSizeCache] = {};
   std::atomic<const Size *> SizeVars[NumVarCache] = {};
   Stats St;
 };
-
-/// Equality for the insert-race re-probe, comparing against the *built*
-/// node (the candidate constructor arguments may have been moved into it).
-/// Structural equality coincides with the intern key for nodes whose
-/// children are canonical in the same arena.
-static bool builtEquals(const Pretype &A, const Pretype &B) {
-  return structuralPretypeEquals(A, B);
-}
-static bool builtEquals(const HeapType &A, const HeapType &B) {
-  return structuralHeapTypeEquals(A, B);
-}
-static bool builtEquals(const FunType &A, const FunType &B) {
-  return structuralFunTypeEquals(A, B);
-}
-static bool builtEquals(const Size &A, const Size &B) {
-  return A.norm() == B.norm();
-}
 
 static bool nodeHasSkolem(const Pretype &P) {
   return P.flags() & (TF_HasSkolemLoc | TF_HasSkolemType);
@@ -284,52 +584,6 @@ static bool nodeHasSkolem(const FunType &F) {
   return F.flags() & (TF_HasSkolemLoc | TF_HasSkolemType);
 }
 static bool nodeHasSkolem(const Size &) { return false; }
-
-/// Sizeof-based live-memory estimate for Stats::ApproxBytes: the node
-/// object plus its owned vector payloads (children are shared, counted
-/// once at their own intern).
-static uint64_t approxNodeBytes(const Pretype &P) {
-  switch (P.kind()) {
-  case PretypeKind::Prod:
-    return sizeof(ProdPT) + cast<ProdPT>(&P)->elems().size() * sizeof(Type);
-  case PretypeKind::Ref:
-    return sizeof(RefPT);
-  case PretypeKind::Cap:
-    return sizeof(CapPT);
-  case PretypeKind::Skolem:
-    return sizeof(SkolemPT);
-  case PretypeKind::Rec:
-    return sizeof(RecPT);
-  case PretypeKind::ExLoc:
-    return sizeof(ExLocPT);
-  case PretypeKind::Coderef:
-    return sizeof(CoderefPT);
-  default:
-    return sizeof(Pretype);
-  }
-}
-static uint64_t approxNodeBytes(const HeapType &H) {
-  switch (H.kind()) {
-  case HeapTypeKind::Variant:
-    return sizeof(VariantHT) +
-           cast<VariantHT>(&H)->cases().size() * sizeof(Type);
-  case HeapTypeKind::Struct:
-    return sizeof(StructHT) +
-           cast<StructHT>(&H)->fields().size() * sizeof(StructField);
-  case HeapTypeKind::Array:
-    return sizeof(ArrayHT);
-  case HeapTypeKind::Ex:
-    return sizeof(ExHT);
-  }
-  return sizeof(HeapType);
-}
-static uint64_t approxNodeBytes(const FunType &F) {
-  return sizeof(FunType) + F.quants().size() * sizeof(Quant) +
-         (F.arrow().Params.size() + F.arrow().Results.size()) * sizeof(Type);
-}
-static uint64_t approxNodeBytes(const Size &S) {
-  return sizeof(Size) + S.norm().Vars.size() * sizeof(uint32_t);
-}
 
 template <class Ref, class EqFn, class MakeFn>
 static Ref internNode(SpinLock &M, TypeArena::Stats &St,
@@ -350,7 +604,7 @@ static Ref internNode(SpinLock &M, TypeArena::Stats &St,
           return N;
         }
   }
-  Ref N = Make();
+  auto N = Make();
   std::lock_guard<SpinLock> G(M);
   std::vector<Ref> &Bucket = Tab[H];
   for (const Ref &Existing : Bucket)
@@ -372,7 +626,7 @@ static Ref internNode(SpinLock &M, TypeArena::Stats &St,
 //===----------------------------------------------------------------------===//
 
 /// Befriended by the type-node classes so the file-local intern helpers can
-/// fill intern-time metadata on freshly allocated nodes.
+/// build nodes and fill their intern-time metadata.
 struct rw::ir::TypeArenaAccess {
   /// Allocates one canonical size node (no table interaction; callers
   /// guarantee uniqueness per normal form).
@@ -391,19 +645,22 @@ struct rw::ir::TypeArenaAccess {
     return SizeRef(S);
   }
 
-  /// Fills the intern-time metadata of a freshly allocated node.
-  template <class NodeT>
-  static void finalize(NodeT &N, TypeArena *A, uint64_t H, const Meta &M) {
-    N.FB = M.FB;
-    N.Flags = M.Flags;
-    N.H = H;
-    N.Arena = A;
-  }
-
-  template <class NodeT>
-  static void finalizeNC(NodeT &N, const NoCapsBits &NC) {
-    N.NoCapsIfTrue = NC.IfTrue;
-    N.NoCapsDepends = NC.Dep;
+  /// Builds the class-\p C node from its keys and fills its intern-time
+  /// metadata.
+  template <class C, class... K>
+  static std::shared_ptr<const C> newNode(TypeArena *A, uint64_t H,
+                                          K &&...Key) {
+    auto N = std::shared_ptr<C>(new C(ownKey(std::forward<K>(Key))...));
+    MetaAcc Acc = nodeMeta(*N);
+    N->FB = Acc.FB;
+    N->Flags = Acc.Flags;
+    N->H = H;
+    N->Arena = A;
+    if constexpr (!std::is_same_v<C, FunType>) {
+      N->NoCapsIfTrue = Acc.NC.IfTrue;
+      N->NoCapsDepends = Acc.NC.Dep;
+    }
+    return N;
   }
 };
 
@@ -412,16 +669,6 @@ static SizeRef newSizeNode(TypeArena *A, Size::Kind K, uint64_t ConstBits,
                            NormalSize N) {
   return TypeArenaAccess::newSizeNode(A, K, ConstBits, VarIdx, std::move(L),
                                       std::move(R), std::move(N));
-}
-
-template <class NodeT>
-static void finalize(NodeT &N, TypeArena *A, uint64_t H, const Meta &M) {
-  TypeArenaAccess::finalize(N, A, H, M);
-}
-
-template <class NodeT>
-static void finalizeNC(NodeT &N, const NoCapsBits &NC) {
-  TypeArenaAccess::finalizeNC(N, NC);
 }
 
 //===----------------------------------------------------------------------===//
@@ -517,602 +764,139 @@ SizeRef TypeArena::sizePlus(const SizeRef &L, const SizeRef &R) {
 }
 
 //===----------------------------------------------------------------------===//
-// Pretypes
+// Type nodes
 //===----------------------------------------------------------------------===//
 
-PretypeRef TypeArena::unit() {
-  if (const Pretype *P = I->Unit.load(std::memory_order_acquire))
-    return P->shared_from_this();
-  uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Unit), 0);
-  PretypeRef R = internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) { return P.kind() == PretypeKind::Unit; },
-      [&] {
-        auto N = std::shared_ptr<UnitPT>(new UnitPT());
-        finalize(*N, this, H, Meta{});
-        finalizeNC(*N, NoCapsBits{});
-        return N;
-      });
-  I->Unit.store(R.get(), std::memory_order_release);
-  return R;
+// The lock-free cache slot a leaf is published in, for the kinds that have
+// one; every other kind interns through the table alone.
+static std::atomic<const Pretype *> *leafSlot(LeafCaches &L, const UnitPT *) {
+  return &L.Unit;
+}
+static std::atomic<const Pretype *> *leafSlot(LeafCaches &L, const NumPT *,
+                                              NumType NT) {
+  return &L.Nums[static_cast<size_t>(NT)];
+}
+static std::atomic<const Pretype *> *leafSlot(LeafCaches &L, const VarPT *,
+                                              uint32_t Idx) {
+  return Idx < NumVarCache ? &L.TypeVars[Idx] : nullptr;
+}
+template <class... K>
+static std::nullptr_t leafSlot(LeafCaches &, const void *, const K &...) {
+  return nullptr;
 }
 
-PretypeRef TypeArena::num(NumType NT) {
-  std::atomic<const Pretype *> &Slot = I->Nums[static_cast<size_t>(NT)];
-  if (const Pretype *P = Slot.load(std::memory_order_acquire))
-    return P->shared_from_this();
-  uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Num),
-                   static_cast<uint64_t>(NT));
-  PretypeRef R = internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) {
-        return P.kind() == PretypeKind::Num && cast<NumPT>(&P)->numType() == NT;
+// Inlined into each factory, as the per-kind factories' bodies were, so
+// a leaf-cache hit stays a load and a return.
+template <class C, class... K>
+[[gnu::always_inline]] inline NodeRef<C> TypeArena::internKeys(K &&...Key) {
+  auto Slot = leafSlot(I->Leaves, static_cast<const C *>(nullptr), Key...);
+  constexpr bool Cached = !std::is_same_v<decltype(Slot), std::nullptr_t>;
+  if constexpr (Cached)
+    if (Slot)
+      if (const Pretype *P = Slot->load(std::memory_order_acquire))
+        return P->shared_from_this();
+  uint64_t H = hashSeed<C>();
+  ((H = hashInto(H, Key)), ...);
+  if constexpr (sizeof...(K) == 0)
+    H = mix(H, 0);
+  auto &Tab = [&]() -> auto & {
+    if constexpr (std::is_base_of_v<Pretype, C>)
+      return I->PTab;
+    else if constexpr (std::is_base_of_v<HeapType, C>)
+      return I->HTab;
+    else
+      return I->FTab;
+  }();
+  uint64_t &Count = std::is_base_of_v<Pretype, C>    ? I->St.PretypeNodes
+                    : std::is_base_of_v<HeapType, C> ? I->St.HeapTypeNodes
+                                                     : I->St.FunTypeNodes;
+  NodeRef<C> R = internNode(
+      I->M, I->St, Tab, H, Count,
+      [&](const auto &N) {
+        return isNode<C>(N) && fieldsEqual(static_cast<const C &>(N), Key...);
       },
       [&] {
-        auto N = std::shared_ptr<NumPT>(new NumPT(NT));
-        finalize(*N, this, H, Meta{});
-        finalizeNC(*N, NoCapsBits{});
-        return N;
+        return TypeArenaAccess::newNode<C>(this, H, std::forward<K>(Key)...);
       });
-  Slot.store(R.get(), std::memory_order_release);
+  if constexpr (Cached)
+    if (Slot)
+      Slot->store(R.get(), std::memory_order_release);
   return R;
 }
 
-PretypeRef TypeArena::typeVar(uint32_t Idx) {
-  std::atomic<const Pretype *> *Slot =
-      Idx < NumVarCache ? &I->TypeVars[Idx] : nullptr;
-  if (Slot)
-    if (const Pretype *P = Slot->load(std::memory_order_acquire))
-      return P->shared_from_this();
-  uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Var), Idx);
-  PretypeRef R = internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) {
-        return P.kind() == PretypeKind::Var && cast<VarPT>(&P)->index() == Idx;
-      },
-      [&] {
-        auto N = std::shared_ptr<VarPT>(new VarPT(Idx));
-        Meta M;
-        M.FB.Type = Idx + 1;
-        finalize(*N, this, H, M);
-        NoCapsBits NC;
-        NC.IfTrue = true;
-        NC.Dep = true;
-        finalizeNC(*N, NC);
-        return N;
-      });
-  if (Slot)
-    Slot->store(R.get(), std::memory_order_release);
-  return R;
+template <class C> NodeRef<C> TypeArena::intern(FieldValues<C> Vals) {
+  return std::apply(
+      [&](auto &...V) { return internKeys<C>(std::move(V)...); }, Vals);
 }
 
+#define RW_TYPE_INTERN(Kind, Class, Seed)                                      \
+  template NodeRef<Class> TypeArena::intern<Class>(FieldValues<Class>);
+RW_TYPE_KINDS(RW_TYPE_INTERN, RW_TYPE_INTERN)
+#undef RW_TYPE_INTERN
+template FunTypeRef TypeArena::intern<FunType>(FieldValues<FunType>);
+
+PretypeRef TypeArena::unit() { return internKeys<UnitPT>(); }
+PretypeRef TypeArena::num(NumType NT) { return internKeys<NumPT>(NT); }
+PretypeRef TypeArena::typeVar(uint32_t Idx) { return internKeys<VarPT>(Idx); }
 PretypeRef TypeArena::skolem(uint64_t Id, Qual QualLower, SizeRef SizeUpper,
                              bool NoCaps) {
-  uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Skolem), Id);
-  H = mix(H, qualHash(QualLower));
-  H = mix(H, sizePtrHash(SizeUpper));
-  H = mix(H, NoCaps ? 1 : 0);
-  return internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) {
-        if (P.kind() != PretypeKind::Skolem)
-          return false;
-        const auto *S = cast<SkolemPT>(&P);
-        return S->id() == Id && S->qualLower() == QualLower &&
-               S->sizeUpper().get() == SizeUpper.get() &&
-               S->noCaps() == NoCaps;
-      },
-      [&] {
-        auto N = std::shared_ptr<SkolemPT>(new SkolemPT(Id, QualLower,
-                                            std::move(SizeUpper), NoCaps));
-        Meta M;
-        accQual(N->qualLower(), M);
-        accSize(N->sizeUpper(), M);
-        M.Flags |= TF_HasSkolemType;
-        finalize(*N, this, H, M);
-        NoCapsBits NC;
-        NC.IfTrue = N->noCaps();
-        finalizeNC(*N, NC);
-        return N;
-      });
+  return internKeys<SkolemPT>(Id, QualLower, std::move(SizeUpper), NoCaps);
 }
-
 PretypeRef TypeArena::prod(std::vector<Type> Elems) {
-  return prodImpl(Elems.data(), Elems.size(), &Elems);
+  return internKeys<ProdPT>(std::move(Elems));
 }
-
 PretypeRef TypeArena::prodSpan(const Type *Elems, size_t N) {
-  return prodImpl(Elems, N, nullptr);
+  return internKeys<ProdPT>(Span<Type>{Elems, N});
 }
-
 PretypeRef TypeArena::prodSpan(const TypeRef *Elems, size_t N) {
-  return prodImpl(Elems, N, nullptr);
+  return internKeys<ProdPT>(Span<TypeRef>{Elems, N});
 }
-
-/// Re-owns one element for a freshly interned node: owning elements copy,
-/// borrowed ones bump the node's refcount (cold path only — a table hit
-/// never materializes anything).
-static Type ownElem(const Type &T) { return T; }
-static Type ownElem(const TypeRef &T) { return T.own(); }
-
-template <class E>
-PretypeRef TypeArena::prodImpl(const E *Elems, size_t NumElems,
-                               std::vector<Type> *Own) {
-  uint64_t H = mix(0xF0, static_cast<uint64_t>(PretypeKind::Prod));
-  for (size_t J = 0; J < NumElems; ++J)
-    H = mix(H, typePtrHash(Elems[J]));
-  return internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) {
-        if (P.kind() != PretypeKind::Prod)
-          return false;
-        const auto &Have = cast<ProdPT>(&P)->elems();
-        if (Have.size() != NumElems)
-          return false;
-        for (size_t J = 0; J < NumElems; ++J)
-          if (!typeEquals(Have[J], Elems[J]))
-            return false;
-        return true;
-      },
-      [&] {
-        std::vector<Type> OwnV;
-        if (Own) {
-          OwnV = std::move(*Own);
-        } else {
-          OwnV.reserve(NumElems);
-          for (size_t J = 0; J < NumElems; ++J)
-            OwnV.push_back(ownElem(Elems[J]));
-        }
-        auto N = std::shared_ptr<ProdPT>(new ProdPT(std::move(OwnV)));
-        Meta M;
-        NoCapsBits NC;
-        for (const Type &T : N->elems()) {
-          accType(T, M);
-          NC.andWithType(T);
-        }
-        NC.clampTo(M.FB);
-        finalize(*N, this, H, M);
-        finalizeNC(*N, NC);
-        return N;
-      });
-}
-
 PretypeRef TypeArena::ref(Privilege Priv, Loc L, HeapTypeRef HT) {
-  assert(HT && "ref with null heap type");
-  uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Ref),
-                   static_cast<uint64_t>(Priv));
-  H = mix(H, locHash(L));
-  H = mix(H, HT->hashValue());
-  return internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) {
-        if (P.kind() != PretypeKind::Ref)
-          return false;
-        const auto *R = cast<RefPT>(&P);
-        return R->privilege() == Priv && R->loc() == L &&
-               R->heapType().get() == HT.get();
-      },
-      [&] {
-        auto N = std::shared_ptr<RefPT>(new RefPT(Priv, L, std::move(HT)));
-        Meta M;
-        accLoc(N->loc(), M);
-        accHeap(N->heapType(), M);
-        finalize(*N, this, H, M);
-        // A reference pairs its capability with its pointer — exactly the
-        // form the paper allows in GC'd memory, so no_caps holds outright.
-        finalizeNC(*N, NoCapsBits{});
-        return N;
-      });
+  return internKeys<RefPT>(Priv, L, std::move(HT));
 }
-
-PretypeRef TypeArena::ptr(Loc L) {
-  uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Ptr), locHash(L));
-  return internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) {
-        return P.kind() == PretypeKind::Ptr && cast<PtrPT>(&P)->loc() == L;
-      },
-      [&] {
-        auto N = std::shared_ptr<PtrPT>(new PtrPT(L));
-        Meta M;
-        accLoc(L, M);
-        finalize(*N, this, H, M);
-        finalizeNC(*N, NoCapsBits{});
-        return N;
-      });
-}
-
+PretypeRef TypeArena::ptr(Loc L) { return internKeys<PtrPT>(L); }
 PretypeRef TypeArena::cap(Privilege Priv, Loc L, HeapTypeRef HT) {
-  assert(HT && "cap with null heap type");
-  uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Cap),
-                   static_cast<uint64_t>(Priv));
-  H = mix(H, locHash(L));
-  H = mix(H, HT->hashValue());
-  return internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) {
-        if (P.kind() != PretypeKind::Cap)
-          return false;
-        const auto *C = cast<CapPT>(&P);
-        return C->privilege() == Priv && C->loc() == L &&
-               C->heapType().get() == HT.get();
-      },
-      [&] {
-        auto N = std::shared_ptr<CapPT>(new CapPT(Priv, L, std::move(HT)));
-        Meta M;
-        accLoc(N->loc(), M);
-        accHeap(N->heapType(), M);
-        finalize(*N, this, H, M);
-        NoCapsBits NC;
-        NC.IfTrue = false;
-        finalizeNC(*N, NC);
-        return N;
-      });
+  return internKeys<CapPT>(Priv, L, std::move(HT));
 }
-
-PretypeRef TypeArena::own(Loc L) {
-  uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Own), locHash(L));
-  return internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) {
-        return P.kind() == PretypeKind::Own && cast<OwnPT>(&P)->loc() == L;
-      },
-      [&] {
-        auto N = std::shared_ptr<OwnPT>(new OwnPT(L));
-        Meta M;
-        accLoc(L, M);
-        finalize(*N, this, H, M);
-        NoCapsBits NC;
-        NC.IfTrue = false;
-        finalizeNC(*N, NC);
-        return N;
-      });
-}
-
+PretypeRef TypeArena::own(Loc L) { return internKeys<OwnPT>(L); }
 PretypeRef TypeArena::rec(Qual Bound, Type Body) {
-  assert(Body.valid() && "rec with null body");
-  uint64_t H = mix(static_cast<uint64_t>(PretypeKind::Rec), qualHash(Bound));
-  H = mix(H, typePtrHash(Body));
-  return internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) {
-        if (P.kind() != PretypeKind::Rec)
-          return false;
-        const auto *R = cast<RecPT>(&P);
-        return R->bound() == Bound && typeEquals(R->body(), Body);
-      },
-      [&] {
-        auto N = std::shared_ptr<RecPT>(new RecPT(Bound, std::move(Body)));
-        Meta M;
-        accType(N->body(), M);
-        M.FB.Type = decN(M.FB.Type, 1); // One pretype binder.
-        accQual(N->bound(), M);
-        finalize(*N, this, H, M);
-        NoCapsBits NC;
-        NC.andWithType(N->body());
-        NC.clampTo(M.FB);
-        finalizeNC(*N, NC);
-        return N;
-      });
+  return internKeys<RecPT>(Bound, std::move(Body));
 }
-
 PretypeRef TypeArena::exLoc(Type Body) {
-  assert(Body.valid() && "exloc with null body");
-  uint64_t H =
-      mix(static_cast<uint64_t>(PretypeKind::ExLoc), typePtrHash(Body));
-  return internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) {
-        return P.kind() == PretypeKind::ExLoc &&
-               typeEquals(cast<ExLocPT>(&P)->body(), Body);
-      },
-      [&] {
-        auto N = std::shared_ptr<ExLocPT>(new ExLocPT(std::move(Body)));
-        Meta M;
-        accType(N->body(), M);
-        M.FB.Loc = decN(M.FB.Loc, 1); // One location binder.
-        finalize(*N, this, H, M);
-        NoCapsBits NC;
-        NC.andWithType(N->body());
-        NC.clampTo(M.FB);
-        finalizeNC(*N, NC);
-        return N;
-      });
+  return internKeys<ExLocPT>(std::move(Body));
 }
-
 PretypeRef TypeArena::coderef(FunTypeRef FT) {
-  assert(FT && "coderef with null function type");
-  uint64_t H =
-      mix(static_cast<uint64_t>(PretypeKind::Coderef), FT->hashValue());
-  return internNode(
-      I->M, I->St, I->PTab, H, I->St.PretypeNodes,
-      [&](const Pretype &P) {
-        return P.kind() == PretypeKind::Coderef &&
-               cast<CoderefPT>(&P)->funType().get() == FT.get();
-      },
-      [&] {
-        auto N = std::shared_ptr<CoderefPT>(new CoderefPT(std::move(FT)));
-        Meta M;
-        accFun(N->funType(), M);
-        finalize(*N, this, H, M);
-        finalizeNC(*N, NoCapsBits{}); // Code pointers never hold caps.
-        return N;
-      });
+  return internKeys<CoderefPT>(std::move(FT));
 }
-
-//===----------------------------------------------------------------------===//
-// Heap types
-//===----------------------------------------------------------------------===//
 
 HeapTypeRef TypeArena::variant(std::vector<Type> Cases) {
-  return variantImpl(Cases.data(), Cases.size(), &Cases);
+  return internKeys<VariantHT>(std::move(Cases));
 }
-
 HeapTypeRef TypeArena::variantSpan(const Type *Cases, size_t N) {
-  return variantImpl(Cases, N, nullptr);
+  return internKeys<VariantHT>(Span<Type>{Cases, N});
 }
-
 HeapTypeRef TypeArena::variantSpan(const TypeRef *Cases, size_t N) {
-  return variantImpl(Cases, N, nullptr);
+  return internKeys<VariantHT>(Span<TypeRef>{Cases, N});
 }
-
-template <class E>
-HeapTypeRef TypeArena::variantImpl(const E *Cases, size_t NumCases,
-                                   std::vector<Type> *Own) {
-  uint64_t H = mix(0xF1, static_cast<uint64_t>(HeapTypeKind::Variant));
-  for (size_t J = 0; J < NumCases; ++J)
-    H = mix(H, typePtrHash(Cases[J]));
-  return internNode(
-      I->M, I->St, I->HTab, H, I->St.HeapTypeNodes,
-      [&](const HeapType &HT) {
-        if (HT.kind() != HeapTypeKind::Variant)
-          return false;
-        const auto &Have = cast<VariantHT>(&HT)->cases();
-        if (Have.size() != NumCases)
-          return false;
-        for (size_t J = 0; J < NumCases; ++J)
-          if (!typeEquals(Have[J], Cases[J]))
-            return false;
-        return true;
-      },
-      [&] {
-        std::vector<Type> OwnV;
-        if (Own) {
-          OwnV = std::move(*Own);
-        } else {
-          OwnV.reserve(NumCases);
-          for (size_t J = 0; J < NumCases; ++J)
-            OwnV.push_back(ownElem(Cases[J]));
-        }
-        auto N = std::shared_ptr<VariantHT>(new VariantHT(std::move(OwnV)));
-        Meta M;
-        NoCapsBits NC;
-        for (const Type &T : N->cases()) {
-          accType(T, M);
-          NC.andWithType(T);
-        }
-        NC.clampTo(M.FB);
-        finalize(*N, this, H, M);
-        finalizeNC(*N, NC);
-        return N;
-      });
-}
-
 HeapTypeRef TypeArena::structure(std::vector<StructField> Fields) {
-  return structureImpl(Fields.data(), Fields.size(), &Fields);
+  return internKeys<StructHT>(std::move(Fields));
 }
-
 HeapTypeRef TypeArena::structureSpan(const StructField *Fields, size_t N) {
-  return structureImpl(Fields, N, nullptr);
+  return internKeys<StructHT>(Span<StructField>{Fields, N});
 }
-
-/// Uniform raw-slot access over owning and borrowed struct fields, so
-/// the struct recipe below exists exactly once.
-static const Size *slotPtr(const StructField &F) { return F.Slot.get(); }
-static const Size *slotPtr(const StructFieldRef &F) { return F.Slot; }
-static StructField ownField(const StructField &F) { return F; }
-static StructField ownField(const StructFieldRef &F) {
-  return {F.T.own(), F.Slot->shared_from_this()};
-}
-
 HeapTypeRef TypeArena::structureSpan(const StructFieldRef *Fields,
                                      size_t N) {
-  return structureImpl(Fields, N, nullptr);
+  return internKeys<StructHT>(Span<StructFieldRef>{Fields, N});
 }
-
-template <class F>
-HeapTypeRef TypeArena::structureImpl(const F *Fields, size_t NumFields,
-                                     std::vector<StructField> *Own) {
-  uint64_t H = mix(0xF1, static_cast<uint64_t>(HeapTypeKind::Struct));
-  for (size_t J = 0; J < NumFields; ++J) {
-    H = mix(H, typePtrHash(Fields[J].T));
-    const Size *S = slotPtr(Fields[J]);
-    H = mix(H, S ? S->hashValue() : 0xC0FFEE);
-  }
-  return internNode(
-      I->M, I->St, I->HTab, H, I->St.HeapTypeNodes,
-      [&](const HeapType &HT) {
-        if (HT.kind() != HeapTypeKind::Struct)
-          return false;
-        const auto &Have = cast<StructHT>(&HT)->fields();
-        if (Have.size() != NumFields)
-          return false;
-        for (size_t J = 0; J < NumFields; ++J)
-          if (!typeEquals(Have[J].T, Fields[J].T) ||
-              Have[J].Slot.get() != slotPtr(Fields[J]))
-            return false;
-        return true;
-      },
-      [&] {
-        std::vector<StructField> OwnV;
-        if (Own) {
-          OwnV = std::move(*Own);
-        } else {
-          OwnV.reserve(NumFields);
-          for (size_t J = 0; J < NumFields; ++J)
-            OwnV.push_back(ownField(Fields[J]));
-        }
-        auto N = std::shared_ptr<StructHT>(new StructHT(std::move(OwnV)));
-        Meta M;
-        NoCapsBits NC;
-        for (const StructField &Fld : N->fields()) {
-          accType(Fld.T, M);
-          accSize(Fld.Slot, M);
-          NC.andWithType(Fld.T);
-        }
-        NC.clampTo(M.FB);
-        finalize(*N, this, H, M);
-        finalizeNC(*N, NC);
-        return N;
-      });
-}
-
 HeapTypeRef TypeArena::array(Type Elem) {
-  assert(Elem.valid() && "array with null element type");
-  uint64_t H =
-      mix(mix(0xF1, static_cast<uint64_t>(HeapTypeKind::Array)),
-          typePtrHash(Elem));
-  return internNode(
-      I->M, I->St, I->HTab, H, I->St.HeapTypeNodes,
-      [&](const HeapType &HT) {
-        return HT.kind() == HeapTypeKind::Array &&
-               typeEquals(cast<ArrayHT>(&HT)->elem(), Elem);
-      },
-      [&] {
-        auto N = std::shared_ptr<ArrayHT>(new ArrayHT(std::move(Elem)));
-        Meta M;
-        accType(N->elem(), M);
-        finalize(*N, this, H, M);
-        NoCapsBits NC;
-        NC.andWithType(N->elem());
-        NC.clampTo(M.FB);
-        finalizeNC(*N, NC);
-        return N;
-      });
+  return internKeys<ArrayHT>(std::move(Elem));
 }
-
 HeapTypeRef TypeArena::ex(Qual QualLower, SizeRef SizeUpper, Type Body) {
-  assert(Body.valid() && "ex with null body");
-  uint64_t H = mix(mix(0xF1, static_cast<uint64_t>(HeapTypeKind::Ex)),
-                   qualHash(QualLower));
-  H = mix(H, sizePtrHash(SizeUpper));
-  H = mix(H, typePtrHash(Body));
-  return internNode(
-      I->M, I->St, I->HTab, H, I->St.HeapTypeNodes,
-      [&](const HeapType &HT) {
-        if (HT.kind() != HeapTypeKind::Ex)
-          return false;
-        const auto *E = cast<ExHT>(&HT);
-        return E->qualLower() == QualLower &&
-               E->sizeUpper().get() == SizeUpper.get() &&
-               typeEquals(E->body(), Body);
-      },
-      [&] {
-        auto N = std::shared_ptr<ExHT>(new ExHT(QualLower, std::move(SizeUpper),
-                                        std::move(Body)));
-        Meta M;
-        accQual(N->qualLower(), M);
-        accSize(N->sizeUpper(), M);
-        {
-          Meta BodyM;
-          accType(N->body(), BodyM);
-          BodyM.FB.Type = decN(BodyM.FB.Type, 1); // One pretype binder.
-          mergeFB(M.FB, BodyM.FB);
-          M.Flags |= BodyM.Flags;
-        }
-        finalize(*N, this, H, M);
-        NoCapsBits NC;
-        NC.andWithType(N->body()); // The binder's witness is cap-free.
-        NC.clampTo(M.FB);
-        finalizeNC(*N, NC);
-        return N;
-      });
+  return internKeys<ExHT>(QualLower, std::move(SizeUpper), std::move(Body));
 }
-
-//===----------------------------------------------------------------------===//
-// Function types
-//===----------------------------------------------------------------------===//
 
 FunTypeRef TypeArena::fun(std::vector<Quant> Quants, ArrowType Arrow) {
-  uint64_t H = 0xF2;
-  for (const Quant &Q : Quants)
-    H = mix(H, quantHash(Q));
-  H = mix(H, arrowHash(Arrow));
-  return internNode(
-      I->M, I->St, I->FTab, H, I->St.FunTypeNodes,
-      [&](const FunType &F) {
-        if (F.quants().size() != Quants.size())
-          return false;
-        for (size_t J = 0; J < Quants.size(); ++J)
-          if (!quantEquals(F.quants()[J], Quants[J]))
-            return false;
-        return arrowEquals(F.arrow(), Arrow);
-      },
-      [&] {
-        auto N = std::shared_ptr<FunType>(new FunType(std::move(Quants), std::move(Arrow)));
-        Meta M;
-        // Each quantifier's constraints see only the binders declared
-        // before it; free bounds are re-based across those.
-        uint32_t NL = 0, NS = 0, NQ = 0, NT = 0;
-        for (const Quant &Q : N->quants()) {
-          Meta QM;
-          switch (Q.K) {
-          case QuantKind::Loc:
-            break;
-          case QuantKind::Size:
-            for (const SizeRef &S : Q.SizeLower)
-              accSize(S, QM);
-            for (const SizeRef &S : Q.SizeUpper)
-              accSize(S, QM);
-            break;
-          case QuantKind::Qual:
-            for (Qual X : Q.QualLower)
-              accQual(X, QM);
-            for (Qual X : Q.QualUpper)
-              accQual(X, QM);
-            break;
-          case QuantKind::Type:
-            accQual(Q.TypeQualLower, QM);
-            accSize(Q.TypeSizeUpper, QM);
-            break;
-          }
-          FreeBounds Rebased;
-          Rebased.Loc = decN(QM.FB.Loc, NL);
-          Rebased.Size = decN(QM.FB.Size, NS);
-          Rebased.Qual = decN(QM.FB.Qual, NQ);
-          Rebased.Type = decN(QM.FB.Type, NT);
-          mergeFB(M.FB, Rebased);
-          M.Flags |= QM.Flags;
-          switch (Q.K) {
-          case QuantKind::Loc:
-            ++NL;
-            break;
-          case QuantKind::Size:
-            ++NS;
-            break;
-          case QuantKind::Qual:
-            ++NQ;
-            break;
-          case QuantKind::Type:
-            ++NT;
-            break;
-          }
-        }
-        Meta AM;
-        for (const Type &T : N->arrow().Params)
-          accType(T, AM);
-        for (const Type &T : N->arrow().Results)
-          accType(T, AM);
-        FreeBounds Rebased;
-        Rebased.Loc = decN(AM.FB.Loc, NL);
-        Rebased.Size = decN(AM.FB.Size, NS);
-        Rebased.Qual = decN(AM.FB.Qual, NQ);
-        Rebased.Type = decN(AM.FB.Type, NT);
-        mergeFB(M.FB, Rebased);
-        M.Flags |= AM.Flags;
-        finalize(*N, this, H, M);
-        return N;
-      });
+  return internKeys<FunType>(std::move(Quants), std::move(Arrow));
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,6 +16,14 @@
 /// (closed-type sizing, no_caps bits, rewrite short-circuiting) layered on
 /// the per-node metadata.
 ///
+/// There is one interning recipe for all type nodes, read from each
+/// class's field list (ir/Types.h): the hash, the probe equality, the
+/// free bounds and flags (taking one off a bound per marked binder), the
+/// no_caps bits and the size estimate all fold over `C::fields()`. A
+/// kind's own rule (a variable is free in its index, a skolem is flagged,
+/// capabilities and ownership tokens are never capability-free) is one
+/// small overload in TypeArena.cpp.
+///
 /// Invariants:
 ///  * Sizes are canonicalized to +-normal form at intern time; the arena
 ///    interns one node per normal form.
@@ -42,7 +50,6 @@
 #include "ir/Types.h"
 
 #include <memory>
-#include <type_traits>
 
 namespace rw::ir {
 
@@ -62,9 +69,11 @@ public:
   /// ArenaScope on this thread, or global() when none is active.
   static TypeArena &current();
 
-  /// Generic interning entry point, `Arena.get<XxxPT>(args...)`; dispatches
-  /// to the kind-specific interners below.
-  template <class T, class... Args> auto get(Args &&...args);
+  /// Interns the class-\p C node (a pretype or heap-type class, or
+  /// FunType) with the given field values, in `C::fields()` order — the
+  /// entry point of the structural walks (the serial reader and the
+  /// rewriter). The named factories below are shorthands for it.
+  template <class C> NodeRef<C> intern(FieldValues<C> Vals);
 
   // Pretypes.
   PretypeRef unit();
@@ -153,19 +162,11 @@ public:
   Stats stats() const;
 
 private:
-  /// One interning recipe each for prod/variant/struct, shared between the
-  /// owning (Type/StructField) and borrowed (TypeRef/StructFieldRef) span
-  /// probes — the hash seed, probe predicate, and metadata finalization
-  /// must stay identical or one structural identity interns twice, so
-  /// there is exactly one copy. Defined (and only instantiated) in
-  /// TypeArena.cpp.
-  template <class E>
-  PretypeRef prodImpl(const E *Elems, size_t N, std::vector<Type> *Own);
-  template <class E>
-  HeapTypeRef variantImpl(const E *Cases, size_t N, std::vector<Type> *Own);
-  template <class F>
-  HeapTypeRef structureImpl(const F *Fields, size_t N,
-                            std::vector<StructField> *Own);
+  /// The one interning recipe, read from `C::fields()`: \p Key holds one
+  /// value per field — owned, or for a vector field a borrowed span the
+  /// table is probed with directly (copied into a node only on a miss).
+  /// Defined (and only instantiated) in TypeArena.cpp.
+  template <class C, class... K> NodeRef<C> internKeys(K &&...Key);
 
   struct Impl;
   std::unique_ptr<Impl> I;
@@ -182,47 +183,6 @@ public:
 private:
   TypeArena *Prev;
 };
-
-template <class T, class... Args> auto TypeArena::get(Args &&...args) {
-  if constexpr (std::is_same_v<T, UnitPT>)
-    return unit();
-  else if constexpr (std::is_same_v<T, NumPT>)
-    return num(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, VarPT>)
-    return typeVar(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, SkolemPT>)
-    return skolem(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, ProdPT>)
-    return prod(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, RefPT>)
-    return ref(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, PtrPT>)
-    return ptr(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, CapPT>)
-    return cap(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, OwnPT>)
-    return own(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, RecPT>)
-    return rec(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, ExLocPT>)
-    return exLoc(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, CoderefPT>)
-    return coderef(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, VariantHT>)
-    return variant(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, StructHT>)
-    return structure(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, ArrayHT>)
-    return array(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, ExHT>)
-    return ex(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, FunType>)
-    return fun(std::forward<Args>(args)...);
-  else if constexpr (std::is_same_v<T, Size>)
-    return sizeFromNormal(std::forward<Args>(args)...);
-  else
-    static_assert(!sizeof(T *), "not an internable type node");
-}
 
 } // namespace rw::ir
 

@@ -138,8 +138,8 @@ bool rw::ir::structuralHeapTypeEquals(const HeapType &A, const HeapType &B) {
     return structuralTypesEqual(cast<VariantHT>(&A)->cases(),
                                 cast<VariantHT>(&B)->cases());
   case HeapTypeKind::Struct: {
-    const auto &FA = cast<StructHT>(&A)->fields();
-    const auto &FB = cast<StructHT>(&B)->fields();
+    const auto &FA = cast<StructHT>(&A)->structFields();
+    const auto &FB = cast<StructHT>(&B)->structFields();
     if (FA.size() != FB.size())
       return false;
     for (size_t I = 0, E = FA.size(); I != E; ++I)
@@ -306,7 +306,7 @@ bool rw::ir::heapTypeNoCaps(const HeapType *H,
         return false;
     return true;
   case HeapTypeKind::Struct:
-    for (const StructField &F : cast<StructHT>(H)->fields())
+    for (const StructField &F : cast<StructHT>(H)->structFields())
       if (!typeNoCaps(F.T, VarNoCaps))
         return false;
     return true;

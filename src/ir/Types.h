@@ -24,9 +24,17 @@
 ///
 /// Variables of every kind (location, size, qualifier, pretype) are de
 /// Bruijn indices in their own index space, mirroring the paper's separate
-/// context components. Pretypes form an LLVM-style class hierarchy
-/// discriminated by PretypeKind, usable with isa/cast/dyn_cast from
-/// support/Casting.h.
+/// context components. Pretypes and heap types form LLVM-style class
+/// hierarchies discriminated by PretypeKind/HeapTypeKind, usable with
+/// isa/cast/dyn_cast from support/Casting.h.
+///
+/// Each node's payload is described once. RW_TYPE_KINDS maps every kind to
+/// its class, and each class (and FunType) lists its members in `fields()`,
+/// in constructor order, marking the fields that sit under a binder. The
+/// structural layers read nothing else: TypeArena hashes, probes and
+/// computes metadata from the list, serial/Serial.cpp writes and reads the
+/// type table from it, and TypeRewriter rewrites field by field, entering
+/// the marked binders. Instructions (ir/Inst.h) share the Field machinery.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +49,8 @@
 
 #include <atomic>
 #include <memory>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -141,23 +151,113 @@ struct TypeRef {
 enum class Privilege : uint8_t { R = 0, RW = 1 };
 
 //===----------------------------------------------------------------------===//
-// Pretypes
+// Field lists
 //===----------------------------------------------------------------------===//
 
-enum class PretypeKind : uint8_t {
-  Unit,
-  Num,
-  Var,
-  Skolem,
-  Prod,
-  Ref,
-  Ptr,
-  Cap,
-  Own,
-  Rec,
-  ExLoc,
-  Coderef,
+/// The binder a field's contents sit under. The body of `rec`, `∃α` (and
+/// of exist.unpack) binds one pretype variable, that of `∃ρ` (and of
+/// mem.unpack) one location variable. A field marked Quants is a
+/// quantifier list: each quantifier binds one variable of its kind in the
+/// quantifiers after it and in every later field of the node (a function
+/// type's arrow).
+enum class Binder : uint8_t { None, Loc, Pretype, Quants };
+
+/// One payload member of a type node, an instruction, or a record the wire
+/// format writes. Name labels the field in decoder diagnostics: what a
+/// u32 or enum field holds, what a vector field counts, or what an
+/// optional field's presence flag says; Item labels a vector's (or an
+/// optional's) u32 elements.
+template <class C, class T> struct Field {
+  T C::*Member;
+  const char *Name = nullptr;
+  const char *Item = nullptr;
+  Binder Binds = Binder::None;
 };
+
+template <class C, class T>
+constexpr Field<C, T> field(T C::*Member, const char *Name = nullptr,
+                            const char *Item = nullptr) {
+  return {Member, Name, Item, Binder::None};
+}
+template <class C, class T>
+constexpr Field<C, T> field(T C::*Member, Binder Binds) {
+  return {Member, nullptr, nullptr, Binds};
+}
+
+/// The tuple of value types a field list holds, in list order.
+template <class L> struct FieldValuesOf;
+template <class... Cs, class... Ts>
+struct FieldValuesOf<std::tuple<Field<Cs, Ts>...>> {
+  using type = std::tuple<Ts...>;
+};
+template <class C>
+using FieldValues = typename FieldValuesOf<decltype(C::fields())>::type;
+
+/// A class or record that lists its fields.
+template <class T>
+concept HasFields = requires { T::fields(); };
+
+//===----------------------------------------------------------------------===//
+// Node kinds
+//===----------------------------------------------------------------------===//
+
+/// Every pretype and heap-type kind with the class that represents it, and
+/// the seed its structural hash starts from (0: the bare kind; otherwise
+/// mix(seed, kind)). A row's position is its kind value, which the wire
+/// format writes (tags 0x10 + PretypeKind, 0x30 + HeapTypeKind), so rows
+/// are only ever appended.
+#define RW_TYPE_KINDS(PRE, HEAP)                                               \
+  PRE(Unit, UnitPT, 0)                                                         \
+  PRE(Num, NumPT, 0)                                                           \
+  PRE(Var, VarPT, 0)                                                           \
+  PRE(Skolem, SkolemPT, 0)                                                     \
+  PRE(Prod, ProdPT, 0xF0)                                                      \
+  PRE(Ref, RefPT, 0)                                                           \
+  PRE(Ptr, PtrPT, 0)                                                           \
+  PRE(Cap, CapPT, 0)                                                           \
+  PRE(Own, OwnPT, 0)                                                           \
+  PRE(Rec, RecPT, 0)                                                           \
+  PRE(ExLoc, ExLocPT, 0)                                                       \
+  PRE(Coderef, CoderefPT, 0)                                                   \
+  HEAP(Variant, VariantHT, 0xF1)                                               \
+  HEAP(Struct, StructHT, 0xF1)                                                 \
+  HEAP(Array, ArrayHT, 0xF1)                                                   \
+  HEAP(Ex, ExHT, 0xF1)
+
+#define RW_TYPE_SKIP(Kind, Class, Seed)
+#define RW_TYPE_ENUM(Kind, Class, Seed) Kind,
+enum class PretypeKind : uint8_t { RW_TYPE_KINDS(RW_TYPE_ENUM, RW_TYPE_SKIP) };
+enum class HeapTypeKind : uint8_t { RW_TYPE_KINDS(RW_TYPE_SKIP, RW_TYPE_ENUM) };
+#undef RW_TYPE_ENUM
+
+#define RW_TYPE_COUNT(Kind, Class, Seed) +1
+constexpr unsigned NumPretypeKinds = RW_TYPE_KINDS(RW_TYPE_COUNT, RW_TYPE_SKIP);
+constexpr unsigned NumHeapTypeKinds = RW_TYPE_KINDS(RW_TYPE_SKIP, RW_TYPE_COUNT);
+#undef RW_TYPE_COUNT
+
+#define RW_TYPE_DECLARE(Kind, Class, Seed) class Class;
+RW_TYPE_KINDS(RW_TYPE_DECLARE, RW_TYPE_DECLARE)
+#undef RW_TYPE_DECLARE
+
+/// A node class's row: its kind and its hash seed.
+template <class C> struct TypeRow;
+#define RW_PRE_ROW(K, Class, Seed)                                             \
+  template <> struct TypeRow<Class> {                                          \
+    static constexpr PretypeKind Kind = PretypeKind::K;                        \
+    static constexpr uint64_t HashSeed = Seed;                                 \
+  };
+#define RW_HEAP_ROW(K, Class, Seed)                                            \
+  template <> struct TypeRow<Class> {                                          \
+    static constexpr HeapTypeKind Kind = HeapTypeKind::K;                      \
+    static constexpr uint64_t HashSeed = Seed;                                 \
+  };
+RW_TYPE_KINDS(RW_PRE_ROW, RW_HEAP_ROW)
+#undef RW_PRE_ROW
+#undef RW_HEAP_ROW
+
+//===----------------------------------------------------------------------===//
+// Pretypes
+//===----------------------------------------------------------------------===//
 
 /// Base class of all pretypes. Construct via TypeArena (or the free factory
 /// helpers below, which intern into the current arena) — never directly —
@@ -211,50 +311,52 @@ private:
 
 inline Type TypeRef::own() const { return Type(P->shared_from_this(), Q); }
 
-/// The unit pretype; its only value is `()` and its size is 0.
-class UnitPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  UnitPT() : Pretype(PretypeKind::Unit) {}
-
+/// Base of the pretype class \p C: its kind from RW_TYPE_KINDS, and the
+/// classof that isa/cast/dyn_cast read.
+template <class C> class PretypeNode : public Pretype {
 public:
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::Unit;
-  }
+  static constexpr PretypeKind Kind = TypeRow<C>::Kind;
+  static bool classof(const Pretype *P) { return P->kind() == Kind; }
+
+protected:
+  PretypeNode() : Pretype(Kind) {}
+};
+
+/// The unit pretype; its only value is `()` and its size is 0.
+class UnitPT : public PretypeNode<UnitPT> {
+public:
+  static constexpr auto fields() { return std::tuple{}; }
+
+private:
+  friend struct TypeArenaAccess;
+  UnitPT() = default;
 };
 
 /// A numeric pretype np.
-class NumPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  explicit NumPT(NumType NT) : Pretype(PretypeKind::Num), NT(NT) {}
-
+class NumPT : public PretypeNode<NumPT> {
 public:
   NumType numType() const { return NT; }
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::Num;
+  static constexpr auto fields() {
+    return std::tuple{field(&NumPT::NT, "numeric type")};
   }
 
 private:
+  friend struct TypeArenaAccess;
+  explicit NumPT(NumType NT) : NT(NT) {}
   NumType NT;
 };
 
 /// A pretype variable α (de Bruijn index into the type context).
-class VarPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  explicit VarPT(uint32_t Idx) : Pretype(PretypeKind::Var), Idx(Idx) {}
-
+class VarPT : public PretypeNode<VarPT> {
 public:
   uint32_t index() const { return Idx; }
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::Var;
+  static constexpr auto fields() {
+    return std::tuple{field(&VarPT::Idx, "pretype variable")};
   }
 
 private:
+  friend struct TypeArenaAccess;
+  explicit VarPT(uint32_t Idx) : Idx(Idx) {}
   uint32_t Idx;
 };
 
@@ -265,24 +367,26 @@ private:
 /// interning and for structural equality — is (Id, bounds): the checker
 /// mints per-check-fresh ids, while the lowering reuses id 0 with varying
 /// bounds, and the bounds keep those distinct.
-class SkolemPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  SkolemPT(uint64_t Id, Qual QualLower, SizeRef SizeUpper, bool NoCaps)
-      : Pretype(PretypeKind::Skolem), Id(Id), QualLower(QualLower),
-        SizeUpper(std::move(SizeUpper)), NoCaps(NoCaps) {}
-
+class SkolemPT : public PretypeNode<SkolemPT> {
 public:
   uint64_t id() const { return Id; }
   Qual qualLower() const { return QualLower; }
   const SizeRef &sizeUpper() const { return SizeUpper; }
   bool noCaps() const { return NoCaps; }
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::Skolem;
+  static constexpr auto fields() {
+    return std::tuple{field(&SkolemPT::Id), field(&SkolemPT::QualLower),
+                      field(&SkolemPT::SizeUpper),
+                      field(&SkolemPT::NoCaps, "no-caps")};
   }
+  /// Rewriting (ir/Rewrite.h) returns a skolem as it is, bounds included:
+  /// it stands for one fixed, already-opened witness.
+  static constexpr bool Opaque = true;
 
 private:
+  friend struct TypeArenaAccess;
+  SkolemPT(uint64_t Id, Qual QualLower, SizeRef SizeUpper, bool NoCaps)
+      : Id(Id), QualLower(QualLower), SizeUpper(std::move(SizeUpper)),
+        NoCaps(NoCaps) {}
   uint64_t Id;
   Qual QualLower;
   SizeRef SizeUpper;
@@ -290,166 +394,135 @@ private:
 };
 
 /// A tuple pretype (τ*). Produced by seq.group; consumed by seq.ungroup.
-class ProdPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  explicit ProdPT(std::vector<Type> Elems)
-      : Pretype(PretypeKind::Prod), Elems(std::move(Elems)) {}
-
+class ProdPT : public PretypeNode<ProdPT> {
 public:
   const std::vector<Type> &elems() const { return Elems; }
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::Prod;
+  static constexpr auto fields() {
+    return std::tuple{field(&ProdPT::Elems, "tuple element")};
   }
 
 private:
+  friend struct TypeArenaAccess;
+  explicit ProdPT(std::vector<Type> Elems) : Elems(std::move(Elems)) {}
   std::vector<Type> Elems;
 };
 
 /// A reference `ref π ℓ ψ`: the fusion of a capability and a pointer to
 /// location ℓ, holding heap type ψ with privilege π.
-class RefPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  RefPT(Privilege Priv, Loc L, HeapTypeRef HT)
-      : Pretype(PretypeKind::Ref), Priv(Priv), L(L), HT(std::move(HT)) {}
-
+class RefPT : public PretypeNode<RefPT> {
 public:
   Privilege privilege() const { return Priv; }
   const Loc &loc() const { return L; }
   const HeapTypeRef &heapType() const { return HT; }
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::Ref;
+  static constexpr auto fields() {
+    return std::tuple{field(&RefPT::Priv, "privilege"), field(&RefPT::L),
+                      field(&RefPT::HT)};
   }
 
 private:
+  friend struct TypeArenaAccess;
+  RefPT(Privilege Priv, Loc L, HeapTypeRef HT)
+      : Priv(Priv), L(L), HT(std::move(HT)) {}
   Privilege Priv;
   Loc L;
   HeapTypeRef HT;
 };
 
 /// A bare pointer `ptr ℓ`: names a location but confers no access.
-class PtrPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  explicit PtrPT(Loc L) : Pretype(PretypeKind::Ptr), L(L) {}
-
+class PtrPT : public PretypeNode<PtrPT> {
 public:
   const Loc &loc() const { return L; }
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::Ptr;
-  }
+  static constexpr auto fields() { return std::tuple{field(&PtrPT::L)}; }
 
 private:
+  friend struct TypeArenaAccess;
+  explicit PtrPT(Loc L) : L(L) {}
   Loc L;
 };
 
 /// A capability `cap π ℓ ψ`: static ownership of ℓ, erased at runtime.
-class CapPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  CapPT(Privilege Priv, Loc L, HeapTypeRef HT)
-      : Pretype(PretypeKind::Cap), Priv(Priv), L(L), HT(std::move(HT)) {}
-
+class CapPT : public PretypeNode<CapPT> {
 public:
   Privilege privilege() const { return Priv; }
   const Loc &loc() const { return L; }
   const HeapTypeRef &heapType() const { return HT; }
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::Cap;
+  static constexpr auto fields() {
+    return std::tuple{field(&CapPT::Priv, "privilege"), field(&CapPT::L),
+                      field(&CapPT::HT)};
   }
 
 private:
+  friend struct TypeArenaAccess;
+  CapPT(Privilege Priv, Loc L, HeapTypeRef HT)
+      : Priv(Priv), L(L), HT(std::move(HT)) {}
   Privilege Priv;
   Loc L;
   HeapTypeRef HT;
 };
 
 /// An ownership token `own ℓ`: write ownership split off a rw capability.
-class OwnPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  explicit OwnPT(Loc L) : Pretype(PretypeKind::Own), L(L) {}
-
+class OwnPT : public PretypeNode<OwnPT> {
 public:
   const Loc &loc() const { return L; }
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::Own;
-  }
+  static constexpr auto fields() { return std::tuple{field(&OwnPT::L)}; }
 
 private:
+  friend struct TypeArenaAccess;
+  explicit OwnPT(Loc L) : L(L) {}
   Loc L;
 };
 
 /// An isorecursive type `rec q ⪯ α. τ`. The bound q constrains the
 /// qualifiers of the positions the recursive variable may be unfolded into.
 /// Binds one pretype variable in Body.
-class RecPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  RecPT(Qual Bound, Type Body)
-      : Pretype(PretypeKind::Rec), Bound(Bound), Body(std::move(Body)) {}
-
+class RecPT : public PretypeNode<RecPT> {
 public:
   Qual bound() const { return Bound; }
   const Type &body() const { return Body; }
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::Rec;
+  static constexpr auto fields() {
+    return std::tuple{field(&RecPT::Bound),
+                      field(&RecPT::Body, Binder::Pretype)};
   }
 
 private:
+  friend struct TypeArenaAccess;
+  RecPT(Qual Bound, Type Body) : Bound(Bound), Body(std::move(Body)) {}
   Qual Bound;
   Type Body;
 };
 
 /// Existential abstraction over a location: `∃ρ. τ`. Binds one location
 /// variable in Body.
-class ExLocPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  explicit ExLocPT(Type Body)
-      : Pretype(PretypeKind::ExLoc), Body(std::move(Body)) {}
-
+class ExLocPT : public PretypeNode<ExLocPT> {
 public:
   const Type &body() const { return Body; }
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::ExLoc;
+  static constexpr auto fields() {
+    return std::tuple{field(&ExLocPT::Body, Binder::Loc)};
   }
 
 private:
+  friend struct TypeArenaAccess;
+  explicit ExLocPT(Type Body) : Body(std::move(Body)) {}
   Type Body;
 };
 
 /// A code pointer type `coderef χ`.
-class CoderefPT : public Pretype {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  explicit CoderefPT(FunTypeRef FT)
-      : Pretype(PretypeKind::Coderef), FT(std::move(FT)) {}
-
+class CoderefPT : public PretypeNode<CoderefPT> {
 public:
   const FunTypeRef &funType() const { return FT; }
-  static bool classof(const Pretype *P) {
-    return P->kind() == PretypeKind::Coderef;
+  static constexpr auto fields() {
+    return std::tuple{field(&CoderefPT::FT)};
   }
 
 private:
+  friend struct TypeArenaAccess;
+  explicit CoderefPT(FunTypeRef FT) : FT(std::move(FT)) {}
   FunTypeRef FT;
 };
 
 //===----------------------------------------------------------------------===//
 // Heap types
 //===----------------------------------------------------------------------===//
-
-enum class HeapTypeKind : uint8_t { Variant, Struct, Array, Ex };
 
 /// Base class of heap types ψ, describing the structured contents of one
 /// memory cell. Interned like pretypes; carries the same metadata.
@@ -480,21 +553,27 @@ private:
   TypeArena *Arena = nullptr;
 };
 
-/// `(variant τ*)` — a tagged sum over the listed case types.
-class VariantHT : public HeapType {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  explicit VariantHT(std::vector<Type> Cases)
-      : HeapType(HeapTypeKind::Variant), Cases(std::move(Cases)) {}
+/// Base of the heap-type class \p C, as PretypeNode is for pretypes.
+template <class C> class HeapTypeNode : public HeapType {
+public:
+  static constexpr HeapTypeKind Kind = TypeRow<C>::Kind;
+  static bool classof(const HeapType *H) { return H->kind() == Kind; }
 
+protected:
+  HeapTypeNode() : HeapType(Kind) {}
+};
+
+/// `(variant τ*)` — a tagged sum over the listed case types.
+class VariantHT : public HeapTypeNode<VariantHT> {
 public:
   const std::vector<Type> &cases() const { return Cases; }
-  static bool classof(const HeapType *H) {
-    return H->kind() == HeapTypeKind::Variant;
+  static constexpr auto fields() {
+    return std::tuple{field(&VariantHT::Cases, "variant case")};
   }
 
 private:
+  friend struct TypeArenaAccess;
+  explicit VariantHT(std::vector<Type> Cases) : Cases(std::move(Cases)) {}
   std::vector<Type> Cases;
 };
 
@@ -504,6 +583,10 @@ private:
 struct StructField {
   Type T;
   SizeRef Slot;
+
+  static constexpr auto fields() {
+    return std::tuple{field(&StructField::T), field(&StructField::Slot)};
+  }
 };
 
 /// Borrowed view of one struct field (checker scratch for the arena's
@@ -514,65 +597,80 @@ struct StructFieldRef {
 };
 
 /// `(struct (τ,sz)*)`.
-class StructHT : public HeapType {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  explicit StructHT(std::vector<StructField> Fields)
-      : HeapType(HeapTypeKind::Struct), Fields(std::move(Fields)) {}
-
+class StructHT : public HeapTypeNode<StructHT> {
 public:
-  const std::vector<StructField> &fields() const { return Fields; }
-  static bool classof(const HeapType *H) {
-    return H->kind() == HeapTypeKind::Struct;
+  const std::vector<StructField> &structFields() const { return Fields; }
+  static constexpr auto fields() {
+    return std::tuple{field(&StructHT::Fields, "struct field")};
   }
 
 private:
+  friend struct TypeArenaAccess;
+  explicit StructHT(std::vector<StructField> Fields)
+      : Fields(std::move(Fields)) {}
   std::vector<StructField> Fields;
 };
 
 /// `(array τ)` — a variable-length array of τ.
-class ArrayHT : public HeapType {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  explicit ArrayHT(Type Elem)
-      : HeapType(HeapTypeKind::Array), Elem(std::move(Elem)) {}
-
+class ArrayHT : public HeapTypeNode<ArrayHT> {
 public:
   const Type &elem() const { return Elem; }
-  static bool classof(const HeapType *H) {
-    return H->kind() == HeapTypeKind::Array;
-  }
+  static constexpr auto fields() { return std::tuple{field(&ArrayHT::Elem)}; }
 
 private:
+  friend struct TypeArenaAccess;
+  explicit ArrayHT(Type Elem) : Elem(std::move(Elem)) {}
   Type Elem;
 };
 
 /// `(∃ q ⪯ α ≲ sz. τ)` — a heap-allocated existential package abstracting a
 /// pretype with a qualifier lower bound and a size upper bound. Binds one
 /// pretype variable in Body.
-class ExHT : public HeapType {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  ExHT(Qual QualLower, SizeRef SizeUpper, Type Body)
-      : HeapType(HeapTypeKind::Ex), QualLower(QualLower),
-        SizeUpper(std::move(SizeUpper)), Body(std::move(Body)) {}
-
+class ExHT : public HeapTypeNode<ExHT> {
 public:
   Qual qualLower() const { return QualLower; }
   const SizeRef &sizeUpper() const { return SizeUpper; }
   const Type &body() const { return Body; }
-  static bool classof(const HeapType *H) {
-    return H->kind() == HeapTypeKind::Ex;
+  static constexpr auto fields() {
+    return std::tuple{field(&ExHT::QualLower), field(&ExHT::SizeUpper),
+                      field(&ExHT::Body, Binder::Pretype)};
   }
 
 private:
+  friend struct TypeArenaAccess;
+  ExHT(Qual QualLower, SizeRef SizeUpper, Type Body)
+      : QualLower(QualLower), SizeUpper(std::move(SizeUpper)),
+        Body(std::move(Body)) {}
   Qual QualLower;
   SizeRef SizeUpper;
   Type Body;
 };
+
+/// Calls `F.template operator()<C>()` with the class \p C that represents
+/// pretype kind \p K.
+template <class Fn> decltype(auto) visitTypeClass(PretypeKind K, Fn &&F) {
+  switch (K) {
+#define RW_TYPE_VISIT(Kind, Class, Seed)                                       \
+  case PretypeKind::Kind:                                                      \
+    return F.template operator()<Class>();
+    RW_TYPE_KINDS(RW_TYPE_VISIT, RW_TYPE_SKIP)
+  }
+  __builtin_unreachable();
+}
+
+/// Calls `F.template operator()<C>()` with the class \p C that represents
+/// heap-type kind \p K.
+template <class Fn> decltype(auto) visitTypeClass(HeapTypeKind K, Fn &&F) {
+  switch (K) {
+#define RW_HEAP_VISIT(Kind, Class, Seed)                                       \
+  case HeapTypeKind::Kind:                                                     \
+    return F.template operator()<Class>();
+    RW_TYPE_KINDS(RW_TYPE_SKIP, RW_HEAP_VISIT)
+#undef RW_HEAP_VISIT
+  }
+  __builtin_unreachable();
+}
+#undef RW_TYPE_VISIT
 
 //===----------------------------------------------------------------------===//
 // Quantifiers and function types
@@ -582,7 +680,9 @@ private:
 enum class QuantKind : uint8_t { Loc, Size, Qual, Type };
 
 /// One quantifier κ with its constraints. Constraint expressions may refer
-/// to *earlier* binders in the same quantifier list.
+/// to *earlier* binders in the same quantifier list. Which members are
+/// meaningful depends on K, so the structural walks read a quantifier with
+/// one kind switch each rather than from a field list.
 struct Quant {
   QuantKind K = QuantKind::Loc;
 
@@ -666,6 +766,11 @@ struct Index {
 struct ArrowType {
   std::vector<Type> Params;
   std::vector<Type> Results;
+
+  static constexpr auto fields() {
+    return std::tuple{field(&ArrowType::Params, "parameter"),
+                      field(&ArrowType::Results, "result")};
+  }
 };
 
 /// A (possibly polymorphic) function type χ = ∀κ*. τ1* → τ2*. The
@@ -673,15 +778,13 @@ struct ArrowType {
 /// de Bruijn index 0 inside the arrow. Interned; FunType::get is the
 /// canonicalizing constructor.
 class FunType {
-private:
-  friend class TypeArena;
-  friend struct TypeArenaAccess;
-  FunType(std::vector<Quant> Quants, ArrowType Arrow)
-      : Quants(std::move(Quants)), Arrow(std::move(Arrow)) {}
-
 public:
   const std::vector<Quant> &quants() const { return Quants; }
   const ArrowType &arrow() const { return Arrow; }
+  static constexpr auto fields() {
+    return std::tuple{field(&FunType::Quants, Binder::Quants),
+                      field(&FunType::Arrow)};
+  }
 
   const FreeBounds &freeBounds() const { return FB; }
   uint8_t flags() const { return Flags; }
@@ -692,6 +795,11 @@ public:
   static FunTypeRef get(std::vector<Quant> Quants, ArrowType Arrow);
 
 private:
+  friend class TypeArena;
+  friend struct TypeArenaAccess;
+  FunType(std::vector<Quant> Quants, ArrowType Arrow)
+      : Quants(std::move(Quants)), Arrow(std::move(Arrow)) {}
+
   std::vector<Quant> Quants;
   ArrowType Arrow;
   uint8_t Flags = 0;
@@ -702,6 +810,13 @@ private:
   /// (see TypeArena::isKnownWfFun).
   mutable std::atomic<uint8_t> WfMemo{0};
 };
+
+/// The owning reference to a node of class \p C: PretypeRef, HeapTypeRef
+/// or FunTypeRef.
+template <class C>
+using NodeRef = std::shared_ptr<const std::conditional_t<
+    std::is_base_of_v<Pretype, C>, Pretype,
+    std::conditional_t<std::is_base_of_v<HeapType, C>, HeapType, FunType>>>;
 
 //===----------------------------------------------------------------------===//
 // Factory helpers (intern into the current TypeArena)
@@ -742,9 +857,11 @@ inline Type i64T(Qual Q = Qual::unr()) { return numT(NumType::I64, Q); }
 /// every node is hash-consed, these are *pointer comparisons*: within one
 /// arena, structurally equal types are the same node. Comparing types from
 /// two different arenas yields false even for structurally equal trees —
-/// intern interacting modules into a shared arena (the default: all modules
-/// use TypeArena::global()). The deep-walking reference implementations
-/// survive as structural*Equals in ir/TypeOps.h for differential tests.
+/// modules that interact must share an arena. Modules built in-process
+/// default to TypeArena::global(); an admission reads and checks its module
+/// in a private arena, and linking rejects a set that mixes arenas
+/// (DESIGN.md §7). The deep-walking reference implementations survive as
+/// structural*Equals in ir/TypeOps.h for differential tests.
 inline bool pretypeEquals(const Pretype &A, const Pretype &B) {
   return &A == &B;
 }

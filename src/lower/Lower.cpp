@@ -1279,12 +1279,12 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
       return Error("struct access without struct reference type");
     uint32_t Off = 0;
     for (uint32_t J = 0; J < SG->fieldIndex(); ++J) {
-      Expected<uint32_t> SB = slotBytes(H->fields()[J].Slot);
+      Expected<uint32_t> SB = slotBytes(H->structFields()[J].Slot);
       if (!SB)
         return SB.error();
       Off += *SB;
     }
-    const Type &FieldT = H->fields()[SG->fieldIndex()].T;
+    const Type &FieldT = H->structFields()[SG->fieldIndex()].T;
     Expected<std::vector<ValType>> FR = rep(FieldT);
     if (!FR)
       return FR.error();
@@ -1315,7 +1315,7 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     Expected<std::vector<bool>> NewM = refMaskOfType(NewT, Bounds);
     if (!OldM || !NewM)
       return Error("bad pointer masks");
-    Expected<uint32_t> SlotB = slotBytes(H->fields()[SG->fieldIndex()].Slot);
+    Expected<uint32_t> SlotB = slotBytes(H->structFields()[SG->fieldIndex()].Slot);
     if (!SlotB)
       return SlotB.error();
     uint32_t SlotWords = *SlotB / 4;

@@ -4,14 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every record is written, hashed and read from one field list: the
-// instruction classes' fields() in ir/Inst.h, and fieldsOf below for the
-// module-level records and compound fields. One structural walk (Put)
-// drives both serialization and content hashing through an emitter
-// interface: the write emitter assigns type-table indices on first
-// encounter (registering children before parents, so the table is
-// topologically ordered) and streams varints; the hash emitter folds each
-// type reference's precomputed Merkle hash in O(1) without descending.
+// Every record is written, hashed and read from one field list: the type
+// node classes' fields() in ir/Types.h (so the type table too), the
+// instruction classes' in ir/Inst.h, and fieldsOf below for the
+// module-level records. One structural walk (Put) drives both
+// serialization and content hashing through an emitter interface: the
+// write emitter assigns type-table indices on first encounter (writing a
+// node's record with the same walk, registering children before parents,
+// so the table is topologically ordered) and streams varints; the hash
+// emitter folds each type reference's precomputed Merkle hash in O(1)
+// without descending.
 // Keeping a single walk is what guarantees the cache-key invariant:
 // moduleHash(A) == moduleHash(B) exactly when write(A) == write(B)
 // (modulo 128-bit collisions). The reader walks the same lists, one get
@@ -28,9 +30,7 @@
 #include "support/LEB128.h"
 
 #include <cassert>
-#include <concepts>
 #include <cstring>
-#include <functional>
 #include <optional>
 #include <tuple>
 #include <unordered_map>
@@ -111,54 +111,46 @@ public:
   std::vector<uint8_t> Body;  ///< Module record.
   uint32_t NodeCount = 0;
 
-  void u(uint64_t V) { wU(Body, V); }
-  void str(const std::string &S) { wStr(Body, S); }
-  void qual(const Qual &Q) { wQual(Body, Q); }
-  void loc(const Loc &L) { wLoc(Body, L); }
-  void pre(const PretypeRef &P) { wU(Body, addPre(P)); }
-  void heap(const HeapTypeRef &H) { wU(Body, addHeap(H)); }
-  void fun(const FunTypeRef &F) { wU(Body, addFun(F)); }
+  void u(uint64_t V) { wU(*Out, V); }
+  void str(const std::string &S) { wStr(*Out, S); }
+  void qual(const Qual &Q) { wQual(*Out, Q); }
+  void loc(const Loc &L) { wLoc(*Out, L); }
+  void pre(const PretypeRef &P) { u(typeNode(P.get())); }
+  void heap(const HeapTypeRef &H) { u(typeNode(H.get())); }
+  void fun(const FunTypeRef &F) { u(typeNode(F.get())); }
   /// Optional size: 0 = null, else table index + 1.
-  void size(const SizeRef &S) { wU(Body, S ? addSize(S) + 1 : 0); }
+  void size(const SizeRef &S) { u(S ? addSize(S) + 1 : 0); }
   void type(const Type &T) {
     pre(T.P);
     qual(T.Q);
   }
 
 private:
+  /// Where the writes go: the module record, or the record of the table
+  /// entry being emitted.
+  std::vector<uint8_t> *Out = &Body;
   /// Pointer-keyed memo: every canonical node is registered once. (A
   /// module mixing arenas would emit structurally equal nodes twice and
   /// be rejected as a duplicate at read — but mixed-arena modules are
   /// already rejected by the checker, linker, and lowering.)
   std::unordered_map<const void *, uint32_t> Idx;
 
-  uint32_t emit(const void *Key, uint8_t Tag,
-                const std::function<void(std::vector<uint8_t> &)> &Fields);
-
+  template <class Fn> uint32_t emit(const void *Key, uint8_t Tag, Fn &&Fields);
   uint32_t addSize(const SizeRef &S);
-  uint32_t addPre(const PretypeRef &P);
-  uint32_t addHeap(const HeapTypeRef &H);
-  uint32_t addFun(const FunTypeRef &F);
-
-  void fType(std::vector<uint8_t> &B, const Type &T) {
-    wU(B, addPre(T.P));
-    wQual(B, T.Q);
-  }
-  void fOptSize(std::vector<uint8_t> &B, const SizeRef &S) {
-    wU(B, S ? addSize(S) + 1 : 0);
-  }
+  template <class N> uint32_t typeNode(const N *P);
 };
 
-uint32_t
-WriteEmitter::emit(const void *Key, uint8_t Tag,
-                   const std::function<void(std::vector<uint8_t> &)> &Fields) {
-  // Children are registered inside Fields, which runs into a scratch
-  // buffer *before* this record is assigned its index — preserving
+template <class Fn>
+uint32_t WriteEmitter::emit(const void *Key, uint8_t Tag, Fn &&Fields) {
+  // Children are registered inside Fields, which writes into a scratch
+  // record *before* this record is assigned its index — preserving
   // child-before-parent order in Nodes even though recursion happens
   // mid-record.
   std::vector<uint8_t> Rec;
   Rec.push_back(Tag);
-  Fields(Rec);
+  std::vector<uint8_t> *Saved = std::exchange(Out, &Rec);
+  Fields();
+  Out = Saved;
   auto [It, New] = Idx.emplace(Key, 0);
   if (!New)
     return It->second; // A child walk registered it meanwhile.
@@ -173,166 +165,11 @@ uint32_t WriteEmitter::addSize(const SizeRef &S) {
   if (It != Idx.end())
     return It->second;
   const NormalSize &N = S->norm();
-  return emit(S.get(), TagSize, [&](std::vector<uint8_t> &B) {
-    wU(B, N.Const);
-    wU(B, N.Vars.size());
+  return emit(S.get(), TagSize, [&] {
+    u(N.Const);
+    u(N.Vars.size());
     for (uint32_t V : N.Vars)
-      wU(B, V);
-  });
-}
-
-uint32_t WriteEmitter::addPre(const PretypeRef &P) {
-  assert(P && "serializing a null pretype");
-  auto It = Idx.find(P.get());
-  if (It != Idx.end())
-    return It->second;
-  uint8_t Tag = TagPre + static_cast<uint8_t>(P->kind());
-  return emit(P.get(), Tag, [&](std::vector<uint8_t> &B) {
-    switch (P->kind()) {
-    case PretypeKind::Unit:
-      break;
-    case PretypeKind::Num:
-      wU(B, static_cast<uint64_t>(cast<NumPT>(P.get())->numType()));
-      break;
-    case PretypeKind::Var:
-      wU(B, cast<VarPT>(P.get())->index());
-      break;
-    case PretypeKind::Skolem: {
-      const auto *S = cast<SkolemPT>(P.get());
-      wU(B, S->id());
-      wQual(B, S->qualLower());
-      fOptSize(B, S->sizeUpper());
-      wU(B, S->noCaps() ? 1 : 0);
-      break;
-    }
-    case PretypeKind::Prod: {
-      const auto &Es = cast<ProdPT>(P.get())->elems();
-      wU(B, Es.size());
-      for (const Type &T : Es)
-        fType(B, T);
-      break;
-    }
-    case PretypeKind::Ref:
-    case PretypeKind::Cap: {
-      Privilege Priv;
-      const Loc *L;
-      const HeapTypeRef *HT;
-      if (const auto *R = dyn_cast<RefPT>(P.get())) {
-        Priv = R->privilege();
-        L = &R->loc();
-        HT = &R->heapType();
-      } else {
-        const auto *C = cast<CapPT>(P.get());
-        Priv = C->privilege();
-        L = &C->loc();
-        HT = &C->heapType();
-      }
-      wU(B, Priv == Privilege::RW ? 1 : 0);
-      wLoc(B, *L);
-      wU(B, addHeap(*HT));
-      break;
-    }
-    case PretypeKind::Ptr:
-      wLoc(B, cast<PtrPT>(P.get())->loc());
-      break;
-    case PretypeKind::Own:
-      wLoc(B, cast<OwnPT>(P.get())->loc());
-      break;
-    case PretypeKind::Rec: {
-      const auto *R = cast<RecPT>(P.get());
-      wQual(B, R->bound());
-      fType(B, R->body());
-      break;
-    }
-    case PretypeKind::ExLoc:
-      fType(B, cast<ExLocPT>(P.get())->body());
-      break;
-    case PretypeKind::Coderef:
-      wU(B, addFun(cast<CoderefPT>(P.get())->funType()));
-      break;
-    }
-  });
-}
-
-uint32_t WriteEmitter::addHeap(const HeapTypeRef &H) {
-  assert(H && "serializing a null heap type");
-  auto It = Idx.find(H.get());
-  if (It != Idx.end())
-    return It->second;
-  uint8_t Tag = TagHeap + static_cast<uint8_t>(H->kind());
-  return emit(H.get(), Tag, [&](std::vector<uint8_t> &B) {
-    switch (H->kind()) {
-    case HeapTypeKind::Variant: {
-      const auto &Cs = cast<VariantHT>(H.get())->cases();
-      wU(B, Cs.size());
-      for (const Type &T : Cs)
-        fType(B, T);
-      break;
-    }
-    case HeapTypeKind::Struct: {
-      const auto &Fs = cast<StructHT>(H.get())->fields();
-      wU(B, Fs.size());
-      for (const StructField &F : Fs) {
-        fType(B, F.T);
-        fOptSize(B, F.Slot);
-      }
-      break;
-    }
-    case HeapTypeKind::Array:
-      fType(B, cast<ArrayHT>(H.get())->elem());
-      break;
-    case HeapTypeKind::Ex: {
-      const auto *E = cast<ExHT>(H.get());
-      wQual(B, E->qualLower());
-      fOptSize(B, E->sizeUpper());
-      fType(B, E->body());
-      break;
-    }
-    }
-  });
-}
-
-uint32_t WriteEmitter::addFun(const FunTypeRef &F) {
-  assert(F && "serializing a null function type");
-  auto It = Idx.find(F.get());
-  if (It != Idx.end())
-    return It->second;
-  return emit(F.get(), TagFun, [&](std::vector<uint8_t> &B) {
-    wU(B, F->quants().size());
-    for (const Quant &Q : F->quants()) {
-      wU(B, static_cast<uint64_t>(Q.K));
-      switch (Q.K) {
-      case QuantKind::Loc:
-        break;
-      case QuantKind::Size:
-        wU(B, Q.SizeLower.size());
-        for (const SizeRef &S : Q.SizeLower)
-          fOptSize(B, S);
-        wU(B, Q.SizeUpper.size());
-        for (const SizeRef &S : Q.SizeUpper)
-          fOptSize(B, S);
-        break;
-      case QuantKind::Qual:
-        wU(B, Q.QualLower.size());
-        for (const Qual &L : Q.QualLower)
-          wQual(B, L);
-        wU(B, Q.QualUpper.size());
-        for (const Qual &U : Q.QualUpper)
-          wQual(B, U);
-        break;
-      case QuantKind::Type:
-        wQual(B, Q.TypeQualLower);
-        fOptSize(B, Q.TypeSizeUpper);
-        wU(B, Q.TypeNoCaps ? 1 : 0);
-        break;
-      }
-    }
-    wU(B, F->arrow().Params.size());
-    for (const Type &T : F->arrow().Params)
-      fType(B, T);
-    wU(B, F->arrow().Results.size());
-    for (const Type &T : F->arrow().Results)
-      fType(B, T);
+      u(V);
   });
 }
 
@@ -388,9 +225,10 @@ public:
 // Record field lists
 //===----------------------------------------------------------------------===//
 //
-// Instructions list their fields in ir/Inst.h; the module-level records
-// and the compound field types list theirs here, in wire order. The writer,
-// the hasher and the reader below all walk these lists.
+// Type nodes (with StructField and ArrowType) list their fields in
+// ir/Types.h, instructions (with LocalEffect) in ir/Inst.h; the
+// module-level records list theirs here, in wire order. The writer, the
+// hasher and the reader below all walk these lists.
 
 /// The tail of a function or global record: one import flag, then either
 /// the import name or the body.
@@ -399,14 +237,6 @@ template <class C> struct ImportOrBody {
   InstVec C::*Body;
 };
 
-constexpr auto fieldsOf(const ArrowType *) {
-  return std::tuple{field(&ArrowType::Params, "parameter"),
-                    field(&ArrowType::Results, "result")};
-}
-constexpr auto fieldsOf(const LocalEffect *) {
-  return std::tuple{field(&LocalEffect::LocalIdx, "local index"),
-                    field(&LocalEffect::T)};
-}
 constexpr auto fieldsOf(const ImportName *) {
   return std::tuple{field(&ImportName::Module), field(&ImportName::Name)};
 }
@@ -432,9 +262,8 @@ constexpr auto fieldsOf(const ir::Module *) {
                     field(&ir::Module::Tab),
                     field(&ir::Module::Start, "start", "start function")};
 }
-template <class C>
-  requires std::derived_from<C, Inst>
-constexpr auto fieldsOf(const C *) {
+/// Type nodes, instructions and the compound field types list their own.
+template <HasFields C> constexpr auto fieldsOf(const C *) {
   return C::fields();
 }
 
@@ -447,6 +276,7 @@ template <class T> constexpr const char *CountOf = nullptr;
 template <> constexpr const char *CountOf<InstRef> = "instruction";
 template <> constexpr const char *CountOf<LocalEffect> = "local effect";
 template <> constexpr const char *CountOf<Index> = "instantiation argument";
+template <> constexpr const char *CountOf<Quant> = "quantifier";
 
 //===----------------------------------------------------------------------===//
 // The shared walk: one put per field type
@@ -484,6 +314,23 @@ template <class Em> struct Put {
       return E.pre(I.P);
     }
   }
+  void operator()(const Quant &Q) {
+    E.u(static_cast<uint64_t>(Q.K));
+    switch (Q.K) {
+    case QuantKind::Loc:
+      return;
+    case QuantKind::Size:
+      (*this)(Q.SizeLower);
+      return (*this)(Q.SizeUpper);
+    case QuantKind::Qual:
+      (*this)(Q.QualLower);
+      return (*this)(Q.QualUpper);
+    case QuantKind::Type:
+      E.qual(Q.TypeQualLower);
+      E.size(Q.TypeSizeUpper);
+      return (*this)(Q.TypeNoCaps);
+    }
+  }
   void operator()(const InstRef &I) {
     E.u(static_cast<uint64_t>(I->kind()));
     visitInstClass(I->kind(),
@@ -516,6 +363,26 @@ private:
   }
 };
 
+/// Registers a type node, after its children, and returns its table
+/// index. Its record is the node's fields, written by the shared walk.
+template <class N> uint32_t WriteEmitter::typeNode(const N *P) {
+  assert(P && "serializing a null type node");
+  auto It = Idx.find(P);
+  if (It != Idx.end())
+    return It->second;
+  if constexpr (std::is_same_v<N, FunType>) {
+    return emit(P, TagFun, [&] { Put<WriteEmitter>{*this}(*P); });
+  } else {
+    uint8_t Tag = (std::is_same_v<N, Pretype> ? TagPre : TagHeap) +
+                  static_cast<uint8_t>(P->kind());
+    return emit(P, Tag, [&] {
+      visitTypeClass(P->kind(), [&]<class C>() {
+        Put<WriteEmitter>{*this}(static_cast<const C &>(*P));
+      });
+    });
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Reader
 //===----------------------------------------------------------------------===//
@@ -536,6 +403,7 @@ constexpr BinopKind lastOf(BinopKind) { return BinopKind::Copysign; }
 constexpr TestopKind lastOf(TestopKind) { return TestopKind::Eqz; }
 constexpr RelopKind lastOf(RelopKind) { return RelopKind::Ge; }
 constexpr CvtopKind lastOf(CvtopKind) { return CvtopKind::Reinterpret; }
+constexpr Privilege lastOf(Privilege) { return Privilege::RW; }
 
 class Reader {
 public:
@@ -789,6 +657,7 @@ private:
   bool get(HeapTypeRef &H, const char *, const char *) { return heapRef(H); }
   bool get(FunTypeRef &F, const char *, const char *) { return funRef(F); }
   bool get(Type &T, const char *, const char *) { return type(T); }
+  bool get(Quant &Q, const char *, const char *);
   bool get(Index &I, const char *, const char *);
   bool get(InstRef &I, const char *, const char *);
   template <class T>
@@ -828,7 +697,10 @@ private:
     return get(Rec.*F.Import, "import", nullptr) &&
            (Rec.*F.Import || get(Rec.*F.Body, nullptr, nullptr));
   }
+  template <class C> bool fields(FieldValues<C> &Vals);
   template <class C> bool build(InstKind K, InstRef &Out);
+  template <class C, class Ref>
+  bool typeNode(std::vector<Ref> &Table, Cat Category);
 
   bool nodeTable();
   bool node();
@@ -874,192 +746,39 @@ bool Reader::node() {
     return true;
   }
 
-  if (Tag == TagFun) {
-    uint64_t NQ;
-    if (!count(NQ, "quantifier"))
-      return false;
-    std::vector<Quant> Qs(NQ);
-    for (Quant &Q : Qs) {
-      uint64_t K;
-      if (!u(K))
-        return false;
-      if (K > static_cast<uint64_t>(QuantKind::Type))
-        return fail("bad quantifier kind");
-      Q.K = static_cast<QuantKind>(K);
-      switch (Q.K) {
-      case QuantKind::Loc:
-        break;
-      case QuantKind::Size:
-        if (!get(Q.SizeLower, "size bound", nullptr) ||
-            !get(Q.SizeUpper, "size bound", nullptr))
-          return false;
-        break;
-      case QuantKind::Qual:
-        if (!get(Q.QualLower, "qualifier bound", nullptr) ||
-            !get(Q.QualUpper, "qualifier bound", nullptr))
-          return false;
-        break;
-      case QuantKind::Type:
-        if (!qual(Q.TypeQualLower) || !optSize(Q.TypeSizeUpper) ||
-            !flag(Q.TypeNoCaps, "no-caps"))
-          return false;
-        break;
-      }
-    }
-    ArrowType AT;
-    if (!get(AT, nullptr, nullptr))
-      return false;
-    FunTypeRef F = A.fun(std::move(Qs), std::move(AT));
-    if (!recordNode(F.get()))
-      return false;
-    Slots.push_back({Cat::Fun, static_cast<uint32_t>(Funs.size())});
-    Funs.push_back(std::move(F));
-    return true;
-  }
-
-  if (Tag >= TagHeap && Tag < TagHeap + 4) {
-    HeapTypeRef H;
-    switch (static_cast<HeapTypeKind>(Tag - TagHeap)) {
-    case HeapTypeKind::Variant: {
-      std::vector<Type> Cs;
-      if (!get(Cs, "variant case", nullptr))
-        return false;
-      H = A.variant(std::move(Cs));
-      break;
-    }
-    case HeapTypeKind::Struct: {
-      uint64_t NF;
-      if (!count(NF, "struct field"))
-        return false;
-      std::vector<StructField> Fs(NF);
-      for (StructField &F : Fs)
-        if (!type(F.T) || !optSize(F.Slot))
-          return false;
-      H = A.structure(std::move(Fs));
-      break;
-    }
-    case HeapTypeKind::Array: {
-      Type T;
-      if (!type(T))
-        return false;
-      H = A.array(std::move(T));
-      break;
-    }
-    case HeapTypeKind::Ex: {
-      Qual QL = Qual::unr();
-      SizeRef SU;
-      Type T;
-      if (!qual(QL) || !optSize(SU) || !type(T))
-        return false;
-      H = A.ex(QL, std::move(SU), std::move(T));
-      break;
-    }
-    }
-    if (!recordNode(H.get()))
-      return false;
-    Slots.push_back({Cat::Heap, static_cast<uint32_t>(Heaps.size())});
-    Heaps.push_back(std::move(H));
-    return true;
-  }
-
-  if (Tag >= TagPre && Tag < TagPre + 12) {
-    PretypeRef P;
-    switch (static_cast<PretypeKind>(Tag - TagPre)) {
-    case PretypeKind::Unit:
-      P = A.unit();
-      break;
-    case PretypeKind::Num: {
-      uint64_t NT;
-      if (!u(NT))
-        return false;
-      if (NT > static_cast<uint64_t>(NumType::F64))
-        return fail("bad numeric type");
-      P = A.num(static_cast<NumType>(NT));
-      break;
-    }
-    case PretypeKind::Var: {
-      uint32_t Idx;
-      if (!u32(Idx, "pretype variable"))
-        return false;
-      P = A.typeVar(Idx);
-      break;
-    }
-    case PretypeKind::Skolem: {
-      uint64_t Id;
-      Qual QL = Qual::unr();
-      SizeRef SU;
-      bool NoCaps;
-      if (!u(Id) || !qual(QL) || !optSize(SU) || !flag(NoCaps, "no-caps"))
-        return false;
-      P = A.skolem(Id, QL, std::move(SU), NoCaps);
-      break;
-    }
-    case PretypeKind::Prod: {
-      std::vector<Type> Es;
-      if (!get(Es, "tuple element", nullptr))
-        return false;
-      P = A.prod(std::move(Es));
-      break;
-    }
-    case PretypeKind::Ref:
-    case PretypeKind::Cap: {
-      bool IsRef = static_cast<PretypeKind>(Tag - TagPre) == PretypeKind::Ref;
-      uint64_t Priv;
-      Loc L = Loc::var(0);
-      HeapTypeRef H;
-      if (!u(Priv) || !loc(L) || !heapRef(H))
-        return false;
-      if (Priv > 1)
-        return fail("bad privilege");
-      Privilege Pr = Priv ? Privilege::RW : Privilege::R;
-      P = IsRef ? A.ref(Pr, L, std::move(H)) : A.cap(Pr, L, std::move(H));
-      break;
-    }
-    case PretypeKind::Ptr: {
-      Loc L = Loc::var(0);
-      if (!loc(L))
-        return false;
-      P = A.ptr(L);
-      break;
-    }
-    case PretypeKind::Own: {
-      Loc L = Loc::var(0);
-      if (!loc(L))
-        return false;
-      P = A.own(L);
-      break;
-    }
-    case PretypeKind::Rec: {
-      Qual Bound = Qual::unr();
-      Type Body;
-      if (!qual(Bound) || !type(Body))
-        return false;
-      P = A.rec(Bound, std::move(Body));
-      break;
-    }
-    case PretypeKind::ExLoc: {
-      Type Body;
-      if (!type(Body))
-        return false;
-      P = A.exLoc(std::move(Body));
-      break;
-    }
-    case PretypeKind::Coderef: {
-      FunTypeRef F;
-      if (!funRef(F))
-        return false;
-      P = A.coderef(std::move(F));
-      break;
-    }
-    }
-    if (!recordNode(P.get()))
-      return false;
-    Slots.push_back({Cat::Pre, static_cast<uint32_t>(Pres.size())});
-    Pres.push_back(std::move(P));
-    return true;
-  }
+  if (Tag == TagFun)
+    return typeNode<FunType>(Funs, Cat::Fun);
+  if (Tag >= TagHeap && Tag < TagHeap + NumHeapTypeKinds)
+    return visitTypeClass(static_cast<HeapTypeKind>(Tag - TagHeap),
+                          [&]<class C>() { return typeNode<C>(Heaps, Cat::Heap); });
+  if (Tag >= TagPre && Tag < TagPre + NumPretypeKinds)
+    return visitTypeClass(static_cast<PretypeKind>(Tag - TagPre),
+                          [&]<class C>() { return typeNode<C>(Pres, Cat::Pre); });
 
   return fail("unknown type-table tag");
+}
+
+bool Reader::get(Quant &Q, const char *, const char *) {
+  uint64_t K;
+  if (!u(K))
+    return false;
+  if (K > static_cast<uint64_t>(QuantKind::Type))
+    return fail("bad quantifier kind");
+  Q.K = static_cast<QuantKind>(K);
+  switch (Q.K) {
+  case QuantKind::Loc:
+    return true;
+  case QuantKind::Size:
+    return get(Q.SizeLower, "size bound", nullptr) &&
+           get(Q.SizeUpper, "size bound", nullptr);
+  case QuantKind::Qual:
+    return get(Q.QualLower, "qualifier bound", nullptr) &&
+           get(Q.QualUpper, "qualifier bound", nullptr);
+  case QuantKind::Type:
+    return qual(Q.TypeQualLower) && optSize(Q.TypeSizeUpper) &&
+           flag(Q.TypeNoCaps, "no-caps");
+  }
+  return true;
 }
 
 bool Reader::get(Index &I, const char *, const char *) {
@@ -1094,29 +813,58 @@ bool Reader::get(InstRef &I, const char *, const char *) {
   return visitInstClass(K, [&]<class C>() { return build<C>(K, I); });
 }
 
-/// Reads the fields of a class-\p C instruction into a tuple of values,
-/// then constructs the node from them.
-template <class C> bool Reader::build(InstKind K, InstRef &Out) {
-  constexpr auto Fs = C::fields();
-  auto Vals = std::apply(
+/// A blank value per field of class \p C, for the reader to decode into.
+template <class C> FieldValues<C> blankFields() {
+  return std::apply(
       []<class... Cs, class... Ts>(const Field<Cs, Ts> &...) {
-        return std::tuple{blank<Ts>()...};
+        return FieldValues<C>{blank<Ts>()...};
       },
-      Fs);
+      C::fields());
+}
+
+/// Reads the fields of a class-\p C node into \p Vals, in C::fields()
+/// order. Enum fields are range-checked once all fields are read, so the
+/// diagnostic names the node's field and points past its immediates.
+template <class C> bool Reader::fields(FieldValues<C> &Vals) {
+  constexpr auto Fs = C::fields();
   const char *Outer = std::exchange(BadEnum, nullptr);
-  ++Depth;
   bool Ok = [&]<size_t... J>(std::index_sequence<J...>) {
     return (get(std::get<J>(Vals), std::get<J>(Fs).Name,
                 std::get<J>(Fs).Item) &&
             ...);
   }(std::make_index_sequence<std::tuple_size_v<decltype(Fs)>>());
-  --Depth;
   if (!Ok)
     return false;
   if (BadEnum)
     return fail(std::string("bad ") + BadEnum);
   BadEnum = Outer;
+  return true;
+}
+
+/// Reads a class-\p C instruction, then constructs the node.
+template <class C> bool Reader::build(InstKind K, InstRef &Out) {
+  FieldValues<C> Vals = blankFields<C>();
+  ++Depth;
+  bool Ok = fields<C>(Vals);
+  --Depth;
+  if (!Ok)
+    return false;
   Out = makeInst<C>(K, std::move(Vals));
+  return true;
+}
+
+/// Reads one type-table record of class \p C, interns it, and appends it
+/// to \p Table.
+template <class C, class Ref>
+bool Reader::typeNode(std::vector<Ref> &Table, Cat Category) {
+  FieldValues<C> Vals = blankFields<C>();
+  if (!fields<C>(Vals))
+    return false;
+  Ref R = A.intern<C>(std::move(Vals));
+  if (!recordNode(R.get()))
+    return false;
+  Slots.push_back({Category, static_cast<uint32_t>(Table.size())});
+  Table.push_back(std::move(R));
   return true;
 }
 

@@ -77,8 +77,9 @@ read(const std::vector<uint8_t> &Bytes,
 /// with it and the scratch-arena probe would buy nothing. Same
 /// diagnostics as read(). The ingestion front door's reader: on
 /// rejection, \p ErrOut (when non-null) receives the failure's category
-/// (Truncated, BadMagic, Unsupported or Malformed) with the returned
-/// message as its context; the offset stays 0.
+/// (Truncated, BadMagic, Unsupported or Malformed), the byte offset it
+/// was found at (the header field's, or HeaderSize plus the payload
+/// position), and the returned message as its context.
 Expected<ir::Module> readPrivate(const std::vector<uint8_t> &Bytes,
                                  ingest::IngestError *ErrOut = nullptr);
 

@@ -104,7 +104,7 @@ bool heapHasTypeSkolem(const HeapType *H, uint64_t Id) {
         return true;
     return false;
   case HeapTypeKind::Struct:
-    for (const StructField &F : cast<StructHT>(H)->fields())
+    for (const StructField &F : cast<StructHT>(H)->structFields())
       if (typeHasTypeSkolem(F.T, Id))
         return true;
     return false;
@@ -1163,9 +1163,9 @@ Status CheckerImpl::checkHeap(const Inst &I, State &St) {
     const StructHT *H = R ? dyn_cast<StructHT>(R->heapType()) : nullptr;
     if (!H)
       return err("struct.get expects a struct reference");
-    if (SG->fieldIndex() >= H->fields().size())
+    if (SG->fieldIndex() >= H->structFields().size())
       return err("struct.get: field index out of range");
-    const Type &FieldT = H->fields()[SG->fieldIndex()].T;
+    const Type &FieldT = H->structFields()[SG->fieldIndex()].T;
     if (!isUnr(FieldT.Q))
       return err("struct.get of a linear field (use struct.swap)");
     if (noteNeeded(I))
@@ -1191,9 +1191,9 @@ Status CheckerImpl::checkHeap(const Inst &I, State &St) {
       return err(std::string(Name) + " expects a struct reference");
     if (R->privilege() != Privilege::RW)
       return err(std::string(Name) + " requires write privilege");
-    if (SS->fieldIndex() >= H->fields().size())
+    if (SS->fieldIndex() >= H->structFields().size())
       return err(std::string(Name) + ": field index out of range");
-    const StructField &Field = H->fields()[SS->fieldIndex()];
+    const StructField &Field = H->structFields()[SS->fieldIndex()];
     if (!IsSwap && !isUnr(Field.T.Q))
       return err("struct.set would drop the linear value in the field");
     if (!leqSize(sizeOfType(*NewT, F.Kinds), Field.Slot, F.Kinds))
@@ -1211,7 +1211,7 @@ Status CheckerImpl::checkHeap(const Inst &I, State &St) {
     if (!SameFieldType) {
       // Only a genuinely strong update changes the reference type; a
       // type-preserving write reuses the canonical node outright.
-      std::vector<StructField> NewFields = H->fields();
+      std::vector<StructField> NewFields = H->structFields();
       NewFields[SS->fieldIndex()].T = NewT->own();
       NewRef = TypeRef(
           refPT(Privilege::RW, R->loc(), structHT(NewFields)).get(), RefT.Q);

@@ -213,7 +213,7 @@ Status rw::typing::wfHeapType(const HeapType *H, const KindCtx &Ctx) {
         return St;
     return Status::success();
   case HeapTypeKind::Struct:
-    for (const StructField &F : cast<StructHT>(H)->fields()) {
+    for (const StructField &F : cast<StructHT>(H)->structFields()) {
       if (Status St = wfType(F.T, Ctx); !St)
         return St;
       if (Status St = wfSize(F.Slot, Ctx); !St)

@@ -19,7 +19,11 @@
 #include "link/Link.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <random>
+#include <string>
+#include <type_traits>
 
 using namespace rw;
 using namespace rw::ir;
@@ -405,6 +409,309 @@ TEST(InternerFuzz, MemoizedJudgmentsAreDeterministic) {
     EXPECT_TRUE(structuralSizeEquals(S1, S2)) << "seed " << Seed;
     EXPECT_EQ(pretypeNoCaps(P, {}), pretypeNoCaps(P, {}))
         << "seed " << Seed;
+  }
+}
+
+TEST(Interner, RewriteInstsSealsSubst) {
+  using namespace rw::ir::build;
+  // rewriteInsts through a Subst seals it, so the closed-subtree
+  // short-circuit proves a closed body untouched without re-interning a
+  // single type of it: the arena's table sees no probe at all.
+  TypeArena Arena;
+  ArenaScope Scope(Arena);
+  Type Pair(prodPT({i32T(), i64T()}), Qual::unr());
+  InstVec Body = {iconst(1)};
+  for (int I = 0; I < 200; ++I)
+    Body = {block(arrow({Pair}, {Pair}), {}, std::move(Body))};
+  uint64_t Hits = Arena.stats().Hits;
+  Subst Sub = Subst::oneLoc(Loc::concrete(MemKind::Lin, 8));
+  InstVec Out = rewriteInsts(Body, Sub);
+  EXPECT_EQ(Arena.stats().Hits, Hits);
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_EQ(Out[0].get(), Body[0].get());
+}
+
+//===----------------------------------------------------------------------===//
+// Intern-time metadata against a naive walk
+//===----------------------------------------------------------------------===//
+
+/// Binders in scope, per kind.
+struct Depths {
+  uint32_t Loc = 0, Size = 0, Qual = 0, Type = 0;
+};
+
+/// Free bounds and occurrence flags recomputed by a naive recursive walk
+/// that counts the binders it passes, reading no node's precomputed
+/// metadata.
+struct NaiveMeta {
+  FreeBounds FB;
+  uint8_t Flags = 0;
+
+  static void occurs(uint32_t &Bound, uint32_t Idx, uint32_t Depth) {
+    if (Idx >= Depth)
+      Bound = std::max(Bound, Idx - Depth + 1);
+  }
+  void qual(Qual Q, const Depths &D) {
+    if (Q.isVar())
+      occurs(FB.Qual, Q.varIndex(), D.Qual);
+  }
+  void loc(const Loc &L, const Depths &D) {
+    if (L.isVar())
+      occurs(FB.Loc, L.varIndex(), D.Loc);
+    else if (L.isSkolem())
+      Flags |= TF_HasSkolemLoc;
+    else
+      Flags |= TF_HasConcreteLoc;
+  }
+  void size(const SizeRef &S, const Depths &D) {
+    if (S)
+      for (uint32_t V : S->norm().Vars)
+        occurs(FB.Size, V, D.Size);
+  }
+  void type(const Type &T, const Depths &D) {
+    pretype(*T.P, D);
+    qual(T.Q, D);
+  }
+  void pretype(const Pretype &P, Depths D) {
+    switch (P.kind()) {
+    case PretypeKind::Unit:
+    case PretypeKind::Num:
+      break;
+    case PretypeKind::Var:
+      occurs(FB.Type, cast<VarPT>(&P)->index(), D.Type);
+      break;
+    case PretypeKind::Skolem:
+      qual(cast<SkolemPT>(&P)->qualLower(), D);
+      size(cast<SkolemPT>(&P)->sizeUpper(), D);
+      Flags |= TF_HasSkolemType;
+      break;
+    case PretypeKind::Prod:
+      for (const Type &T : cast<ProdPT>(&P)->elems())
+        type(T, D);
+      break;
+    case PretypeKind::Ref:
+      loc(cast<RefPT>(&P)->loc(), D);
+      heap(*cast<RefPT>(&P)->heapType(), D);
+      break;
+    case PretypeKind::Cap:
+      loc(cast<CapPT>(&P)->loc(), D);
+      heap(*cast<CapPT>(&P)->heapType(), D);
+      break;
+    case PretypeKind::Ptr:
+      loc(cast<PtrPT>(&P)->loc(), D);
+      break;
+    case PretypeKind::Own:
+      loc(cast<OwnPT>(&P)->loc(), D);
+      break;
+    case PretypeKind::Rec:
+      qual(cast<RecPT>(&P)->bound(), D);
+      ++D.Type;
+      type(cast<RecPT>(&P)->body(), D);
+      break;
+    case PretypeKind::ExLoc:
+      ++D.Loc;
+      type(cast<ExLocPT>(&P)->body(), D);
+      break;
+    case PretypeKind::Coderef:
+      fun(*cast<CoderefPT>(&P)->funType(), D);
+      break;
+    }
+  }
+  void heap(const HeapType &H, Depths D) {
+    switch (H.kind()) {
+    case HeapTypeKind::Variant:
+      for (const Type &T : cast<VariantHT>(&H)->cases())
+        type(T, D);
+      break;
+    case HeapTypeKind::Struct:
+      for (const StructField &F : cast<StructHT>(&H)->structFields()) {
+        type(F.T, D);
+        size(F.Slot, D);
+      }
+      break;
+    case HeapTypeKind::Array:
+      type(cast<ArrayHT>(&H)->elem(), D);
+      break;
+    case HeapTypeKind::Ex:
+      qual(cast<ExHT>(&H)->qualLower(), D);
+      size(cast<ExHT>(&H)->sizeUpper(), D);
+      ++D.Type;
+      type(cast<ExHT>(&H)->body(), D);
+      break;
+    }
+  }
+  void fun(const FunType &F, Depths D) {
+    for (const Quant &Q : F.quants()) {
+      switch (Q.K) {
+      case QuantKind::Loc:
+        ++D.Loc;
+        break;
+      case QuantKind::Size:
+        for (const SizeRef &S : Q.SizeLower)
+          size(S, D);
+        for (const SizeRef &S : Q.SizeUpper)
+          size(S, D);
+        ++D.Size;
+        break;
+      case QuantKind::Qual:
+        for (Qual X : Q.QualLower)
+          qual(X, D);
+        for (Qual X : Q.QualUpper)
+          qual(X, D);
+        ++D.Qual;
+        break;
+      case QuantKind::Type:
+        qual(Q.TypeQualLower, D);
+        size(Q.TypeSizeUpper, D);
+        ++D.Type;
+        break;
+      }
+    }
+    for (const Type &T : F.arrow().Params)
+      type(T, D);
+    for (const Type &T : F.arrow().Results)
+      type(T, D);
+  }
+};
+
+template <class Node> NaiveMeta naiveMeta(const Node &N) {
+  NaiveMeta M;
+  if constexpr (std::is_same_v<Node, Pretype>)
+    M.pretype(N, {});
+  else if constexpr (std::is_same_v<Node, HeapType>)
+    M.heap(N, {});
+  else
+    M.fun(N, {});
+  return M;
+}
+
+/// The value types whose no_caps a node's own depends on: a reference's
+/// heap type and a code pointer's function type do not count.
+std::vector<const Type *> noCapsChildren(const Pretype &P) {
+  std::vector<const Type *> Out;
+  if (const auto *X = dyn_cast<ProdPT>(&P))
+    for (const Type &T : X->elems())
+      Out.push_back(&T);
+  else if (const auto *X = dyn_cast<RecPT>(&P))
+    Out.push_back(&X->body());
+  else if (const auto *X = dyn_cast<ExLocPT>(&P))
+    Out.push_back(&X->body());
+  return Out;
+}
+std::vector<const Type *> noCapsChildren(const HeapType &H) {
+  std::vector<const Type *> Out;
+  if (const auto *X = dyn_cast<VariantHT>(&H))
+    for (const Type &T : X->cases())
+      Out.push_back(&T);
+  else if (const auto *X = dyn_cast<StructHT>(&H))
+    for (const StructField &F : X->structFields())
+      Out.push_back(&F.T);
+  else if (const auto *X = dyn_cast<ArrayHT>(&H))
+    Out.push_back(&X->elem());
+  else if (const auto *X = dyn_cast<ExHT>(&H))
+    Out.push_back(&X->body());
+  return Out;
+}
+
+/// no_caps with every free pretype variable taken to be capability-free.
+bool naiveNoCaps(const Pretype &P);
+template <class Node> bool naiveNoCapsOfChildren(const Node &N) {
+  for (const Type *T : noCapsChildren(N))
+    if (!naiveNoCaps(*T->P))
+      return false;
+  return true;
+}
+bool naiveNoCaps(const Pretype &P) {
+  if (const auto *S = dyn_cast<SkolemPT>(&P))
+    return S->noCaps();
+  if (isa<CapPT>(&P) || isa<OwnPT>(&P))
+    return false;
+  return naiveNoCapsOfChildren(P);
+}
+bool naiveNoCaps(const HeapType &H) { return naiveNoCapsOfChildren(H); }
+
+/// Whether the node reports that its no_caps depends on the variables:
+/// it holds, it has a free pretype variable, and it is one or a value type
+/// it is made of depends.
+template <class Node> bool naiveNoCapsDepends(const Node &N) {
+  if (!naiveNoCaps(N) || naiveMeta(N).FB.Type == 0)
+    return false;
+  if constexpr (std::is_same_v<Node, Pretype>)
+    if (isa<VarPT>(&N))
+      return true;
+  for (const Type *T : noCapsChildren(N))
+    if (naiveNoCapsDepends(*T->P))
+      return true;
+  return false;
+}
+
+/// Every node of a type tree, children included.
+struct AllNodes {
+  std::vector<const Pretype *> Pres;
+  std::vector<const HeapType *> Heaps;
+  std::vector<const FunType *> Funs;
+
+  void type(const Type &T) { pretype(*T.P); }
+  void pretype(const Pretype &P) {
+    Pres.push_back(&P);
+    if (const auto *X = dyn_cast<ProdPT>(&P))
+      for (const Type &T : X->elems())
+        type(T);
+    else if (const auto *X = dyn_cast<RefPT>(&P))
+      heap(*X->heapType());
+    else if (const auto *X = dyn_cast<CapPT>(&P))
+      heap(*X->heapType());
+    else if (const auto *X = dyn_cast<RecPT>(&P))
+      type(X->body());
+    else if (const auto *X = dyn_cast<ExLocPT>(&P))
+      type(X->body());
+    else if (const auto *X = dyn_cast<CoderefPT>(&P))
+      fun(*X->funType());
+  }
+  void heap(const HeapType &H) {
+    Heaps.push_back(&H);
+    for (const Type *T : noCapsChildren(H))
+      type(*T);
+  }
+  void fun(const FunType &F) {
+    Funs.push_back(&F);
+    for (const Type &T : F.arrow().Params)
+      type(T);
+    for (const Type &T : F.arrow().Results)
+      type(T);
+  }
+};
+
+template <class Node>
+void expectMetaMatches(const Node &N, const std::string &What) {
+  NaiveMeta M = naiveMeta(N);
+  EXPECT_EQ(N.freeBounds().Loc, M.FB.Loc) << What;
+  EXPECT_EQ(N.freeBounds().Size, M.FB.Size) << What;
+  EXPECT_EQ(N.freeBounds().Qual, M.FB.Qual) << What;
+  EXPECT_EQ(N.freeBounds().Type, M.FB.Type) << What;
+  EXPECT_EQ(N.flags(), M.Flags) << What;
+  if constexpr (!std::is_same_v<Node, FunType>) {
+    EXPECT_EQ(N.noCapsIfAllVarsFree(), naiveNoCaps(N)) << What;
+    EXPECT_EQ(N.noCapsDependsOnVars(), naiveNoCapsDepends(N)) << What;
+  }
+}
+
+TEST(InternerFuzz, MetadataMatchesNaiveWalk) {
+  for (uint64_t Seed = 0; Seed < NumSeeds; ++Seed) {
+    Gen G(Seed);
+    AllNodes All;
+    All.type(G.type(Depth));
+    All.heap(*G.heap(Depth));
+    All.fun(*G.fun(Depth));
+    std::string What = "seed " + std::to_string(Seed);
+    for (const Pretype *P : All.Pres)
+      expectMetaMatches(*P, What + " pretype kind " +
+                                std::to_string(int(P->kind())));
+    for (const HeapType *H : All.Heaps)
+      expectMetaMatches(*H, What + " heap kind " +
+                                std::to_string(int(H->kind())));
+    for (const FunType *F : All.Funs)
+      expectMetaMatches(*F, What + " function type");
   }
 }
 

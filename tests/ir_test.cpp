@@ -248,8 +248,8 @@ TEST(Subst, SimultaneousMultiKind) {
   EXPECT_EQ(R->loc(), Loc::concrete(MemKind::Unr, 5));
   const auto *SH = dyn_cast<StructHT>(R->heapType());
   ASSERT_NE(SH, nullptr);
-  EXPECT_TRUE(isa<NumPT>(SH->fields()[0].T.P));
-  EXPECT_EQ(closedSizeBits(SH->fields()[0].Slot), 32u);
+  EXPECT_TRUE(isa<NumPT>(SH->structFields()[0].T.P));
+  EXPECT_EQ(closedSizeBits(SH->structFields()[0].Slot), 32u);
   EXPECT_TRUE(typeEquals(A.Results[0], i32T()));
 }
 

@@ -1018,4 +1018,138 @@ TEST(Serial, EveryInstKindRoundTripsAndRewrites) {
   }
 }
 
+/// Builds one instance of each type-node kind, as KindInstances does for
+/// instructions: free variables shifted by \p Shift, or only closed
+/// fields when \p Closed; bodies under a binder also mention the bound
+/// variable 0. Written against the factories, not the field lists.
+struct TypeKindInstances {
+  bool Closed;
+  uint32_t Shift;
+
+  Qual q(uint32_t I) const {
+    return Closed ? Qual::lin() : Qual::var(I + Shift);
+  }
+  Loc l(uint32_t I) const {
+    return Closed ? Loc::concrete(MemKind::Unr, I) : Loc::var(I + Shift);
+  }
+  SizeRef sz(uint32_t I) const {
+    return Closed ? Size::constant(32 * (I + 1)) : Size::var(I + Shift);
+  }
+  PretypeRef p(uint32_t I) const {
+    return Closed ? numPT(NumType::I64) : varPT(I + Shift);
+  }
+  Type t(uint32_t I) const { return Type(p(I), q(I)); }
+
+  PretypeRef make(PretypeKind K) const {
+    switch (K) {
+    case PretypeKind::Unit:
+      return unitPT();
+    case PretypeKind::Num:
+      return numPT(NumType::F32);
+    case PretypeKind::Var:
+      return p(2);
+    case PretypeKind::Skolem:
+      // Opaque to rewriting: its bounds stay as they are under a shift.
+      return skolemPT(5, Qual::var(1), Size::var(2), false);
+    case PretypeKind::Prod:
+      return prodPT({t(0), t(1)});
+    case PretypeKind::Ref:
+      return refPT(Privilege::RW, l(0), make(HeapTypeKind::Variant));
+    case PretypeKind::Ptr:
+      return ptrPT(l(1));
+    case PretypeKind::Cap:
+      return capPT(Privilege::R, l(2), make(HeapTypeKind::Array));
+    case PretypeKind::Own:
+      return ownPT(l(3));
+    case PretypeKind::Rec:
+      return recPT(q(1), Type(prodPT({Type(varPT(0), Qual::unr()),
+                                      Type(inner().p(1), q(2))}),
+                              Qual::lin()));
+    case PretypeKind::ExLoc:
+      return exLocPT(Type(prodPT({Type(ptrPT(Loc::var(0)), q(0)),
+                                  Type(ptrPT(inner().l(1)), q(1))}),
+                          Qual::unr()));
+    case PretypeKind::Coderef:
+      return coderefPT(fun());
+    }
+    return nullptr;
+  }
+  HeapTypeRef make(HeapTypeKind K) const {
+    switch (K) {
+    case HeapTypeKind::Variant:
+      return variantHT({t(0), t(3)});
+    case HeapTypeKind::Struct:
+      return structHT({{t(2), sz(0)}, {t(1), sz(3)}});
+    case HeapTypeKind::Array:
+      return arrayHT(t(4));
+    case HeapTypeKind::Ex:
+      return exHT(q(1), sz(2),
+                  Type(prodPT({Type(varPT(0), Qual::unr()),
+                               Type(inner().p(1), q(0))}),
+                       Qual::unr()));
+    }
+    return nullptr;
+  }
+  /// One quantifier of each kind; each one's constraints sit under the
+  /// binders before it, and the arrow under all four.
+  FunTypeRef fun() const {
+    return FunType::get(
+        {Quant::loc(), Quant::size({sz(0)}, {sz(1)}),
+         Quant::qual({q(0)}, {q(2)}),
+         Quant::type(inner().q(0),
+                     Size::plus(Size::var(0), inner().sz(1)))},
+        ArrowType{{Type(varPT(0), Qual::var(0)),
+                   Type(ptrPT(Loc::var(0)), inner().q(1))},
+                  {Type(inner().p(1), Qual::unr()),
+                   Type(ptrPT(inner().l(2)), Qual::unr())}});
+  }
+
+private:
+  /// The view from under one binder: outer variable I is variable I + 1.
+  TypeKindInstances inner() const { return {Closed, Shift + 1}; }
+};
+
+TEST(Serial, EveryTypeKindRoundTripsAndRewrites) {
+  const TypeKindInstances Open{false, 0}, Shifted{false, 1},
+      Closed{true, 0};
+  // One value type per kind, each in its own function's parameter list.
+  auto roundTrip = [](const Type &T) {
+    ir::Module M;
+    M.Name = "type kinds";
+    M.Funcs.push_back(build::function(
+        {}, FunType::get({}, build::arrow({T}, {})), {}, {}));
+    std::vector<uint8_t> Bytes = serial::write(M);
+    auto R = serial::read(Bytes);
+    ASSERT_TRUE(bool(R)) << R.error().message();
+    EXPECT_EQ(serial::write(*R), Bytes);
+    EXPECT_EQ(serial::moduleHash(*R), serial::moduleHash(M));
+  };
+  auto rewrites = [](const auto &O, const auto &S, const auto &C) {
+    // A shift cannot reach closed fields: the node itself comes back.
+    Shifter Sh(1, 1, 1, 1);
+    EXPECT_EQ(Sh.rewrite(C).get(), C.get());
+    // A shift reaches every open field, and leaves binders' variables.
+    EXPECT_EQ(Sh.rewrite(O).get(), S.get());
+  };
+  for (unsigned KV = 0; KV < NumPretypeKinds; ++KV) {
+    PretypeKind K = static_cast<PretypeKind>(KV);
+    SCOPED_TRACE("pretype kind " + std::to_string(KV));
+    PretypeRef P = Open.make(K);
+    ASSERT_EQ(P->kind(), K);
+    roundTrip(Type(P, Qual::lin()));
+    rewrites(P, Shifted.make(K), Closed.make(K));
+  }
+  for (unsigned KV = 0; KV < NumHeapTypeKinds; ++KV) {
+    HeapTypeKind K = static_cast<HeapTypeKind>(KV);
+    SCOPED_TRACE("heap type kind " + std::to_string(KV));
+    HeapTypeRef H = Open.make(K);
+    ASSERT_EQ(H->kind(), K);
+    roundTrip(Type(refPT(Privilege::RW, Loc::var(0), H), Qual::lin()));
+    rewrites(H, Shifted.make(K), Closed.make(K));
+  }
+  SCOPED_TRACE("function type");
+  roundTrip(Type(coderefPT(Open.fun()), Qual::unr()));
+  rewrites(Open.fun(), Shifted.fun(), Closed.fun());
+}
+
 } // namespace
