@@ -170,6 +170,33 @@ inline rw::ir::Module loopModule(int32_t N) {
   return M;
 }
 
+/// A module whose `main` calls a one-add function N times in a loop:
+/// the call-heavy kernel (call overhead dominates the work).
+inline rw::ir::Module callsModule(int32_t N) {
+  using namespace rw::ir;
+  using namespace rw::ir::build;
+  rw::ir::Module M;
+  M.Name = "callmod";
+  InstVec Body = {
+      iconst(0), setLocal(0), iconst(0), setLocal(1),
+      block(arrow({}, {}), {},
+            {loop(arrow({}, {}),
+                  {getLocal(0, Qual::unr()), call(1), setLocal(0),
+                   getLocal(1, Qual::unr()), iconst(1), addI32(),
+                   setLocal(1), getLocal(1, Qual::unr()), iconst(N),
+                   relop(NumType::I32, RelopKind::Lt), brIf(0)})}),
+      getLocal(0, Qual::unr()),
+  };
+  M.Funcs.push_back(function({"main"},
+                             FunType::get({}, arrow({}, {i32T()})),
+                             {Size::constant(32), Size::constant(32)},
+                             std::move(Body)));
+  M.Funcs.push_back(function({}, FunType::get({}, arrow({i32T()}, {i32T()})),
+                             {}, {getLocal(0, Qual::unr()), iconst(1),
+                                  addI32()}));
+  return M;
+}
+
 /// A module whose `main` performs N linear alloc/swap/free round-trips.
 inline rw::ir::Module allocModule(int32_t N, bool Linear) {
   using namespace rw::ir;

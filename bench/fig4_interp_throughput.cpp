@@ -95,6 +95,24 @@ BENCHMARK(F4_Wasm_HeapChurn_Tree)->Arg(100)->Arg(1000);
 BENCHMARK(F4_Wasm_HeapChurn_Flat)->Arg(100)->Arg(1000);
 BENCHMARK(F4_Wasm_HeapChurn_Jit)->Arg(100)->Arg(1000);
 
+// Call-heavy: the loop's body is one call to a one-add function, so the
+// per-call cost of each tier dominates.
+static void F4_Wasm_Calls_Tree(benchmark::State &St) {
+  runLowered(St, callsModule(static_cast<int32_t>(St.range(0))),
+             "callmod.main", wasm::EngineKind::Tree);
+}
+static void F4_Wasm_Calls_Flat(benchmark::State &St) {
+  runLowered(St, callsModule(static_cast<int32_t>(St.range(0))),
+             "callmod.main", wasm::EngineKind::Flat);
+}
+static void F4_Wasm_Calls_Jit(benchmark::State &St) {
+  runLowered(St, callsModule(static_cast<int32_t>(St.range(0))),
+             "callmod.main", wasm::EngineKind::Jit);
+}
+BENCHMARK(F4_Wasm_Calls_Tree)->Arg(1000);
+BENCHMARK(F4_Wasm_Calls_Flat)->Arg(1000);
+BENCHMARK(F4_Wasm_Calls_Jit)->Arg(1000);
+
 // Custom main (instead of BENCHMARK_MAIN) so the host fingerprint lands
 // in the JSON context and run_bench.sh can refuse cross-host deltas.
 int main(int argc, char **argv) {

@@ -64,6 +64,55 @@ enum class NumTrap : uint32_t {
 /// template calls it through an extern "C" shim.
 uint64_t evalNumeric(uint32_t OpC, uint64_t A, uint64_t B, NumTrap &Trap);
 
+/// One activation record of the flat engine's call stack.
+struct CallFrame {
+  const FlatFunc *F;
+  uint32_t Pc;      ///< Saved while a callee runs.
+  uint32_t RegBase; ///< This frame's slice of the register file.
+  uint32_t OpBase;  ///< Absolute operand-stack base of this frame.
+};
+
+/// The call stack: one block of records that doubles when a push finds
+/// it full, up to wasm::MaxCallDepth records (pushFrame refuses deeper
+/// calls). Native code pushes and pops records in place through Top and
+/// Limit, and calls pushFrame when a push would need a bigger block
+/// (DESIGN.md §11); Jit.cpp pins their offsets.
+struct FrameStack {
+  CallFrame *Top = nullptr;   ///< One past the innermost frame.
+  CallFrame *Limit = nullptr; ///< End of the block.
+  CallFrame *Base = nullptr;
+
+  FrameStack() = default;
+  FrameStack(const FrameStack &) = delete;
+  FrameStack &operator=(const FrameStack &) = delete;
+  ~FrameStack() { delete[] Base; }
+
+  size_t size() const { return static_cast<size_t>(Top - Base); }
+  bool empty() const { return Top == Base; }
+  CallFrame &back() { return Top[-1]; }
+  void push_back(const CallFrame &Fr) {
+    if (Top == Limit)
+      grow();
+    *Top++ = Fr;
+  }
+  void pop_back() { --Top; }
+  void clear() { Top = Base; }
+
+private:
+  void grow() {
+    size_t N = size();
+    size_t Cap = std::min<size_t>(
+        std::max<size_t>(16, 2 * static_cast<size_t>(Limit - Base)),
+        wasm::MaxCallDepth);
+    CallFrame *B = new CallFrame[Cap];
+    std::copy(Base, Top, B);
+    delete[] Base;
+    Base = B;
+    Top = B + N;
+    Limit = B + Cap;
+  }
+};
+
 /// Resets the per-function execution profile of \p I (all counters to
 /// zero, relaxed stores). Long-lived server instances call this so the
 /// counters describe recent behavior and tiering can re-trigger after a
@@ -122,13 +171,6 @@ protected:
   Status prepare() override;
 
 private:
-  struct CallFrame {
-    const FlatFunc *F;
-    uint32_t Pc;      ///< Saved while a callee runs.
-    uint32_t RegBase; ///< This frame's slice of the register file.
-    uint32_t OpBase;  ///< Absolute operand-stack base of this frame.
-  };
-
   /// Runs until the root frame returns, resuming Frames.back() at its
   /// saved Pc (0 for a fresh invoke; a deopt point after a native exit)
   /// with operand height ResumeSp. Consumes from \p Fuel (written back
@@ -174,7 +216,7 @@ private:
   const FlatModule *Active = nullptr;
   std::vector<uint64_t> OpStack; ///< Raw 64-bit operand slots.
   std::vector<uint64_t> Regs;    ///< All frames' locals, contiguous.
-  std::vector<CallFrame> Frames;
+  FrameStack Frames;
   /// Re-entrancy guard: set while run() executes. A host function called
   /// from this instance re-entering invoke() would clobber OpStack/Regs/
   /// Frames mid-run (undefined behavior before this guard); now it traps.
@@ -207,6 +249,9 @@ private:
   /// Threshold policy: compiles functions whose profile mass crossed
   /// TierThreshold, synchronously.
   void maybeTierUp();
+
+  /// Points \p Ctx at OpStack's and Regs' current storage and ends.
+  void jitRefreshArrays(jit::JitContext &Ctx);
 
 public:
   // Helper entry points the generated code calls back into (defined in

@@ -9,16 +9,30 @@
 // compile-time constant per pc, so operand slots become fixed [r12+8k]
 // addresses and no register allocation is needed. Anything the templates
 // cannot express exits to the interpreter (see Jit.h for the contract).
-// The slow paths the templates call (calls, host calls, call_indirect
-// resolution, memory.grow, generic numerics) are the interpreter's own:
-// FlatInstance members and exec::evalNumeric, reached through the
-// extern "C" trampolines below.
+// A call between two compiled functions stays in native code: the call
+// stencil pushes the callee's frame record and enters the callee's inner
+// entry. The slow paths the templates call (calls that fail the
+// stencil's checks, host calls, call_indirect resolution, memory.grow,
+// generic numerics) are the interpreter's own: FlatInstance members and
+// exec::evalNumeric, reached through the extern "C" trampolines below.
 //
 // Register convention inside generated code:
 //   rbx = JitContext*            r12 = Ops + OpBase   (byte address)
 //   r13 = Regs + RegBase         r14 = Mem.data()     r15 = Mem.size()
-//   [rsp+0] = OpBase8, [rsp+8] = RegBase8 (for base reloads after helpers)
+//   rbp = &exec::FrameStack (Top, Limit)
 //   rax/rcx/rdx/rsi/rdi/r8-r11 scratch.
+// Native frames keep nothing on the machine stack but the return
+// address (its low address bits vary per process, and a load that
+// matches a recent store in those bits stalls). After a helper call,
+// r12/r13 are reloaded from the frame's own record (Frames.back():
+// OpBase, RegBase) and r14/r15 from the context; after a native callee
+// returns JOk, they are the callee's (current) values less the callee's
+// base offsets.
+// Each function has two entries. The outer entry (offset 0, the NativeFn
+// C++ calls) saves rbp/rbx/r12-r15, loads all six from its arguments and
+// calls the inner entry. The inner entry (offset InnerOfs, the same in
+// every function) expects all six loaded, keeps rbx/rbp and returns
+// with r12-r15 holding its own bases and the current memory.
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,8 +77,19 @@ static_assert(offsetof(JitContext, Ops) == 8 &&
                   offsetof(JitContext, DeoptPc) == 64 &&
                   offsetof(JitContext, DeoptSp) == 68 &&
                   offsetof(JitContext, GenTrap) == 72 &&
-                  offsetof(JitContext, FuelRefunded) == 80,
+                  offsetof(JitContext, FuelRefunded) == 80 &&
+                  offsetof(JitContext, Frames) == 88 &&
+                  offsetof(JitContext, OpsEnd) == 96 &&
+                  offsetof(JitContext, RegsEnd) == 104,
               "JitContext layout is baked into generated code");
+static_assert(offsetof(FrameStack, Top) == 0 &&
+                  offsetof(FrameStack, Limit) == 8 &&
+                  offsetof(CallFrame, F) == 0 && offsetof(CallFrame, Pc) == 8 &&
+                  offsetof(CallFrame, RegBase) == 12 &&
+                  offsetof(CallFrame, OpBase) == 16 && sizeof(CallFrame) == 24,
+              "the call stencil writes frame records in place");
+static_assert(sizeof(std::atomic<NativeFn>) == sizeof(NativeFn),
+              "the call stencil loads entries as plain pointers");
 static_assert(sizeof(WValue) == 16 && offsetof(WValue, Bits) == 8,
               "global templates assume WValue {tag, bits} stride 16");
 
@@ -72,7 +97,9 @@ namespace {
 
 constexpr int32_t OffOps = 8, OffRegs = 16, OffMemP = 24, OffMemSz = 32,
                   OffFuel = 40, OffGlobals = 48, OffProf = 56, OffDeoptPc = 64,
-                  OffDeoptSp = 68, OffGenTrap = 72, OffFuelRefund = 80;
+                  OffDeoptSp = 68, OffGenTrap = 72, OffFuelRefund = 80,
+                  OffFrames = 88, OffOpsEnd = 96, OffRegsEnd = 104;
+constexpr int32_t FrameBytes = sizeof(CallFrame);
 
 enum R : uint8_t {
   RAX = 0, RCX = 1, RDX = 2, RBX = 3, RSP = 4, RBP = 5, RSI = 6, RDI = 7,
@@ -194,6 +221,9 @@ struct Asm {
   void shrRI64(uint8_t D, uint8_t Imm) {
     rex(true, 0, 0, D); u8(0xc1); u8(0xe8 | (D & 7)); u8(Imm);
   }
+  void shlRI64(uint8_t D, uint8_t Imm) {
+    rex(true, 0, 0, D); u8(0xc1); u8(0xe0 | (D & 7)); u8(Imm);
+  }
   void setccAL(uint8_t Cc) { u8(0x0f); u8(0x90 | Cc); u8(0xc0); }
   void movzxEaxAl() { u8(0x0f); u8(0xb6); u8(0xc0); }
   void cmovRR64(uint8_t Cc, uint8_t D, uint8_t S) {
@@ -236,7 +266,11 @@ struct Asm {
   size_t jmp() { u8(0xe9); size_t P = size(); u32(0); return P; }
   void bind(size_t PatchPos) { patch32(PatchPos, static_cast<uint32_t>(size() - (PatchPos + 4))); }
 
-  void callRax() { u8(0xff); u8(0xd0); }
+  void callR(uint8_t Rg) {
+    rex(false, 0, 0, Rg); u8(0xff); u8(0xd0 | (Rg & 7));
+  }
+  /// call rel32; returns the patch position.
+  size_t call() { u8(0xe8); size_t P = size(); u32(0); return P; }
   void push(uint8_t Rg) { if (Rg >= 8) u8(0x41); u8(0x50 | (Rg & 7)); }
   void pop(uint8_t Rg) { if (Rg >= 8) u8(0x41); u8(0x58 | (Rg & 7)); }
   void ret() { u8(0xc3); }
@@ -269,6 +303,9 @@ namespace {
 struct FuncCompiler {
   const exec::FlatModule &FM;
   const exec::FlatFunc &F;
+  /// The module's entry table: the call stencil reads a callee's entry
+  /// from it at run time, so callees compiled later are entered natively.
+  const std::atomic<NativeFn> *EntryTable;
   const uint32_t *C;
   uint32_t Len;
   Asm A;
@@ -291,10 +328,13 @@ struct FuncCompiler {
   std::vector<DeoptSite> Deopts;
   std::vector<size_t> OkPatches;       ///< Jumps to "return JOk".
   std::vector<size_t> EpiloguePatches; ///< Jumps to the propagate epilogue.
+  std::vector<size_t> CallStatusPatches; ///< Native callee returned non-JOk.
   size_t EpilogueOfs = 0;
+  size_t InnerOfs = 0; ///< Inner entry offset (same in every function).
 
-  FuncCompiler(const exec::FlatModule &FM, const exec::FlatFunc &F)
-      : FM(FM), F(F), C(F.Code.data()),
+  FuncCompiler(const exec::FlatModule &FM, const exec::FlatFunc &F,
+               const std::atomic<NativeFn> *EntryTable)
+      : FM(FM), F(F), EntryTable(EntryTable), C(F.Code.data()),
         Len(static_cast<uint32_t>(F.Code.size())) {}
 
   /// Operand words of the instruction at \p Pc (exec::flatOpInfo), or -1
@@ -472,14 +512,20 @@ struct FuncCompiler {
     Deopts.push_back({A.jcc(Cc), Refund, Pc, Sp, false});
   }
 
-  /// Reloads the pointer registers from the context after a helper that
-  /// may have resized instance vectors or grown memory.
+  /// Reloads the pointer registers after a call, which may have resized
+  /// instance vectors or grown memory. After any call that returns JOk
+  /// this frame's record is Frames.back() again, and it holds the bases.
   void reloadBases(bool OpsRegs, bool Memory) {
     if (OpsRegs) {
+      A.movRM64(RAX, RBP, 0);                  // Top
+      A.movRM32(RCX, RAX, 16 - FrameBytes);    // back().OpBase
+      A.shlRI64(RCX, 3);
       A.movRM64(R12, RBX, OffOps);
-      A.aluRM(0x03, true, R12, RSP, 0);
+      A.aluRR(0x03, true, R12, RCX);
+      A.movRM32(RCX, RAX, 12 - FrameBytes);    // back().RegBase
+      A.shlRI64(RCX, 3);
       A.movRM64(R13, RBX, OffRegs);
-      A.aluRM(0x03, true, R13, RSP, 8);
+      A.aluRR(0x03, true, R13, RCX);
     }
     if (Memory) {
       A.movRM64(R14, RBX, OffMemP);
@@ -489,7 +535,7 @@ struct FuncCompiler {
 
   void callHelper(const void *Fn) {
     A.movRI64(RAX, reinterpret_cast<uint64_t>(Fn));
-    A.callRax();
+    A.callR(RAX);
   }
 
   /// addr = u32(rax) + Off; bounds-check Nbytes against Mem.size().
@@ -515,27 +561,148 @@ struct FuncCompiler {
     }
   }
 
+  /// Calls helper \p Fn (rwJitCall or rwJitIndirect) for the call at
+  /// \p Pc. Its JDeoptHere re-executes the call in the interpreter; any
+  /// other non-JOk status propagates.
+  void emitCallHelper(const void *Fn, uint32_t Pc, uint32_t Idx, int32_t Hh) {
+    A.movRR64(RDI, RBX);
+    A.movRI32(RSI, Idx);
+    A.movRI32(RDX, static_cast<uint32_t>(Hh));
+    A.movRI32(RCX, Pc + 2);
+    callHelper(Fn);
+    A.aluRR(0x85, false, RAX, RAX); // test eax, eax
+    // Calls end their fuel segment, so a re-execute deopt refunds 1.
+    Deopts.push_back({A.jcc(CNE), 1, Pc, static_cast<uint32_t>(Hh), true});
+  }
+
+  void emitDirectCall(uint32_t Pc, uint32_t CalleeIdx, int32_t Hh);
   bool emit();
   bool emitInst(uint32_t Pc, uint32_t Op, int32_t Hh, uint32_t SegLeft);
   void finish();
 };
 
+/// The call stencil of a direct call to defined function \p CalleeIdx:
+/// when the depth, register-file and operand-stack checks pass and the
+/// callee has an entry, it does pushFrame's work in place (copy the
+/// arguments, zero the other locals, record the return pc, push the
+/// callee's record), calls the callee's inner entry and pops the record
+/// on JOk. Anything else calls rwJitCall (pushFrame, then the callee's
+/// outer entry). A callee's non-JOk status goes to the shared CallStatus
+/// stub (see finish()).
+void FuncCompiler::emitDirectCall(uint32_t Pc, uint32_t CalleeIdx,
+                                  int32_t Hh) {
+  const exec::FlatFunc &Callee = FM.Funcs[CalleeIdx];
+  const void *Helper = reinterpret_cast<const void *>(&rwJitCall);
+  // Frame-relative slots: the callee's operand base, and the ends of its
+  // registers and of its deepest operand.
+  const int64_t ArgBase = Hh - static_cast<int64_t>(Callee.NumParams);
+  const int64_t RegsEnd = int64_t(F.NumRegs) + Callee.NumRegs;
+  const int64_t OpsEnd = ArgBase + Callee.MaxDepth;
+  if (std::max(RegsEnd, OpsEnd) > (INT32_MAX >> 4)) {
+    emitCallHelper(Helper, Pc, CalleeIdx, Hh); // Displacements overflow.
+    reloadBases(true, true);
+    return;
+  }
+  const int32_t Arg = static_cast<int32_t>(ArgBase);
+  const int32_t Reg = static_cast<int32_t>(F.NumRegs);
+
+  std::vector<size_t> Slow;
+  A.movRM64(RAX, RBP, 0);            // rax = Top
+  A.aluRM(0x3b, true, RAX, RBP, 8);  // cmp rax, Limit
+  Slow.push_back(A.jcc(CAE));        // Block full (or MaxCallDepth).
+  A.lea64(RCX, R13, slot(static_cast<int32_t>(RegsEnd)));
+  A.aluRM(0x3b, true, RCX, RBX, OffRegsEnd);
+  Slow.push_back(A.jcc(CA));         // Register file must grow.
+  A.lea64(RCX, R12, slot(static_cast<int32_t>(OpsEnd)));
+  A.aluRM(0x3b, true, RCX, RBX, OffOpsEnd);
+  Slow.push_back(A.jcc(CA));         // Operand stack must grow.
+  A.movRI64(RCX, reinterpret_cast<uint64_t>(EntryTable + CalleeIdx));
+  A.movRM64(RCX, RCX, 0);            // rcx = entry (acquire on x86)
+  A.aluRR(0x85, true, RCX, RCX);
+  Slow.push_back(A.jcc(CE));         // Not compiled (yet, or ever).
+
+  // Arguments into the callee's first registers, zeroes after them.
+  for (uint32_t I = 0; I < Callee.NumParams; ++I) {
+    A.movRM64(R8, R12, slot(Arg + I));
+    A.movMR64(R13, slot(Reg + I), R8);
+  }
+  uint32_t Zeroes = Callee.NumRegs - Callee.NumParams;
+  if (Zeroes) {
+    A.aluRR(0x33, false, R8, R8); // xor r8d, r8d
+    if (Zeroes <= 8) {
+      for (uint32_t I = Callee.NumParams; I < Callee.NumRegs; ++I)
+        A.movMR64(R13, slot(Reg + I), R8);
+    } else {
+      A.lea64(R9, R13, slot(Reg + Callee.NumParams));
+      A.movRI32(R10, Zeroes);
+      size_t Loop = A.size();
+      A.movMR64(R9, 0, R8);
+      A.aluRI(0, true, R9, 8);   // add r9, 8
+      A.aluRI(5, true, R10, 1);  // sub r10, 1
+      size_t Back = A.jcc(CNE);
+      A.patch32(Back, static_cast<uint32_t>(Loop - (Back + 4)));
+    }
+  }
+
+  // The caller resumes after the call; the callee's record goes at Top,
+  // its bases offset from the caller's (Top[-1]).
+  A.movMI32(RAX, 8 - FrameBytes, Pc + 2);           // back().Pc = RetPc
+  A.movRI64(R8, reinterpret_cast<uint64_t>(&Callee));
+  A.movMR64(RAX, 0, R8);                            // F
+  A.movMI32(RAX, 8, 0);                             // Pc
+  A.movRM32(R8, RAX, 12 - FrameBytes);
+  A.aluRI(0, false, R8, static_cast<uint32_t>(Reg));
+  A.movMR32(RAX, 12, R8);                           // RegBase
+  A.movRM32(R8, RAX, 16 - FrameBytes);
+  A.aluRI(0, false, R8, static_cast<uint32_t>(Arg));
+  A.movMR32(RAX, 16, R8);                           // OpBase
+  A.aluRI(0, true, RAX, FrameBytes);
+  A.movMR64(RBP, 0, RAX);                           // ++Top
+  A.lea64(R12, R12, slot(Arg));                     // The callee's bases.
+  A.lea64(R13, R13, slot(Reg));
+  A.aluRI(0, true, RCX, static_cast<uint32_t>(InnerOfs));
+  A.callR(RCX);
+  A.aluRR(0x85, false, RAX, RAX);
+  CallStatusPatches.push_back(A.jcc(CNE));
+  A.aluMI64(5, RBP, 0, FrameBytes);                 // pop_back()
+  // A callee returns JOk with its own bases in r12/r13, current even if
+  // a deeper call moved the arrays, and r14/r15 current.
+  A.lea64(R12, R12, -slot(Arg));
+  A.lea64(R13, R13, -slot(Reg));
+  size_t Done = A.jmp();
+
+  for (size_t P : Slow)
+    A.bind(P);
+  emitCallHelper(Helper, Pc, CalleeIdx, Hh);
+  reloadBases(true, true);
+  A.bind(Done);
+}
+
 bool FuncCompiler::emit() {
   NativeOfs.assign(Len + 1, 0);
 
-  // Prologue: save callee-saved registers, spill the byte bases for
-  // post-helper reloads, derive the pointer registers.
-  A.push(RBP); A.push(RBX); A.push(R12); A.push(R13); A.push(R14); A.push(R15);
-  A.aluRI(5, true, RSP, 24); // sub rsp, 24 (16-align + 2 spill slots)
-  A.movMR64(RSP, 0, RSI);    // [rsp+0]  = OpBase8
-  A.movMR64(RSP, 8, RDX);    // [rsp+8]  = RegBase8
+  // Outer entry: save callee-saved registers, load the registers every
+  // native frame shares and this frame's bases, enter the inner entry.
+  A.push(RBP); A.push(RBX); A.push(R12); A.push(R13); A.push(R14);
+  A.push(R15);
+  A.aluRI(5, true, RSP, 8);
   A.movRR64(RBX, RDI);
+  A.movRM64(RBP, RBX, OffFrames);
   A.movRM64(R12, RBX, OffOps);
   A.aluRR(0x03, true, R12, RSI);
   A.movRM64(R13, RBX, OffRegs);
   A.aluRR(0x03, true, R13, RDX);
   A.movRM64(R14, RBX, OffMemP);
   A.movRM64(R15, RBX, OffMemSz);
+  size_t Inner = A.call();
+  A.aluRI(0, true, RSP, 8);
+  A.pop(R15); A.pop(R14); A.pop(R13); A.pop(R12); A.pop(RBX); A.pop(RBP);
+  A.ret();
+
+  // Inner entry: every register is set; keep rsp 16-aligned for helpers.
+  InnerOfs = A.size();
+  A.bind(Inner);
+  A.aluRI(5, true, RSP, 8);
 
   uint32_t SegLeft = 0;
   for (uint32_t Pc = 0; Pc < Len;) {
@@ -625,19 +792,15 @@ bool FuncCompiler::emitInst(uint32_t Pc, uint32_t Op, int32_t Hh,
     return true;
   }
 
-  case FCall: case FCallIndirect: {
-    A.movRR64(RDI, RBX);
-    A.movRI32(RSI, Im[0]);
-    A.movRI32(RDX, static_cast<uint32_t>(Hh));
-    A.movRI32(RCX, Pc + 2);
-    callHelper(Op == FCall ? reinterpret_cast<const void *>(&rwJitCall)
-                           : reinterpret_cast<const void *>(&rwJitIndirect));
-    A.aluRR(0x85, false, RAX, RAX); // test eax, eax
-    // Calls end their fuel segment, so a re-execute deopt refunds 1.
-    Deopts.push_back({A.jcc(CNE), 1, Pc, static_cast<uint32_t>(Hh), true});
+  case FCall:
+    emitDirectCall(Pc, Im[0], Hh);
+    return true;
+
+  case FCallIndirect:
+    emitCallHelper(reinterpret_cast<const void *>(&rwJitIndirect), Pc, Im[0],
+                   Hh);
     reloadBases(true, true);
     return true;
-  }
 
   case FCallHost:
     A.movRR64(RDI, RBX);
@@ -927,9 +1090,26 @@ void FuncCompiler::finish() {
   size_t OkOfs = A.size();
   A.aluRR(0x33, false, RAX, RAX); // xor eax, eax == JOk
   EpilogueOfs = A.size();
-  A.aluRI(0, true, RSP, 24);
-  A.pop(R15); A.pop(R14); A.pop(R13); A.pop(R12); A.pop(RBX); A.pop(RBP);
+  A.aluRI(0, true, RSP, 8);
   A.ret();
+  auto ToEpilogue = [&](size_t P) {
+    A.patch32(P, static_cast<uint32_t>(EpilogueOfs - (P + 4)));
+  };
+
+  // A native callee returned non-JOk, as jitDirectCall's switch maps it:
+  // JDeoptHere resumes the callee (still Frames.back()) at its recorded
+  // pc and is an unwind outward; JUnwind and JTrapFinal pass through.
+  if (!CallStatusPatches.empty()) {
+    for (size_t P : CallStatusPatches)
+      A.bind(P);
+    A.aluRI(7, false, RAX, JDeoptHere);
+    ToEpilogue(A.jcc(CNE));
+    A.movRM32(RCX, RBX, OffDeoptPc);
+    A.movRM64(RDX, RBP, 0);
+    A.movMR32(RDX, 8 - FrameBytes, RCX); // back().Pc = DeoptPc
+    A.movRI32(RAX, JUnwind);
+    ToEpilogue(A.jmp());
+  }
 
   // Deopt stubs: refund the unexecuted remainder of the fuel segment,
   // record the resume point, and return JDeoptHere. Call slow paths
@@ -937,9 +1117,8 @@ void FuncCompiler::finish() {
   for (const DeoptSite &S : Deopts) {
     A.bind(S.Pos);
     if (S.CheckOne) {
-      A.aluRI(7, false, RAX, 1); // cmp eax, JDeoptHere
-      size_t P = A.jcc(CNE);
-      A.patch32(P, static_cast<uint32_t>(EpilogueOfs - (P + 4)));
+      A.aluRI(7, false, RAX, JDeoptHere);
+      ToEpilogue(A.jcc(CNE));
     }
     if (S.Refund) {
       A.aluMI64(0, RBX, OffFuel, S.Refund);
@@ -950,14 +1129,13 @@ void FuncCompiler::finish() {
     A.movMI32(RBX, OffDeoptPc, S.Pc);
     A.movMI32(RBX, OffDeoptSp, S.Sp);
     A.movRI32(RAX, JDeoptHere);
-    size_t P = A.jmp();
-    A.patch32(P, static_cast<uint32_t>(EpilogueOfs - (P + 4)));
+    ToEpilogue(A.jmp());
   }
 
   for (size_t P : OkPatches)
     A.patch32(P, static_cast<uint32_t>(OkOfs - (P + 4)));
   for (size_t P : EpiloguePatches)
-    A.patch32(P, static_cast<uint32_t>(EpilogueOfs - (P + 4)));
+    ToEpilogue(P);
   for (const Jump &J : Jumps)
     A.patch32(J.Pos, static_cast<uint32_t>(NativeOfs[J.Target] - (J.Pos + 4)));
 }
@@ -1035,7 +1213,7 @@ bool ModuleJit::compile(uint32_t DefIdx) {
   OBS_SPAN("translate_jit", DefIdx);
   uint64_t T0 = obs::enabled() ? obs::nowNs() : 0;
 
-  FuncCompiler FC(FM, FM.Funcs[DefIdx]);
+  FuncCompiler FC(FM, FM.Funcs[DefIdx], Entries.data());
   uint8_t *Code = nullptr;
   size_t Sz = 0;
   if (!RW_FAULT_POINT(support::fault::Seam::JitCompile) && FC.analyze() &&
@@ -1102,6 +1280,13 @@ extern "C" uint32_t rwJitGrow(JitContext *Ctx, uint32_t SpRel) {
   return static_cast<FlatInstance *>(Ctx->Inst)->jitMemoryGrow(*Ctx, SpRel);
 }
 
+void FlatInstance::jitRefreshArrays(JitContext &Ctx) {
+  Ctx.Ops = OpStack.data();
+  Ctx.OpsEnd = Ctx.Ops + OpStack.size();
+  Ctx.Regs = Regs.data();
+  Ctx.RegsEnd = Ctx.Regs + Regs.size();
+}
+
 uint32_t FlatInstance::jitDirectCall(JitContext &Ctx, uint32_t CalleeIdx,
                                      uint32_t SpRel, uint32_t RetPc) {
   if (!pushFrame(CalleeIdx, Frames.back().OpBase + SpRel, RetPc))
@@ -1111,8 +1296,7 @@ uint32_t FlatInstance::jitDirectCall(JitContext &Ctx, uint32_t CalleeIdx,
     return JDeoptHere;
   uint64_t OpBase8 = static_cast<uint64_t>(Frames.back().OpBase) * 8;
   uint64_t RegBase8 = static_cast<uint64_t>(Frames.back().RegBase) * 8;
-  Ctx.Ops = OpStack.data();
-  Ctx.Regs = Regs.data();
+  jitRefreshArrays(Ctx);
 
   NativeFn Fn = Jit->entry(CalleeIdx);
   if (!Fn) {
@@ -1145,8 +1329,7 @@ uint32_t FlatInstance::jitHostCall(JitContext &Ctx, uint32_t HostIdx,
     Frames.clear();
     return JTrapFinal;
   }
-  Ctx.Ops = OpStack.data();
-  Ctx.Regs = Regs.data();
+  jitRefreshArrays(Ctx);
   Ctx.MemP = Mem.data(); // The host may have touched or grown memory.
   Ctx.MemSz = Mem.size();
   if (HC == HostCall::Drift) {
@@ -1190,8 +1373,8 @@ FlatInstance::JitRun FlatInstance::jitExecuteBack(uint64_t &Fuel) {
   static obs::Counter RefundC("exec.tier.fuel_refunded");
   JitContext Ctx;
   Ctx.Inst = this;
-  Ctx.Ops = OpStack.data();
-  Ctx.Regs = Regs.data();
+  Ctx.Frames = &Frames;
+  jitRefreshArrays(Ctx);
   Ctx.MemP = Mem.data();
   Ctx.MemSz = Mem.size();
   Ctx.Fuel = Fuel;

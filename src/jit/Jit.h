@@ -14,9 +14,11 @@
 /// the operand height tracked statically at compile time — so any trap or
 /// rare path simply exits ("deopts") to the flat engine, which resumes
 /// mid-function from the recorded pc and produces byte-identical trap
-/// notes. Calls, host calls, call_indirect resolution, memory.grow and
-/// the numerics without an inline template run through C++ helpers that
-/// *are* the interpreter's slow paths (exec::FlatInstance members and
+/// notes. A call between two compiled functions stays native: the call
+/// template pushes the interpreter's frame record itself. Other calls,
+/// host calls, call_indirect resolution, memory.grow and the numerics
+/// without an inline template run through C++ helpers that *are* the
+/// interpreter's slow paths (exec::FlatInstance members and
 /// exec::evalNumeric), so the tiers share one copy of each.
 ///
 /// Fuel is charged in per-segment batches (a segment is a basic block cut
@@ -84,10 +86,19 @@ struct JitContext {
   /// (generated code accumulates; the engine drains it into the
   /// "exec.tier.fuel_refunded" counter after each native exit).
   uint64_t FuelRefunded = 0;
+  /// The instance's exec::FrameStack: the call stencil compares its Top
+  /// with its Limit (room in the block, and the depth limit) and pushes
+  /// and pops records at Top.
+  void *Frames = nullptr;
+  uint64_t *OpsEnd = nullptr;  ///< Ops + OpStack.size(); refreshed with Ops.
+  uint64_t *RegsEnd = nullptr; ///< Regs + Regs.size(); refreshed with Regs.
 };
 
-/// Entry point of one compiled function. Bases are *byte* offsets into
-/// Ops/Regs (slot index * 8) so generated code adds them directly.
+/// Outer entry point of one compiled function, for C++ callers: it saves
+/// the callee-saved registers, loads the context registers and enters
+/// the function's inner entry, which native callers enter directly
+/// (DESIGN.md §11). Bases are *byte* offsets into Ops/Regs (slot index
+/// * 8) so generated code adds them directly.
 using NativeFn = uint32_t (*)(JitContext *, uint64_t OpBase8,
                               uint64_t RegBase8);
 

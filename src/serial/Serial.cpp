@@ -118,7 +118,7 @@ public:
   void pre(const PretypeRef &P) { u(typeNode(P.get())); }
   void heap(const HeapTypeRef &H) { u(typeNode(H.get())); }
   void fun(const FunTypeRef &F) { u(typeNode(F.get())); }
-  /// Optional size: 0 = null, else table index + 1.
+  /// Table index + 1; a null size is written as 0, which read rejects.
   void size(const SizeRef &S) { u(S ? addSize(S) + 1 : 0); }
   void type(const Type &T) {
     pre(T.P);
@@ -595,15 +595,15 @@ private:
     F = Funs[S];
     return true;
   }
-  /// Optional-size convention: 0 = null, else index + 1.
-  bool optSize(SizeRef &S) {
+  /// A size: its table index + 1. The writer's 0 stands for a null size,
+  /// which no node may hold (the checker and the printers dereference
+  /// every size), so it is corruption here.
+  bool size(SizeRef &S) {
     uint64_t V;
     if (!u(V))
       return false;
-    if (V == 0) {
-      S = nullptr;
-      return true;
-    }
+    if (V == 0)
+      return fail("missing size");
     if (V - 1 >= Slots.size() || Slots[V - 1].C != Cat::Size)
       return fail("size index out of range");
     S = Sizes[Slots[V - 1].Sub];
@@ -652,7 +652,7 @@ private:
   bool get(std::string &S, const char *, const char *) { return str(S); }
   bool get(Qual &Q, const char *, const char *) { return qual(Q); }
   bool get(Loc &L, const char *, const char *) { return loc(L); }
-  bool get(SizeRef &S, const char *, const char *) { return optSize(S); }
+  bool get(SizeRef &S, const char *, const char *) { return size(S); }
   bool get(PretypeRef &P, const char *, const char *) { return preRef(P); }
   bool get(HeapTypeRef &H, const char *, const char *) { return heapRef(H); }
   bool get(FunTypeRef &F, const char *, const char *) { return funRef(F); }
@@ -775,7 +775,7 @@ bool Reader::get(Quant &Q, const char *, const char *) {
     return get(Q.QualLower, "qualifier bound", nullptr) &&
            get(Q.QualUpper, "qualifier bound", nullptr);
   case QuantKind::Type:
-    return qual(Q.TypeQualLower) && optSize(Q.TypeSizeUpper) &&
+    return qual(Q.TypeQualLower) && size(Q.TypeSizeUpper) &&
            flag(Q.TypeNoCaps, "no-caps");
   }
   return true;
@@ -792,7 +792,7 @@ bool Reader::get(Index &I, const char *, const char *) {
   case QuantKind::Loc:
     return loc(I.L);
   case QuantKind::Size:
-    return optSize(I.Sz);
+    return size(I.Sz);
   case QuantKind::Qual:
     return qual(I.Q);
   case QuantKind::Type:

@@ -145,6 +145,9 @@ Status rw::typing::wfPretypeAtUncached(const Pretype *P, Qual OuterQ,
   }
   case PretypeKind::Prod: {
     for (const Type &E : cast<ProdPT>(P)->elems()) {
+      // Scope first: the qualifier search indexes Ctx.Quals by E.Q.
+      if (Status St = wfQual(E.Q, Ctx); !St)
+        return St;
       if (!leqQual(E.Q, OuterQ, Ctx))
         return Error("tuple component qualifier " + E.Q.str() +
                      " exceeds tuple qualifier " + OuterQ.str());

@@ -1859,6 +1859,237 @@ TEST(JitDiff, ResetProfilesRetiers) {
 #endif
 }
 
+//===----------------------------------------------------------------------===//
+// Native-to-native calls: the call stencil pushes frame records itself,
+// so every case below runs deep or mixed chains of native frames and
+// checks that traps, deopts and fallbacks look exactly as interpreted.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// i32 -> i32: n == 0 ? i32.load(Addr) : f(n - 1) + 1 (function 0).
+WModule recurseThenLoad(uint32_t Addr) {
+  WModule M;
+  uint32_t TI = M.addType({{ValType::I32}, {ValType::I32}});
+  M.Memory = {{1, std::nullopt}};
+  M.Funcs.push_back(
+      {TI,
+       {},
+       {WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32Eqz),
+        WInst::ifElse({{}, {ValType::I32}},
+                      {WInst::i32c(static_cast<int32_t>(Addr)),
+                       WInst::mem(Op::I32Load, 2, 0)},
+                      {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
+                       WInst::mk(Op::I32Sub), WInst::idx(Op::Call, 0),
+                       WInst::i32c(1), WInst::mk(Op::I32Add)})}});
+  M.Exports.push_back({"f", ExportKind::Func, 0});
+  return M;
+}
+
+/// f0 -> f1 -> f2 -> f3, each f_k(x) = f_{k+1}(x + 1) * 2 + k, and
+/// f3(x) = x == 99 ? unreachable : x.
+WModule callChain() {
+  WModule M;
+  uint32_t TI = M.addType({{ValType::I32}, {ValType::I32}});
+  for (uint32_t K = 0; K < 3; ++K)
+    M.Funcs.push_back(
+        {TI,
+         {},
+         {WInst::idx(Op::LocalGet, 0), WInst::i32c(1), WInst::mk(Op::I32Add),
+          WInst::idx(Op::Call, K + 1), WInst::i32c(2), WInst::mk(Op::I32Mul),
+          WInst::i32c(static_cast<int32_t>(K)), WInst::mk(Op::I32Add)}});
+  M.Funcs.push_back(
+      {TI,
+       {},
+       {WInst::idx(Op::LocalGet, 0), WInst::i32c(99), WInst::mk(Op::I32Eq),
+        WInst::ifElse({{}, {}}, {WInst::mk(Op::Unreachable)}, {}),
+        WInst::idx(Op::LocalGet, 0)}});
+  M.Exports.push_back({"f", ExportKind::Func, 0});
+  return M;
+}
+
+} // namespace
+
+TEST(JitCalls, OutOfBoundsTrapDeepInNativeCallees) {
+  // 600 native frames deep, the innermost one loads out of bounds. It
+  // deopts, every frame record above it is the stencil's, and the
+  // interpreter formats the profiled note from them.
+  auto Profile = [](Instance &I) { I.enableProfiling(); };
+  auto R = expectSameAll(recurseThenLoad(65536), "f", {WValue::i32(600)},
+                         Profile);
+  EXPECT_EQ(R[2].Err,
+            "trap: out-of-bounds memory access [func 0; inv 601, loops 0]");
+#if RW_JIT_ENABLED
+  EXPECT_EQ(compiledCountOf(R[2]), 1u);
+#endif
+  // The same chain in bounds returns through all 600 native frames.
+  auto Ok = expectSameAll(recurseThenLoad(0), "f", {WValue::i32(600)},
+                          Profile);
+  ASSERT_TRUE(Ok[2].Ok) << Ok[2].Err;
+  EXPECT_EQ(Ok[2].Results[0].asU32(), 600u);
+  // At the depth limit the stencil falls back and the interpreter traps.
+  auto Deep = expectSameAll(recurseThenLoad(0), "f", {WValue::i32(5000)},
+                            Profile);
+  EXPECT_EQ(Deep[2].Err,
+            "trap: call stack exhausted [func 0; inv 2000, loops 0]");
+}
+
+TEST(JitCalls, DeoptInNativeCalleePartwayDownAChain) {
+  WModule M = callChain();
+  auto R = expectSameAll(M, "f", {WValue::i32(5)});
+  ASSERT_TRUE(R[2].Ok) << R[2].Err;
+  EXPECT_EQ(R[2].Results[0].asU32(), ((8u * 2 + 2) * 2 + 1) * 2 + 0);
+  // f3 reaches unreachable three native frames down.
+  auto U = expectSameAll(M, "f", {WValue::i32(96)});
+  EXPECT_EQ(U[2].Err, "trap: unreachable executed [func 3]");
+
+  // Fuel runs out at every instruction of the chain in turn: the flat
+  // and native tiers stop at the same instruction with the same note.
+  auto FI = createInstance(M, EngineKind::Flat);
+  auto JI = createInstance(M, EngineKind::Jit);
+  ASSERT_TRUE(FI->initialize().ok());
+  ASSERT_TRUE(JI->initialize().ok());
+  ASSERT_TRUE(bool(FI->invoke(0, {WValue::i32(5)})));
+  const uint64_t Total = FI->instrCount();
+  for (uint64_t Fuel = 1; Fuel <= Total; ++Fuel) {
+    FI->resetInstrCount();
+    JI->resetInstrCount();
+    auto RF = FI->invoke(0, {WValue::i32(5)}, Fuel);
+    auto RJ = JI->invoke(0, {WValue::i32(5)}, Fuel);
+    ASSERT_EQ(bool(RF), bool(RJ)) << "fuel " << Fuel;
+    if (!RF)
+      EXPECT_EQ(RF.error().message(), RJ.error().message()) << "fuel " << Fuel;
+    EXPECT_EQ(FI->instrCount(), JI->instrCount()) << "fuel " << Fuel;
+    EXPECT_EQ(bool(RF), Fuel == Total) << "fuel " << Fuel;
+  }
+}
+
+TEST(JitCalls, RegisterAndOperandGrowthPartwayDownAChain) {
+  // f(n) = n == 0 ? g(7) : f(n - 1) + g(n) + h(n), 500 deep. g has 200
+  // locals and a 41-slot operand stack, so its first call deep in the
+  // chain must grow Regs and OpStack through the fallback; h has three.
+  // Both read locals their previous activations, one register lower,
+  // left dirty: the stencil must zero them (returns are x + 40 and x).
+  WModule M;
+  uint32_t TI = M.addType({{ValType::I32}, {ValType::I32}});
+  M.Funcs.push_back(
+      {TI,
+       {},
+       {WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32Eqz),
+        WInst::ifElse({{}, {ValType::I32}},
+                      {WInst::i32c(7), WInst::idx(Op::Call, 1)},
+                      {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
+                       WInst::mk(Op::I32Sub), WInst::idx(Op::Call, 0),
+                       WInst::idx(Op::LocalGet, 0), WInst::idx(Op::Call, 1),
+                       WInst::mk(Op::I32Add), WInst::idx(Op::LocalGet, 0),
+                       WInst::idx(Op::Call, 2), WInst::mk(Op::I32Add)})}});
+  auto Dirtying = [](uint32_t Hi, uint32_t Lo, std::vector<WInst> Body) {
+    for (uint32_t L : {Hi - 1, Hi, Lo - 1, Lo}) {
+      Body.push_back(WInst::i32c(12345));
+      Body.push_back(WInst::idx(Op::LocalSet, L));
+    }
+    return Body;
+  };
+  std::vector<WInst> G = {WInst::idx(Op::LocalGet, 0),
+                          WInst::idx(Op::LocalGet, 199), WInst::mk(Op::I32Add),
+                          WInst::idx(Op::LocalGet, 150), WInst::mk(Op::I32Add)};
+  for (int K = 0; K < 40; ++K)
+    G.push_back(WInst::i32c(1));
+  for (int K = 0; K < 40; ++K)
+    G.push_back(WInst::mk(Op::I32Add));
+  M.Funcs.push_back(
+      {TI, std::vector<ValType>(199, ValType::I32), Dirtying(199, 150, G)});
+  M.Funcs.push_back(
+      {TI,
+       {ValType::I32, ValType::I32},
+       Dirtying(2, 2,
+                {WInst::idx(Op::LocalGet, 0), WInst::idx(Op::LocalGet, 1),
+                 WInst::mk(Op::I32Add), WInst::idx(Op::LocalGet, 2),
+                 WInst::mk(Op::I32Add)})});
+  M.Exports.push_back({"f", ExportKind::Func, 0});
+  auto R = expectSameAll(M, "f", {WValue::i32(500)});
+  ASSERT_TRUE(R[2].Ok) << R[2].Err;
+  // 47 + sum over n = 1..500 of (n + 40) + n.
+  EXPECT_EQ(R[2].Results[0].asU32(), 47u + 500u * 501u + 40u * 500u);
+#if RW_JIT_ENABLED
+  EXPECT_EQ(compiledCountOf(R[2]), 3u);
+#endif
+}
+
+TEST(JitCalls, CompiledCallerOfAnUntieredCallee) {
+  // Threshold policy: f0 loops n times and calls f1(sum); f1 loops ten
+  // times and returns f2(x) + 1; f2 traps on 0. f0 and f1 tier after one
+  // invoke and f2 only after ten, so for nine invokes a native caller
+  // enters a native callee (the stencil) that enters an interpreted one
+  // (the fallback), and the interpreter returns through both frame
+  // records. Results, fuel and the profiled trap note track a flat-only
+  // instance.
+  // block { loop { if Ctr >= Limit break; Work; ++Ctr; continue } }
+  auto CountTo = [](WInst Limit, uint32_t Ctr, std::vector<WInst> Work) {
+    std::vector<WInst> Body = {WInst::idx(Op::LocalGet, Ctr), Limit,
+                               WInst::mk(Op::I32GeS), WInst::idx(Op::BrIf, 1)};
+    Body.insert(Body.end(), Work.begin(), Work.end());
+    for (WInst I : {WInst::idx(Op::LocalGet, Ctr), WInst::i32c(1),
+                    WInst::mk(Op::I32Add), WInst::idx(Op::LocalSet, Ctr),
+                    WInst::idx(Op::Br, 0)})
+      Body.push_back(I);
+    return WInst::block({{}, {}}, {WInst::loop({{}, {}}, Body)});
+  };
+  WModule M;
+  uint32_t TI = M.addType({{ValType::I32}, {ValType::I32}});
+  M.Funcs.push_back({TI,
+                     {ValType::I32, ValType::I32},
+                     {CountTo(WInst::idx(Op::LocalGet, 0), 1,
+                              {WInst::idx(Op::LocalGet, 2),
+                               WInst::idx(Op::LocalGet, 1),
+                               WInst::mk(Op::I32Add),
+                               WInst::idx(Op::LocalSet, 2)}),
+                      WInst::idx(Op::LocalGet, 2), WInst::idx(Op::Call, 1)}});
+  M.Funcs.push_back({TI,
+                     {ValType::I32},
+                     {CountTo(WInst::i32c(10), 1, {}),
+                      WInst::idx(Op::LocalGet, 0), WInst::idx(Op::Call, 2),
+                      WInst::i32c(1), WInst::mk(Op::I32Add)}});
+  M.Funcs.push_back(
+      {TI,
+       {},
+       {WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32Eqz),
+        WInst::ifElse({{}, {}}, {WInst::mk(Op::Unreachable)}, {}),
+        WInst::idx(Op::LocalGet, 0), WInst::i32c(3), WInst::mk(Op::I32Mul)}});
+  ASSERT_TRUE(validate(M).ok()) << validate(M).error().message();
+
+  exec::FlatInstance Ref(M);
+  Ref.setTierPolicy(exec::FlatInstance::NeverTier);
+  Ref.enableProfiling();
+  ASSERT_TRUE(Ref.initialize().ok());
+  exec::FlatInstance Jit(M);
+  Jit.setTierPolicy(/*Threshold=*/10);
+  Jit.enableProfiling();
+  ASSERT_TRUE(Jit.initialize().ok());
+
+  for (uint32_t K = 1; K <= 12; ++K) {
+    auto RR = Ref.invoke(0, {WValue::i32(20)});
+    auto RJ = Jit.invoke(0, {WValue::i32(20)});
+    ASSERT_TRUE(bool(RR)) << RR.error().message();
+    ASSERT_TRUE(bool(RJ)) << RJ.error().message();
+    EXPECT_EQ((*RJ)[0].asU32(), 190u * 3 + 1);
+    EXPECT_EQ(Ref.instrCount(), Jit.instrCount()) << "invoke " << K;
+#if RW_JIT_ENABLED
+    // Compiles happen at the start of an invoke, from earlier profiles.
+    EXPECT_EQ(Jit.jitCompiledCount(), K == 1 ? 0u : K <= 10 ? 2u : 3u)
+        << "invoke " << K;
+#endif
+  }
+  auto RR = Ref.invoke(0, {WValue::i32(0)});
+  auto RJ = Jit.invoke(0, {WValue::i32(0)});
+  ASSERT_FALSE(bool(RR));
+  ASSERT_FALSE(bool(RJ));
+  EXPECT_EQ(RJ.error().message(), RR.error().message());
+  EXPECT_EQ(RJ.error().message(),
+            "trap: unreachable executed [func 2; inv 13, loops 0]");
+  EXPECT_EQ(Ref.instrCount(), Jit.instrCount());
+}
+
 TEST(JitLowered, WorkloadsAndHostGcThreeWay) {
   // The lowered pipeline end to end on EngineKind::Jit — including the
   // shared pretranslated artifact hand-off and the host-assisted GC

@@ -327,6 +327,14 @@ TEST(Ingest, RegressionCorpusVerdictsArePinned) {
        "Truncated @8: section extends past end of module"},
       {"serial_badsum.bin", Category::Malformed, 16,
        "Malformed @16: payload checksum mismatch"},
+      // A null size (the writer's 0) where a node requires one: an
+      // existential's bound, a type quantifier's bound, a struct slot.
+      {"serial_null_ex_bound.bin", Category::Malformed, 30,
+       "Malformed @30: malformed module: missing size"},
+      {"serial_null_quant_bound.bin", Category::Malformed, 32,
+       "Malformed @32: malformed module: missing size"},
+      {"serial_null_struct_slot.bin", Category::Malformed, 32,
+       "Malformed @32: malformed module: missing size"},
       {"serial_truncated.bin", Category::Truncated, 8,
        "Truncated @8: truncated header"},
       {"servermix_admitted_mutant.bin", Category::None, 0, "None @0: "},
@@ -342,6 +350,11 @@ TEST(Ingest, RegressionCorpusVerdictsArePinned) {
        "Unsupported @4: unsupported format version 4278190081 (expected 1)"},
       {"truncated_magic.bin", Category::BadMagic, 0,
        "BadMagic @0: input too short for a container magic"},
+      // A tuple component whose qualifier variable is out of scope is
+      // checked for scope before its qualifier is compared.
+      {"typing_prod_qual_out_of_scope.bin", Category::Check, 0,
+       "Check @0: in function 0: qualifier variable δ5 out of scope (in "
+       "parameter of [(unit^δ5)^unr] -> [])"},
   };
   const std::filesystem::path Dir =
       std::filesystem::path(RW_SOURCE_DIR) / "fuzz/corpus/regression";
@@ -367,6 +380,24 @@ TEST(Ingest, RegressionCorpusVerdictsArePinned) {
                 "Check @0: in function 0: drop of a linear value of type "
                 "(∃ρ. (ref rw ρ0 (struct (i32^unr, 32)))^lin)^lin"},
                serial::write(Mutant));
+
+  // Check: a tuple component's qualifier variable out of scope, with no
+  // quantifiers to bind it (used to crash the qualifier search).
+  {
+    using namespace ir;
+    Module M;
+    M.Name = "m";
+    M.Funcs.push_back(build::function(
+        {}, FunType::get({}, build::arrow({Type(prodPT({unitT(Qual::var(5))}),
+                                         Qual::unr())},
+                                   {})),
+        {}, {}));
+    expectPinned({"tuple component qualifier out of scope", Category::Check,
+                  0,
+                  "Check @0: in function 0: qualifier variable δ5 out of "
+                  "scope (in parameter of [(unit^δ5)^unr] -> [])"},
+                 serial::write(M));
+  }
 
   // LimitExceeded after parsing: three functions against MaxFuncs = 1.
   Limits OneFunc;

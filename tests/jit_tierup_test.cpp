@@ -147,6 +147,48 @@ TEST(JitTierUp, ObsSourceExportsTierStateAndCodeBytes) {
   EXPECT_GE(CompileSamples, FI.jitCompiledCount());
 }
 
+TEST(JitTierUp, DeoptDeepInANativeChainIsOneSideExit) {
+  // f0 -> f1 -> f2 all native, f2 divides by its argument. A divide by
+  // zero deopts f2; the native callers pass that outward as an unwind,
+  // so the root's exit counts one side exit and no deopt of its own.
+  obs::setEnabled(true);
+  WModule M;
+  uint32_t TV = M.addType({{ValType::I32}, {ValType::I32}});
+  for (uint32_t K = 1; K <= 2; ++K)
+    M.Funcs.push_back({TV,
+                       {},
+                       {WInst::idx(Op::LocalGet, 0), WInst::idx(Op::Call, K),
+                        WInst::i32c(1), WInst::mk(Op::I32Add)}});
+  M.Funcs.push_back({TV,
+                     {},
+                     {WInst::i32c(100), WInst::idx(Op::LocalGet, 0),
+                      WInst::mk(Op::I32DivU)}});
+  M.Exports.push_back({"f", ExportKind::Func, 0});
+  ASSERT_TRUE(validate(M).ok());
+  exec::FlatInstance FI(M);
+  FI.setTierPolicy(0);
+  ASSERT_TRUE(FI.initialize().ok());
+  ASSERT_EQ(FI.jitCompiledCount(), 3u);
+  auto Counts = [] {
+    std::map<std::string, uint64_t> C;
+    for (const obs::Metric &Mt : obs::snapshot().Metrics)
+      if (Mt.Name == "exec.tier.deopts" || Mt.Name == "exec.tier.side_exits")
+        C[Mt.Name] = Mt.Value;
+    return C;
+  };
+  auto Before = Counts();
+  auto R = FI.invokeByName("f", {WValue::i32(5)});
+  ASSERT_TRUE(bool(R));
+  EXPECT_EQ(R->at(0).asU32(), 22u);
+  EXPECT_EQ(Counts(), Before) << "a clean native chain exits nowhere";
+  R = FI.invokeByName("f", {WValue::i32(0)});
+  ASSERT_FALSE(bool(R));
+  EXPECT_EQ(R.error().message(), "trap: integer divide error [func 2]");
+  auto After = Counts();
+  EXPECT_EQ(After["exec.tier.deopts"], Before["exec.tier.deopts"]);
+  EXPECT_EQ(After["exec.tier.side_exits"], Before["exec.tier.side_exits"] + 1);
+}
+
 #endif // RW_OBS_ENABLED
 
 #else // !RW_JIT_ENABLED

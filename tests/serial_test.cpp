@@ -627,6 +627,45 @@ TEST(SerialFuzz, ChecksumRepairedByteFlipsNeverCrash) {
   (void)Accepted;
 }
 
+TEST(Serial, NullSizeIsMalformed) {
+  // The writer encodes a null size as 0. No node may hold one (the
+  // checker and the printers dereference every size), so read rejects it
+  // in each size position: struct slot, existential bound, type
+  // quantifier bound, size instantiation, struct.malloc, function local.
+  auto OneFn = [](FunTypeRef FT, std::vector<SizeRef> Locals = {},
+                  InstVec Body = {}) {
+    Module M;
+    M.Name = "m";
+    M.Funcs.push_back(build::function({}, std::move(FT), std::move(Locals),
+                                      std::move(Body)));
+    return M;
+  };
+  auto Ref = [](HeapTypeRef H) {
+    return Type(refPT(Privilege::RW, Loc::var(0), std::move(H)), Qual::unr());
+  };
+  FunTypeRef Empty = FunType::get({}, build::arrow({}, {}));
+  const Module Cases[] = {
+      OneFn(FunType::get(
+          {Quant::loc()},
+          build::arrow({Ref(structHT({StructField{i32T(), nullptr}}))}, {}))),
+      OneFn(FunType::get({Quant::loc()},
+                         build::arrow({Ref(exHT(Qual::unr(), nullptr,
+                                                Type(varPT(0), Qual::unr())))},
+                                      {}))),
+      OneFn(FunType::get({Quant::type(Qual::unr(), nullptr)},
+                         build::arrow({Type(varPT(0), Qual::unr())}, {}))),
+      OneFn(Empty, {}, {build::call(0, {Index::size(nullptr)})}),
+      OneFn(Empty, {}, {build::structMalloc({nullptr}, Qual::unr())}),
+      OneFn(Empty, {nullptr}),
+  };
+  for (const Module &M : Cases) {
+    auto R = serial::read(serial::write(M));
+    ASSERT_FALSE(bool(R));
+    EXPECT_NE(R.error().message().find("missing size"), std::string::npos)
+        << R.error().message();
+  }
+}
+
 TEST(Serial, FailedReadLeavesTargetArenaUntouched) {
   // The checksum is not a MAC: an attacker can ship a structurally
   // invalid payload with a valid checksum. Such a read must not grow the
