@@ -823,128 +823,32 @@ uint64_t FlatInstance::memoryGrow(uint32_t Delta) {
 
 uint64_t rw::exec::evalNumeric(uint32_t OpC, uint64_t A, uint64_t B,
                                NumTrap &Trap) {
-  using namespace rw::num;
   Trap = NumTrap::None;
-  if (OpC == 0x45 || OpC == 0x50) // i32.eqz / i64.eqz
-    return (OpC == 0x45 ? static_cast<uint32_t>(A) : A) == 0 ? 1 : 0;
-  if ((OpC >= 0x46 && OpC <= 0x4f) || (OpC >= 0x51 && OpC <= 0x5a)) {
-    static const IntRelop Map[] = {IntRelop::Eq, IntRelop::Ne, IntRelop::Lt,
-                                   IntRelop::Lt, IntRelop::Gt, IntRelop::Gt,
-                                   IntRelop::Le, IntRelop::Le, IntRelop::Ge,
-                                   IntRelop::Ge};
-    static const bool Signed[] = {false, false, true, false, true,
-                                  false, true,  false, true, false};
-    bool Is64 = OpC >= 0x51;
-    unsigned Idx = Is64 ? OpC - 0x51 : OpC - 0x46;
-    return evalIntRelop(Map[Idx], A, B, Is64, Signed[Idx]);
-  }
-  if (OpC >= 0x5b && OpC <= 0x66) {
-    static const FloatRelop Map[] = {FloatRelop::Eq, FloatRelop::Ne,
-                                     FloatRelop::Lt, FloatRelop::Gt,
-                                     FloatRelop::Le, FloatRelop::Ge};
-    bool Is64 = OpC >= 0x61;
-    return evalFloatRelop(Map[Is64 ? OpC - 0x61 : OpC - 0x5b], A, B, Is64);
-  }
-  if ((OpC >= 0x67 && OpC <= 0x69) || (OpC >= 0x79 && OpC <= 0x7b)) {
-    bool Is64 = OpC >= 0x79;
-    unsigned Idx = Is64 ? OpC - 0x79 : OpC - 0x67;
-    return Idx == 0   ? intClz(A, Is64)
-           : Idx == 1 ? intCtz(A, Is64)
-                      : intPopcnt(A, Is64);
-  }
-  if ((OpC >= 0x6a && OpC <= 0x78) || (OpC >= 0x7c && OpC <= 0x8a)) {
-    static const IntBinop Map[] = {
-        IntBinop::Add, IntBinop::Sub,  IntBinop::Mul, IntBinop::Div,
-        IntBinop::Div, IntBinop::Rem,  IntBinop::Rem, IntBinop::And,
-        IntBinop::Or,  IntBinop::Xor,  IntBinop::Shl, IntBinop::Shr,
-        IntBinop::Shr, IntBinop::Rotl, IntBinop::Rotr};
-    static const bool Signed[] = {false, false, false, true,  false,
-                                  true,  false, false, false, false,
-                                  false, true,  false, false, false};
-    bool Is64 = OpC >= 0x7c;
-    unsigned Idx = Is64 ? OpC - 0x7c : OpC - 0x6a;
-    std::optional<uint64_t> V = evalIntBinop(Map[Idx], A, B, Is64, Signed[Idx]);
+  const NumOp N = OpC < OpTable.size() ? OpTable[OpC].Num : NumOp{};
+  switch (N.Class) {
+  case NumClass::Unop:
+    return num::evalUnop(N.unop(), N.From, A);
+  case NumClass::Binop: {
+    std::optional<uint64_t> V = num::evalBinop(N.binop(), N.From, A, B);
     if (!V)
       Trap = NumTrap::IntDivide;
     return V.value_or(0);
   }
-  if ((OpC >= 0x8b && OpC <= 0x91) || (OpC >= 0x99 && OpC <= 0x9f)) {
-    static const FloatUnop Map[] = {FloatUnop::Abs,   FloatUnop::Neg,
-                                    FloatUnop::Ceil,  FloatUnop::Floor,
-                                    FloatUnop::Trunc, FloatUnop::Nearest,
-                                    FloatUnop::Sqrt};
-    bool Is64 = OpC >= 0x99;
-    return evalFloatUnop(Map[Is64 ? OpC - 0x99 : OpC - 0x8b], A, Is64);
-  }
-  if ((OpC >= 0x92 && OpC <= 0x98) || (OpC >= 0xa0 && OpC <= 0xa6)) {
-    static const FloatBinop Map[] = {
-        FloatBinop::Add, FloatBinop::Sub, FloatBinop::Mul, FloatBinop::Div,
-        FloatBinop::Min, FloatBinop::Max, FloatBinop::Copysign};
-    bool Is64 = OpC >= 0xa0;
-    return evalFloatBinop(Map[Is64 ? OpC - 0xa0 : OpC - 0x92], A, B, Is64);
-  }
-
-  // Conversions.
-  switch (static_cast<Op>(OpC)) {
-  case Op::I32WrapI64:
-    return A & 0xffffffffu;
-  case Op::I64ExtendI32S:
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int32_t>(static_cast<uint32_t>(A))));
-  case Op::I64ExtendI32U:
-    return static_cast<uint32_t>(A);
-  case Op::I32TruncF32S:
-  case Op::I32TruncF32U:
-  case Op::I64TruncF32S:
-  case Op::I64TruncF32U:
-  case Op::I32TruncF64S:
-  case Op::I32TruncF64U:
-  case Op::I64TruncF64S:
-  case Op::I64TruncF64U: {
-    Op K = static_cast<Op>(OpC);
-    bool Src64 = K == Op::I32TruncF64S || K == Op::I32TruncF64U ||
-                 K == Op::I64TruncF64S || K == Op::I64TruncF64U;
-    bool Dst64 = K >= Op::I64TruncF32S;
-    bool Sgn = K == Op::I32TruncF32S || K == Op::I32TruncF64S ||
-               K == Op::I64TruncF32S || K == Op::I64TruncF64S;
-    std::optional<uint64_t> V =
-        Src64 ? truncToInt(bitsToF64(A), Dst64, Sgn)
-              : truncToInt(bitsToF32(A), Dst64, Sgn);
+  case NumClass::Testop:
+    return num::evalTestop(N.testop(), N.From, A);
+  case NumClass::Relop:
+    return num::evalRelop(N.relop(), N.From, A, B);
+  case NumClass::Cvt: {
+    std::optional<uint64_t> V = num::evalCvt(N.cvtop(), N.From, N.To, A);
     if (!V)
       Trap = NumTrap::InvalidConversion;
     return V.value_or(0);
   }
-  case Op::F32ConvertI32S:
-    return f32ToBits(
-        static_cast<float>(static_cast<int32_t>(static_cast<uint32_t>(A))));
-  case Op::F32ConvertI32U:
-    return f32ToBits(static_cast<float>(static_cast<uint32_t>(A)));
-  case Op::F32ConvertI64S:
-    return f32ToBits(static_cast<float>(static_cast<int64_t>(A)));
-  case Op::F32ConvertI64U:
-    return f32ToBits(static_cast<float>(A));
-  case Op::F64ConvertI32S:
-    return f64ToBits(
-        static_cast<double>(static_cast<int32_t>(static_cast<uint32_t>(A))));
-  case Op::F64ConvertI32U:
-    return f64ToBits(static_cast<double>(static_cast<uint32_t>(A)));
-  case Op::F64ConvertI64S:
-    return f64ToBits(static_cast<double>(static_cast<int64_t>(A)));
-  case Op::F64ConvertI64U:
-    return f64ToBits(static_cast<double>(A));
-  case Op::F32DemoteF64:
-    return f32ToBits(static_cast<float>(bitsToF64(A)));
-  case Op::F64PromoteF32:
-    return f64ToBits(static_cast<double>(bitsToF32(A)));
-  case Op::I32ReinterpretF32:
-  case Op::I64ReinterpretF64:
-  case Op::F32ReinterpretI32:
-  case Op::F64ReinterpretI64:
-    return A; // Bit patterns are already untyped slots.
-  default:
-    Trap = NumTrap::Unhandled;
-    return 0;
+  case NumClass::None:
+    break;
   }
+  Trap = NumTrap::Unhandled;
+  return 0;
 }
 
 //===----------------------------------------------------------------------===//

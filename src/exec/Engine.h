@@ -58,10 +58,12 @@ enum class NumTrap : uint32_t {
 
 /// The flat tier's numeric evaluator over raw 64-bit slots, for every
 /// numeric opcode (wasm::OpInfo::numeric): ops that pop two read (A, B),
-/// the others read A and ignore B. Bit-exact with the tree engine (the same num:: helpers). On
-/// a trap returns 0 and sets \p Trap. The interpreter calls it for the
-/// opcodes without a dedicated handler, and the JIT's generic-op
-/// template calls it through an extern "C" shim.
+/// the others read A and ignore B. It evaluates the RichWasm operation the
+/// opcode's row names (OpInfo::Num) with support/NumericOps.h, bit-exact
+/// with the tree engine's own decoding. On a trap returns 0 and sets
+/// \p Trap. The interpreter calls it for the opcodes without a dedicated
+/// handler, and the JIT's generic-op template calls it through an
+/// extern "C" shim.
 uint64_t evalNumeric(uint32_t OpC, uint64_t A, uint64_t B, NumTrap &Trap);
 
 /// One activation record of the flat engine's call stack.

@@ -32,6 +32,12 @@ inline bool isFloatType(NumType T) {
 inline bool isSignedType(NumType T) {
   return T == NumType::I32 || T == NumType::I64;
 }
+/// The signed type of an unsigned one's width; other types themselves.
+constexpr NumType signedType(NumType T) {
+  return T == NumType::U32   ? NumType::I32
+         : T == NumType::U64 ? NumType::I64
+                             : T;
+}
 /// Bit width of the representation (32 or 64).
 inline uint64_t numTypeBits(NumType T) {
   switch (T) {
@@ -81,9 +87,8 @@ enum class UnopKind : uint8_t {
   Nearest,
 };
 
-inline bool isIntUnop(UnopKind K) { return K <= UnopKind::Popcnt; }
-
-/// Binary operators. Div/Rem/Shr use the signedness of the operand type.
+/// Binary operators: those of every type, the integer-only ones, then the
+/// float-only ones. Div/Rem/Shr use the signedness of the operand type.
 enum class BinopKind : uint8_t {
   Add,
   Sub,
@@ -102,24 +107,15 @@ enum class BinopKind : uint8_t {
   Copysign,
 };
 
-inline bool isIntOnlyBinop(BinopKind K) {
-  switch (K) {
-  case BinopKind::Rem:
-  case BinopKind::And:
-  case BinopKind::Or:
-  case BinopKind::Xor:
-  case BinopKind::Shl:
-  case BinopKind::Shr:
-  case BinopKind::Rotl:
-  case BinopKind::Rotr:
-    return true;
-  default:
-    return false;
-  }
+/// Whether the operator exists at the numeric type: Clz/Ctz/Popcnt at
+/// integer types and the other unops at float types; Add/Sub/Mul/Div at
+/// every type, Rem through Rotr at integer types and Min/Max/Copysign at
+/// float types.
+inline bool unopAt(UnopKind K, NumType T) {
+  return isIntType(T) == (K <= UnopKind::Popcnt);
 }
-inline bool isFloatOnlyBinop(BinopKind K) {
-  return K == BinopKind::Min || K == BinopKind::Max ||
-         K == BinopKind::Copysign;
+inline bool binopAt(BinopKind K, NumType T) {
+  return K <= BinopKind::Div || isIntType(T) == (K <= BinopKind::Rotr);
 }
 
 /// Test operators (integer only): produce an i32 boolean.
@@ -136,6 +132,13 @@ enum class CvtopKind : uint8_t {
   /// Bit-pattern reinterpretation between same-width int and float.
   Reinterpret,
 };
+
+/// A conversion between two types of one class and width (i32 and ui32,
+/// say) changes no bits: it has no Wasm instruction.
+inline bool isIdentityCvt(NumType From, NumType To) {
+  return isIntType(From) == isIntType(To) &&
+         numTypeBits(From) == numTypeBits(To);
+}
 
 const char *unopName(UnopKind K);
 const char *binopName(BinopKind K);

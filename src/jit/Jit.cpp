@@ -1048,12 +1048,13 @@ bool FuncCompiler::emitInst(uint32_t Pc, uint32_t Op, int32_t Hh,
       A.movMR64(R12, slot(Hh - 2), RAX);
       return true;
     }
-    if ((Op >= 0x46 && Op <= 0x4f) || (Op >= 0x51 && Op <= 0x5a)) {
-      // eq ne lt_s lt_u gt_s gt_u le_s le_u ge_s ge_u
-      static const uint8_t CCs[] = {CE, CNE, CL_, CB, CG, CA, CLE, CBE,
-                                    CGE, CAE};
-      W64 = Op >= 0x51;
-      uint8_t Cc = CCs[Op - (W64 ? 0x51 : 0x46)];
+    const NumOp N = Op < OpTable.size() ? OpTable[Op].Num : NumOp{};
+    if (N.Class == NumClass::Relop && ir::isIntType(N.From)) {
+      // By ir::RelopKind: eq ne lt gt le ge.
+      static const uint8_t SignedCc[] = {CE, CNE, CL_, CG, CLE, CGE};
+      static const uint8_t UnsignedCc[] = {CE, CNE, CB, CA, CBE, CAE};
+      W64 = ir::numTypeBits(N.From) == 64;
+      uint8_t Cc = (ir::isSignedType(N.From) ? SignedCc : UnsignedCc)[N.Kind];
       if (W64)
         A.movRM64(RAX, R12, slot(Hh - 2));
       else

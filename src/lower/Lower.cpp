@@ -28,175 +28,46 @@ using wasm::WInst;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Numeric opcode mapping
-//===----------------------------------------------------------------------===//
-
-Expected<Op> mapBinop(NumType NT, BinopKind K) {
-  bool Is64 = numTypeBits(NT) == 64;
-  bool Sgn = isSignedType(NT);
-  if (isIntType(NT)) {
-    switch (K) {
-    case BinopKind::Add:
-      return Is64 ? Op::I64Add : Op::I32Add;
-    case BinopKind::Sub:
-      return Is64 ? Op::I64Sub : Op::I32Sub;
-    case BinopKind::Mul:
-      return Is64 ? Op::I64Mul : Op::I32Mul;
-    case BinopKind::Div:
-      return Is64 ? (Sgn ? Op::I64DivS : Op::I64DivU)
-                  : (Sgn ? Op::I32DivS : Op::I32DivU);
-    case BinopKind::Rem:
-      return Is64 ? (Sgn ? Op::I64RemS : Op::I64RemU)
-                  : (Sgn ? Op::I32RemS : Op::I32RemU);
-    case BinopKind::And:
-      return Is64 ? Op::I64And : Op::I32And;
-    case BinopKind::Or:
-      return Is64 ? Op::I64Or : Op::I32Or;
-    case BinopKind::Xor:
-      return Is64 ? Op::I64Xor : Op::I32Xor;
-    case BinopKind::Shl:
-      return Is64 ? Op::I64Shl : Op::I32Shl;
-    case BinopKind::Shr:
-      return Is64 ? (Sgn ? Op::I64ShrS : Op::I64ShrU)
-                  : (Sgn ? Op::I32ShrS : Op::I32ShrU);
-    case BinopKind::Rotl:
-      return Is64 ? Op::I64Rotl : Op::I32Rotl;
-    case BinopKind::Rotr:
-      return Is64 ? Op::I64Rotr : Op::I32Rotr;
-    default:
-      return Error("float operator at integer type");
-    }
+/// A numeric instruction lowers to the one opcode whose row means it; a
+/// conversion that changes no bits lowers to nothing.
+Status lowerNumeric(const Inst &I, std::vector<WInst> &O) {
+  wasm::NumOp N;
+  switch (I.kind()) {
+  case InstKind::NumUnop: {
+    const auto *U = cast<NumUnopInst>(&I);
+    N = wasm::NumOp::un(U->op(), U->numType());
+    break;
   }
-  switch (K) {
-  case BinopKind::Add:
-    return Is64 ? Op::F64Add : Op::F32Add;
-  case BinopKind::Sub:
-    return Is64 ? Op::F64Sub : Op::F32Sub;
-  case BinopKind::Mul:
-    return Is64 ? Op::F64Mul : Op::F32Mul;
-  case BinopKind::Div:
-    return Is64 ? Op::F64Div : Op::F32Div;
-  case BinopKind::Min:
-    return Is64 ? Op::F64Min : Op::F32Min;
-  case BinopKind::Max:
-    return Is64 ? Op::F64Max : Op::F32Max;
-  case BinopKind::Copysign:
-    return Is64 ? Op::F64Copysign : Op::F32Copysign;
+  case InstKind::NumBinop: {
+    const auto *B = cast<NumBinopInst>(&I);
+    N = wasm::NumOp::bin(B->op(), B->numType());
+    break;
+  }
+  case InstKind::NumTestop: {
+    const auto *T = cast<NumTestopInst>(&I);
+    N = wasm::NumOp::test(T->op(), T->numType());
+    break;
+  }
+  case InstKind::NumRelop: {
+    const auto *R = cast<NumRelopInst>(&I);
+    N = wasm::NumOp::rel(R->op(), R->numType());
+    break;
+  }
+  case InstKind::NumCvt: {
+    const auto *C = cast<NumCvtInst>(&I);
+    if (isIdentityCvt(C->from(), C->to()))
+      return Status::success();
+    N = wasm::NumOp::cvt(C->op(), C->from(), C->to());
+    break;
+  }
   default:
-    return Error("integer operator at float type");
+    return Error("not a numeric instruction");
   }
-}
-
-Expected<Op> mapUnop(NumType NT, UnopKind K) {
-  bool Is64 = numTypeBits(NT) == 64;
-  switch (K) {
-  case UnopKind::Clz:
-    return Is64 ? Op::I64Clz : Op::I32Clz;
-  case UnopKind::Ctz:
-    return Is64 ? Op::I64Ctz : Op::I32Ctz;
-  case UnopKind::Popcnt:
-    return Is64 ? Op::I64Popcnt : Op::I32Popcnt;
-  case UnopKind::Abs:
-    return Is64 ? Op::F64Abs : Op::F32Abs;
-  case UnopKind::Neg:
-    return Is64 ? Op::F64Neg : Op::F32Neg;
-  case UnopKind::Sqrt:
-    return Is64 ? Op::F64Sqrt : Op::F32Sqrt;
-  case UnopKind::Ceil:
-    return Is64 ? Op::F64Ceil : Op::F32Ceil;
-  case UnopKind::Floor:
-    return Is64 ? Op::F64Floor : Op::F32Floor;
-  case UnopKind::Trunc:
-    return Is64 ? Op::F64Trunc : Op::F32Trunc;
-  case UnopKind::Nearest:
-    return Is64 ? Op::F64Nearest : Op::F32Nearest;
-  }
-  return Error("bad unop");
-}
-
-Expected<Op> mapRelop(NumType NT, RelopKind K) {
-  bool Is64 = numTypeBits(NT) == 64;
-  bool Sgn = isSignedType(NT);
-  if (isIntType(NT)) {
-    switch (K) {
-    case RelopKind::Eq:
-      return Is64 ? Op::I64Eq : Op::I32Eq;
-    case RelopKind::Ne:
-      return Is64 ? Op::I64Ne : Op::I32Ne;
-    case RelopKind::Lt:
-      return Is64 ? (Sgn ? Op::I64LtS : Op::I64LtU)
-                  : (Sgn ? Op::I32LtS : Op::I32LtU);
-    case RelopKind::Gt:
-      return Is64 ? (Sgn ? Op::I64GtS : Op::I64GtU)
-                  : (Sgn ? Op::I32GtS : Op::I32GtU);
-    case RelopKind::Le:
-      return Is64 ? (Sgn ? Op::I64LeS : Op::I64LeU)
-                  : (Sgn ? Op::I32LeS : Op::I32LeU);
-    case RelopKind::Ge:
-      return Is64 ? (Sgn ? Op::I64GeS : Op::I64GeU)
-                  : (Sgn ? Op::I32GeS : Op::I32GeU);
-    }
-  }
-  switch (K) {
-  case RelopKind::Eq:
-    return Is64 ? Op::F64Eq : Op::F32Eq;
-  case RelopKind::Ne:
-    return Is64 ? Op::F64Ne : Op::F32Ne;
-  case RelopKind::Lt:
-    return Is64 ? Op::F64Lt : Op::F32Lt;
-  case RelopKind::Gt:
-    return Is64 ? Op::F64Gt : Op::F32Gt;
-  case RelopKind::Le:
-    return Is64 ? Op::F64Le : Op::F32Le;
-  case RelopKind::Ge:
-    return Is64 ? Op::F64Ge : Op::F32Ge;
-  }
-  return Error("bad relop");
-}
-
-/// Conversion lowering may be a no-op (same-width int reinterpretation).
-Expected<std::optional<Op>> mapCvt(NumType From, NumType To, CvtopKind K) {
-  bool SrcInt = isIntType(From), DstInt = isIntType(To);
-  bool Src64 = numTypeBits(From) == 64, Dst64 = numTypeBits(To) == 64;
-  if (K == CvtopKind::Reinterpret) {
-    if (SrcInt == DstInt)
-      return std::optional<Op>{}; // int<->int / float<->float: identity.
-    if (DstInt)
-      return std::optional<Op>{Dst64 ? Op::I64ReinterpretF64
-                                     : Op::I32ReinterpretF32};
-    return std::optional<Op>{Dst64 ? Op::F64ReinterpretI64
-                                   : Op::F32ReinterpretI32};
-  }
-  if (SrcInt && DstInt) {
-    if (Src64 == Dst64)
-      return std::optional<Op>{}; // Signedness reinterpretation.
-    if (Dst64)
-      return std::optional<Op>{isSignedType(From) ? Op::I64ExtendI32S
-                                                  : Op::I64ExtendI32U};
-    return std::optional<Op>{Op::I32WrapI64};
-  }
-  if (SrcInt) {
-    bool Sgn = isSignedType(From);
-    if (Dst64)
-      return std::optional<Op>{Src64
-                                   ? (Sgn ? Op::F64ConvertI64S : Op::F64ConvertI64U)
-                                   : (Sgn ? Op::F64ConvertI32S : Op::F64ConvertI32U)};
-    return std::optional<Op>{Src64
-                                 ? (Sgn ? Op::F32ConvertI64S : Op::F32ConvertI64U)
-                                 : (Sgn ? Op::F32ConvertI32S : Op::F32ConvertI32U)};
-  }
-  if (DstInt) {
-    bool Sgn = isSignedType(To);
-    if (Dst64)
-      return std::optional<Op>{Src64 ? (Sgn ? Op::I64TruncF64S : Op::I64TruncF64U)
-                                     : (Sgn ? Op::I64TruncF32S : Op::I64TruncF32U)};
-    return std::optional<Op>{Src64 ? (Sgn ? Op::I32TruncF64S : Op::I32TruncF64U)
-                                   : (Sgn ? Op::I32TruncF32S : Op::I32TruncF32U)};
-  }
-  if (Src64 == Dst64)
-    return std::optional<Op>{};
-  return std::optional<Op>{Dst64 ? Op::F64PromoteF32 : Op::F32DemoteF64};
+  std::optional<Op> K = wasm::numericOp(N);
+  if (!K)
+    return Error("numeric operator has no Wasm instruction at its type");
+  O.push_back(WInst::mk(*K));
+  return Status::success();
 }
 
 //===----------------------------------------------------------------------===//
@@ -718,45 +589,12 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     }
     return Status::success();
   }
-  case InstKind::NumUnop: {
-    const auto *U = cast<NumUnopInst>(&I);
-    Expected<Op> K = mapUnop(U->numType(), U->op());
-    if (!K)
-      return K.error();
-    O.push_back(WInst::mk(*K));
-    return Status::success();
-  }
-  case InstKind::NumBinop: {
-    const auto *B = cast<NumBinopInst>(&I);
-    Expected<Op> K = mapBinop(B->numType(), B->op());
-    if (!K)
-      return K.error();
-    O.push_back(WInst::mk(*K));
-    return Status::success();
-  }
-  case InstKind::NumTestop: {
-    const auto *T = cast<NumTestopInst>(&I);
-    O.push_back(
-        WInst::mk(numTypeBits(T->numType()) == 64 ? Op::I64Eqz : Op::I32Eqz));
-    return Status::success();
-  }
-  case InstKind::NumRelop: {
-    const auto *R = cast<NumRelopInst>(&I);
-    Expected<Op> K = mapRelop(R->numType(), R->op());
-    if (!K)
-      return K.error();
-    O.push_back(WInst::mk(*K));
-    return Status::success();
-  }
-  case InstKind::NumCvt: {
-    const auto *C = cast<NumCvtInst>(&I);
-    Expected<std::optional<Op>> K = mapCvt(C->from(), C->to(), C->op());
-    if (!K)
-      return K.error();
-    if (*K)
-      O.push_back(WInst::mk(**K));
-    return Status::success();
-  }
+  case InstKind::NumUnop:
+  case InstKind::NumBinop:
+  case InstKind::NumTestop:
+  case InstKind::NumRelop:
+  case InstKind::NumCvt:
+    return lowerNumeric(I, O);
 
   //===------------------------------------------------- parametric -------===//
   case InstKind::Unreachable:

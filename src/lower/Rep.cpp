@@ -29,19 +29,7 @@ rw::lower::repOfPretype(const Pretype *P, const TypeVarSizes &Bounds) {
   case PretypeKind::Own:
     return std::vector<ValType>{};
   case PretypeKind::Num:
-    switch (cast<NumPT>(P)->numType()) {
-    case NumType::I32:
-    case NumType::U32:
-      return std::vector<ValType>{ValType::I32};
-    case NumType::I64:
-    case NumType::U64:
-      return std::vector<ValType>{ValType::I64};
-    case NumType::F32:
-      return std::vector<ValType>{ValType::F32};
-    case NumType::F64:
-      return std::vector<ValType>{ValType::F64};
-    }
-    return Error("bad numeric type");
+    return std::vector<ValType>{wasm::valTypeOf(cast<NumPT>(P)->numType())};
   case PretypeKind::Ref:
   case PretypeKind::Ptr:
   case PretypeKind::Coderef:

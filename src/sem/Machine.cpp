@@ -802,270 +802,49 @@ Machine::StepOut Machine::execNumeric(CodeSeq &Seq, size_t K,
                                       const ir::Inst &I) {
   const StepOut Stuck{SeqResult::Stuck, 0, {}};
   const StepOut Trapped{SeqResult::Trapped, 0, {}};
-  using namespace rw::num;
+  const bool Binary =
+      I.kind() == InstKind::NumBinop || I.kind() == InstKind::NumRelop;
+  const Value *Y = peek(Seq, K, 0);
+  const Value *X = Binary ? peek(Seq, K, 1) : Y;
+  if (!X || !Y || !X->isNum() || !Y->isNum())
+    return Stuck;
+  const size_t Pops = Binary ? 2 : 1;
+  auto Result = [&](ir::NumType T, std::optional<uint64_t> R) {
+    if (!R)
+      return Trapped;
+    return reduceAt(Seq, K, Pops, {Code::val(Value::num(T, *R))});
+  };
 
   switch (I.kind()) {
   case InstKind::NumUnop: {
     const auto *U = cast<ir::NumUnopInst>(&I);
-    const Value *A = peek(Seq, K, 0);
-    if (!A || !A->isNum())
+    if (!ir::unopAt(U->op(), U->numType()))
       return Stuck;
-    ir::NumType NT = U->numType();
-    bool Is64 = ir::numTypeBits(NT) == 64;
-    uint64_t R = 0;
-    if (ir::isIntType(NT)) {
-      switch (U->op()) {
-      case ir::UnopKind::Clz:
-        R = intClz(A->bits(), Is64);
-        break;
-      case ir::UnopKind::Ctz:
-        R = intCtz(A->bits(), Is64);
-        break;
-      case ir::UnopKind::Popcnt:
-        R = intPopcnt(A->bits(), Is64);
-        break;
-      default:
-        return Stuck;
-      }
-    } else {
-      FloatUnop Op = FloatUnop::Abs;
-      switch (U->op()) {
-      case ir::UnopKind::Abs:
-        Op = FloatUnop::Abs;
-        break;
-      case ir::UnopKind::Neg:
-        Op = FloatUnop::Neg;
-        break;
-      case ir::UnopKind::Sqrt:
-        Op = FloatUnop::Sqrt;
-        break;
-      case ir::UnopKind::Ceil:
-        Op = FloatUnop::Ceil;
-        break;
-      case ir::UnopKind::Floor:
-        Op = FloatUnop::Floor;
-        break;
-      case ir::UnopKind::Trunc:
-        Op = FloatUnop::Trunc;
-        break;
-      case ir::UnopKind::Nearest:
-        Op = FloatUnop::Nearest;
-        break;
-      default:
-        return Stuck;
-      }
-      R = evalFloatUnop(Op, A->bits(), Is64);
-    }
-    return reduceAt(Seq, K, 1, {Code::val(Value::num(NT, R))});
+    return Result(U->numType(),
+                  num::evalUnop(U->op(), U->numType(), X->bits()));
   }
-
   case InstKind::NumBinop: {
     const auto *B = cast<ir::NumBinopInst>(&I);
-    const Value *Y = peek(Seq, K, 0);
-    const Value *X = peek(Seq, K, 1);
-    if (!X || !Y || !X->isNum() || !Y->isNum())
+    if (!ir::binopAt(B->op(), B->numType()))
       return Stuck;
-    ir::NumType NT = B->numType();
-    bool Is64 = ir::numTypeBits(NT) == 64;
-    uint64_t R;
-    if (ir::isIntType(NT)) {
-      IntBinop Op = IntBinop::Add;
-      switch (B->op()) {
-      case ir::BinopKind::Add:
-        Op = IntBinop::Add;
-        break;
-      case ir::BinopKind::Sub:
-        Op = IntBinop::Sub;
-        break;
-      case ir::BinopKind::Mul:
-        Op = IntBinop::Mul;
-        break;
-      case ir::BinopKind::Div:
-        Op = IntBinop::Div;
-        break;
-      case ir::BinopKind::Rem:
-        Op = IntBinop::Rem;
-        break;
-      case ir::BinopKind::And:
-        Op = IntBinop::And;
-        break;
-      case ir::BinopKind::Or:
-        Op = IntBinop::Or;
-        break;
-      case ir::BinopKind::Xor:
-        Op = IntBinop::Xor;
-        break;
-      case ir::BinopKind::Shl:
-        Op = IntBinop::Shl;
-        break;
-      case ir::BinopKind::Shr:
-        Op = IntBinop::Shr;
-        break;
-      case ir::BinopKind::Rotl:
-        Op = IntBinop::Rotl;
-        break;
-      case ir::BinopKind::Rotr:
-        Op = IntBinop::Rotr;
-        break;
-      default:
-        return Stuck;
-      }
-      std::optional<uint64_t> Res =
-          evalIntBinop(Op, X->bits(), Y->bits(), Is64, ir::isSignedType(NT));
-      if (!Res)
-        return Trapped;
-      R = *Res;
-    } else {
-      FloatBinop Op = FloatBinop::Add;
-      switch (B->op()) {
-      case ir::BinopKind::Add:
-        Op = FloatBinop::Add;
-        break;
-      case ir::BinopKind::Sub:
-        Op = FloatBinop::Sub;
-        break;
-      case ir::BinopKind::Mul:
-        Op = FloatBinop::Mul;
-        break;
-      case ir::BinopKind::Div:
-        Op = FloatBinop::Div;
-        break;
-      case ir::BinopKind::Min:
-        Op = FloatBinop::Min;
-        break;
-      case ir::BinopKind::Max:
-        Op = FloatBinop::Max;
-        break;
-      case ir::BinopKind::Copysign:
-        Op = FloatBinop::Copysign;
-        break;
-      default:
-        return Stuck;
-      }
-      R = evalFloatBinop(Op, X->bits(), Y->bits(), Is64);
-    }
-    return reduceAt(Seq, K, 2, {Code::val(Value::num(NT, R))});
+    return Result(B->numType(), num::evalBinop(B->op(), B->numType(),
+                                               X->bits(), Y->bits()));
   }
-
   case InstKind::NumTestop: {
     const auto *T = cast<ir::NumTestopInst>(&I);
-    const Value *A = peek(Seq, K, 0);
-    if (!A || !A->isNum())
-      return Stuck;
-    bool Is64 = ir::numTypeBits(T->numType()) == 64;
-    uint64_t R = wrap(A->bits(), Is64) == 0 ? 1 : 0;
-    return reduceAt(Seq, K, 1, {Code::val(Value::num(ir::NumType::I32, R))});
+    return Result(ir::NumType::I32,
+                  num::evalTestop(T->op(), T->numType(), X->bits()));
   }
-
   case InstKind::NumRelop: {
     const auto *Rl = cast<ir::NumRelopInst>(&I);
-    const Value *Y = peek(Seq, K, 0);
-    const Value *X = peek(Seq, K, 1);
-    if (!X || !Y || !X->isNum() || !Y->isNum())
-      return Stuck;
-    ir::NumType NT = Rl->numType();
-    bool Is64 = ir::numTypeBits(NT) == 64;
-    uint64_t R;
-    if (ir::isIntType(NT)) {
-      IntRelop Op = IntRelop::Eq;
-      switch (Rl->op()) {
-      case ir::RelopKind::Eq:
-        Op = IntRelop::Eq;
-        break;
-      case ir::RelopKind::Ne:
-        Op = IntRelop::Ne;
-        break;
-      case ir::RelopKind::Lt:
-        Op = IntRelop::Lt;
-        break;
-      case ir::RelopKind::Gt:
-        Op = IntRelop::Gt;
-        break;
-      case ir::RelopKind::Le:
-        Op = IntRelop::Le;
-        break;
-      case ir::RelopKind::Ge:
-        Op = IntRelop::Ge;
-        break;
-      }
-      R = evalIntRelop(Op, X->bits(), Y->bits(), Is64, ir::isSignedType(NT));
-    } else {
-      FloatRelop Op = FloatRelop::Eq;
-      switch (Rl->op()) {
-      case ir::RelopKind::Eq:
-        Op = FloatRelop::Eq;
-        break;
-      case ir::RelopKind::Ne:
-        Op = FloatRelop::Ne;
-        break;
-      case ir::RelopKind::Lt:
-        Op = FloatRelop::Lt;
-        break;
-      case ir::RelopKind::Gt:
-        Op = FloatRelop::Gt;
-        break;
-      case ir::RelopKind::Le:
-        Op = FloatRelop::Le;
-        break;
-      case ir::RelopKind::Ge:
-        Op = FloatRelop::Ge;
-        break;
-      }
-      R = evalFloatRelop(Op, X->bits(), Y->bits(), Is64);
-    }
-    return reduceAt(Seq, K, 2, {Code::val(Value::num(ir::NumType::I32, R))});
+    return Result(ir::NumType::I32, num::evalRelop(Rl->op(), Rl->numType(),
+                                                   X->bits(), Y->bits()));
   }
-
   case InstKind::NumCvt: {
     const auto *Cv = cast<ir::NumCvtInst>(&I);
-    const Value *A = peek(Seq, K, 0);
-    if (!A || !A->isNum())
-      return Stuck;
-    ir::NumType From = Cv->from(), To = Cv->to();
-    bool SrcInt = ir::isIntType(From), DstInt = ir::isIntType(To);
-    bool Src64 = ir::numTypeBits(From) == 64;
-    bool Dst64 = ir::numTypeBits(To) == 64;
-    uint64_t Bits = A->bits();
-    uint64_t R = 0;
-
-    if (Cv->op() == ir::CvtopKind::Reinterpret) {
-      R = wrap(Bits, Dst64);
-      return reduceAt(Seq, K, 1, {Code::val(Value::num(To, R))});
-    }
-
-    if (SrcInt && DstInt) {
-      if (Dst64 && !Src64) {
-        R = ir::isSignedType(From)
-                ? static_cast<uint64_t>(
-                      static_cast<int64_t>(static_cast<int32_t>(Bits)))
-                : (Bits & 0xffffffffull);
-      } else {
-        R = wrap(Bits, Dst64);
-      }
-    } else if (SrcInt && !DstInt) {
-      double D = ir::isSignedType(From)
-                     ? static_cast<double>(num::toSigned(Bits, Src64))
-                     : static_cast<double>(wrap(Bits, Src64));
-      R = Dst64 ? f64ToBits(D) : f32ToBits(static_cast<float>(D));
-    } else if (!SrcInt && DstInt) {
-      std::optional<uint64_t> Res =
-          Src64 ? truncToInt(bitsToF64(Bits), Dst64, ir::isSignedType(To))
-                : truncToInt(bitsToF32(Bits), Dst64, ir::isSignedType(To));
-      if (!Res)
-        return Trapped;
-      R = *Res;
-    } else {
-      // float <-> float promote/demote.
-      if (Dst64 && !Src64)
-        R = f64ToBits(static_cast<double>(bitsToF32(Bits)));
-      else if (!Dst64 && Src64)
-        R = f32ToBits(static_cast<float>(bitsToF64(Bits)));
-      else
-        R = Bits;
-    }
-    return reduceAt(Seq, K, 1, {Code::val(Value::num(To, R))});
+    return Result(Cv->to(),
+                  num::evalCvt(Cv->op(), Cv->from(), Cv->to(), X->bits()));
   }
-
   default:
     return Stuck;
   }

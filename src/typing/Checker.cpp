@@ -467,7 +467,7 @@ Status CheckerImpl::checkNumeric(const Inst &I, State &St) {
   }
   case InstKind::NumUnop: {
     const auto *U = cast<NumUnopInst>(&I);
-    if (isIntType(U->numType()) != isIntUnop(U->op()))
+    if (!unopAt(U->op(), U->numType()))
       return err("unary operator does not match numeric type");
     TypeRef T = numCached(U->numType());
     if (Status S = popExpect(St, T, "unop"); !S)
@@ -479,10 +479,10 @@ Status CheckerImpl::checkNumeric(const Inst &I, State &St) {
   }
   case InstKind::NumBinop: {
     const auto *B = cast<NumBinopInst>(&I);
-    if (isIntType(B->numType()) && isFloatOnlyBinop(B->op()))
-      return err("float operator applied at integer type");
-    if (isFloatType(B->numType()) && isIntOnlyBinop(B->op()))
-      return err("integer operator applied at float type");
+    if (!binopAt(B->op(), B->numType()))
+      return err(isIntType(B->numType())
+                     ? "float operator applied at integer type"
+                     : "integer operator applied at float type");
     TypeRef T = numCached(B->numType());
     if (Status S = popExpect(St, T, "binop"); !S)
       return S;

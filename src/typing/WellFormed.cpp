@@ -265,6 +265,10 @@ Status rw::typing::wfFunType(const FunType &F, const KindCtx &Ambient) {
       FB.Size == 0 && FB.Qual == 0 && FB.Type == 0;
   if (Memoizable && F.arena()->isKnownWfFun(&F))
     return Status::success();
+  // Rejected before anything below renders F: the printers need the bound.
+  for (const Quant &Q : F.quants())
+    if (Q.K == QuantKind::Type && !Q.TypeSizeUpper)
+      return Error("type quantifier has no size bound");
   KindCtx Ctx = stackKindCtx(F.quants(), Ambient);
   // The (re-indexed) constraints themselves must be well-scoped.
   for (const QualBound &B : Ctx.Quals) {

@@ -447,6 +447,10 @@ WasmInstance::Exec WasmInstance::execMemory(const WInst &I) {
 // Numerics
 //===----------------------------------------------------------------------===//
 
+// The tree engine decodes numeric opcodes by hand, by byte range, and does
+// its own conversions, instead of reading the rows' Num column the way
+// lowering, the flat tier and sem::Machine do. That keeps it an
+// independent reference: the exec_test oracles check the rows against it.
 WasmInstance::Exec WasmInstance::execNumeric(const WInst &I) {
   using namespace rw::num;
   uint8_t C = static_cast<uint8_t>(I.K);
@@ -471,10 +475,11 @@ WasmInstance::Exec WasmInstance::execNumeric(const WInst &I) {
   }
   if (C >= 0x46 && C <= 0x4f) { // i32 relops
     WValue B = Pop(), A = Pop();
-    static const IntRelop Map[] = {IntRelop::Eq, IntRelop::Ne, IntRelop::Lt,
-                                   IntRelop::Lt, IntRelop::Gt, IntRelop::Gt,
-                                   IntRelop::Le, IntRelop::Le, IntRelop::Ge,
-                                   IntRelop::Ge};
+    static const RelopKind Map[] = {RelopKind::Eq, RelopKind::Ne,
+                                    RelopKind::Lt, RelopKind::Lt,
+                                    RelopKind::Gt, RelopKind::Gt,
+                                    RelopKind::Le, RelopKind::Le,
+                                    RelopKind::Ge, RelopKind::Ge};
     static const bool Signed[] = {false, false, true, false, true,
                                   false, true,  false, true, false};
     unsigned Idx = C - 0x46;
@@ -483,10 +488,11 @@ WasmInstance::Exec WasmInstance::execNumeric(const WInst &I) {
   }
   if (C >= 0x51 && C <= 0x5a) { // i64 relops
     WValue B = Pop(), A = Pop();
-    static const IntRelop Map[] = {IntRelop::Eq, IntRelop::Ne, IntRelop::Lt,
-                                   IntRelop::Lt, IntRelop::Gt, IntRelop::Gt,
-                                   IntRelop::Le, IntRelop::Le, IntRelop::Ge,
-                                   IntRelop::Ge};
+    static const RelopKind Map[] = {RelopKind::Eq, RelopKind::Ne,
+                                    RelopKind::Lt, RelopKind::Lt,
+                                    RelopKind::Gt, RelopKind::Gt,
+                                    RelopKind::Le, RelopKind::Le,
+                                    RelopKind::Ge, RelopKind::Ge};
     static const bool Signed[] = {false, false, true, false, true,
                                   false, true,  false, true, false};
     unsigned Idx = C - 0x51;
@@ -497,9 +503,9 @@ WasmInstance::Exec WasmInstance::execNumeric(const WInst &I) {
     WValue B = Pop(), A = Pop();
     bool Is64 = C >= 0x61;
     unsigned Idx = Is64 ? C - 0x61 : C - 0x5b;
-    static const FloatRelop Map[] = {FloatRelop::Eq, FloatRelop::Ne,
-                                     FloatRelop::Lt, FloatRelop::Gt,
-                                     FloatRelop::Le, FloatRelop::Ge};
+    static const RelopKind Map[] = {RelopKind::Eq, RelopKind::Ne,
+                                    RelopKind::Lt, RelopKind::Gt,
+                                    RelopKind::Le, RelopKind::Ge};
     PushI32(evalFloatRelop(Map[Idx], A.Bits, B.Bits, Is64));
     return Exec::Normal;
   }
@@ -526,11 +532,11 @@ WasmInstance::Exec WasmInstance::execNumeric(const WInst &I) {
   if ((C >= 0x6a && C <= 0x78) || (C >= 0x7c && C <= 0x8a)) {
     bool Is64 = C >= 0x7c;
     unsigned Idx = Is64 ? C - 0x7c : C - 0x6a;
-    static const IntBinop Map[] = {
-        IntBinop::Add, IntBinop::Sub, IntBinop::Mul, IntBinop::Div,
-        IntBinop::Div, IntBinop::Rem, IntBinop::Rem, IntBinop::And,
-        IntBinop::Or,  IntBinop::Xor, IntBinop::Shl, IntBinop::Shr,
-        IntBinop::Shr, IntBinop::Rotl, IntBinop::Rotr};
+    static const BinopKind Map[] = {
+        BinopKind::Add, BinopKind::Sub, BinopKind::Mul, BinopKind::Div,
+        BinopKind::Div, BinopKind::Rem, BinopKind::Rem, BinopKind::And,
+        BinopKind::Or,  BinopKind::Xor, BinopKind::Shl, BinopKind::Shr,
+        BinopKind::Shr, BinopKind::Rotl, BinopKind::Rotr};
     static const bool Signed[] = {false, false, false, true,  false,
                                   true,  false, false, false, false,
                                   false, true,  false, false, false};
@@ -548,10 +554,10 @@ WasmInstance::Exec WasmInstance::execNumeric(const WInst &I) {
   if ((C >= 0x8b && C <= 0x91) || (C >= 0x99 && C <= 0x9f)) {
     bool Is64 = C >= 0x99;
     unsigned Idx = Is64 ? C - 0x99 : C - 0x8b;
-    static const FloatUnop Map[] = {FloatUnop::Abs,     FloatUnop::Neg,
-                                    FloatUnop::Ceil,    FloatUnop::Floor,
-                                    FloatUnop::Trunc,   FloatUnop::Nearest,
-                                    FloatUnop::Sqrt};
+    static const UnopKind Map[] = {UnopKind::Abs,   UnopKind::Neg,
+                                   UnopKind::Ceil,  UnopKind::Floor,
+                                   UnopKind::Trunc, UnopKind::Nearest,
+                                   UnopKind::Sqrt};
     WValue A = Pop();
     Stack.push_back({Is64 ? ValType::F64 : ValType::F32,
                      evalFloatUnop(Map[Idx], A.Bits, Is64)});
@@ -562,10 +568,10 @@ WasmInstance::Exec WasmInstance::execNumeric(const WInst &I) {
   if ((C >= 0x92 && C <= 0x98) || (C >= 0xa0 && C <= 0xa6)) {
     bool Is64 = C >= 0xa0;
     unsigned Idx = Is64 ? C - 0xa0 : C - 0x92;
-    static const FloatBinop Map[] = {FloatBinop::Add, FloatBinop::Sub,
-                                     FloatBinop::Mul, FloatBinop::Div,
-                                     FloatBinop::Min, FloatBinop::Max,
-                                     FloatBinop::Copysign};
+    static const BinopKind Map[] = {BinopKind::Add, BinopKind::Sub,
+                                    BinopKind::Mul, BinopKind::Div,
+                                    BinopKind::Min, BinopKind::Max,
+                                    BinopKind::Copysign};
     WValue B = Pop(), A = Pop();
     Stack.push_back({Is64 ? ValType::F64 : ValType::F32,
                      evalFloatBinop(Map[Idx], A.Bits, B.Bits, Is64)});

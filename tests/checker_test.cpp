@@ -561,6 +561,23 @@ TEST(Checker, InstantiationSizeBoundViolationRejected) {
   EXPECT_FALSE(checkModule(M).ok());
 }
 
+TEST(Checker, TypeQuantifierWithoutSizeBoundRejected) {
+  // ∀ (unr ⪯ α ≲ null). [α₁] → []: the bound is missing and the parameter
+  // is out of scope. The missing bound is reported before any diagnostic
+  // prints the type (which would read the bound).
+  ir::Module M;
+  M.Name = "m";
+  M.Funcs.push_back(function(
+      {}, FunType::get({Quant::type(Qual::unr(), nullptr)},
+                       arrow({Type(varPT(1), Qual::unr())}, {})),
+      {}, {}));
+  Status S = checkModule(M);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.error().message().find("type quantifier has no size bound"),
+            std::string::npos)
+      << S.error().message();
+}
+
 TEST(Checker, FunctionMayNotDuplicateLinearParam) {
   // The RichWasm-level essence of Fig 1's stash: a function that returns
   // its linear argument twice cannot typecheck.
