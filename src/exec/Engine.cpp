@@ -81,6 +81,10 @@ Status FlatInstance::prepare() {
     Jit = std::make_unique<jit::ModuleJit>(*Active);
     if (TierThreshold == 0)
       Jit->compileAll();
+    // Native code bounds accesses by Mem.size() and reads memory.size
+    // from it, so a jitting instance commits all its memory now;
+    // memoryGrow keeps it that way.
+    commitMemory(MemBytes);
   }
 #endif
   return Status::success();
@@ -254,6 +258,16 @@ bool FlatInstance::run(uint64_t &FuelRef, std::string &TrapMsg) {
                      static_cast<uint32_t>(Fr->F - FM.Funcs.data()) +
                          FM.NumImports);
   };
+// The slow half of every memory access's bounds check: the access ends
+// past the committed prefix. Commit up to END and reload the cached
+// memory, or trap when END is past the logical size.
+#define RW_COMMIT(END)                                                         \
+  do {                                                                         \
+    if (!commitMemory(END))                                                    \
+      return trapOut("out-of-bounds memory access");                           \
+    MemP = Mem.data();                                                         \
+    MemSz = Mem.size();                                                        \
+  } while (0)
 
   RW_LOOP_BEGIN()
 
@@ -479,7 +493,7 @@ host_call: {
         static_cast<uint32_t>(R[Pc[0]]) + static_cast<uint64_t>(Pc[1]);
     Pc += 2;
     if (Addr + 4 > MemSz)
-      return trapOut("out-of-bounds memory access");
+      RW_COMMIT(Addr + 4);
     uint32_t V;
     std::memcpy(&V, MemP + Addr, 4);
     Ops[Sp++] = V;
@@ -492,7 +506,7 @@ host_call: {
     uint32_t V = static_cast<uint32_t>(R[Pc[1]]);
     Pc += 3;
     if (Addr + 4 > MemSz)
-      return trapOut("out-of-bounds memory access");
+      RW_COMMIT(Addr + 4);
     std::memcpy(MemP + Addr, &V, 4);
     RW_NEXT();
   }
@@ -503,7 +517,7 @@ host_call: {
     uint32_t V = Pc[1];
     Pc += 3;
     if (Addr + 4 > MemSz)
-      return trapOut("out-of-bounds memory access");
+      RW_COMMIT(Addr + 4);
     std::memcpy(MemP + Addr, &V, 4);
     RW_NEXT();
   }
@@ -563,7 +577,7 @@ host_call: {
   // Memory
   //===--------------------------------------------------------------===//
   RW_OPW(MemorySize)
-  Ops[Sp++] = MemSz / PageSize;
+  Ops[Sp++] = MemBytes / PageSize;
   RW_NEXT();
 
   RW_OPW(MemoryGrow)
@@ -577,7 +591,7 @@ host_call: {
     uint64_t Addr =                                                            \
         static_cast<uint32_t>(Ops[Sp - 1]) + static_cast<uint64_t>(*Pc++);     \
     if (Addr + (NBYTES) > MemSz)                                               \
-      return trapOut("out-of-bounds memory access");                           \
+      RW_COMMIT(Addr + (NBYTES));                                              \
     uint64_t V = 0;                                                            \
     std::memcpy(&V, MemP + Addr, (NBYTES));                                    \
     Ops[Sp - 1] = (EXPR);                                                      \
@@ -590,7 +604,7 @@ host_call: {
         static_cast<uint32_t>(Ops[Sp - 2]) + static_cast<uint64_t>(*Pc++);     \
     Sp -= 2;                                                                   \
     if (Addr + (NBYTES) > MemSz)                                               \
-      return trapOut("out-of-bounds memory access");                           \
+      RW_COMMIT(Addr + (NBYTES));                                              \
     std::memcpy(MemP + Addr, &Val, (NBYTES));                                  \
     RW_NEXT();                                                                 \
   }
@@ -627,6 +641,7 @@ host_call: {
 
 #undef RW_LOAD
 #undef RW_STORE
+#undef RW_COMMIT
 
   //===--------------------------------------------------------------===//
   // Constants
@@ -808,17 +823,6 @@ const char *FlatInstance::resolveIndirect(uint32_t TblIdx, uint32_t Expect,
   if (Active->CanonType[Func] != Expect)
     return "call_indirect: signature mismatch";
   return nullptr;
-}
-
-uint64_t FlatInstance::memoryGrow(uint32_t Delta) {
-  uint64_t OldPages = Mem.size() / PageSize;
-  uint64_t NewPages = OldPages + Delta;
-  uint64_t MaxPages =
-      M->Memory && M->Memory->second ? *M->Memory->second : 65536;
-  if (NewPages > MaxPages)
-    return 0xffffffffu;
-  Mem.resize(NewPages * PageSize, 0);
-  return OldPages;
 }
 
 uint64_t rw::exec::evalNumeric(uint32_t OpC, uint64_t A, uint64_t B,

@@ -207,10 +207,6 @@ private:
   const char *resolveIndirect(uint32_t TblIdx, uint32_t Expect,
                               uint32_t &Func) const;
 
-  /// memory.grow by \p Delta pages: the old page count, or 0xffffffff
-  /// (memory unchanged) past the module's maximum.
-  uint64_t memoryGrow(uint32_t Delta);
-
   FlatModule FM; ///< Owned translation (self-translated instances).
   /// Adopted pre-translation (shared, immutable) — see adoptPretranslated.
   std::shared_ptr<const FlatModule> PreFM;

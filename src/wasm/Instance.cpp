@@ -8,6 +8,7 @@
 
 #include "obs/Obs.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -49,16 +50,43 @@ std::string Instance::trapNote(uint32_t FuncIdx) const {
   return S + "]";
 }
 
-uint32_t Instance::load32(uint32_t Addr) const {
-  assert(Addr + 4 <= Mem.size() && "host load out of bounds");
+uint32_t Instance::load32(uint32_t Addr) {
+  [[maybe_unused]] bool In = commitMemory(uint64_t(Addr) + 4);
+  assert(In && "host load out of bounds");
   uint32_t V;
   std::memcpy(&V, Mem.data() + Addr, 4);
   return V;
 }
 
 void Instance::store32(uint32_t Addr, uint32_t V) {
-  assert(Addr + 4 <= Mem.size() && "host store out of bounds");
+  [[maybe_unused]] bool In = commitMemory(uint64_t(Addr) + 4);
+  assert(In && "host store out of bounds");
   std::memcpy(Mem.data() + Addr, &V, 4);
+}
+
+bool Instance::commitSlow(uint64_t End) {
+  static obs::Counter Committed("exec.mem.committed_bytes");
+  if (End > MemBytes)
+    return false;
+  uint64_t Chunked = (End + MemChunk - 1) / MemChunk * MemChunk;
+  uint64_t New = std::min(MemBytes, std::max(Chunked, 2 * Mem.size()));
+  Committed.add(New - Mem.size());
+  Mem.resize(New);
+  return true;
+}
+
+uint64_t Instance::memoryGrow(uint32_t Delta) {
+  uint64_t OldPages = MemBytes / PageSize;
+  uint64_t NewPages = OldPages + Delta;
+  uint64_t MaxPages =
+      M->Memory && M->Memory->second ? *M->Memory->second : 65536;
+  if (NewPages > MaxPages)
+    return 0xffffffffu;
+  bool Full = Mem.size() == MemBytes;
+  MemBytes = NewPages * PageSize;
+  if (Full)
+    commitMemory(MemBytes);
+  return OldPages;
 }
 
 std::optional<uint32_t> Instance::findExport(const std::string &Name,
@@ -78,8 +106,8 @@ Status Instance::initialize(bool RunStart) {
       return Error("unsatisfied import " + I.Mod + "." + I.Name);
     HostTable.push_back(&It->second);
   }
-  if (M->Memory)
-    Mem.assign(static_cast<size_t>(M->Memory->first) * PageSize, 0);
+  Mem.clear();
+  MemBytes = M->Memory ? uint64_t(M->Memory->first) * PageSize : 0;
   Globals.clear();
   for (const WGlobal &G : M->Globals) {
     // Initializer must be a single const (or global.get) expression.
@@ -109,8 +137,12 @@ Status Instance::initialize(bool RunStart) {
   }
   Table = M->TableElems;
   for (const WData &D : M->Data) {
-    if (D.Offset + D.Bytes.size() > Mem.size())
+    uint64_t End = uint64_t(D.Offset) + D.Bytes.size();
+    if (End > MemBytes)
       return Error("data segment out of bounds");
+    if (D.Bytes.empty())
+      continue;
+    commitMemory(End);
     std::memcpy(Mem.data() + D.Offset, D.Bytes.data(), D.Bytes.size());
   }
   if (Status S = prepare(); !S)

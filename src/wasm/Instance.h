@@ -38,6 +38,11 @@ namespace rw::wasm {
 
 constexpr uint64_t PageSize = 65536;
 
+/// The smallest step by which an instance commits (zero-fills) linear
+/// memory: the first touch commits one chunk, and later touches past the
+/// committed prefix at least double it (Instance::commitMemory).
+constexpr uint64_t MemChunk = 4096;
+
 /// Call-frame limit shared by both engines, so the "call stack
 /// exhausted" trap fires at the same recursion depth everywhere.
 constexpr unsigned MaxCallDepth = 2000;
@@ -143,9 +148,11 @@ public:
     Hosts[{Mod, Name}] = std::move(Fn);
   }
 
-  /// Allocates memory, evaluates global initializers, fills the table,
+  /// Sizes memory, evaluates global initializers, fills the table,
   /// copies data segments, prepares the engine, and (unless \p RunStart
-  /// is false) runs the start function.
+  /// is false) runs the start function. Sizing memory allocates nothing:
+  /// a data segment commits only the bytes up to its end, and the engine
+  /// commits the rest on first touch (see memory()).
   Status initialize(bool RunStart = true);
 
   virtual Expected<std::vector<WValue>>
@@ -158,10 +165,23 @@ public:
   /// The engine executing this instance.
   virtual EngineKind engine() const = 0;
 
-  std::vector<uint8_t> &memory() { return Mem; }
-  const std::vector<uint8_t> &memory() const { return Mem; }
-  uint32_t load32(uint32_t Addr) const;
+  /// The whole linear memory, exactly the bytes the program sees: what
+  /// it and the host wrote, zero everywhere else. The instance keeps
+  /// only a committed, zeroed prefix of its memory (committedBytes()) and
+  /// the logical size beside it; this call first commits the rest. The
+  /// host may write through the vector but must not resize it
+  /// (memory.grow is the program's). load32/store32 commit up to the word
+  /// they touch.
+  std::vector<uint8_t> &memory() {
+    commitMemory(MemBytes);
+    return Mem;
+  }
+  uint32_t load32(uint32_t Addr);
   void store32(uint32_t Addr, uint32_t V);
+
+  /// Bytes of linear memory committed so far, a prefix of its logical
+  /// size (pages * PageSize).
+  uint64_t committedBytes() const { return Mem.size(); }
 
   WValue global(uint32_t I) const { return Globals[I]; }
   void setGlobal(uint32_t I, WValue V) { Globals[I] = V; }
@@ -210,6 +230,21 @@ protected:
     return I < HostTable.size() ? HostTable[I] : nullptr;
   }
 
+  /// Zero-extends the committed prefix of memory to cover [0, \p End):
+  /// at least one MemChunk, at least double the old prefix, never past
+  /// the logical size MemBytes. Returns false, changing nothing, when
+  /// \p End is past it. Mem.data() may move.
+  bool commitMemory(uint64_t End) {
+    return End <= Mem.size() || commitSlow(End);
+  }
+
+  /// memory.grow by \p Delta pages: the old page count, or 0xffffffff
+  /// (memory unchanged) past the module's maximum. A fully committed
+  /// memory stays fully committed, so an engine that commits everything
+  /// up front (the tree engine, native code) may keep bounding accesses
+  /// by Mem.size().
+  uint64_t memoryGrow(uint32_t Delta);
+
   /// Sizes Prof to cover function space (idempotent).
   void ensureProfileTable();
 
@@ -220,7 +255,10 @@ protected:
   std::string trapNote(uint32_t FuncIdx) const;
 
   const WModule *M;
+  /// The committed prefix of linear memory; bytes past it read as zero.
   std::vector<uint8_t> Mem;
+  /// Logical size of linear memory in bytes.
+  uint64_t MemBytes = 0;
   std::vector<WValue> Globals;
   std::vector<uint32_t> Table;
   std::map<std::pair<std::string, std::string>, HostFn> Hosts;
@@ -231,6 +269,8 @@ protected:
   std::vector<FunctionProfile> Prof;
 
 private:
+  bool commitSlow(uint64_t End);
+
   uint64_t ObsSourceId = 0;
 };
 

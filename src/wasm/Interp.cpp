@@ -274,21 +274,10 @@ WasmInstance::Exec WasmInstance::execInst(const WInst &I, Frame &F,
   case Op::MemorySize:
     Stack.push_back(WValue::i32(static_cast<uint32_t>(Mem.size() / PageSize)));
     return Exec::Normal;
-  case Op::MemoryGrow: {
-    uint32_t Delta = Stack.back().asU32();
-    Stack.pop_back();
-    uint64_t OldPages = Mem.size() / PageSize;
-    uint64_t NewPages = OldPages + Delta;
-    uint64_t MaxPages =
-        M->Memory && M->Memory->second ? *M->Memory->second : 65536;
-    if (NewPages > MaxPages) {
-      Stack.push_back(WValue::i32(0xffffffffu));
-    } else {
-      Mem.resize(NewPages * PageSize, 0);
-      Stack.push_back(WValue::i32(static_cast<uint32_t>(OldPages)));
-    }
+  case Op::MemoryGrow:
+    Stack.back() =
+        WValue::i32(static_cast<uint32_t>(memoryGrow(Stack.back().asU32())));
     return Exec::Normal;
-  }
 
   case Op::I32Const:
     Stack.push_back({ValType::I32, I.U64 & 0xffffffffu});

@@ -41,6 +41,16 @@ public:
 
   EngineKind engine() const override { return EngineKind::Tree; }
 
+protected:
+  /// The reference engine runs on a plain zeroed memory: it commits all
+  /// of it up front (memoryGrow keeps it whole), so its bounds checks and
+  /// memory.size read Mem.size() and the differential suites test the
+  /// lazily committing engines against it.
+  Status prepare() override {
+    commitMemory(MemBytes);
+    return Status::success();
+  }
+
 private:
   enum class Exec : uint8_t { Normal, Branch, Ret, Trap };
 

@@ -16,7 +16,10 @@
 //   * an oracle running every numeric opcode over edge operands;
 //   * the one-walk oracle: translate() and validate() give one verdict
 //     and message on the regression corpus and seeded mutants of lowered
-//     modules, and code no path reaches is checked but not emitted.
+//     modules, and code no path reaches is checked but not emitted;
+//   * a boundary oracle for lazily committed memory: every load/store
+//     row and fused memory op at the commit-chunk and memory edges,
+//     before and after memory.grow, against the fully committed engines.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +30,7 @@
 #include "ingest/Limits.h"
 #include "link/Link.h"
 #include "lower/Lower.h"
+#include "obs/Obs.h"
 #include "wasm/Interp.h"
 #include "support/NumericOps.h"
 #include "wasm/Binary.h"
@@ -2147,4 +2151,260 @@ TEST(JitLowered, WorkloadsAndHostGcThreeWay) {
   EXPECT_GT(
       static_cast<exec::FlatInstance &>(*R->Instance).jitCompiledCount(), 0u);
 #endif
+}
+
+//===----------------------------------------------------------------------===//
+// Lazily committed memory: the flat engine zero-fills linear memory on
+// first touch, while the tree engine and native code commit all of it up
+// front. Every access must see the bytes a plainly zeroed memory holds.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Bytes one Memarg row reads or writes.
+uint64_t accessBytes(Op K) {
+  switch (K) {
+  case Op::I32Load8S: case Op::I32Load8U: case Op::I64Load8S:
+  case Op::I64Load8U: case Op::I32Store8: case Op::I64Store8:
+    return 1;
+  case Op::I32Load16S: case Op::I32Load16U: case Op::I64Load16S:
+  case Op::I64Load16U: case Op::I32Store16: case Op::I64Store16:
+    return 2;
+  case Op::I64Load: case Op::F64Load: case Op::I64Store: case Op::F64Store:
+    return 8;
+  default:
+    return 4;
+  }
+}
+
+WInst constOf(ValType T) {
+  WInst W(T == ValType::I32   ? Op::I32Const
+          : T == ValType::I64 ? Op::I64Const
+          : T == ValType::F32 ? Op::F32Const
+                              : Op::F64Const);
+  W.U64 = T == ValType::I32   ? 0x89abcdefull
+          : T == ValType::I64 ? 0x0123456789abcdefull
+          : T == ValType::F32 ? 0x3f8ccccdull // 1.1f
+                              : 0x400921fb54442d18ull; // pi
+  return W;
+}
+
+/// The opcode words of flat function \p F, in order (F has no br_table,
+/// the one variable-width opcode).
+std::vector<uint32_t> flatOps(const exec::FlatFunc &F) {
+  std::vector<uint32_t> Ops;
+  for (size_t Pc = 0; Pc < F.Code.size();
+       Pc += 1 + exec::flatOpInfo(F.Code[Pc]).Words)
+    Ops.push_back(F.Code[Pc]);
+  return Ops;
+}
+
+/// One memory access under test: an export taking the address, and the
+/// flat opcode its body must execute.
+struct Access {
+  std::string Name;
+  uint32_t FlatOp;
+  uint64_t Bytes;
+};
+
+/// A one-page memory (max three) exporting "size", "grow", "pat" (eight
+/// single-byte stores of 0xa0..0xa7 at the address) and one function per
+/// access: each Memarg row unfused (the address comes from an add, so no
+/// peephole applies) and the three fused memory ops.
+WModule boundaryModule(std::vector<Access> &Accesses) {
+  WModule M;
+  M.Memory = {{1, {3}}};
+  auto Add = [&](const std::string &Name, FuncType FT,
+                 std::vector<ValType> Locals, std::vector<WInst> Body) {
+    uint32_t TI = M.addType(std::move(FT));
+    M.Exports.push_back(
+        {Name, ExportKind::Func, static_cast<uint32_t>(M.Funcs.size())});
+    M.Funcs.push_back({TI, std::move(Locals), std::move(Body)});
+  };
+  Add("size", {{}, {ValType::I32}}, {}, {WInst::mk(Op::MemorySize)});
+  Add("grow", {{ValType::I32}, {ValType::I32}}, {},
+      {WInst::idx(Op::LocalGet, 0), WInst::mk(Op::MemoryGrow)});
+  std::vector<WInst> Pat;
+  for (uint32_t I = 0; I < 8; ++I)
+    Pat.insert(Pat.end(), {WInst::idx(Op::LocalGet, 0),
+                           WInst::i32c(static_cast<int32_t>(0xa0 + I)),
+                           WInst::mem(Op::I32Store8, 0, I)});
+  Add("pat", {{ValType::I32}, {}}, {}, std::move(Pat));
+
+  const std::vector<WInst> Addr = {WInst::idx(Op::LocalGet, 0),
+                                   WInst::i32c(0), WInst::mk(Op::I32Add)};
+  for (uint32_t Code = 0; Code < OpTable.size(); ++Code) {
+    const OpInfo &Row = OpTable[Code];
+    if (Row.Imm != ImmKind::Memarg)
+      continue;
+    Op K = static_cast<Op>(Code);
+    std::vector<WInst> Body = Addr;
+    FuncType FT{{ValType::I32}, {}};
+    if (Row.Pops == 2)
+      Body.push_back(constOf(Row.In[1]));
+    else
+      FT.Results.push_back(Row.Out);
+    Body.push_back(WInst::mem(K, 0, 0));
+    std::string Name = "op" + std::to_string(Code);
+    Add(Name, FT, {}, std::move(Body));
+    Accesses.push_back({Name, Code, accessBytes(K)});
+  }
+  Add("getload", {{ValType::I32}, {ValType::I32}}, {},
+      {WInst::idx(Op::LocalGet, 0), WInst::mem(Op::I32Load, 2, 0)});
+  Accesses.push_back({"getload", exec::FGetLoadI32, 4});
+  Add("getgetstore", {{ValType::I32}, {}}, {ValType::I32},
+      {WInst::i32c(0x5a5b5c5d), WInst::idx(Op::LocalSet, 1),
+       WInst::idx(Op::LocalGet, 0), WInst::idx(Op::LocalGet, 1),
+       WInst::mem(Op::I32Store, 2, 0)});
+  Accesses.push_back({"getgetstore", exec::FGetGetStoreI32, 4});
+  Add("getconststore", {{ValType::I32}, {}}, {},
+      {WInst::idx(Op::LocalGet, 0), WInst::i32c(0x6a6b6c6d),
+       WInst::mem(Op::I32Store, 2, 0)});
+  Accesses.push_back({"getconststore", exec::FGetConstStoreI32, 4});
+  return M;
+}
+
+} // namespace
+
+TEST(ExecLazyMemory, BoundaryOracleOverEveryAccess) {
+  // For each access and each first-touch address — 0, the first chunk
+  // edge -1/0/+1, the last in-bounds address and one past it — fresh
+  // tree, flat and eager-JIT instances each run: memory.size before any
+  // touch; the access; eight byte stores from the address; the access
+  // again; memory.grow by two pages and memory.size; the access at the
+  // first grown byte and at the new last in-bounds address and one past
+  // it (grown pages never touched before). Every call must agree on
+  // results and trap bytes, flat and JIT on instructions executed (the
+  // tree engine counts structured instructions), and the final memories
+  // must be byte-identical. The flat instance must commit lazily: nothing
+  // before the first access, and no more than the access needs after it.
+  std::vector<Access> Accesses;
+  WModule M = boundaryModule(Accesses);
+  ASSERT_TRUE(validate(M).ok()) << validate(M).error().message();
+  ASSERT_EQ(Accesses.size(), 23u + 3u);
+
+  {
+    exec::FlatInstance Probe(M);
+    ASSERT_TRUE(Probe.initialize().ok());
+    for (const Access &A : Accesses) {
+      std::optional<uint32_t> Idx = Probe.findExport(A.Name, ExportKind::Func);
+      ASSERT_TRUE(Idx.has_value());
+      std::vector<uint32_t> Ops = flatOps(Probe.flat().Funcs[*Idx]);
+      EXPECT_NE(std::find(Ops.begin(), Ops.end(), A.FlatOp), Ops.end())
+          << A.Name << " does not execute the access under test";
+    }
+  }
+
+  const uint64_t Page = PageSize, Grown = 3 * PageSize;
+  unsigned Traps = 0, Calls = 0;
+  for (const Access &A : Accesses) {
+    const uint64_t N = A.Bytes;
+    for (uint64_t First : {uint64_t(0), MemChunk - 1, MemChunk, MemChunk + 1,
+                           Page - N, Page - N + 1, uint64_t(0xfffffffc)}) {
+      SCOPED_TRACE(A.Name + " first touch at " + std::to_string(First));
+      std::unique_ptr<Instance> In[3];
+      for (int E = 0; E < 3; ++E) {
+        In[E] = createInstance(M, AllEngines[E]);
+        if (E == 1)
+          static_cast<exec::FlatInstance &>(*In[E]).setTierPolicy(
+              exec::FlatInstance::NeverTier);
+        ASSERT_TRUE(In[E]->initialize().ok());
+      }
+      EXPECT_EQ(In[0]->committedBytes(), Page);
+      EXPECT_EQ(In[1]->committedBytes(), 0u);
+#if RW_JIT_ENABLED
+      EXPECT_EQ(In[2]->committedBytes(), Page);
+#endif
+
+      auto Call = [&](const std::string &Name, uint64_t Arg) -> uint64_t {
+        Expected<std::vector<WValue>> R[3] = {Error(""), Error(""),
+                                              Error("")};
+        uint64_t Count[3];
+        for (int E = 0; E < 3; ++E) {
+          uint64_t Before = In[E]->instrCount();
+          R[E] = In[E]->invokeByName(
+              Name, {WValue::i32(static_cast<uint32_t>(Arg))});
+          Count[E] = In[E]->instrCount() - Before;
+        }
+        ++Calls;
+        Traps += !R[0];
+        for (int E = 1; E < 3; ++E) {
+          const char *Who = engineKindName(AllEngines[E]);
+          EXPECT_EQ(bool(R[0]), bool(R[E]))
+              << Name << "(" << Arg << ") " << Who;
+          if (R[0] && R[E]) {
+            EXPECT_EQ(R[0]->size(), R[E]->size()) << Name << " " << Who;
+            for (size_t J = 0; J < std::min(R[0]->size(), R[E]->size()); ++J)
+              EXPECT_EQ((*R[0])[J].Bits, (*R[E])[J].Bits)
+                  << Name << "(" << Arg << ") " << Who;
+          } else if (!R[0] && !R[E]) {
+            EXPECT_EQ(R[0].error().message(), R[E].error().message())
+                << Name << "(" << Arg << ") " << Who;
+          }
+        }
+        EXPECT_EQ(Count[1], Count[2]) << Name << "(" << Arg << ")";
+        return R[0] && !R[0]->empty() ? (*R[0])[0].Bits : ~0ull;
+      };
+
+      EXPECT_EQ(Call("size", 0), 1u);
+      EXPECT_EQ(In[1]->committedBytes(), 0u) << "memory.size touched memory";
+      Call(A.Name, First);
+      uint64_t End = First + N;
+      uint64_t Want = End > Page ? 0
+                                 : std::min(Page, (End + MemChunk - 1) /
+                                                      MemChunk * MemChunk);
+      EXPECT_EQ(In[1]->committedBytes(), Want);
+      Call("pat", First);
+      Call(A.Name, First);
+      EXPECT_EQ(Call("grow", 2), 1u);
+      EXPECT_EQ(Call("size", 0), 3u);
+      for (uint64_t Later : {Page, Grown - N, Grown - N + 1})
+        Call(A.Name, Later);
+      EXPECT_LE(In[1]->committedBytes(), Grown);
+      EXPECT_EQ(In[0]->memory(), In[1]->memory());
+      EXPECT_EQ(In[0]->memory(), In[2]->memory());
+      EXPECT_EQ(In[1]->committedBytes(), Grown);
+    }
+  }
+  EXPECT_GT(Traps, 0u);
+  EXPECT_GT(Calls, 1000u);
+}
+
+TEST(ExecLazyMemory, CommittedBytesCounterMatchesTheAccessPattern) {
+  // A data segment commits the chunk it writes; stores at 100, 5000 and
+  // 20000 then commit [0, 4096), double it to 8192, and round 20004 up to
+  // 20480. exec.mem.committed_bytes counts exactly the bytes committed,
+  // and memory() commits the rest of the two pages.
+  const uint64_t One = obs::compiledIn() ? 1 : 0;
+  obs::Counter Committed("exec.mem.committed_bytes");
+  WModule M = oneFunc({{}, {}}, {},
+                      {WInst::i32c(100), WInst::i32c(1),
+                       WInst::mem(Op::I32Store, 2, 0), WInst::i32c(5000),
+                       WInst::i32c(2), WInst::mem(Op::I32Store, 2, 0),
+                       WInst::i32c(20000), WInst::i32c(3),
+                       WInst::mem(Op::I32Store, 2, 0)});
+  M.Memory = {{2, std::nullopt}};
+  M.Data.push_back({16, {1, 2, 3, 4, 5, 6, 7, 8}});
+  ASSERT_TRUE(validate(M).ok());
+
+  exec::FlatInstance I(M);
+  I.setTierPolicy(exec::FlatInstance::NeverTier);
+  uint64_t C0 = Committed.value();
+  ASSERT_TRUE(I.initialize().ok());
+  EXPECT_EQ(I.committedBytes(), MemChunk);
+  EXPECT_EQ(Committed.value() - C0, One * MemChunk);
+  ASSERT_TRUE(I.invokeByName("f", {}));
+  EXPECT_EQ(I.committedBytes(), 20480u);
+  EXPECT_EQ(Committed.value() - C0, One * 20480);
+  ASSERT_TRUE(I.invokeByName("f", {}));
+  EXPECT_EQ(Committed.value() - C0, One * 20480) << "a committed touch counts";
+  EXPECT_EQ(I.load32(20000), 3u);
+  EXPECT_EQ(I.load32(16), 0x04030201u);
+  EXPECT_EQ(I.committedBytes(), 20480u);
+  EXPECT_EQ(I.memory().size(), 2 * PageSize);
+  EXPECT_EQ(Committed.value() - C0, One * 2 * PageSize);
+  if (obs::compiledIn()) {
+    std::string Prom = obs::renderPrometheus(obs::snapshot());
+    EXPECT_NE(Prom.find("exec_mem_committed_bytes"), std::string::npos);
+  }
 }

@@ -610,6 +610,77 @@ TEST(IngestCache, WarmAdmissionMatchesUncachedOnServerMix) {
   EXPECT_GT(WasmRejected, 0u) << "some Wasm mutants must be rejected";
 }
 
+/// A one-page Wasm module: "fill" stores 0xa5 over every byte of memory,
+/// "orall" returns the OR of every 8-byte word of it.
+wasm::WModule dirtyModule() {
+  using wasm::Op;
+  using wasm::ValType;
+  using wasm::WInst;
+  wasm::WModule M;
+  M.Memory = {{1, std::nullopt}};
+  // The loop over every word; \p Visit is the body at address local 0.
+  auto Sweep = [](std::vector<WInst> Visit) {
+    std::vector<WInst> Body = {
+        WInst::idx(Op::LocalGet, 0), WInst::mk(Op::MemorySize),
+        WInst::i32c(16), WInst::mk(Op::I32Shl), WInst::mk(Op::I32GeU),
+        WInst::idx(Op::BrIf, 1)};
+    Body.insert(Body.end(), Visit.begin(), Visit.end());
+    Body.insert(Body.end(),
+                {WInst::idx(Op::LocalGet, 0), WInst::i32c(8),
+                 WInst::mk(Op::I32Add), WInst::idx(Op::LocalSet, 0),
+                 WInst::idx(Op::Br, 0)});
+    return WInst::block({{}, {}}, {WInst::loop({{}, {}}, std::move(Body))});
+  };
+  uint32_t Fill = M.addType({{}, {}});
+  M.Funcs.push_back(
+      {Fill,
+       {ValType::I32},
+       {Sweep({WInst::idx(Op::LocalGet, 0),
+               WInst::i64c(static_cast<int64_t>(0xa5a5a5a5a5a5a5a5ull)),
+               WInst::mem(Op::I64Store, 3, 0)})}});
+  uint32_t OrAll = M.addType({{}, {ValType::I64}});
+  M.Funcs.push_back(
+      {OrAll,
+       {ValType::I32, ValType::I64},
+       {Sweep({WInst::idx(Op::LocalGet, 1), WInst::idx(Op::LocalGet, 0),
+               WInst::mem(Op::I64Load, 3, 0), WInst::mk(Op::I64Or),
+               WInst::idx(Op::LocalSet, 1)}),
+        WInst::idx(Op::LocalGet, 1)}});
+  M.Exports.push_back({"fill", wasm::ExportKind::Func, 0});
+  M.Exports.push_back({"orall", wasm::ExportKind::Func, 1});
+  return M;
+}
+
+// No instance ever reads another's bytes. On the serving route (a warm
+// cache, the flat engine), an instance that wrote 0xa5 over all of its
+// memory is released; then each of 1,000 fresh instances of the same
+// artifact on the same thread reads every word of its memory, must see
+// only zeros, and dirties its own memory before it is released in turn.
+TEST(IngestCache, FreshInstancesNeverSeeAReleasedInstancesBytes) {
+  std::vector<uint8_t> B = wasm::encode(dirtyModule());
+  cache::AdmissionCache C;
+  link::LinkOptions Opts = serverOptions(&C);
+  {
+    Expected<ingest::AdmittedModule> A = ingest::admit(B, Limits(), Opts);
+    ASSERT_TRUE(A) << A.error().message();
+    ASSERT_TRUE(A->invoke("fill", {}));
+    Expected<std::vector<wasm::WValue>> R = A->invoke("orall", {});
+    ASSERT_TRUE(R) << R.error().message();
+    ASSERT_EQ((*R)[0].Bits, 0xa5a5a5a5a5a5a5a5ull);
+  }
+  uint64_t Hits0 = C.stats().ProgramHits;
+  for (int I = 0; I < 1000; ++I) {
+    Expected<ingest::AdmittedModule> A = ingest::admit(B, Limits(), Opts);
+    ASSERT_TRUE(A) << A.error().message();
+    Expected<std::vector<wasm::WValue>> R = A->invoke("orall", {});
+    ASSERT_TRUE(R) << R.error().message();
+    ASSERT_EQ((*R)[0].Bits, 0u)
+        << "instance " << I << " read bytes a released instance wrote";
+    ASSERT_TRUE(A->invoke("fill", {}));
+  }
+  EXPECT_EQ(C.stats().ProgramHits - Hits0, 1000u);
+}
+
 // The byte key folds in every limit: bytes cached under the default
 // policy are still rejected under a tighter one, with the uncached
 // rejection's exact bytes, and the rejection stores nothing.
