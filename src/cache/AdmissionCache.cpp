@@ -54,13 +54,18 @@ struct KeyHash {
 // Byte accounting
 //===----------------------------------------------------------------------===//
 
-uint64_t instBytes(const wasm::WInst &I) {
-  uint64_t B = sizeof(wasm::WInst) + I.Table.size() * sizeof(uint32_t) +
-               (I.BT.Params.size() + I.BT.Results.size());
-  for (const wasm::WInst &C : I.Body)
-    B += instBytes(C);
-  for (const wasm::WInst &C : I.Else)
-    B += instBytes(C);
+/// The nodes \p Seq allocated, used or not (lowering reserves ahead), and
+/// what they own out of line: a structured or br_table instruction's
+/// WNest (block type, targets, body) and an else arm's vector.
+uint64_t seqBytes(const std::vector<wasm::WInst> &Seq) {
+  uint64_t B = Seq.capacity() * sizeof(wasm::WInst);
+  for (const wasm::WInst &I : Seq) {
+    if (const wasm::WNest *N = I.Body.get())
+      B += sizeof(*N) + N->Table.size() * sizeof(uint32_t) +
+           N->BT.Params.size() + N->BT.Results.size() + seqBytes(N->Insts);
+    if (const std::vector<wasm::WInst> *E = I.Else.get())
+      B += sizeof(*E) + seqBytes(*E);
+  }
   return B;
 }
 
@@ -73,13 +78,10 @@ uint64_t artifactBytes(const LoweredArtifact &A) {
     B += sizeof(wasm::WFunc) + F.Locals.size();
     if (F.Body.shared())
       continue; // The runtime prelude: one copy per process, not ours.
-    for (const wasm::WInst &I : F.Body)
-      B += instBytes(I);
+    B += seqBytes(F.Body);
   }
   for (const wasm::WGlobal &G : M.Globals) {
-    B += sizeof(wasm::WGlobal);
-    for (const wasm::WInst &I : G.Init)
-      B += instBytes(I);
+    B += sizeof(wasm::WGlobal) + seqBytes(G.Init);
   }
   B += M.TableElems.size() * sizeof(uint32_t);
   for (const wasm::WExport &E : M.Exports)

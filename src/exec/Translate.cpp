@@ -164,13 +164,13 @@ public:
       return;
     fence();
     emit(FBrTable);
-    emit(static_cast<uint32_t>(I.Table.size()));
+    emit(static_cast<uint32_t>(I.table().size()));
     auto Entry = [&](Label L) {
       emitTarget(Ctrl[L.Frame]);
       emit(L.Arity);
       emit(L.Base);
     };
-    for (uint32_t D : I.Table)
+    for (uint32_t D : I.table())
       Entry(At(D));
     Entry(At(I.U32));
     Dead = true;
@@ -341,7 +341,7 @@ void Emitter::data(const WInst &I, const OpInfo &R, uint32_t H) {
     if (Last != Prev::Get)
       break;
     Out->Code[PrevPos] = FGetLoadI32; // a off
-    emit(I.Offset);
+    emit(I.offset());
     fence();
     return;
   case Op::I32Store:
@@ -351,7 +351,7 @@ void Emitter::data(const WInst &I, const OpInfo &R, uint32_t H) {
       Out->Code[PrevPos] = FGetConstStoreI32; // a k off
     else
       break;
-    emit(I.Offset);
+    emit(I.offset());
     fence();
     return;
   default:
@@ -365,7 +365,7 @@ void Emitter::data(const WInst &I, const OpInfo &R, uint32_t H) {
     emit(I.U32);
     break;
   case ImmKind::Memarg:
-    emit(I.Offset);
+    emit(I.offset());
     break;
   case ImmKind::Const32:
     emit(static_cast<uint32_t>(I.U64));

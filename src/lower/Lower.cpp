@@ -170,9 +170,11 @@ public:
   support::SmallVec<uint32_t, 8> FreePool[4];
   uint32_t Depth = 0;
   std::vector<uint32_t> RichLabels; ///< D_L per label, innermost at back.
-  /// Set when this body emitted a call_indirect: only such bodies need the
-  /// post-assembly type-index patch walk.
-  bool HasCallIndirect = false;
+  /// The signature of each call_indirect this body emitted, in emission
+  /// order; each one's type index holds its position here until the
+  /// post-assembly patch walk interns the signature. Only bodies with
+  /// some need that walk.
+  std::vector<wasm::FuncType> IndirectSigs;
 
   /// Reused stash scratch (see stash()): indices of spilled components.
   using Scratch = support::SmallVec<uint32_t, 8>;
@@ -533,8 +535,19 @@ public:
   // Instruction lowering
   //===--------------------------------------------------------------------===//
 
-  Expected<std::vector<WInst>> lowerSeq(const InstVec &Insts);
+  Status lowerSeq(const InstVec &Insts, std::vector<WInst> &O);
   Status lowerInst(const Inst &I, std::vector<WInst> &O, bool &Terminated);
+  /// Lowers \p Body one label deeper into \p Into: the body or an arm of
+  /// a block, loop or if the caller has appended. Into lives in that
+  /// node's out-of-line record, which stays put when the outer vector
+  /// grows.
+  Status lowerNested(const InstVec &Body, std::vector<WInst> &Into);
+  /// Appends a call_indirect of signature \p Sig to \p O.
+  void callIndirect(wasm::FuncType Sig, std::vector<WInst> &O) {
+    O.push_back(WInst::idx(Op::CallIndirect,
+                           static_cast<uint32_t>(IndirectSigs.size())));
+    IndirectSigs.push_back(std::move(Sig));
+  }
 
   const typing::InstInfo *info(const Inst *I) { return P.info(ModIdx, I); }
 };
@@ -543,17 +556,35 @@ public:
 // FuncLowering implementation
 //===----------------------------------------------------------------------===//
 
-Expected<std::vector<WInst>> FuncLowering::lowerSeq(const InstVec &Insts) {
-  std::vector<WInst> O;
-  O.reserve(Insts.size() * 2);
+/// Appends the lowering of \p Insts to \p O, which may already hold code
+/// (a prologue, an arm's preamble): the caller's vector is the one the
+/// code ends up in, so no instruction is moved after it is emitted.
+Status FuncLowering::lowerSeq(const InstVec &Insts, std::vector<WInst> &O) {
+  // The benchmark workloads lower to 2.6-2.9 Wasm instructions per
+  // RichWasm one, so three per instruction rarely regrows a vector (which
+  // would move every node) and leaves little slack; grow at least
+  // geometrically.
+  const size_t Want = O.size() + Insts.size() * 3;
+  if (Want > O.capacity())
+    O.reserve(std::max(Want, O.capacity() * 2));
   bool Terminated = false;
   for (const InstRef &I : Insts) {
     if (Terminated)
       break; // Dead code carries no checker annotations; skip it.
     if (Status S = lowerInst(*I, O, Terminated); !S)
-      return S.error();
+      return S;
   }
-  return O;
+  return Status::success();
+}
+
+Status FuncLowering::lowerNested(const InstVec &Body,
+                                 std::vector<WInst> &Into) {
+  ++Depth;
+  RichLabels.push_back(Depth);
+  Status S = lowerSeq(Body, Into);
+  RichLabels.pop_back();
+  --Depth;
+  return S;
 }
 
 Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
@@ -655,19 +686,10 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     Expected<std::vector<ValType>> RR = repOfTypes(TF.Results, Bounds);
     if (!PR || !RR)
       return Error("bad block type in lowering");
-    ++Depth;
-    RichLabels.push_back(Depth);
-    Expected<std::vector<WInst>> B = lowerSeq(Body);
-    RichLabels.pop_back();
-    --Depth;
-    if (!B)
-      return B.error();
-    wasm::FuncType BT{*PR, *RR};
-    if (I.kind() == InstKind::Block)
-      O.push_back(WInst::block(std::move(BT), std::move(*B)));
-    else
-      O.push_back(WInst::loop(std::move(BT), std::move(*B)));
-    return Status::success();
+    O.push_back(
+        WInst::structured(I.kind() == InstKind::Block ? Op::Block : Op::Loop,
+                          {std::move(*PR), std::move(*RR)}));
+    return lowerNested(Body, O.back().Body.mut());
   }
   case InstKind::If: {
     const auto *F = cast<IfInst>(&I);
@@ -675,19 +697,13 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     Expected<std::vector<ValType>> RR = repOfTypes(F->arrow().Results, Bounds);
     if (!PR || !RR)
       return Error("bad if type in lowering");
-    ++Depth;
-    RichLabels.push_back(Depth);
-    Expected<std::vector<WInst>> T = lowerSeq(F->thenBody());
-    Expected<std::vector<WInst>> E = lowerSeq(F->elseBody());
-    RichLabels.pop_back();
-    --Depth;
-    if (!T)
-      return T.error();
-    if (!E)
-      return E.error();
-    O.push_back(
-        WInst::ifElse({*PR, *RR}, std::move(*T), std::move(*E)));
-    return Status::success();
+    O.push_back(WInst::structured(Op::If, {std::move(*PR), std::move(*RR)}));
+    WInst &W = O.back();
+    if (Status S = lowerNested(F->thenBody(), W.Body.mut()); !S)
+      return S;
+    if (F->elseBody().empty())
+      return Status::success();
+    return lowerNested(F->elseBody(), W.Else.mut());
   }
   case InstKind::Br:
   case InstKind::BrIf: {
@@ -880,7 +896,6 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     for (const Type &T : Arrow.Results)
       Abstract |= containsAbstract(T);
 
-    HasCallIndirect = true;
     if (!Abstract) {
       // Concrete signature: the table entry was compiled with exactly this
       // shape, so a plain call_indirect suffices.
@@ -888,10 +903,7 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
       Expected<std::vector<ValType>> RR = repOfTypes(Arrow.Results, Bounds);
       if (!PR || !RR)
         return Error("bad indirect call signature");
-      WInst CI(Op::CallIndirect);
-      CI.U32 = 0; // Patched later (needs module-level type interning).
-      CI.BT = {*PR, *RR};
-      O.push_back(CI);
+      callIndirect({std::move(*PR), std::move(*RR)}, O);
       return Status::success();
     }
 
@@ -992,10 +1004,7 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
           }
         }
         Next.push_back(WInst::idx(Op::LocalGet, IdxL));
-        WInst CI(Op::CallIndirect);
-        CI.U32 = 0; // Patched later.
-        CI.BT = Sh.Sig;
-        Next.push_back(CI);
+        callIndirect(Sh.Sig, Next);
         // Coerce results back to the abstract representation.
         std::vector<FuncLowering::Scratch> RLs(ARes.size());
         for (size_t J = ARes.size(); J > 0; --J)
@@ -1035,17 +1044,10 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
         repOfTypes(MU->arrow().Results, Bounds);
     if (!PR || !VR || !RR)
       return Error("bad mem.unpack types");
-    std::vector<ValType> In = *PR;
+    std::vector<ValType> In = std::move(*PR);
     In.insert(In.end(), VR->begin(), VR->end());
-    ++Depth;
-    RichLabels.push_back(Depth);
-    Expected<std::vector<WInst>> B = lowerSeq(MU->body());
-    RichLabels.pop_back();
-    --Depth;
-    if (!B)
-      return B.error();
-    O.push_back(WInst::block({std::move(In), *RR}, std::move(*B)));
-    return Status::success();
+    O.push_back(WInst::structured(Op::Block, {std::move(In), std::move(*RR)}));
+    return lowerNested(MU->body(), O.back().Body.mut());
   }
 
   //===---------------------------------------------------- structs -------===//
@@ -1266,13 +1268,11 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
       uint32_t SavedDepth = Depth;
       Depth = DOut + static_cast<uint32_t>(N - 1 - A);
       RichLabels.push_back(DOut);
-      Expected<std::vector<WInst>> ArmCode = lowerSeq(VC->arms()[A]);
+      Status ArmS = lowerSeq(VC->arms()[A], Next);
       RichLabels.pop_back();
       Depth = SavedDepth;
-      if (!ArmCode)
-        return ArmCode.error();
-      Next.insert(Next.end(), std::make_move_iterator(ArmCode->begin()),
-                  std::make_move_iterator(ArmCode->end()));
+      if (!ArmS)
+        return ArmS;
       if (A + 1 < N)
         Next.push_back(WInst::idx(Op::Br, static_cast<uint32_t>(N - 1 - A)));
       Cur = std::move(Next);
@@ -1478,16 +1478,9 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
       BodyPre.push_back(WInst::idx(Op::LocalGet, Base));
       BodyPre.push_back(WInst::idx(Op::Call, P.Out.Runtime.FreeFunc));
     }
-    ++Depth;
-    RichLabels.push_back(Depth);
-    Expected<std::vector<WInst>> B = lowerSeq(EU->body());
-    RichLabels.pop_back();
-    --Depth;
-    if (!B)
-      return B.error();
-    BodyPre.insert(BodyPre.end(), std::make_move_iterator(B->begin()),
-                   std::make_move_iterator(B->end()));
     O.push_back(WInst::block({{}, *RR}, std::move(BodyPre)));
+    if (Status S = lowerNested(EU->body(), O.back().Body.mut()); !S)
+      return S;
     releaseAll(*PR, PLs);
     if (!Lin) {
       FuncLowering::Scratch RLs = stash(*RR, O);
@@ -1675,7 +1668,7 @@ Expected<LoweredProgram> ProgramLowering::run() {
     std::vector<ValType> PR, RR;
     std::vector<ValType> Locals;
     std::vector<WInst> Code;
-    bool HasCallIndirect = false;
+    std::vector<wasm::FuncType> IndirectSigs;
     Status S = Status::success();
   };
   std::vector<FnWork> Work;
@@ -1756,20 +1749,17 @@ Expected<LoweredProgram> ProgramLowering::run() {
       FL.RwLocalWords.push_back(Words);
     }
 
-    Expected<std::vector<WInst>> Body = FL.lowerSeq(F.Body);
-    if (!Body) {
+    // The body follows the prologue in the same vector.
+    if (Status S = FL.lowerSeq(F.Body, Prologue); !S) {
       R.S = Error("in function " + std::to_string(FI) + " of '" + M.Name +
-                  "': " + Body.error().message());
+                  "': " + S.error().message());
       return;
     }
-    std::vector<WInst> Full = std::move(Prologue);
-    Full.insert(Full.end(), std::make_move_iterator(Body->begin()),
-                std::make_move_iterator(Body->end()));
     R.PR = std::move(*PR);
     R.RR = std::move(*RR);
     R.Locals = std::move(FL.ExtraLocals);
-    R.Code = std::move(Full);
-    R.HasCallIndirect = FL.HasCallIndirect;
+    R.Code = std::move(Prologue);
+    R.IndirectSigs = std::move(FL.IndirectSigs);
   };
 
   auto recordFailure = [&](size_t W) {
@@ -1799,15 +1789,18 @@ Expected<LoweredProgram> ProgramLowering::run() {
     }
   }
 
-  std::vector<uint32_t> NeedsIndirectPatch;
+  // Bodies with a call_indirect: function slot, then the signatures.
+  std::vector<std::pair<uint32_t, std::vector<wasm::FuncType>>>
+      NeedsIndirectPatch;
   for (size_t W = 0; W < Work.size(); ++W) {
     FnResult &R = Results[W];
     if (!R.S)
       return R.S.error();
     uint32_t TI = Out.Module.addType({R.PR, R.RR});
-    if (R.HasCallIndirect)
-      NeedsIndirectPatch.push_back(
-          static_cast<uint32_t>(Out.Module.Funcs.size()));
+    if (!R.IndirectSigs.empty())
+      NeedsIndirectPatch.emplace_back(
+          static_cast<uint32_t>(Out.Module.Funcs.size()),
+          std::move(R.IndirectSigs));
     Out.Module.Funcs.push_back(
         {TI, std::move(R.Locals), std::move(R.Code)});
     assert(Out.Module.numFuncs() - 1 ==
@@ -1824,21 +1817,21 @@ Expected<LoweredProgram> ProgramLowering::run() {
       if (G.isImport() || G.Init.empty())
         continue;
       FuncLowering FL(*this, MI, TypeVarSizes{}, {});
-      Expected<std::vector<WInst>> Code = FL.lowerSeq(G.Init);
-      if (!Code)
+      std::vector<WInst> Body;
+      if (Status S = FL.lowerSeq(G.Init, Body); !S)
         return Error("in global initializer of '" + M.Name + "': " +
-                     Code.error().message());
+                     S.error().message());
       // Wrap as its own function so locals are private.
       auto [Base, Reps] = GlobalMap.at({MI, GI});
-      std::vector<WInst> Body = std::move(*Code);
       for (size_t J = Reps.size(); J > 0; --J)
         Body.push_back(
             WInst::idx(Op::GlobalSet, Base + static_cast<uint32_t>(J - 1)));
       uint32_t TI = Out.Module.addType({{}, {}});
       uint32_t Idx = Out.Module.numFuncs();
-      if (FL.HasCallIndirect)
-        NeedsIndirectPatch.push_back(
-            static_cast<uint32_t>(Out.Module.Funcs.size()));
+      if (!FL.IndirectSigs.empty())
+        NeedsIndirectPatch.emplace_back(
+            static_cast<uint32_t>(Out.Module.Funcs.size()),
+            std::move(FL.IndirectSigs));
       Out.Module.Funcs.push_back({TI, FL.ExtraLocals, std::move(Body)});
       InitBody.push_back(WInst::idx(Op::Call, Idx));
     }
@@ -1854,19 +1847,21 @@ Expected<LoweredProgram> ProgramLowering::run() {
   // function bodies and global initializers alike (previously the pass
   // ran before the initializers were lowered, so a call_indirect inside
   // one kept its placeholder type index) — and walks only the bodies
-  // that actually emitted a call_indirect (flagged during lowering).
-  {
+  // that actually emitted a call_indirect (recorded during lowering).
+  // Signatures are interned in walk order, which fixes the type indices.
+  for (auto &[FIdx, Sigs] : NeedsIndirectPatch) {
     std::function<void(std::vector<WInst> &)> Fix =
         [&](std::vector<WInst> &Body) {
           for (WInst &W : Body) {
             if (W.K == Op::CallIndirect)
-              W.U32 = Out.Module.addType(W.BT);
-            Fix(W.Body);
-            Fix(W.Else);
+              W.U32 = Out.Module.addType(Sigs[W.U32]);
+            if (W.Body.get())
+              Fix(W.Body.mut());
+            if (W.Else.get())
+              Fix(W.Else.mut());
           }
         };
-    for (uint32_t FIdx : NeedsIndirectPatch)
-      Fix(Out.Module.Funcs[FIdx].Body.mut());
+    Fix(Out.Module.Funcs[FIdx].Body.mut());
   }
   if (!InitBody.empty()) {
     uint32_t TI = Out.Module.addType({{}, {}});

@@ -54,8 +54,9 @@ private:
   void registerBlockTypes(const std::vector<WInst> &Body) {
     for (const WInst &I : Body) {
       if (I.K == Op::Block || I.K == Op::Loop || I.K == Op::If) {
-        if (!(I.BT.Params.empty() && I.BT.Results.size() <= 1))
-          M.addType(I.BT);
+        const FuncType &BT = I.bt();
+        if (!(BT.Params.empty() && BT.Results.size() <= 1))
+          M.addType(BT);
         registerBlockTypes(I.Body);
         registerBlockTypes(I.Else);
       }
@@ -294,8 +295,8 @@ private:
       u32(I.U32);
       break;
     case ImmKind::Memarg:
-      u32(I.Align);
-      u32(I.Offset);
+      u32(I.align());
+      u32(I.offset());
       break;
     case ImmKind::Const32:
       if (I.K == Op::I32Const)
@@ -310,7 +311,7 @@ private:
         raw64(I.U64);
       break;
     case ImmKind::Structured:
-      blockType(I.BT);
+      blockType(I.bt());
       insts(I.Body);
       if (I.K == Op::If && !I.Else.empty()) {
         u8(0x05); // else
@@ -319,8 +320,8 @@ private:
       u8(0x0b);
       break;
     case ImmKind::BrTable:
-      u32(I.Table.size());
-      for (uint32_t T : I.Table)
+      u32(I.table().size());
+      for (uint32_t T : I.table())
         u32(T);
       u32(I.U32);
       break;
@@ -981,17 +982,18 @@ private:
     return M.Types[static_cast<size_t>(*Idx)];
   }
 
-  /// Parses instructions until the matching `end` (consumed). The `else`
-  /// marker terminates a then-branch without being consumed by it.
-  /// \p Depth counts enclosing structured instructions; it bounds both
-  /// this recursion and the validator's.
-  Expected<std::vector<WInst>> parseUntil(uint8_t &Terminator,
-                                          uint32_t Depth) {
+  /// Parses instructions into \p Out until the matching `end` (consumed).
+  /// The `else` marker terminates a then-branch without being consumed by
+  /// it. \p Depth counts enclosing structured instructions; it bounds both
+  /// this recursion and the validator's. Each instruction is charged what
+  /// it allocates: its node, and a structured or br_table instruction its
+  /// WNest and block type or targets, an else arm its vector.
+  Status parseUntil(std::vector<WInst> &Out, uint8_t &Terminator,
+                    uint32_t Depth) {
     if (Depth > L.MaxNestingDepth)
       return fail(Category::LimitExceeded, Pos,
                   "block nesting exceeds depth limit of " +
                       std::to_string(L.MaxNestingDepth));
-    std::vector<WInst> Out;
     for (;;) {
       size_t Off = Pos;
       Expected<uint8_t> Bc = u8("opcode");
@@ -999,7 +1001,7 @@ private:
         return Bc.error();
       if (*Bc == 0x0b || *Bc == 0x05) {
         Terminator = *Bc;
-        return Out;
+        return Status::success();
       }
       const OpInfo &Row = OpTable[*Bc];
       if (!Row.Valid)
@@ -1016,22 +1018,26 @@ private:
         Expected<FuncType> BT = blockType();
         if (!BT)
           return BT.error();
-        I.BT = std::move(*BT);
+        if (Status S = charge(sizeof(WNest) + BT->Params.size() +
+                                  BT->Results.size(),
+                              "block");
+            !S)
+          return S.error();
+        WNest &N = I.Body.rec();
+        N.BT = std::move(*BT);
         uint8_t T = 0;
-        Expected<std::vector<WInst>> Body = parseUntil(T, Depth + 1);
-        if (!Body)
-          return Body.error();
-        I.Body = std::move(*Body);
+        if (Status S = parseUntil(N.Insts, T, Depth + 1); !S)
+          return S.error();
         if (K != Op::If) {
           if (T != 0x0b)
             return fail(Category::Malformed, Pos, "unexpected else in block");
         } else if (T == 0x05) {
-          Expected<std::vector<WInst>> Else = parseUntil(T, Depth + 1);
-          if (!Else)
-            return Else.error();
+          if (Status S = charge(sizeof(std::vector<WInst>), "else arm"); !S)
+            return S.error();
+          if (Status S = parseUntil(I.Else.mut(), T, Depth + 1); !S)
+            return S.error();
           if (T != 0x0b)
             return fail(Category::Malformed, Pos, "unterminated else");
-          I.Else = std::move(*Else);
         }
         break;
       }
@@ -1060,15 +1066,17 @@ private:
         Expected<uint32_t> N = count(L.MaxOperandDepth, 1, "br_table target");
         if (!N)
           return N.error();
-        if (Status S = charge(uint64_t(*N) * sizeof(uint32_t), "br_table");
+        if (Status S = charge(sizeof(WNest) + uint64_t(*N) * sizeof(uint32_t),
+                              "br_table");
             !S)
           return S.error();
-        I.Table.reserve(*N);
+        std::vector<uint32_t> &Table = I.Body.rec().Table;
+        Table.reserve(*N);
         for (uint32_t J = 0; J < *N; ++J) {
           Expected<uint32_t> T = u32("br_table target");
           if (!T)
             return T.error();
-          I.Table.push_back(*T);
+          Table.push_back(*T);
         }
         Expected<uint32_t> D = u32("br_table default");
         if (!D)
@@ -1128,8 +1136,8 @@ private:
         Expected<uint32_t> O = u32("memarg offset");
         if (!O)
           return O.error();
-        I.Align = *A;
-        I.Offset = *O;
+        I.U32 = *A;
+        I.U64 = *O;
         break;
       }
       }
@@ -1139,9 +1147,9 @@ private:
 
   Expected<std::vector<WInst>> expr() {
     uint8_t T = 0;
-    Expected<std::vector<WInst>> Body = parseUntil(T, 0);
-    if (!Body)
-      return Body;
+    std::vector<WInst> Body;
+    if (Status S = parseUntil(Body, T, 0); !S)
+      return S.error();
     if (T != 0x0b)
       return fail(Category::Malformed, Pos,
                   "expression not terminated by end");

@@ -134,7 +134,7 @@ WasmInstance::Exec WasmInstance::execInst(const WInst &I, Frame &F,
     return Exec::Normal;
 
   case Op::Block: {
-    size_t Base = Stack.size() - I.BT.Params.size();
+    size_t Base = Stack.size() - I.bt().Params.size();
     Exec R = execSeq(I.Body, F, BrDepth);
     if (R == Exec::Branch) {
       if (BrDepth > 0) {
@@ -142,7 +142,7 @@ WasmInstance::Exec WasmInstance::execInst(const WInst &I, Frame &F,
         return Exec::Branch;
       }
       // Branch to this block: keep the top |results| values above Base.
-      std::vector<WValue> Keep(Stack.end() - I.BT.Results.size(),
+      std::vector<WValue> Keep(Stack.end() - I.bt().Results.size(),
                                Stack.end());
       Stack.resize(Base);
       for (const WValue &V : Keep)
@@ -158,7 +158,7 @@ WasmInstance::Exec WasmInstance::execInst(const WInst &I, Frame &F,
       // target.
       if (ProfileOn)
         ++Prof[F.FuncIdx].LoopHeads;
-      size_t Base = Stack.size() - I.BT.Params.size();
+      size_t Base = Stack.size() - I.bt().Params.size();
       Exec R = execSeq(I.Body, F, BrDepth);
       if (R == Exec::Branch) {
         if (BrDepth > 0) {
@@ -166,7 +166,7 @@ WasmInstance::Exec WasmInstance::execInst(const WInst &I, Frame &F,
           return Exec::Branch;
         }
         // Branch to the loop: keep |params| values and iterate again.
-        std::vector<WValue> Keep(Stack.end() - I.BT.Params.size(),
+        std::vector<WValue> Keep(Stack.end() - I.bt().Params.size(),
                                  Stack.end());
         Stack.resize(Base);
         for (const WValue &V : Keep)
@@ -181,14 +181,14 @@ WasmInstance::Exec WasmInstance::execInst(const WInst &I, Frame &F,
       return trap("if: stack underflow");
     uint32_t Cond = Stack.back().asU32();
     Stack.pop_back();
-    size_t Base = Stack.size() - I.BT.Params.size();
-    Exec R = execSeq(Cond ? I.Body : I.Else, F, BrDepth);
+    size_t Base = Stack.size() - I.bt().Params.size();
+    Exec R = execSeq(Cond ? I.Body.insts() : I.Else.insts(), F, BrDepth);
     if (R == Exec::Branch) {
       if (BrDepth > 0) {
         --BrDepth;
         return Exec::Branch;
       }
-      std::vector<WValue> Keep(Stack.end() - I.BT.Results.size(),
+      std::vector<WValue> Keep(Stack.end() - I.bt().Results.size(),
                                Stack.end());
       Stack.resize(Base);
       for (const WValue &V : Keep)
@@ -215,7 +215,8 @@ WasmInstance::Exec WasmInstance::execInst(const WInst &I, Frame &F,
       return trap("br_table: stack underflow");
     uint32_t Idx = Stack.back().asU32();
     Stack.pop_back();
-    BrDepth = Idx < I.Table.size() ? I.Table[Idx] : I.U32;
+    const std::vector<uint32_t> &Targets = I.table();
+    BrDepth = Idx < Targets.size() ? Targets[Idx] : I.U32;
     return Exec::Branch;
   }
   case Op::Return:
@@ -310,7 +311,7 @@ WasmInstance::Exec WasmInstance::execMemory(const WInst &I) {
     StoreVal = Stack.back();
     Stack.pop_back();
   }
-  uint64_t Addr = Stack.back().asU32() + static_cast<uint64_t>(I.Offset);
+  uint64_t Addr = Stack.back().asU32() + static_cast<uint64_t>(I.offset());
   Stack.pop_back();
 
   auto InBounds = [&](unsigned N) { return Addr + N <= Mem.size(); };

@@ -154,7 +154,8 @@ private:
     const Frame &F = Frames[Frames.size() - 1 - D];
     if (!F.Block)
       return *Results;
-    return F.Block->K == Op::Loop ? F.Block->BT.Params : F.Block->BT.Results;
+    const FuncType &BT = F.Block->bt();
+    return F.Block->K == Op::Loop ? BT.Params : BT.Results;
   }
 
   uint32_t height() const { return static_cast<uint32_t>(Vals.size()); }
@@ -208,7 +209,8 @@ private:
   /// results, then start an if's else arm or close the frame.
   Status end() {
     Frame &F = Frames.back();
-    const std::vector<ValType> &Out = F.Block ? F.Block->BT.Results : *Results;
+    const std::vector<ValType> &Out =
+        F.Block ? F.Block->bt().Results : *Results;
     if (!F.Unreachable) {
       if (height() - F.Base != Out.size())
         return Error("block leaves " + std::to_string(height() - F.Base) +
@@ -220,8 +222,8 @@ private:
     Vals.resize(F.Base);
     if (F.Block && F.Block->K == Op::If && !F.InElse) {
       S.elseArm(*F.Block);
-      pushMany(F.Block->BT.Params);
-      F = {F.Block, &F.Block->Else, 0, F.Base, false, true};
+      pushMany(F.Block->bt().Params);
+      F = {F.Block, &F.Block->Else.insts(), 0, F.Base, false, true};
       return Status::success();
     }
     pushMany(Out);
@@ -254,11 +256,11 @@ template <class Sink> Status FuncWalk<Sink>::inst(const WInst &I) {
     if (I.K == Op::If)
       if (Status St = popExpect(ValType::I32, "if"); !St)
         return St;
-    if (Status St = popMany(I.BT.Params, I.K == Op::If ? "if" : "block");
-        !St)
+    const FuncType &BT = I.bt();
+    if (Status St = popMany(BT.Params, I.K == Op::If ? "if" : "block"); !St)
       return St;
-    Frames.push_back({&I, &I.Body, 0, height(), false, false});
-    pushMany(I.BT.Params);
+    Frames.push_back({&I, &I.Body.insts(), 0, height(), false, false});
+    pushMany(BT.Params);
     S.open(I);
     return Status::success();
   }
@@ -295,11 +297,11 @@ template <class Sink> Status FuncWalk<Sink>::inst(const WInst &I) {
     const std::vector<ValType> &T = labelTypes(I.U32);
     if (Status St = popMany(T, "br_table"); !St)
       return St;
-    for (uint32_t D : I.Table)
+    for (uint32_t D : I.table())
       if (Status St = checkLabel(D, "br_table"); !St)
         return St;
     // Every target takes the values the default does.
-    for (uint32_t D : I.Table)
+    for (uint32_t D : I.table())
       if (labelTypes(D) != T)
         return Error("br_table: label types disagree");
     S.brTable(I, [this](uint32_t D) { return label(D); });

@@ -20,8 +20,10 @@
 #include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -438,20 +440,82 @@ inline std::optional<Op> numericOp(NumOp N) {
   return std::nullopt;
 }
 
-/// One instruction. Structured instructions (block/loop/if) carry nested
-/// bodies; the codec linearizes them with end/else markers.
+struct WInst;
+
+/// The out-of-line part of a structured or br_table instruction.
+struct WNest {
+  FuncType BT;                 ///< Block type (multi-value allowed).
+  std::vector<uint32_t> Table; ///< br_table targets.
+  std::vector<WInst> Insts;    ///< The body, or an if's then arm.
+};
+
+/// A nested instruction sequence as WInst stores it: an owning pointer to
+/// an out-of-line record R that holds the sequence (R is a WNest, or the
+/// sequence itself), null until first written. Reads see one
+/// `const std::vector<WInst> &`, empty while nothing is allocated; copies
+/// are deep.
+template <class R> class WNested {
+public:
+  WNested() = default;
+  WNested(const WNested &O) : P(O.P ? std::make_unique<R>(*O.P) : nullptr) {}
+  WNested(WNested &&) noexcept = default;
+  WNested &operator=(const WNested &O) {
+    P = O.P ? std::make_unique<R>(*O.P) : nullptr;
+    return *this;
+  }
+  WNested &operator=(WNested &&) noexcept = default;
+
+  const std::vector<WInst> &insts() const;
+  operator const std::vector<WInst> &() const { return insts(); }
+  bool empty() const { return insts().empty(); }
+
+  /// The record, or null while nothing is allocated.
+  const R *get() const { return P.get(); }
+  /// The record, allocated on first use.
+  R &rec() {
+    if (!P)
+      P = std::make_unique<R>();
+    return *P;
+  }
+  /// The sequence, for writing.
+  std::vector<WInst> &mut() { return seq(rec()); }
+
+private:
+  template <class T> static auto &seq(T &Rec) {
+    if constexpr (std::is_same_v<std::remove_const_t<T>, WNest>)
+      return Rec.Insts;
+    else
+      return Rec;
+  }
+
+  std::unique_ptr<R> P;
+};
+
+/// One instruction: 32 bytes, with its opcode and immediates inline. What
+/// only structured (block/loop/if) and br_table instructions need, the
+/// block type, the br_table targets and the nested bodies, lives out of
+/// line in a WNest that Body owns, and an if's else arm in a vector that
+/// Else owns, so every other instruction allocates nothing. The codec
+/// linearizes nested bodies with end/else markers.
 struct WInst {
   Op K = Op::Nop;
-  uint32_t U32 = 0;    ///< Index immediate (local/global/func/type/label).
-  uint64_t U64 = 0;    ///< Constant bits.
-  uint32_t Align = 0;  ///< Memarg alignment exponent.
-  uint32_t Offset = 0; ///< Memarg offset.
-  FuncType BT;         ///< Block type (multi-value allowed).
-  std::vector<uint32_t> Table; ///< br_table targets.
-  std::vector<WInst> Body, Else;
+  /// Index immediate (local/global/func/type/label), br_table default
+  /// label, or memarg alignment exponent.
+  uint32_t U32 = 0;
+  uint64_t U64 = 0; ///< Constant bits, or memarg offset.
+  /// Block type and body (then arm) of a structured instruction, targets
+  /// of a br_table.
+  WNested<WNest> Body;
+  WNested<std::vector<WInst>> Else; ///< An if's else arm.
 
   WInst() = default;
   explicit WInst(Op K) : K(K) {}
+
+  uint32_t align() const { return U32; }
+  uint32_t offset() const { return static_cast<uint32_t>(U64); }
+  const FuncType &bt() const;
+  const std::vector<uint32_t> &table() const;
+
   static WInst mk(Op K) { return WInst(K); }
   static WInst idx(Op K, uint32_t I) {
     WInst W(K);
@@ -470,37 +534,61 @@ struct WInst {
   }
   static WInst mem(Op K, uint32_t Align, uint32_t Offset) {
     WInst W(K);
-    W.Align = Align;
-    W.Offset = Offset;
+    W.U32 = Align;
+    W.U64 = Offset;
     return W;
   }
+  /// A block, loop or if with block type \p BT and the given body (then
+  /// arm); more can be appended through Body.mut().
+  static WInst structured(Op K, FuncType BT, std::vector<WInst> Body = {});
   static WInst block(FuncType BT, std::vector<WInst> Body) {
-    WInst W(Op::Block);
-    W.BT = std::move(BT);
-    W.Body = std::move(Body);
-    return W;
+    return structured(Op::Block, std::move(BT), std::move(Body));
   }
   static WInst loop(FuncType BT, std::vector<WInst> Body) {
-    WInst W(Op::Loop);
-    W.BT = std::move(BT);
-    W.Body = std::move(Body);
-    return W;
+    return structured(Op::Loop, std::move(BT), std::move(Body));
   }
   static WInst ifElse(FuncType BT, std::vector<WInst> Then,
                       std::vector<WInst> Else) {
-    WInst W(Op::If);
-    W.BT = std::move(BT);
-    W.Body = std::move(Then);
-    W.Else = std::move(Else);
+    WInst W = structured(Op::If, std::move(BT), std::move(Then));
+    if (!Else.empty())
+      W.Else.mut() = std::move(Else);
     return W;
   }
-  static WInst brTable(std::vector<uint32_t> Targets, uint32_t Default) {
-    WInst W(Op::BrTable);
-    W.Table = std::move(Targets);
-    W.U32 = Default;
-    return W;
-  }
+  static WInst brTable(std::vector<uint32_t> Targets, uint32_t Default);
 };
+
+static_assert(sizeof(WInst) <= 48, "WInst keeps its bulky parts out of line");
+
+namespace detail {
+inline const std::vector<WInst> NoInsts;
+inline const FuncType NoBlockType;
+inline const std::vector<uint32_t> NoTargets;
+} // namespace detail
+
+template <class R>
+inline const std::vector<WInst> &WNested<R>::insts() const {
+  return P ? seq(*P) : detail::NoInsts;
+}
+
+inline const FuncType &WInst::bt() const {
+  return Body.get() ? Body.get()->BT : detail::NoBlockType;
+}
+inline const std::vector<uint32_t> &WInst::table() const {
+  return Body.get() ? Body.get()->Table : detail::NoTargets;
+}
+inline WInst WInst::structured(Op K, FuncType BT, std::vector<WInst> Body) {
+  WInst W(K);
+  WNest &N = W.Body.rec();
+  N.BT = std::move(BT);
+  N.Insts = std::move(Body);
+  return W;
+}
+inline WInst WInst::brTable(std::vector<uint32_t> Targets, uint32_t Default) {
+  WInst W(Op::BrTable);
+  W.Body.rec().Table = std::move(Targets);
+  W.U32 = Default;
+  return W;
+}
 
 enum class ExportKind : uint8_t { Func = 0, Table = 1, Memory = 2, Global = 3 };
 

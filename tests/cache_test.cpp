@@ -213,7 +213,7 @@ TEST(Cache, ServerMixArtifactBytesExcludeTheSharedPrelude) {
   Opts.Cache = &C;
   ASSERT_TRUE(ingest::admit(Mix.HotBytes[0], ingest::Limits(), Opts));
   EXPECT_EQ(C.stats().Entries, 1u);
-  EXPECT_EQ(C.stats().Bytes, 17879u);
+  EXPECT_EQ(C.stats().Bytes, 7191u);
 }
 
 // Front-door admissions racing on one small sharded cache: byte-key hits,

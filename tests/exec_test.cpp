@@ -1084,7 +1084,7 @@ void mutate(WModule &M, Rng &R) {
       WInst &I = (*S)[R.below(S->size())];
       if (I.Body.empty())
         break;
-      S = I.Else.empty() || R.below(2) ? &I.Body : &I.Else;
+      S = I.Else.empty() || R.below(2) ? &I.Body.mut() : &I.Else.mut();
     }
     uint32_t P = S->empty() ? 0 : R.below(S->size());
     auto At = S->begin() + P;

@@ -323,6 +323,57 @@ TEST(Prelude, ReferencesOutsideTheProvenEnvironmentAreRejected) {
   }
 }
 
+/// Rewrites every instruction of \p Body, nested ones included: its
+/// immediates, block type, br_table targets and arms, plus one more
+/// instruction per sequence. Returns how many nested sequences it entered.
+size_t scribble(std::vector<wasm::WInst> &Body) {
+  size_t Nested = 0;
+  for (wasm::WInst &I : Body) {
+    I.U32 += 7;
+    I.U64 ^= 0x5a5a;
+    if (I.Body.get()) {
+      wasm::WNest &N = I.Body.rec();
+      N.BT.Results.push_back(wasm::ValType::F64);
+      N.Table.push_back(99);
+      Nested += 1 + scribble(N.Insts);
+    }
+    if (I.Else.get())
+      Nested += 1 + scribble(I.Else.mut());
+  }
+  Body.push_back(wasm::WInst::mk(wasm::Op::Unreachable));
+  return Nested;
+}
+
+// WBody::mut() gives a module its own copy of a shared prelude body. The
+// copy is deep: rewriting it, down to the nested bodies' out-of-line parts,
+// leaves the shared body, its encoding and its proof as they were.
+TEST(Prelude, MutatingACopiedBodyLeavesTheSharedBodyUnchanged) {
+  lower::LoweredProgram LP = lowered();
+  for (uint32_t Fn : {LP.Runtime.AllocFunc, LP.Runtime.FreeFunc}) {
+    wasm::WFunc &F = LP.Module.Funcs[Fn - LP.Module.ImportFuncs.size()];
+    const wasm::SharedFunc *S = F.Body.shared();
+    ASSERT_NE(S, nullptr);
+    const std::vector<uint8_t> Before =
+        wasm::encode(wasm::sharedEnvironment(*S));
+    const size_t Size = S->Body.size();
+
+    std::vector<wasm::WInst> &Copy = F.Body.mut();
+    EXPECT_EQ(F.Body.shared(), nullptr);
+    EXPECT_NE(&Copy, &S->Body);
+    if (Fn == LP.Runtime.AllocFunc)
+      EXPECT_GT(scribble(Copy), 0u) << "rw_alloc has nested bodies";
+    else
+      scribble(Copy);
+
+    EXPECT_EQ(S->Body.size(), Size);
+    EXPECT_EQ(wasm::encode(wasm::sharedEnvironment(*S)), Before);
+    ASSERT_TRUE(S->ProvenDepth.has_value());
+    EXPECT_TRUE(
+        wasm::validate(wasm::sharedEnvironment(*S), *S->ProvenDepth).ok());
+    EXPECT_NE(wasm::encode(LP.Module), wasm::encode(lowered().Module));
+  }
+}
+
 TEST(Prelude, BodiesThatCallCannotBeProven) {
   wasm::SharedFunc S;
   S.Body = {wasm::WInst::idx(wasm::Op::Call, 0)};
