@@ -340,7 +340,6 @@ inline bool admitCached(const AdmissionSet &Set,
   rw::link::LinkOptions Opts;
   Opts.Cache = &C;
   Opts.Pool = &Pool;
-  Opts.Engine = rw::wasm::EngineKind::Flat;
   Opts.RunStart = false;
   return bool(rw::link::instantiateLowered(Set.Ptrs, Opts));
 }

@@ -103,7 +103,6 @@ int main(int argc, char **argv) {
 
   link::LinkOptions Opts;
   Opts.Cache = &Cache;
-  Opts.Engine = wasm::EngineKind::Flat;
   Opts.RunStart = false;
   ingest::Limits Lim;
 

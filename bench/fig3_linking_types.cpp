@@ -142,7 +142,6 @@ static void F3_ColdInstantiate(benchmark::State &St) {
   AdmissionSet Set(static_cast<unsigned>(St.range(0)));
   for (auto _ : St) {
     link::LinkOptions Opts;
-    Opts.Engine = wasm::EngineKind::Flat;
     Opts.RunStart = false;
     auto LI = link::instantiateLowered(Set.Ptrs, Opts);
     if (!LI) { St.SkipWithError("cold instantiation failed"); return; }
@@ -171,7 +170,6 @@ static void F3_ColdAdmission(benchmark::State &St) {
     for (const Status &S : Verdicts)
       if (!S.ok()) { St.SkipWithError("check failed"); return; }
     link::LinkOptions Opts;
-    Opts.Engine = wasm::EngineKind::Flat;
     Opts.RunStart = false;
     Opts.Infos = &Infos;
     auto LI = link::instantiateLowered(Set.Ptrs, Opts);
@@ -207,7 +205,6 @@ static void F3_IngestAdmit(benchmark::State &St) {
   for (auto _ : St) {
     for (const auto &B : Blobs) {
       link::LinkOptions Opts;
-      Opts.Engine = wasm::EngineKind::Flat;
       Opts.RunStart = false;
       auto A = ingest::admit(B, ingest::Limits(), Opts);
       if (!A) { St.SkipWithError("ingest admission failed"); return; }
@@ -232,7 +229,6 @@ static void F3_IngestPipeline(benchmark::State &St) {
         return;
       }
       link::LinkOptions Opts;
-      Opts.Engine = wasm::EngineKind::Flat;
       Opts.RunStart = false;
       Opts.Infos = &Infos;
       auto LI = link::instantiateLowered({&*M}, Opts);

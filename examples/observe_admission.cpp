@@ -115,7 +115,6 @@ int main(int argc, char **argv) {
   link::LinkOptions Opts;
   Opts.Cache = &Cache;
   Opts.Pool = &Pool;
-  Opts.Engine = wasm::EngineKind::Flat;
   Opts.RunStart = false;
   auto LI = link::instantiateLowered(Set.Ptrs, Opts);
   if (!LI) {

@@ -12,7 +12,6 @@
 #include "support/Hashing.h"
 #include "typing/Checker.h"
 #include "wasm/Binary.h"
-#include "wasm/Validate.h"
 
 #include <random>
 
@@ -75,27 +74,21 @@ Error fail(IngestError &E, Category C, std::string Ctx) {
 using Artifact = std::shared_ptr<const cache::LoweredArtifact>;
 
 /// The Wasm container's build stage: decode under L (which reports its own
-/// category and offset), then validate under the operand-depth cap, by
-/// translating when link::buildArtifact would. The artifact holds the
-/// decoded module and no GC metadata.
+/// category and offset), then translate under the operand-depth cap,
+/// which validates in the same walk, as link::buildArtifact does. The
+/// artifact holds the decoded module and no GC metadata.
 Expected<Artifact> buildWasm(const std::vector<uint8_t> &Bytes,
-                             const Limits &L, const link::LinkOptions &Opts,
-                             IngestError &E) {
+                             const Limits &L, IngestError &E) {
   Expected<wasm::WModule> M = wasm::decode(Bytes, L, &E);
   if (!M)
     return M.error();
   auto A = std::make_shared<cache::LoweredArtifact>();
   A->Program.Module = M.take();
-  if (Opts.Cache || Opts.Engine != wasm::EngineKind::Tree) {
-    Expected<exec::FlatModule> FM =
-        exec::translate(A->Program.Module, L.MaxOperandDepth);
-    if (!FM)
-      return fail(E, Category::Validate, FM.error().message());
-    A->Flat = FM.take();
-  } else if (Status S = wasm::validate(A->Program.Module, L.MaxOperandDepth);
-             !S) {
-    return fail(E, Category::Validate, S.error().message());
-  }
+  Expected<exec::FlatModule> FM =
+      exec::translate(A->Program.Module, L.MaxOperandDepth);
+  if (!FM)
+    return fail(E, Category::Validate, FM.error().message());
+  A->Flat = FM.take();
   return Artifact(std::move(A));
 }
 
@@ -177,7 +170,7 @@ Expected<AdmittedModule> admitStaged(const std::vector<uint8_t> &Bytes,
   }
   if (!Art) {
     Expected<Artifact> Built = A.R == Route::Wasm
-                                   ? buildWasm(Bytes, L, Opts, E)
+                                   ? buildWasm(Bytes, L, E)
                                    : buildRichWasm(Bytes, L, Opts, E);
     if (!Built)
       return Built.error();

@@ -22,10 +22,9 @@
 ///   3. the container's build stage:
 ///      * Wasm: wasm::decode under Limits (Truncated, Malformed,
 ///        LimitExceeded, Unsupported or Resource, at the byte offset),
-///        then, under the operand-depth cap, exec::translate with a
-///        cache or a flat-bytecode engine, else wasm::validate (either
-///        way Validate: translation is validation's one walk). The
-///        artifact holds the decoded module and no GC metadata.
+///        then, under the operand-depth cap, exec::translate (Validate:
+///        translation is validation's one walk). The artifact holds the
+///        decoded module and no GC metadata.
 ///      * RWBM: serial::readPrivate into a private arena (Truncated,
 ///        BadMagic, Unsupported or Malformed; a rejected admission leaves
 ///        zero residue in the process-wide arena by construction), the

@@ -13,7 +13,6 @@
 #include "ir/TypeOps.h"
 #include "support/ThreadPool.h"
 #include "typing/Checker.h"
-#include "wasm/Validate.h"
 
 #include "support/FlatMap.h"
 #include "support/Hashing.h"
@@ -467,22 +466,14 @@ rw::link::buildArtifact(const std::vector<const ir::Module *> &Mods,
     return Fail(Category::Lower, LP.error());
   auto A = std::make_shared<cache::LoweredArtifact>();
   A->Program = LP.take();
-  // Every lowered module is validated before it runs or is stored, so
-  // warm cache hits are always validated artifacts. Translate once here
-  // (not lazily in the engine) so the memoized artifact serves both
-  // engines on every later hit; translation validates in the same walk.
-  // Without a cache, only the flat-bytecode tiers (Flat and the Jit that
-  // compiles from it) need the code.
-  if (Opts.Cache || Opts.Engine != wasm::EngineKind::Tree) {
-    Expected<exec::FlatModule> FM = exec::translate(A->Program.Module);
-    if (!FM)
-      return Fail(Category::Validate,
-                  FM.error().addContext("lowered module validation"));
-    A->Flat = FM.take();
-  } else if (Status S = wasm::validate(A->Program.Module); !S) {
+  // Every lowered module is translated before it runs or is stored, and
+  // translation validates in the same walk, so every artifact, cached or
+  // not, is a validated module plus the code every engine but Tree runs.
+  Expected<exec::FlatModule> FM = exec::translate(A->Program.Module);
+  if (!FM)
     return Fail(Category::Validate,
-                S.error().addContext("lowered module validation"));
-  }
+                FM.error().addContext("lowered module validation"));
+  A->Flat = FM.take();
   return std::shared_ptr<const cache::LoweredArtifact>(std::move(A));
 }
 
@@ -491,7 +482,10 @@ Expected<LoweredInstance> rw::link::instantiateArtifact(
     const LinkOptions &Opts) {
   OBS_SPAN("instantiate");
   std::unique_ptr<wasm::Instance> Inst;
-  if (Opts.Engine != wasm::EngineKind::Tree) {
+  if (Opts.Engine == wasm::EngineKind::Tree) {
+    // The tree-walking reference runs only when asked for by name.
+    Inst = wasm::createInstance(Art->Program.Module, Opts.Engine);
+  } else {
     auto FI = std::make_unique<exec::FlatInstance>(Art->Program.Module,
                                                    Opts.Engine);
     // Borrow the artifact's translation (zero-copy): the aliasing handle
@@ -503,8 +497,6 @@ Expected<LoweredInstance> rw::link::instantiateArtifact(
     if (Opts.JitThreshold)
       FI->setTierPolicy(*Opts.JitThreshold);
     Inst = std::move(FI);
-  } else {
-    Inst = wasm::createInstance(Art->Program.Module, Opts.Engine);
   }
   // RunStart only gates the start function; instance state (memory,
   // globals, data, host/flat preparation) always exists.

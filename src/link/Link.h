@@ -54,9 +54,10 @@ struct LinkOptions {
   /// Run global initializers and start functions.
   bool RunStart = true;
   /// Execution engine for the lowered path (instantiateLowered): the
-  /// tree-walking reference interpreter, the flat-bytecode engine, or
-  /// the flat engine with eager tier-3 native compilation (Jit).
-  wasm::EngineKind Engine = wasm::EngineKind::Tree;
+  /// flat-bytecode engine (the default), the flat engine with eager
+  /// tier-3 native compilation (Jit), or, on request only, the
+  /// tree-walking reference interpreter tests compare against.
+  wasm::EngineKind Engine = wasm::EngineKind::Flat;
   /// Tier-up threshold override for Flat/Jit instances (see
   /// exec::FlatInstance::setTierPolicy): 0 compiles every function at
   /// prepare(), N >= 1 tiers a function once its profile mass reaches N,
@@ -126,20 +127,21 @@ instantiateLowered(const std::vector<const ir::Module *> &Mods,
 /// is resolved and type-checked for lowering: batch resolve → check
 /// (only when Opts.Infos hands over no InfoMaps; on Opts.Pool when set,
 /// else module by module) → lower → validate and translate, in one walk.
-/// Translation always runs when Opts.Cache is set, because the caller
-/// will store the artifact for every later caller. The artifact is pure
-/// Wasm: it holds nothing from \p Mods or their arena. On failure, \p
-/// ErrOut (when non-null) names the stage that failed — Link, Check,
-/// Lower or Validate — with the returned message as its context; an
-/// ill-typed module is Check whichever options are set.
+/// Every artifact has that one shape, whatever Opts.Engine and Opts.Cache
+/// say. The artifact is pure Wasm: it holds nothing from \p Mods or
+/// their arena. On failure, \p ErrOut (when non-null) names the stage
+/// that failed — Link, Check, Lower or Validate — with the returned
+/// message as its context; an ill-typed module is Check whichever
+/// options are set.
 Expected<std::shared_ptr<const cache::LoweredArtifact>>
 buildArtifact(const std::vector<const ir::Module *> &Mods,
               const LinkOptions &Opts,
               ingest::IngestError *ErrOut = nullptr);
 
 /// The instantiation stage shared by both front doors: a fresh instance
-/// of \p Art on Opts.Engine (borrowing the artifact's flat translation),
-/// with Opts.JitThreshold and Opts.RunStart applied.
+/// of \p Art on Opts.Engine (Flat and Jit borrow the artifact's flat
+/// translation; Tree walks its module), with Opts.JitThreshold and
+/// Opts.RunStart applied.
 Expected<LoweredInstance>
 instantiateArtifact(std::shared_ptr<const cache::LoweredArtifact> Art,
                     const LinkOptions &Opts);

@@ -985,9 +985,12 @@ private:
   /// Parses instructions into \p Out until the matching `end` (consumed).
   /// The `else` marker terminates a then-branch without being consumed by
   /// it. \p Depth counts enclosing structured instructions; it bounds both
-  /// this recursion and the validator's. Each instruction is charged what
-  /// it allocates: its node, and a structured or br_table instruction its
-  /// WNest and block type or targets, an else arm its vector.
+  /// this recursion and the validator's. Each allocation is charged before
+  /// it happens: \p Out grows in doubling steps reserved here, each charged
+  /// its added capacity in nodes, so the budget bounds the bytes the
+  /// vectors hold, not just the nodes in use; a structured or br_table
+  /// instruction adds its WNest and block type or targets, an else arm its
+  /// vector.
   Status parseUntil(std::vector<WInst> &Out, uint8_t &Terminator,
                     uint32_t Depth) {
     if (Depth > L.MaxNestingDepth)
@@ -1007,8 +1010,14 @@ private:
       if (!Row.Valid)
         return fail(Category::Malformed, Off,
                     "invalid opcode " + std::to_string(*Bc));
-      if (Status S = charge(sizeof(WInst), "instruction"); !S)
-        return S.error();
+      if (Out.size() == Out.capacity()) {
+        size_t Cap = Out.capacity() ? 2 * Out.capacity() : 1;
+        if (Status S = charge((Cap - Out.capacity()) * sizeof(WInst),
+                              "instruction");
+            !S)
+          return S.error();
+        Out.reserve(Cap);
+      }
       Op K = static_cast<Op>(*Bc);
       WInst I(K);
       switch (Row.Imm) {

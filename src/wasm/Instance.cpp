@@ -42,12 +42,8 @@ void Instance::enableProfiling() {
   });
 }
 
-std::string Instance::trapNote(uint32_t FuncIdx) const {
-  std::string S = " [func " + std::to_string(FuncIdx);
-  if (ProfileOn && FuncIdx < Prof.size())
-    S += "; inv " + std::to_string(Prof[FuncIdx].Invocations) + ", loops " +
-         std::to_string(Prof[FuncIdx].LoopHeads);
-  return S + "]";
+std::string Instance::trapNote(uint32_t FuncIdx) {
+  return " [func " + std::to_string(FuncIdx) + "]";
 }
 
 uint32_t Instance::load32(uint32_t Addr) {

@@ -248,11 +248,12 @@ protected:
   /// Sizes Prof to cover function space (idempotent).
   void ensureProfileTable();
 
-  /// Renders the trap-attribution suffix both engines append to trap
-  /// messages: " [func N]", or " [func N; inv I, loops L]" when
-  /// profiling — identical across engines so the differential suite can
-  /// compare trap strings byte-for-byte.
-  std::string trapNote(uint32_t FuncIdx) const;
+  /// Renders the trap-attribution suffix every engine appends to trap
+  /// messages: " [func N]". It never carries profile counts (read those
+  /// from functionProfiles()), so trap bytes are identical across engines
+  /// and tier policies and the differential suite can compare them
+  /// byte-for-byte.
+  static std::string trapNote(uint32_t FuncIdx);
 
   const WModule *M;
   /// The committed prefix of linear memory; bytes past it read as zero.
@@ -276,8 +277,7 @@ private:
 
 /// Creates an uninitialized instance of \p M backed by engine \p K.
 /// (Defined in exec/Engine.cpp, where both engines are visible.)
-std::unique_ptr<Instance> createInstance(const WModule &M,
-                                         EngineKind K = EngineKind::Tree);
+std::unique_ptr<Instance> createInstance(const WModule &M, EngineKind K);
 
 } // namespace rw::wasm
 

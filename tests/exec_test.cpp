@@ -422,50 +422,6 @@ TEST(ExecDiff, TrapAttributedToInnermostFunction) {
   EXPECT_EQ(T.Err, "trap: unreachable executed [func 1]");
 }
 
-TEST(ExecDiff, TrapNoteCarriesProfileCounters) {
-  // With profiling enabled the trap note reports the faulting function's
-  // profile row *at trap time* — invocations and loop-header executions —
-  // byte-identically across engines. The loop runs three header
-  // executions (one entry, two back-edges) before f0 calls f1, which
-  // traps on its first and only invocation.
-  WModule M;
-  uint32_t TV = M.addType({{}, {}});
-  M.Funcs.push_back(
-      {TV,
-       {ValType::I32},
-       {WInst::block(
-            {{}, {}},
-            {WInst::loop({{}, {}},
-                         {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
-                          WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 0),
-                          WInst::i32c(3), WInst::mk(Op::I32LtS),
-                          WInst::idx(Op::BrIf, 0)})}),
-        WInst::idx(Op::Call, 1)}});
-  M.Funcs.push_back({TV, {}, {WInst::mk(Op::Unreachable)}});
-  M.Exports.push_back({"f", ExportKind::Func, 0});
-  ASSERT_TRUE(validate(M).ok()) << validate(M).error().message();
-
-  std::string Errs[2];
-  for (EngineKind K : BothEngines) {
-    auto I = createInstance(M, K);
-    I->enableProfiling();
-    ASSERT_TRUE(I->initialize().ok());
-    auto R = I->invokeByName("f", {});
-    ASSERT_FALSE(bool(R));
-    Errs[K == EngineKind::Flat] = R.error().message();
-    // The profile table itself agrees with the note: f0 entered once with
-    // three loop-header executions, f1 entered once.
-    const std::vector<FunctionProfile> &P = I->functionProfiles();
-    ASSERT_EQ(P.size(), 2u);
-    EXPECT_EQ(P[0].Invocations, 1u);
-    EXPECT_EQ(P[0].LoopHeads, 3u);
-    EXPECT_EQ(P[1].Invocations, 1u);
-    EXPECT_EQ(P[1].LoopHeads, 0u);
-  }
-  EXPECT_EQ(Errs[0], Errs[1]);
-  EXPECT_EQ(Errs[0], "trap: unreachable executed [func 1; inv 1, loops 0]");
-}
-
 //===----------------------------------------------------------------------===//
 // Memory and traps
 //===----------------------------------------------------------------------===//
@@ -1748,17 +1704,10 @@ TEST(JitDiff, TierUpMidLoopThenTrap) {
 
   exec::FlatInstance Jit(M);
   Jit.setTierPolicy(/*Threshold=*/1);
-  // Threshold tiering turns profiling on by itself, but only when the
-  // backend is compiled in; enable it explicitly so the trap notes below
-  // match in the -DRW_JIT=OFF build too (where the policy is inert).
-  Jit.enableProfiling();
   ASSERT_TRUE(Jit.initialize().ok());
   EXPECT_EQ(Jit.jitCompiledCount(), 0u) << "nothing tiers before profiles";
 
-  // Threshold tiering turns profiling on, and profiled instances render
-  // richer trap notes — profile the tree reference identically.
   auto TreeI = createInstance(M, EngineKind::Tree);
-  TreeI->enableProfiling();
   ASSERT_TRUE(TreeI->initialize().ok());
 
   for (uint32_t D : {1u, 2u}) {
@@ -1776,8 +1725,15 @@ TEST(JitDiff, TierUpMidLoopThenTrap) {
   ASSERT_FALSE(bool(RJ));
   ASSERT_FALSE(bool(RT));
   EXPECT_EQ(RJ.error().message(), RT.error().message());
-  EXPECT_EQ(RJ.error().message(),
-            "trap: integer divide error [func 0; inv 3, loops 21]");
+  EXPECT_EQ(RJ.error().message(), "trap: integer divide error [func 0]");
+#if RW_JIT_ENABLED
+  // Threshold tiering profiles the instance, and the deopt leaves the
+  // counters at the trap: three invokes, ten loop headers in each clean
+  // one and the first of the third.
+  ASSERT_EQ(Jit.functionProfiles().size(), 1u);
+  EXPECT_EQ(Jit.functionProfiles()[0].Invocations, 3u);
+  EXPECT_EQ(Jit.functionProfiles()[0].LoopHeads, 21u);
+#endif
   // And the instance keeps working natively after the trap unwound.
   auto RAgain = Jit.invoke(0, {WValue::i32(3)});
   ASSERT_TRUE(bool(RAgain)) << RAgain.error().message();
@@ -1799,9 +1755,13 @@ TEST(JitDiff, ThresholdNeverStaysFlat) {
 }
 
 TEST(JitDiff, ProfileTrapNoteParity) {
-  // Profiled execution: the native profile templates must leave the
-  // same counters — and the same "[func N; inv I, loops L]" note — as
-  // both interpreters.
+  // Trap bytes depend on neither the engine nor the tier policy: tree,
+  // flat and eager JIT, each with and without profiling, and a flat
+  // instance tiering at threshold 1 all render the same " [func N]" note.
+  // The counts live in functionProfiles() alone, and the native profile
+  // templates leave the same ones as both interpreters. f0 runs three
+  // loop-header executions and calls f1, which traps; the threshold
+  // instance tiers after the first invoke, so the second runs natively.
   WModule M;
   uint32_t TV = M.addType({{}, {}});
   M.Funcs.push_back(
@@ -1817,25 +1777,48 @@ TEST(JitDiff, ProfileTrapNoteParity) {
         WInst::idx(Op::Call, 1)}});
   M.Funcs.push_back({TV, {}, {WInst::mk(Op::Unreachable)}});
   M.Exports.push_back({"f", ExportKind::Func, 0});
-  ASSERT_TRUE(validate(M).ok());
+  ASSERT_TRUE(validate(M).ok()) << validate(M).error().message();
 
-  std::vector<std::string> Errs;
-  for (EngineKind K : AllEngines) {
-    auto I = createInstance(M, K);
-    I->enableProfiling();
-    ASSERT_TRUE(I->initialize().ok());
-    auto R = I->invokeByName("f", {});
-    ASSERT_FALSE(bool(R));
-    Errs.push_back(R.error().message());
-    const std::vector<FunctionProfile> &P = I->functionProfiles();
-    ASSERT_EQ(P.size(), 2u) << engineKindName(K);
-    EXPECT_EQ(P[0].Invocations, 1u) << engineKindName(K);
-    EXPECT_EQ(P[0].LoopHeads, 3u) << engineKindName(K);
-    EXPECT_EQ(P[1].Invocations, 1u) << engineKindName(K);
+  std::vector<std::unique_ptr<Instance>> Insts;
+  for (EngineKind K : AllEngines)
+    for (bool Profiled : {false, true}) {
+      Insts.push_back(createInstance(M, K));
+      if (Profiled)
+        Insts.back()->enableProfiling();
+    }
+  auto Tiering = std::make_unique<exec::FlatInstance>(M);
+  Tiering->setTierPolicy(/*Threshold=*/1);
+  Insts.push_back(std::move(Tiering));
+
+  for (size_t N = 0; N < Insts.size(); ++N) {
+    Instance &I = *Insts[N];
+    SCOPED_TRACE(std::string(engineKindName(I.engine())) + " #" +
+                 std::to_string(N));
+    ASSERT_TRUE(I.initialize().ok());
+    for (uint64_t K = 1; K <= 2; ++K) {
+      auto R = I.invokeByName("f", {});
+      ASSERT_FALSE(bool(R));
+      EXPECT_EQ(R.error().message(), "trap: unreachable executed [func 1]");
+      // The threshold policy profiles by itself only with the backend in.
+      if (!I.profilingEnabled())
+        continue;
+      const std::vector<FunctionProfile> &P = I.functionProfiles();
+      ASSERT_EQ(P.size(), 2u);
+      EXPECT_EQ(P[0].Invocations, K);
+      EXPECT_EQ(P[0].LoopHeads, 3 * K);
+      EXPECT_EQ(P[1].Invocations, K);
+      EXPECT_EQ(P[1].LoopHeads, 0u);
+    }
   }
-  EXPECT_EQ(Errs[0], Errs[1]);
-  EXPECT_EQ(Errs[0], Errs[2]);
-  EXPECT_EQ(Errs[0], "trap: unreachable executed [func 1; inv 1, loops 0]");
+  // The threshold instance ran natively what the unprofiled eager JIT
+  // (Insts[4]) compiled.
+  auto Compiled = [&](size_t N) {
+    return static_cast<exec::FlatInstance &>(*Insts[N]).jitCompiledCount();
+  };
+  EXPECT_EQ(Compiled(Insts.size() - 1), Compiled(4));
+#if RW_JIT_ENABLED
+  EXPECT_GT(Compiled(4), 0u);
+#endif
 }
 
 TEST(JitDiff, ResetProfilesRetiers) {
@@ -1916,13 +1899,21 @@ WModule callChain() {
 
 TEST(JitCalls, OutOfBoundsTrapDeepInNativeCallees) {
   // 600 native frames deep, the innermost one loads out of bounds. It
-  // deopts, every frame record above it is the stencil's, and the
-  // interpreter formats the profiled note from them.
+  // deopts, every frame record above it is the stencil's, and every
+  // engine's profile counts all 601 entries.
   auto Profile = [](Instance &I) { I.enableProfiling(); };
+  auto ExpectEntries = [](const std::array<RunResult, 3> &R, uint64_t Inv) {
+    for (const RunResult &E : R) {
+      const std::vector<FunctionProfile> &P = E.Inst->functionProfiles();
+      ASSERT_EQ(P.size(), 1u) << engineKindName(E.Inst->engine());
+      EXPECT_EQ(P[0].Invocations, Inv) << engineKindName(E.Inst->engine());
+      EXPECT_EQ(P[0].LoopHeads, 0u) << engineKindName(E.Inst->engine());
+    }
+  };
   auto R = expectSameAll(recurseThenLoad(65536), "f", {WValue::i32(600)},
                          Profile);
-  EXPECT_EQ(R[2].Err,
-            "trap: out-of-bounds memory access [func 0; inv 601, loops 0]");
+  EXPECT_EQ(R[2].Err, "trap: out-of-bounds memory access [func 0]");
+  ExpectEntries(R, 601);
 #if RW_JIT_ENABLED
   EXPECT_EQ(compiledCountOf(R[2]), 1u);
 #endif
@@ -1934,8 +1925,8 @@ TEST(JitCalls, OutOfBoundsTrapDeepInNativeCallees) {
   // At the depth limit the stencil falls back and the interpreter traps.
   auto Deep = expectSameAll(recurseThenLoad(0), "f", {WValue::i32(5000)},
                             Profile);
-  EXPECT_EQ(Deep[2].Err,
-            "trap: call stack exhausted [func 0; inv 2000, loops 0]");
+  EXPECT_EQ(Deep[2].Err, "trap: call stack exhausted [func 0]");
+  ExpectEntries(Deep, 2000);
 }
 
 TEST(JitCalls, DeoptInNativeCalleePartwayDownAChain) {
@@ -2026,8 +2017,8 @@ TEST(JitCalls, CompiledCallerOfAnUntieredCallee) {
   // invoke and f2 only after ten, so for nine invokes a native caller
   // enters a native callee (the stencil) that enters an interpreted one
   // (the fallback), and the interpreter returns through both frame
-  // records. Results, fuel and the profiled trap note track a flat-only
-  // instance.
+  // records. Results, fuel, the trap note and the profile counts track a
+  // flat-only instance.
   // block { loop { if Ctr >= Limit break; Work; ++Ctr; continue } }
   auto CountTo = [](WInst Limit, uint32_t Ctr, std::vector<WInst> Work) {
     std::vector<WInst> Body = {WInst::idx(Op::LocalGet, Ctr), Limit,
@@ -2089,9 +2080,17 @@ TEST(JitCalls, CompiledCallerOfAnUntieredCallee) {
   ASSERT_FALSE(bool(RR));
   ASSERT_FALSE(bool(RJ));
   EXPECT_EQ(RJ.error().message(), RR.error().message());
-  EXPECT_EQ(RJ.error().message(),
-            "trap: unreachable executed [func 2; inv 13, loops 0]");
+  EXPECT_EQ(RJ.error().message(), "trap: unreachable executed [func 2]");
   EXPECT_EQ(Ref.instrCount(), Jit.instrCount());
+  ASSERT_EQ(Ref.functionProfiles().size(), 3u);
+  ASSERT_EQ(Jit.functionProfiles().size(), 3u);
+  EXPECT_EQ(Ref.functionProfiles()[2].Invocations, 13u);
+  for (size_t F = 0; F < 3; ++F) {
+    EXPECT_EQ(Jit.functionProfiles()[F].Invocations,
+              Ref.functionProfiles()[F].Invocations) << "func " << F;
+    EXPECT_EQ(Jit.functionProfiles()[F].LoopHeads,
+              Ref.functionProfiles()[F].LoopHeads) << "func " << F;
+  }
 }
 
 TEST(JitLowered, WorkloadsAndHostGcThreeWay) {

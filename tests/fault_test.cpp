@@ -73,16 +73,8 @@ WModule sumAndTrapModule() {
 }
 
 std::string resultText(const Expected<std::vector<WValue>> &R) {
-  if (!R) {
-    // Profiling-enabled engines decorate trap diagnostics with "; inv N,
-    // loops M" — parity is about the trap itself, not the annotation.
-    std::string Msg = R.error().message();
-    if (size_t P = Msg.find("; inv "); P != std::string::npos) {
-      size_t End = Msg.find(']', P);
-      Msg.erase(P, End == std::string::npos ? std::string::npos : End - P);
-    }
-    return "error: " + Msg;
-  }
+  if (!R)
+    return "error: " + R.error().message();
   std::string S = "ok:";
   for (const WValue &V : *R)
     S += " " + std::to_string(V.Bits);

@@ -418,9 +418,9 @@ TEST(Ingest, RegressionCorpusVerdictsArePinned) {
   std::vector<uint8_t> Trap =
       oneFuncWasm({0x08, 0x01, 0x00,                         // start 0
                    0x0a, 0x05, 0x01, 0x03, 0x00, 0x00, 0x0b}); // unreachable
-  link::LinkOptions Flat;
-  Flat.Engine = wasm::EngineKind::Flat;
-  for (const link::LinkOptions &Opts : {link::LinkOptions(), Flat})
+  link::LinkOptions Tree;
+  Tree.Engine = wasm::EngineKind::Tree;
+  for (const link::LinkOptions &Opts : {Tree, link::LinkOptions()})
     expectPinned({"trapping start", Category::Engine, 0,
                   "Engine @0: trap: unreachable executed [func 0]"},
                  Trap, Limits(), Opts);

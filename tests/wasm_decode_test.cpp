@@ -43,6 +43,36 @@ std::vector<uint8_t> emptyModule() {
   return {0x00, 0x61, 0x73, 0x6d, 0x01, 0x00, 0x00, 0x00};
 }
 
+// A module of one () -> () function without locals whose code is \p Body
+// (instruction bytes through the function's closing end).
+std::vector<uint8_t> oneBodyModule(const std::vector<uint8_t> &Body) {
+  std::vector<uint8_t> Code;
+  Code.push_back(0x01); // one body
+  encodeULEB128(Body.size() + 1, Code);
+  Code.push_back(0x00); // no locals
+  Code.insert(Code.end(), Body.begin(), Body.end());
+
+  std::vector<uint8_t> B = emptyModule();
+  B.insert(B.end(), {0x01, 0x04, 0x01, 0x60, 0x00, 0x00});
+  B.insert(B.end(), {0x03, 0x02, 0x01, 0x00});
+  B.push_back(0x0a);
+  encodeULEB128(Code.size(), B);
+  B.insert(B.end(), Code.begin(), Code.end());
+  return B;
+}
+
+// The capacity, in nodes, of \p Insts and of every sequence nested in it.
+uint64_t instCapacity(const std::vector<wasm::WInst> &Insts) {
+  uint64_t N = Insts.capacity();
+  for (const wasm::WInst &I : Insts) {
+    if (const wasm::WNest *Nest = I.Body.get())
+      N += instCapacity(Nest->Insts);
+    if (const std::vector<wasm::WInst> *Else = I.Else.get())
+      N += instCapacity(*Else);
+  }
+  return N;
+}
+
 TEST(WasmDecode, EmptyHeaderOnlyModule) {
   IngestError E;
   Expected<wasm::WModule> M = wasm::decode(emptyModule(), Limits(), &E);
@@ -177,19 +207,7 @@ TEST(WasmDecode, DeepNestingCapped) {
   for (int I = 0; I < 600; ++I)
     Body.push_back(0x0b); // end
   Body.push_back(0x0b);   // function end
-
-  std::vector<uint8_t> Code;
-  Code.push_back(0x01); // one body
-  encodeULEB128(Body.size() + 1, Code);
-  Code.push_back(0x00); // no locals
-  Code.insert(Code.end(), Body.begin(), Body.end());
-
-  std::vector<uint8_t> B = emptyModule();
-  B.insert(B.end(), {0x01, 0x04, 0x01, 0x60, 0x00, 0x00});
-  B.insert(B.end(), {0x03, 0x02, 0x01, 0x00});
-  B.push_back(0x0a);
-  encodeULEB128(Code.size(), B);
-  B.insert(B.end(), Code.begin(), Code.end());
+  std::vector<uint8_t> B = oneBodyModule(Body);
 
   IngestError E;
   Expected<wasm::WModule> M = wasm::decode(B, Limits(), &E);
@@ -297,6 +315,52 @@ TEST(WasmDecode, AllocationBudgetEnforced) {
   EXPECT_NE(E.Context.find("allocation budget"), std::string::npos);
 }
 
+TEST(WasmDecode, AllocationBudgetBoundsVectorCapacity) {
+  // Instruction vectors grow geometrically, so the budget must cover what
+  // they hold, not just the nodes in use: on every accepted module the
+  // summed capacity of its instruction vectors fits MaxTotalAlloc. Bodies
+  // are N nops straight, or split between a block and both arms of an if;
+  // budgets step by 3/2 from 256 bytes past what the longest body needs.
+  size_t Accepted = 0, Rejected = 0;
+  for (uint32_t N : {1u, 2u, 3u, 100u, 1000u, 4097u, 70000u})
+    for (bool Nested : {false, true}) {
+      std::vector<uint8_t> Body;
+      auto Nops = [&](uint32_t K) { Body.insert(Body.end(), K, 0x01); };
+      if (Nested) {
+        Body.insert(Body.end(), {0x02, 0x40}); // block (result void)
+        Nops(N / 2);
+        Body.insert(Body.end(), {0x0b, 0x41, 0x00, 0x04, 0x40}); // end; if
+        Nops(N / 4);
+        Body.push_back(0x05); // else
+        Nops(N - N / 2 - N / 4);
+        Body.push_back(0x0b);
+      } else {
+        Nops(N);
+      }
+      Body.push_back(0x0b); // function end
+      std::vector<uint8_t> B = oneBodyModule(Body);
+      for (uint64_t Budget = 256; Budget < (16u << 20);
+           Budget = Budget * 3 / 2) {
+        Limits L;
+        L.MaxTotalAlloc = Budget;
+        IngestError E;
+        Expected<wasm::WModule> M = wasm::decode(B, L, &E);
+        if (!M) {
+          EXPECT_EQ(E.Cat, Category::LimitExceeded) << E.render();
+          ++Rejected;
+          continue;
+        }
+        ++Accepted;
+        ASSERT_EQ(M->Funcs.size(), 1u);
+        EXPECT_LE(instCapacity(M->Funcs[0].Body) * sizeof(wasm::WInst),
+                  Budget)
+            << N << (Nested ? " nested" : " straight") << " nops";
+      }
+    }
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(Rejected, 0u);
+}
+
 TEST(WasmDecode, ValidatorCapsOperandDepth) {
   // A function pushing 40 constants overruns a 32-slot operand budget at
   // validation time (the decoder itself only bounds the *encoded* size).
@@ -307,20 +371,8 @@ TEST(WasmDecode, ValidatorCapsOperandDepth) {
     Body.push_back(0x1a); // drop
   Body.push_back(0x0b);
 
-  std::vector<uint8_t> Code;
-  Code.push_back(0x01);
-  encodeULEB128(Body.size() + 1, Code);
-  Code.push_back(0x00);
-  Code.insert(Code.end(), Body.begin(), Body.end());
-
-  std::vector<uint8_t> B = emptyModule();
-  B.insert(B.end(), {0x01, 0x04, 0x01, 0x60, 0x00, 0x00});
-  B.insert(B.end(), {0x03, 0x02, 0x01, 0x00});
-  B.push_back(0x0a);
-  encodeULEB128(Code.size(), B);
-  B.insert(B.end(), Code.begin(), Code.end());
-
-  Expected<wasm::WModule> M = wasm::decode(B, Limits(), nullptr);
+  Expected<wasm::WModule> M = wasm::decode(oneBodyModule(Body), Limits(),
+                                           nullptr);
   ASSERT_TRUE(M) << M.error().message();
   EXPECT_TRUE(wasm::validate(*M, 64).ok());
   Status S = wasm::validate(*M, 32);
