@@ -482,10 +482,7 @@ Expected<LoweredInstance> rw::link::instantiateArtifact(
     const LinkOptions &Opts) {
   OBS_SPAN("instantiate");
   std::unique_ptr<wasm::Instance> Inst;
-  if (Opts.Engine == wasm::EngineKind::Tree) {
-    // The tree-walking reference runs only when asked for by name.
-    Inst = wasm::createInstance(Art->Program.Module, Opts.Engine);
-  } else {
+  if (Opts.Engine != wasm::EngineKind::Tree) {
     auto FI = std::make_unique<exec::FlatInstance>(Art->Program.Module,
                                                    Opts.Engine);
     // Borrow the artifact's translation (zero-copy): the aliasing handle
@@ -497,6 +494,8 @@ Expected<LoweredInstance> rw::link::instantiateArtifact(
     if (Opts.JitThreshold)
       FI->setTierPolicy(*Opts.JitThreshold);
     Inst = std::move(FI);
+  } else {
+    Inst = wasm::createInstance(Art->Program.Module, Opts.Engine);
   }
   // RunStart only gates the start function; instance state (memory,
   // globals, data, host/flat preparation) always exists.

@@ -95,7 +95,6 @@ TEST(ArenaChurn, SkolemChurnThroughIngestLeavesGlobalArenaFlat) {
   cache::AdmissionCache *Caches[] = {nullptr, &Shared};
   for (cache::AdmissionCache *C : Caches) {
     link::LinkOptions Opts;
-    Opts.Engine = wasm::EngineKind::Flat;
     Opts.Cache = C;
     for (size_t I = 0; I < Payloads.size(); ++I) {
       Expected<ingest::AdmittedModule> A =

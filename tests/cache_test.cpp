@@ -111,9 +111,11 @@ TEST(Cache, WarmInstantiateLoweredSkipsToInstantiation) {
   cache::AdmissionCache C;
   link::LinkOptions Opts;
   Opts.Cache = &C;
+  Opts.Engine = wasm::EngineKind::Tree;
 
   auto Cold = link::instantiateLowered(Mods, Opts);
   ASSERT_TRUE(bool(Cold)) << Cold.error().message();
+  EXPECT_EQ(Cold->Instance->engine(), wasm::EngineKind::Tree);
   auto R1 = Cold->invokeExport("client.main", {});
   ASSERT_TRUE(bool(R1)) << R1.error().message();
   EXPECT_EQ((*R1)[0].Bits, 42u);
@@ -159,7 +161,6 @@ TEST(Cache, IngestResubmissionSkipsReadAndHash) {
   cache::AdmissionCache C;
   link::LinkOptions Opts;
   Opts.Cache = &C;
-  Opts.Engine = wasm::EngineKind::Flat;
   auto First = ingest::admit(B, ingest::Limits(), Opts);
   ASSERT_TRUE(First) << First.error().message();
 

@@ -652,11 +652,13 @@ TEST(ExecLowered, CounterClientProtocol) {
   ASSERT_TRUE(bool(App)) << App.error().message();
 
   link::LinkOptions TreeOpts, FlatOpts;
-  FlatOpts.Engine = EngineKind::Flat;
+  TreeOpts.Engine = EngineKind::Tree;
   auto LT = link::instantiateLowered({&*Lib, &*App}, TreeOpts);
   auto LF = link::instantiateLowered({&*Lib, &*App}, FlatOpts);
   ASSERT_TRUE(bool(LT)) << LT.error().message();
   ASSERT_TRUE(bool(LF)) << LF.error().message();
+  EXPECT_EQ(LT->Instance->engine(), EngineKind::Tree);
+  EXPECT_EQ(LF->Instance->engine(), EngineKind::Flat);
   for (link::LoweredInstance *LI : {&*LT, &*LF}) {
     ASSERT_TRUE(bool(LI->invokeExport("app.init", {})));
     ASSERT_TRUE(bool(LI->invokeExport("app.set_rate", {WValue::i32(3)})));
@@ -2140,7 +2142,6 @@ TEST(JitLowered, WorkloadsAndHostGcThreeWay) {
   // LinkOptions::JitThreshold drives the same policy from the link layer.
   ir::Module Loop = rwbench::loopModule(50);
   link::LinkOptions Opts;
-  Opts.Engine = EngineKind::Flat;
   Opts.JitThreshold = 1;
   auto R = link::instantiateLowered({&Loop}, Opts);
   ASSERT_TRUE(bool(R)) << R.error().message();

@@ -549,7 +549,6 @@ std::string describe(const Outcome &O) {
 link::LinkOptions serverOptions(cache::AdmissionCache *C) {
   link::LinkOptions Opts;
   Opts.Cache = C;
-  Opts.Engine = wasm::EngineKind::Flat;
   Opts.RunStart = false;
   return Opts;
 }

@@ -72,10 +72,8 @@ TEST(ParallelLower, FlatBytecodeIdenticalAcrossPoolSizes) {
   for (const Status &S : Checks)
     ASSERT_TRUE(S.ok()) << S.error().message();
 
-  // With a flat-bytecode engine, buildArtifact translates too.
   link::LinkOptions SeqOpts;
   SeqOpts.Infos = &Infos;
-  SeqOpts.Engine = wasm::EngineKind::Flat;
   auto Ref = link::buildArtifact(Set.Ptrs, SeqOpts);
   ASSERT_TRUE(bool(Ref)) << Ref.error().message();
   const exec::FlatModule *RefFlat = &(*Ref)->Flat;
@@ -130,7 +128,6 @@ TEST(ParallelLower, InstantiateLoweredWithPoolAndInfos) {
   support::ThreadPool Pool(3);
 
   link::LinkOptions Plain;
-  Plain.Engine = wasm::EngineKind::Flat;
   Plain.RunStart = false;
   Expected<link::LoweredInstance> Ref = link::instantiateLowered(Set.Ptrs,
                                                                  Plain);
