@@ -14,7 +14,8 @@
 // Also computes what fraction of the admission's wall time is covered by
 // the union of recorded spans (the acceptance bar is >= 95%: the trace
 // must explain where the time went, not just sample it) and exits
-// non-zero below that, so CI can run this as a smoke test.
+// non-zero below that, or when the snapshot carries no exec.profile.
+// row, so CI can run this as a smoke test. Exits 2 under -DRW_OBS=OFF.
 //
 // Usage: example_observe_admission [num_modules] [trace.json] [stats.json]
 //                                  [metrics.prom]
@@ -27,11 +28,13 @@
 #include "link/Link.h"
 #include "obs/Obs.h"
 #include "support/ThreadPool.h"
+#include "wasm/Instance.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -125,9 +128,20 @@ int main(int argc, char **argv) {
   uint64_t T1 = obs::nowNs();
 
   // A short profiled run so the snapshot carries a FunctionProfile table
-  // (the hotness signal a tier-up JIT would consume).
-  LI->Instance->enableProfiling();
-  (void)LI->Instance->invokeByName("user_pkg_000000.f0_0", {wasm::WValue::i32(1)});
+  // (the hotness signal a tier-up JIT would consume). Profiling must be
+  // on before initialize(): the admitted instance already adopted the
+  // cache's unprofiled translation, so a fresh instance of the same
+  // lowered module replaces it.
+  LI->Instance.reset();
+  std::unique_ptr<wasm::Instance> Profiled =
+      wasm::createInstance(LI->Program->Module, wasm::EngineKind::Flat);
+  Profiled->enableProfiling();
+  if (Status S = Profiled->initialize(/*RunStart=*/false); !S) {
+    std::fprintf(stderr, "profiled instance: %s\n",
+                 S.error().message().c_str());
+    return 1;
+  }
+  (void)Profiled->invokeByName("user_pkg_000000.f0_0", {wasm::WValue::i32(1)});
 
   std::string Trace = obs::traceJson();
   obs::Snapshot Snap = obs::snapshot();
@@ -155,6 +169,13 @@ int main(int argc, char **argv) {
 
   if (Pct < 95.0) {
     std::fprintf(stderr, "FAIL: span coverage %.1f%% < 95%%\n", Pct);
+    return 1;
+  }
+  if (std::none_of(Snap.Metrics.begin(), Snap.Metrics.end(),
+                   [](const obs::Metric &M) {
+                     return M.Name.rfind("exec.profile.", 0) == 0;
+                   })) {
+    std::fprintf(stderr, "FAIL: the snapshot has no exec.profile. row\n");
     return 1;
   }
   return 0;

@@ -73,9 +73,13 @@ public:
     }
   }
 
+  /// The final FReturn, where the body's end is reachable: a body ending
+  /// in unreachable or return (and no branch to its label) stops there.
   void finish() {
-    patchTo(Ctrl.back(), pc());
-    emit(FReturn);
+    if (!Dead || Ctrl.back().HadBr) {
+      patchTo(Ctrl.back(), pc());
+      emit(FReturn);
+    }
     Out->MaxDepth = MaxHeight;
   }
 

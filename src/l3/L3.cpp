@@ -6,11 +6,11 @@
 
 #include "l3/L3.h"
 
+#include "frontend/Frontend.h"
 #include "ir/Builder.h"
 #include "ir/TypeOps.h"
 
 #include <cassert>
-#include <cctype>
 #include <map>
 #include <set>
 
@@ -78,7 +78,7 @@ bool rw::l3::l3Unrestricted(const L3TypeRef &T) {
 }
 
 //===----------------------------------------------------------------------===//
-// Lexer + parser
+// Tokens (frontend::lex reads the tables) + parser
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -116,150 +116,32 @@ enum class Tok : uint8_t {
   Eof,
 };
 
-struct Token {
-  Tok K = Tok::Eof;
-  std::string Text;
-  int64_t Num = 0;
-  size_t Line = 1;
+using Token = frontend::Token<Tok>;
+
+constexpr frontend::Spelling<Tok> Keywords[] = {
+    {"import", Tok::KwImport}, {"export", Tok::KwExport},
+    {"fun", Tok::KwFun},       {"let", Tok::KwLet},
+    {"in", Tok::KwIn},         {"new", Tok::KwNew},
+    {"free", Tok::KwFree},     {"swap", Tok::KwSwap},
+    {"join", Tok::KwJoin},     {"split", Tok::KwSplit},
+    {"int", Tok::KwInt},       {"unit", Tok::KwUnit},
+    {"Cell", Tok::KwCell},     {"Ref", Tok::KwRef},
 };
 
-Expected<std::vector<Token>> lex(const std::string &S) {
-  std::vector<Token> Out;
-  size_t Pos = 0, Line = 1;
-  while (Pos < S.size()) {
-    char C = S[Pos];
-    if (C == '\n') {
-      ++Line;
-      ++Pos;
-      continue;
-    }
-    if (isspace(static_cast<unsigned char>(C))) {
-      ++Pos;
-      continue;
-    }
-    if (C == '(' && Pos + 1 < S.size() && S[Pos + 1] == '*') {
-      Pos += 2;
-      while (Pos + 1 < S.size() && !(S[Pos] == '*' && S[Pos + 1] == ')')) {
-        if (S[Pos] == '\n')
-          ++Line;
-        ++Pos;
-      }
-      Pos += 2;
-      continue;
-    }
-    Token T;
-    T.Line = Line;
-    if (isdigit(static_cast<unsigned char>(C))) {
-      size_t Start = Pos;
-      while (Pos < S.size() && isdigit(static_cast<unsigned char>(S[Pos])))
-        ++Pos;
-      T.K = Tok::Int;
-      T.Num = std::stoll(S.substr(Start, Pos - Start));
-      Out.push_back(T);
-      continue;
-    }
-    if (isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      size_t Start = Pos;
-      while (Pos < S.size() &&
-             (isalnum(static_cast<unsigned char>(S[Pos])) || S[Pos] == '_'))
-        ++Pos;
-      std::string W = S.substr(Start, Pos - Start);
-      T.Text = W;
-      if (W == "import")
-        T.K = Tok::KwImport;
-      else if (W == "export")
-        T.K = Tok::KwExport;
-      else if (W == "fun")
-        T.K = Tok::KwFun;
-      else if (W == "let")
-        T.K = Tok::KwLet;
-      else if (W == "in")
-        T.K = Tok::KwIn;
-      else if (W == "new")
-        T.K = Tok::KwNew;
-      else if (W == "free")
-        T.K = Tok::KwFree;
-      else if (W == "swap")
-        T.K = Tok::KwSwap;
-      else if (W == "join")
-        T.K = Tok::KwJoin;
-      else if (W == "split")
-        T.K = Tok::KwSplit;
-      else if (W == "int")
-        T.K = Tok::KwInt;
-      else if (W == "unit")
-        T.K = Tok::KwUnit;
-      else if (W == "Cell")
-        T.K = Tok::KwCell;
-      else if (W == "Ref")
-        T.K = Tok::KwRef;
-      else
-        T.K = Tok::Ident;
-      Out.push_back(T);
-      continue;
-    }
-    if (C == '-' && Pos + 1 < S.size() && S[Pos + 1] == 'o') {
-      T.K = Tok::Lolli;
-      Pos += 2;
-      Out.push_back(T);
-      continue;
-    }
-    if (C == ';' && Pos + 1 < S.size() && S[Pos + 1] == ';') {
-      T.K = Tok::SemiSemi;
-      Pos += 2;
-      Out.push_back(T);
-      continue;
-    }
-    switch (C) {
-    case '(':
-      T.K = Tok::LParen;
-      break;
-    case ')':
-      T.K = Tok::RParen;
-      break;
-    case '!':
-      T.K = Tok::Bang;
-      break;
-    case '*':
-      T.K = Tok::Star;
-      break;
-    case '+':
-      T.K = Tok::Plus;
-      break;
-    case '-':
-      T.K = Tok::Minus;
-      break;
-    case '=':
-      T.K = Tok::Eq;
-      break;
-    case ',':
-      T.K = Tok::Comma;
-      break;
-    case ';':
-      T.K = Tok::Semi;
-      break;
-    case ':':
-      T.K = Tok::Colon;
-      break;
-    case '.':
-      T.K = Tok::Dot;
-      break;
-    default:
-      return Error("lex error at line " + std::to_string(Line));
-    }
-    ++Pos;
-    Out.push_back(T);
-  }
-  Token E;
-  E.K = Tok::Eof;
-  E.Line = Line;
-  Out.push_back(E);
-  return Out;
-}
+constexpr frontend::Spelling<Tok> Punct[] = {
+    {"-o", Tok::Lolli}, {";;", Tok::SemiSemi}, {"(", Tok::LParen},
+    {")", Tok::RParen}, {"!", Tok::Bang},      {"*", Tok::Star},
+    {"+", Tok::Plus},   {"-", Tok::Minus},     {"=", Tok::Eq},
+    {",", Tok::Comma},  {";", Tok::Semi},      {":", Tok::Colon},
+    {".", Tok::Dot},
+};
 
-class Parser {
+constexpr frontend::Lexicon<Tok> Lexicon{Keywords, Punct, /*Sigils=*/{},
+                                         /*OperandEnds=*/{}};
+
+class Parser : frontend::ParserBase<Tok> {
 public:
-  explicit Parser(std::vector<Token> Ts) : Ts(std::move(Ts)) {}
+  explicit Parser(std::vector<Token> Ts) : ParserBase(std::move(Ts)) {}
 
   Expected<L3Module> module(const std::string &Name) {
     L3Module M;
@@ -332,23 +214,6 @@ public:
   }
 
 private:
-  const Token &cur() const { return Ts[Pos]; }
-  void next() { ++Pos; }
-  Status expect(Tok K, const char *What) {
-    if (cur().K != K)
-      return Error("parse error at line " + std::to_string(cur().Line) +
-                   ": expected " + What);
-    next();
-    return Status::success();
-  }
-  Expected<std::string> ident() {
-    if (cur().K != Tok::Ident)
-      return Error("parse error at line " + std::to_string(cur().Line) +
-                   ": expected identifier");
-    std::string N = cur().Text;
-    next();
-    return N;
-  }
 
   Expected<L3TypeRef> type() {
     Expected<L3TypeRef> L = tensorType();
@@ -416,8 +281,7 @@ private:
       return T;
     }
     default:
-      return Error("parse error at line " + std::to_string(cur().Line) +
-                   ": expected a type");
+      return expected("a type");
     }
   }
 
@@ -606,20 +470,16 @@ private:
       return E1;
     }
     default:
-      return Error("parse error at line " + std::to_string(cur().Line) +
-                   ": expected an expression");
+      return expected("an expression");
     }
   }
-
-  std::vector<Token> Ts;
-  size_t Pos = 0;
 };
 
 } // namespace
 
 Expected<L3Module> rw::l3::parse(const std::string &Name,
                                  const std::string &Src) {
-  Expected<std::vector<Token>> Ts = lex(Src);
+  Expected<std::vector<Token>> Ts = frontend::lex(Src, Lexicon);
   if (!Ts)
     return Ts.error();
   Parser P(std::move(*Ts));
@@ -894,63 +754,17 @@ ir::Type rw::l3::lowerL3Type(const L3TypeRef &T) { return lowerL3(T); }
 
 namespace {
 
-class L3Cg {
+class L3Cg : public frontend::BodyEmitter {
 public:
   explicit L3Cg(const std::map<std::string, uint32_t> &FnIdx)
-      : FnIdx(FnIdx) {
-    UnitLocal = newLocal(Size::constant(0));
-  }
+      : BodyEmitter(/*NumParams=*/1), FnIdx(FnIdx) {}
 
   const std::map<std::string, uint32_t> &FnIdx;
-  std::vector<SizeRef> Locals;
-  uint32_t NumParams = 1;
-  uint32_t UnitLocal;
   struct VInfo {
     uint32_t Local;
     L3TypeRef Ty;
   };
   std::map<std::string, VInfo> Vars;
-  std::vector<std::set<uint32_t>> MovedStack;
-
-  uint32_t newLocal(SizeRef Sz) {
-    Locals.push_back(std::move(Sz));
-    return NumParams + static_cast<uint32_t>(Locals.size() - 1);
-  }
-  void noteMoved(uint32_t L) {
-    if (!MovedStack.empty())
-      MovedStack.back().insert(L);
-  }
-  void pushUnit(InstVec &O) { O.push_back(getLocal(UnitLocal, Qual::unr())); }
-  void reset(uint32_t L, InstVec &O) {
-    pushUnit(O);
-    O.push_back(setLocal(L));
-  }
-
-  /// Reads a variable with move semantics for linear types.
-  void readVar(uint32_t Local, const Type &T, InstVec &O) {
-    O.push_back(getLocal(Local, T.Q));
-    if (!T.Q.isUnrConst())
-      noteMoved(Local);
-  }
-
-  template <typename F>
-  Status emitUnpack(std::vector<Type> Results, F Body, InstVec &O) {
-    MovedStack.push_back({});
-    InstVec B;
-    Status S = Body(B);
-    std::set<uint32_t> Moved = std::move(MovedStack.back());
-    MovedStack.pop_back();
-    std::vector<LocalEffect> Fx;
-    for (uint32_t L : Moved) {
-      Fx.push_back({L, unitT()});
-      noteMoved(L);
-    }
-    if (!S)
-      return S;
-    O.push_back(memUnpack(build::arrow({}, std::move(Results)),
-                          std::move(Fx), std::move(B)));
-    return Status::success();
-  }
 
   Status gen(const L3ExprRef &E, InstVec &O);
 };
@@ -965,7 +779,7 @@ Status L3Cg::gen(const L3ExprRef &E, InstVec &O) {
     return Status::success();
   case ExKind::VarRef: {
     const VInfo &V = Vars.at(E->Name);
-    readVar(V.Local, lowerL3(V.Ty), O);
+    read(V.Local, lowerL3(V.Ty).Q, O);
     return Status::success();
   }
   case ExKind::Let: {
@@ -1084,12 +898,9 @@ Status L3Cg::gen(const L3ExprRef &E, InstVec &O) {
         // Swap a placeholder in to extract the contents, then free.
         B.push_back(iconst(0));
         B.push_back(structSwap(0));
-        uint32_t T = newLocal(Size::constant(Bits));
-        B.push_back(setLocal(T));
+        uint32_t T = stashTop(B, Size::constant(Bits));
         B.push_back(structFree());
-        readVar(T, Elem, B);
-        if (Elem.Q.isUnrConst())
-          reset(T, B);
+        readAndClear(T, Elem.Q, B);
       } else {
         // Unit contents: nothing to extract.
         B.push_back(structFree());
@@ -1102,7 +913,6 @@ Status L3Cg::gen(const L3ExprRef &E, InstVec &O) {
     if (Status S = gen(E->Kids[0], O); !S)
       return S;
     Type OldT = lowerL3(E->Kids[0]->Ty->A);
-    Type NewT = lowerL3(E->Kids[1]->Ty);
     Type NewCellT = lowerL3(L3Type::mk(TyKind::Cell, E->Kids[1]->Ty));
     Type ResT = lowerL3(E->Ty);
     return emitUnpack({ResT}, [&](InstVec &B) -> Status {
@@ -1111,18 +921,13 @@ Status L3Cg::gen(const L3ExprRef &E, InstVec &O) {
       if (Status S = gen(E->Kids[1], B); !S)
         return S;
       B.push_back(structSwap(0));
-      uint32_t TOld = newLocal(Size::constant(bitsOf(OldT)));
-      B.push_back(setLocal(TOld));
+      uint32_t TOld = stashTop(B, Size::constant(bitsOf(OldT)));
       B.push_back(refSplit());
       B.push_back(group(2, Qual::lin()));
       B.push_back(memPack(Loc::var(0)));
-      uint32_t TCell = newLocal(Size::constant(bitsOf(NewCellT)));
-      B.push_back(setLocal(TCell));
-      readVar(TOld, OldT, B);
-      if (OldT.Q.isUnrConst())
-        reset(TOld, B);
-      B.push_back(getLocal(TCell, Qual::lin()));
-      noteMoved(TCell);
+      uint32_t TCell = stashTop(B, Size::constant(bitsOf(NewCellT)));
+      readAndClear(TOld, OldT.Q, B);
+      read(TCell, Qual::lin(), B);
       B.push_back(group(2, Qual::lin()));
       return Status::success();
     }, O);

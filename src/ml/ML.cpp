@@ -6,12 +6,11 @@
 
 #include "ml/ML.h"
 
+#include "frontend/Frontend.h"
 #include "ir/Builder.h"
 #include "ir/TypeOps.h"
 
 #include <cassert>
-#include <cctype>
-#include <functional>
 #include <map>
 #include <set>
 
@@ -70,7 +69,7 @@ std::string rw::ml::mlTypeStr(const MLTypeRef &T) {
 }
 
 //===----------------------------------------------------------------------===//
-// Lexer
+// Tokens (frontend::lex reads the tables)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -123,238 +122,48 @@ enum class Tok : uint8_t {
   Eof,
 };
 
-struct Token {
-  Tok K = Tok::Eof;
-  std::string Text;
-  int64_t Num = 0;
-  size_t Line = 1;
+using Token = frontend::Token<Tok>;
+
+constexpr frontend::Spelling<Tok> Keywords[] = {
+    {"import", Tok::KwImport}, {"export", Tok::KwExport},
+    {"fun", Tok::KwFun},       {"global", Tok::KwGlobal},
+    {"let", Tok::KwLet},       {"in", Tok::KwIn},
+    {"fn", Tok::KwFn},         {"if", Tok::KwIf},
+    {"then", Tok::KwThen},     {"else", Tok::KwElse},
+    {"case", Tok::KwCase},     {"of", Tok::KwOf},
+    {"inl", Tok::KwInl},       {"inr", Tok::KwInr},
+    {"end", Tok::KwEnd},       {"ref", Tok::KwRef},
+    {"linref", Tok::KwLinRef}, {"lin", Tok::KwLin},
+    {"fst", Tok::KwFst},       {"snd", Tok::KwSnd},
+    {"int", Tok::KwInt},       {"unit", Tok::KwUnit},
 };
 
-class Lexer {
-public:
-  explicit Lexer(const std::string &Src) : S(Src) {}
-
-  Expected<std::vector<Token>> run() {
-    std::vector<Token> Out;
-    while (Pos < S.size()) {
-      char C = S[Pos];
-      if (C == '\n') {
-        ++Line;
-        ++Pos;
-        continue;
-      }
-      if (isspace(static_cast<unsigned char>(C))) {
-        ++Pos;
-        continue;
-      }
-      if (C == '(' && Pos + 1 < S.size() && S[Pos + 1] == '*') {
-        // Comment (* ... *).
-        Pos += 2;
-        while (Pos + 1 < S.size() && !(S[Pos] == '*' && S[Pos + 1] == ')')) {
-          if (S[Pos] == '\n')
-            ++Line;
-          ++Pos;
-        }
-        Pos += 2;
-        continue;
-      }
-      if (isdigit(static_cast<unsigned char>(C)) ||
-          (C == '-' && Pos + 1 < S.size() &&
-           isdigit(static_cast<unsigned char>(S[Pos + 1])) &&
-           lastWasOperand() == false)) {
-        size_t Start = Pos;
-        if (C == '-')
-          ++Pos;
-        while (Pos < S.size() && isdigit(static_cast<unsigned char>(S[Pos])))
-          ++Pos;
-        Token T;
-        T.K = Tok::Int;
-        T.Num = std::stoll(S.substr(Start, Pos - Start));
-        T.Line = Line;
-        Out.push_back(T);
-        Last = &Out.back();
-        continue;
-      }
-      if (C == '\'' ) {
-        ++Pos;
-        size_t Start = Pos;
-        while (Pos < S.size() &&
-               (isalnum(static_cast<unsigned char>(S[Pos])) || S[Pos] == '_'))
-          ++Pos;
-        Token T;
-        T.K = Tok::TyVar;
-        T.Text = S.substr(Start, Pos - Start);
-        T.Line = Line;
-        Out.push_back(T);
-        Last = &Out.back();
-        continue;
-      }
-      if (isalpha(static_cast<unsigned char>(C)) || C == '_') {
-        size_t Start = Pos;
-        while (Pos < S.size() &&
-               (isalnum(static_cast<unsigned char>(S[Pos])) || S[Pos] == '_'))
-          ++Pos;
-        std::string W = S.substr(Start, Pos - Start);
-        Token T;
-        T.Line = Line;
-        T.Text = W;
-        if (W == "import")
-          T.K = Tok::KwImport;
-        else if (W == "export")
-          T.K = Tok::KwExport;
-        else if (W == "fun")
-          T.K = Tok::KwFun;
-        else if (W == "global")
-          T.K = Tok::KwGlobal;
-        else if (W == "let")
-          T.K = Tok::KwLet;
-        else if (W == "in")
-          T.K = Tok::KwIn;
-        else if (W == "fn")
-          T.K = Tok::KwFn;
-        else if (W == "if")
-          T.K = Tok::KwIf;
-        else if (W == "then")
-          T.K = Tok::KwThen;
-        else if (W == "else")
-          T.K = Tok::KwElse;
-        else if (W == "case")
-          T.K = Tok::KwCase;
-        else if (W == "of")
-          T.K = Tok::KwOf;
-        else if (W == "inl")
-          T.K = Tok::KwInl;
-        else if (W == "inr")
-          T.K = Tok::KwInr;
-        else if (W == "end")
-          T.K = Tok::KwEnd;
-        else if (W == "ref")
-          T.K = Tok::KwRef;
-        else if (W == "linref")
-          T.K = Tok::KwLinRef;
-        else if (W == "lin")
-          T.K = Tok::KwLin;
-        else if (W == "fst")
-          T.K = Tok::KwFst;
-        else if (W == "snd")
-          T.K = Tok::KwSnd;
-        else if (W == "int")
-          T.K = Tok::KwInt;
-        else if (W == "unit")
-          T.K = Tok::KwUnit;
-        else
-          T.K = Tok::Ident;
-        Out.push_back(T);
-        Last = &Out.back();
-        continue;
-      }
-      auto Two = [&](char A, char B) {
-        return C == A && Pos + 1 < S.size() && S[Pos + 1] == B;
-      };
-      Token T;
-      T.Line = Line;
-      if (Two('-', '>')) {
-        T.K = Tok::Arrow;
-        Pos += 2;
-      } else if (Two('=', '>')) {
-        T.K = Tok::DArrow;
-        Pos += 2;
-      } else if (Two(':', '=')) {
-        T.K = Tok::Assign;
-        Pos += 2;
-      } else if (Two(';', ';')) {
-        T.K = Tok::SemiSemi;
-        Pos += 2;
-      } else {
-        switch (C) {
-        case '(':
-          T.K = Tok::LParen;
-          break;
-        case ')':
-          T.K = Tok::RParen;
-          break;
-        case '[':
-          T.K = Tok::LBrack;
-          break;
-        case ']':
-          T.K = Tok::RBrack;
-          break;
-        case '!':
-          T.K = Tok::Bang;
-          break;
-        case '*':
-          T.K = Tok::Star;
-          break;
-        case '+':
-          T.K = Tok::Plus;
-          break;
-        case '-':
-          T.K = Tok::Minus;
-          break;
-        case '=':
-          T.K = Tok::Eq;
-          break;
-        case '<':
-          T.K = Tok::Lt;
-          break;
-        case ',':
-          T.K = Tok::Comma;
-          break;
-        case ';':
-          T.K = Tok::Semi;
-          break;
-        case ':':
-          T.K = Tok::Colon;
-          break;
-        case '.':
-          T.K = Tok::Dot;
-          break;
-        case '|':
-          T.K = Tok::Bar;
-          break;
-        default:
-          return Error("lex error at line " + std::to_string(Line) +
-                       ": unexpected character '" + std::string(1, C) + "'");
-        }
-        ++Pos;
-      }
-      Out.push_back(T);
-      Last = &Out.back();
-    }
-    Token E;
-    E.K = Tok::Eof;
-    E.Line = Line;
-    Out.push_back(E);
-    return Out;
-  }
-
-private:
-  bool lastWasOperand() const {
-    if (!Last)
-      return false;
-    switch (Last->K) {
-    case Tok::Int:
-    case Tok::Ident:
-    case Tok::RParen:
-      return true;
-    default:
-      return false;
-    }
-  }
-
-  const std::string &S;
-  size_t Pos = 0;
-  size_t Line = 1;
-  const Token *Last = nullptr;
+constexpr frontend::Spelling<Tok> Punct[] = {
+    {"->", Tok::Arrow},    {"=>", Tok::DArrow}, {":=", Tok::Assign},
+    {";;", Tok::SemiSemi}, {"(", Tok::LParen},  {")", Tok::RParen},
+    {"[", Tok::LBrack},    {"]", Tok::RBrack},  {"!", Tok::Bang},
+    {"*", Tok::Star},      {"+", Tok::Plus},    {"-", Tok::Minus},
+    {"=", Tok::Eq},        {"<", Tok::Lt},      {",", Tok::Comma},
+    {";", Tok::Semi},      {":", Tok::Colon},   {".", Tok::Dot},
+    {"|", Tok::Bar},
 };
+
+/// 'a is a type variable.
+constexpr std::pair<char, Tok> Sigils[] = {{'\'', Tok::TyVar}};
+
+/// `f -1` subtracts; `f (-1)` passes a negative literal.
+constexpr Tok OperandEnds[] = {Tok::Int, Tok::Ident, Tok::RParen};
+
+constexpr frontend::Lexicon<Tok> Lexicon{Keywords, Punct, Sigils,
+                                         OperandEnds};
 
 //===----------------------------------------------------------------------===//
 // Parser
 //===----------------------------------------------------------------------===//
 
-class Parser {
+class Parser : frontend::ParserBase<Tok> {
 public:
-  Parser(std::vector<Token> Ts) : Ts(std::move(Ts)) {}
+  explicit Parser(std::vector<Token> Ts) : ParserBase(std::move(Ts)) {}
 
   Expected<MLModule> module(const std::string &Name) {
     MLModule M;
@@ -404,8 +213,7 @@ public:
         next();
       }
       if (cur().K != Tok::KwFun)
-        return Error("parse error at line " + std::to_string(cur().Line) +
-                     ": expected declaration");
+        return expected("declaration");
       next();
       MLFun F;
       F.Exported = Exported;
@@ -456,23 +264,6 @@ public:
   }
 
 private:
-  const Token &cur() const { return Ts[Pos]; }
-  void next() { ++Pos; }
-  Status expect(Tok K, const char *What) {
-    if (cur().K != K)
-      return Error("parse error at line " + std::to_string(cur().Line) +
-                   ": expected " + What);
-    next();
-    return Status::success();
-  }
-  Expected<std::string> ident() {
-    if (cur().K != Tok::Ident)
-      return Error("parse error at line " + std::to_string(cur().Line) +
-                   ": expected identifier");
-    std::string N = cur().Text;
-    next();
-    return N;
-  }
 
   // type := sum ('->' type)?
   Expected<MLTypeRef> type() {
@@ -560,8 +351,7 @@ private:
       return T;
     }
     default:
-      return Error("parse error at line " + std::to_string(cur().Line) +
-                   ": expected a type");
+      return expected("a type");
     }
   }
 
@@ -900,21 +690,16 @@ private:
       return E1;
     }
     default:
-      return Error("parse error at line " + std::to_string(cur().Line) +
-                   ": expected an expression");
+      return expected("an expression");
     }
   }
-
-  std::vector<Token> Ts;
-  size_t Pos = 0;
 };
 
 } // namespace
 
 Expected<MLModule> rw::ml::parse(const std::string &Name,
                                  const std::string &Src) {
-  Lexer L(Src);
-  Expected<std::vector<Token>> Ts = L.run();
+  Expected<std::vector<Token>> Ts = frontend::lex(Src, Lexicon);
   if (!Ts)
     return Ts.error();
   Parser P(std::move(*Ts));
@@ -1411,94 +1196,24 @@ struct VarInfo {
 
 class Codegen;
 
-/// Per-function emitter. Every ML local gets a 64-bit slot; a dedicated
-/// size-0 local supplies unit values; binders are reset to unit before
-/// their enclosing block closes so every block is local-environment
-/// neutral (empty local-effect annotations everywhere).
-class FunCg {
+/// Per-function emitter. Every ML local gets a 64-bit slot; the body
+/// emitter keeps every block local-environment neutral.
+class FunCg : public frontend::BodyEmitter {
 public:
   FunCg(Codegen &CG, std::vector<std::string> TyParams, uint32_t NumParams)
-      : CG(CG), TyParams(std::move(TyParams)), NumParams(NumParams) {
-    UnitLocal = newLocal(Size::constant(0));
-  }
+      : BodyEmitter(NumParams), CG(CG), TyParams(std::move(TyParams)) {}
 
   Codegen &CG;
   std::vector<std::string> TyParams;
-  uint32_t NumParams;
-  std::vector<SizeRef> Locals;
-  uint32_t UnitLocal;
   std::map<std::string, VarInfo> Vars;
-  /// Locals consumed linearly (their slot reverts to unit) inside each
-  /// open block scope; blocks record these as local effects so the
-  /// RichWasm checker's per-block local environments line up.
-  std::vector<std::set<uint32_t>> MovedStack;
-
-  void noteMoved(uint32_t L) {
-    if (!MovedStack.empty())
-      MovedStack.back().insert(L);
-  }
-  void beginBlockScope() { MovedStack.push_back({}); }
-  std::vector<LocalEffect> endBlockScope() {
-    std::set<uint32_t> Moved = std::move(MovedStack.back());
-    MovedStack.pop_back();
-    std::vector<LocalEffect> Fx;
-    for (uint32_t L : Moved) {
-      Fx.push_back({L, unitT()});
-      noteMoved(L); // Moves are visible to the enclosing scope too.
-    }
-    return Fx;
-  }
-
-  uint32_t newLocal(SizeRef Sz = nullptr) {
-    Locals.push_back(Sz ? Sz : Size::constant(64));
-    return NumParams + static_cast<uint32_t>(Locals.size() - 1);
-  }
 
   Type L(const MLTypeRef &T) { return lowerTy(T, TyParams, 0); }
-
-  void pushUnit(InstVec &O) { O.push_back(getLocal(UnitLocal, Qual::unr())); }
-  void reset(uint32_t Local, InstVec &O) {
-    pushUnit(O);
-    O.push_back(setLocal(Local));
-  }
-
-  /// Pops the top of stack into a fresh local.
-  uint32_t stashTop(InstVec &O) {
-    uint32_t T = newLocal();
-    O.push_back(setLocal(T));
-    return T;
-  }
-
-  /// Pushes a stashed value back; linear values move out (slot reverts to
-  /// unit), unrestricted ones are copied and the slot is reset.
-  void readAndClear(uint32_t Local, const Type &T, InstVec &O) {
-    O.push_back(getLocal(Local, T.Q));
-    if (T.Q.isUnrConst())
-      reset(Local, O);
-    else
-      noteMoved(Local);
-  }
 
   Status gen(const MLExprRef &E, InstVec &O);
   Status genApp(const MLExprRef &E, InstVec &O);
   Status genLam(const MLExprRef &E, InstVec &O);
   Status genDeref(const MLExprRef &E, InstVec &O);
   Status genAssign(const MLExprRef &E, InstVec &O);
-
-  /// Emits a mem.unpack block whose body is produced by \p Body, with the
-  /// local effects of any linear moves inside it.
-  template <typename F>
-  Status emitUnpack(std::vector<Type> Results, F Body, InstVec &O) {
-    beginBlockScope();
-    InstVec B;
-    Status S = Body(B);
-    std::vector<LocalEffect> Fx = endBlockScope();
-    if (!S)
-      return S;
-    O.push_back(memUnpack(build::arrow({}, std::move(Results)),
-                          std::move(Fx), std::move(B)));
-    return Status::success();
-  }
 };
 
 class Codegen {
@@ -1594,7 +1309,7 @@ Status FunCg::genDeref(const MLExprRef &E, InstVec &O) {
       B.push_back(structGet(0));
       uint32_t T = stashTop(B);
       B.push_back(drop());
-      readAndClear(T, A, B);
+      readAndClear(T, A.Q, B);
       return Status::success();
     }, O);
   }
@@ -1608,8 +1323,7 @@ Status FunCg::genDeref(const MLExprRef &E, InstVec &O) {
     B.push_back(structSwap(0));
     uint32_t TOld = stashTop(B);
     B.push_back(drop());
-    B.push_back(getLocal(TOld, Qual::lin()));
-    noteMoved(TOld);
+    read(TOld, Qual::lin(), B);
     return emitUnpack({LinT}, [&](InstVec &Inner) -> Status {
       Inner.push_back(variantCase(
           Qual::lin(), Opt, build::arrow({}, {LinT}), {},
@@ -1645,8 +1359,7 @@ Status FunCg::genAssign(const MLExprRef &E, InstVec &O) {
     B.push_back(structSwap(0));
     uint32_t TOld = stashTop(B);
     B.push_back(drop());
-    B.push_back(getLocal(TOld, Qual::lin()));
-    noteMoved(TOld);
+    read(TOld, Qual::lin(), B);
     if (Status S = emitUnpack({}, [&](InstVec &Inner) -> Status {
           Inner.push_back(variantCase(Qual::lin(), Opt,
                                       build::arrow({}, {}), {},
@@ -1705,8 +1418,7 @@ Status FunCg::genApp(const MLExprRef &E, InstVec &O) {
     uint32_t TCode = stashTop(ExBody);
     Status S = gen(Arg, ExBody);
     if (S) {
-      ExBody.push_back(getLocal(TCode, Qual::unr()));
-      reset(TCode, ExBody);
+      readAndClear(TCode, Qual::unr(), ExBody);
       // Stack: [env, arg, code]; call through the table.
       ExBody.push_back(callIndirect());
     }
@@ -1719,7 +1431,7 @@ Status FunCg::genApp(const MLExprRef &E, InstVec &O) {
     // Stack: [closure ref, result] — drop the reference beneath.
     uint32_t TRes = stashTop(UnpackBody);
     UnpackBody.push_back(drop());
-    readAndClear(TRes, Res, UnpackBody);
+    readAndClear(TRes, Res.Q, UnpackBody);
     return Status::success();
   }, O);
 }
@@ -1751,32 +1463,16 @@ Status FunCg::genLam(const MLExprRef &E, InstVec &O) {
     return Code.error();
 
   // Build the environment value.
-  std::function<Status(size_t)> BuildEnv = [&](size_t I) -> Status {
-    if (FreeNames.empty()) {
-      pushUnit(O);
-      return Status::success();
-    }
-    if (I + 1 == FreeNames.size()) {
-      const VarInfo &V = Vars.at(FreeNames[I]);
-      Qual Q = L(V.Ty).Q;
-      O.push_back(getLocal(V.Local, Q));
-      if (!Q.isUnrConst())
-        noteMoved(V.Local);
-      return Status::success();
-    }
-    const VarInfo &V = Vars.at(FreeNames[I]);
-    Qual Q0 = L(V.Ty).Q;
-    O.push_back(getLocal(V.Local, Q0));
-    if (!Q0.isUnrConst())
-      noteMoved(V.Local);
-    if (Status S = BuildEnv(I + 1); !S)
-      return S;
+  if (FreeNames.empty())
+    pushUnit(O);
+  for (const std::string &N : FreeNames) {
+    const VarInfo &V = Vars.at(N);
+    read(V.Local, L(V.Ty).Q, O);
+  }
+  // Right-nested pairs: (x0, (x1, ... x(n-1))).
+  for (size_t I = 1; I < FreeNames.size(); ++I)
     O.push_back(structMalloc({Size::constant(64), Size::constant(64)},
                              Qual::unr()));
-    return Status::success();
-  };
-  if (Status S = BuildEnv(0); !S)
-    return S;
 
   // coderef (+ instantiation with the enclosing type parameters).
   O.push_back(coderef(*Code));
@@ -1808,10 +1504,7 @@ Status FunCg::gen(const MLExprRef &E, InstVec &O) {
     if (V != Vars.end()) {
       // Unrestricted variables copy; linear ones move (the slot reverts to
       // unit, so a second use fails RichWasm checking — Fig 1's story).
-      Qual Q = L(V->second.Ty).Q;
-      O.push_back(getLocal(V->second.Local, Q));
-      if (!Q.isUnrConst())
-        noteMoved(V->second.Local);
+      read(V->second.Local, L(V->second.Ty).Q, O);
       return Status::success();
     }
     O.push_back(getGlobal(CG.GlobIdx.at(E->Name)));
@@ -1862,7 +1555,7 @@ Status FunCg::gen(const MLExprRef &E, InstVec &O) {
       B.push_back(structGet(E->K == ExKind::Fst ? 0 : 1));
       uint32_t T = stashTop(B);
       B.push_back(drop());
-      readAndClear(T, A, B);
+      readAndClear(T, A.Q, B);
       return Status::success();
     }, O);
   }
@@ -1921,7 +1614,7 @@ Status FunCg::gen(const MLExprRef &E, InstVec &O) {
       // Stack: [variant ref, result].
       uint32_t T = stashTop(B);
       B.push_back(drop());
-      readAndClear(T, Res, B);
+      readAndClear(T, Res.Q, B);
       return Status::success();
     }, O);
   }

@@ -99,7 +99,8 @@ WasmInstance::Exec WasmInstance::callFunctionImpl(uint32_t FuncIdx) {
   --CallDepth;
   if (R == Exec::Trap)
     return R;
-  if (R == Exec::Branch)
+  // A branch out of every block targets the body's own label: a return.
+  if (R == Exec::Branch && BrDepth > 0)
     return trap("branch escaped function body");
   // Keep exactly the results above the caller's stack base.
   if (Stack.size() < Base + FT.Results.size())

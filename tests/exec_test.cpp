@@ -1,9 +1,10 @@
 //===- tests/exec_test.cpp - Differential testing of the two engines ------===//
 //
-// The flat-bytecode engine (exec/Engine.h) must be observationally
-// identical to the tree-walking reference interpreter (wasm/Interp.h):
-// same results, same traps (same messages), same final memory, and same
-// GC-statistics globals. This suite sweeps
+// The flat-bytecode engine (exec/Engine.h) and its JIT tier must be
+// observationally identical to the tree-walking reference interpreter
+// (wasm/Interp.h): same results, same traps (same messages), same final
+// memory, and same GC-statistics globals; flat and JIT also consume the
+// same fuel. This suite sweeps
 //
 //   * handcrafted Wasm modules covering the control-flow re-encoding
 //     (blocks with results, loops, if/else, br_table, multi-value
@@ -86,30 +87,46 @@ RunResult runOn(const WModule &M, EngineKind K, const std::string &Export,
   return R;
 }
 
-/// Runs \p Export on both engines and asserts observational equality.
-/// Returns the two runs for extra checks.
-std::pair<RunResult, RunResult>
-expectSame(const WModule &M, const std::string &Export,
-           std::vector<WValue> Args = {},
-           const std::function<void(Instance &)> &Bind = {}) {
+uint32_t compiledCountOf(const RunResult &R) {
+  return static_cast<exec::FlatInstance &>(*R.Inst).jitCompiledCount();
+}
+
+/// Runs \p Export on all three engine tiers and asserts observational
+/// equality — results, trap messages, final memory and globals — plus
+/// the stronger flat-vs-jit invariant that the *fuel accounting* is
+/// byte-identical (segment batching must charge exactly what the
+/// interpreter charges). Returns the three runs, tree first.
+std::array<RunResult, 3> expectSameAll(
+    const WModule &M, const std::string &Export,
+    std::vector<WValue> Args = {},
+    const std::function<void(Instance &)> &Bind = {}) {
   EXPECT_TRUE(validate(M).ok()) << validate(M).error().message();
-  RunResult T = runOn(M, EngineKind::Tree, Export, Args, Bind);
-  RunResult F = runOn(M, EngineKind::Flat, Export, Args, Bind);
-  EXPECT_EQ(T.Ok, F.Ok) << "tree: " << T.Err << " / flat: " << F.Err;
-  EXPECT_EQ(T.Err, F.Err);
-  EXPECT_EQ(T.Results.size(), F.Results.size());
-  if (T.Results.size() == F.Results.size())
-    for (size_t I = 0; I < T.Results.size(); ++I) {
-      EXPECT_EQ(T.Results[I].T, F.Results[I].T) << "result " << I;
-      EXPECT_EQ(T.Results[I].Bits, F.Results[I].Bits) << "result " << I;
-    }
-  EXPECT_EQ(T.FinalMem, F.FinalMem);
-  EXPECT_EQ(T.FinalGlobals.size(), F.FinalGlobals.size());
-  if (T.FinalGlobals.size() == F.FinalGlobals.size())
-    for (size_t I = 0; I < T.FinalGlobals.size(); ++I)
-      EXPECT_EQ(T.FinalGlobals[I].Bits, F.FinalGlobals[I].Bits)
-          << "global " << I;
-  return {std::move(T), std::move(F)};
+  std::array<RunResult, 3> R;
+  for (int I = 0; I < 3; ++I)
+    R[I] = runOn(M, AllEngines[I], Export, Args, Bind);
+  for (int I = 1; I < 3; ++I) {
+    const char *Who = I == 1 ? "flat" : "jit";
+    EXPECT_EQ(R[0].Ok, R[I].Ok)
+        << Who << " — tree: " << R[0].Err << " / " << R[I].Err;
+    EXPECT_EQ(R[0].Err, R[I].Err) << Who;
+    EXPECT_EQ(R[0].Results.size(), R[I].Results.size()) << Who;
+    if (R[0].Results.size() == R[I].Results.size())
+      for (size_t J = 0; J < R[0].Results.size(); ++J) {
+        EXPECT_EQ(R[0].Results[J].T, R[I].Results[J].T)
+            << Who << " result " << J;
+        EXPECT_EQ(R[0].Results[J].Bits, R[I].Results[J].Bits)
+            << Who << " result " << J;
+      }
+    EXPECT_EQ(R[0].FinalMem, R[I].FinalMem) << Who;
+    EXPECT_EQ(R[0].FinalGlobals.size(), R[I].FinalGlobals.size()) << Who;
+    if (R[0].FinalGlobals.size() == R[I].FinalGlobals.size())
+      for (size_t J = 0; J < R[0].FinalGlobals.size(); ++J)
+        EXPECT_EQ(R[0].FinalGlobals[J].Bits, R[I].FinalGlobals[J].Bits)
+            << Who << " global " << J;
+  }
+  EXPECT_EQ(R[1].Inst->instrCount(), R[2].Inst->instrCount())
+      << "flat and jit disagree on fuel consumed";
+  return R;
 }
 
 WModule oneFunc(FuncType FT, std::vector<ValType> Locals,
@@ -119,6 +136,23 @@ WModule oneFunc(FuncType FT, std::vector<ValType> Locals,
   M.Funcs.push_back({TI, std::move(Locals), std::move(Body)});
   M.Exports.push_back({"f", ExportKind::Func, 0});
   return M;
+}
+
+/// f(n) = 1 + ... + n, with a loop whose br_if re-enters the label.
+WModule loopSum() {
+  return oneFunc(
+      {{ValType::I32}, {ValType::I32}}, {ValType::I32, ValType::I32},
+      {WInst::block(
+           {{}, {}},
+           {WInst::loop(
+               {{}, {}},
+               {WInst::idx(Op::LocalGet, 1), WInst::i32c(1),
+                WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 1),
+                WInst::idx(Op::LocalGet, 2), WInst::mk(Op::I32Add),
+                WInst::idx(Op::LocalSet, 2), WInst::idx(Op::LocalGet, 1),
+                WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32LtS),
+                WInst::idx(Op::BrIf, 0)})}),
+       WInst::idx(Op::LocalGet, 2)});
 }
 
 } // namespace
@@ -134,7 +168,7 @@ TEST(ExecDiff, BlockWithResultAndBr) {
       {WInst::block({{}, {ValType::I32}},
                     {WInst::i32c(7), WInst::idx(Op::Br, 0), WInst::i32c(999)}),
        WInst::i32c(1), WInst::mk(Op::I32Add)});
-  auto [T, F] = expectSame(M, "f");
+  auto [T, F, J] = expectSameAll(M, "f");
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 8u);
 }
@@ -148,27 +182,13 @@ TEST(ExecDiff, BrWithStackFixup) {
                     {WInst::i32c(100), WInst::i32c(200), WInst::i32c(42),
                      WInst::idx(Op::Br, 0)}),
        });
-  auto [T, F] = expectSame(M, "f");
+  auto [T, F, J] = expectSameAll(M, "f");
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 42u);
 }
 
 TEST(ExecDiff, LoopSum) {
-  // sum 1..n with a loop whose br_if re-enters the label.
-  WModule M = oneFunc(
-      {{ValType::I32}, {ValType::I32}}, {ValType::I32, ValType::I32},
-      {WInst::block(
-           {{}, {}},
-           {WInst::loop(
-               {{}, {}},
-               {WInst::idx(Op::LocalGet, 1), WInst::i32c(1),
-                WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 1),
-                WInst::idx(Op::LocalGet, 2), WInst::mk(Op::I32Add),
-                WInst::idx(Op::LocalSet, 2), WInst::idx(Op::LocalGet, 1),
-                WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32LtS),
-                WInst::idx(Op::BrIf, 0)})}),
-       WInst::idx(Op::LocalGet, 2)});
-  auto [T, F] = expectSame(M, "f", {WValue::i32(100)});
+  auto [T, F, J] = expectSameAll(loopSum(), "f", {WValue::i32(100)});
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 5050u);
 }
@@ -186,7 +206,7 @@ TEST(ExecDiff, LoopWithParams) {
                     WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 0),
                     WInst::i32c(10), WInst::mk(Op::I32LtS),
                     WInst::idx(Op::BrIf, 0)})});
-  auto [T, F] = expectSame(M, "f");
+  auto [T, F, J] = expectSameAll(M, "f");
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 1024u);
 }
@@ -201,7 +221,7 @@ TEST(ExecDiff, IfElseMultiValue) {
                        {WInst::i32c(10), WInst::i32c(20)},
                        {WInst::i32c(1), WInst::i32c(2)}),
          WInst::mk(Op::I32Add)});
-    auto [T, F] = expectSame(M, "f", {WValue::i32(Cond)});
+    auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(Cond)});
     EXPECT_TRUE(T.Ok);
     EXPECT_EQ(T.Results[0].asU32(), Cond ? 30u : 3u);
   }
@@ -216,7 +236,7 @@ TEST(ExecDiff, IfWithoutElse) {
                                      {}),
                        WInst::idx(Op::LocalGet, 1)});
   for (uint32_t Cond : {0u, 7u}) {
-    auto [T, F] = expectSame(M, "f", {WValue::i32(Cond)});
+    auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(Cond)});
     EXPECT_TRUE(T.Ok);
     EXPECT_EQ(T.Results[0].asU32(), Cond ? 99u : 0u);
   }
@@ -244,7 +264,7 @@ TEST(ExecDiff, BrTableDispatch) {
                    WInst::idx(Op::Br, 1)}),
               WInst::i32c(30), WInst::idx(Op::LocalSet, 1)}),
          WInst::idx(Op::LocalGet, 1)});
-    auto [T, F] = expectSame(M, "f", {WValue::i32(Sel)});
+    auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(Sel)});
     EXPECT_TRUE(T.Ok);
     // Default (depth 3) exits past every local.set, leaving 0.
     uint32_t Want = Sel == 0 ? 10 : Sel == 1 ? 20 : Sel == 2 ? 30 : 0;
@@ -262,7 +282,7 @@ TEST(ExecDiff, BrTableCarriesValue) {
                       {WInst::i32c(7), WInst::i32c(42),
                        WInst::idx(Op::LocalGet, 0),
                        WInst::brTable({0}, 0)})});
-    auto [T, F] = expectSame(M, "f", {WValue::i32(Sel)});
+    auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(Sel)});
     EXPECT_TRUE(T.Ok);
     EXPECT_EQ(T.Results[0].asU32(), 42u) << "selector " << Sel;
   }
@@ -277,7 +297,7 @@ TEST(ExecDiff, DeadCodeAfterBranchIsSkipped) {
                      // Dead: a whole nested structure.
                      WInst::block({{}, {}}, {WInst::mk(Op::Unreachable)}),
                      WInst::i32c(1), WInst::mk(Op::I32Add)})});
-  auto [T, F] = expectSame(M, "f");
+  auto [T, F, J] = expectSameAll(M, "f");
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 5u);
 }
@@ -301,7 +321,7 @@ TEST(ExecDiff, DirectCallsAndRecursion) {
                        WInst::mk(Op::I32Sub), WInst::idx(Op::Call, 0),
                        WInst::mk(Op::I32Add)})}});
   M.Exports.push_back({"f", ExportKind::Func, 0});
-  auto [T, F] = expectSame(M, "f", {WValue::i32(15)});
+  auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(15)});
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 610u);
 }
@@ -345,7 +365,7 @@ TEST(ExecDiff, CallIndirect) {
       {9, true, 0},  // out of bounds
   };
   for (const Case &C : Cases) {
-    auto [T, F] = expectSame(
+    auto [T, F, J] = expectSameAll(
         M, "f", {WValue::i32(C.Sel), WValue::i32(3), WValue::i32(6)});
     EXPECT_EQ(T.Ok, !C.Traps) << "selector " << C.Sel << ": " << T.Err;
     if (!C.Traps)
@@ -374,7 +394,7 @@ TEST(ExecDiff, HostCallsThroughImports) {
                          WValue::i32(Args[0].asU32() * 3)};
                    });
   };
-  auto [T, F] = expectSame(M, "f", {WValue::i32(5)}, Bind);
+  auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(5)}, Bind);
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 16u);
   EXPECT_EQ(T.Inst->load32(64), 5u);
@@ -393,7 +413,7 @@ TEST(ExecDiff, HostTrapPropagates) {
                      return Error("host exploded");
                    });
   };
-  auto [T, F] = expectSame(M, "f", {}, Bind);
+  auto [T, F, J] = expectSameAll(M, "f", {}, Bind);
   EXPECT_FALSE(T.Ok);
   EXPECT_EQ(T.Err, "trap: host exploded [func 0]");
 }
@@ -404,7 +424,7 @@ TEST(ExecDiff, CallStackExhaustion) {
   uint32_t TI = M.addType({{}, {}});
   M.Funcs.push_back({TI, {}, {WInst::idx(Op::Call, 0)}});
   M.Exports.push_back({"f", ExportKind::Func, 0});
-  auto [T, F] = expectSame(M, "f");
+  auto [T, F, J] = expectSameAll(M, "f");
   EXPECT_FALSE(T.Ok);
   EXPECT_EQ(T.Err, "trap: call stack exhausted [func 0]");
 }
@@ -417,7 +437,7 @@ TEST(ExecDiff, TrapAttributedToInnermostFunction) {
   M.Funcs.push_back({TI, {}, {WInst::idx(Op::Call, 1)}});
   M.Funcs.push_back({TI, {}, {WInst::mk(Op::Unreachable)}});
   M.Exports.push_back({"f", ExportKind::Func, 0});
-  auto [T, F] = expectSame(M, "f");
+  auto [T, F, J] = expectSameAll(M, "f");
   EXPECT_FALSE(T.Ok);
   EXPECT_EQ(T.Err, "trap: unreachable executed [func 1]");
 }
@@ -453,7 +473,7 @@ TEST(ExecDiff, MemoryOpsAllWidths) {
        WInst::i32c(24), WInst::mem(Op::I64Load, 3, 0),
        WInst::mk(Op::I64Add)});
   M.Memory = {{1, std::nullopt}};
-  auto [T, F] = expectSame(M, "f");
+  auto [T, F, J] = expectSameAll(M, "f");
   EXPECT_TRUE(T.Ok) << T.Err;
 }
 
@@ -463,7 +483,7 @@ TEST(ExecDiff, OutOfBoundsTrap) {
                         {WInst::i32c(static_cast<int32_t>(Addr)),
                          WInst::mem(Op::I32Load, 2, 0)});
     M.Memory = {{1, std::nullopt}};
-    auto [T, F] = expectSame(M, "f");
+    auto [T, F, J] = expectSameAll(M, "f");
     EXPECT_FALSE(T.Ok);
     EXPECT_EQ(T.Err, "trap: out-of-bounds memory access [func 0]");
   }
@@ -480,7 +500,7 @@ TEST(ExecDiff, MemoryGrowAndSize) {
        WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32Add),
        WInst::mk(Op::MemorySize), WInst::mk(Op::I32Add)});
   M.Memory = {{1, {4}}};
-  auto [T, F] = expectSame(M, "f");
+  auto [T, F, J] = expectSameAll(M, "f");
   EXPECT_TRUE(T.Ok) << T.Err;
   // old(1) + (-1) + size(3) = 3
   EXPECT_EQ(T.Results[0].asU32(), 3u);
@@ -503,7 +523,7 @@ TEST(ExecDiff, ArithmeticTraps) {
   };
   for (Case &C : Cases) {
     WModule M = oneFunc({{}, {ValType::I32}}, {}, C.Body);
-    auto [T, F] = expectSame(M, "f");
+    auto [T, F, J] = expectSameAll(M, "f");
     EXPECT_FALSE(T.Ok);
     EXPECT_EQ(T.Err, C.Msg);
   }
@@ -515,7 +535,7 @@ TEST(ExecDiff, TruncationTrap) {
                       {WInst::i64c(0x4270000000000000ll), // f64 2^40 bits
                        WInst::mk(Op::F64ReinterpretI64),
                        WInst::mk(Op::I32TruncF64S)});
-  auto [T, F] = expectSame(M, "f");
+  auto [T, F, J] = expectSameAll(M, "f");
   EXPECT_FALSE(T.Ok);
   EXPECT_EQ(T.Err, "trap: invalid conversion to integer [func 0]");
 }
@@ -530,7 +550,7 @@ TEST(ExecDiff, GlobalsAndSelect) {
   M.Globals.push_back({ValType::I64, false, {WInst::i64c(7)}});
   M.Globals.push_back({ValType::I64, true, {WInst::i64c(0)}});
   for (uint32_t Cond : {0u, 1u}) {
-    auto [T, F] = expectSame(M, "f", {WValue::i32(Cond)});
+    auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(Cond)});
     EXPECT_TRUE(T.Ok);
     EXPECT_EQ(T.Results[0].Bits, Cond ? 107u : 7u);
   }
@@ -1162,11 +1182,12 @@ TEST(ExecOneWalk, DeadCodeIsCheckedButNotEmitted) {
   ASSERT_FALSE(bool(T));
   EXPECT_EQ(T.error().message(), Msg);
 
-  // Valid tails emit nothing and raise no height. A block begun in dead
-  // code stays dead, even when a branch targets it or it is an if with
-  // an else arm.
-  const std::vector<uint32_t> TrapThenReturn = {
-      static_cast<uint32_t>(Op::Unreachable), exec::FReturn};
+  // Valid tails emit nothing and raise no height, and the unreachable
+  // end of the body needs no final return. A block begun in dead code
+  // stays dead, even when a branch targets it or it is an if with an
+  // else arm.
+  const std::vector<uint32_t> JustTheTrap = {
+      static_cast<uint32_t>(Op::Unreachable)};
   FuncType TwoI32{{}, {ValType::I32, ValType::I32}};
   for (std::vector<WInst> Tail :
        {std::vector<WInst>{WInst::i32c(5)},
@@ -1181,7 +1202,7 @@ TEST(ExecOneWalk, DeadCodeIsCheckedButNotEmitted) {
     WModule Good = oneFunc(I32Out, {}, std::move(Tail));
     Expected<exec::FlatModule> FM = exec::translate(Good);
     ASSERT_TRUE(bool(FM)) << FM.error().message();
-    EXPECT_EQ(FM->Funcs[0].Code, TrapThenReturn);
+    EXPECT_EQ(FM->Funcs[0].Code, JustTheTrap);
     EXPECT_EQ(FM->Funcs[0].MaxDepth, 0u);
   }
 }
@@ -1359,127 +1380,45 @@ TEST(ExecFlat, InvokeAfterReentryTrapStillWorks) {
 // assertion is gated on RW_JIT_ENABLED.
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-uint32_t compiledCountOf(const RunResult &R) {
-  return static_cast<exec::FlatInstance &>(*R.Inst).jitCompiledCount();
-}
-
-/// Runs \p Export on all three engine tiers and asserts observational
-/// equality — results, trap messages, final memory and globals — plus
-/// the stronger flat-vs-jit invariant that the *fuel accounting* is
-/// byte-identical (segment batching must charge exactly what the
-/// interpreter charges). Returns the three runs, tree first.
-std::array<RunResult, 3> expectSameAll(
-    const WModule &M, const std::string &Export,
-    std::vector<WValue> Args = {},
-    const std::function<void(Instance &)> &Bind = {}) {
-  EXPECT_TRUE(validate(M).ok()) << validate(M).error().message();
-  std::array<RunResult, 3> R;
-  for (int I = 0; I < 3; ++I)
-    R[I] = runOn(M, AllEngines[I], Export, Args, Bind);
-  for (int I = 1; I < 3; ++I) {
-    const char *Who = I == 1 ? "flat" : "jit";
-    EXPECT_EQ(R[0].Ok, R[I].Ok)
-        << Who << " — tree: " << R[0].Err << " / " << R[I].Err;
-    EXPECT_EQ(R[0].Err, R[I].Err) << Who;
-    EXPECT_EQ(R[0].Results.size(), R[I].Results.size()) << Who;
-    if (R[0].Results.size() == R[I].Results.size())
-      for (size_t J = 0; J < R[0].Results.size(); ++J) {
-        EXPECT_EQ(R[0].Results[J].T, R[I].Results[J].T)
-            << Who << " result " << J;
-        EXPECT_EQ(R[0].Results[J].Bits, R[I].Results[J].Bits)
-            << Who << " result " << J;
-      }
-    EXPECT_EQ(R[0].FinalMem, R[I].FinalMem) << Who;
-    EXPECT_EQ(R[0].FinalGlobals.size(), R[I].FinalGlobals.size()) << Who;
-    if (R[0].FinalGlobals.size() == R[I].FinalGlobals.size())
-      for (size_t J = 0; J < R[0].FinalGlobals.size(); ++J)
-        EXPECT_EQ(R[0].FinalGlobals[J].Bits, R[I].FinalGlobals[J].Bits)
-            << Who << " global " << J;
-  }
-  EXPECT_EQ(R[1].Inst->instrCount(), R[2].Inst->instrCount())
-      << "flat and jit disagree on fuel consumed";
-  return R;
-}
-
-} // namespace
-
 TEST(JitDiff, ControlFlowBattery) {
-  // Loop with accumulator locals (sum 1..100).
-  WModule Sum = oneFunc(
-      {{ValType::I32}, {ValType::I32}}, {ValType::I32, ValType::I32},
-      {WInst::block(
-           {{}, {}},
-           {WInst::loop(
-               {{}, {}},
-               {WInst::idx(Op::LocalGet, 1), WInst::i32c(1),
-                WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 1),
-                WInst::idx(Op::LocalGet, 2), WInst::mk(Op::I32Add),
-                WInst::idx(Op::LocalSet, 2), WInst::idx(Op::LocalGet, 1),
-                WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32LtS),
-                WInst::idx(Op::BrIf, 0)})}),
-       WInst::idx(Op::LocalGet, 2)});
-  auto R = expectSameAll(Sum, "f", {WValue::i32(100)});
+  // The ExecDiff control-flow cases run on the JIT too; here the loop is
+  // checked to run as native code.
+  auto R = expectSameAll(loopSum(), "f", {WValue::i32(100)});
   EXPECT_TRUE(R[2].Ok);
   EXPECT_EQ(R[2].Results[0].asU32(), 5050u);
-#if RW_JIT_ENABLED
-  EXPECT_EQ(compiledCountOf(R[2]), 1u);
-#else
-  EXPECT_EQ(compiledCountOf(R[2]), 0u);
-#endif
+  EXPECT_EQ(compiledCountOf(R[2]), RW_JIT_ENABLED ? 1u : 0u);
+}
 
-  // Value-carrying br with stack fix-up below the kept slot.
-  WModule Fixup = oneFunc(
-      {{}, {ValType::I32}}, {},
-      {WInst::block({{}, {ValType::I32}},
-                    {WInst::i32c(100), WInst::i32c(200), WInst::i32c(42),
-                     WInst::idx(Op::Br, 0)})});
-  expectSameAll(Fixup, "f");
-
-  // Multi-value if/else.
-  for (uint32_t Cond : {0u, 1u}) {
-    WModule If = oneFunc(
-        {{ValType::I32}, {ValType::I32}}, {},
-        {WInst::idx(Op::LocalGet, 0),
-         WInst::ifElse({{}, {ValType::I32, ValType::I32}},
-                       {WInst::i32c(10), WInst::i32c(20)},
-                       {WInst::i32c(1), WInst::i32c(2)}),
-         WInst::mk(Op::I32Add)});
-    expectSameAll(If, "f", {WValue::i32(Cond)});
-  }
-
-  // br_table dispatch across four arms, including the clamped default.
-  for (uint32_t Sel : {0u, 1u, 2u, 3u, 200u}) {
-    WModule Bt = oneFunc(
-        {{ValType::I32}, {ValType::I32}}, {ValType::I32},
-        {WInst::block(
-             {{}, {}},
-             {WInst::block(
-                  {{}, {}},
-                  {WInst::block(
-                       {{}, {}},
-                       {WInst::block({{}, {}},
-                                     {WInst::idx(Op::LocalGet, 0),
-                                      WInst::brTable({0, 1, 2}, 3)}),
-                        WInst::i32c(10), WInst::idx(Op::LocalSet, 1),
-                        WInst::idx(Op::Br, 2)}),
-                   WInst::i32c(20), WInst::idx(Op::LocalSet, 1),
-                   WInst::idx(Op::Br, 1)}),
-              WInst::i32c(30), WInst::idx(Op::LocalSet, 1)}),
-         WInst::idx(Op::LocalGet, 1)});
-    expectSameAll(Bt, "f", {WValue::i32(Sel)});
-  }
-
-  // Value-carrying br_table with operands below the kept slot.
-  for (uint32_t Sel : {0u, 5u}) {
-    WModule Btv = oneFunc(
-        {{ValType::I32}, {ValType::I32}}, {},
-        {WInst::block({{}, {ValType::I32}},
-                      {WInst::i32c(7), WInst::i32c(42),
-                       WInst::idx(Op::LocalGet, 0),
-                       WInst::brTable({0}, 0)})});
-    expectSameAll(Btv, "f", {WValue::i32(Sel)});
+TEST(JitDiff, BodiesEndingInDeadCodeCompile) {
+  // A body whose end no path reaches has no final return to compile:
+  // it ends in unreachable, in return, or in an if whose arms both
+  // leave. A body ending in br 0 does reach its end.
+  FuncType I32ToI32{{ValType::I32}, {ValType::I32}};
+  WInst Inc[] = {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
+                 WInst::mk(Op::I32Add)};
+  std::vector<std::vector<WInst>> Bodies = {
+      {Inc[0], Inc[1], Inc[2], WInst::mk(Op::Drop),
+       WInst::mk(Op::Unreachable)},
+      {Inc[0], Inc[1], Inc[2], WInst::mk(Op::Return)},
+      {Inc[0], Inc[1], Inc[2], WInst::idx(Op::Br, 0)},
+      {WInst::idx(Op::LocalGet, 0),
+       WInst::ifElse({{}, {ValType::I32}},
+                     {Inc[0], Inc[1], Inc[2], WInst::mk(Op::Return)},
+                     {WInst::mk(Op::Unreachable)})},
+  };
+  for (size_t I = 0; I < Bodies.size(); ++I) {
+    for (uint32_t Arg : {0u, 41u}) {
+      auto R = expectSameAll(oneFunc(I32ToI32, {}, Bodies[I]), "f",
+                             {WValue::i32(Arg)});
+      EXPECT_EQ(compiledCountOf(R[2]), RW_JIT_ENABLED ? 1u : 0u)
+          << "body " << I;
+      if (R[2].Ok) {
+        EXPECT_EQ(R[2].Results[0].asU32(), Arg + 1) << "body " << I;
+      } else {
+        EXPECT_EQ(R[2].Err, "trap: unreachable executed [func 0]")
+            << "body " << I;
+      }
+    }
   }
 }
 

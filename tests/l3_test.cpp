@@ -101,6 +101,26 @@ TEST(L3, SeqDiscardsOnlyUnrestricted) {
   EXPECT_NE(R.error().message().find("linear"), std::string::npos);
 }
 
+TEST(L3, OversizedIntegerLiteralIsALexError) {
+  // A literal past int64 is a diagnostic naming its line, not an
+  // exception.
+  auto R = l3::compileSource(
+      "l3", "export fun main (u : unit) : int =\n 99999999999999999999 ;;");
+  ASSERT_FALSE(bool(R));
+  EXPECT_EQ(R.error().message(),
+            "lex error at line 2: integer literal out of range");
+  EXPECT_TRUE(bool(l3::compileSource(
+      "l3", "export fun main (u : unit) : int = 9223372036854775807 ;;")));
+}
+
+TEST(L3, UnexpectedCharacterIsNamed) {
+  auto R = l3::compileSource(
+      "l3", "export fun main (u : unit) : int = 1 ;;\n'");
+  ASSERT_FALSE(bool(R));
+  EXPECT_EQ(R.error().message(),
+            "lex error at line 2: unexpected character '''");
+}
+
 TEST(L3, CompiledModulesPassRichWasmChecking) {
   Expected<ir::Module> M = l3::compileSource(
       "l3", "export fun main (u : unit) : int = "

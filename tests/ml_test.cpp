@@ -268,6 +268,26 @@ TEST(ML, TypeErrorsReported) {
       "m", "export fun main (u : unit) : int = 1 ;")));
 }
 
+TEST(ML, OversizedIntegerLiteralIsALexError) {
+  // A literal past int64 is a diagnostic naming its line, not an
+  // exception; the int64 extremes (the negative one as a literal) lex.
+  auto R = ml::compileSource(
+      "m", "export fun main (u : unit) : int =\n 99999999999999999999 ;;");
+  ASSERT_FALSE(bool(R));
+  EXPECT_EQ(R.error().message(),
+            "lex error at line 2: integer literal out of range");
+  auto Neg = ml::compileSource(
+      "m", "export fun main (u : unit) : int = (-9223372036854775809) ;;");
+  ASSERT_FALSE(bool(Neg));
+  EXPECT_EQ(Neg.error().message(),
+            "lex error at line 1: integer literal out of range");
+  for (const char *Lit : {"9223372036854775807", "(-9223372036854775808)"})
+    EXPECT_TRUE(bool(ml::compileSource(
+        "m", std::string("export fun main (u : unit) : int = ") + Lit +
+                 " ;;")))
+        << Lit;
+}
+
 TEST(ML, LinInsideAggregatesRejected) {
   EXPECT_FALSE(bool(ml::compileSource(
       "m", "export fun main (r : lin (ref int)) : int = "
