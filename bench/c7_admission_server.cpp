@@ -99,12 +99,26 @@ int main(int argc, char **argv) {
   // the request budget (wraparound would quietly turn colds into hots).
   unsigned OneShot = static_cast<unsigned>(Requests / 8 + Threads);
   ServerMix Mix(/*HotN=*/64, /*ColdN=*/OneShot, /*AdvN=*/OneShot);
-  cache::AdmissionCache Cache(64ull << 20, /*Shards=*/8);
-
   link::LinkOptions Opts;
-  Opts.Cache = &Cache;
   Opts.RunStart = false;
   ingest::Limits Lim;
+
+  // Room for 512 artifacts per shard by the cache's own estimate of one
+  // admitted ServerMix payload: the hot set stays resident while the
+  // one-shot colds overflow the budget, so the run measures eviction.
+  uint64_t ArtBytes = 0;
+  {
+    cache::AdmissionCache Probe;
+    Opts.Cache = &Probe;
+    if (!ingest::admit(Mix.HotBytes[0], Lim, Opts)) {
+      std::fprintf(stderr, "c7: a hot payload was rejected\n");
+      return 1;
+    }
+    ArtBytes = Probe.stats().Bytes;
+  }
+  constexpr unsigned Shards = 8;
+  cache::AdmissionCache Cache(Shards * 512 * ArtBytes, Shards);
+  Opts.Cache = &Cache;
 
   // Phase histograms before the run, so the span ledger below counts the
   // requests only (building the mix above serializes every payload).
@@ -331,10 +345,12 @@ int main(int argc, char **argv) {
                ", \"p99\": %" PRIu64 ", \"p999\": %" PRIu64 "},\n",
                HistP50, HistP99, HistP999);
   std::fprintf(Out,
-               "  \"cache\": {\"shards\": %u, \"hits\": %" PRIu64
+               "  \"cache\": {\"shards\": %u, \"byte_budget\": %" PRIu64
+               ", \"hits\": %" PRIu64
                ", \"misses\": %" PRIu64 ", \"evictions\": %" PRIu64
                ", \"bytes\": %" PRIu64 ", \"entries\": %" PRIu64 "},\n",
-               Cache.shardCount(), CS.ProgramHits, CS.ProgramMisses,
+               Cache.shardCount(), Cache.byteBudget(), CS.ProgramHits,
+               CS.ProgramMisses,
                CS.Evictions, CS.Bytes, CS.Entries);
   std::fprintf(Out,
                "  \"arena\": {\"nodes\": %" PRIu64 ", \"bytes\": %" PRIu64

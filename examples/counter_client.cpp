@@ -8,15 +8,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cache/AdmissionCache.h"
 #include "l3/L3.h"
 #include "link/Link.h"
-#include "lower/Lower.h"
 #include "ml/ML.h"
-#include "wasm/Interp.h"
-#include "wasm/Validate.h"
 
 #include <cstdio>
+#include <optional>
+#include <utility>
 
 using namespace rw;
 
@@ -45,36 +43,45 @@ static const char *Client =
     "export fun set_rate (n : int) : unit = rate := n ;;"
     "export fun total (u : unit) : int = finish !cell ;;";
 
+/// Prints the failed step and its error; the exit status is 1.
+static int fail(const std::string &Step, const Error &E) {
+  printf("%s error: %s\n", Step.c_str(), E.message().c_str());
+  return 1;
+}
+
+// The protocol the client runs: init, a tick at rate 1, then two ticks at
+// rate 5 (an argument-less export takes unit).
+static const std::pair<const char *, std::optional<uint32_t>> Protocol[] = {
+    {"init", {}}, {"tick", {}}, {"set_rate", 5}, {"tick", {}}, {"tick", {}}};
+
 int main() {
   Expected<ir::Module> Lib = l3::compileSource("lib", CounterLib);
-  if (!Lib) {
-    printf("L3 error: %s\n", Lib.error().message().c_str());
-    return 1;
-  }
+  if (!Lib)
+    return fail("L3", Lib.error());
   Expected<ir::Module> App = ml::compileSource("app", Client);
-  if (!App) {
-    printf("ML error: %s\n", App.error().message().c_str());
-    return 1;
-  }
+  if (!App)
+    return fail("ML", App.error());
 
   // Link: the RichWasm checker validates each module and every boundary.
   auto Mach = link::instantiate({&*Lib, &*App});
-  if (!Mach) {
-    printf("link error: %s\n", Mach.error().message().c_str());
-    return 1;
-  }
-  auto Call = [&](const char *Name,
-                  sem::Value Arg) -> Expected<std::vector<sem::Value>> {
-    return (*Mach)->invoke(1, *link::findExport(*App, Name), {}, {Arg});
+  if (!Mach)
+    return fail("link", Mach.error());
+  auto Call = [&](const char *Name, std::optional<uint32_t> Arg)
+      -> Expected<std::vector<sem::Value>> {
+    std::optional<uint32_t> F = link::findExport(*App, Name);
+    if (!F)
+      return Error(std::string("no export ") + Name);
+    return (*Mach)->invoke(1, *F, {},
+                           {Arg ? sem::Value::i32(*Arg) : sem::Value::unit()});
   };
 
   printf("== Fig 9 counter/client on the RichWasm machine ==\n");
-  (void)Call("init", sem::Value::unit());
-  (void)Call("tick", sem::Value::unit()); // +1
-  (void)Call("set_rate", sem::Value::i32(5));
-  (void)Call("tick", sem::Value::unit()); // +5
-  (void)Call("tick", sem::Value::unit()); // +5
-  auto Total = Call("total", sem::Value::unit());
+  for (const auto &[Name, Arg] : Protocol)
+    if (auto R = Call(Name, Arg); !R)
+      return fail(Name, R.error());
+  auto Total = Call("total", {});
+  if (!Total)
+    return fail("total", Total.error());
   printf("total after ticks at rates [1,5,5]: %llu (expected 11)\n",
          (unsigned long long)(*Total)[0].bits());
   printf("linear cells remaining: %zu (the emptied linref option)\n",
@@ -82,25 +89,24 @@ int main() {
   printf("linear frees performed: %llu\n",
          (unsigned long long)(*Mach)->store().Mem.FreeCountLin);
 
-  // The same program compiled to one Wasm module.
+  // The same program compiled to one Wasm module and instantiated on the
+  // default engine, as a server would.
   printf("\n== Same program lowered to WebAssembly ==\n");
-  auto Art = link::buildArtifact({&*Lib, &*App}, {});
-  if (!Art) {
-    printf("lowering error: %s\n", Art.error().message().c_str());
-    return 1;
+  auto LI = link::instantiateLowered({&*Lib, &*App});
+  if (!LI)
+    return fail("lowering", LI.error());
+  printf("engine: %s\n", wasm::engineKindName(LI->Instance->engine()));
+  for (const auto &[Name, Arg] : Protocol) {
+    std::vector<wasm::WValue> Args;
+    if (Arg)
+      Args.push_back(wasm::WValue::i32(*Arg));
+    if (auto R = LI->invokeExport(std::string("app.") + Name, Args); !R)
+      return fail(Name, R.error());
   }
-  const lower::LoweredProgram *LP = &(*Art)->Program;
-  Status V = wasm::validate(LP->Module);
-  printf("wasm validate: %s\n", V.ok() ? "OK" : V.error().message().c_str());
-  wasm::WasmInstance Inst(LP->Module);
-  (void)Inst.initialize();
-  (void)Inst.invokeByName("app.init", {});
-  (void)Inst.invokeByName("app.tick", {});
-  (void)Inst.invokeByName("app.set_rate", {wasm::WValue::i32(5)});
-  (void)Inst.invokeByName("app.tick", {});
-  (void)Inst.invokeByName("app.tick", {});
-  auto W = Inst.invokeByName("app.total", {});
+  auto W = LI->invokeExport("app.total", {});
+  if (!W)
+    return fail("total", W.error());
   printf("total: %u (expected 11); live heap cells: %u\n", (*W)[0].asU32(),
-         Inst.global(LP->Runtime.GLive).asU32());
+         LI->Instance->global(LI->Program->Runtime.GLive).asU32());
   return 0;
 }

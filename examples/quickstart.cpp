@@ -16,7 +16,6 @@
 #include "lower/Lower.h"
 #include "typing/Checker.h"
 #include "wasm/Binary.h"
-#include "wasm/Interp.h"
 #include "wasm/Validate.h"
 
 #include <cstdio>
@@ -24,6 +23,12 @@
 using namespace rw;
 using namespace rw::ir;
 using namespace rw::ir::build;
+
+/// Prints the failed step and its error; the exit status is 1.
+static int fail(const char *Step, const Error &E) {
+  printf("%s error: %s\n", Step, E.message().c_str());
+  return 1;
+}
 
 int main() {
   // A module with one exported function:
@@ -58,43 +63,42 @@ int main() {
 
   // 2. Run on the RichWasm small-step machine.
   auto Mach = link::instantiate({&M});
-  if (!Mach) {
-    printf("link error: %s\n", Mach.error().message().c_str());
-    return 1;
-  }
+  if (!Mach)
+    return fail("link", Mach.error());
   auto R = (*Mach)->invoke(0, 0, {}, {sem::Value::i32(14)});
+  if (!R)
+    return fail("machine", R.error());
   printf("machine: triple(14) = %llu  (steps: %llu, lin cells live: %zu)\n",
          (unsigned long long)(*R)[0].bits(),
          (unsigned long long)(*Mach)->stepCount(),
          (*Mach)->store().Mem.Lin.size());
 
-  // 3. Compile to WebAssembly, validate, encode to binary, run.
+  // 3. Compile to WebAssembly, validate, encode to binary, decode.
   auto Art = link::buildArtifact({&M}, {});
-  if (!Art) {
-    printf("lowering error: %s\n", Art.error().message().c_str());
-    return 1;
-  }
+  if (!Art)
+    return fail("lowering", Art.error());
   const lower::LoweredProgram *LP = &(*Art)->Program;
   Status V = wasm::validate(LP->Module);
   printf("wasm validate: %s\n", V.ok() ? "OK" : V.error().message().c_str());
   std::vector<uint8_t> Bytes = wasm::encode(LP->Module);
   printf("wasm binary: %zu bytes\n", Bytes.size());
-
   auto M2 = wasm::decode(Bytes);
-  wasm::WasmInstance Inst(*M2);
-  (void)Inst.initialize();
-  auto W = Inst.invokeByName("quickstart.triple", {wasm::WValue::i32(14)});
-  printf("wasm (tree): triple(14) = %u  (instructions executed: %llu)\n",
-         (*W)[0].asU32(), (unsigned long long)Inst.instrCount());
+  if (!M2)
+    return fail("decode", M2.error());
 
-  // 4. The same module on the flat-bytecode engine: identical embedder
-  //    surface, selected by EngineKind (or LinkOptions::Engine when
-  //    going through link::instantiateLowered).
-  auto Flat = wasm::createInstance(*M2, wasm::EngineKind::Flat);
-  (void)Flat->initialize();
-  auto WF = Flat->invokeByName("quickstart.triple", {wasm::WValue::i32(14)});
-  printf("wasm (%s): triple(14) = %u  (instructions executed: %llu)\n",
-         wasm::engineKindName(Flat->engine()), (*WF)[0].asU32(),
-         (unsigned long long)Flat->instrCount());
+  // 4. Run the binary on both execution engines behind one embedder
+  //    surface, selected by EngineKind (or LinkOptions::Engine when going
+  //    through link::instantiateLowered, which defaults to Flat).
+  for (wasm::EngineKind K : {wasm::EngineKind::Tree, wasm::EngineKind::Flat}) {
+    auto Inst = wasm::createInstance(*M2, K);
+    if (Status S = Inst->initialize(); !S)
+      return fail("instantiate", S.error());
+    auto W = Inst->invokeByName("quickstart.triple", {wasm::WValue::i32(14)});
+    if (!W)
+      return fail("wasm run", W.error());
+    printf("wasm (%s): triple(14) = %u  (instructions executed: %llu)\n",
+           wasm::engineKindName(K), (*W)[0].asU32(),
+           (unsigned long long)Inst->instrCount());
+  }
   return 0;
 }

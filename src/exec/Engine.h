@@ -115,12 +115,6 @@ private:
   }
 };
 
-/// Resets the per-function execution profile of \p I (all counters to
-/// zero, relaxed stores). Long-lived server instances call this so the
-/// counters describe recent behavior and tiering can re-trigger after a
-/// workload shift; compiled tiers are unaffected.
-inline void resetProfiles(wasm::Instance &I) { I.resetProfiles(); }
-
 /// An instantiated Wasm module executed as flat bytecode, optionally
 /// tiered up to native code (src/jit/) per function.
 class FlatInstance : public wasm::Instance {

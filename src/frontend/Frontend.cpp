@@ -13,8 +13,8 @@ using namespace rw::frontend;
 using namespace rw::ir;
 using namespace rw::ir::build;
 
-std::optional<int64_t> rw::frontend::parseInt(std::string_view Digits) {
-  int64_t V = 0;
+std::optional<int32_t> rw::frontend::parseInt(std::string_view Digits) {
+  int32_t V = 0;
   auto [End, Ec] =
       std::from_chars(Digits.data(), Digits.data() + Digits.size(), V);
   if (Ec != std::errc() || End != Digits.data() + Digits.size())

@@ -51,7 +51,7 @@ namespace rw::frontend {
 template <typename Kind> struct Token {
   Kind K = Kind::Eof;
   std::string Text; ///< The word of identifiers, keywords and sigil tokens.
-  int64_t Num = 0;  ///< The value of Int tokens.
+  int32_t Num = 0;  ///< The value of Int tokens.
   size_t Line = 1;
 };
 
@@ -73,8 +73,9 @@ template <typename Kind> struct Lexicon {
 };
 
 /// The value of the decimal literal \p Digits (an optional '-' then
-/// digits), or nothing when it does not fit in int64.
-std::optional<int64_t> parseInt(std::string_view Digits);
+/// digits), or nothing when it does not fit in int, the i32 of both
+/// languages.
+std::optional<int32_t> parseInt(std::string_view Digits);
 
 /// "lex error at line N: <What>".
 Error lexError(size_t Line, std::string_view What);
@@ -136,7 +137,7 @@ Expected<std::vector<Token<Kind>>> lex(const std::string &S,
         ++Pos;
       while (Pos < S.size() && IsDigit(S[Pos]))
         ++Pos;
-      std::optional<int64_t> N =
+      std::optional<int32_t> N =
           parseInt(std::string_view(S).substr(Start, Pos - Start));
       if (!N)
         return lexError(Line, "integer literal out of range");

@@ -835,42 +835,11 @@ RW_TYPE_KINDS(RW_TYPE_INTERN, RW_TYPE_INTERN)
 #undef RW_TYPE_INTERN
 template FunTypeRef TypeArena::intern<FunType>(FieldValues<FunType>);
 
-PretypeRef TypeArena::unit() { return internKeys<UnitPT>(); }
-PretypeRef TypeArena::num(NumType NT) { return internKeys<NumPT>(NT); }
-PretypeRef TypeArena::typeVar(uint32_t Idx) { return internKeys<VarPT>(Idx); }
-PretypeRef TypeArena::skolem(uint64_t Id, Qual QualLower, SizeRef SizeUpper,
-                             bool NoCaps) {
-  return internKeys<SkolemPT>(Id, QualLower, std::move(SizeUpper), NoCaps);
-}
-PretypeRef TypeArena::prod(std::vector<Type> Elems) {
-  return internKeys<ProdPT>(std::move(Elems));
-}
 PretypeRef TypeArena::prodSpan(const Type *Elems, size_t N) {
   return internKeys<ProdPT>(Span<Type>{Elems, N});
 }
 PretypeRef TypeArena::prodSpan(const TypeRef *Elems, size_t N) {
   return internKeys<ProdPT>(Span<TypeRef>{Elems, N});
-}
-PretypeRef TypeArena::ref(Privilege Priv, Loc L, HeapTypeRef HT) {
-  return internKeys<RefPT>(Priv, L, std::move(HT));
-}
-PretypeRef TypeArena::ptr(Loc L) { return internKeys<PtrPT>(L); }
-PretypeRef TypeArena::cap(Privilege Priv, Loc L, HeapTypeRef HT) {
-  return internKeys<CapPT>(Priv, L, std::move(HT));
-}
-PretypeRef TypeArena::own(Loc L) { return internKeys<OwnPT>(L); }
-PretypeRef TypeArena::rec(Qual Bound, Type Body) {
-  return internKeys<RecPT>(Bound, std::move(Body));
-}
-PretypeRef TypeArena::exLoc(Type Body) {
-  return internKeys<ExLocPT>(std::move(Body));
-}
-PretypeRef TypeArena::coderef(FunTypeRef FT) {
-  return internKeys<CoderefPT>(std::move(FT));
-}
-
-HeapTypeRef TypeArena::variant(std::vector<Type> Cases) {
-  return internKeys<VariantHT>(std::move(Cases));
 }
 HeapTypeRef TypeArena::variantSpan(const Type *Cases, size_t N) {
   return internKeys<VariantHT>(Span<Type>{Cases, N});
@@ -878,25 +847,12 @@ HeapTypeRef TypeArena::variantSpan(const Type *Cases, size_t N) {
 HeapTypeRef TypeArena::variantSpan(const TypeRef *Cases, size_t N) {
   return internKeys<VariantHT>(Span<TypeRef>{Cases, N});
 }
-HeapTypeRef TypeArena::structure(std::vector<StructField> Fields) {
-  return internKeys<StructHT>(std::move(Fields));
-}
 HeapTypeRef TypeArena::structureSpan(const StructField *Fields, size_t N) {
   return internKeys<StructHT>(Span<StructField>{Fields, N});
 }
 HeapTypeRef TypeArena::structureSpan(const StructFieldRef *Fields,
                                      size_t N) {
   return internKeys<StructHT>(Span<StructFieldRef>{Fields, N});
-}
-HeapTypeRef TypeArena::array(Type Elem) {
-  return internKeys<ArrayHT>(std::move(Elem));
-}
-HeapTypeRef TypeArena::ex(Qual QualLower, SizeRef SizeUpper, Type Body) {
-  return internKeys<ExHT>(QualLower, std::move(SizeUpper), std::move(Body));
-}
-
-FunTypeRef TypeArena::fun(std::vector<Quant> Quants, ArrowType Arrow) {
-  return internKeys<FunType>(std::move(Quants), std::move(Arrow));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1045,51 +1001,61 @@ SizeRef Size::plus(SizeRef L, SizeRef R) {
   return TypeArena::current().sizePlus(L, R);
 }
 
+// Each helper interns its node through the one recipe (intern<C>), in
+// the field order of `C::fields()`.
+
 FunTypeRef FunType::get(std::vector<Quant> Quants, ArrowType Arrow) {
-  return TypeArena::current().fun(std::move(Quants), std::move(Arrow));
+  return TypeArena::current().intern<FunType>(
+      {std::move(Quants), std::move(Arrow)});
 }
 
-PretypeRef rw::ir::unitPT() { return TypeArena::current().unit(); }
-PretypeRef rw::ir::numPT(NumType NT) { return TypeArena::current().num(NT); }
+PretypeRef rw::ir::unitPT() { return TypeArena::current().intern<UnitPT>({}); }
+PretypeRef rw::ir::numPT(NumType NT) {
+  return TypeArena::current().intern<NumPT>({NT});
+}
 PretypeRef rw::ir::varPT(uint32_t Idx) {
-  return TypeArena::current().typeVar(Idx);
+  return TypeArena::current().intern<VarPT>({Idx});
 }
 PretypeRef rw::ir::skolemPT(uint64_t Id, Qual QualLower, SizeRef SizeUpper,
                             bool NoCaps) {
-  return TypeArena::current().skolem(Id, QualLower, std::move(SizeUpper),
-                                     NoCaps);
+  return TypeArena::current().intern<SkolemPT>(
+      {Id, QualLower, std::move(SizeUpper), NoCaps});
 }
 PretypeRef rw::ir::prodPT(std::vector<Type> Elems) {
-  return TypeArena::current().prod(std::move(Elems));
+  return TypeArena::current().intern<ProdPT>({std::move(Elems)});
 }
 PretypeRef rw::ir::refPT(Privilege Priv, Loc L, HeapTypeRef HT) {
-  return TypeArena::current().ref(Priv, L, std::move(HT));
+  return TypeArena::current().intern<RefPT>({Priv, L, std::move(HT)});
 }
-PretypeRef rw::ir::ptrPT(Loc L) { return TypeArena::current().ptr(L); }
+PretypeRef rw::ir::ptrPT(Loc L) {
+  return TypeArena::current().intern<PtrPT>({L});
+}
 PretypeRef rw::ir::capPT(Privilege Priv, Loc L, HeapTypeRef HT) {
-  return TypeArena::current().cap(Priv, L, std::move(HT));
+  return TypeArena::current().intern<CapPT>({Priv, L, std::move(HT)});
 }
-PretypeRef rw::ir::ownPT(Loc L) { return TypeArena::current().own(L); }
+PretypeRef rw::ir::ownPT(Loc L) {
+  return TypeArena::current().intern<OwnPT>({L});
+}
 PretypeRef rw::ir::recPT(Qual Bound, Type Body) {
-  return TypeArena::current().rec(Bound, std::move(Body));
+  return TypeArena::current().intern<RecPT>({Bound, std::move(Body)});
 }
 PretypeRef rw::ir::exLocPT(Type Body) {
-  return TypeArena::current().exLoc(std::move(Body));
+  return TypeArena::current().intern<ExLocPT>({std::move(Body)});
 }
 PretypeRef rw::ir::coderefPT(FunTypeRef FT) {
-  return TypeArena::current().coderef(std::move(FT));
+  return TypeArena::current().intern<CoderefPT>({std::move(FT)});
 }
 
 HeapTypeRef rw::ir::variantHT(std::vector<Type> Cases) {
-  return TypeArena::current().variant(std::move(Cases));
+  return TypeArena::current().intern<VariantHT>({std::move(Cases)});
 }
 HeapTypeRef rw::ir::structHT(std::vector<StructField> Fields) {
-  return TypeArena::current().structure(std::move(Fields));
+  return TypeArena::current().intern<StructHT>({std::move(Fields)});
 }
 HeapTypeRef rw::ir::arrayHT(Type Elem) {
-  return TypeArena::current().array(std::move(Elem));
+  return TypeArena::current().intern<ArrayHT>({std::move(Elem)});
 }
 HeapTypeRef rw::ir::exHT(Qual QualLower, SizeRef SizeUpper, Type Body) {
-  return TypeArena::current().ex(QualLower, std::move(SizeUpper),
-                                 std::move(Body));
+  return TypeArena::current().intern<ExHT>(
+      {QualLower, std::move(SizeUpper), std::move(Body)});
 }

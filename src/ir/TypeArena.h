@@ -72,29 +72,9 @@ public:
   /// Interns the class-\p C node (a pretype or heap-type class, or
   /// FunType) with the given field values, in `C::fields()` order — the
   /// entry point of the structural walks (the serial reader and the
-  /// rewriter). The named factories below are shorthands for it.
+  /// rewriter) and of the free factory helpers (unitPT() ... exHT(),
+  /// FunType::get), which intern into current().
   template <class C> NodeRef<C> intern(FieldValues<C> Vals);
-
-  // Pretypes.
-  PretypeRef unit();
-  PretypeRef num(NumType NT);
-  PretypeRef typeVar(uint32_t Idx);
-  PretypeRef skolem(uint64_t Id, Qual QualLower, SizeRef SizeUpper,
-                    bool NoCaps);
-  PretypeRef prod(std::vector<Type> Elems);
-  PretypeRef ref(Privilege Priv, Loc L, HeapTypeRef HT);
-  PretypeRef ptr(Loc L);
-  PretypeRef cap(Privilege Priv, Loc L, HeapTypeRef HT);
-  PretypeRef own(Loc L);
-  PretypeRef rec(Qual Bound, Type Body);
-  PretypeRef exLoc(Type Body);
-  PretypeRef coderef(FunTypeRef FT);
-
-  // Heap types.
-  HeapTypeRef variant(std::vector<Type> Cases);
-  HeapTypeRef structure(std::vector<StructField> Fields);
-  HeapTypeRef array(Type Elem);
-  HeapTypeRef ex(Qual QualLower, SizeRef SizeUpper, Type Body);
 
   /// Span-probe variants: intern from a borrowed element range without
   /// materializing an argument vector. On a table hit (the steady-state
@@ -109,9 +89,6 @@ public:
   PretypeRef prodSpan(const TypeRef *Elems, size_t N);
   HeapTypeRef variantSpan(const TypeRef *Cases, size_t N);
   HeapTypeRef structureSpan(const StructFieldRef *Fields, size_t N);
-
-  // Function types.
-  FunTypeRef fun(std::vector<Quant> Quants, ArrowType Arrow);
 
   // Sizes (canonicalized to +-normal form).
   SizeRef sizeConst(uint64_t Bits);

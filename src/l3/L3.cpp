@@ -772,7 +772,7 @@ public:
 Status L3Cg::gen(const L3ExprRef &E, InstVec &O) {
   switch (E->K) {
   case ExKind::Int:
-    O.push_back(iconst(static_cast<int32_t>(E->IntVal)));
+    O.push_back(iconst(E->IntVal));
     return Status::success();
   case ExKind::Unit:
     pushUnit(O);

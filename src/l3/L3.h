@@ -95,7 +95,7 @@ using L3ExprRef = std::shared_ptr<L3Expr>;
 
 struct L3Expr {
   ExKind K;
-  int64_t IntVal = 0;
+  int32_t IntVal = 0;
   std::string Name, Name2;
   L3Op Op = L3Op::Add;
   std::vector<L3ExprRef> Kids;

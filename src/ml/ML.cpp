@@ -1494,7 +1494,7 @@ Status FunCg::genLam(const MLExprRef &E, InstVec &O) {
 Status FunCg::gen(const MLExprRef &E, InstVec &O) {
   switch (E->K) {
   case ExKind::Int:
-    O.push_back(iconst(static_cast<int32_t>(E->IntVal)));
+    O.push_back(iconst(E->IntVal));
     return Status::success();
   case ExKind::Unit:
     pushUnit(O);

@@ -115,7 +115,7 @@ using MLExprRef = std::shared_ptr<MLExpr>;
 
 struct MLExpr {
   ExKind K;
-  int64_t IntVal = 0;
+  int32_t IntVal = 0;
   std::string Name;        ///< Variable / binder name.
   std::string Name2;       ///< Second binder (case inr).
   MLTypeRef Ann;           ///< Type annotation (lam param, inl/inr).

@@ -1,17 +1,16 @@
-//===- tests/exec_test.cpp - Differential testing of the two engines ------===//
+//===- tests/exec_test.cpp - Differential testing of the engine tiers -----===//
 //
 // The flat-bytecode engine (exec/Engine.h) and its JIT tier must be
 // observationally identical to the tree-walking reference interpreter
-// (wasm/Interp.h): same results, same traps (same messages), same final
-// memory, and same GC-statistics globals; flat and JIT also consume the
-// same fuel. This suite sweeps
+// (wasm/Interp.h); tests/Oracle.h states what that means and checks it.
+// This suite sweeps
 //
 //   * handcrafted Wasm modules covering the control-flow re-encoding
 //     (blocks with results, loops, if/else, br_table, multi-value
 //     branches), calls (direct, indirect, host), memory, and every trap;
 //   * the lowered-pipeline workloads from bench/Common.h (loop,
-//     linear/unrestricted heap churn, the Counter/Client FFI protocol),
-//     including host-assisted GC parity;
+//     linear/unrestricted heap churn, the Counter/Client FFI protocol)
+//     on the machine and every tier, including host-assisted GC parity;
 //   * a deterministic fuzz-ish sweep of straight-line numeric functions
 //     over the whole operator alphabet, checksummed through a local;
 //   * an oracle running every numeric opcode over edge operands;
@@ -32,102 +31,26 @@
 #include "link/Link.h"
 #include "lower/Lower.h"
 #include "obs/Obs.h"
-#include "wasm/Interp.h"
 #include "support/NumericOps.h"
+#include "tests/Oracle.h"
 #include "wasm/Binary.h"
 #include "wasm/Validate.h"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 
 using namespace rw;
 using namespace rw::wasm;
+using namespace rwtest;
 
 namespace {
 
 constexpr EngineKind BothEngines[] = {EngineKind::Tree, EngineKind::Flat};
 constexpr EngineKind AllEngines[] = {EngineKind::Tree, EngineKind::Flat,
                                      EngineKind::Jit};
-
-/// Everything observable about one engine run.
-struct RunResult {
-  bool Ok = false;
-  std::string Err;
-  std::vector<WValue> Results;
-  std::vector<uint8_t> FinalMem;
-  std::vector<WValue> FinalGlobals;
-  std::unique_ptr<Instance> Inst; // Kept alive for follow-up (GC) checks.
-};
-
-RunResult runOn(const WModule &M, EngineKind K, const std::string &Export,
-                std::vector<WValue> Args,
-                const std::function<void(Instance &)> &Bind = {}) {
-  RunResult R;
-  R.Inst = createInstance(M, K);
-  if (Bind)
-    Bind(*R.Inst);
-  if (Status S = R.Inst->initialize(); !S) {
-    R.Err = S.error().message();
-    return R;
-  }
-  Expected<std::vector<WValue>> Out = R.Inst->invokeByName(Export, Args);
-  if (!Out) {
-    R.Err = Out.error().message();
-  } else {
-    R.Ok = true;
-    R.Results = *Out;
-  }
-  R.FinalMem = R.Inst->memory();
-  for (uint32_t I = 0; I < M.Globals.size(); ++I)
-    R.FinalGlobals.push_back(R.Inst->global(I));
-  return R;
-}
-
-uint32_t compiledCountOf(const RunResult &R) {
-  return static_cast<exec::FlatInstance &>(*R.Inst).jitCompiledCount();
-}
-
-/// Runs \p Export on all three engine tiers and asserts observational
-/// equality — results, trap messages, final memory and globals — plus
-/// the stronger flat-vs-jit invariant that the *fuel accounting* is
-/// byte-identical (segment batching must charge exactly what the
-/// interpreter charges). Returns the three runs, tree first.
-std::array<RunResult, 3> expectSameAll(
-    const WModule &M, const std::string &Export,
-    std::vector<WValue> Args = {},
-    const std::function<void(Instance &)> &Bind = {}) {
-  EXPECT_TRUE(validate(M).ok()) << validate(M).error().message();
-  std::array<RunResult, 3> R;
-  for (int I = 0; I < 3; ++I)
-    R[I] = runOn(M, AllEngines[I], Export, Args, Bind);
-  for (int I = 1; I < 3; ++I) {
-    const char *Who = I == 1 ? "flat" : "jit";
-    EXPECT_EQ(R[0].Ok, R[I].Ok)
-        << Who << " — tree: " << R[0].Err << " / " << R[I].Err;
-    EXPECT_EQ(R[0].Err, R[I].Err) << Who;
-    EXPECT_EQ(R[0].Results.size(), R[I].Results.size()) << Who;
-    if (R[0].Results.size() == R[I].Results.size())
-      for (size_t J = 0; J < R[0].Results.size(); ++J) {
-        EXPECT_EQ(R[0].Results[J].T, R[I].Results[J].T)
-            << Who << " result " << J;
-        EXPECT_EQ(R[0].Results[J].Bits, R[I].Results[J].Bits)
-            << Who << " result " << J;
-      }
-    EXPECT_EQ(R[0].FinalMem, R[I].FinalMem) << Who;
-    EXPECT_EQ(R[0].FinalGlobals.size(), R[I].FinalGlobals.size()) << Who;
-    if (R[0].FinalGlobals.size() == R[I].FinalGlobals.size())
-      for (size_t J = 0; J < R[0].FinalGlobals.size(); ++J)
-        EXPECT_EQ(R[0].FinalGlobals[J].Bits, R[I].FinalGlobals[J].Bits)
-            << Who << " global " << J;
-  }
-  EXPECT_EQ(R[1].Inst->instrCount(), R[2].Inst->instrCount())
-      << "flat and jit disagree on fuel consumed";
-  return R;
-}
 
 WModule oneFunc(FuncType FT, std::vector<ValType> Locals,
                 std::vector<WInst> Body) {
@@ -168,7 +91,7 @@ TEST(ExecDiff, BlockWithResultAndBr) {
       {WInst::block({{}, {ValType::I32}},
                     {WInst::i32c(7), WInst::idx(Op::Br, 0), WInst::i32c(999)}),
        WInst::i32c(1), WInst::mk(Op::I32Add)});
-  auto [T, F, J] = expectSameAll(M, "f");
+  auto T = everyTier(M, "f")[Tree];
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 8u);
 }
@@ -182,13 +105,13 @@ TEST(ExecDiff, BrWithStackFixup) {
                     {WInst::i32c(100), WInst::i32c(200), WInst::i32c(42),
                      WInst::idx(Op::Br, 0)}),
        });
-  auto [T, F, J] = expectSameAll(M, "f");
+  auto T = everyTier(M, "f")[Tree];
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 42u);
 }
 
 TEST(ExecDiff, LoopSum) {
-  auto [T, F, J] = expectSameAll(loopSum(), "f", {WValue::i32(100)});
+  auto T = everyTier(loopSum(), "f", {WValue::i32(100)})[Tree];
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 5050u);
 }
@@ -206,7 +129,7 @@ TEST(ExecDiff, LoopWithParams) {
                     WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 0),
                     WInst::i32c(10), WInst::mk(Op::I32LtS),
                     WInst::idx(Op::BrIf, 0)})});
-  auto [T, F, J] = expectSameAll(M, "f");
+  auto T = everyTier(M, "f")[Tree];
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 1024u);
 }
@@ -221,7 +144,7 @@ TEST(ExecDiff, IfElseMultiValue) {
                        {WInst::i32c(10), WInst::i32c(20)},
                        {WInst::i32c(1), WInst::i32c(2)}),
          WInst::mk(Op::I32Add)});
-    auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(Cond)});
+    auto T = everyTier(M, "f", {WValue::i32(Cond)})[Tree];
     EXPECT_TRUE(T.Ok);
     EXPECT_EQ(T.Results[0].asU32(), Cond ? 30u : 3u);
   }
@@ -236,7 +159,7 @@ TEST(ExecDiff, IfWithoutElse) {
                                      {}),
                        WInst::idx(Op::LocalGet, 1)});
   for (uint32_t Cond : {0u, 7u}) {
-    auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(Cond)});
+    auto T = everyTier(M, "f", {WValue::i32(Cond)})[Tree];
     EXPECT_TRUE(T.Ok);
     EXPECT_EQ(T.Results[0].asU32(), Cond ? 99u : 0u);
   }
@@ -264,7 +187,7 @@ TEST(ExecDiff, BrTableDispatch) {
                    WInst::idx(Op::Br, 1)}),
               WInst::i32c(30), WInst::idx(Op::LocalSet, 1)}),
          WInst::idx(Op::LocalGet, 1)});
-    auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(Sel)});
+    auto T = everyTier(M, "f", {WValue::i32(Sel)})[Tree];
     EXPECT_TRUE(T.Ok);
     // Default (depth 3) exits past every local.set, leaving 0.
     uint32_t Want = Sel == 0 ? 10 : Sel == 1 ? 20 : Sel == 2 ? 30 : 0;
@@ -282,7 +205,7 @@ TEST(ExecDiff, BrTableCarriesValue) {
                       {WInst::i32c(7), WInst::i32c(42),
                        WInst::idx(Op::LocalGet, 0),
                        WInst::brTable({0}, 0)})});
-    auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(Sel)});
+    auto T = everyTier(M, "f", {WValue::i32(Sel)})[Tree];
     EXPECT_TRUE(T.Ok);
     EXPECT_EQ(T.Results[0].asU32(), 42u) << "selector " << Sel;
   }
@@ -297,7 +220,7 @@ TEST(ExecDiff, DeadCodeAfterBranchIsSkipped) {
                      // Dead: a whole nested structure.
                      WInst::block({{}, {}}, {WInst::mk(Op::Unreachable)}),
                      WInst::i32c(1), WInst::mk(Op::I32Add)})});
-  auto [T, F, J] = expectSameAll(M, "f");
+  auto T = everyTier(M, "f")[Tree];
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 5u);
 }
@@ -321,7 +244,7 @@ TEST(ExecDiff, DirectCallsAndRecursion) {
                        WInst::mk(Op::I32Sub), WInst::idx(Op::Call, 0),
                        WInst::mk(Op::I32Add)})}});
   M.Exports.push_back({"f", ExportKind::Func, 0});
-  auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(15)});
+  auto T = everyTier(M, "f", {WValue::i32(15)})[Tree];
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 610u);
 }
@@ -365,8 +288,8 @@ TEST(ExecDiff, CallIndirect) {
       {9, true, 0},  // out of bounds
   };
   for (const Case &C : Cases) {
-    auto [T, F, J] = expectSameAll(
-        M, "f", {WValue::i32(C.Sel), WValue::i32(3), WValue::i32(6)});
+    auto T = everyTier(
+        M, "f", {WValue::i32(C.Sel), WValue::i32(3), WValue::i32(6)})[Tree];
     EXPECT_EQ(T.Ok, !C.Traps) << "selector " << C.Sel << ": " << T.Err;
     if (!C.Traps)
       EXPECT_EQ(T.Results[0].asU32(), C.Want);
@@ -394,7 +317,7 @@ TEST(ExecDiff, HostCallsThroughImports) {
                          WValue::i32(Args[0].asU32() * 3)};
                    });
   };
-  auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(5)}, Bind);
+  auto T = everyTier(M, "f", {WValue::i32(5)}, Bind)[Tree];
   EXPECT_TRUE(T.Ok);
   EXPECT_EQ(T.Results[0].asU32(), 16u);
   EXPECT_EQ(T.Inst->load32(64), 5u);
@@ -413,7 +336,7 @@ TEST(ExecDiff, HostTrapPropagates) {
                      return Error("host exploded");
                    });
   };
-  auto [T, F, J] = expectSameAll(M, "f", {}, Bind);
+  auto T = everyTier(M, "f", {}, Bind)[Tree];
   EXPECT_FALSE(T.Ok);
   EXPECT_EQ(T.Err, "trap: host exploded [func 0]");
 }
@@ -424,7 +347,7 @@ TEST(ExecDiff, CallStackExhaustion) {
   uint32_t TI = M.addType({{}, {}});
   M.Funcs.push_back({TI, {}, {WInst::idx(Op::Call, 0)}});
   M.Exports.push_back({"f", ExportKind::Func, 0});
-  auto [T, F, J] = expectSameAll(M, "f");
+  auto T = everyTier(M, "f")[Tree];
   EXPECT_FALSE(T.Ok);
   EXPECT_EQ(T.Err, "trap: call stack exhausted [func 0]");
 }
@@ -437,7 +360,7 @@ TEST(ExecDiff, TrapAttributedToInnermostFunction) {
   M.Funcs.push_back({TI, {}, {WInst::idx(Op::Call, 1)}});
   M.Funcs.push_back({TI, {}, {WInst::mk(Op::Unreachable)}});
   M.Exports.push_back({"f", ExportKind::Func, 0});
-  auto [T, F, J] = expectSameAll(M, "f");
+  auto T = everyTier(M, "f")[Tree];
   EXPECT_FALSE(T.Ok);
   EXPECT_EQ(T.Err, "trap: unreachable executed [func 1]");
 }
@@ -473,7 +396,7 @@ TEST(ExecDiff, MemoryOpsAllWidths) {
        WInst::i32c(24), WInst::mem(Op::I64Load, 3, 0),
        WInst::mk(Op::I64Add)});
   M.Memory = {{1, std::nullopt}};
-  auto [T, F, J] = expectSameAll(M, "f");
+  auto T = everyTier(M, "f")[Tree];
   EXPECT_TRUE(T.Ok) << T.Err;
 }
 
@@ -483,7 +406,7 @@ TEST(ExecDiff, OutOfBoundsTrap) {
                         {WInst::i32c(static_cast<int32_t>(Addr)),
                          WInst::mem(Op::I32Load, 2, 0)});
     M.Memory = {{1, std::nullopt}};
-    auto [T, F, J] = expectSameAll(M, "f");
+    auto T = everyTier(M, "f")[Tree];
     EXPECT_FALSE(T.Ok);
     EXPECT_EQ(T.Err, "trap: out-of-bounds memory access [func 0]");
   }
@@ -500,7 +423,7 @@ TEST(ExecDiff, MemoryGrowAndSize) {
        WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32Add),
        WInst::mk(Op::MemorySize), WInst::mk(Op::I32Add)});
   M.Memory = {{1, {4}}};
-  auto [T, F, J] = expectSameAll(M, "f");
+  auto T = everyTier(M, "f")[Tree];
   EXPECT_TRUE(T.Ok) << T.Err;
   // old(1) + (-1) + size(3) = 3
   EXPECT_EQ(T.Results[0].asU32(), 3u);
@@ -523,7 +446,7 @@ TEST(ExecDiff, ArithmeticTraps) {
   };
   for (Case &C : Cases) {
     WModule M = oneFunc({{}, {ValType::I32}}, {}, C.Body);
-    auto [T, F, J] = expectSameAll(M, "f");
+    auto T = everyTier(M, "f")[Tree];
     EXPECT_FALSE(T.Ok);
     EXPECT_EQ(T.Err, C.Msg);
   }
@@ -535,7 +458,7 @@ TEST(ExecDiff, TruncationTrap) {
                       {WInst::i64c(0x4270000000000000ll), // f64 2^40 bits
                        WInst::mk(Op::F64ReinterpretI64),
                        WInst::mk(Op::I32TruncF64S)});
-  auto [T, F, J] = expectSameAll(M, "f");
+  auto T = everyTier(M, "f")[Tree];
   EXPECT_FALSE(T.Ok);
   EXPECT_EQ(T.Err, "trap: invalid conversion to integer [func 0]");
 }
@@ -550,117 +473,59 @@ TEST(ExecDiff, GlobalsAndSelect) {
   M.Globals.push_back({ValType::I64, false, {WInst::i64c(7)}});
   M.Globals.push_back({ValType::I64, true, {WInst::i64c(0)}});
   for (uint32_t Cond : {0u, 1u}) {
-    auto [T, F, J] = expectSameAll(M, "f", {WValue::i32(Cond)});
+    auto T = everyTier(M, "f", {WValue::i32(Cond)})[Tree];
     EXPECT_TRUE(T.Ok);
     EXPECT_EQ(T.Results[0].Bits, Cond ? 107u : 7u);
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Lowered-pipeline workloads (bench/Common.h) on both engines
+// Lowered-pipeline workloads (bench/Common.h) on the machine and every tier
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Lowers a program and runs "module.main" on both engines, asserting
-/// identical results, memory, and runtime/GC globals. Returns the
-/// lowered program and both instances for GC follow-ups.
-struct LoweredBoth {
-  link::LoweredInstance Tree, Flat;
-};
-
-LoweredBoth runLoweredBoth(const std::vector<const ir::Module *> &Mods,
-                           const std::string &Export) {
-  LoweredBoth B;
-  for (EngineKind K : BothEngines) {
-    link::LinkOptions Opts;
-    Opts.Engine = K;
-    auto LI = link::instantiateLowered(Mods, Opts);
-    EXPECT_TRUE(bool(LI)) << engineKindName(K) << ": "
-                          << LI.error().message();
-    if (!LI)
-      return B;
-    (K == EngineKind::Tree ? B.Tree : B.Flat) = std::move(*LI);
-  }
-  auto RT = B.Tree.invokeExport(Export, {});
-  auto RF = B.Flat.invokeExport(Export, {});
-  EXPECT_EQ(bool(RT), bool(RF));
-  if (RT && RF) {
-    EXPECT_EQ(RT->size(), RF->size());
-    if (RT->size() == RF->size())
-      for (size_t I = 0; I < RT->size(); ++I)
-        EXPECT_EQ((*RT)[I].Bits, (*RF)[I].Bits);
-  } else if (!RT && !RF) {
-    EXPECT_EQ(RT.error().message(), RF.error().message());
-  }
-  EXPECT_EQ(B.Tree.Instance->memory(), B.Flat.Instance->memory());
-  const wasm::WModule &WM = B.Tree.Program->Module;
-  for (uint32_t I = 0; I < WM.Globals.size(); ++I)
-    EXPECT_EQ(B.Tree.Instance->global(I).Bits,
-              B.Flat.Instance->global(I).Bits)
-        << "lowered global " << I;
-  return B;
-}
-
-} // namespace
 
 TEST(ExecLowered, LoopWorkload) {
   ir::Module M = rwbench::loopModule(500);
-  runLoweredBoth({&M}, "loopmod.main");
+  Oracle O({&M});
+  ASSERT_TRUE(O.ready());
+  // The second run starts native on the threshold tier:
+  // LinkOptions::JitThreshold drives the tier-up policy from the link layer.
+  for (int K = 0; K < 2; ++K)
+    EXPECT_TRUE(O.run("loopmod.main").Ok);
+#if RW_JIT_ENABLED
+  EXPECT_GT(jitCompiledCount(O.lowered().instance(JitThreshold)), 0u);
+#endif
 }
 
-TEST(ExecLowered, LinearHeapChurn) {
-  ir::Module M = rwbench::allocModule(300, /*Linear=*/true);
-  runLoweredBoth({&M}, "allocmod.main");
-}
-
-TEST(ExecLowered, UnrestrictedChurnAndHostGc) {
-  ir::Module M = rwbench::allocModule(200, /*Linear=*/false);
-  LoweredBoth B = runLoweredBoth({&M}, "allocmod.main");
-  ASSERT_TRUE(B.Tree.Instance && B.Flat.Instance);
-  // The host-assisted collector must behave identically against either
-  // engine: same mark/sweep statistics, same final heap bytes, same
-  // runtime counters.
-  lower::HostGc GcT(*B.Tree.Instance, B.Tree.Program->Runtime,
-                    B.Tree.Program->RefGlobals);
-  lower::HostGc GcF(*B.Flat.Instance, B.Flat.Program->Runtime,
-                    B.Flat.Program->RefGlobals);
-  lower::HostGc::Stats ST = GcT.collect();
-  lower::HostGc::Stats SF = GcF.collect();
-  EXPECT_EQ(ST.Marked, SF.Marked);
-  EXPECT_EQ(ST.Swept, SF.Swept);
-  EXPECT_EQ(ST.BytesReclaimed, SF.BytesReclaimed);
-  EXPECT_GT(SF.Swept, 0u);
-  EXPECT_EQ(B.Tree.Instance->memory(), B.Flat.Instance->memory());
-  const lower::RuntimeLayout &L = B.Tree.Program->Runtime;
-  for (uint32_t G : {L.GFree, L.GBump, L.GLive, L.GAllocs, L.GFrees})
-    EXPECT_EQ(B.Tree.Instance->global(G).Bits,
-              B.Flat.Instance->global(G).Bits);
+TEST(ExecLowered, HeapChurnAndHostGc) {
+  // Linear churn frees every cell; unrestricted churn leaves garbage the
+  // host-assisted collector reclaims, with the same statistics, heap
+  // bytes and runtime counters on every tier (mark and sweep run as
+  // native code on the JIT).
+  for (bool Linear : {true, false}) {
+    ir::Module M = rwbench::allocModule(Linear ? 300 : 200, Linear);
+    Oracle O({&M});
+    ASSERT_TRUE(O.ready());
+    EXPECT_TRUE(O.run("allocmod.main").Ok);
+#if RW_JIT_ENABLED
+    // Every function native: a silent mass refusal must not pass.
+    EXPECT_EQ(jitCompiledCount(O.lowered().instance(JitEager)),
+              O.program().Module.Funcs.size());
+#endif
+    Oracle::Gc G = O.collect();
+    EXPECT_EQ(G.Stats.Swept > 0, !Linear);
+    EXPECT_EQ(G.Live, 0u);
+  }
 }
 
 TEST(ExecLowered, WideModuleEveryFunction) {
   ir::Module M = rwbench::wideModule(20);
   auto Art = link::buildArtifact({&M}, {});
   ASSERT_TRUE(bool(Art)) << Art.error().message();
-  const lower::LoweredProgram *LP = &(*Art)->Program;
-  auto TI = createInstance(LP->Module, EngineKind::Tree);
-  auto FI = createInstance(LP->Module, EngineKind::Flat);
-  ASSERT_TRUE(TI->initialize().ok());
-  ASSERT_TRUE(FI->initialize().ok());
-  for (const WExport &E : LP->Module.Exports) {
-    const std::string &Name = E.Name;
-    for (uint32_t Arg : {0u, 13u}) {
-      auto RT = TI->invoke(E.Idx, {WValue::i32(Arg)});
-      auto RF = FI->invoke(E.Idx, {WValue::i32(Arg)});
-      ASSERT_EQ(bool(RT), bool(RF)) << Name;
-      if (RT) {
-        ASSERT_EQ(RT->size(), RF->size());
-        for (size_t I = 0; I < RT->size(); ++I)
-          EXPECT_EQ((*RT)[I].Bits, (*RF)[I].Bits) << Name;
-      }
-    }
-  }
-  EXPECT_EQ(TI->memory(), FI->memory());
+  WasmOracle O((*Art)->Program.Module);
+  ASSERT_TRUE(O.ready());
+  for (const WExport &E : (*Art)->Program.Module.Exports)
+    for (uint32_t Arg : {0u, 13u})
+      O.run(E.Name, {WValue::i32(Arg)});
 }
 
 TEST(ExecLowered, CounterClientProtocol) {
@@ -670,28 +535,14 @@ TEST(ExecLowered, CounterClientProtocol) {
   auto App = ml::compileSource("app", rwbench::CounterClientML);
   ASSERT_TRUE(bool(Lib)) << Lib.error().message();
   ASSERT_TRUE(bool(App)) << App.error().message();
-
-  link::LinkOptions TreeOpts, FlatOpts;
-  TreeOpts.Engine = EngineKind::Tree;
-  auto LT = link::instantiateLowered({&*Lib, &*App}, TreeOpts);
-  auto LF = link::instantiateLowered({&*Lib, &*App}, FlatOpts);
-  ASSERT_TRUE(bool(LT)) << LT.error().message();
-  ASSERT_TRUE(bool(LF)) << LF.error().message();
-  EXPECT_EQ(LT->Instance->engine(), EngineKind::Tree);
-  EXPECT_EQ(LF->Instance->engine(), EngineKind::Flat);
-  for (link::LoweredInstance *LI : {&*LT, &*LF}) {
-    ASSERT_TRUE(bool(LI->invokeExport("app.init", {})));
-    ASSERT_TRUE(bool(LI->invokeExport("app.set_rate", {WValue::i32(3)})));
-    for (int I = 0; I < 5; ++I)
-      ASSERT_TRUE(bool(LI->invokeExport("app.tick", {})));
-  }
-  auto TT = LT->invokeExport("app.total", {});
-  auto TF = LF->invokeExport("app.total", {});
-  ASSERT_TRUE(bool(TT)) << TT.error().message();
-  ASSERT_TRUE(bool(TF)) << TF.error().message();
-  EXPECT_EQ((*TT)[0].Bits, (*TF)[0].Bits);
-  EXPECT_EQ((*TT)[0].asU32(), 15u);
-  EXPECT_EQ(LT->Instance->memory(), LF->Instance->memory());
+  Oracle O({&*Lib, &*App});
+  ASSERT_TRUE(O.ready());
+  const sem::Value Unit = sem::Value::unit();
+  ASSERT_TRUE(O.run("app.init", {Unit}).Ok);
+  ASSERT_TRUE(O.run("app.set_rate", {sem::Value::i32(3)}).Ok);
+  for (int I = 0; I < 5; ++I)
+    ASSERT_TRUE(O.run("app.tick", {Unit}).Ok);
+  EXPECT_EQ(O.run("app.total", {Unit}).bits(), 15u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -884,31 +735,19 @@ WModule fuzzModule(uint64_t Seed, unsigned Steps) {
 } // namespace
 
 TEST(ExecFuzz, StraightLineNumericSweep) {
-  // Tree, flat and eager JIT over the fuzz alphabet: every inlined ALU
-  // template, every helper-dispatched conversion, every trap edge.
+  // Every tier over the fuzz alphabet: every inlined ALU template, every
+  // helper-dispatched conversion, every trap edge.
   unsigned Agree = 0, Trapped = 0;
   for (uint64_t Seed = 1; Seed <= 150; ++Seed) {
     WModule M = fuzzModule(Seed, 60);
     ASSERT_TRUE(validate(M).ok())
         << "seed " << Seed << ": " << validate(M).error().message();
     for (uint32_t Arg : {0u, 0xdeadbeefu}) {
-      RunResult R[3];
-      for (int I = 0; I < 3; ++I)
-        R[I] = runOn(M, AllEngines[I], "f", {WValue::i32(Arg)});
-      for (int I = 1; I < 3; ++I) {
-        const char *Who = engineKindName(AllEngines[I]);
-        ASSERT_EQ(R[0].Ok, R[I].Ok) << "seed " << Seed << " arg " << Arg
-                                    << " tree: " << R[0].Err << " " << Who
-                                    << ": " << R[I].Err;
-        ASSERT_EQ(R[0].Err, R[I].Err) << "seed " << Seed << " " << Who;
-        if (R[0].Ok) {
-          ASSERT_EQ(R[0].Results[0].Bits, R[I].Results[0].Bits)
-              << "seed " << Seed << " arg " << Arg << " " << Who;
-        }
-      }
-      ASSERT_EQ(R[1].Inst->instrCount(), R[2].Inst->instrCount())
-          << "seed " << Seed << " arg " << Arg;
-      ++(R[0].Ok ? Agree : Trapped);
+      SCOPED_TRACE("seed " + std::to_string(Seed) + " arg " +
+                   std::to_string(Arg));
+      TierRun T = everyTier(M, "f", {WValue::i32(Arg)})[Tree];
+      ASSERT_FALSE(HasFailure());
+      ++(T.Ok ? Agree : Trapped);
     }
     if (Seed == 100) { // The floors the jit-only sweep held over 100 seeds.
       EXPECT_GT(Agree, 30u);
@@ -925,8 +764,8 @@ TEST(ExecOracle, EveryNumericOpcodeOverEdgeOperands) {
   // (0x45..0xbf), over every operand tuple drawn from the edge values of
   // its input types: zero, +-1, the signed and unsigned extremes, 2^31 and
   // 2^63, signed zeros, infinities, NaN, and floats just inside and just
-  // past each truncation limit. Tree, flat and eager JIT must agree on results and
-  // trap bytes, and flat and JIT on instructions executed.
+  // past each truncation limit. Every tier must agree on results and trap
+  // bytes, and all but Tree on instructions executed.
   auto F32 = [](float V) { return num::f32ToBits(V); };
   auto F64 = [](double V) { return num::f64ToBits(V); };
   const float Inf32 = std::numeric_limits<float>::infinity();
@@ -977,14 +816,10 @@ TEST(ExecOracle, EveryNumericOpcodeOverEdgeOperands) {
     Body.push_back(WInst::mk(K));
     WModule M = oneFunc(Sig, {}, std::move(Body));
     ASSERT_TRUE(validate(M).ok()) << "opcode " << Code;
-    std::unique_ptr<Instance> In[3];
-    for (int E = 0; E < 3; ++E) {
-      In[E] = createInstance(M, AllEngines[E]);
-      ASSERT_TRUE(In[E]->initialize().ok());
-    }
+    WasmOracle O(M);
+    ASSERT_TRUE(O.ready()) << "opcode " << Code;
 #if RW_JIT_ENABLED
-    ASSERT_EQ(static_cast<exec::FlatInstance &>(*In[2]).jitCompiledCount(),
-              1u)
+    ASSERT_EQ(jitCompiledCount(O.instance(JitEager)), 1u)
         << "opcode " << Code << " refused by the native tier";
 #endif
     ++Ops;
@@ -998,31 +833,13 @@ TEST(ExecOracle, EveryNumericOpcodeOverEdgeOperands) {
         std::vector<WValue> Args = {{Sig.Params[0], A}};
         if (Sig.Params.size() == 2)
           Args.push_back({Sig.Params[1], B});
-        Expected<std::vector<WValue>> R[3] = {
-            Error(""), Error(""), Error("")};
-        uint64_t Count[3];
-        for (int E = 0; E < 3; ++E) {
-          uint64_t Before = In[E]->instrCount();
-          R[E] = In[E]->invoke(0, Args);
-          Count[E] = In[E]->instrCount() - Before;
-        }
+        SCOPED_TRACE("opcode " + std::to_string(Code) + " a=" +
+                     std::to_string(A) + " b=" + std::to_string(B));
+        std::vector<TierRun> R = O.run("f", Args);
+        ASSERT_FALSE(HasFailure());
         ++Runs;
-        for (int E = 1; E < 3; ++E) {
-          const char *Who = engineKindName(AllEngines[E]);
-          ASSERT_EQ(bool(R[0]), bool(R[E]))
-              << "opcode " << Code << " " << Who << " a=" << A << " b=" << B;
-          if (R[0]) {
-            ASSERT_EQ((*R[0])[0].Bits, (*R[E])[0].Bits)
-                << "opcode " << Code << " " << Who << " a=" << A
-                << " b=" << B;
-          } else {
-            ASSERT_EQ(R[0].error().message(), R[E].error().message())
-                << "opcode " << Code << " " << Who;
-          }
-        }
-        ASSERT_EQ(Count[1], Count[2]) << "opcode " << Code;
-        if (!R[0]) {
-          const std::string &Msg = R[0].error().message();
+        if (!R[Tree].Ok) {
+          const std::string &Msg = R[Tree].Err;
           DivTraps += Msg == "trap: integer divide error [func 0]";
           ConvTraps += Msg == "trap: invalid conversion to integer [func 0]";
         }
@@ -1263,6 +1080,7 @@ TEST(ExecFlat, ImportInvokeResultArityMatchesTree) {
   WModule M;
   uint32_t TI = M.addType({{}, {ValType::I32}});
   M.ImportFuncs.push_back({"env", "chatty", TI});
+  M.Exports.push_back({"f", ExportKind::Func, 0});
   auto Bind = [](Instance &I) {
     I.registerHost("env", "chatty",
                    [](Instance &, const std::vector<WValue> &)
@@ -1271,18 +1089,10 @@ TEST(ExecFlat, ImportInvokeResultArityMatchesTree) {
                                                 WValue::i32(42)};
                    });
   };
-  std::vector<std::vector<WValue>> Out;
-  for (EngineKind K : BothEngines) {
-    auto I = createInstance(M, K);
-    Bind(*I);
-    ASSERT_TRUE(I->initialize().ok());
-    auto R = I->invoke(0, {});
-    ASSERT_TRUE(bool(R)) << engineKindName(K);
-    Out.push_back(*R);
-  }
-  ASSERT_EQ(Out[0].size(), Out[1].size());
-  EXPECT_EQ(Out[0][0].Bits, Out[1][0].Bits);
-  EXPECT_EQ(Out[1][0].asU32(), 42u);
+  TierRun T = everyTier(M, "f", {}, Bind)[Tree];
+  ASSERT_TRUE(T.Ok) << T.Err;
+  ASSERT_EQ(T.Results.size(), 1u);
+  EXPECT_EQ(T.Results[0].asU32(), 42u);
 }
 
 TEST(ExecFlat, RunStartFalseStillBuildsInstanceState) {
@@ -1383,10 +1193,10 @@ TEST(ExecFlat, InvokeAfterReentryTrapStillWorks) {
 TEST(JitDiff, ControlFlowBattery) {
   // The ExecDiff control-flow cases run on the JIT too; here the loop is
   // checked to run as native code.
-  auto R = expectSameAll(loopSum(), "f", {WValue::i32(100)});
-  EXPECT_TRUE(R[2].Ok);
-  EXPECT_EQ(R[2].Results[0].asU32(), 5050u);
-  EXPECT_EQ(compiledCountOf(R[2]), RW_JIT_ENABLED ? 1u : 0u);
+  auto R = everyTier(loopSum(), "f", {WValue::i32(100)});
+  EXPECT_TRUE(R[JitEager].Ok);
+  EXPECT_EQ(R[JitEager].Results[0].asU32(), 5050u);
+  EXPECT_EQ(jitCompiledCount(*R[JitEager].Inst), RW_JIT_ENABLED ? 1u : 0u);
 }
 
 TEST(JitDiff, BodiesEndingInDeadCodeCompile) {
@@ -1408,14 +1218,14 @@ TEST(JitDiff, BodiesEndingInDeadCodeCompile) {
   };
   for (size_t I = 0; I < Bodies.size(); ++I) {
     for (uint32_t Arg : {0u, 41u}) {
-      auto R = expectSameAll(oneFunc(I32ToI32, {}, Bodies[I]), "f",
+      auto R = everyTier(oneFunc(I32ToI32, {}, Bodies[I]), "f",
                              {WValue::i32(Arg)});
-      EXPECT_EQ(compiledCountOf(R[2]), RW_JIT_ENABLED ? 1u : 0u)
+      EXPECT_EQ(jitCompiledCount(*R[JitEager].Inst), RW_JIT_ENABLED ? 1u : 0u)
           << "body " << I;
-      if (R[2].Ok) {
-        EXPECT_EQ(R[2].Results[0].asU32(), Arg + 1) << "body " << I;
+      if (R[JitEager].Ok) {
+        EXPECT_EQ(R[JitEager].Results[0].asU32(), Arg + 1) << "body " << I;
       } else {
-        EXPECT_EQ(R[2].Err, "trap: unreachable executed [func 0]")
+        EXPECT_EQ(R[JitEager].Err, "trap: unreachable executed [func 0]")
             << "body " << I;
       }
     }
@@ -1437,9 +1247,9 @@ TEST(JitDiff, CallsRecursionAndIndirect) {
                        WInst::mk(Op::I32Sub), WInst::idx(Op::Call, 0),
                        WInst::mk(Op::I32Add)})}});
   Fib.Exports.push_back({"f", ExportKind::Func, 0});
-  auto R = expectSameAll(Fib, "f", {WValue::i32(15)});
-  EXPECT_TRUE(R[2].Ok);
-  EXPECT_EQ(R[2].Results[0].asU32(), 610u);
+  auto R = everyTier(Fib, "f", {WValue::i32(15)});
+  EXPECT_TRUE(R[JitEager].Ok);
+  EXPECT_EQ(R[JitEager].Results[0].asU32(), 610u);
 
   // call_indirect: both success arms and both trap modes.
   WModule M;
@@ -1466,15 +1276,15 @@ TEST(JitDiff, CallsRecursionAndIndirect) {
   M.TableElems = {0, 1, 2};
   M.Exports.push_back({"f", ExportKind::Func, 3});
   for (uint32_t Sel : {0u, 1u, 2u, 9u})
-    expectSameAll(M, "f", {WValue::i32(Sel), WValue::i32(3), WValue::i32(6)});
+    everyTier(M, "f", {WValue::i32(Sel), WValue::i32(3), WValue::i32(6)});
 
   // Unbounded recursion: "call stack exhausted" from a native frame.
   WModule Rec;
   uint32_t TV = Rec.addType({{}, {}});
   Rec.Funcs.push_back({TV, {}, {WInst::idx(Op::Call, 0)}});
   Rec.Exports.push_back({"f", ExportKind::Func, 0});
-  auto RR = expectSameAll(Rec, "f");
-  EXPECT_EQ(RR[2].Err, "trap: call stack exhausted [func 0]");
+  auto RR = everyTier(Rec, "f");
+  EXPECT_EQ(RR[JitEager].Err, "trap: call stack exhausted [func 0]");
 }
 
 TEST(JitDiff, HostCallbacksAndHostTraps) {
@@ -1498,10 +1308,10 @@ TEST(JitDiff, HostCallbacksAndHostTraps) {
                          WValue::i32(Args[0].asU32() * 3)};
                    });
   };
-  auto R = expectSameAll(M, "f", {WValue::i32(5)}, Bind);
-  EXPECT_TRUE(R[2].Ok);
-  EXPECT_EQ(R[2].Results[0].asU32(), 16u);
-  EXPECT_EQ(R[2].Inst->load32(64), 5u);
+  auto R = everyTier(M, "f", {WValue::i32(5)}, Bind);
+  EXPECT_TRUE(R[JitEager].Ok);
+  EXPECT_EQ(R[JitEager].Results[0].asU32(), 16u);
+  EXPECT_EQ(R[JitEager].Inst->load32(64), 5u);
 
   // A trapping host: the one JTrapFinal path (cannot re-execute).
   WModule B;
@@ -1516,15 +1326,15 @@ TEST(JitDiff, HostCallbacksAndHostTraps) {
                      return Error("host exploded");
                    });
   };
-  auto RB = expectSameAll(B, "f", {}, BindBoom);
-  EXPECT_EQ(RB[2].Err, "trap: host exploded [func 0]");
+  auto RB = everyTier(B, "f", {}, BindBoom);
+  EXPECT_EQ(RB[JitEager].Err, "trap: host exploded [func 0]");
 
   // An unbound import: all three engines refuse identically (initialize
   // rejects it before anything runs; equality asserted by expectSameAll).
-  auto RU = expectSameAll(B, "f", {});
-  EXPECT_FALSE(RU[2].Ok);
-  EXPECT_NE(RU[2].Err.find("unsatisfied import"), std::string::npos)
-      << RU[2].Err;
+  auto RU = everyTier(B, "f", {});
+  EXPECT_FALSE(RU[JitEager].Ok);
+  EXPECT_NE(RU[JitEager].Err.find("unsatisfied import"), std::string::npos)
+      << RU[JitEager].Err;
 }
 
 TEST(JitDiff, MemoryAndTrapMessagesExact) {
@@ -1549,7 +1359,7 @@ TEST(JitDiff, MemoryAndTrapMessagesExact) {
        WInst::i32c(24), WInst::mem(Op::I64Load, 3, 0),
        WInst::mk(Op::I64Add)});
   W.Memory = {{1, std::nullopt}};
-  expectSameAll(W, "f");
+  everyTier(W, "f");
 
   // Out-of-bounds addresses, including the wraparound corner.
   for (uint32_t Addr : {65533u, 65536u, 0xfffffffcu}) {
@@ -1557,8 +1367,8 @@ TEST(JitDiff, MemoryAndTrapMessagesExact) {
                         {WInst::i32c(static_cast<int32_t>(Addr)),
                          WInst::mem(Op::I32Load, 2, 0)});
     M.Memory = {{1, std::nullopt}};
-    auto R = expectSameAll(M, "f");
-    EXPECT_EQ(R[2].Err, "trap: out-of-bounds memory access [func 0]");
+    auto R = everyTier(M, "f");
+    EXPECT_EQ(R[JitEager].Err, "trap: out-of-bounds memory access [func 0]");
   }
 
   // memory.grow with a max, observed sizes, and the -1 failure.
@@ -1570,9 +1380,9 @@ TEST(JitDiff, MemoryAndTrapMessagesExact) {
        WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32Add),
        WInst::mk(Op::MemorySize), WInst::mk(Op::I32Add)});
   G.Memory = {{1, {4}}};
-  auto RG = expectSameAll(G, "f");
-  EXPECT_TRUE(RG[2].Ok);
-  EXPECT_EQ(RG[2].Results[0].asU32(), 3u);
+  auto RG = everyTier(G, "f");
+  EXPECT_TRUE(RG[JitEager].Ok);
+  EXPECT_EQ(RG[JitEager].Results[0].asU32(), 3u);
 
   // Arithmetic and conversion traps from inlined and helper-dispatched
   // templates alike.
@@ -1595,8 +1405,8 @@ TEST(JitDiff, MemoryAndTrapMessagesExact) {
   };
   for (Case &C : Cases) {
     WModule M = oneFunc({{}, {ValType::I32}}, {}, C.Body);
-    auto R = expectSameAll(M, "f");
-    EXPECT_EQ(R[2].Err, C.Msg);
+    auto R = everyTier(M, "f");
+    EXPECT_EQ(R[JitEager].Err, C.Msg);
   }
 }
 
@@ -1753,9 +1563,7 @@ TEST(JitDiff, ProfileTrapNoteParity) {
   }
   // The threshold instance ran natively what the unprofiled eager JIT
   // (Insts[4]) compiled.
-  auto Compiled = [&](size_t N) {
-    return static_cast<exec::FlatInstance &>(*Insts[N]).jitCompiledCount();
-  };
+  auto Compiled = [&](size_t N) { return jitCompiledCount(*Insts[N]); };
   EXPECT_EQ(Compiled(Insts.size() - 1), Compiled(4));
 #if RW_JIT_ENABLED
   EXPECT_GT(Compiled(4), 0u);
@@ -1763,7 +1571,7 @@ TEST(JitDiff, ProfileTrapNoteParity) {
 }
 
 TEST(JitDiff, ResetProfilesRetiers) {
-  // exec::resetProfiles zeroes the counters: a threshold instance whose
+  // Instance::resetProfiles zeroes the counters: a threshold instance whose
   // profile was reset must re-accumulate before tiering new functions.
   WModule M = oneFunc({{ValType::I32}, {ValType::I32}}, {},
                       {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
@@ -1774,7 +1582,7 @@ TEST(JitDiff, ResetProfilesRetiers) {
   ASSERT_TRUE(I.initialize().ok());
   for (int K = 0; K < 3; ++K)
     ASSERT_TRUE(bool(I.invoke(0, {WValue::i32(K)})));
-  exec::resetProfiles(I);
+  I.resetProfiles();
   EXPECT_EQ(I.functionProfiles()[0].Invocations, 0u);
   for (int K = 0; K < 2; ++K)
     ASSERT_TRUE(bool(I.invoke(0, {WValue::i32(K)})));
@@ -1843,41 +1651,41 @@ TEST(JitCalls, OutOfBoundsTrapDeepInNativeCallees) {
   // deopts, every frame record above it is the stencil's, and every
   // engine's profile counts all 601 entries.
   auto Profile = [](Instance &I) { I.enableProfiling(); };
-  auto ExpectEntries = [](const std::array<RunResult, 3> &R, uint64_t Inv) {
-    for (const RunResult &E : R) {
+  auto ExpectEntries = [](const std::vector<TierRun> &R, uint64_t Inv) {
+    for (const TierRun &E : R) {
       const std::vector<FunctionProfile> &P = E.Inst->functionProfiles();
       ASSERT_EQ(P.size(), 1u) << engineKindName(E.Inst->engine());
       EXPECT_EQ(P[0].Invocations, Inv) << engineKindName(E.Inst->engine());
       EXPECT_EQ(P[0].LoopHeads, 0u) << engineKindName(E.Inst->engine());
     }
   };
-  auto R = expectSameAll(recurseThenLoad(65536), "f", {WValue::i32(600)},
+  auto R = everyTier(recurseThenLoad(65536), "f", {WValue::i32(600)},
                          Profile);
-  EXPECT_EQ(R[2].Err, "trap: out-of-bounds memory access [func 0]");
+  EXPECT_EQ(R[JitEager].Err, "trap: out-of-bounds memory access [func 0]");
   ExpectEntries(R, 601);
 #if RW_JIT_ENABLED
-  EXPECT_EQ(compiledCountOf(R[2]), 1u);
+  EXPECT_EQ(jitCompiledCount(*R[JitEager].Inst), 1u);
 #endif
   // The same chain in bounds returns through all 600 native frames.
-  auto Ok = expectSameAll(recurseThenLoad(0), "f", {WValue::i32(600)},
+  auto Ok = everyTier(recurseThenLoad(0), "f", {WValue::i32(600)},
                           Profile);
-  ASSERT_TRUE(Ok[2].Ok) << Ok[2].Err;
-  EXPECT_EQ(Ok[2].Results[0].asU32(), 600u);
+  ASSERT_TRUE(Ok[JitEager].Ok) << Ok[JitEager].Err;
+  EXPECT_EQ(Ok[JitEager].Results[0].asU32(), 600u);
   // At the depth limit the stencil falls back and the interpreter traps.
-  auto Deep = expectSameAll(recurseThenLoad(0), "f", {WValue::i32(5000)},
+  auto Deep = everyTier(recurseThenLoad(0), "f", {WValue::i32(5000)},
                             Profile);
-  EXPECT_EQ(Deep[2].Err, "trap: call stack exhausted [func 0]");
+  EXPECT_EQ(Deep[JitEager].Err, "trap: call stack exhausted [func 0]");
   ExpectEntries(Deep, 2000);
 }
 
 TEST(JitCalls, DeoptInNativeCalleePartwayDownAChain) {
   WModule M = callChain();
-  auto R = expectSameAll(M, "f", {WValue::i32(5)});
-  ASSERT_TRUE(R[2].Ok) << R[2].Err;
-  EXPECT_EQ(R[2].Results[0].asU32(), ((8u * 2 + 2) * 2 + 1) * 2 + 0);
+  auto R = everyTier(M, "f", {WValue::i32(5)});
+  ASSERT_TRUE(R[JitEager].Ok) << R[JitEager].Err;
+  EXPECT_EQ(R[JitEager].Results[0].asU32(), ((8u * 2 + 2) * 2 + 1) * 2 + 0);
   // f3 reaches unreachable three native frames down.
-  auto U = expectSameAll(M, "f", {WValue::i32(96)});
-  EXPECT_EQ(U[2].Err, "trap: unreachable executed [func 3]");
+  auto U = everyTier(M, "f", {WValue::i32(96)});
+  EXPECT_EQ(U[JitEager].Err, "trap: unreachable executed [func 3]");
 
   // Fuel runs out at every instruction of the chain in turn: the flat
   // and native tiers stop at the same instruction with the same note.
@@ -1943,12 +1751,12 @@ TEST(JitCalls, RegisterAndOperandGrowthPartwayDownAChain) {
                  WInst::mk(Op::I32Add), WInst::idx(Op::LocalGet, 2),
                  WInst::mk(Op::I32Add)})});
   M.Exports.push_back({"f", ExportKind::Func, 0});
-  auto R = expectSameAll(M, "f", {WValue::i32(500)});
-  ASSERT_TRUE(R[2].Ok) << R[2].Err;
+  auto R = everyTier(M, "f", {WValue::i32(500)});
+  ASSERT_TRUE(R[JitEager].Ok) << R[JitEager].Err;
   // 47 + sum over n = 1..500 of (n + 40) + n.
-  EXPECT_EQ(R[2].Results[0].asU32(), 47u + 500u * 501u + 40u * 500u);
+  EXPECT_EQ(R[JitEager].Results[0].asU32(), 47u + 500u * 501u + 40u * 500u);
 #if RW_JIT_ENABLED
-  EXPECT_EQ(compiledCountOf(R[2]), 3u);
+  EXPECT_EQ(jitCompiledCount(*R[JitEager].Inst), 3u);
 #endif
 }
 
@@ -2032,64 +1840,6 @@ TEST(JitCalls, CompiledCallerOfAnUntieredCallee) {
     EXPECT_EQ(Jit.functionProfiles()[F].LoopHeads,
               Ref.functionProfiles()[F].LoopHeads) << "func " << F;
   }
-}
-
-TEST(JitLowered, WorkloadsAndHostGcThreeWay) {
-  // The lowered pipeline end to end on EngineKind::Jit — including the
-  // shared pretranslated artifact hand-off and the host-assisted GC
-  // whose mark/sweep exports run as native code.
-  for (bool Linear : {true, false}) {
-    ir::Module M = rwbench::allocModule(Linear ? 300 : 200, Linear);
-    link::LoweredInstance LI[3];
-    for (int K = 0; K < 3; ++K) {
-      link::LinkOptions Opts;
-      Opts.Engine = AllEngines[K];
-      auto R = link::instantiateLowered({&M}, Opts);
-      ASSERT_TRUE(bool(R)) << R.error().message();
-      LI[K] = std::move(*R);
-    }
-    std::array<Expected<std::vector<WValue>>, 3> Out = {
-        LI[0].invokeExport("allocmod.main", {}),
-        LI[1].invokeExport("allocmod.main", {}),
-        LI[2].invokeExport("allocmod.main", {})};
-    for (int K = 1; K < 3; ++K) {
-      ASSERT_EQ(bool(Out[0]), bool(Out[K]));
-      if (Out[0])
-        EXPECT_EQ((*Out[0])[0].Bits, (*Out[K])[0].Bits);
-      EXPECT_EQ(LI[0].Instance->memory(), LI[K].Instance->memory());
-    }
-#if RW_JIT_ENABLED
-    // Every function native: a silent mass refusal must not pass.
-    EXPECT_EQ(static_cast<exec::FlatInstance &>(*LI[2].Instance)
-                  .jitCompiledCount(),
-              LI[2].Program->Module.Funcs.size());
-#endif
-    if (!Linear) {
-      lower::HostGc GcT(*LI[0].Instance, LI[0].Program->Runtime,
-                        LI[0].Program->RefGlobals);
-      lower::HostGc GcJ(*LI[2].Instance, LI[2].Program->Runtime,
-                        LI[2].Program->RefGlobals);
-      lower::HostGc::Stats ST = GcT.collect();
-      lower::HostGc::Stats SJ = GcJ.collect();
-      EXPECT_EQ(ST.Marked, SJ.Marked);
-      EXPECT_EQ(ST.Swept, SJ.Swept);
-      EXPECT_EQ(ST.BytesReclaimed, SJ.BytesReclaimed);
-      EXPECT_EQ(LI[0].Instance->memory(), LI[2].Instance->memory());
-    }
-  }
-
-  // LinkOptions::JitThreshold drives the same policy from the link layer.
-  ir::Module Loop = rwbench::loopModule(50);
-  link::LinkOptions Opts;
-  Opts.JitThreshold = 1;
-  auto R = link::instantiateLowered({&Loop}, Opts);
-  ASSERT_TRUE(bool(R)) << R.error().message();
-  for (int K = 0; K < 3; ++K)
-    ASSERT_TRUE(bool(R->invokeExport("loopmod.main", {})));
-#if RW_JIT_ENABLED
-  EXPECT_GT(
-      static_cast<exec::FlatInstance &>(*R->Instance).jitCompiledCount(), 0u);
-#endif
 }
 
 //===----------------------------------------------------------------------===//

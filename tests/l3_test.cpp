@@ -4,18 +4,15 @@
 // the paper's central demonstration: the Fig 3 interop program in which
 // ML's `stash` duplicates a linear reference from L3. The unsafe version
 // is rejected *statically* by the RichWasm checker; the corrected version
-// links, runs, and frees exactly once.
+// links, runs, and frees exactly once. Programs run on the machine and on
+// every lowered tier (tests/Oracle.h).
 //
 //===----------------------------------------------------------------------===//
 
-#include "cache/AdmissionCache.h"
 #include "l3/L3.h"
-#include "link/Link.h"
-#include "lower/Lower.h"
 #include "ml/ML.h"
+#include "tests/Oracle.h"
 #include "typing/Checker.h"
-#include "wasm/Interp.h"
-#include "wasm/Validate.h"
 
 #include <gtest/gtest.h>
 
@@ -23,28 +20,12 @@ using namespace rw;
 
 namespace {
 
-Expected<uint64_t> runL3(const std::string &Src) {
-  Expected<ir::Module> M = l3::compileSource("l3", Src);
-  if (!M)
-    return M.error();
-  auto Mach = link::instantiate({&*M});
-  if (!Mach)
-    return Mach.error();
-  auto Idx = link::findExport(*M, "main");
-  if (!Idx)
-    return Error("no main export");
-  auto R = (*Mach)->invoke(0, *Idx, {}, {sem::Value::unit()});
-  if (!R)
-    return R.error();
-  if (R->empty() || !(*R)[0].isNum())
-    return Error("main did not return a number");
-  return (*R)[0].bits();
-}
-
+/// Compiles \p Src as module "l3" and expects `main ()` to return \p Want
+/// on the machine and on every lowered route (tests/Oracle.h).
 void expectL3(const std::string &Src, uint64_t Want) {
-  Expected<uint64_t> R = runL3(Src);
-  ASSERT_TRUE(bool(R)) << R.error().message();
-  EXPECT_EQ(*R, Want);
+  Expected<ir::Module> M = l3::compileSource("l3", Src);
+  ASSERT_TRUE(bool(M)) << M.error().message();
+  rwtest::expectResult({&*M}, "l3.main", Want, {sem::Value::unit()});
 }
 
 } // namespace
@@ -102,15 +83,21 @@ TEST(L3, SeqDiscardsOnlyUnrestricted) {
 }
 
 TEST(L3, OversizedIntegerLiteralIsALexError) {
-  // A literal past int64 is a diagnostic naming its line, not an
-  // exception.
-  auto R = l3::compileSource(
-      "l3", "export fun main (u : unit) : int =\n 99999999999999999999 ;;");
-  ASSERT_FALSE(bool(R));
-  EXPECT_EQ(R.error().message(),
-            "lex error at line 2: integer literal out of range");
-  EXPECT_TRUE(bool(l3::compileSource(
-      "l3", "export fun main (u : unit) : int = 9223372036854775807 ;;")));
+  // int is i32: a literal outside it is a diagnostic naming its line, not
+  // a value wrapped to 32 bits. L3 has no negative literals; its largest
+  // literal compiles and returns itself.
+  for (const char *Lit : {"4294967338", "2147483648", "9223372036854775807",
+                          "99999999999999999999"}) {
+    auto R = l3::compileSource(
+        "l3", std::string("export fun main (u : unit) : int =\n ") + Lit +
+                  " ;;");
+    ASSERT_FALSE(bool(R)) << Lit;
+    EXPECT_EQ(R.error().message(),
+              "lex error at line 2: integer literal out of range")
+        << Lit;
+  }
+  expectL3("export fun main (u : unit) : int = 2147483647 ;;", 0x7fffffffu);
+  expectL3("export fun main (u : unit) : int = 0 ;;", 0u);
 }
 
 TEST(L3, UnexpectedCharacterIsNamed) {
@@ -135,18 +122,15 @@ TEST(L3, LowersAndRunsOnWasm) {
       "l3", "export fun main (u : unit) : int = "
             "free (split (join (new 42))) ;;");
   ASSERT_TRUE(bool(M)) << M.error().message();
-  auto Art = link::buildArtifact({&*M}, {});
-  ASSERT_TRUE(bool(Art)) << Art.error().message();
-  const lower::LoweredProgram *LP = &(*Art)->Program;
-  ASSERT_TRUE(wasm::validate(LP->Module).ok())
-      << wasm::validate(LP->Module).error().message();
-  wasm::WasmInstance Inst(LP->Module);
-  ASSERT_TRUE(Inst.initialize().ok());
-  auto R = Inst.invokeByName("l3.main", {});
-  ASSERT_TRUE(bool(R)) << R.error().message();
-  EXPECT_EQ((*R)[0].asU32(), 42u);
-  // Everything manually freed: no live allocations remain.
-  EXPECT_EQ(Inst.global(LP->Runtime.GLive).asU32(), 0u);
+  rwtest::Oracle O({&*M});
+  ASSERT_TRUE(O.ready());
+  EXPECT_EQ(O.run("l3.main", {sem::Value::unit()}).bits(), 42u);
+  // Everything manually freed: no live allocations remain, on any route.
+  EXPECT_EQ(O.lowered()
+                .instance(rwtest::Tree)
+                .global(O.program().Runtime.GLive)
+                .asU32(),
+            0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -203,18 +187,18 @@ TEST(Interop, Fig3SafeVariantLinksRunsAndFreesOnce) {
   Expected<ir::Module> L3 = l3::compileSource("l3", L3ClientSafe);
   ASSERT_TRUE(bool(L3)) << L3.error().message();
 
-  auto Mach = link::instantiate({&*ML, &*L3});
-  ASSERT_TRUE(bool(Mach)) << Mach.error().message();
-  auto Idx = link::findExport(*L3, "main");
-  ASSERT_TRUE(Idx.has_value());
-  auto R = (*Mach)->invoke(1, *Idx, {}, {sem::Value::unit()});
-  ASSERT_TRUE(bool(R)) << R.error().message();
-  EXPECT_EQ((*R)[0].bits(), 42u);
+  // The whole interop program runs on the machine and, lowered to one
+  // Wasm module, on every tier.
+  rwtest::Oracle O({&*ML, &*L3});
+  ASSERT_TRUE(O.ready());
+  rwtest::Outcome R = O.run("l3.main", {sem::Value::unit()});
+  ASSERT_TRUE(R.Ok) << R.Err;
+  EXPECT_EQ(R.bits(), 42u);
   // The linear cell crossed the boundary, was stashed, retrieved, and
   // freed exactly once. The ref_to_lin protocol itself allocates/frees
   // linear option cells as it swaps (2 extra frees); what remains live is
   // exactly the linref's current (empty) option cell.
-  const sem::Memory &Mem = (*Mach)->store().Mem;
+  const sem::Memory &Mem = O.machine().store().Mem;
   EXPECT_EQ(Mem.FreeCountLin, 3u);
   EXPECT_EQ(Mem.Lin.size(), 1u);
 }
@@ -244,22 +228,4 @@ TEST(Interop, ImportTypeLieRejectedAtLink) {
   auto Mach = link::instantiate({&*ML, &*L3});
   ASSERT_FALSE(bool(Mach));
   EXPECT_NE(Mach.error().message().find("mismatch"), std::string::npos);
-}
-
-TEST(Interop, Fig3SafeVariantOnWasm) {
-  // The whole interop program, lowered to one Wasm module and executed.
-  Expected<ir::Module> ML = ml::compileSource("ml", MLStashSafe);
-  Expected<ir::Module> L3 = l3::compileSource("l3", L3ClientSafe);
-  ASSERT_TRUE(bool(ML)) << ML.error().message();
-  ASSERT_TRUE(bool(L3)) << L3.error().message();
-  auto Art = link::buildArtifact({&*ML, &*L3}, {});
-  ASSERT_TRUE(bool(Art)) << Art.error().message();
-  const lower::LoweredProgram *LP = &(*Art)->Program;
-  ASSERT_TRUE(wasm::validate(LP->Module).ok())
-      << wasm::validate(LP->Module).error().message();
-  wasm::WasmInstance Inst(LP->Module);
-  ASSERT_TRUE(Inst.initialize().ok());
-  auto R = Inst.invokeByName("l3.main", {});
-  ASSERT_TRUE(bool(R)) << R.error().message();
-  EXPECT_EQ((*R)[0].asU32(), 42u);
 }

@@ -1,20 +1,16 @@
 //===- tests/ml_test.cpp - Core ML frontend (§5) ---------------------------===//
 //
 // The ML pipeline: parse → typecheck → compile to RichWasm → RichWasm
-// typecheck → run in the machine → (when lowerable) run through the Wasm
-// pipeline. Includes the headline Fig 1 demonstration: an ML module that
-// stashes a linear reference fails RichWasm checking; the corrected
-// variant passes.
+// typecheck → run in the machine and, lowered, on every Wasm tier
+// (tests/Oracle.h). Includes the headline Fig 1 demonstration: an ML
+// module that stashes a linear reference fails RichWasm checking; the
+// corrected variant passes.
 //
 //===----------------------------------------------------------------------===//
 
-#include "cache/AdmissionCache.h"
-#include "link/Link.h"
-#include "lower/Lower.h"
 #include "ml/ML.h"
+#include "tests/Oracle.h"
 #include "typing/Checker.h"
-#include "wasm/Interp.h"
-#include "wasm/Validate.h"
 
 #include <gtest/gtest.h>
 
@@ -22,55 +18,12 @@ using namespace rw;
 
 namespace {
 
-/// Compiles, RichWasm-checks, and runs `main ()` in the machine; returns
-/// the i32 result.
-Expected<uint64_t> runML(const std::string &Src) {
-  Expected<ir::Module> M = ml::compileSource("m", Src);
-  if (!M)
-    return M.error();
-  auto Mach = link::instantiate({&*M});
-  if (!Mach)
-    return Mach.error();
-  auto Idx = link::findExport(*M, "main");
-  if (!Idx)
-    return Error("no main export");
-  auto R = (*Mach)->invoke(0, *Idx, {}, {sem::Value::unit()});
-  if (!R)
-    return R.error();
-  if (R->empty() || !(*R)[0].isNum())
-    return Error("main did not return a number");
-  return (*R)[0].bits();
-}
-
-/// Same, but through lower → validate → Wasm interpreter.
-Expected<uint64_t> runMLWasm(const std::string &Src) {
-  Expected<ir::Module> M = ml::compileSource("m", Src);
-  if (!M)
-    return M.error();
-  auto Art = link::buildArtifact({&*M}, {});
-  if (!Art)
-    return Art.error();
-  const lower::LoweredProgram *LP = &(*Art)->Program;
-  if (Status S = wasm::validate(LP->Module); !S)
-    return Error("validate: " + S.error().message());
-  wasm::WasmInstance Inst(LP->Module);
-  if (Status S = Inst.initialize(); !S)
-    return S.error();
-  auto R = Inst.invokeByName("m.main", {});
-  if (!R)
-    return R.error();
-  if (R->empty())
-    return Error("no result");
-  return (*R)[0].Bits;
-}
-
+/// Compiles \p Src as module "m" and expects `main ()` to return \p Want
+/// on the machine and on every lowered route (tests/Oracle.h).
 void expectML(const std::string &Src, uint64_t Want) {
-  Expected<uint64_t> R = runML(Src);
-  ASSERT_TRUE(bool(R)) << R.error().message();
-  EXPECT_EQ(*R, Want);
-  Expected<uint64_t> W = runMLWasm(Src);
-  ASSERT_TRUE(bool(W)) << W.error().message();
-  EXPECT_EQ(*W, Want);
+  Expected<ir::Module> M = ml::compileSource("m", Src);
+  ASSERT_TRUE(bool(M)) << M.error().message();
+  rwtest::expectResult({&*M}, "m.main", Want, {sem::Value::unit()});
 }
 
 } // namespace
@@ -244,13 +197,11 @@ TEST(ML, DoubleTakeTrapsAtRuntime) {
       "  let x = !c in (c := x; 0) ;;"; // take from an empty cell
   Expected<ir::Module> M = ml::compileSource("m", Src);
   ASSERT_TRUE(bool(M)) << M.error().message();
-  auto Mach = link::instantiate({&*M});
-  ASSERT_TRUE(bool(Mach)) << Mach.error().message();
-  auto Idx = link::findExport(*M, "main");
-  ASSERT_TRUE(Idx.has_value());
-  auto R = (*Mach)->invoke(0, *Idx, {}, {sem::Value::unit()});
-  ASSERT_FALSE(bool(R));
-  EXPECT_NE(R.error().message().find("trap"), std::string::npos);
+  rwtest::Oracle O({&*M});
+  ASSERT_TRUE(O.ready());
+  rwtest::Outcome R = O.run("m.main", {sem::Value::unit()});
+  ASSERT_FALSE(R.Ok);
+  EXPECT_NE(R.Err.find("trap"), std::string::npos) << R.Err;
 }
 
 //===----------------------------------------------------------------------===//
@@ -269,23 +220,22 @@ TEST(ML, TypeErrorsReported) {
 }
 
 TEST(ML, OversizedIntegerLiteralIsALexError) {
-  // A literal past int64 is a diagnostic naming its line, not an
-  // exception; the int64 extremes (the negative one as a literal) lex.
-  auto R = ml::compileSource(
-      "m", "export fun main (u : unit) : int =\n 99999999999999999999 ;;");
-  ASSERT_FALSE(bool(R));
-  EXPECT_EQ(R.error().message(),
-            "lex error at line 2: integer literal out of range");
-  auto Neg = ml::compileSource(
-      "m", "export fun main (u : unit) : int = (-9223372036854775809) ;;");
-  ASSERT_FALSE(bool(Neg));
-  EXPECT_EQ(Neg.error().message(),
-            "lex error at line 1: integer literal out of range");
-  for (const char *Lit : {"9223372036854775807", "(-9223372036854775808)"})
-    EXPECT_TRUE(bool(ml::compileSource(
-        "m", std::string("export fun main (u : unit) : int = ") + Lit +
-                 " ;;")))
+  // int is i32: a literal outside it is a diagnostic naming its line, not
+  // a value wrapped to 32 bits. The i32 extremes (the negative one as a
+  // literal) compile and return themselves.
+  for (const char *Lit : {"4294967338", "2147483648", "(-2147483649)",
+                          "9223372036854775807", "99999999999999999999"}) {
+    auto R = ml::compileSource(
+        "m", std::string("export fun main (u : unit) : int =\n ") + Lit +
+                 " ;;");
+    ASSERT_FALSE(bool(R)) << Lit;
+    EXPECT_EQ(R.error().message(),
+              "lex error at line 2: integer literal out of range")
         << Lit;
+  }
+  expectML("export fun main (u : unit) : int = 2147483647 ;;", 0x7fffffffu);
+  expectML("export fun main (u : unit) : int = (-2147483648) ;;",
+           0x80000000u);
 }
 
 TEST(ML, LinInsideAggregatesRejected) {

@@ -10,8 +10,8 @@
 //  * the checker accepts a shape exactly when lowering finds it an opcode
 //    or it is an identity conversion;
 //  * every accepted shape computes the same results, and traps on the same
-//    operands, in the reference semantics and lowered on Tree, Flat and
-//    Jit, over an edge set of operands;
+//    operands, in the reference semantics and on every lowered route of
+//    tests/Oracle.h, over an edge set of operands;
 //  * i64 and ui64 convert to f32 with one rounding everywhere.
 //
 //===----------------------------------------------------------------------===//
@@ -20,6 +20,7 @@
 #include "link/Link.h"
 #include "sem/Machine.h"
 #include "support/NumericOps.h"
+#include "tests/Oracle.h"
 #include "typing/Checker.h"
 #include "wasm/WasmAst.h"
 
@@ -31,16 +32,12 @@
 using namespace rw;
 using namespace rw::ir;
 using namespace rw::ir::build;
-using wasm::EngineKind;
 using wasm::NumOp;
-using wasm::WValue;
 
 namespace {
 
 const NumType AllTypes[] = {NumType::I32, NumType::U32, NumType::I64,
                             NumType::U64, NumType::F32, NumType::F64};
-const EngineKind Engines[] = {EngineKind::Tree, EngineKind::Flat,
-                              EngineKind::Jit};
 
 /// One numeric instruction applied to its operands: f(x[, y]) = op x [y].
 struct Shape {
@@ -166,13 +163,6 @@ std::vector<std::vector<uint64_t>> operandTuples(const Shape &S) {
   return Out;
 }
 
-/// One run's outcome: the result bits, or the trap message.
-struct Outcome {
-  bool Ok = false;
-  uint64_t Bits = 0;
-  std::string Trap;
-};
-
 std::string describe(const Shape &S, const std::vector<uint64_t> &Args) {
   std::ostringstream Out;
   Out << S.Name << std::hex;
@@ -182,61 +172,14 @@ std::string describe(const Shape &S, const std::vector<uint64_t> &Args) {
   return Out.str();
 }
 
-/// The reference semantics and the three lowered engines, instantiated
-/// once for \p M (which the machine borrows).
-struct FourWay {
-  std::unique_ptr<sem::Machine> Sem;
-  link::LoweredInstance Lowered[3];
-
-  explicit FourWay(const ir::Module &M) {
-    auto Mach = link::instantiate({&M});
-    EXPECT_TRUE(bool(Mach)) << Mach.error().message();
-    if (Mach)
-      Sem = std::move(*Mach);
-    for (int E = 0; E < 3; ++E) {
-      link::LinkOptions Opts;
-      Opts.Engine = Engines[E];
-      auto L = link::instantiateLowered({&M}, Opts);
-      EXPECT_TRUE(bool(L)) << L.error().message();
-      if (L)
-        Lowered[E] = std::move(*L);
-    }
-  }
-
-  bool ready() const {
-    if (!Sem)
-      return false;
-    for (const link::LoweredInstance &L : Lowered)
-      if (!L.Instance)
-        return false;
-    return true;
-  }
-
-  /// Outcomes of f(Args...) on sem, Tree, Flat and Jit, in that order.
-  std::array<Outcome, 4> run(const std::vector<NumType> &Params,
-                             const std::vector<uint64_t> &Args) {
-    std::array<Outcome, 4> Out;
-    std::vector<sem::Value> SemArgs;
-    std::vector<WValue> WArgs;
-    for (size_t I = 0; I < Args.size(); ++I) {
-      SemArgs.push_back(sem::Value::num(Params[I], Args[I]));
-      WArgs.push_back({wasm::valTypeOf(Params[I]), Args[I]});
-    }
-    auto R = Sem->invoke(0, 0, {}, std::move(SemArgs));
-    if (R && R->size() == 1 && (*R)[0].isNum())
-      Out[0] = {true, (*R)[0].bits(), ""};
-    else
-      Out[0].Trap = R ? "bad result" : R.error().message();
-    for (int E = 0; E < 3; ++E) {
-      auto W = Lowered[E].invokeExport("m.f", WArgs);
-      if (W && W->size() == 1)
-        Out[E + 1] = {true, (*W)[0].Bits, ""};
-      else
-        Out[E + 1].Trap = W ? "bad result" : W.error().message();
-    }
-    return Out;
-  }
-};
+/// The machine arguments of f(Args...) for shape \p S.
+std::vector<sem::Value> semArgs(const Shape &S,
+                                const std::vector<uint64_t> &Args) {
+  std::vector<sem::Value> Out;
+  for (size_t I = 0; I < Args.size(); ++I)
+    Out.push_back(sem::Value::num(S.Params[I], Args[I]));
+  return Out;
+}
 
 } // namespace
 
@@ -263,24 +206,15 @@ TEST(NumericTable, EveryAcceptedShapeAgreesOnSemTreeFlatJit) {
     ir::Module M = shapeModule(S);
     if (!typing::checkModule(M).ok())
       continue;
-    FourWay W(M);
-    ASSERT_TRUE(W.ready()) << S.Name;
+    rwtest::Oracle O({&M});
+    ASSERT_TRUE(O.ready()) << S.Name;
     ++Shapes;
     for (const std::vector<uint64_t> &Args : operandTuples(S)) {
-      std::array<Outcome, 4> O = W.run(S.Params, Args);
+      SCOPED_TRACE(describe(S, Args));
+      rwtest::Outcome R = O.run("m.f", semArgs(S, Args));
+      ASSERT_FALSE(HasFailure());
       ++Runs;
-      Traps += !O[0].Ok;
-      for (int E = 1; E < 4; ++E) {
-        const char *Who = engineKindName(Engines[E - 1]);
-        ASSERT_EQ(O[0].Ok, O[E].Ok)
-            << describe(S, Args) << " sem vs " << Who << ": "
-            << O[0].Trap << " | " << O[E].Trap;
-        if (O[0].Ok)
-          ASSERT_EQ(O[0].Bits, O[E].Bits)
-              << describe(S, Args) << " sem vs " << Who;
-        else
-          ASSERT_EQ(O[1].Trap, O[E].Trap) << describe(S, Args) << " " << Who;
-      }
+      Traps += !R.Ok;
     }
   }
   EXPECT_EQ(Shapes, 182u);
@@ -300,13 +234,10 @@ TEST(NumericTable, I64ToF32RoundsOnce) {
                   NumType::F32,
                   NumOp::cvt(CvtopKind::Convert, From, NumType::F32)};
     ir::Module M = shapeModule(S);
-    FourWay W(M);
-    ASSERT_TRUE(W.ready()) << S.Name;
-    std::array<Outcome, 4> O = W.run(S.Params, {X});
-    const char *Who[] = {"sem", "tree", "flat", "jit"};
-    for (int E = 0; E < 4; ++E) {
-      ASSERT_TRUE(O[E].Ok) << S.Name << " on " << Who[E] << ": " << O[E].Trap;
-      EXPECT_EQ(O[E].Bits, 0x5a000001u) << S.Name << " on " << Who[E];
-    }
+    rwtest::Oracle O({&M});
+    ASSERT_TRUE(O.ready()) << S.Name;
+    rwtest::Outcome R = O.run("m.f", semArgs(S, {X}));
+    ASSERT_TRUE(R.Ok) << S.Name << ": " << R.Err;
+    EXPECT_EQ(R.bits(), 0x5a000001u) << S.Name;
   }
 }

@@ -1,20 +1,15 @@
 //===- tests/pipeline_test.cpp - Corpus-driven end-to-end sweeps ----------===//
 //
 // A parameterized corpus of ML programs, each pushed through the entire
-// stack: parse → ML check → compile → RichWasm check → machine run, and
-// lower → Wasm validate → encode → decode → Wasm run — asserting the two
-// executions agree (google-test TEST_P over the corpus).
+// stack: parse → ML check → compile → RichWasm check, then the machine
+// and every lowered route of tests/Oracle.h (four tiers, and encode →
+// decode → Flat) must agree (google-test TEST_P over the corpus).
 //
 //===----------------------------------------------------------------------===//
 
-#include "cache/AdmissionCache.h"
-#include "link/Link.h"
-#include "lower/Lower.h"
 #include "ml/ML.h"
+#include "tests/Oracle.h"
 #include "typing/Checker.h"
-#include "wasm/Binary.h"
-#include "wasm/Interp.h"
-#include "wasm/Validate.h"
 
 #include <gtest/gtest.h>
 
@@ -108,41 +103,23 @@ TEST_P(Pipeline, MachineAndWasmAgree) {
   Status Check = typing::checkModule(*M);
   ASSERT_TRUE(Check.ok()) << Check.error().message();
 
-  // Machine execution.
-  auto Mach = link::instantiate({&*M});
-  ASSERT_TRUE(bool(Mach)) << Mach.error().message();
-  auto R1 = (*Mach)->invoke(0, *link::findExport(*M, "main"), {},
-                            {sem::Value::unit()});
-  ASSERT_TRUE(bool(R1)) << R1.error().message();
-  EXPECT_EQ((*R1)[0].bits(), P.Expected);
+  // The machine and every lowered route, the binary codec included.
+  rwtest::Oracle O({&*M});
+  ASSERT_TRUE(O.ready());
+  const sem::Value Unit = sem::Value::unit();
+  rwtest::Outcome R = O.run("m.main", {Unit});
+  ASSERT_TRUE(R.Ok) << R.Err;
+  EXPECT_EQ(R.bits(), P.Expected);
   // No linear leaks (these programs use only unrestricted data).
-  EXPECT_TRUE((*Mach)->store().Mem.Lin.empty());
-
-  // Lowered execution, through the binary codec.
-  auto Art = link::buildArtifact({&*M}, {});
-  ASSERT_TRUE(bool(Art)) << Art.error().message();
-  const lower::LoweredProgram *LP = &(*Art)->Program;
-  ASSERT_TRUE(wasm::validate(LP->Module).ok())
-      << wasm::validate(LP->Module).error().message();
-  auto M2 = wasm::decode(wasm::encode(LP->Module));
-  ASSERT_TRUE(bool(M2)) << M2.error().message();
-  ASSERT_TRUE(wasm::validate(*M2).ok());
-  wasm::WasmInstance Inst(*M2);
-  ASSERT_TRUE(Inst.initialize().ok());
-  auto R2 = Inst.invokeByName("m.main", {});
-  ASSERT_TRUE(bool(R2)) << R2.error().message();
-  EXPECT_EQ((*R2)[0].Bits, P.Expected);
+  EXPECT_TRUE(O.machine().store().Mem.Lin.empty());
 
   // After a host collection, closure/pair garbage is reclaimed and only
   // globally-reachable cells survive; pure programs recompute the same
   // answer on the collected heap.
-  lower::HostGc Gc(Inst, LP->Runtime, LP->RefGlobals);
-  Gc.collect();
-  if (P.Rerunnable) {
-    auto R3 = Inst.invokeByName("m.main", {});
-    ASSERT_TRUE(bool(R3)) << R3.error().message();
-    EXPECT_EQ((*R3)[0].Bits, P.Expected) << "run-after-GC disagrees";
-  }
+  O.collect();
+  if (P.Rerunnable)
+    EXPECT_EQ(O.run("m.main", {Unit}).bits(), P.Expected)
+        << "run-after-GC disagrees";
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, Pipeline, testing::ValuesIn(Corpus),

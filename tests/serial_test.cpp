@@ -26,6 +26,7 @@
 #include "ir/Rewrite.h"
 #include "ir/TypeOps.h"
 #include "support/ThreadPool.h"
+#include "tests/TypeGen.h"
 
 #include <gtest/gtest.h>
 #include <random>
@@ -53,129 +54,11 @@ void fixChecksum(std::vector<uint8_t> &B) {
     B[16 + I] = static_cast<uint8_t>(Sum >> (8 * I));
 }
 
-/// Seeded random type/instruction generator (the interner_test generator
-/// extended with instruction payloads): serialization does not require
-/// modules to type-check, so bodies exercise every payload shape freely.
-struct Gen {
-  std::mt19937_64 Rng;
-  explicit Gen(uint64_t Seed) : Rng(Seed) {}
-  uint32_t pick(uint32_t N) { return static_cast<uint32_t>(Rng() % N); }
-
-  Qual qual() {
-    switch (pick(4)) {
-    case 0:
-      return Qual::lin();
-    case 1:
-      return Qual::var(pick(3));
-    default:
-      return Qual::unr();
-    }
-  }
-
-  Loc loc() {
-    switch (pick(3)) {
-    case 0:
-      return Loc::var(pick(3));
-    case 1:
-      return Loc::concrete(pick(2) ? MemKind::Lin : MemKind::Unr, pick(8));
-    default:
-      return Loc::skolem(pick(4));
-    }
-  }
-
-  SizeRef size(unsigned D) {
-    switch (D == 0 ? pick(2) : pick(4)) {
-    case 0:
-      return Size::constant(pick(5) * 32);
-    case 1:
-      return Size::var(pick(4));
-    default:
-      return Size::plus(size(D - 1), size(D - 1));
-    }
-  }
-
-  Type type(unsigned D) { return Type(pretype(D), qual()); }
-
-  PretypeRef pretype(unsigned D) {
-    switch (D == 0 ? pick(6) : pick(12)) {
-    case 0:
-      return unitPT();
-    case 1:
-      return numPT(static_cast<NumType>(pick(6)));
-    case 2:
-      return varPT(pick(4));
-    case 3:
-      return ptrPT(loc());
-    case 4:
-      return ownPT(loc());
-    case 5:
-      return skolemPT(pick(3), pick(2) ? Qual::lin() : Qual::unr(),
-                      Size::constant(32 + 32 * pick(3)), pick(2) == 0);
-    case 6: {
-      std::vector<Type> Es;
-      for (unsigned I = 0, N = pick(3); I < N; ++I)
-        Es.push_back(type(D - 1));
-      return prodPT(std::move(Es));
-    }
-    case 7:
-      return refPT(pick(2) ? Privilege::RW : Privilege::R, loc(), heap(D - 1));
-    case 8:
-      return capPT(pick(2) ? Privilege::RW : Privilege::R, loc(), heap(D - 1));
-    case 9:
-      return recPT(qual(), type(D - 1));
-    case 10:
-      return exLocPT(type(D - 1));
-    default:
-      return coderefPT(fun(D - 1));
-    }
-  }
-
-  HeapTypeRef heap(unsigned D) {
-    switch (pick(4)) {
-    case 0: {
-      std::vector<Type> Cs;
-      for (unsigned I = 0, N = 1 + pick(2); I < N; ++I)
-        Cs.push_back(type(D));
-      return variantHT(std::move(Cs));
-    }
-    case 1: {
-      std::vector<StructField> Fs;
-      for (unsigned I = 0, N = pick(3); I < N; ++I)
-        Fs.push_back({type(D), size(1)});
-      return structHT(std::move(Fs));
-    }
-    case 2:
-      return arrayHT(type(D));
-    default:
-      return exHT(qual(), size(1), type(D));
-    }
-  }
-
-  FunTypeRef fun(unsigned D) {
-    std::vector<Quant> Qs;
-    for (unsigned I = 0, N = pick(3); I < N; ++I) {
-      switch (pick(4)) {
-      case 0:
-        Qs.push_back(Quant::loc());
-        break;
-      case 1:
-        Qs.push_back(Quant::size({size(0)}, {size(0)}));
-        break;
-      case 2:
-        Qs.push_back(Quant::qual({qual()}, {}));
-        break;
-      default:
-        Qs.push_back(Quant::type(qual(), size(1), pick(2) == 0));
-        break;
-      }
-    }
-    ArrowType A;
-    for (unsigned I = 0, N = pick(3); I < N; ++I)
-      A.Params.push_back(type(D));
-    for (unsigned I = 0, N = pick(2); I < N; ++I)
-      A.Results.push_back(type(D));
-    return FunType::get(std::move(Qs), std::move(A));
-  }
+/// Seeded random type/instruction generator (tests/TypeGen.h extended
+/// with instruction payloads): serialization does not require modules to
+/// type-check, so bodies exercise every payload shape freely.
+struct Gen : rwtest::TypeGen {
+  using TypeGen::TypeGen;
 
   ArrowType arrow(unsigned D) {
     ArrowType A;

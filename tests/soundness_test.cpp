@@ -17,19 +17,17 @@
 //      the program's static result type, and all linear cells were
 //      consumed (the configuration-typing rule's "no linear values remain"
 //      premise);
-//   5. the differential check: the lowered Wasm module computes the same
-//      result.
+//   5. the differential check: the machine and the lowered module on
+//      every tier and through the binary codec (tests/Oracle.h) compute
+//      the same result, and a host collection leaves no live cell.
 //
 //===----------------------------------------------------------------------===//
 
-#include "cache/AdmissionCache.h"
 #include "ir/Builder.h"
 #include "link/Link.h"
-#include "lower/Lower.h"
 #include "sem/Machine.h"
+#include "tests/Oracle.h"
 #include "typing/Checker.h"
-#include "wasm/Interp.h"
-#include "wasm/Validate.h"
 
 #include <gtest/gtest.h>
 
@@ -329,22 +327,15 @@ TEST_P(Soundness, ProgressPreservationAndLinearUniqueness) {
       << "linear memory leaked by a checked program";
   uint64_t InterpResult = Prog[0].V.bits();
 
-  // (5) Differential: the lowered module agrees.
-  auto Art = link::buildArtifact({&M}, {});
-  ASSERT_TRUE(bool(Art)) << Art.error().message();
-  const lower::LoweredProgram *LP = &(*Art)->Program;
-  ASSERT_TRUE(wasm::validate(LP->Module).ok())
-      << wasm::validate(LP->Module).error().message();
-  wasm::WasmInstance Inst(LP->Module);
-  ASSERT_TRUE(Inst.initialize().ok());
-  auto R = Inst.invokeByName("gen.main", {});
-  ASSERT_TRUE(bool(R)) << R.error().message();
-  EXPECT_EQ((*R)[0].asU32(), InterpResult);
-  // Checked programs free all their linear cells; unrestricted garbage may
-  // remain until collection.
-  lower::HostGc Gc(Inst, LP->Runtime, LP->RefGlobals);
-  Gc.collect();
-  EXPECT_EQ(Inst.global(LP->Runtime.GLive).asU32(), 0u);
+  // (5) Differential: the machine and every lowered route agree on the
+  // result. Checked programs free all their linear cells; unrestricted
+  // garbage may remain until collection.
+  rwtest::Oracle O({&M});
+  ASSERT_TRUE(O.ready());
+  rwtest::Outcome R = O.run("gen.main");
+  ASSERT_TRUE(R.Ok) << R.Err;
+  EXPECT_EQ(R.bits(), InterpResult);
+  EXPECT_EQ(O.collect().Live, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Soundness,
