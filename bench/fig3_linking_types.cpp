@@ -185,11 +185,11 @@ BENCHMARK(F3_ColdAdmission)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
 //===----------------------------------------------------------------------===//
 // Ingest front-door smoke (DESIGN.md §12): cold admission of N standalone
 // serialized modules through ingest::admit versus hand-running the same
-// pipeline (serial::readPrivate → checkModule → instantiateLowered). The
-// front door adds magic sniffing, the input hash, limit pre-checks,
-// structured error plumbing, and obs counters — run_bench.sh computes the
-// overhead percentage into
-// BENCH_link.json and RW_INGEST_GATE=1 fails the run above 5%.
+// pipeline (serial::read into a fresh arena → checkModule →
+// instantiateLowered). The front door adds magic sniffing, the input hash,
+// limit pre-checks, structured error plumbing, and obs counters —
+// run_bench.sh computes the overhead percentage into BENCH_link.json and
+// RW_INGEST_GATE=1 fails the run above 5%.
 //===----------------------------------------------------------------------===//
 
 static std::vector<std::vector<uint8_t>> ingestBlobs(unsigned N) {
@@ -221,7 +221,8 @@ static void F3_IngestPipeline(benchmark::State &St) {
   auto Blobs = ingestBlobs(static_cast<unsigned>(St.range(0)));
   for (auto _ : St) {
     for (const auto &B : Blobs) {
-      auto M = serial::readPrivate(B);
+      ingest::IngestError E;
+      auto M = serial::read(B, std::make_shared<ir::TypeArena>(), &E);
       if (!M) { St.SkipWithError("serial read failed"); return; }
       std::vector<typing::InfoMap> Infos(1);
       if (!typing::checkModule(*M, &Infos[0]).ok()) {

@@ -176,8 +176,6 @@ AdmissionCache::AdmissionCache(uint64_t ByteBudget, unsigned Shards)
     CacheStats S = stats();
     E("hits", S.ProgramHits);
     E("misses", S.ProgramMisses);
-    E("program_hits", S.ProgramHits);
-    E("program_misses", S.ProgramMisses);
     E("evictions", S.Evictions);
     E("bytes", S.Bytes);
     E("entries", S.Entries);
@@ -226,21 +224,30 @@ AdmissionCache::lookupProgram(const serial::ModuleHash &Key) {
 
 void AdmissionCache::storeProgram(const serial::ModuleHash &Key,
                                   std::shared_ptr<const LoweredArtifact> Art) {
-  OBS_SPAN("cache_store");
-  // Store-failure seam: a dropped store degrades to uncached admission —
-  // the artifact is simply rebuilt on the next submission.
-  if (RW_FAULT_POINT(support::fault::Seam::CacheStore))
-    return;
-  if (!Art)
-    return;
-  Impl::Entry E;
-  E.Key = Key;
-  E.Bytes = artifactBytes(*Art);
-  E.Art = std::move(Art);
-  Impl &I = shardFor(Key);
-  Impl::Evicted Dead; // Freed after the lock is released.
-  std::lock_guard<std::mutex> G(I.M);
-  I.insert(std::move(E), ShardBudget, Dead);
+  // Evicted artifacts are freed after the shard lock is released and the
+  // cache_store span has closed, under their own cache_evict span: the
+  // storing thread still pays for them, but the ledger shows it apart.
+  Impl::Evicted Dead;
+  {
+    OBS_SPAN("cache_store");
+    // Store-failure seam: a dropped store degrades to uncached admission —
+    // the artifact is simply rebuilt on the next submission.
+    if (RW_FAULT_POINT(support::fault::Seam::CacheStore))
+      return;
+    if (!Art)
+      return;
+    Impl::Entry E;
+    E.Key = Key;
+    E.Bytes = artifactBytes(*Art);
+    E.Art = std::move(Art);
+    Impl &I = shardFor(Key);
+    std::lock_guard<std::mutex> G(I.M);
+    I.insert(std::move(E), ShardBudget, Dead);
+  }
+  if (!Dead.empty()) {
+    OBS_SPAN("cache_evict", Dead.size());
+    Dead.clear();
+  }
 }
 
 CacheStats AdmissionCache::stats() const {

@@ -92,17 +92,18 @@ Expected<Artifact> buildWasm(const std::vector<uint8_t> &Bytes,
   return Artifact(std::move(A));
 }
 
-/// The RWBM container's build stage: read into a private arena, the count limits,
-/// check, then link::buildArtifact. The parsed module and its arena die
+/// The RWBM container's build stage: read into a fresh arena, the count
+/// limits, check, then link::buildArtifact. The parsed module and its arena die
 /// on return: the artifact is pure Wasm and borrows nothing from them.
 Expected<Artifact> buildRichWasm(const std::vector<uint8_t> &Bytes,
                                  const Limits &L,
                                  const link::LinkOptions &Opts,
                                  IngestError &E) {
-  // A private arena per admission: a rejected module's types die with it,
-  // so hostile bytes cannot grow the process-wide arena (which has no
-  // eviction). Nobody else holds the arena, so one parse suffices.
-  Expected<ir::Module> M = serial::readPrivate(Bytes, &E);
+  // A fresh arena per admission, held by nobody else: a rejected module's
+  // types die with it, so hostile bytes cannot grow the process-wide arena
+  // (which has no eviction).
+  Expected<ir::Module> M =
+      serial::read(Bytes, std::make_shared<ir::TypeArena>(), &E);
   if (!M)
     return Error("ingest: " + E.render());
 

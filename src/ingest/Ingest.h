@@ -25,9 +25,11 @@
 ///        then, under the operand-depth cap, exec::translate (Validate:
 ///        translation is validation's one walk). The artifact holds the
 ///        decoded module and no GC metadata.
-///      * RWBM: serial::readPrivate into a private arena (Truncated,
-///        BadMagic, Unsupported or Malformed; a rejected admission leaves
-///        zero residue in the process-wide arena by construction), the
+///      * RWBM: serial::read into a fresh arena nobody else holds
+///        (Truncated, BadMagic, Unsupported or Malformed; the one parse
+///        may intern nodes before it fails, but they die with that arena,
+///        so a rejected admission leaves no residue in the process-wide
+///        arena), the
 ///        MaxFuncs/MaxGlobals/MaxElems limits (LimitExceeded),
 ///        typing::checkModule (Check), then link::buildArtifact: resolve
 ///        (Link), lower (Lower), validate and translate (Validate);

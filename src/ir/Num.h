@@ -26,9 +26,6 @@ inline bool isIntType(NumType T) {
   return T == NumType::I32 || T == NumType::U32 || T == NumType::I64 ||
          T == NumType::U64;
 }
-inline bool isFloatType(NumType T) {
-  return T == NumType::F32 || T == NumType::F64;
-}
 inline bool isSignedType(NumType T) {
   return T == NumType::I32 || T == NumType::I64;
 }

@@ -58,7 +58,6 @@ StepStatus Machine::step() {
   switch (Out.R) {
   case SeqResult::Stepped:
     ++Steps;
-    maybeAutoCollect();
     return StepStatus::Stepped;
   case SeqResult::AllValues:
     return StepStatus::Done;
@@ -112,11 +111,6 @@ Expected<std::vector<Value>> Machine::invoke(uint32_t InstIdx,
                                              uint64_t MaxSteps) {
   setupInvoke(InstIdx, FuncIdx, std::move(TypeArgs), std::move(Args));
   return run(MaxSteps);
-}
-
-void Machine::maybeAutoCollect() {
-  if (GcThreshold && S.Mem.Unr.size() > GcThreshold)
-    collect();
 }
 
 //===----------------------------------------------------------------------===//

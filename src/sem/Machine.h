@@ -203,10 +203,6 @@ public:
   /// cells reclaimed.
   uint64_t collect();
 
-  /// If set, collect() is invoked automatically whenever the unrestricted
-  /// memory exceeds this many live cells (0 disables).
-  void setGcThreshold(uint64_t Cells) { GcThreshold = Cells; }
-
   uint64_t stepCount() const { return Steps; }
 
 private:
@@ -241,7 +237,6 @@ private:
   Store S;
   Config C;
   uint64_t Steps = 0;
-  uint64_t GcThreshold = 0;
 
   /// Arena for types the *runtime* creates while stepping — call-site
   /// instantiations, mem.unpack bodies specialized to concrete addresses,
@@ -252,8 +247,6 @@ private:
   /// are shared as children untouched.
   std::shared_ptr<ir::TypeArena> RuntimeTypes =
       std::make_shared<ir::TypeArena>();
-
-  void maybeAutoCollect();
 };
 
 } // namespace rw::sem

@@ -921,17 +921,13 @@ std::vector<uint8_t> rw::serial::write(const ir::Module &M) {
   return Out;
 }
 
-namespace {
-
-/// Shared body of read() and readPrivate(): header checks, then the
-/// payload parse into \p Arena — preceded by a parse into a throwaway
-/// arena when \p Probe is set. A failure fills \p ErrOut (when non-null)
-/// with its category, the returned message and its byte offset: the
-/// header field's (the end of the input for a short header), or HeaderSize
-/// plus the reader's position for a payload failure.
-Expected<ir::Module> readInto(const std::vector<uint8_t> &Bytes,
-                              std::shared_ptr<ir::TypeArena> Arena,
-                              bool Probe, ingest::IngestError *ErrOut) {
+/// A failure fills \p ErrOut (when non-null) with its category, the
+/// returned message and its byte offset: the header field's (the end of the
+/// input for a short header), or HeaderSize plus the reader's position for
+/// a payload failure.
+Expected<ir::Module> rw::serial::read(const std::vector<uint8_t> &Bytes,
+                                      std::shared_ptr<ir::TypeArena> Arena,
+                                      ingest::IngestError *ErrOut) {
   OBS_SPAN("serial_read", Bytes.size());
   static obs::Counter BytesRead("serial.bytes_read");
   BytesRead.add(Bytes.size());
@@ -961,24 +957,6 @@ Expected<ir::Module> readInto(const std::vector<uint8_t> &Bytes,
   if (Sum != fnv1a(Bytes.data() + HeaderSize, Len))
     return Fail(Category::Malformed, 16, "payload checksum mismatch");
 
-  // Two-phase decode for a shared target: parse into a throwaway arena
-  // first, so a payload that fails *structural* validation (the checksum
-  // is not a MAC — an attacker can recompute it) leaves no trace in the
-  // target arena. Interning into a long-lived shared arena is otherwise a
-  // permanent allocation: the arena has no eviction. Only a fully validated
-  // payload is re-parsed into the target, which then gains exactly the
-  // module's own nodes. The price is a second parse on every successful
-  // read; readPrivate() skips it, because a fresh arena nobody else
-  // holds dies with a rejected module.
-  if (Probe) {
-    TypeArena Scratch;
-    ir::Module Discard;
-    Reader R(Bytes.data() + HeaderSize, Len, Scratch);
-    if (!R.run(Discard))
-      return Fail(R.category(), HeaderSize + R.offset(),
-                  "malformed module: " + R.error());
-  }
-
   ir::Module M;
   M.Arena = Arena;
   Reader R(Bytes.data() + HeaderSize, Len, *Arena);
@@ -986,20 +964,6 @@ Expected<ir::Module> readInto(const std::vector<uint8_t> &Bytes,
     return Fail(R.category(), HeaderSize + R.offset(),
                 "malformed module: " + R.error());
   return M;
-}
-
-} // namespace
-
-Expected<ir::Module> rw::serial::read(const std::vector<uint8_t> &Bytes,
-                                      std::shared_ptr<ir::TypeArena> Arena) {
-  return readInto(Bytes, std::move(Arena), /*Probe=*/true, nullptr);
-}
-
-Expected<ir::Module>
-rw::serial::readPrivate(const std::vector<uint8_t> &Bytes,
-                        ingest::IngestError *ErrOut) {
-  return readInto(Bytes, std::make_shared<TypeArena>(), /*Probe=*/false,
-                  ErrOut);
 }
 
 serial::ModuleHash rw::serial::moduleHash(const ir::Module &M) {

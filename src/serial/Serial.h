@@ -30,7 +30,9 @@
 /// read() is total on untrusted input: truncated streams, corrupt
 /// headers, bad checksums, out-of-range indices/enums, and oversized
 /// length fields all produce an Error, never a crash or an allocation
-/// explosion.
+/// explosion. It parses the payload once, straight into the target arena;
+/// isolation comes from who holds that arena, not from a second parse
+/// (see read()).
 ///
 /// moduleHash() is the admission-cache key (src/cache/): a 128-bit
 /// content hash folding the arena's per-node Merkle hashes (stable
@@ -64,24 +66,24 @@ constexpr size_t HeaderSize = 24;
 /// reachable type) into the wire format.
 std::vector<uint8_t> write(const ir::Module &M);
 
-/// Parses \p Bytes, interning all types into \p Arena (which becomes the
-/// module's owning arena). Fails with a diagnostic on any malformed,
-/// truncated, or corrupt input. The payload is parsed into a scratch
-/// arena first, so a rejected input leaves \p Arena untouched.
+/// Parses \p Bytes in one pass, interning all types into \p Arena (which
+/// becomes the module's owning arena). Fails with a diagnostic on any
+/// malformed, truncated, or corrupt input; \p ErrOut (when non-null) then
+/// receives the failure's category (Truncated, BadMagic, Unsupported or
+/// Malformed), the byte offset it was found at (the header field's, or
+/// HeaderSize plus the payload position), and the returned message as its
+/// context.
+///
+/// A rejected payload may leave the nodes it interned before the failure
+/// in \p Arena: the arena has no rollback. Untrusted bytes therefore go
+/// into an arena nobody else holds (`std::make_shared<ir::TypeArena>()`,
+/// as the ingestion front door does), which dies with a rejected module.
+/// Reading into a shared arena such as the global one is for trusted
+/// bytes, e.g. this process's own write() output.
 Expected<ir::Module>
 read(const std::vector<uint8_t> &Bytes,
-     std::shared_ptr<ir::TypeArena> Arena = ir::TypeArena::globalPtr());
-
-/// read() into a fresh arena the returned module owns alone, in a single
-/// parse: no other holder can observe the arena, so a rejected input dies
-/// with it and the scratch-arena probe would buy nothing. Same
-/// diagnostics as read(). The ingestion front door's reader: on
-/// rejection, \p ErrOut (when non-null) receives the failure's category
-/// (Truncated, BadMagic, Unsupported or Malformed), the byte offset it
-/// was found at (the header field's, or HeaderSize plus the payload
-/// position), and the returned message as its context.
-Expected<ir::Module> readPrivate(const std::vector<uint8_t> &Bytes,
-                                 ingest::IngestError *ErrOut = nullptr);
+     std::shared_ptr<ir::TypeArena> Arena = ir::TypeArena::globalPtr(),
+     ingest::IngestError *ErrOut = nullptr);
 
 /// 128-bit module content hash (see file comment). Stable across arenas
 /// and process runs; independent of the interning order.

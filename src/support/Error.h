@@ -42,9 +42,6 @@ private:
   std::string Msg;
 };
 
-/// Convenience constructor mirroring llvm::createStringError.
-inline Error makeError(std::string Msg) { return Error(std::move(Msg)); }
-
 /// Either a value of type T or an Error. Must be checked before use.
 template <typename T> class Expected {
 public:

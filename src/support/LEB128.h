@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace rw {
@@ -160,31 +159,6 @@ inline LEBError decodeSLEB128Strict(const uint8_t *D, size_t Sz, size_t &Pos,
     Result |= ~uint64_t(0) << Total;
   V = static_cast<int64_t>(Result);
   return LEBError::Ok;
-}
-
-/// Decodes a canonical ULEB128 value starting at \p Pos in \p Data;
-/// advances \p Pos. Returns std::nullopt on truncated, overlong, or
-/// out-of-range input (Pos then points at the offending byte).
-inline std::optional<uint64_t> decodeULEB128(const std::vector<uint8_t> &Data,
-                                             size_t &Pos,
-                                             unsigned MaxBits = 64) {
-  uint64_t V;
-  if (decodeULEB128Strict(Data.data(), Data.size(), Pos, V, MaxBits) !=
-      LEBError::Ok)
-    return std::nullopt;
-  return V;
-}
-
-/// Decodes a canonical SLEB128 value starting at \p Pos in \p Data;
-/// advances \p Pos. Returns std::nullopt on malformed input.
-inline std::optional<int64_t> decodeSLEB128(const std::vector<uint8_t> &Data,
-                                            size_t &Pos,
-                                            unsigned MaxBits = 64) {
-  int64_t V;
-  if (decodeSLEB128Strict(Data.data(), Data.size(), Pos, V, MaxBits) !=
-      LEBError::Ok)
-    return std::nullopt;
-  return V;
 }
 
 } // namespace rw

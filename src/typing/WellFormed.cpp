@@ -139,6 +139,9 @@ Status rw::typing::wfPretypeAtUncached(const Pretype *P, Qual OuterQ,
   }
   case PretypeKind::Skolem: {
     const auto *Sk = cast<SkolemPT>(P);
+    // Scope first: a skolem read off the wire may carry any lower bound.
+    if (Status St = wfQual(Sk->qualLower(), Ctx); !St)
+      return St;
     if (!leqQual(Sk->qualLower(), OuterQ, Ctx))
       return Error("abstract pretype used below its qualifier lower bound");
     return Status::success();

@@ -25,6 +25,7 @@
 #include "lower/Lower.h"
 #include "obs/Obs.h"
 #include "serial/Serial.h"
+#include "support/Hashing.h"
 #include "support/ThreadPool.h"
 #include "wasm/Binary.h"
 
@@ -50,6 +51,27 @@ std::vector<uint8_t> wasmBytes(const ir::Module &M) {
 
 uint64_t globalArenaNodes() {
   return ir::TypeArena::globalPtr()->stats().totalNodes();
+}
+
+/// Rewrites an RWBM header's payload length and checksum to match its
+/// (possibly mutated) payload, so the mutant gets past the header and
+/// fails, if at all, inside the payload reader. The checksum is not a MAC:
+/// hostile bytes can do the same.
+void resealRwbm(std::vector<uint8_t> &B) {
+  ASSERT_GE(B.size(), serial::HeaderSize);
+  uint64_t Len = B.size() - serial::HeaderSize;
+  uint64_t Sum = support::fnv1a(B.data() + serial::HeaderSize, Len);
+  for (int I = 0; I < 8; ++I) {
+    B[8 + I] = static_cast<uint8_t>(Len >> (8 * I));
+    B[16 + I] = static_cast<uint8_t>(Sum >> (8 * I));
+  }
+}
+
+/// A rejection the RWBM payload reader made (not the header checks, nor a
+/// later stage): its offset lies past the header.
+bool rejectedInReader(const IngestError &E) {
+  return (E.Cat == Category::Truncated || E.Cat == Category::Malformed) &&
+         E.Offset >= serial::HeaderSize;
 }
 
 std::vector<uint8_t> readFile(const std::filesystem::path &P) {
@@ -189,16 +211,34 @@ TEST(Ingest, CountersAccountForEveryOutcome) {
   EXPECT_EQ(Accepted.value(), A0 + One) << "rejections never count accepted";
 }
 
+// The one RWBM parse may intern nodes before it fails; the front door
+// reads into a fresh arena, so those nodes never reach the global one.
+// Every mutant here is resealed, so it passes the header checks and fails
+// inside the reader, after the type table started interning.
 TEST(Ingest, RejectedRichWasmAdmissionLeavesArenaClean) {
   std::vector<uint8_t> B = serial::write(rwbench::wideModule(4));
+  ASSERT_GT(B.size(), serial::HeaderSize + 50);
+  std::vector<std::vector<uint8_t>> Mutants;
+  for (size_t I = 0; I < 50; ++I) {
+    std::vector<uint8_t> Flip = B;
+    Flip[serial::HeaderSize + I] ^= 0xff;
+    Mutants.push_back(std::move(Flip));
+    std::vector<uint8_t> Cut(B.begin(), B.end() - 1 - I);
+    Mutants.push_back(std::move(Cut));
+  }
   uint64_t Before = globalArenaNodes();
-  for (int I = 0; I < 50; ++I) {
-    std::vector<uint8_t> Mut = B;
-    Mut[20 + I] ^= 0xff; // corrupt past the header
+  unsigned InReader = 0;
+  for (std::vector<uint8_t> &Mut : Mutants) {
+    resealRwbm(Mut);
     IngestError E;
     Expected<ingest::AdmittedModule> A = ingest::admit(Mut, Limits(), {}, &E);
-    EXPECT_FALSE(A) << "checksummed payload accepted a corrupt byte";
+    if (A)
+      continue;
+    EXPECT_NE(E.Context, "payload checksum mismatch");
+    InReader += rejectedInReader(E);
   }
+  EXPECT_GT(InReader, Mutants.size() * 3 / 4)
+      << "most mutants must fail inside the payload reader";
   EXPECT_EQ(globalArenaNodes(), Before)
       << "rejected admissions must leave zero residue in the global arena";
 }
@@ -355,6 +395,12 @@ TEST(Ingest, RegressionCorpusVerdictsArePinned) {
       {"typing_prod_qual_out_of_scope.bin", Category::Check, 0,
        "Check @0: in function 0: qualifier variable δ5 out of scope (in "
        "parameter of [(unit^δ5)^unr] -> [])"},
+      // So is a skolem's qualifier lower bound (a checksum-repaired bit
+      // flip of a generated module).
+      {"typing_skolem_qual_out_of_scope.bin", Category::Check, 0,
+       "Check @0: in function 0: qualifier variable δ2 out of scope (in "
+       "parameter of ∀ (σ ≥96 ≤0). [α#0^unr α#2^lin] -> [((∃ρ. (ptr "
+       "ρ0)^δ1)^unr α#2^unr)^unr])"},
   };
   const std::filesystem::path Dir =
       std::filesystem::path(RW_SOURCE_DIR) / "fuzz/corpus/regression";
@@ -426,11 +472,12 @@ TEST(Ingest, RegressionCorpusVerdictsArePinned) {
                  Trap, Limits(), Opts);
 }
 
-// The 10k-seed deterministic mutation battery the acceptance criteria
-// names: truncations, bit flips, and section splices over real encodings
-// of both containers. Totality means: never a crash, never unbounded
-// allocation (tight Limits), zero global-arena residue; accepted mutants
-// must still run under fuel.
+// The 10k-seed deterministic mutation battery: truncations, bit flips, and
+// section splices over real encodings of both containers. RWBM mutants are
+// resealed, so they reach the payload reader instead of dying at the
+// checksum. Totality means: never a crash, never unbounded allocation
+// (tight Limits), zero global-arena residue; accepted mutants must still
+// run under fuel.
 TEST(Ingest, MutationBattery10k) {
   std::vector<std::vector<uint8_t>> Seeds = {
       wasmBytes(rwbench::loopModule(10)),
@@ -450,9 +497,12 @@ TEST(Ingest, MutationBattery10k) {
   uint64_t ArenaBefore = globalArenaNodes();
   std::mt19937_64 Rng(0xbadc0ffee);
   size_t Accepted = 0, Rejected = 0;
+  size_t RwbmRejected = 0, RwbmInReader = 0;
 
   for (int I = 0; I < 10000; ++I) {
-    std::vector<uint8_t> B = Seeds[Rng() % Seeds.size()];
+    size_t Seed = Rng() % Seeds.size();
+    bool Rwbm = Seed >= 2;
+    std::vector<uint8_t> B = Seeds[Seed];
     switch (Rng() % 3) {
     case 0: { // truncation
       B.resize(Rng() % (B.size() + 1));
@@ -474,6 +524,8 @@ TEST(Ingest, MutationBattery10k) {
       break;
     }
     }
+    if (Rwbm && B.size() >= serial::HeaderSize)
+      resealRwbm(B);
 
     IngestError E;
     Expected<ingest::AdmittedModule> A = ingest::admit(B, L, Opts, &E);
@@ -483,11 +535,19 @@ TEST(Ingest, MutationBattery10k) {
       ++Rejected;
       EXPECT_NE(E.Cat, Category::None)
           << "rejection without a category at iteration " << I;
+      if (Rwbm) {
+        ++RwbmRejected;
+        RwbmInReader += rejectedInReader(E);
+        EXPECT_NE(E.Context, "payload checksum mismatch")
+            << "iteration " << I;
+      }
     }
   }
 
   EXPECT_EQ(Accepted + Rejected, 10000u);
   EXPECT_GT(Rejected, 5000u) << "mutations should mostly break something";
+  EXPECT_GT(RwbmInReader, RwbmRejected * 3 / 4)
+      << "most RWBM rejections must come from the payload reader";
   EXPECT_EQ(globalArenaNodes(), ArenaBefore)
       << "battery left residue in the global type arena";
 }

@@ -173,22 +173,6 @@ TEST(LEB128, MaxBitsCapsSigned) {
             LEBError::OutOfRange);
 }
 
-TEST(LEB128, VectorWrappersAreStrict) {
-  std::vector<uint8_t> Overlong = {0x80, 0x00};
-  size_t Pos = 0;
-  EXPECT_FALSE(decodeULEB128(Overlong, Pos).has_value());
-
-  std::vector<uint8_t> Ok = encU(300);
-  Pos = 0;
-  auto V = decodeULEB128(Ok, Pos);
-  ASSERT_TRUE(V.has_value());
-  EXPECT_EQ(*V, 300u);
-
-  std::vector<uint8_t> SOverlong = {0xc0, 0x7f};
-  Pos = 0;
-  EXPECT_FALSE(decodeSLEB128(SOverlong, Pos).has_value());
-}
-
 TEST(LEB128, ExhaustiveTwoByteAgreement) {
   // Every 2-byte string either decodes canonically (and re-encodes to the
   // same bytes) or is rejected — and rejection reasons are stable.

@@ -549,43 +549,11 @@ TEST(Serial, NullSizeIsMalformed) {
   }
 }
 
-TEST(Serial, FailedReadLeavesTargetArenaUntouched) {
-  // The checksum is not a MAC: an attacker can ship a structurally
-  // invalid payload with a valid checksum. Such a read must not grow the
-  // target arena (it has no eviction; interned garbage would be
-  // permanent).
-  std::vector<uint8_t> Bytes = serial::write(rwbench::wideModule(2));
-  // Truncate mid-payload and repair length + checksum so the failure
-  // happens in structural validation, after type-table parsing started.
-  std::vector<uint8_t> B(Bytes.begin(), Bytes.begin() + Bytes.size() - 4);
-  uint64_t PLen = B.size() - serial::HeaderSize;
-  for (int I = 0; I < 8; ++I)
-    B[8 + I] = static_cast<uint8_t>(PLen >> (8 * I));
-  fixChecksum(B);
-
-  auto Target = std::make_shared<TypeArena>();
-  uint64_t Before = Target->stats().totalNodes();
-  auto R = serial::read(B, Target);
-  ASSERT_FALSE(bool(R));
-  EXPECT_EQ(Target->stats().totalNodes(), Before)
-      << "rejected payload interned nodes into the target arena";
-
-  // A successful read into the same arena interns exactly the module's
-  // nodes — and a repeated read adds nothing new.
-  auto Ok = serial::read(Bytes, Target);
-  ASSERT_TRUE(bool(Ok));
-  uint64_t After = Target->stats().totalNodes();
-  EXPECT_GT(After, Before);
-  auto Ok2 = serial::read(Bytes, Target);
-  ASSERT_TRUE(bool(Ok2));
-  EXPECT_EQ(Target->stats().totalNodes(), After);
-}
-
-TEST(Serial, PrivateReadAgreesWithTwoPhaseRead) {
-  // readPrivate skips the scratch-arena probe because its arena is its
-  // own. It must still accept exactly what read() accepts, with the same
-  // diagnostics and the same decoded module, over intact, truncated and
-  // checksum-repaired corrupt payloads.
+TEST(Serial, FreshArenaReadAgreesWithGlobalArenaRead) {
+  // The arena a read interns into must not change what it decides: a read
+  // into a fresh arena and one into the global arena accept the same
+  // inputs, with the same diagnostics and the same decoded module, over
+  // intact, truncated and checksum-repaired corrupt payloads.
   std::vector<uint8_t> Bytes = serial::write(rwbench::wideModule(2));
   std::vector<std::vector<uint8_t>> Inputs = {Bytes, {}, {'R', 'W'}};
   for (size_t Len = 0; Len < Bytes.size(); Len += 7)
@@ -600,29 +568,31 @@ TEST(Serial, PrivateReadAgreesWithTwoPhaseRead) {
   }
   unsigned Accepted = 0;
   for (const std::vector<uint8_t> &B : Inputs) {
-    auto Two = serial::read(B, std::make_shared<TypeArena>());
-    auto One = serial::readPrivate(B);
-    ASSERT_EQ(bool(One), bool(Two));
-    if (!One) {
-      EXPECT_EQ(One.error().message(), Two.error().message());
+    ingest::IngestError FreshErr, GlobalErr;
+    auto Fresh = serial::read(B, std::make_shared<TypeArena>(), &FreshErr);
+    auto Global = serial::read(B, TypeArena::globalPtr(), &GlobalErr);
+    ASSERT_EQ(bool(Fresh), bool(Global));
+    if (!Fresh) {
+      EXPECT_EQ(Fresh.error().message(), Global.error().message());
+      EXPECT_EQ(FreshErr.render(), GlobalErr.render());
       continue;
     }
     ++Accepted;
-    EXPECT_EQ(serial::write(*One), serial::write(*Two));
-    EXPECT_NE(One->Arena, TypeArena::globalPtr());
-    EXPECT_EQ(One->Arena.use_count(), 1) << "the arena must be private";
+    EXPECT_EQ(serial::write(*Fresh), serial::write(*Global));
+    EXPECT_EQ(Global->Arena, TypeArena::globalPtr());
+    EXPECT_EQ(Fresh->Arena.use_count(), 1) << "the fresh arena must be private";
   }
   EXPECT_GT(Accepted, 1u);
 }
 
-TEST(Serial, PrivateReadReportsWhereItFailed) {
+TEST(Serial, ReadReportsWhereItFailed) {
   // A header failure is reported at its field (magic @0, version @4,
   // payload length @8, checksum @16; a short header at the input's end),
   // and a payload failure at the header size plus the reader's position.
   std::vector<uint8_t> Bytes = serial::write(rwbench::wideModule(2));
   auto offsetOf = [](const std::vector<uint8_t> &B, ingest::Category Want) {
     ingest::IngestError E;
-    EXPECT_FALSE(bool(serial::readPrivate(B, &E)));
+    EXPECT_FALSE(bool(serial::read(B, std::make_shared<TypeArena>(), &E)));
     EXPECT_EQ(E.Cat, Want) << E.render();
     return E.Offset;
   };
@@ -746,12 +716,12 @@ TEST(Serial, RejectsNonCanonicalBooleanFields) {
     B[At] = 2;
     fixChecksum(B);
     ingest::IngestError E;
-    EXPECT_FALSE(bool(serial::readPrivate(B, &E))) << C.What;
+    EXPECT_FALSE(bool(serial::read(B, std::make_shared<TypeArena>(), &E)))
+        << C.What;
     EXPECT_EQ(E.Cat, ingest::Category::Malformed) << C.What;
     EXPECT_EQ(E.Offset, At + 1) << C.What;
     EXPECT_EQ(E.Context, std::string("malformed module: bad ") + C.What +
                              " flag");
-    EXPECT_FALSE(bool(serial::read(B, std::make_shared<TypeArena>())));
   }
 }
 
